@@ -6,8 +6,9 @@
 //! must carry acquire/release edges, conf keys must come from one registry,
 //! communication loops must not block forever, lock pairs must be acquired
 //! in one global order, nothing may block while a guard is live, obs spans
-//! must balance on every path, and hot-path `Result`s must not be silently
-//! discarded. This crate checks those invariants statically, as custom
+//! must balance on every path, hot-path `Result`s must not be silently
+//! discarded, and runtime loops must block on events rather than poll for
+//! them on sub-millisecond timers. This crate checks those invariants statically, as custom
 //! lints with stable rule IDs, and is run in CI next to `cargo clippy`.
 //!
 //! Architecture: the analysis is **two-phase**. Phase 1 runs per file — a
@@ -63,6 +64,7 @@ pub const RULES: &[(&str, &str)] = &[
         rules::swallowed_error::ID,
         rules::swallowed_error::DESCRIPTION,
     ),
+    (rules::busy_poll::ID, rules::busy_poll::DESCRIPTION),
 ];
 
 /// Pseudo-rule for unusable `hdm-allow` comments (bad syntax, unknown rule
@@ -169,6 +171,9 @@ pub struct FileScope {
     pub span_balance: bool,
     /// `swallowed-error` applies (same hot-path set as `blocking_lock`).
     pub swallowed: bool,
+    /// `busy-poll` applies (the runtime: mpisim, datampi, the core
+    /// scheduler/stream/engine/driver, and the server).
+    pub busy_poll: bool,
     /// File IS the conf registry — exempt from `conf-key-registry`.
     pub conf_registry: bool,
     /// Whole file is test/bench/example code.
@@ -194,6 +199,7 @@ pub fn scope_for(rel: &str) -> FileScope {
                     blocking_lock: true,
                     span_balance: true,
                     swallowed: true,
+                    busy_poll: true,
                     conf_registry: false,
                     test_file: false,
                     only_rule: Some(id),
@@ -253,6 +259,9 @@ pub fn scope_for(rel: &str) -> FileScope {
         swallowed: contended
             || rel.ends_with("crates/common/src/cancel.rs")
             || in_dir("crates/faults/src/"),
+        // PR 12: every thread these files park belongs to a query in
+        // flight; mapred's waves hold no parked threads to speak of.
+        busy_poll: contended && !in_dir("crates/mapred/src/"),
         conf_registry: rel.ends_with("common/src/conf.rs"),
         test_file,
         only_rule: None,
@@ -335,6 +344,9 @@ pub fn check_sources(files: &[SourceFile]) -> Vec<Diagnostic> {
             }
             if run(rules::swallowed_error::ID) && (scope.swallowed || forced) {
                 rules::swallowed_error::check(&ctx, &mut diags);
+            }
+            if run(rules::busy_poll::ID) && (scope.busy_poll || forced) {
+                rules::busy_poll::check(&ctx, &mut diags);
             }
             if (scope.lock_extract && !scope.test_file) || forced {
                 lock_facts = rules::locks::extract(&ctx);

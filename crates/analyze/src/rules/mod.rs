@@ -4,6 +4,7 @@
 
 pub mod atomic_ordering;
 pub mod blocking_under_lock;
+pub mod busy_poll;
 pub mod conf_keys;
 pub mod lock_order;
 pub mod locks;

@@ -1,5 +1,5 @@
 //! The acceptance gate: `hdm-analyze` run over the workspace's own
-//! `crates/` tree must come back clean — across all nine rules, including
+//! `crates/` tree must come back clean — across all ten rules, including
 //! the cross-file lock-order graph and the stale-allow audit. Any new
 //! violation either gets fixed or earns an explicit
 //! `// hdm-allow(rule-id): reason` that provably suppresses it.
@@ -7,7 +7,7 @@
 use std::path::Path;
 
 #[test]
-fn registry_has_all_nine_rules() {
+fn registry_has_all_ten_rules() {
     let ids: Vec<&str> = hdm_analyze::RULES.iter().map(|(id, _)| *id).collect();
     assert_eq!(
         ids,
@@ -21,6 +21,7 @@ fn registry_has_all_nine_rules() {
             "blocking-under-lock",
             "obs-span-balance",
             "swallowed-error",
+            "busy-poll",
         ],
         "rule IDs are a stable interface; additions go at the end"
     );

@@ -24,6 +24,12 @@ pub const KEY_SORT_BUFFER_BYTES: &str = "io.sort.buffer.bytes";
 pub const KEY_BLOCK_SIZE: &str = "dfs.block.size";
 /// Task slots per node (paper: 4).
 pub const KEY_SLOTS_PER_NODE: &str = "mapred.tasktracker.slots";
+/// Tasks of one stage this process runs at once: the Hadoop adapter's
+/// map/reduce wave width and the DataMPI adapter's O slot count.
+pub const KEY_LOCAL_THREADS: &str = "engine.local.threads";
+/// Default of [`KEY_LOCAL_THREADS`], shared with the engines' own config
+/// defaults so a job built without a `JobConf` runs as wide as one with.
+pub const DEFAULT_LOCAL_THREADS: usize = 8;
 /// DataMPI shuffle style: `blocking` or `nonblocking` (Section IV-C).
 pub const KEY_SHUFFLE_STYLE: &str = "datampi.shuffle.style";
 /// Send partition size in bytes for the DataMPI buffer manager.
@@ -407,6 +413,23 @@ impl JobConf {
         Ok(v as usize)
     }
 
+    /// Tasks of one stage executing at once in this process (both
+    /// engines). Default **8**.
+    ///
+    /// # Errors
+    /// Returns [`HdmError::Config`] if the stored value is not an integer
+    /// or is less than 1 (a stage needs one worker to make progress, and a
+    /// negative count cast to `usize` would ask for 2⁶³ of them).
+    pub fn local_threads(&self) -> Result<usize> {
+        let v = self.get_i64(KEY_LOCAL_THREADS, DEFAULT_LOCAL_THREADS as i64)?;
+        if v < 1 {
+            return Err(HdmError::Config(format!(
+                "{KEY_LOCAL_THREADS}: expected a thread count >= 1, got {v}"
+            )));
+        }
+        Ok(v as usize)
+    }
+
     /// Whether dependent stages stream intermediates partition-by-
     /// partition instead of materializing at a stage barrier. Default
     /// **true** (the pipelined path is differential-tested against the
@@ -770,6 +793,22 @@ mod tests {
         assert!(c.exec_parallel_threads().is_err());
         let c = JobConf::new().with(KEY_EXEC_PARALLEL_THREADS, "many");
         assert!(c.exec_parallel_threads().is_err());
+    }
+
+    #[test]
+    fn local_threads_defaults_to_eight_and_rejects_less_than_one() {
+        assert_eq!(JobConf::new().local_threads().unwrap(), 8);
+        let c = JobConf::new().with(KEY_LOCAL_THREADS, 3);
+        assert_eq!(c.local_threads().unwrap(), 3);
+        for bad in [0, -1] {
+            let err = JobConf::new()
+                .with(KEY_LOCAL_THREADS, bad)
+                .local_threads()
+                .unwrap_err();
+            assert!(err.message().contains(">= 1"), "{err}");
+        }
+        let c = JobConf::new().with(KEY_LOCAL_THREADS, "all");
+        assert!(c.local_threads().is_err());
     }
 
     #[test]

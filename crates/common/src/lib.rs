@@ -48,7 +48,7 @@ pub mod sortkey;
 pub mod stats;
 pub mod value;
 
-pub use cancel::CancelToken;
+pub use cancel::{CancelToken, WakerRegistration};
 pub use conf::JobConf;
 pub use error::{HdmError, Result};
 pub use row::{Row, Schema};

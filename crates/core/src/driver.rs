@@ -321,7 +321,7 @@ impl Driver {
                 (Some(s), Some(p)) => (s, p),
                 _ => return Err(HdmError::Plan("SELECT produced an empty plan".into())),
             };
-            let mut rows = read_seq_outputs(&self.dfs, &last.output_paths)?;
+            let mut rows = self.collect_rows(last)?;
             // LIMIT without ORDER BY is applied here (best-effort upstream).
             if let Some(l) = qb.limit {
                 rows.truncate(l as usize);
@@ -331,6 +331,17 @@ impl Driver {
             None
         };
         Ok((stages, collected))
+    }
+
+    /// Read a `Collect` stage's rows back and delete its part files: the
+    /// rows travel on in the [`QueryResult`], and nothing else ever reads
+    /// `/tmp/q{id}/result/` again.
+    fn collect_rows(&self, last: &StageResult) -> Result<Vec<Row>> {
+        let rows = read_seq_outputs(&self.dfs, &last.output_paths);
+        for path in &last.output_paths {
+            self.dfs.delete(path);
+        }
+        rows
     }
 
     fn execute_plan(
@@ -382,6 +393,9 @@ impl Driver {
                     // query: scrub scratch space and any half-written
                     // table directories so a rerun starts clean.
                     self.cleanup_partial_outputs(plan, query_id);
+                } else {
+                    // A failed query's scratch space has no reader left.
+                    self.dfs.delete_prefix(&format!("/tmp/q{query_id}/"));
                 }
                 return Err(err);
             }
@@ -430,10 +444,9 @@ impl Driver {
         }
         let stages = self.execute_plan(plan, engine, &CancelToken::default())?;
         let (rows, columns) = match (plan.stages.last(), stages.last()) {
-            (Some(last_plan), Some(last)) if last_plan.output == StageOutput::Collect => (
-                read_seq_outputs(&self.dfs, &last.output_paths)?,
-                last_plan.out_names.clone(),
-            ),
+            (Some(last_plan), Some(last)) if last_plan.output == StageOutput::Collect => {
+                (self.collect_rows(last)?, last_plan.out_names.clone())
+            }
             (Some(last_plan), _) => (Vec::new(), last_plan.out_names.clone()),
             _ => (Vec::new(), Vec::new()),
         };
@@ -696,10 +709,7 @@ impl Driver {
     /// Fails if the table is unknown or a row's arity mismatches.
     pub fn load_rows(&self, table: &str, rows: &[Row]) -> Result<u64> {
         let meta = self.metastore.table(table)?;
-        let part = self.metastore.storage.parts(&self.dfs, table).len();
-        let path = self.metastore.storage.part_path(table, part);
-        let fmt = format_for(meta.format);
-        let mut sink = fmt.create(&self.dfs, &path, &meta.schema, NodeId((part % 7) as u32))?;
+        let mut sink = self.create_next_part(table, &meta, |part| NodeId((part % 7) as u32))?;
         for r in rows {
             if r.len() != meta.schema.len() {
                 return Err(HdmError::Plan(format!(
@@ -713,6 +723,29 @@ impl Driver {
         let written = sink.close()?;
         self.metastore.bump_version(table);
         Ok(written)
+    }
+
+    /// Open the next part file of a table for appending. The listing only
+    /// says where to start: another session may hold that name already
+    /// (its file is open, hence unlisted), and since creation is
+    /// exclusive the loser of a race just moves on to the next index.
+    fn create_next_part(
+        &self,
+        table: &str,
+        meta: &crate::catalog::TableMeta,
+        node_of: impl Fn(usize) -> NodeId,
+    ) -> Result<Box<dyn hdm_storage::RowSink>> {
+        let storage = &self.metastore.storage;
+        let mut part = storage.parts(&self.dfs, table).len();
+        loop {
+            let path = storage.part_path(table, part);
+            let created =
+                format_for(meta.format).create(&self.dfs, &path, &meta.schema, node_of(part));
+            match created {
+                Err(e) if hdm_dfs::is_file_exists(&e) => part += 1,
+                created => return created,
+            }
+        }
     }
 
     fn insert_values(&self, table: &str, rows: Vec<Vec<crate::ast::Expr>>) -> Result<()> {
@@ -736,10 +769,7 @@ impl Driver {
             out_rows.push(row);
         }
         // Append as a fresh part file.
-        let part = self.metastore.storage.parts(&self.dfs, table).len();
-        let path = self.metastore.storage.part_path(table, part);
-        let fmt = format_for(meta.format);
-        let mut sink = fmt.create(&self.dfs, &path, &meta.schema, NodeId(0))?;
+        let mut sink = self.create_next_part(table, &meta, |_| NodeId(0))?;
         for r in &out_rows {
             sink.write_row(r)?;
         }
@@ -1072,6 +1102,45 @@ mod tests {
             break;
         }
         assert!(fell_back, "no candidate seed completed via fallback");
+    }
+
+    #[test]
+    fn finished_and_failed_queries_leave_no_scratch_files() {
+        let d = driver();
+        d.execute("CREATE TABLE names (k BIGINT, label STRING)")
+            .unwrap();
+        d.execute("INSERT INTO names VALUES (1, 'one'), (2, 'two')")
+            .unwrap();
+        let sql = "SELECT label, COUNT(*) AS n FROM t JOIN names nm ON t.k = nm.k \
+                   GROUP BY label ORDER BY label";
+        for engine in [EngineKind::Hadoop, EngineKind::DataMpi] {
+            let r = d.execute_on(sql, engine).unwrap();
+            assert_eq!(r.to_lines(), vec!["one\t2", "two\t2"]);
+            assert_eq!(d.dfs().list("/tmp/q"), Vec::<String>::new(), "{engine:?}");
+        }
+        // The raw-plan entry point collects through the same helper.
+        let qb = analyze(
+            match &parse_script(sql).unwrap()[0] {
+                Statement::Select(q) => q,
+                other => panic!("not a select: {other:?}"),
+            },
+            d.metastore(),
+        )
+        .unwrap();
+        let plan = plan_select(&qb, StageOutput::Collect).unwrap();
+        let r = d.execute_raw_plan(&plan, EngineKind::DataMpi).unwrap();
+        assert_eq!(r.rows.len(), 2);
+        assert_eq!(d.dfs().list("/tmp/q"), Vec::<String>::new());
+        // A query whose second stage dies at run time (a string plus a
+        // number) takes its first stage's files with it.
+        let err = d
+            .execute_on(
+                "SELECT SUM(label + 1) AS x FROM t JOIN names nm ON t.k = nm.k",
+                EngineKind::Hadoop,
+            )
+            .unwrap_err();
+        assert_eq!(err.subsystem(), "eval", "{err}");
+        assert_eq!(d.dfs().list("/tmp/q"), Vec::<String>::new());
     }
 
     #[test]

@@ -539,7 +539,11 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
             // (ORC) and the stage is eligible, rows stay columnar and
             // the batch kernels below replace the row loop.
             let mut columnar: Option<hdm_storage::ColumnarSource> = None;
-            let rows = if let Some((src, part)) = spec.stream {
+            // Whichever arm runs keeps its rows alive here; the row loop
+            // below only borrows them.
+            let streamed: Arc<Vec<Row>>;
+            let scanned: Vec<Row>;
+            let rows: &[Row] = if let Some((src, part)) = spec.stream {
                 // Pipelined mode: block until the producer commits this
                 // partition, then consume it from memory (no DFS read —
                 // input_bytes stays 0, same as DAG-mode memory chunks).
@@ -548,7 +552,8 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                 let stream = in_streams.get(&src).ok_or_else(|| {
                     HdmError::Plan(format!("map task {task_idx}: stage {src} stream missing"))
                 })?;
-                stream.take(part)?.as_ref().clone()
+                streamed = stream.take(part)?;
+                &streamed
             } else {
                 match (&spec.split, &spec.mem) {
                     (None, Some((stage_id, start, end))) => {
@@ -556,10 +561,9 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                         dag_rows
                             .get(stage_id)
                             .and_then(|r| r.get(*start..*end))
-                            .map(<[Row]>::to_vec)
                             .unwrap_or_default()
                     }
-                    (None, None) => Vec::new(),
+                    (None, None) => &[],
                     (Some(split), _) => {
                         let node = split.hosts.first().copied().unwrap_or(NodeId(0));
                         let no_pushdown = [];
@@ -587,7 +591,7 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                         match &columnar {
                             Some(src) => {
                                 vol.input_bytes = src.bytes_read;
-                                Vec::new()
+                                &[]
                             }
                             None => {
                                 let src = fmt.read_split(
@@ -599,7 +603,8 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                                     Some(node),
                                 )?;
                                 vol.input_bytes = src.bytes_read;
-                                src.rows
+                                scanned = src.rows;
+                                &scanned
                             }
                         }
                     }
@@ -696,22 +701,22 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                 // safe point inside the map pipeline.
                 cancel.bail_if_cancelled()?;
                 if let Some(f) = &input.filter {
-                    if !f.eval_predicate(&row)? {
+                    if !f.eval_predicate(row)? {
                         continue;
                     }
                 }
                 vol.records += 1;
-                let value = project_row(&input.value_exprs, &row)?;
+                let value = project_row(&input.value_exprs, row)?;
                 match &stage.kind {
                     StageKind::MapOnly => {
                         map_only_ctx.write(task_idx, &value)?;
                     }
                     StageKind::Join { .. } => {
-                        let key = project_row(&input.key_exprs, &row)?;
+                        let key = project_row(&input.key_exprs, row)?;
                         emit(key_codec.pair(&key, &tag_row(input.tag, &value)))?;
                     }
                     StageKind::Aggregate { .. } => {
-                        let key = project_row(&input.key_exprs, &row)?;
+                        let key = project_row(&input.key_exprs, row)?;
                         if partial {
                             let agg = aggregator.as_ref().ok_or_else(|| {
                                 HdmError::Plan("aggregate stage without an aggregator".into())
@@ -722,7 +727,7 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                         }
                     }
                     StageKind::Sort { .. } => {
-                        let key = project_row(&input.key_exprs, &row)?;
+                        let key = project_row(&input.key_exprs, row)?;
                         emit(key_codec.pair(&key, &value))?;
                     }
                 }
@@ -916,7 +921,13 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
     let (reduce_vols, ran_reducers) = if matches!(stage.kind, StageKind::MapOnly) {
         let faults = hdm_faults::FaultPlan::from_conf(ctx.conf, &ctx.obs)?;
         let recovery = hdm_faults::RecoveryPolicy::from_conf(ctx.conf)?;
-        run_map_only(map_tasks, &map_logic, &faults, &recovery)?;
+        run_map_only(
+            map_tasks,
+            ctx.conf.local_threads()?,
+            &map_logic,
+            &faults,
+            &recovery,
+        )?;
         (Vec::new(), 0)
     } else {
         match ctx.engine {
@@ -1042,7 +1053,7 @@ fn run_on_hadoop(
         map_tasks,
         reduce_tasks,
         sort_buffer_bytes: conf.get_i64(hdm_common::conf::KEY_SORT_BUFFER_BYTES, 1 << 20)? as usize,
-        concurrency: conf.get_i64("engine.local.threads", 8)? as usize,
+        concurrency: conf.local_threads()?,
         obs: obs.clone(),
         faults: hdm_faults::FaultPlan::from_conf(conf, obs)?,
         recovery: hdm_faults::RecoveryPolicy::from_conf(conf)?,
@@ -1106,6 +1117,7 @@ fn run_on_datampi(
     let config = DataMpiConfig {
         o_tasks,
         a_tasks,
+        o_slots: conf.local_threads()?,
         shuffle_style: style,
         send_partition_bytes: conf.get_i64(hdm_common::conf::KEY_SEND_PARTITION_BYTES, 16 << 10)?
             as usize,
@@ -1181,6 +1193,7 @@ fn run_on_datampi(
 /// attempt, so replay is idempotent.
 fn run_map_only(
     map_tasks: usize,
+    threads: usize,
     map_logic: &MapLogic,
     faults: &hdm_faults::FaultPlan,
     recovery: &hdm_faults::RecoveryPolicy,
@@ -1195,7 +1208,7 @@ fn run_map_only(
     std::thread::scope(|scope| {
         let next = &next;
         let errors = &errors;
-        for _ in 0..map_tasks.min(8) {
+        for _ in 0..map_tasks.min(threads) {
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 if i >= map_tasks {

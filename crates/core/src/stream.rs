@@ -17,6 +17,12 @@
 //!   yet (sequential scheduling) never deadlocks: its commits all land
 //!   immediately and the stream degenerates into a staged hand-off with
 //!   identical task structure.
+//! * **Awaited partitions are exempt.** A partition a consumer task is
+//!   already parked on in `take` commits at once whatever the buffer
+//!   holds. Consumer tasks run in waves on a bounded set of slots while
+//!   producer tasks finish in any order; with the exemption a blocked
+//!   commit always belongs to a partition whose task is not resident
+//!   yet, so the resident wave always finishes and the next one starts.
 //! * **Attempt-aware.** hdm-faults retries replay a task; a replayed
 //!   commit for a partition replaces the rows only if no consumer has
 //!   taken them yet (task replay is byte-deterministic per the PR 4
@@ -55,6 +61,9 @@ struct State {
     /// Live consumer stages attached. Backpressure only applies while
     /// at least one consumer is draining.
     consumers: usize,
+    /// Partitions a consumer task is parked on in `take` right now (one
+    /// entry per parked taker). Commits of these never wait.
+    awaited: Vec<usize>,
     finished: bool,
     failed: Option<String>,
     /// Terminal cancelled state: distinct from `failed` so a blocked
@@ -96,6 +105,7 @@ impl StreamedIntermediate {
                     slots: HashMap::new(),
                     buffered: 0,
                     consumers: 0,
+                    awaited: Vec::new(),
                     finished: false,
                     failed: None,
                     cancelled: None,
@@ -162,7 +172,8 @@ impl StreamedIntermediate {
 
     /// Producer: publish `rows` as partition `partition` of attempt
     /// `attempt`. Blocks while the buffer is at capacity *and* a
-    /// consumer is attached; errors if the stream was failed.
+    /// consumer is attached *and* no consumer task is parked waiting for
+    /// this very partition; errors if the stream was failed.
     pub fn commit(&self, partition: usize, attempt: u32, rows: Arc<Vec<Row>>) -> Result<()> {
         let inner = &self.inner;
         let mut g = inner.state.lock();
@@ -175,6 +186,7 @@ impl StreamedIntermediate {
             && g.consumers > 0
             && g.buffered >= inner.cap
             && !g.slots.contains_key(&partition)
+            && !g.awaited.contains(&partition)
         {
             waited = true;
             // hdm-allow(blocking-under-lock): condvar wait — backpressure; the guard is released while parked
@@ -252,28 +264,45 @@ impl StreamedIntermediate {
     pub fn take(&self, partition: usize) -> Result<Arc<Vec<Row>>> {
         let inner = &self.inner;
         let mut g = inner.state.lock();
-        while !g.slots.contains_key(&partition) {
+        let mut parked = false;
+        let waited = loop {
+            if g.slots.contains_key(&partition) {
+                break Ok(());
+            }
             if let Some(reason) = &g.cancelled {
-                return Err(HdmError::Cancelled(reason.clone()));
+                break Err(HdmError::Cancelled(reason.clone()));
             }
             if let Some(msg) = &g.failed {
-                return Err(HdmError::DataMpi(format!(
+                break Err(HdmError::DataMpi(format!(
                     "pipelined input {}: upstream failed: {msg}",
                     inner.label
                 )));
             }
             if g.finished {
-                return Err(HdmError::DataMpi(format!(
+                break Err(HdmError::DataMpi(format!(
                     "pipelined input {}: partition {partition} missing after producer finished",
                     inner.label
                 )));
+            }
+            if !parked {
+                // From here on this partition's commit must not wait for
+                // buffer room; one that already does re-checks now.
+                parked = true;
+                g.awaited.push(partition);
+                inner.producers.notify_all();
             }
             // hdm-allow(blocking-under-lock): condvar wait — the guard is released while parked and reacquired on wake
             g = match inner.takers.wait(g) {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
+        };
+        if parked {
+            if let Some(at) = g.awaited.iter().position(|p| *p == partition) {
+                g.awaited.swap_remove(at);
+            }
         }
+        waited?;
         let Some(slot) = g.slots.get_mut(&partition) else {
             return Err(HdmError::DataMpi(format!(
                 "pipelined input {}: partition {partition} vanished",
@@ -421,6 +450,58 @@ mod tests {
             .map(|(_, _, v)| *v)
             .sum();
         assert!(waits >= 1, "backpressure wait should be counted");
+    }
+
+    #[test]
+    fn commit_past_the_cap_does_not_wait_when_its_taker_is_parked() {
+        let s = StreamedIntermediate::new("stage1", 1, &obs());
+        s.declare(3, 0);
+        s.attach();
+        s.commit(0, 0, rows(1)).unwrap(); // the buffer is now at its cap
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let taker = {
+            let s = s.clone();
+            std::thread::spawn(move || {
+                parked_tx.send(()).unwrap();
+                s.take(2).map(|r| r.len())
+            })
+        };
+        parked_rx.recv().unwrap();
+        // Nobody waits for partition 1: its commit parks, as before.
+        let unawaited = {
+            let s = s.clone();
+            std::thread::spawn(move || s.commit(1, 0, rows(1)))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!unawaited.is_finished(), "commit should be backpressured");
+        // Partition 2 has a parked taker: whether this commit finds the
+        // taker registered or registers first and is re-checked by it, it
+        // returns without anyone draining the buffer.
+        s.commit(2, 0, rows(7)).unwrap();
+        assert_eq!(taker.join().unwrap().unwrap(), 7);
+        assert!(!unawaited.is_finished(), "the exemption is per partition");
+        s.take(0).unwrap();
+        unawaited.join().unwrap().unwrap();
+        // The taker deregistered on its way out: partition 2 is exempt
+        // only while someone is parked on it.
+        assert!(s.inner.state.lock().awaited.is_empty());
+        s.detach();
+    }
+
+    #[test]
+    fn failed_take_deregisters_its_partition() {
+        let s = StreamedIntermediate::new("stage1", 1, &obs());
+        s.declare(2, 0);
+        let taker = {
+            let s = s.clone();
+            std::thread::spawn(move || s.take(1))
+        };
+        while s.inner.state.lock().awaited.is_empty() {
+            std::thread::yield_now();
+        }
+        s.cancel("query abandoned");
+        assert!(taker.join().unwrap().unwrap_err().is_cancelled());
+        assert!(s.inner.state.lock().awaited.is_empty());
     }
 
     #[test]

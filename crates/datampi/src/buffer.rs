@@ -125,6 +125,10 @@ fn read_chunk(payload: &Bytes, pos: usize) -> hdm_common::error::Result<(Bytes, 
 /// reclaimed payload buffers so flushed partitions get their capacity
 /// back from completed sends instead of growing a fresh `Vec` (the
 /// paper's §IV-C recycling discipline).
+///
+/// A partition gets its backing buffer with the first pair routed to
+/// it, so a list that outlives many O tasks (one per execution slot)
+/// holds memory only for the destinations its tasks actually fed.
 #[derive(Debug)]
 pub struct SendPartitionList {
     partitions: Vec<SendPartition>,
@@ -136,13 +140,10 @@ pub struct SendPartitionList {
 impl SendPartitionList {
     /// One partition per A task, each flushing at `capacity_bytes`.
     pub fn new(a_tasks: usize, capacity_bytes: usize) -> SendPartitionList {
-        let initial_capacity = capacity_bytes.min(1 << 20);
         SendPartitionList {
-            partitions: (0..a_tasks)
-                .map(|_| SendPartition::with_capacity(initial_capacity))
-                .collect(),
+            partitions: vec![SendPartition::default(); a_tasks],
             capacity_bytes: capacity_bytes.max(1),
-            initial_capacity,
+            initial_capacity: capacity_bytes.min(1 << 20),
             pool: Vec::new(),
         }
     }
@@ -201,11 +202,16 @@ impl SendPartitionList {
     /// returning a destination outside `0..a_tasks`.
     pub fn push(&mut self, dst: usize, kv: &KvPair) -> hdm_common::error::Result<Option<Bytes>> {
         let a_tasks = self.partitions.len();
+        let unbacked = self.partitions.get(dst).is_some_and(|p| p.capacity() == 0);
+        let first_buffer = unbacked.then(|| self.next_buffer());
         let p = self.partitions.get_mut(dst).ok_or_else(|| {
             hdm_common::error::HdmError::DataMpi(format!(
                 "partitioner routed key to A task {dst}, but only {a_tasks} exist"
             ))
         })?;
+        if let Some(buf) = first_buffer {
+            p.data = buf;
+        }
         p.push(kv);
         if p.bytes_used() >= self.capacity_bytes {
             let next = self.next_buffer();
@@ -220,14 +226,21 @@ impl SendPartitionList {
     }
 
     /// Drain every non-empty partition as `(dst, payload)` pairs (end of
-    /// O task: flush everything). Partitions are handed empty buffers —
-    /// the task is done filling, so no capacity is reserved.
+    /// O task: flush everything). Each payload is a right-sized copy: a
+    /// tail flush is usually a fraction of a buffer, the payload lives
+    /// until the A side has merged it, and the buffer stays with the
+    /// partition for the slot's next task.
     pub fn flush(&mut self) -> Vec<(usize, Bytes)> {
-        self.partitions
-            .iter_mut()
-            .enumerate()
+        let buffered = self.partitions.iter_mut().enumerate();
+        buffered
             .filter(|(_, p)| !p.is_empty())
-            .map(|(dst, p)| (dst, p.take_payload_with(Vec::new())))
+            .map(|(dst, p)| {
+                let payload = Bytes::from(p.data.as_slice().to_vec());
+                p.data.clear();
+                p.offsets.clear();
+                p.pairs = 0;
+                (dst, payload)
+            })
             .collect()
     }
 
@@ -287,6 +300,22 @@ mod tests {
         let mut spl = SendPartitionList::new(2, 32);
         let err = spl.push(5, &kv(0, 1)).unwrap_err();
         assert!(err.to_string().contains("only 2 exist"), "{err}");
+    }
+
+    #[test]
+    fn partitions_are_backed_by_their_first_pair_and_keep_the_buffer() {
+        let mut spl = SendPartitionList::new(2, 1024);
+        spl.push(0, &kv(1, 8)).unwrap();
+        let buffer = spl.partitions[0].data.as_ptr();
+        assert!(spl.partitions[0].capacity() >= 1024);
+        assert_eq!(spl.partitions[1].capacity(), 0, "unfed partition");
+        // A tail flush hands out a right-sized copy, not the buffer.
+        let flushed = spl.flush();
+        assert_eq!(flushed.len(), 1);
+        assert_eq!(flushed[0].1.len(), kv(1, 8).wire_size());
+        assert_ne!(flushed[0].1.as_ref().as_ptr(), buffer);
+        spl.push(0, &kv(2, 8)).unwrap();
+        assert_eq!(spl.partitions[0].data.as_ptr(), buffer);
     }
 
     #[test]

@@ -4,51 +4,50 @@
 use crate::buffer::SendPartitionList;
 use crate::receiver::{run_receiver, KeyGroups};
 use crate::report::{ATaskStats, JobReport, OTaskStats};
-use crate::shuffle::{run_sender, SendCmd};
+use crate::shuffle::{run_sender, SendCmd, SenderStats};
 use crate::DataMpiConfig;
 use bytes::Bytes;
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use hdm_common::error::{HdmError, Result};
 use hdm_common::kv::{ComparatorRef, KvPair};
 use hdm_common::partition::PartitionerRef;
-use hdm_faults::{FaultPlan, Site};
-use hdm_mpi::{World, WorldConfig};
-use hdm_obs::{Counter, ObsHandle, Timer};
+use hdm_faults::Site;
+use hdm_mpi::{Endpoint, World, WorldConfig};
+use hdm_obs::{Counter, Timer};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The context handed to an O (operator) task — the `MPI_D` surface an
 /// O-side program sees.
-pub struct OContext {
+pub struct OContext<'slot> {
     rank: usize,
-    a_tasks: usize,
-    spl: SendPartitionList,
-    queue: crossbeam::channel::Sender<SendCmd>,
+    /// The job's knobs, fault plan, cancel token (polled once per `send`:
+    /// one relaxed atomic load, as on the disabled-faults path) and obs.
+    config: &'slot DataMpiConfig,
+    /// The executing slot's SPL, empty when the attempt starts.
+    spl: &'slot mut SendPartitionList,
+    queue: Sender<SendCmd>,
     /// Payloads whose transmit completed, returned by the shuffle engine
     /// for buffer recycling (Section IV-C's reusable send blocks).
-    recycle_rx: crossbeam::channel::Receiver<Bytes>,
-    partitioner: PartitionerRef,
+    recycle_rx: &'slot Receiver<Bytes>,
+    partitioner: &'slot PartitionerRef,
     stats: OTaskStats,
     job_start: Instant,
     /// Injected-crash countdown for this attempt: `Some(0)` fails the
     /// next `send`. `None` (always, when fault injection is off) costs
     /// nothing on the per-record path.
     crash_countdown: Option<u64>,
-    faults: FaultPlan,
-    /// Cooperative cancellation: polled once per `send` (one relaxed
-    /// atomic load, same discipline as the disabled-faults path).
-    cancel: hdm_common::CancelToken,
     // Registry handles fetched once at task setup; the per-record path
     // never touches them — only the flush branch does, behind one
     // relaxed `is_enabled` load.
-    obs: ObsHandle,
     obs_flushes: Counter,
     obs_flush_bytes: Counter,
     obs_queue_wait: Timer,
     obs_recycle_drops: Counter,
 }
 
-impl std::fmt::Debug for OContext {
+impl std::fmt::Debug for OContext<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OContext")
             .field("rank", &self.rank)
@@ -57,7 +56,7 @@ impl std::fmt::Debug for OContext {
     }
 }
 
-impl OContext {
+impl OContext<'_> {
     /// This task's rank within the O communicator
     /// (`MPI_D_Comm_rank(MPI_D_COMM_BIPARTITE_O)`).
     pub fn rank(&self) -> usize {
@@ -66,7 +65,7 @@ impl OContext {
 
     /// Number of A tasks (`MPI_D_Comm_size(MPI_D_COMM_BIPARTITE_A)`).
     pub fn a_tasks(&self) -> usize {
-        self.a_tasks
+        self.config.a_tasks
     }
 
     /// `MPI_D_send`: route one key-value pair to the A task owning its
@@ -79,10 +78,10 @@ impl OContext {
     /// [`HdmError::RankFailed`] when an injected crash fires;
     /// [`HdmError::Cancelled`] once the job's token fires.
     pub fn send(&mut self, kv: KvPair) -> Result<()> {
-        self.cancel.bail_if_cancelled()?;
+        self.config.cancel.bail_if_cancelled()?;
         if let Some(countdown) = self.crash_countdown.as_mut() {
             if *countdown == 0 {
-                self.faults.note_injected(Site::OTask);
+                self.config.faults.note_injected(Site::OTask);
                 return Err(HdmError::RankFailed(format!(
                     "O{}: injected crash mid-stream",
                     self.rank
@@ -90,7 +89,7 @@ impl OContext {
             }
             *countdown -= 1;
         }
-        let dst = self.partitioner.partition(&kv.key, self.a_tasks);
+        let dst = self.partitioner.partition(&kv.key, self.config.a_tasks);
         self.stats
             .collect
             .record_kv(kv.wire_size() as u64, self.job_start);
@@ -99,42 +98,42 @@ impl OContext {
         // A declined offer (pool full or buffer still shared) is counted,
         // not silently discarded.
         while let Ok(done) = self.recycle_rx.try_recv() {
-            if !self.spl.recycle(done) && self.obs.is_enabled() {
+            if !self.spl.recycle(done) && self.config.obs.is_enabled() {
                 self.obs_recycle_drops.add(1);
             }
         }
         if let Some(payload) = self.spl.push(dst, &kv)? {
-            let bytes = payload.len() as u64;
-            self.stats.bytes += bytes;
             let wait_start = Instant::now();
-            self.queue
-                .send(SendCmd::Partition { dst, payload })
-                .map_err(|_| HdmError::DataMpi(format!("O{}: shuffle engine gone", self.rank)))?;
+            self.enqueue(dst, payload)?;
             let waited = wait_start.elapsed();
             self.stats.queue_wait += waited;
-            if self.obs.is_enabled() {
-                self.obs_flushes.add(1);
-                self.obs_flush_bytes.add(bytes);
+            if self.config.obs.is_enabled() {
                 self.obs_queue_wait.observe(waited.as_micros() as u64);
             }
         }
         Ok(())
     }
 
-    /// Flush all buffered partitions (called automatically at task end).
-    fn flush(&mut self) -> Result<()> {
-        for (dst, payload) in self.spl.flush() {
-            let bytes = payload.len() as u64;
-            self.stats.bytes += bytes;
-            self.queue
-                .send(SendCmd::Partition { dst, payload })
-                .map_err(|_| HdmError::DataMpi(format!("O{}: shuffle engine gone", self.rank)))?;
-            if self.obs.is_enabled() {
-                self.obs_flushes.add(1);
-                self.obs_flush_bytes.add(bytes);
-            }
+    /// Hand one frozen partition to the shuffle engine's send queue.
+    fn enqueue(&mut self, dst: usize, payload: Bytes) -> Result<()> {
+        let bytes = payload.len() as u64;
+        self.stats.bytes += bytes;
+        self.queue
+            .send(SendCmd::Partition { dst, payload })
+            .map_err(|_| HdmError::DataMpi(format!("O{}: shuffle engine gone", self.rank)))?;
+        if self.config.obs.is_enabled() {
+            self.obs_flushes.add(1);
+            self.obs_flush_bytes.add(bytes);
         }
         Ok(())
+    }
+
+    /// Flush all buffered partitions (called automatically at task end).
+    fn flush(&mut self) -> Result<()> {
+        let buffered = self.spl.flush();
+        buffered
+            .into_iter()
+            .try_for_each(|(dst, payload)| self.enqueue(dst, payload))
     }
 }
 
@@ -185,27 +184,27 @@ pub struct JobOutcome<RO, RA> {
 }
 
 /// Type of user O functions: `(o_rank, context) -> RO`.
-pub type OFn<RO> = Arc<dyn Fn(usize, &mut OContext) -> Result<RO> + Send + Sync>;
+pub type OFn<RO> = Arc<dyn Fn(usize, &mut OContext<'_>) -> Result<RO> + Send + Sync>;
 /// Type of user A functions: `(a_rank, context) -> RA`.
 pub type AFn<RA> = Arc<dyn Fn(usize, &mut AContext) -> Result<RA> + Send + Sync>;
 
-enum RankResult<RO, RA> {
-    O(Result<RO>, OTaskStats),
-    A(Result<RA>, ATaskStats),
-}
-
 /// Run a bipartite O→A job: the `mpidrun` analogue.
 ///
-/// Spawns `o_tasks + a_tasks` rank threads. O ranks execute `o_fn`
-/// with an [`OContext`] whose `send` routes pairs through the SPL buffer
-/// manager and the configured shuffle engine; A ranks cache incoming
-/// partitions (spilling past the memory budget), and once every O task
-/// finalizes, merge-sort their data and execute `a_fn` over sorted key
-/// groups.
+/// Every A rank gets a thread for the life of the job (it has to drain
+/// its inbox throughout), while at most `config.o_slots` slots pull the
+/// O ranks in rank order and run each as a task: `2·W + A` threads serve
+/// the job however many splits it has. A task still talks through its
+/// own rank's endpoint, so the wire is what a thread per rank produces.
+/// An O task executes `o_fn` with an [`OContext`] whose `send` routes
+/// pairs through the SPL buffer manager and the configured shuffle
+/// engine; A ranks cache incoming partitions (spilling past the memory
+/// budget), and once every O task finalizes, merge-sort their data and
+/// execute `a_fn` over sorted key groups.
 ///
 /// # Errors
-/// Returns the first task error; the job still drains cleanly (EOFs are
-/// sent even when an O function fails, so A tasks terminate).
+/// Returns the first task error in rank order, O before A (a panic in
+/// `o_fn` counts as one); the job still drains cleanly (EOFs are sent
+/// even when an O function fails, so A tasks terminate).
 pub fn run_bipartite<RO, RA>(
     config: &DataMpiConfig,
     comparator: ComparatorRef,
@@ -224,9 +223,8 @@ where
         )));
     }
     let o = config.o_tasks;
-    let a = config.a_tasks;
     let world = World::new(
-        o + a,
+        o + config.a_tasks,
         WorldConfig {
             channel_capacity: config.channel_capacity,
             obs: config.obs.clone(),
@@ -243,44 +241,41 @@ where
     )?;
     let metrics = world.metrics();
     let job_start = Instant::now();
-    let config = Arc::new(config.clone());
-
-    let results: Vec<RankResult<RO, RA>> = world.run(move |ep| {
-        let rank = ep.rank();
-        if rank < o {
-            run_o_rank(rank, ep, &config, &partitioner, &o_fn, job_start)
-        } else {
-            run_a_rank(rank - o, ep, &config, &comparator, &a_fn)
-        }
+    let mut o_eps = world.into_endpoints();
+    let a_eps = o_eps.split_off(o);
+    let job = OJob {
+        config,
+        partitioner: &partitioner,
+        o_fn: &o_fn,
+        job_start,
+        ranks: Mutex::new(o_eps.into_iter()),
+    };
+    let (mut o_done, a_done) = std::thread::scope(|scope| {
+        let a_ranks: Vec<_> = a_eps
+            .into_iter()
+            .enumerate()
+            .map(|(a_rank, ep)| {
+                let (comparator, a_fn) = (&comparator, &a_fn);
+                scope.spawn(move || run_a_rank(a_rank, ep, config, comparator, a_fn))
+            })
+            .collect();
+        let job = &job;
+        let slots: Vec<_> = (0..config.o_slots.clamp(1, o))
+            .map(|_| scope.spawn(move || run_o_slot(scope, job)))
+            .collect();
+        let o_done: Vec<_> = slots.into_iter().flat_map(join_rank).collect();
+        let a_done: Vec<_> = a_ranks.into_iter().map(join_rank).collect();
+        (o_done, a_done)
     });
-
     let elapsed = job_start.elapsed();
-    let mut o_results = Vec::with_capacity(o);
-    let mut a_results = Vec::with_capacity(a);
-    let mut o_stats = Vec::with_capacity(o);
-    let mut a_stats = Vec::with_capacity(a);
-    let mut first_err: Option<HdmError> = None;
-    for r in results {
-        match r {
-            RankResult::O(res, stats) => {
-                o_stats.push(stats);
-                match res {
-                    Ok(v) => o_results.push(v),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
-            RankResult::A(res, stats) => {
-                a_stats.push(stats);
-                match res {
-                    Ok(v) => a_results.push(v),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
+    o_done.sort_by_key(|(rank, _)| *rank);
+    let o_done = o_done.into_iter().map(|(_, done)| done);
+    let (o_stats, o_results) = o_done.collect::<Result<Vec<_>>>()?.into_iter().unzip();
+    let (a_stats, a_results) = a_done
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?
+        .into_iter()
+        .unzip();
     Ok(JobOutcome {
         o_results,
         a_results,
@@ -293,85 +288,136 @@ where
     })
 }
 
-fn run_o_rank<RO, RA>(
-    rank: usize,
-    ep: hdm_mpi::Endpoint,
-    config: &DataMpiConfig,
-    partitioner: &PartitionerRef,
-    o_fn: &OFn<RO>,
+/// Join a rank thread, re-raising its panic in the caller as `World::run`
+/// does.
+fn join_rank<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
+/// What every O slot of one job shares.
+struct OJob<'a, RO> {
+    config: &'a DataMpiConfig,
+    partitioner: &'a PartitionerRef,
+    o_fn: &'a OFn<RO>,
     job_start: Instant,
-) -> RankResult<RO, RA> {
+    /// The O ranks no slot has pulled yet, in rank order.
+    ranks: Mutex<std::vec::IntoIter<Endpoint>>,
+}
+
+/// What a slot owns for the life of the job, where a thread per rank set
+/// it up per task: the SPL, and the channels to the comm thread running
+/// the shuffle engine (tasks out, recycled payloads and results back).
+struct OSlot {
+    spl: SendPartitionList,
+    recycle_rx: Receiver<Bytes>,
+    task_tx: Sender<(Endpoint, Receiver<SendCmd>)>,
+    sent_rx: Receiver<Result<SenderStats>>,
+}
+
+/// One O execution slot: a compute thread (this one) and its comm
+/// thread, running O ranks as tasks until none are left to pull.
+fn run_o_slot<'scope, RO: Send>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    job: &'scope OJob<'_, RO>,
+) -> Vec<(usize, Result<(OTaskStats, RO)>)> {
+    let config = job.config;
+    let (task_tx, task_rx) = bounded::<(Endpoint, Receiver<SendCmd>)>(1);
+    let (sent_tx, sent_rx) = bounded(1);
+    // Bounded so a slow compute thread never piles up spares: up to two
+    // per destination keeps the pool warm without hoarding memory.
+    let (recycle_tx, recycle_rx) = bounded(config.a_tasks.saturating_mul(2).max(1));
+    scope.spawn(move || {
+        // hdm-allow(unbounded-blocking): in-process hand-off; the compute thread drops the sender once the ranks run out
+        while let Ok((mut ep, queue)) = task_rx.recv() {
+            let res = run_sender(
+                config.shuffle_style,
+                &mut ep,
+                queue,
+                config.o_tasks,
+                config.a_tasks,
+                job.job_start,
+                Some(recycle_tx.clone()),
+                &config.obs,
+            );
+            if res.is_err() {
+                // Peers blocked on this rank fail fast instead of waiting
+                // out their receive deadline.
+                ep.poison();
+            }
+            if sent_tx.send(res).is_err() {
+                return;
+            }
+        }
+    });
+    let mut slot = OSlot {
+        spl: SendPartitionList::new(config.a_tasks, config.send_partition_bytes),
+        recycle_rx,
+        task_tx,
+        sent_rx,
+    };
+    let mut done = Vec::new();
+    loop {
+        let Some(ep) = job.ranks.lock().next() else {
+            return done;
+        };
+        done.push((ep.rank(), run_o_task(ep, &mut slot, job)));
+    }
+}
+
+fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<(OTaskStats, RO)> {
     let task_start = Instant::now();
-    let (tx, rx) = bounded(config.send_queue_len.max(1));
-    // Completed-send payloads flow back on this channel for SPL buffer
-    // recycling; bounded so a slow compute thread never piles up spares.
-    let (recycle_tx, recycle_rx) = bounded(a_tasks_capacity(config.a_tasks));
-    let style = config.shuffle_style;
-    let a_base = config.o_tasks;
-    let a_tasks = config.a_tasks;
-    let obs = config.obs.clone();
+    let config = job.config;
+    let rank = ep.rank();
+    let obs = &config.obs;
     let track = format!("O{rank}");
     let _task_span = obs.span(&track, "task", "o-task");
-    let sender_obs = obs.clone();
-    let sender = std::thread::spawn(move || {
-        let mut ep = ep;
-        let res = run_sender(
-            style,
-            &mut ep,
-            rx,
-            a_base,
-            a_tasks,
-            job_start,
-            Some(recycle_tx),
-            &sender_obs,
-        );
-        if res.is_err() {
-            // Peers blocked on this rank fail fast instead of waiting
-            // out their receive deadline.
-            ep.poison();
-        }
-        res
-    });
+    let label = format!("rank={rank}");
+    // The send block queue is the task's own: an engine that dies drops
+    // the receiving end, and the next `send` sees it at once.
+    let (tx, rx) = bounded(config.send_queue_len.max(1));
+    if slot.task_tx.send((ep, rx)).is_err() {
+        return Err(HdmError::DataMpi(format!("O{rank}: comm thread gone")));
+    }
 
     let faults = &config.faults;
-    // Task-level re-execution (the Hadoop attempt model grafted onto the
-    // MPI engine) only arms itself under fault tolerance; otherwise a
-    // task gets exactly one attempt, as before.
-    let max_attempts = if faults.is_enabled() {
-        config.recovery.max_attempts.max(1)
-    } else {
-        1
-    };
-    let label = format!("rank={rank}");
+    let max_attempts = max_attempts(config);
     let mut attempt = 0u32;
-    let (user, flush, stats) = loop {
+    let (user, flush, mut stats) = loop {
         let _attempt_span = (attempt > 0).then(|| obs.span(&track, "recovery", "o-task-retry"));
         if let Some(stall) = faults.stall(Site::OTask, rank, attempt) {
             faults.note_injected(Site::OTask);
             std::thread::sleep(stall);
         }
         // Each attempt replays the split through a fresh context: empty
-        // SPL buffers, fresh stats, its own crash countdown. Idempotence
-        // comes from the A side discarding aborted attempts wholesale.
+        // SPL buffers (whatever the slot's last attempt left is dropped),
+        // fresh stats, its own crash countdown. Idempotence comes from
+        // the A side discarding aborted attempts wholesale.
+        drop(slot.spl.flush());
         let mut ctx = OContext {
             rank,
-            a_tasks,
-            spl: SendPartitionList::new(a_tasks, config.send_partition_bytes),
+            config,
+            spl: &mut slot.spl,
             queue: tx.clone(),
-            recycle_rx: recycle_rx.clone(),
-            partitioner: Arc::clone(partitioner),
+            recycle_rx: &slot.recycle_rx,
+            partitioner: job.partitioner,
             stats: OTaskStats::new(rank),
-            job_start,
+            job_start: job.job_start,
             crash_countdown: faults.crash_after(Site::OTask, rank, attempt),
-            faults: faults.clone(),
-            cancel: config.cancel.clone(),
             obs_flushes: obs.counter("spl.flushes", &label),
             obs_flush_bytes: obs.counter("spl.flush.bytes", &label),
             obs_queue_wait: obs.timer("spl.queue.wait.us", &label, hdm_obs::TIMER_US_BUCKET),
-            obs: obs.clone(),
             obs_recycle_drops: obs.counter("spl.recycle.drops", &label),
         };
-        let user = o_fn(rank, &mut ctx);
+        // A panicking O function must not take its slot down: the ranks
+        // the slot would have pulled next would never send their EOFs.
+        let run = std::panic::AssertUnwindSafe(|| (job.o_fn)(rank, &mut ctx));
+        let user = std::panic::catch_unwind(run).unwrap_or_else(|_| {
+            Err(HdmError::DataMpi(format!(
+                "O{rank}: task function panicked"
+            )))
+        });
         // Cancellation is terminal: never burn recovery attempts (or
         // backoff sleeps) replaying a cancelled split.
         let retryable = user.as_ref().err().is_some_and(|e| !e.is_cancelled());
@@ -409,41 +455,29 @@ fn run_o_rank<RO, RA>(
         break (user, flush, ctx.stats);
     };
     if tx.send(SendCmd::Finish).is_err() {
-        // Engine hung up before Finish: sender.join() below surfaces the
+        // Engine hung up before Finish: its result below carries the
         // real error; the counter keeps the lost EOF visible in obs.
         obs.counter("spl.finish.drops", &label).add(1);
     }
-    let sender_res = sender
-        .join()
-        .unwrap_or_else(|_| Err(HdmError::DataMpi("shuffle engine thread panicked".into())));
-
-    let mut stats = stats;
-    stats.elapsed = task_start.elapsed();
-    let result = match (user, flush, sender_res) {
-        (Err(e), _, _) => Err(e),
-        (_, Err(e), _) => Err(e),
-        (_, _, Err(e)) => Err(e),
-        (Ok(v), Ok(()), Ok(sender_stats)) => {
-            stats.send_events = sender_stats.send_events;
-            Ok(v)
-        }
+    // hdm-allow(unbounded-blocking): the comm thread answers every task it accepted, or drops the channel when it dies
+    let sender_stats = match slot.sent_rx.recv() {
+        Ok(res) => res,
+        Err(_) => Err(HdmError::DataMpi("shuffle engine thread panicked".into())),
     };
-    RankResult::O(result, stats)
+    let value = user?;
+    flush?;
+    stats.send_events = sender_stats?.send_events;
+    stats.elapsed = task_start.elapsed();
+    Ok((stats, value))
 }
 
-/// Recycle-channel bound: up to two spare payloads per destination keeps
-/// the pool warm without hoarding memory.
-fn a_tasks_capacity(a_tasks: usize) -> usize {
-    a_tasks.saturating_mul(2).max(1)
-}
-
-fn run_a_rank<RO, RA>(
+fn run_a_rank<RA>(
     a_rank: usize,
-    mut ep: hdm_mpi::Endpoint,
+    mut ep: Endpoint,
     config: &DataMpiConfig,
     comparator: &ComparatorRef,
     a_fn: &AFn<RA>,
-) -> RankResult<RO, RA> {
+) -> Result<(ATaskStats, RA)> {
     let task_start = Instant::now();
     let mut stats = ATaskStats::new(a_rank);
     let track = format!("A{a_rank}");
@@ -465,21 +499,21 @@ fn run_a_rank<RO, RA>(
             ep.poison();
             Err(e)
         }
-        Ok(groups) => {
-            if config.faults.is_enabled() {
-                run_a_attempts(a_rank, groups, config, a_fn, &track)
-            } else {
-                let mut ctx = AContext {
-                    rank: a_rank,
-                    attempt: 0,
-                    groups: groups.into_iter(),
-                };
-                a_fn(a_rank, &mut ctx)
-            }
-        }
+        Ok(groups) => run_a_attempts(a_rank, groups, config, a_fn, &track),
     };
     stats.elapsed = task_start.elapsed();
-    RankResult::A(result, stats)
+    result.map(|value| (stats, value))
+}
+
+/// Task-level re-execution (the Hadoop attempt model grafted onto the MPI
+/// engine) only arms itself under fault tolerance; otherwise a task gets
+/// exactly one attempt.
+fn max_attempts(config: &DataMpiConfig) -> u32 {
+    if config.faults.is_enabled() {
+        config.recovery.max_attempts.max(1)
+    } else {
+        1
+    }
 }
 
 /// The A-side attempt supervisor: re-executes the user A function over
@@ -494,7 +528,7 @@ fn run_a_attempts<RA>(
     track: &str,
 ) -> Result<RA> {
     let faults = &config.faults;
-    let max_attempts = config.recovery.max_attempts.max(1);
+    let max_attempts = max_attempts(config);
     let mut attempt = 0u32;
     let mut groups = Some(groups);
     loop {
@@ -550,7 +584,7 @@ fn run_a_attempts<RA>(
 /// # Errors
 /// Propagates [`OContext::send`] failures.
 pub fn send_rows(
-    ctx: &mut OContext,
+    ctx: &mut OContext<'_>,
     key: &hdm_common::row::Row,
     value: &hdm_common::row::Row,
 ) -> Result<()> {
@@ -571,6 +605,7 @@ mod tests {
     use hdm_common::partition::HashPartitioner;
     use hdm_common::row::Row;
     use hdm_common::value::Value;
+    use hdm_faults::FaultPlan;
 
     fn base_config(o: usize, a: usize) -> DataMpiConfig {
         DataMpiConfig {
@@ -837,6 +872,114 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.subsystem(), "rank-failed");
         assert!(err.message().contains("injected crash"));
+    }
+
+    /// 64 O tasks of 100 sends each into 4 A tasks on `slots` slots:
+    /// every A task's groups, and the most O functions ever live at once.
+    fn run_on_slots(
+        slots: usize,
+        style: ShuffleStyle,
+        faults: &FaultPlan,
+    ) -> (Vec<KeyGroups>, usize) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Counts an O function in on creation and out on every exit path.
+        struct Live(Arc<AtomicUsize>);
+        impl Drop for Live {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let live = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let config = DataMpiConfig {
+            o_slots: slots,
+            shuffle_style: style,
+            send_partition_bytes: 1024,
+            faults: faults.clone(),
+            ..base_config(64, 4)
+        };
+        let outcome = run_bipartite(
+            &config,
+            Arc::new(BytesComparator),
+            Arc::new(HashPartitioner),
+            Arc::new({
+                let peak = Arc::clone(&peak);
+                move |rank, ctx: &mut OContext| {
+                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                    let _live = Live(Arc::clone(&live));
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    // Long enough that unbounded tasks would pile up.
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    for i in 0..100u8 {
+                        let key = format!("key{:02}", i % 23).into_bytes();
+                        ctx.send(KvPair::new(key, vec![rank as u8, i]))?;
+                    }
+                    Ok(())
+                }
+            }),
+            Arc::new(|_rank, ctx: &mut AContext| {
+                Ok(std::iter::from_fn(|| ctx.next_group()).collect::<KeyGroups>())
+            }),
+        )
+        .unwrap();
+        assert_eq!(outcome.report.total_records_received(), 6400);
+        (outcome.a_results, peak.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn o_tasks_never_exceed_their_slots_and_results_do_not_depend_on_them() {
+        // One message per (O, A) pair and attempt keeps the wire short
+        // enough for a drop-free seed: 24 sends per O rank cover two
+        // replays, 96 per A rank the blocking style's acks.
+        let crashing = (0..4096u64)
+            .map(FaultPlan::with_seed)
+            .find(|p| {
+                (0..64).any(|r| matches!(p.crash_after(Site::OTask, r, 0), Some(c) if c < 100))
+                    && (0..68).all(|r| {
+                        let sends = if r < 64 { 24 } else { 96 };
+                        (0..sends).all(|q| !p.should_drop(Site::MpiSend, r, q))
+                    })
+            })
+            .expect("no crashing drop-free seed in 4096 candidates");
+        for style in [ShuffleStyle::NonBlocking, ShuffleStyle::Blocking] {
+            for faults in [FaultPlan::disabled(), crashing.clone()] {
+                let (thread_per_rank, _) = run_on_slots(64, style, &faults);
+                for slots in [1, 8] {
+                    let (groups, peak) = run_on_slots(slots, style, &faults);
+                    assert!(
+                        peak <= slots,
+                        "{peak} O functions live on {slots} slots ({style:?})"
+                    );
+                    assert_eq!(groups, thread_per_rank, "{slots} slots, {style:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn o_task_panic_becomes_an_error_after_every_rank_sent_its_eof() {
+        // One slot: were the panicking task to take its slot down, ranks
+        // 4..8 would never run and the A side would wait forever.
+        let config = DataMpiConfig {
+            o_slots: 1,
+            ..base_config(8, 2)
+        };
+        let err = run_bipartite::<(), ()>(
+            &config,
+            Arc::new(BytesComparator),
+            Arc::new(HashPartitioner),
+            Arc::new(|rank, ctx: &mut OContext| {
+                ctx.send(KvPair::new(vec![rank as u8], vec![1]))?;
+                assert!(rank != 3, "O task {rank} blew up");
+                Ok(())
+            }),
+            Arc::new(|_rank, _ctx: &mut AContext| Ok(())),
+        )
+        .unwrap_err();
+        assert!(
+            err.message().contains("O3: task function panicked"),
+            "{err}"
+        );
     }
 
     #[test]

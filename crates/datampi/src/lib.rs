@@ -11,9 +11,10 @@
 //! communication operations (`MPI_D_send` / `MPI_D_recv`). This crate
 //! reproduces the pieces the paper describes:
 //!
-//! * [`run_bipartite`] — the `mpidrun` analogue: spawns `o + a` ranks on
-//!   an [`hdm_mpi::World`], runs the user's O function on ranks `0..o`
-//!   and the A function on ranks `o..o+a`. Per the paper's scheduling
+//! * [`run_bipartite`] — the `mpidrun` analogue: builds `o + a` ranks on
+//!   an [`hdm_mpi::World`], runs the user's O function for ranks `0..o`
+//!   on a bounded set of execution slots and the A function on resident
+//!   threads for ranks `o..o+a`. Per the paper's scheduling
 //!   policy, user A code runs only after every O task finalizes, but the
 //!   A *processes* run receive threads the whole time, caching
 //!   intermediate data in memory as it arrives ("DataMPI can cache most
@@ -110,6 +111,11 @@ pub struct DataMpiConfig {
     pub o_tasks: usize,
     /// Number of A (aggregator/reducer) tasks.
     pub a_tasks: usize,
+    /// O execution slots: at most this many O tasks run at once, pulled
+    /// in rank order; each slot is a compute thread plus the comm thread
+    /// running its shuffle engine. A ranks are always resident, so a job
+    /// runs on `2 * o_slots + a_tasks` threads whatever `o_tasks` is.
+    pub o_slots: usize,
     /// Shuffle engine style.
     pub shuffle_style: ShuffleStyle,
     /// Send partition buffer size in bytes (per destination A task).
@@ -145,6 +151,7 @@ impl Default for DataMpiConfig {
         DataMpiConfig {
             o_tasks: 4,
             a_tasks: 4,
+            o_slots: hdm_common::conf::DEFAULT_LOCAL_THREADS,
             shuffle_style: ShuffleStyle::NonBlocking,
             send_partition_bytes: 64 * 1024,
             send_queue_len: 6,

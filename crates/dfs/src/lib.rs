@@ -118,6 +118,16 @@ pub struct Dfs {
     read_cache: Arc<RwLock<Option<Arc<dyn RangeCache>>>>,
 }
 
+/// How [`Dfs::create`]'s refusal of a taken path starts.
+const FILE_EXISTS: &str = "file exists";
+
+/// Whether `err` is [`Dfs::create`] refusing a path that is already
+/// taken: the one create failure an appender answers by trying the next
+/// name instead of giving up.
+pub fn is_file_exists(err: &HdmError) -> bool {
+    matches!(err, HdmError::Dfs(msg) if msg.starts_with(FILE_EXISTS))
+}
+
 impl Dfs {
     /// Create an empty filesystem.
     ///
@@ -178,14 +188,16 @@ impl Dfs {
         self.read_cache.read().clone()
     }
 
-    /// Open a new file for writing. Fails if the path already exists.
+    /// Open a new file for writing. Fails if the path already exists —
+    /// as a closed file or as another writer's open one — so creation is
+    /// exclusive: of two writers racing for a name, one gets it.
     ///
     /// # Errors
-    /// [`HdmError::Dfs`] if the file exists.
+    /// [`HdmError::Dfs`] if the file exists (see [`is_file_exists`]).
     pub fn create(&self, path: &str, writer_node: NodeId) -> Result<DfsWriter> {
         let mut ns = self.inner.write();
         if ns.contains(path) {
-            return Err(HdmError::Dfs(format!("file exists: {path}")));
+            return Err(HdmError::Dfs(format!("{FILE_EXISTS}: {path}")));
         }
         ns.insert_open(path);
         Ok(DfsWriter {
@@ -575,7 +587,12 @@ mod tests {
     fn create_existing_fails() {
         let dfs = small_fs();
         dfs.create("/d", NodeId(0)).unwrap().close().unwrap();
-        assert!(dfs.create("/d", NodeId(0)).is_err());
+        assert!(is_file_exists(&dfs.create("/d", NodeId(0)).unwrap_err()));
+        // Another writer's open file holds its name just the same, and
+        // only that refusal counts as "taken".
+        let _open = dfs.create("/d2", NodeId(0)).unwrap();
+        assert!(is_file_exists(&dfs.create("/d2", NodeId(0)).unwrap_err()));
+        assert!(!is_file_exists(&dfs.read_all("/missing").unwrap_err()));
     }
 
     #[test]

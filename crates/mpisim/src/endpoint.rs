@@ -1,13 +1,12 @@
 //! Per-rank endpoint: the object through which a rank communicates.
 
-use crate::metrics::WorldMetrics;
-use crate::{Rank, Tag};
+use crate::{Links, Rank, Tag};
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, TrySendError};
 use hdm_common::error::{HdmError, Result};
-use hdm_faults::{FaultPlan, Site};
+use hdm_faults::Site;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,18 +21,40 @@ pub struct Msg {
     pub payload: Bytes,
 }
 
+/// What travels on a rank's inbox channel: a message, or a bare wake-up.
+#[derive(Debug)]
+pub(crate) enum Packet {
+    Msg(Msg),
+    /// Control packet posted by [`Endpoint::poison`] and by the world's
+    /// cancel waker: it carries nothing and never reaches a mailbox — its
+    /// arrival alone ends the park in [`Endpoint::recv_deadline`], which
+    /// then re-reads the poison flags and the cancel token.
+    Wake,
+}
+
+/// A send still parked in its endpoint's pending queue.
+const PARKED: u8 = 0;
+/// The destination's channel accepted the message.
+const ACCEPTED: u8 = 1;
+/// The destination's inbox closed (its rank ended) before it took the
+/// message: the send can never complete.
+const PEER_GONE: u8 = 2;
+
 /// Handle for a non-blocking send. Completed once the message has been
 /// accepted by the destination's channel (buffer reusable, in MPI terms).
 #[derive(Debug)]
 pub struct SendRequest {
-    done: Arc<AtomicBool>,
+    dst: Rank,
+    state: Arc<AtomicU8>,
 }
 
 impl SendRequest {
     /// Non-consuming completion check (does not drive progress; use
-    /// [`Endpoint::test_send`] to also progress pending sends).
+    /// [`Endpoint::test_send`] to also progress pending sends). A send to
+    /// a rank that has ended never completes; [`Endpoint::wait_send`]
+    /// reports it.
     pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
+        self.state.load(Ordering::Acquire) == ACCEPTED
     }
 }
 
@@ -57,7 +78,7 @@ impl RecvRequest {
 struct PendingSend {
     dst: Rank,
     msg: Msg,
-    done: Arc<AtomicBool>,
+    state: Arc<AtomicU8>,
 }
 
 /// The per-rank communication endpoint.
@@ -66,27 +87,16 @@ struct PendingSend {
 /// into the rank's thread.
 pub struct Endpoint {
     rank: Rank,
-    incoming: Receiver<Msg>,
-    outgoing: Vec<Sender<Msg>>,
+    incoming: Receiver<Packet>,
+    /// Everything the ranks of one world share: the inbox senders, the
+    /// poison flags, metrics, fault plan, default deadline, cancel token.
+    links: Arc<Links>,
     /// Messages that matched no in-progress `recv` yet (out-of-order
     /// arrivals kept for later tag/src matching).
     mailbox: VecDeque<Msg>,
     /// Sends parked on a full destination channel, in program order per
     /// destination (preserves MPI's non-overtaking rule).
     pending: VecDeque<PendingSend>,
-    metrics: Arc<WorldMetrics>,
-    barrier: Arc<std::sync::Barrier>,
-    /// Shared per-rank failure flags: a crashed rank raises its own flag
-    /// so peers blocked on it fail fast instead of waiting out a timeout.
-    poisoned: Arc<Vec<AtomicBool>>,
-    faults: FaultPlan,
-    /// Default deadline applied by blocking `recv`/`wait`; `None` blocks
-    /// forever (the pre-fault-tolerance semantics).
-    recv_timeout: Option<Duration>,
-    /// Cooperative cancellation, polled once per blocking-wait slice. A
-    /// fired token interrupts `recv`/`wait_send` with `Cancelled`; it
-    /// never poisons, so sibling queries sharing the process stay clean.
-    cancel: hdm_common::CancelToken,
     /// Messages handed to `isend` so far; keys the fault plan's
     /// per-message drop/delay decisions.
     send_seq: u64,
@@ -103,30 +113,13 @@ impl std::fmt::Debug for Endpoint {
 }
 
 impl Endpoint {
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor mirroring World's wiring
-    pub(crate) fn new(
-        rank: Rank,
-        incoming: Receiver<Msg>,
-        outgoing: Vec<Sender<Msg>>,
-        metrics: Arc<WorldMetrics>,
-        barrier: Arc<std::sync::Barrier>,
-        poisoned: Arc<Vec<AtomicBool>>,
-        faults: FaultPlan,
-        recv_timeout: Option<Duration>,
-        cancel: hdm_common::CancelToken,
-    ) -> Endpoint {
+    pub(crate) fn new(rank: Rank, incoming: Receiver<Packet>, links: Arc<Links>) -> Endpoint {
         Endpoint {
             rank,
             incoming,
-            outgoing,
+            links,
             mailbox: VecDeque::new(),
             pending: VecDeque::new(),
-            metrics,
-            barrier,
-            poisoned,
-            faults,
-            recv_timeout,
-            cancel,
             send_seq: 0,
         }
     }
@@ -138,29 +131,26 @@ impl Endpoint {
 
     /// Number of ranks in the world.
     pub fn world_size(&self) -> usize {
-        self.outgoing.len()
+        self.links.senders.len()
     }
 
-    /// Mark this rank as failed. Peers that block on it (matched `recv`,
-    /// or any `recv` once their mailbox is dry) fail fast with
+    /// Mark this rank as failed and wake every rank, so peers parked in a
+    /// `recv` matched on this rank fail fast with
     /// [`HdmError::RankFailed`] instead of waiting out their deadline.
     pub fn poison(&self) {
-        if let Some(flag) = self.poisoned.get(self.rank) {
+        if let Some(flag) = self.links.poisoned.get(self.rank) {
             flag.store(true, Ordering::Release);
         }
+        crate::wake_all(&self.links.senders);
     }
 
     /// Whether `rank` declared itself failed.
     pub fn is_poisoned(&self, rank: Rank) -> bool {
-        self.poisoned
+        self.links
+            .poisoned
             .get(rank)
             .map(|flag| flag.load(Ordering::Acquire))
             .unwrap_or(false)
-    }
-
-    /// The deadline blocking `recv`/`wait` calls apply by default.
-    pub fn default_recv_timeout(&self) -> Option<Duration> {
-        self.recv_timeout
     }
 
     /// Non-blocking send (`MPI_Isend`). The returned request completes
@@ -171,30 +161,33 @@ impl Endpoint {
     /// # Errors
     /// [`HdmError::Mpi`] if `dst` is out of range.
     pub fn isend(&mut self, dst: Rank, tag: Tag, payload: Bytes) -> Result<SendRequest> {
-        if dst >= self.outgoing.len() {
+        if dst >= self.world_size() {
             return Err(HdmError::Mpi(format!(
                 "isend to invalid rank {dst} (world size {})",
-                self.outgoing.len()
+                self.world_size()
             )));
         }
-        if self.faults.is_enabled() {
+        let faults = &self.links.faults;
+        if faults.is_enabled() {
             let seq = self.send_seq;
             self.send_seq += 1;
-            if self.faults.should_drop(Site::MpiSend, self.rank, seq) {
+            if faults.should_drop(Site::MpiSend, self.rank, seq) {
                 // The message vanishes on the wire: the send "completes"
                 // (the buffer is reusable) but nothing ever arrives.
-                self.faults.note_injected(Site::MpiSend);
+                faults.note_injected(Site::MpiSend);
                 return Ok(SendRequest {
-                    done: Arc::new(AtomicBool::new(true)),
+                    dst,
+                    state: Arc::new(AtomicU8::new(ACCEPTED)),
                 });
             }
-            if let Some(delay) = self.faults.send_delay(Site::MpiSend, self.rank, seq) {
-                self.faults.note_injected(Site::MpiSend);
+            if let Some(delay) = faults.send_delay(Site::MpiSend, self.rank, seq) {
+                faults.note_injected(Site::MpiSend);
                 std::thread::sleep(delay);
             }
         }
-        let done = Arc::new(AtomicBool::new(false));
-        self.metrics
+        let state = Arc::new(AtomicU8::new(PARKED));
+        self.links
+            .metrics
             .record_send(self.rank, dst, payload.len() as u64);
         self.pending.push_back(PendingSend {
             dst,
@@ -203,10 +196,10 @@ impl Endpoint {
                 tag,
                 payload,
             },
-            done: Arc::clone(&done),
+            state: Arc::clone(&state),
         });
         self.progress();
-        Ok(SendRequest { done })
+        Ok(SendRequest { dst, state })
     }
 
     /// Blocking send (`MPI_Send`): isend + wait.
@@ -229,35 +222,46 @@ impl Endpoint {
     }
 
     /// Drive the progress engine: push parked sends whose destination
-    /// channel has room. Returns the number of messages moved.
+    /// channel has room, and fail the ones whose destination has ended
+    /// (they leave the queue, so a dead peer never keeps this rank on
+    /// timed slices). Returns the number of messages moved.
     pub fn progress(&mut self) -> usize {
         let mut moved = 0;
         // Per-destination order must be preserved: only the *first*
-        // pending message for each destination may be tried.
-        let mut blocked: Vec<bool> = vec![false; self.outgoing.len()];
+        // pending message for each destination may be tried. Allocates
+        // only once a destination turns out to be full.
+        let mut blocked: Vec<Rank> = Vec::new();
         let mut i = 0;
         while let Some(entry) = self.pending.get(i) {
             let dst = entry.dst;
-            // A destination outside the world (or already backpressured)
-            // stays parked; isend validated dst so out-of-range here would
-            // mean internal corruption, which we skip rather than panic on.
-            let dst_blocked = blocked.get(dst).copied().unwrap_or(true);
-            let channel = self.outgoing.get(dst);
+            // isend validated dst, so a missing channel would mean
+            // internal corruption, which we skip rather than panic on.
+            let channel = self.links.senders.get(dst);
             match channel {
-                Some(tx) if !dst_blocked => match tx.try_send(entry.msg.clone()) {
-                    Ok(()) => {
-                        if let Some(sent) = self.pending.remove(i) {
-                            sent.done.store(true, Ordering::Release);
+                Some(tx) if !blocked.contains(&dst) => {
+                    match tx.try_send(Packet::Msg(entry.msg.clone())) {
+                        Ok(()) => {
+                            if let Some(sent) = self.pending.remove(i) {
+                                sent.state.store(ACCEPTED, Ordering::Release);
+                            }
+                            moved += 1;
                         }
-                        moved += 1;
-                    }
-                    Err(_) => {
-                        if let Some(b) = blocked.get_mut(dst) {
-                            *b = true;
+                        Err(TrySendError::Disconnected(_)) => {
+                            // Entry `i` is the first one parked on `dst`,
+                            // so everything removed sits at `i` or later.
+                            self.pending.retain(|parked| {
+                                if parked.dst == dst {
+                                    parked.state.store(PEER_GONE, Ordering::Release);
+                                }
+                                parked.dst != dst
+                            });
                         }
-                        i += 1;
+                        Err(TrySendError::Full(_)) => {
+                            blocked.push(dst);
+                            i += 1;
+                        }
                     }
-                },
+                }
                 _ => i += 1,
             }
         }
@@ -277,27 +281,37 @@ impl Endpoint {
     /// default deadline when one is configured.
     ///
     /// # Errors
-    /// [`HdmError::Mpi`] if the destination channel disconnected;
-    /// [`HdmError::Timeout`] if a configured deadline expires first.
+    /// [`HdmError::RankFailed`] if the request's destination rank has
+    /// ended and its inbox is closed; [`HdmError::Timeout`] if a configured deadline
+    /// expires first; [`HdmError::Cancelled`] once the token fires.
     pub fn wait_send(&mut self, req: &mut SendRequest) -> Result<()> {
-        let deadline = self.recv_timeout.map(|t| Instant::now() + t);
+        let timeout = self.links.recv_timeout;
+        let deadline = timeout.map(|t| Instant::now() + t);
         while !req.is_done() {
             // Cancelled queries stop waiting for channel room; the token
             // outranks the deadline and never poisons the endpoint.
-            self.cancel.bail_if_cancelled()?;
+            self.links.cancel.bail_if_cancelled()?;
             if self.progress() == 0 {
+                if req.state.load(Ordering::Acquire) == PEER_GONE {
+                    self.links.faults.note_detected(Site::MpiSend);
+                    return Err(HdmError::RankFailed(format!(
+                        "rank {}: peer rank {} is gone (inbox closed)",
+                        self.rank, req.dst
+                    )));
+                }
                 if let Some(d) = deadline {
                     if Instant::now() >= d {
-                        self.faults.note_detected(Site::MpiSend);
+                        self.links.faults.note_detected(Site::MpiSend);
                         return Err(HdmError::Timeout(format!(
-                            "rank {}: send not accepted within {:?}",
-                            self.rank, self.recv_timeout
+                            "rank {}: send not accepted within {timeout:?}",
+                            self.rank
                         )));
                     }
                 }
                 // Channel full: drain one incoming message into the
                 // mailbox to avoid deadlock, or back off briefly.
                 if !self.poll_incoming() {
+                    // hdm-allow(busy-poll): this rank has a send parked on a full inbox, and nothing signals channel room — the slice only runs under backpressure
                     std::thread::sleep(Duration::from_micros(50));
                 }
             }
@@ -325,13 +339,11 @@ impl Endpoint {
     pub fn test_recv(&mut self, req: &mut RecvRequest) -> Result<Option<Msg>> {
         self.progress();
         self.drain_incoming();
-        if let Some(pos) = self.match_mailbox(req.src, req.tag) {
-            if let Some(msg) = self.mailbox.remove(pos) {
-                req.received = Some(msg.clone());
-                return Ok(Some(msg));
-            }
+        let msg = self.take_match(req.src, req.tag);
+        if msg.is_some() {
+            req.received.clone_from(&msg);
         }
-        Ok(None)
+        Ok(msg)
     }
 
     /// Blocking receive (`MPI_Recv`) with optional source/tag matching,
@@ -341,13 +353,19 @@ impl Endpoint {
     /// [`HdmError::Mpi`] if all senders disconnected with no match
     /// buffered (the message can never arrive); [`HdmError::RankFailed`]
     /// if the awaited source is poisoned; [`HdmError::Timeout`] if a
-    /// configured deadline expires first.
+    /// configured deadline expires first; [`HdmError::Cancelled`] once
+    /// the world's token fires.
     pub fn recv(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Result<Msg> {
-        self.recv_deadline(src, tag, self.recv_timeout)
+        self.recv_deadline(src, tag, self.links.recv_timeout)
     }
 
     /// [`Endpoint::recv`] with an explicit deadline (`None` blocks
     /// forever), overriding the endpoint default.
+    ///
+    /// A rank with nothing to push sleeps here until something can change
+    /// the answer: a message or a wake-up (posted by a peer's
+    /// [`Endpoint::poison`] and by the world's cancel waker) lands in its
+    /// inbox, or the deadline passes.
     ///
     /// # Errors
     /// As [`Endpoint::recv`].
@@ -361,47 +379,57 @@ impl Endpoint {
         loop {
             self.progress();
             self.drain_incoming();
-            if let Some(pos) = self.match_mailbox(src, tag) {
-                if let Some(msg) = self.mailbox.remove(pos) {
-                    return Ok(msg);
-                }
+            if let Some(msg) = self.take_match(src, tag) {
+                return Ok(msg);
             }
             // A fired token interrupts the wait before the deadline and
             // without touching poison flags: cancellation must tear down
             // only this query's world, never a sibling's.
-            self.cancel.bail_if_cancelled()?;
+            self.links.cancel.bail_if_cancelled()?;
             // A poisoned source can never deliver the awaited message:
             // fail fast rather than waiting out the deadline.
             if let Some(s) = src {
                 if self.is_poisoned(s) {
-                    self.faults.note_detected(Site::MpiSend);
+                    self.links.faults.note_detected(Site::MpiSend);
                     return Err(HdmError::RankFailed(format!(
                         "rank {}: peer rank {s} failed (endpoint poisoned)",
                         self.rank
                     )));
                 }
             }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    self.faults.note_detected(Site::MpiSend);
-                    return Err(HdmError::Timeout(format!(
-                        "rank {}: recv timed out after {:?} (src {:?}, tag {:?})",
-                        self.rank, timeout, src, tag
-                    )));
-                }
-            }
-            // Block briefly for the next arrival, keeping the progress
-            // engine alive for our own pending sends.
-            match self.incoming.recv_timeout(Duration::from_micros(200)) {
-                Ok(msg) => self.mailbox.push_back(msg),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    if self.match_mailbox(src, tag).is_none() {
-                        return Err(HdmError::Mpi(format!(
-                            "rank {}: recv would block forever (all senders gone)",
+            let remaining = match deadline {
+                None => None,
+                Some(d) => match d.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => {
+                        self.links.faults.note_detected(Site::MpiSend);
+                        return Err(HdmError::Timeout(format!(
+                            "rank {}: recv timed out after {timeout:?} (src {src:?}, tag {tag:?})",
                             self.rank
                         )));
                     }
+                },
+            };
+            let arrival = if !self.pending.is_empty() {
+                // Our own sends are parked on a full inbox and nothing
+                // signals channel room: come back soon to push them.
+                // hdm-allow(busy-poll): timed slice only while this rank itself has sends parked under backpressure; an idle rank takes the blocking arms below
+                self.incoming.recv_timeout(Duration::from_micros(200))
+            } else if let Some(left) = remaining {
+                self.incoming.recv_timeout(left)
+            } else {
+                // hdm-allow(unbounded-blocking): parked until a packet arrives; poison() and the world's cancel waker both post Packet::Wake, so neither a dead peer nor a cancelled query leaves the rank asleep
+                let packet = self.incoming.recv();
+                packet.map_err(|_| RecvTimeoutError::Disconnected)
+            };
+            match arrival {
+                Ok(Packet::Msg(msg)) => self.mailbox.push_back(msg),
+                Ok(Packet::Wake) | Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(HdmError::Mpi(format!(
+                        "rank {}: recv would block forever (all senders gone)",
+                        self.rank
+                    )));
                 }
             }
         }
@@ -410,29 +438,30 @@ impl Endpoint {
     /// Full-world barrier.
     pub fn barrier(&self) {
         // hdm-allow(unbounded-blocking): MPI_Barrier semantics — blocks until every rank arrives by definition
-        self.barrier.wait();
+        self.links.barrier.wait();
     }
 
     fn poll_incoming(&mut self) -> bool {
         match self.incoming.try_recv() {
-            Ok(msg) => {
+            Ok(Packet::Msg(msg)) => {
                 self.mailbox.push_back(msg);
                 true
             }
+            Ok(Packet::Wake) => true,
             Err(_) => false,
         }
     }
 
     fn drain_incoming(&mut self) {
-        while let Ok(msg) = self.incoming.try_recv() {
-            self.mailbox.push_back(msg);
-        }
+        while self.poll_incoming() {}
     }
 
-    fn match_mailbox(&self, src: Option<Rank>, tag: Option<Tag>) -> Option<usize> {
-        self.mailbox.iter().position(|m| {
+    /// Remove and return the oldest mailbox message matching `src`/`tag`.
+    fn take_match(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Option<Msg> {
+        let pos = self.mailbox.iter().position(|m| {
             src.map(|s| m.src == s).unwrap_or(true) && tag.map(|t| m.tag == t).unwrap_or(true)
-        })
+        })?;
+        self.mailbox.remove(pos)
     }
 }
 

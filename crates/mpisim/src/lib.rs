@@ -25,13 +25,13 @@
 //! * **Tag + source matching** on receive, with an out-of-order mailbox.
 //! * **Per-link byte accounting** ([`WorldMetrics`]) consumed by the
 //!   discrete-event cluster model to charge network time.
-//!
 //! * **Fault awareness**: a [`WorldConfig`] can carry an
 //!   [`hdm_faults::FaultPlan`] (message drops/delays on `isend`) and a
-//!   receive deadline; endpoints of crashed ranks can be **poisoned** so
-//!   peers fail fast with
-//!   [`HdmError::RankFailed`](hdm_common::error::HdmError::RankFailed)
-//!   instead of blocking forever.
+//!   receive deadline; a crashed rank **poisons** its endpoint so peers
+//!   fail fast with `HdmError::RankFailed` instead of blocking forever.
+//! * **Parked ranks sleep**: a rank in `recv` with nothing to push
+//!   blocks on its inbox until a message, its deadline, a peer's
+//!   `poison()` or the world's cancel token wakes it.
 //!
 //! # Example
 //!
@@ -58,8 +58,9 @@ pub use endpoint::{Endpoint, Msg, RecvRequest, SendRequest};
 pub use metrics::WorldMetrics;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
+use endpoint::Packet;
 use hdm_common::error::{HdmError, Result};
-use std::sync::atomic::{AtomicBool, AtomicUsize};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -89,12 +90,12 @@ pub struct WorldConfig {
     /// layers set it from `hive.ft.recv.timeout.ms` so a crashed peer
     /// surfaces as [`HdmError::Timeout`] instead of a hang.
     pub recv_timeout: Option<Duration>,
-    /// Cooperative cancellation token. Blocking `recv`/`wait` calls poll
-    /// it once per progress slice (one relaxed atomic load) and return
-    /// [`HdmError::Cancelled`](hdm_common::error::HdmError::Cancelled)
-    /// when it fires — *without* poisoning any endpoint, so a cancelled
-    /// query tears down its world while sibling queries sharing the
-    /// process stay healthy. Defaults to a token that never fires.
+    /// Cooperative cancellation token. The world registers a waker on it
+    /// that posts a wake-up to every rank's inbox, so a rank parked in
+    /// `recv` returns `HdmError::Cancelled` as soon as it fires —
+    /// *without* poisoning any endpoint, so a cancelled query tears down
+    /// its world while sibling queries sharing the process stay healthy.
+    /// Defaults to a token that never fires.
     pub cancel: hdm_common::CancelToken,
 }
 
@@ -110,24 +111,45 @@ impl Default for WorldConfig {
     }
 }
 
+/// What every rank of one world shares, behind one `Arc`.
+pub(crate) struct Links {
+    /// Inbox sender of every rank, indexed by rank. Shared with the
+    /// cancel waker, which outlives no endpoint: it is deregistered when
+    /// the last `Arc<Links>` drops.
+    pub(crate) senders: Arc<[Sender<Packet>]>,
+    /// Per-rank failure flags: a crashed rank raises its own flag so
+    /// peers blocked on it fail fast instead of waiting out a timeout.
+    pub(crate) poisoned: Box<[AtomicBool]>,
+    pub(crate) metrics: Arc<WorldMetrics>,
+    pub(crate) barrier: std::sync::Barrier,
+    pub(crate) faults: hdm_faults::FaultPlan,
+    /// Default deadline applied by blocking `recv`/`wait`; `None` blocks
+    /// until a message or a wake-up arrives.
+    pub(crate) recv_timeout: Option<Duration>,
+    pub(crate) cancel: hdm_common::CancelToken,
+    _cancel_waker: hdm_common::WakerRegistration,
+}
+
+/// Post a [`Packet::Wake`] to every inbox. A full inbox refuses it, and
+/// needs none: its rank has packets to read, so it is not parked, and it
+/// re-reads the poison flags and the token after each one.
+pub(crate) fn wake_all(senders: &[Sender<Packet>]) {
+    for tx in senders {
+        // hdm-allow(swallowed-error): a refused wake-up is the full-inbox case above, or a rank that already dropped its receiver
+        let _ = tx.try_send(Packet::Wake);
+    }
+}
+
 /// A communicator: `n` ranks with all-to-all channels.
 pub struct World {
-    senders: Vec<Sender<Msg>>,
-    receivers: Vec<Option<Receiver<Msg>>>,
-    metrics: Arc<WorldMetrics>,
-    barrier: Arc<std::sync::Barrier>,
-    taken: AtomicUsize,
-    poisoned: Arc<Vec<AtomicBool>>,
-    faults: hdm_faults::FaultPlan,
-    recv_timeout: Option<Duration>,
-    cancel: hdm_common::CancelToken,
+    links: Arc<Links>,
+    /// Every rank's inbox receiver, in rank order.
+    receivers: Vec<Receiver<Packet>>,
 }
 
 impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("World")
-            .field("size", &self.senders.len())
-            .finish()
+        f.debug_struct("World").field("size", &self.size()).finish()
     }
 }
 
@@ -144,61 +166,46 @@ impl World {
             ));
         }
         let cap = config.channel_capacity.max(1);
-        let mut senders = Vec::with_capacity(size);
-        let mut receivers = Vec::with_capacity(size);
-        for _ in 0..size {
-            let (tx, rx) = bounded(cap);
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..size).map(|_| bounded(cap)).unzip();
+        let senders: Arc<[Sender<Packet>]> = senders.into();
+        let cancel_waker = config.cancel.on_cancel({
+            let senders = Arc::clone(&senders);
+            move || wake_all(&senders)
+        });
         Ok(World {
-            senders,
+            links: Arc::new(Links {
+                senders,
+                poisoned: (0..size).map(|_| AtomicBool::new(false)).collect(),
+                metrics: Arc::new(WorldMetrics::new(size, config.obs)),
+                barrier: std::sync::Barrier::new(size),
+                faults: config.faults,
+                recv_timeout: config.recv_timeout,
+                cancel: config.cancel,
+                _cancel_waker: cancel_waker,
+            }),
             receivers,
-            metrics: Arc::new(WorldMetrics::new(size, config.obs)),
-            barrier: Arc::new(std::sync::Barrier::new(size)),
-            taken: AtomicUsize::new(0),
-            poisoned: Arc::new((0..size).map(|_| AtomicBool::new(false)).collect()),
-            faults: config.faults,
-            recv_timeout: config.recv_timeout,
-            cancel: config.cancel,
         })
     }
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.senders.len()
+        self.links.senders.len()
     }
 
     /// Traffic counters.
     pub fn metrics(&self) -> Arc<WorldMetrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.links.metrics)
     }
 
-    /// Take the endpoint for the next unclaimed rank (ranks are handed
-    /// out in order 0, 1, …).
-    ///
-    /// # Panics
-    /// Panics if all endpoints were already taken.
-    #[allow(clippy::expect_used)] // documented `# Panics` contract, setup-time only
-    pub fn endpoint(&mut self) -> Endpoint {
-        let rank = self.taken.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let rx = self
-            .receivers
-            .get_mut(rank)
-            .and_then(|slot| slot.take())
-            // hdm-allow(no-panic-in-hot-path): documented `# Panics` contract in setup code; runs before any rank traffic starts
-            .expect("endpoint already taken for this rank");
-        Endpoint::new(
-            rank,
-            rx,
-            self.senders.clone(),
-            Arc::clone(&self.metrics),
-            Arc::clone(&self.barrier),
-            Arc::clone(&self.poisoned),
-            self.faults.clone(),
-            self.recv_timeout,
-            self.cancel.clone(),
-        )
+    /// The endpoints of all ranks, in rank order — for a caller that runs
+    /// the ranks on threads of its own instead of [`World::run`]'s thread
+    /// per rank.
+    pub fn into_endpoints(self) -> Vec<Endpoint> {
+        let links = self.links;
+        let inboxes = self.receivers.into_iter().enumerate();
+        inboxes
+            .map(|(rank, rx)| Endpoint::new(rank, rx, Arc::clone(&links)))
+            .collect()
     }
 
     /// Spawn one thread per rank running `f`, join them all, and return
@@ -206,19 +213,20 @@ impl World {
     ///
     /// # Panics
     /// Propagates panics from rank threads.
-    pub fn run<T, F>(mut self, f: F) -> Vec<T>
+    pub fn run<T, F>(self, f: F) -> Vec<T>
     where
         T: Send + 'static,
         F: Fn(Endpoint) -> T + Send + Sync + 'static,
     {
-        let size = self.size();
         let f = Arc::new(f);
-        let mut handles = Vec::with_capacity(size);
-        for _ in 0..size {
-            let ep = self.endpoint();
-            let f = Arc::clone(&f);
-            handles.push(std::thread::spawn(move || f(ep)));
-        }
+        let handles: Vec<_> = self
+            .into_endpoints()
+            .into_iter()
+            .map(|ep| {
+                let f = Arc::clone(&f);
+                std::thread::spawn(move || f(ep))
+            })
+            .collect();
         handles
             .into_iter()
             .map(|h| match h.join() {
@@ -529,33 +537,54 @@ mod tests {
         assert!(out[1]);
     }
 
+    type Fire = Box<dyn Fn(&Endpoint) + Send + Sync>;
+
+    /// Park rank 1 in a `recv` on rank 0, let rank 0 `fire` after a
+    /// pause, and return rank 1's error kind plus how long after the fire
+    /// it was back — with a deadline far away and with none at all.
+    fn wake_latency(
+        setup: impl Fn(Option<Duration>) -> (WorldConfig, Fire),
+    ) -> Vec<(String, Duration)> {
+        [Some(Duration::from_secs(30)), None]
+            .into_iter()
+            .map(|deadline| {
+                let (config, fire) = setup(deadline);
+                let world = World::new(2, config).unwrap();
+                let fired_at = Arc::new(std::sync::Mutex::new(None));
+                let mut out = world.run(move |mut ep| {
+                    if ep.rank() == 0 {
+                        // Never send; give rank 1 time to park first.
+                        std::thread::sleep(Duration::from_millis(30));
+                        *fired_at.lock().unwrap() = Some(std::time::Instant::now());
+                        fire(&ep);
+                        None
+                    } else {
+                        let err = ep.recv(Some(0), Some(Tag(1))).unwrap_err();
+                        let late = fired_at.lock().unwrap().expect("woke before the fire");
+                        // Interrupted, never poisoned by the waiter itself.
+                        assert!(!ep.is_poisoned(1));
+                        Some((err.subsystem().to_string(), late.elapsed()))
+                    }
+                });
+                out.pop().flatten().unwrap()
+            })
+            .collect()
+    }
+
     #[test]
-    fn poisoned_peer_fails_fast() {
-        let world = World::new(
-            2,
-            WorldConfig {
-                // A long deadline: the poison check must beat it.
-                recv_timeout: Some(Duration::from_secs(30)),
+    fn poisoned_peer_wakes_a_parked_recv() {
+        let woken = wake_latency(|recv_timeout| {
+            let config = WorldConfig {
+                recv_timeout,
                 ..WorldConfig::default()
-            },
-        )
-        .unwrap();
-        let out = world.run(|mut ep| {
-            if ep.rank() == 0 {
-                // Crash without sending anything.
-                ep.poison();
-                String::new()
-            } else {
-                let start = std::time::Instant::now();
-                let err = ep.recv(Some(0), Some(Tag(1))).unwrap_err();
-                assert!(
-                    start.elapsed() < Duration::from_secs(5),
-                    "fail-fast took the slow path"
-                );
-                err.subsystem().to_string()
-            }
+            };
+            // Crash without sending anything.
+            (config, Box::new(|ep| ep.poison()))
         });
-        assert_eq!(out[1], "rank-failed");
+        for (kind, late) in woken {
+            assert_eq!(kind, "rank-failed");
+            assert!(late < Duration::from_millis(20), "woke {late:?} late");
+        }
     }
 
     #[test]
@@ -615,39 +644,48 @@ mod tests {
     }
 
     #[test]
-    fn cancel_interrupts_blocked_recv_without_poisoning() {
-        let cancel = hdm_common::CancelToken::default();
-        let world = World::new(
-            2,
-            WorldConfig {
-                // A long deadline: the token must beat it.
-                recv_timeout: Some(Duration::from_secs(30)),
+    fn cancel_wakes_a_parked_recv_without_poisoning() {
+        let woken = wake_latency(|recv_timeout| {
+            let cancel = hdm_common::CancelToken::default();
+            let config = WorldConfig {
+                recv_timeout,
                 cancel: cancel.clone(),
                 ..WorldConfig::default()
-            },
-        )
-        .unwrap();
-        let out = world.run(move |mut ep| {
-            if ep.rank() == 0 {
-                // Never send; fire the token instead of crashing.
-                std::thread::sleep(Duration::from_millis(10));
+            };
+            let fire = move |ep: &Endpoint| {
                 cancel.cancel("query abandoned");
-                String::new()
-            } else {
-                let start = std::time::Instant::now();
-                let err = ep.recv(Some(0), Some(crate::Tag(1))).unwrap_err();
-                assert!(
-                    start.elapsed() < Duration::from_secs(5),
-                    "cancel took the slow path"
-                );
-                // Interrupted, not poisoned: sibling queries sharing the
-                // process must see clean endpoints.
+                // Sibling queries sharing the process must see clean
+                // endpoints.
                 assert!(!ep.is_poisoned(0));
-                assert!(!ep.is_poisoned(1));
-                err.subsystem().to_string()
-            }
+            };
+            (config, Box::new(fire))
         });
-        assert_eq!(out[1], "cancelled");
+        for (kind, late) in woken {
+            assert_eq!(kind, "cancelled");
+            assert!(late < Duration::from_millis(20), "woke {late:?} late");
+        }
+    }
+
+    #[test]
+    fn send_to_an_ended_rank_fails_instead_of_waiting_forever() {
+        let config = WorldConfig {
+            channel_capacity: 1,
+            recv_timeout: Some(Duration::from_millis(20)),
+            ..WorldConfig::default()
+        };
+        let mut eps = World::new(3, config).unwrap().into_endpoints();
+        drop(eps.pop()); // rank 2 ends: its inbox closes
+        let _live = eps.pop().unwrap();
+        let mut ep = eps.pop().unwrap();
+        let err = ep.send(2, Tag(0), Bytes::new()).unwrap_err();
+        assert_eq!(err.subsystem(), "rank-failed");
+        assert!(err.message().contains("peer rank 2 is gone"), "{err}");
+        // The failure belongs to that request alone: nothing stays parked
+        // on the dead peer, and a full but live inbox is still a timeout.
+        assert!(format!("{ep:?}").contains("pending: 0"), "{ep:?}");
+        ep.send(1, Tag(0), Bytes::new()).unwrap();
+        let err = ep.send(1, Tag(0), Bytes::new()).unwrap_err();
+        assert_eq!(err.subsystem(), "timeout", "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use hdm_core::{Driver, EngineKind};
 use hdm_server::HdmServer;
 use hdm_storage::FormatKind;
 use hdm_workloads::tpch;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn fresh_tpch_driver(format: FormatKind) -> Driver {
     let mut d = Driver::in_memory();
@@ -61,7 +61,15 @@ fn cancelled_query_leaves_no_trace_and_rerun_is_byte_identical() {
     let token = CancelToken::new();
     let killer = {
         let token = token.clone();
+        let gate = server.admission().clone();
         std::thread::spawn(move || {
+            // Mid-run starts at admission: on a loaded machine a bare
+            // sleep can fire before the submit below, which is arm 1 again
+            // (no permit taken, nothing for the server to acknowledge).
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while gate.running() == 0 && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             std::thread::sleep(Duration::from_millis(2));
             token.cancel("mid-run abandon");
         })
@@ -74,6 +82,9 @@ fn cancelled_query_leaves_no_trace_and_rerun_is_byte_identical() {
         ),
     }
     killer.join().unwrap();
+    // Finished or cancelled, the query took its scratch space with it.
+    let scratch = || session.driver().dfs().list("/tmp/q");
+    assert_eq!(scratch(), Vec::<String>::new());
 
     // The rerun (fresh token) must be byte-identical to solo: a
     // cancelled attempt publishes no result-cache entry and leaves no
@@ -83,6 +94,7 @@ fn cancelled_query_leaves_no_trace_and_rerun_is_byte_identical() {
         .expect("clean rerun after cancel")
         .to_lines();
     assert_eq!(rerun, expect, "post-cancel rerun diverged from solo");
+    assert_eq!(scratch(), Vec::<String>::new());
     assert!(counter(&server, "cancel.acknowledged") >= 1);
 }
 

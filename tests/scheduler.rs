@@ -282,6 +282,92 @@ fn pipelined_deep_chain_streams_partitions_without_files() {
     );
 }
 
+/// The in-order-wave hazard, head on: a join over two streamed inputs of
+/// 16 partitions each runs its 32 O tasks on 8 slots, the streams buffer
+/// one partition, and the producers — one thread per partition, as A
+/// ranks are — commit the far stream first and the highest partitions
+/// first. Every resident task then waits on a partition whose commit
+/// arrives while the buffer is full; unless commits of awaited
+/// partitions skip the backpressure wait, nothing ever moves.
+#[test]
+fn bounded_slots_over_two_backpressured_streams_finish() {
+    use hdm_common::row::Row;
+    use hdm_common::value::Value;
+    use hdm_core::engine::{execute_stage, read_seq_outputs, StageContext};
+    use hdm_core::stream::StreamedIntermediate;
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    const PARTITIONS: usize = 16;
+    const KEYS_PER_PARTITION: usize = 10;
+    let mut d = Driver::in_memory();
+    d.conf_mut().set(keys::KEY_LOCAL_THREADS, 8);
+    let plan = branch::diamond_plan();
+    let join = &plan.stages[2];
+    let obs = ObsHandle::disabled();
+    let streams: HashMap<usize, StreamedIntermediate> = (0..2)
+        .map(|id| {
+            let stream = StreamedIntermediate::new(&format!("stage{id}"), 1, &obs);
+            stream.declare(PARTITIONS, 64 << 10);
+            stream.attach();
+            (id, stream)
+        })
+        .collect();
+    let partition_rows = |side: usize, part: usize| -> Arc<Vec<Row>> {
+        let keys = part * KEYS_PER_PARTITION..(part + 1) * KEYS_PER_PARTITION;
+        Arc::new(
+            keys.map(|k| {
+                let cell = Value::Double((side * 1000 + k) as f64);
+                Row::from(vec![Value::Long(k as i64), cell])
+            })
+            .collect(),
+        )
+    };
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let joined = std::thread::scope(|scope| {
+        let consumer = scope.spawn(|| {
+            let ctx = StageContext {
+                dfs: d.dfs(),
+                metastore: d.metastore(),
+                conf: d.conf(),
+                engine: EngineKind::DataMpi,
+                intermediates: &HashMap::new(),
+                dag_intermediates: &HashMap::new(),
+                in_streams: &streams,
+                out_stream: None,
+                query_id: 4_000_000,
+                obs: obs.clone(),
+                cancel: hdm_common::CancelToken::default(),
+            };
+            let result = execute_stage(join, &ctx);
+            done_tx.send(()).expect("watchdog alive");
+            result
+        });
+        for side in [1, 0] {
+            for part in (0..PARTITIONS).rev() {
+                let stream = &streams[&side];
+                let rows = partition_rows(side, part);
+                scope.spawn(move || stream.commit(part, 0, rows));
+                // Let this commit reach the stream before the next lower one.
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        if done_rx.recv_timeout(Duration::from_secs(10)).is_err() {
+            // Unblock every parked commit and take so the scope can join.
+            for stream in streams.values() {
+                stream.cancel("watchdog: consumer made no progress for 10 s");
+            }
+        }
+        consumer.join().expect("consumer thread")
+    });
+    let joined = joined.expect("join over two backpressured streams");
+    assert_eq!(joined.map_tasks, 2 * PARTITIONS);
+    let rows = read_seq_outputs(d.dfs(), &joined.output_paths).expect("result rows");
+    assert_eq!(rows.len(), PARTITIONS * KEYS_PER_PARTITION);
+}
+
 /// Misconfigured scheduler knobs fail queries loudly instead of
 /// silently running sequentially.
 #[test]

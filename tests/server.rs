@@ -134,6 +134,45 @@ fn reload_invalidates_dependent_entries_only() {
     assert!(rc.invalidations >= 1, "reload must invalidate: {rc:?}");
 }
 
+/// Two sessions appending to one table at once never pick the same part
+/// file: every insert lands, and every row is there afterwards.
+#[test]
+fn concurrent_inserts_into_one_table_all_land() {
+    const PER_SESSION: i64 = 200;
+    let driver = Driver::in_memory();
+    driver.execute("CREATE TABLE log (k BIGINT)").unwrap();
+    let server = HdmServer::over(driver).expect("server");
+    let go = Arc::new(std::sync::Barrier::new(2));
+    let writers: Vec<_> = (0..2i64)
+        .map(|w| {
+            let session = server.session(&format!("w{w}"));
+            let go = Arc::clone(&go);
+            std::thread::spawn(move || {
+                go.wait();
+                (0..PER_SESSION)
+                    .filter_map(|i| {
+                        let k = w * PER_SESSION + i;
+                        session
+                            .execute(&format!("INSERT INTO log VALUES ({k})"))
+                            .err()
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for writer in writers {
+        let failures = writer.join().unwrap();
+        assert!(failures.is_empty(), "inserts failed: {failures:?}");
+    }
+    let rows = server
+        .session("reader")
+        .execute("SELECT k FROM log ORDER BY k")
+        .unwrap()
+        .to_lines();
+    let expect: Vec<String> = (0..2 * PER_SESSION).map(|k| k.to_string()).collect();
+    assert_eq!(rows, expect);
+}
+
 /// ORC scans under a cache far smaller than the dataset keep evicting
 /// and stay byte-identical to the uncached solo run.
 #[test]
