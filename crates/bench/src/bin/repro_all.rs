@@ -15,8 +15,9 @@
 //! query errors out or diverges.
 //!
 //! `--only q<N>` (e.g. `--only q9`) switches to the parallel-scheduler
-//! smoke: query N runs on both engines with `hive.exec.parallel` off
-//! and on, and the collected rows must be byte-identical. Mixing
+//! smoke: query N runs on both engines with
+//! `hive.exec.parallel.thread.number` 1 and 8, and the collected rows
+//! must be byte-identical. Mixing
 //! `q<N>` selectors with experiment substrings is an error.
 //!
 //! `--faults <seed> --cancel` switches the chaos smoke to the
@@ -118,11 +119,11 @@ impl RunLog {
 }
 
 /// Parallel-scheduler smoke: each selected TPC-H query must produce
-/// byte-identical rows with `hive.exec.parallel` off and on (both arms
-/// pipelined, the default), plus the same normalized result set with
-/// `hive.exec.pipelined` off (streaming may repartition downstream
-/// tasks, so that arm is compared order-insensitively). Returns the
-/// number of failures.
+/// byte-identical rows with `hive.exec.parallel.thread.number` 1 and 8
+/// (both arms pipelined, the default), plus the same normalized result
+/// set with `hive.exec.pipelined` off (streaming may repartition
+/// downstream tasks, so that arm is compared order-insensitively).
+/// Returns the number of failures.
 fn parallel_smoke(queries: &[usize], log: &mut RunLog) -> usize {
     let mut d = Driver::in_memory();
     if let Err(e) = tpch::load(&mut d, 0.002, 20150701, FormatKind::Text) {
@@ -132,18 +133,17 @@ fn parallel_smoke(queries: &[usize], log: &mut RunLog) -> usize {
     let mut failures = 0usize;
     for &n in queries {
         for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
-            let run = |d: &mut Driver, parallel: bool, pipelined: bool| {
+            let run = |d: &mut Driver, threads: usize, pipelined: bool| {
                 let c = d.conf_mut();
-                c.set(hdm_common::conf::KEY_EXEC_PARALLEL, parallel);
-                c.set(hdm_common::conf::KEY_EXEC_PARALLEL_THREADS, 8);
+                c.set(hdm_common::conf::KEY_EXEC_PARALLEL_THREADS, threads);
                 c.set(hdm_common::conf::KEY_EXEC_PIPELINED, pipelined);
                 d.execute_on(tpch::queries::query(n), engine)
                     .map(|r| r.to_lines())
             };
             match (
-                run(&mut d, false, true),
-                run(&mut d, true, true),
-                run(&mut d, true, false),
+                run(&mut d, 1, true),
+                run(&mut d, 8, true),
+                run(&mut d, 8, false),
             ) {
                 (Ok(seq), Ok(par), Ok(mat)) => {
                     if seq != par {
@@ -483,7 +483,7 @@ fn main() {
         let failures = parallel_smoke(&query_nums, &mut log);
         if failures == 0 {
             log.say(&format!(
-                "\nparallel smoke passed: {} query(ies), both engines, on == off",
+                "\nparallel smoke passed: {} query(ies), both engines, 1 thread == 8 threads",
                 query_nums.len()
             ));
         } else {

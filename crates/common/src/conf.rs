@@ -47,11 +47,6 @@ pub const KEY_ORC_PUSHDOWN: &str = "hive.orc.pushdown";
 /// Per-worker memory in bytes; the DataMPI cache budget is this times
 /// [`KEY_MEM_USED_PERCENT`].
 pub const KEY_WORKER_MEM_BYTES: &str = "datampi.worker.mem.bytes";
-/// Whether ReduceSink emits memcmp-comparable normalized keys (the
-/// `BinarySortableSerDe` analogue in `hdm_common::sortkey`) so both
-/// engines' sort/merge/group paths compare raw bytes instead of decoding
-/// rows on every comparison. Default true.
-pub const KEY_NORMALIZED_KEYS: &str = "hive.shuffle.normalized.keys";
 /// Whether the `hdm-obs` tracing/metrics subsystem records anything.
 /// Default false: the instrumented hot paths reduce to a single atomic
 /// load per site.
@@ -86,12 +81,9 @@ pub const KEY_FT_RECV_TIMEOUT_MS: &str = "hive.ft.recv.timeout.ms";
 /// exhausted (`mapreduce`, `datampi`, or `none` to disable the fallback).
 /// Default `mapreduce`, mirroring the paper's engine-plug-in seam.
 pub const KEY_FT_FALLBACK_ENGINE: &str = "hive.ft.fallback.engine";
-/// Whether independent stages of a query DAG run concurrently (Hive's
-/// `hive.exec.parallel`). Default true; `false` restores the strictly
-/// sequential pre-scheduler driver loop.
-pub const KEY_EXEC_PARALLEL: &str = "hive.exec.parallel";
 /// Worker-thread cap for concurrent stage execution (Hive's
-/// `hive.exec.parallel.thread.number`). Default 8.
+/// `hive.exec.parallel.thread.number`). Default 8; 1 runs the stages
+/// of a query one at a time on the calling thread.
 pub const KEY_EXEC_PARALLEL_THREADS: &str = "hive.exec.parallel.thread.number";
 /// Whether dependent stages stream intermediates partition-by-partition
 /// (the Tez-style pipelined stage boundary). Default true; `false`
@@ -386,18 +378,8 @@ impl JobConf {
         }
     }
 
-    /// Whether independent DAG stages may run concurrently. Default
-    /// **true** (Hive's enterprise-era `hive.exec.parallel` default was
-    /// false for compatibility; our scheduler is differential-tested
-    /// against the sequential path, so it is on by default).
-    ///
-    /// # Errors
-    /// Returns [`HdmError::Config`] if the stored value is not a bool.
-    pub fn exec_parallel(&self) -> Result<bool> {
-        self.get_bool(KEY_EXEC_PARALLEL, true)
-    }
-
-    /// Stage-scheduler worker cap. Default **8**.
+    /// Stage-scheduler worker cap. Default **8**: independent stages of
+    /// a query DAG run concurrently. 1 runs them one at a time.
     ///
     /// # Errors
     /// Returns [`HdmError::Config`] if the stored value is not an integer
@@ -766,22 +748,10 @@ mod tests {
     }
 
     #[test]
-    fn exec_parallel_knobs_default_on_and_validate() {
-        let c = JobConf::new();
-        assert!(c.exec_parallel().unwrap());
-        assert_eq!(c.exec_parallel_threads().unwrap(), 8);
-
-        let c = JobConf::new()
-            .with(KEY_EXEC_PARALLEL, "false")
-            .with(KEY_EXEC_PARALLEL_THREADS, 2);
-        assert!(!c.exec_parallel().unwrap());
+    fn exec_parallel_threads_defaults_to_eight_and_validates() {
+        assert_eq!(JobConf::new().exec_parallel_threads().unwrap(), 8);
+        let c = JobConf::new().with(KEY_EXEC_PARALLEL_THREADS, 2);
         assert_eq!(c.exec_parallel_threads().unwrap(), 2);
-    }
-
-    #[test]
-    fn exec_parallel_knobs_out_of_range_are_errors() {
-        let c = JobConf::new().with(KEY_EXEC_PARALLEL, "sometimes");
-        assert!(c.exec_parallel().is_err());
 
         let c = JobConf::new().with(KEY_EXEC_PARALLEL_THREADS, 0);
         assert!(c

@@ -460,12 +460,11 @@ impl Driver {
     /// Run every stage of a plan on one engine, threading intermediates.
     ///
     /// Stages are scheduled over the plan's dependency DAG
-    /// ([`crate::physical::QueryPlan::dag`]): with `hive.exec.parallel`
-    /// (default on) independent stages run concurrently on up to
-    /// `hive.exec.parallel.thread.number` workers; with it off the
-    /// scheduler degenerates to the classic sequential loop. Stage
-    /// results come back indexed by stage id, so the returned order is
-    /// identical either way.
+    /// ([`crate::physical::QueryPlan::dag`]): independent stages run
+    /// concurrently on up to `hive.exec.parallel.thread.number` workers
+    /// (1 = one stage at a time on this thread). Stage results come back
+    /// indexed by stage id, so the returned order is identical either
+    /// way.
     ///
     /// With `hive.exec.pipelined` (default on) eligible DataMPI
     /// producer→consumer edges additionally *stream*: the producer
@@ -482,11 +481,7 @@ impl Driver {
         obs: &hdm_obs::ObsHandle,
         cancel: &CancelToken,
     ) -> Result<Vec<StageResult>> {
-        let threads = if self.conf.exec_parallel()? {
-            self.conf.exec_parallel_threads()?
-        } else {
-            1
-        };
+        let threads = self.conf.exec_parallel_threads()?;
         let streams = self.plan_streams(plan, engine, obs)?;
         // Split the DAG into hard edges (consumer waits for producer
         // *completion*) and soft edges (consumer may launch once the

@@ -26,9 +26,7 @@ use bytes::Bytes;
 use hdm_cluster::{JobVolumes, MapVolume, ReduceVolume};
 use hdm_common::conf::{JobConf, Parallelism};
 use hdm_common::error::{HdmError, Result};
-use hdm_common::kv::{
-    BytesComparator, ComparatorRef, DirectionalRowComparator, KvPair, RowKeyComparator,
-};
+use hdm_common::kv::{BytesComparator, ComparatorRef, KvPair};
 use hdm_common::partition::{HashPartitioner, PartitionerRef, SinglePartitioner};
 use hdm_common::row::{Row, Schema};
 use hdm_common::value::DataType;
@@ -136,40 +134,29 @@ type MapLogic =
 /// The engine-agnostic reduce pipeline: `(reduce_rank, groups)`.
 type ReduceLogic = Arc<dyn Fn(usize, &mut dyn GroupSource) -> Result<()> + Send + Sync>;
 
-/// How ReduceSink keys travel on the wire.
-///
-/// With `hive.shuffle.normalized.keys` (default on), key rows are written
-/// in the order-preserving [`hdm_common::sortkey`] encoding — Hive's
+/// How ReduceSink keys travel on the wire: key rows are written in the
+/// order-preserving [`hdm_common::sortkey`] encoding — Hive's
 /// `BinarySortableSerDe` analogue — with any Sort-stage DESC directions
 /// baked into the bytes, so both engines' sort/merge/group paths compare
 /// raw bytes ([`BytesComparator`]) instead of decoding rows on every
-/// comparison. With the knob off, keys use the plain row codec and the
-/// row-decoding comparators (the pre-normalization behaviour).
+/// comparison.
 #[derive(Clone)]
 struct KeyCodec {
-    normalized: bool,
     /// Per-column ascending flags (Sort stages; empty = all ascending).
     ascending: Arc<Vec<bool>>,
 }
 
 impl KeyCodec {
-    fn from_conf(conf: &JobConf, kind: &StageKind) -> Result<KeyCodec> {
-        let normalized = conf.get_bool(hdm_common::conf::KEY_NORMALIZED_KEYS, true)?;
+    fn of(kind: &StageKind) -> KeyCodec {
         let ascending = match kind {
             StageKind::Sort { ascending, .. } => Arc::new(ascending.clone()),
             _ => Arc::new(Vec::new()),
         };
-        Ok(KeyCodec {
-            normalized,
-            ascending,
-        })
+        KeyCodec { ascending }
     }
 
     /// Build the wire pair for one `(key, value)` row pair.
     fn pair(&self, key: &Row, value: &Row) -> KvPair {
-        if !self.normalized {
-            return KvPair::from_rows(key, value);
-        }
         let kb = hdm_common::sortkey::encode_row_directed(key, &self.ascending);
         let mut vb = Vec::with_capacity(value.wire_size() + 4);
         value.encode(&mut vb);
@@ -178,26 +165,7 @@ impl KeyCodec {
 
     /// Decode a wire key back into its row.
     fn decode_key(&self, key: &Bytes) -> Result<Row> {
-        if self.normalized {
-            hdm_common::sortkey::decode_row_directed(key.as_ref(), &self.ascending)
-        } else {
-            Row::decode(&mut key.clone())
-        }
-    }
-
-    /// The key comparator matching this wire format.
-    fn comparator(&self, kind: &StageKind) -> ComparatorRef {
-        if self.normalized {
-            // DESC directions are already baked into the key bytes, so
-            // raw memcmp is the right order for every stage kind.
-            return Arc::new(BytesComparator);
-        }
-        match kind {
-            StageKind::Sort { ascending, .. } => {
-                Arc::new(DirectionalRowComparator::new(ascending.clone()))
-            }
-            _ => Arc::new(RowKeyComparator),
-        }
+        hdm_common::sortkey::decode_row_directed(key.as_ref(), &self.ascending)
     }
 }
 
@@ -472,8 +440,8 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
     let tasks_arc = Arc::new(tasks);
     let dfs = ctx.dfs.clone();
     let conf_map_aggr = ctx.conf.get_bool(hdm_common::conf::KEY_COMBINER, true)?;
-    // ReduceSink key normalization (`hive.shuffle.normalized.keys`).
-    let key_codec = KeyCodec::from_conf(ctx.conf, &stage.kind)?;
+    // ReduceSink key normalization.
+    let key_codec = KeyCodec::of(&stage.kind);
 
     let aggregator = match &stage.kind {
         StageKind::Aggregate { aggs, .. } => Some(Arc::new(Aggregator::new(aggs.clone()))),
@@ -911,7 +879,9 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
     let reduce_logic: ReduceLogic = Arc::new(reduce_logic);
 
     // ---- comparator / partitioner -----------------------------------------------
-    let comparator: ComparatorRef = key_codec.comparator(&stage.kind);
+    // DESC directions are already baked into the key bytes, so raw
+    // memcmp is the right order for every stage kind.
+    let comparator: ComparatorRef = Arc::new(BytesComparator);
     let partitioner: PartitionerRef = match &stage.kind {
         StageKind::Sort { .. } => Arc::new(SinglePartitioner),
         _ => Arc::new(HashPartitioner),
@@ -927,6 +897,7 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
             &map_logic,
             &faults,
             &recovery,
+            &ctx.cancel,
         )?;
         (Vec::new(), 0)
     } else {
@@ -1197,12 +1168,8 @@ fn run_map_only(
     map_logic: &MapLogic,
     faults: &hdm_faults::FaultPlan,
     recovery: &hdm_faults::RecoveryPolicy,
+    cancel: &hdm_common::CancelToken,
 ) -> Result<()> {
-    let max_attempts = if faults.is_enabled() {
-        recovery.max_attempts.max(1)
-    } else {
-        1
-    };
     let errors: Mutex<Vec<HdmError>> = Mutex::new(Vec::new());
     let next = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -1214,28 +1181,15 @@ fn run_map_only(
                 if i >= map_tasks {
                     break;
                 }
-                let mut attempt = 0u32;
-                loop {
+                let site = hdm_faults::Site::MapTask;
+                let run = hdm_faults::supervise(faults, recovery, cancel, site, i, None, |_, _| {
                     let mut sink_err = |_kv: KvPair| -> Result<()> {
                         Err(HdmError::Plan("map-only stage must not emit KVs".into()))
                     };
-                    match map_logic(i, &mut sink_err) {
-                        Ok(()) => break,
-                        // Cancellation is terminal, never a retryable fault:
-                        // replaying a cancelled attempt would fight the token.
-                        Err(e) if !e.is_cancelled() && attempt + 1 < max_attempts => {
-                            faults.note_detected(hdm_faults::Site::MapTask);
-                            faults.note_retry(hdm_faults::Site::MapTask);
-                            let delay = recovery.backoff_delay(attempt);
-                            attempt += 1;
-                            std::thread::sleep(delay);
-                            faults.observe_backoff(hdm_faults::Site::MapTask, delay);
-                        }
-                        Err(e) => {
-                            errors.lock().push(e);
-                            break;
-                        }
-                    }
+                    map_logic(i, &mut sink_err)
+                });
+                if let Err(e) = run {
+                    errors.lock().push(e);
                 }
             });
         }

@@ -1,27 +1,32 @@
-//! DAG-aware concurrent stage scheduler.
+//! DAG-aware stage scheduler: one dispatch loop over two kinds of edge.
 //!
-//! The driver used to run a plan's stages in a strict `for` loop —
-//! pre-`hive.exec.parallel` Hive-on-MapReduce behaviour. This module
-//! topologically schedules stages onto a bounded worker pool instead, so
-//! independent DAG branches (two sides of a join cascade, Q9-style
-//! supplier/part subtrees in hand-built plans) overlap on both engines.
+//! A plan's stages form a dependency DAG. A *hard* edge is a barrier:
+//! the consumer starts after the producer completes. A *soft* edge is a
+//! pipeline: the consumer starts once the producer has merely launched
+//! and streams its output partitions as they commit (a
+//! `StreamedIntermediate` hand-off, DESIGN.md §15). Barrier scheduling
+//! is the same loop with no soft edges.
 //!
 //! Shape: a ready-queue + completion-channel scheduler. The calling
 //! thread is the dispatcher; it pushes ready stage ids (lowest id first)
-//! into a work channel, `threads` scoped workers pull, execute, and send
-//! `(id, Result)` back on a completion channel, and the dispatcher
-//! retires completions, unlocking children whose last dependency just
-//! finished. With `threads <= 1` the scheduler degenerates to an inline
-//! sequential loop — no threads are spawned, matching the pre-scheduler
-//! driver loop exactly (this is the `hive.exec.parallel=false` path).
+//! into a FIFO work channel, `threads` scoped workers pull, execute, and
+//! send `(id, Result)` back on a completion channel, and the dispatcher
+//! retires completions, unlocking children whose last edge was just
+//! satisfied. A soft edge is satisfied when its producer is enqueued, so
+//! a soft chain enqueues in one pass, producer before consumer.
+//!
+//! Inline launch: with `threads <= 1` (or a single stage) the same loop
+//! spawns no workers — the dispatcher runs each stage itself, one at a
+//! time, retiring it before it pops the next. One worker cannot run a
+//! producer and the consumer of its bounded stream at once, so soft
+//! edges count as hard ones in that case.
 //!
 //! Determinism: results are keyed by stage id (not completion order),
 //! every stage's execution is itself deterministic given its inputs, and
-//! a stage only starts after all its dependencies completed — so the
-//! returned `Vec<T>` is identical whatever the interleaving. The ready
-//! queue pops the lowest stage id first, which makes the sequential
-//! order exactly the plan order for the linear chains the SQL planner
-//! emits today.
+//! a stage only starts after its dependencies allow — so the returned
+//! `Vec<T>` is identical whatever the interleaving. The ready queue pops
+//! the lowest stage id first, which makes the inline order exactly the
+//! plan order for the linear chains the SQL planner emits today.
 //!
 //! Failure: when a stage errors the dispatcher stops launching new
 //! stages but keeps draining completions until every in-flight stage
@@ -32,15 +37,6 @@
 //! and a `sched.run` span on its own `stage{id}` track, and the
 //! `sched.max.concurrent` gauge records the peak number of stages
 //! executing at once (never above the thread cap).
-//!
-//! Pipelining: [`run_dag_pipelined`] splits the edge set into *hard*
-//! edges (consumer starts after the producer completes — the model
-//! above) and *soft* edges (consumer starts once the producer has
-//! merely launched, and streams its output partitions as they commit —
-//! DESIGN.md §15). Soft edges are satisfied at enqueue time on the FIFO
-//! work queue, so a producer is always dequeued no later than its
-//! consumer; with `threads <= 1` soft edges degrade to hard edges and
-//! the sequential barrier loop runs unchanged.
 
 use hdm_common::error::{HdmError, Result};
 use hdm_common::CancelToken;
@@ -49,27 +45,16 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
 
-/// Dependency edges: `deps[i]` lists the stages that must complete
-/// before stage `i` may start (what [`QueryPlan::dag`] returns).
+/// Dependency edges: `deps[i]` lists the stages stage `i` waits on
+/// (what [`QueryPlan::dag`] returns).
 ///
 /// [`QueryPlan::dag`]: crate::physical::QueryPlan::dag
 type Deps = [Vec<usize>];
 
-/// Run every node of a dependency DAG through `run`, at most `threads`
-/// at a time, and return the per-stage results indexed by stage id.
-///
-/// `run` must be safe to call from worker threads (`Sync`); it receives
-/// the stage id. Duplicate edges are collapsed.
+/// [`run_dag_pipelined`] over barrier edges only.
 ///
 /// # Errors
-/// - [`HdmError::Plan`] if `deps` references an out-of-range stage or
-///   contains a cycle (nothing is executed in that case).
-/// - The error of a failed stage, after all in-flight stages have
-///   drained. When several stages fail, the lowest-id failure wins.
-/// - [`HdmError::Cancelled`] if `cancel` fired: the dispatcher stops
-///   launching ready stages, drains everything in flight, and the
-///   cancellation shadows any stage error (a torn-down query must not
-///   look like a fault to the retry/fallback machinery).
+/// As [`run_dag_pipelined`].
 pub fn run_dag<T, F>(
     deps: &Deps,
     threads: usize,
@@ -81,38 +66,40 @@ where
     T: Send,
     F: Fn(usize) -> Result<T> + Sync,
 {
-    let shape = Shape::of(deps)?;
-    if shape.n == 0 {
-        return Ok(Vec::new());
-    }
-    let inst = Instruments::new(obs);
-    if threads <= 1 || shape.n == 1 {
-        run_sequential(shape, &inst, cancel, &run)
-    } else {
-        run_concurrent(shape, threads, &inst, cancel, &run)
-    }
+    run_dag_pipelined(
+        deps,
+        &vec![Vec::new(); deps.len()],
+        threads,
+        obs,
+        cancel,
+        run,
+    )
 }
 
-/// [`run_dag`] with a pipelined readiness model: `hard[i]` stages must
-/// *complete* before stage `i` starts (the classic barrier edge), while
-/// `soft[i]` stages only need to have *launched* — stage `i` starts
-/// while they are still running and consumes their output as it flows
-/// (a `StreamedIntermediate` hand-off). The work queue is FIFO and a
-/// soft edge is satisfied at enqueue time, so a producer is always
-/// dequeued no later than its consumer.
+/// Run every node of a dependency DAG through `run`, at most `threads`
+/// at a time, and return the per-stage results indexed by stage id.
 ///
-/// With `threads <= 1` every soft edge degrades to a hard edge and the
-/// scheduler runs the inline sequential barrier loop — the
-/// `hive.exec.parallel=false` semantics are preserved exactly.
+/// `hard[i]` stages must *complete* before stage `i` starts, `soft[i]`
+/// stages only need to have *launched*. The work queue is FIFO and a
+/// soft edge is satisfied at enqueue time, so a producer is always
+/// dequeued no later than its consumer. With `threads <= 1` or a single
+/// stage the dispatcher runs the stages inline and soft edges count as
+/// hard ones. Duplicate edges collapse; a soft edge that repeats a hard
+/// one is dropped (the hard edge is stricter).
+///
+/// `run` must be safe to call from worker threads (`Sync`); it receives
+/// the stage id.
 ///
 /// # Errors
 /// - [`HdmError::Plan`] if `hard` and `soft` disagree on the stage
 ///   count, reference an out-of-range stage, or together contain a
 ///   cycle (nothing is executed in that case).
 /// - The error of a failed stage, after all in-flight stages have
-///   drained; the lowest-id failure wins.
-/// - [`HdmError::Cancelled`] if `cancel` fired (same drain semantics as
-///   [`run_dag`]; cancellation shadows stage errors).
+///   drained. When several stages fail, the lowest-id failure wins.
+/// - [`HdmError::Cancelled`] if `cancel` fired: the dispatcher stops
+///   launching ready stages, drains everything in flight, and the
+///   cancellation shadows any stage error (a torn-down query must not
+///   look like a fault to the retry/fallback machinery).
 pub fn run_dag_pipelined<T, F>(
     hard: &Deps,
     soft: &Deps,
@@ -125,129 +112,32 @@ where
     T: Send,
     F: Fn(usize) -> Result<T> + Sync,
 {
-    if hard.len() != soft.len() {
-        return Err(HdmError::Plan(format!(
-            "pipelined scheduler: hard/soft dependency tables disagree ({} vs {} stages)",
-            hard.len(),
-            soft.len()
-        )));
-    }
-    // Merged edges validate the DAG (a cycle through any mix of edge
-    // kinds is still a cycle) and drive the sequential barrier path.
-    let merged: Vec<Vec<usize>> = hard
-        .iter()
-        .zip(soft.iter())
-        .map(|(h, s)| h.iter().chain(s.iter()).copied().collect())
-        .collect();
-    let shape = Shape::of(&merged)?;
-    if shape.n == 0 {
+    let n = hard.len();
+    let inline = threads <= 1 || n == 1;
+    let mut edges = Edges::of(hard, soft, inline)?;
+    if n == 0 {
         return Ok(Vec::new());
     }
+    let mut ready = edges.roots();
     let inst = Instruments::new(obs);
-    if threads <= 1 || shape.n == 1 {
-        run_sequential(shape, &inst, cancel, &run)
-    } else {
-        run_concurrent_pipelined(shape.n, hard, soft, threads, &inst, cancel, &run)
-    }
-}
-
-/// Per-edge-kind bookkeeping for the pipelined concurrent path. A soft
-/// edge that duplicates a hard edge is dropped (the hard edge is
-/// stricter); duplicate edges within a kind collapse.
-struct PipeShape {
-    hard_indeg: Vec<usize>,
-    soft_indeg: Vec<usize>,
-    hard_children: Vec<Vec<usize>>,
-    soft_children: Vec<Vec<usize>>,
-}
-
-impl PipeShape {
-    fn of(n: usize, hard: &Deps, soft: &Deps) -> PipeShape {
-        let mut shape = PipeShape {
-            hard_indeg: vec![0; n],
-            soft_indeg: vec![0; n],
-            hard_children: vec![Vec::new(); n],
-            soft_children: vec![Vec::new(); n],
-        };
-        for stage in 0..n {
-            let mut seen: Vec<usize> = Vec::new();
-            let hard_deps = hard.get(stage).map(Vec::as_slice).unwrap_or_default();
-            let soft_deps = soft.get(stage).map(Vec::as_slice).unwrap_or_default();
-            for &dep in hard_deps {
-                if seen.contains(&dep) {
-                    continue;
-                }
-                seen.push(dep);
-                if let Some(d) = shape.hard_indeg.get_mut(stage) {
-                    *d += 1;
-                }
-                if let Some(c) = shape.hard_children.get_mut(dep) {
-                    c.push(stage);
-                }
-            }
-            for &dep in soft_deps {
-                if seen.contains(&dep) {
-                    continue;
-                }
-                seen.push(dep);
-                if let Some(d) = shape.soft_indeg.get_mut(stage) {
-                    *d += 1;
-                }
-                if let Some(c) = shape.soft_children.get_mut(dep) {
-                    c.push(stage);
-                }
-            }
-        }
-        shape
-    }
-
-    /// Initial ready set: stages with no pending edges of either kind.
-    fn roots(&self) -> BinaryHeap<Reverse<usize>> {
-        self.hard_indeg
-            .iter()
-            .zip(self.soft_indeg.iter())
-            .enumerate()
-            .filter(|&(_, (&h, &s))| h == 0 && s == 0)
-            .map(|(i, _)| Reverse(i))
-            .collect()
-    }
-}
-
-/// The pipelined concurrent path: like [`run_concurrent`], but a
-/// stage's soft edges are satisfied when it is *enqueued* (the launch
-/// loop cascades, so a soft chain enqueues in one pass, producer before
-/// consumer on the FIFO queue) while hard edges are satisfied on
-/// completion as before.
-fn run_concurrent_pipelined<T, F>(
-    n: usize,
-    hard: &Deps,
-    soft: &Deps,
-    threads: usize,
-    inst: &Instruments<'_>,
-    cancel: &CancelToken,
-    run: &F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    let mut shape = PipeShape::of(n, hard, soft);
-    let mut ready = shape.roots();
+    let (inst, run) = (&inst, &run);
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let mut failure: Option<(usize, HdmError)> = None;
 
     let (work_tx, work_rx) = crossbeam::channel::unbounded::<(usize, Instant)>();
     let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, Result<T>)>();
 
+    let workers = if inline { 0 } else { threads.min(n) };
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
+        for _ in 0..workers {
             let work_rx = work_rx.clone();
             let done_tx = done_tx.clone();
             scope.spawn(move || {
                 // hdm-allow(unbounded-blocking): in-process work queue; the dispatcher below provably closes it on exit
                 while let Ok((stage, ready_at)) = work_rx.recv() {
-                    // Same drain rule as run_concurrent: a stage still in
-                    // the queue when the token fires never starts.
+                    // The dispatcher queues every ready stage eagerly, so
+                    // "stop launching on cancel" is enforced here: a
+                    // queued-but-unstarted stage is retired untouched.
                     let out = if cancel.is_cancelled() {
                         Err(cancel.as_error())
                     } else {
@@ -259,8 +149,14 @@ where
                 }
             });
         }
+        // The dispatcher's own clones must go, so that `work_tx.send` and
+        // `done_rx.recv` see disconnect (not a hang) if every worker is
+        // gone — except inline, where the dispatcher is the one reporting
+        // completions through `done_tx`.
         drop(work_rx);
-        drop(done_tx);
+        let inline_done = inline.then_some(done_tx);
+        // Inline, a stage is retired before the next one is popped.
+        let launch_cap = if inline { 1 } else { usize::MAX };
 
         let mut outstanding = 0usize;
         loop {
@@ -269,34 +165,29 @@ where
                 // keep retiring whatever is in flight below.
                 failure = Some((usize::MAX, cancel.as_error()));
             }
-            if failure.is_none() {
-                while let Some(Reverse(stage)) = ready.pop() {
-                    if work_tx.send((stage, Instant::now())).is_err() {
-                        break;
-                    }
-                    outstanding += 1;
-                    // Launching satisfies this stage's soft out-edges:
-                    // consumers whose remaining edges were all soft go
-                    // onto the heap now and the pop loop cascades.
-                    for &child in shape
-                        .soft_children
-                        .get(stage)
-                        .map(Vec::as_slice)
-                        .unwrap_or_default()
-                    {
-                        if let Some(d) = shape.soft_indeg.get_mut(child) {
-                            *d -= 1;
-                            if *d == 0 && shape.hard_indeg.get(child) == Some(&0) {
-                                ready.push(Reverse(child));
-                            }
-                        }
-                    }
+            // Launch what is ready, unless a failure put the scheduler
+            // into drain mode.
+            while failure.is_none() && outstanding < launch_cap {
+                let Some(Reverse(stage)) = ready.pop() else {
+                    break;
+                };
+                let now = Instant::now();
+                let launched = match &inline_done {
+                    Some(done) => done.send((stage, inst.run_stage(stage, now, run))).is_ok(),
+                    None => work_tx.send((stage, now)).is_ok(),
+                };
+                if !launched {
+                    break;
                 }
+                outstanding += 1;
+                // Launching satisfies this stage's soft out-edges, so the
+                // pop loop cascades down a soft chain in one pass.
+                edges.satisfy(stage, Edge::Soft, &mut ready);
             }
             if outstanding == 0 {
                 break;
             }
-            // hdm-allow(unbounded-blocking): completion channel; every counted in-flight stage is owned by a live scoped worker
+            // hdm-allow(unbounded-blocking): completion channel; every counted in-flight stage is owned by a live scoped worker (or was just sent inline)
             let Ok((stage, out)) = done_rx.recv() else {
                 break;
             };
@@ -306,27 +197,17 @@ where
                     if let Some(slot) = results.get_mut(stage) {
                         *slot = Some(value);
                     }
-                    for &child in shape
-                        .hard_children
-                        .get(stage)
-                        .map(Vec::as_slice)
-                        .unwrap_or_default()
-                    {
-                        if let Some(d) = shape.hard_indeg.get_mut(child) {
-                            *d -= 1;
-                            if *d == 0 && shape.soft_indeg.get(child) == Some(&0) {
-                                ready.push(Reverse(child));
-                            }
-                        }
-                    }
+                    edges.satisfy(stage, Edge::Hard, &mut ready);
                 }
                 Err(err) => match &failure {
+                    // Keep the lowest-id failure so the surfaced error
+                    // does not depend on completion interleaving.
                     Some((first, _)) if *first <= stage => {}
                     _ => failure = Some((stage, err)),
                 },
             }
         }
-        drop(work_tx);
+        drop(work_tx); // close the queue: idle workers exit their loop
     });
 
     if cancel.is_cancelled() {
@@ -340,53 +221,75 @@ where
     }
 }
 
-/// Validated DAG shape: per-stage indegrees and forward (child) edges.
-struct Shape {
-    n: usize,
-    indegree: Vec<usize>,
-    children: Vec<Vec<usize>>,
+/// When an edge is satisfied.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Edge {
+    /// The producer completed.
+    Hard,
+    /// The producer launched.
+    Soft,
 }
 
-impl Shape {
-    /// Build and validate: rejects out-of-range edges and cycles before
-    /// any stage runs.
-    fn of(deps: &Deps) -> Result<Shape> {
-        let n = deps.len();
-        let mut indegree = vec![0usize; n];
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (stage, stage_deps) in deps.iter().enumerate() {
-            let mut seen: Vec<usize> = Vec::with_capacity(stage_deps.len());
-            for &dep in stage_deps {
-                if dep >= n {
-                    return Err(HdmError::Plan(format!(
-                        "stage {stage} depends on unknown stage {dep} (plan has {n} stages)"
-                    )));
-                }
+/// The validated edge table: how many in-edges each stage still waits
+/// on, and every stage's out-edges by kind.
+struct Edges {
+    pending: Vec<usize>,
+    children: Vec<Vec<(usize, Edge)>>,
+}
+
+impl Edges {
+    /// Build and validate: rejects mismatched tables, out-of-range edges
+    /// and cycles (through any mix of edge kinds) before any stage runs.
+    /// `fold_soft` records soft edges as hard ones.
+    fn of(hard: &Deps, soft: &Deps, fold_soft: bool) -> Result<Edges> {
+        let n = hard.len();
+        if soft.len() != n {
+            return Err(HdmError::Plan(format!(
+                "pipelined scheduler: hard/soft dependency tables disagree ({n} vs {} stages)",
+                soft.len()
+            )));
+        }
+        let soft_kind = if fold_soft { Edge::Hard } else { Edge::Soft };
+        let mut edges = Edges {
+            pending: vec![0; n],
+            children: vec![Vec::new(); n],
+        };
+        for (stage, (hard_deps, soft_deps)) in hard.iter().zip(soft).enumerate() {
+            // Hard edges first: a soft repeat of one is the duplicate.
+            let kinded = hard_deps
+                .iter()
+                .map(|&dep| (dep, Edge::Hard))
+                .chain(soft_deps.iter().map(|&dep| (dep, soft_kind)));
+            let mut seen: Vec<usize> = Vec::with_capacity(hard_deps.len() + soft_deps.len());
+            for (dep, kind) in kinded {
                 if seen.contains(&dep) {
                     continue; // collapse duplicate edges
                 }
                 seen.push(dep);
-                if let Some(d) = indegree.get_mut(stage) {
-                    *d += 1;
-                }
-                if let Some(c) = children.get_mut(dep) {
-                    c.push(stage);
+                let Some(out) = edges.children.get_mut(dep) else {
+                    return Err(HdmError::Plan(format!(
+                        "stage {stage} depends on unknown stage {dep} (plan has {n} stages)"
+                    )));
+                };
+                out.push((stage, kind));
+                if let Some(p) = edges.pending.get_mut(stage) {
+                    *p += 1;
                 }
             }
         }
         // Kahn pass over a scratch copy: every stage must be reachable
         // through zero-indegree frontiers, or the "DAG" has a cycle.
-        let mut scratch = indegree.clone();
-        let mut frontier: Vec<usize> = scratch
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(i, _)| i)
-            .collect();
+        let mut scratch = edges.pending.clone();
+        let mut frontier: Vec<usize> = edges.roots().into_iter().map(|Reverse(i)| i).collect();
         let mut visited = 0usize;
         while let Some(node) = frontier.pop() {
             visited += 1;
-            for &child in children.get(node).map(Vec::as_slice).unwrap_or_default() {
+            for &(child, _) in edges
+                .children
+                .get(node)
+                .map(Vec::as_slice)
+                .unwrap_or_default()
+            {
                 if let Some(d) = scratch.get_mut(child) {
                     *d -= 1;
                     if *d == 0 {
@@ -400,21 +303,35 @@ impl Shape {
                 "stage dependency cycle: only {visited} of {n} stages are schedulable"
             )));
         }
-        Ok(Shape {
-            n,
-            indegree,
-            children,
-        })
+        Ok(edges)
     }
 
-    /// Initial ready set: all zero-indegree stages, lowest id first.
+    /// Initial ready set: stages waiting on nothing, lowest id first.
     fn roots(&self) -> BinaryHeap<Reverse<usize>> {
-        self.indegree
+        self.pending
             .iter()
             .enumerate()
             .filter(|&(_, &d)| d == 0)
             .map(|(i, _)| Reverse(i))
             .collect()
+    }
+
+    /// Satisfy `stage`'s out-edges of `kind`; children left waiting on
+    /// nothing become ready.
+    fn satisfy(&mut self, stage: usize, kind: Edge, ready: &mut BinaryHeap<Reverse<usize>>) {
+        let out = self
+            .children
+            .get(stage)
+            .map(Vec::as_slice)
+            .unwrap_or_default();
+        for &(child, _) in out.iter().filter(|(_, k)| *k == kind) {
+            if let Some(d) = self.pending.get_mut(child) {
+                *d -= 1;
+                if *d == 0 {
+                    ready.push(Reverse(child));
+                }
+            }
+        }
     }
 }
 
@@ -471,156 +388,6 @@ impl Instruments<'_> {
         out
     }
 }
-
-/// The `threads <= 1` path: the pre-scheduler sequential loop, kept
-/// inline (no worker threads) so `hive.exec.parallel=false` costs
-/// exactly what the old driver loop cost. Stops at the first error —
-/// nothing else is in flight.
-fn run_sequential<T>(
-    shape: Shape,
-    inst: &Instruments<'_>,
-    cancel: &CancelToken,
-    run: &(impl Fn(usize) -> Result<T> + ?Sized),
-) -> Result<Vec<T>> {
-    let mut ready = shape.roots();
-    let Shape {
-        n,
-        mut indegree,
-        children,
-    } = shape;
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    while let Some(Reverse(stage)) = ready.pop() {
-        cancel.bail_if_cancelled()?;
-        let value = inst.run_stage(stage, Instant::now(), run)?;
-        if let Some(slot) = results.get_mut(stage) {
-            *slot = Some(value);
-        }
-        for &child in children.get(stage).map(Vec::as_slice).unwrap_or_default() {
-            if let Some(d) = indegree.get_mut(child) {
-                *d -= 1;
-                if *d == 0 {
-                    ready.push(Reverse(child));
-                }
-            }
-        }
-    }
-    collect(results)
-}
-
-/// The concurrent path: dispatcher on the calling thread, a bounded
-/// scoped worker pool, lowest-ready-id dispatch order, and full drain
-/// of in-flight stages on failure.
-fn run_concurrent<T, F>(
-    shape: Shape,
-    threads: usize,
-    inst: &Instruments<'_>,
-    cancel: &CancelToken,
-    run: &F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    let mut ready = shape.roots();
-    let Shape {
-        n,
-        mut indegree,
-        children,
-    } = shape;
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut failure: Option<(usize, HdmError)> = None;
-
-    let (work_tx, work_rx) = crossbeam::channel::unbounded::<(usize, Instant)>();
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, Result<T>)>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            let work_rx = work_rx.clone();
-            let done_tx = done_tx.clone();
-            scope.spawn(move || {
-                // hdm-allow(unbounded-blocking): in-process work queue; the dispatcher below provably closes it on exit
-                while let Ok((stage, ready_at)) = work_rx.recv() {
-                    // The dispatcher queues every ready stage eagerly, so
-                    // "stop launching on cancel" is enforced here: a
-                    // queued-but-unstarted stage is retired untouched.
-                    let out = if cancel.is_cancelled() {
-                        Err(cancel.as_error())
-                    } else {
-                        inst.run_stage(stage, ready_at, run)
-                    };
-                    if done_tx.send((stage, out)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        // The dispatcher's own clones must go: workers exit when the
-        // last work sender drops, and `done_rx.recv` must see
-        // disconnect (not hang) if every worker is gone.
-        drop(work_rx);
-        drop(done_tx);
-
-        let mut outstanding = 0usize;
-        loop {
-            if failure.is_none() && cancel.is_cancelled() {
-                // Cancellation = drain mode: launch nothing further,
-                // keep retiring whatever is in flight below.
-                failure = Some((usize::MAX, cancel.as_error()));
-            }
-            // Launch everything ready, unless a failure put the
-            // scheduler into drain mode.
-            if failure.is_none() {
-                while let Some(Reverse(stage)) = ready.pop() {
-                    if work_tx.send((stage, Instant::now())).is_err() {
-                        break;
-                    }
-                    outstanding += 1;
-                }
-            }
-            if outstanding == 0 {
-                break;
-            }
-            // hdm-allow(unbounded-blocking): completion channel; every counted in-flight stage is owned by a live scoped worker
-            let Ok((stage, out)) = done_rx.recv() else {
-                break;
-            };
-            outstanding -= 1;
-            match out {
-                Ok(value) => {
-                    if let Some(slot) = results.get_mut(stage) {
-                        *slot = Some(value);
-                    }
-                    for &child in children.get(stage).map(Vec::as_slice).unwrap_or_default() {
-                        if let Some(d) = indegree.get_mut(child) {
-                            *d -= 1;
-                            if *d == 0 {
-                                ready.push(Reverse(child));
-                            }
-                        }
-                    }
-                }
-                Err(err) => match &failure {
-                    // Keep the lowest-id failure so the surfaced error
-                    // does not depend on completion interleaving.
-                    Some((first, _)) if *first <= stage => {}
-                    _ => failure = Some((stage, err)),
-                },
-            }
-        }
-        drop(work_tx); // close the queue: idle workers exit their loop
-    });
-
-    if cancel.is_cancelled() {
-        // Cancellation shadows whatever the stages returned: the caller
-        // must see a terminal Cancelled, never a retryable fault.
-        return Err(cancel.as_error());
-    }
-    match failure {
-        Some((_, err)) => Err(err),
-        None => collect(results),
-    }
-}
-
 /// Turn the id-indexed option table into the final result vector. A
 /// hole is impossible after a clean acyclic run; surface it as a plan
 /// error rather than panicking if an invariant ever breaks.

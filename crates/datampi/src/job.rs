@@ -11,7 +11,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use hdm_common::error::{HdmError, Result};
 use hdm_common::kv::{ComparatorRef, KvPair};
 use hdm_common::partition::PartitionerRef;
-use hdm_faults::Site;
+use hdm_faults::{supervise, Site};
 use hdm_mpi::{Endpoint, World, WorldConfig};
 use hdm_obs::{Counter, Timer};
 use parking_lot::Mutex;
@@ -382,78 +382,66 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
     }
 
     let faults = &config.faults;
-    let max_attempts = max_attempts(config);
-    let mut attempt = 0u32;
-    let (user, flush, mut stats) = loop {
-        let _attempt_span = (attempt > 0).then(|| obs.span(&track, "recovery", "o-task-retry"));
-        if let Some(stall) = faults.stall(Site::OTask, rank, attempt) {
-            faults.note_injected(Site::OTask);
-            std::thread::sleep(stall);
-        }
-        // Each attempt replays the split through a fresh context: empty
-        // SPL buffers (whatever the slot's last attempt left is dropped),
-        // fresh stats, its own crash countdown. Idempotence comes from
-        // the A side discarding aborted attempts wholesale.
-        drop(slot.spl.flush());
-        let mut ctx = OContext {
-            rank,
-            config,
-            spl: &mut slot.spl,
-            queue: tx.clone(),
-            recycle_rx: &slot.recycle_rx,
-            partitioner: job.partitioner,
-            stats: OTaskStats::new(rank),
-            job_start: job.job_start,
-            crash_countdown: faults.crash_after(Site::OTask, rank, attempt),
-            obs_flushes: obs.counter("spl.flushes", &label),
-            obs_flush_bytes: obs.counter("spl.flush.bytes", &label),
-            obs_queue_wait: obs.timer("spl.queue.wait.us", &label, hdm_obs::TIMER_US_BUCKET),
-            obs_recycle_drops: obs.counter("spl.recycle.drops", &label),
-        };
-        // A panicking O function must not take its slot down: the ranks
-        // the slot would have pulled next would never send their EOFs.
-        let run = std::panic::AssertUnwindSafe(|| (job.o_fn)(rank, &mut ctx));
-        let user = std::panic::catch_unwind(run).unwrap_or_else(|_| {
-            Err(HdmError::DataMpi(format!(
-                "O{rank}: task function panicked"
-            )))
-        });
-        // Cancellation is terminal: never burn recovery attempts (or
-        // backoff sleeps) replaying a cancelled split.
-        let retryable = user.as_ref().err().is_some_and(|e| !e.is_cancelled());
-        if retryable && attempt + 1 < max_attempts {
-            // Roll the attempt: A tasks discard this attempt's partial
-            // stream, we back off, then replay the split.
-            if ctx.queue.send(SendCmd::Abort).is_err() {
-                break (user, Ok(()), ctx.stats); // shuffle engine died
-            }
-            faults.note_retry(Site::OTask);
-            let delay = config
-                .recovery
-                .backoff_delay_jittered(attempt, (rank as u64) | (2 << 32));
-            attempt += 1;
-            std::thread::sleep(delay);
-            faults.observe_backoff(Site::OTask, delay);
-            continue;
-        }
-        // Final outcome. On success (or with fault tolerance off, where
-        // today's contract is "flush even on error so A sees our EOF"),
-        // flush buffered partitions; an exhausted failed task instead
-        // aborts so A tasks drop the partial attempt rather than
-        // aggregate half a split.
-        let flush = if user.is_ok() || !faults.is_enabled() {
-            ctx.flush()
-        } else {
-            // The abort only fails if the shuffle engine is already gone —
-            // the split is being dropped either way, but the drop must not
-            // be silent (same contract as the recycle path above).
-            if ctx.queue.send(SendCmd::Abort).is_err() {
-                obs.counter("spl.abort.drops", &label).add(1);
-            }
-            Ok(())
-        };
-        break (user, flush, ctx.stats);
+    // One context for the task's life; each attempt replays the split
+    // through it from a clean start. Idempotence comes from the A side
+    // discarding aborted attempts wholesale.
+    let mut ctx = OContext {
+        rank,
+        config,
+        spl: &mut slot.spl,
+        queue: tx.clone(),
+        recycle_rx: &slot.recycle_rx,
+        partitioner: job.partitioner,
+        stats: OTaskStats::new(rank),
+        job_start: job.job_start,
+        crash_countdown: None,
+        obs_flushes: obs.counter("spl.flushes", &label),
+        obs_flush_bytes: obs.counter("spl.flush.bytes", &label),
+        obs_queue_wait: obs.timer("spl.queue.wait.us", &label, hdm_obs::TIMER_US_BUCKET),
+        obs_recycle_drops: obs.counter("spl.recycle.drops", &label),
     };
+    let user = supervise(
+        faults,
+        &config.recovery,
+        &config.cancel,
+        Site::OTask,
+        rank,
+        // Roll the attempt: A tasks discard its partial stream. A failed
+        // send means the shuffle engine died, so retrying is pointless.
+        Some(&mut || tx.send(SendCmd::Abort).is_ok()),
+        |attempt, _| {
+            // Empty SPL buffers (whatever the slot's last attempt left is
+            // dropped), fresh stats, its own crash countdown.
+            drop(ctx.spl.flush());
+            ctx.stats = OTaskStats::new(rank);
+            ctx.crash_countdown = faults.crash_after(Site::OTask, rank, attempt);
+            // A panicking O function must not take its slot down: the
+            // ranks the slot would have pulled next would never send
+            // their EOFs.
+            let run = std::panic::AssertUnwindSafe(|| (job.o_fn)(rank, &mut ctx));
+            std::panic::catch_unwind(run).unwrap_or_else(|_| {
+                Err(HdmError::DataMpi(format!(
+                    "O{rank}: task function panicked"
+                )))
+            })
+        },
+    );
+    // Final outcome. On success (or with fault tolerance off, where
+    // today's contract is "flush even on error so A sees our EOF"), flush
+    // buffered partitions; an exhausted failed task instead aborts so A
+    // tasks drop the partial attempt rather than aggregate half a split.
+    let flush = if user.is_ok() || !faults.is_enabled() {
+        ctx.flush()
+    } else {
+        // The abort only fails if the shuffle engine is already gone —
+        // the split is being dropped either way, but the drop must not
+        // be silent (same contract as the recycle path above).
+        if ctx.queue.send(SendCmd::Abort).is_err() {
+            obs.counter("spl.abort.drops", &label).add(1);
+        }
+        Ok(())
+    };
+    let mut stats = ctx.stats;
     if tx.send(SendCmd::Finish).is_err() {
         // Engine hung up before Finish: its result below carries the
         // real error; the counter keeps the lost EOF visible in obs.
@@ -499,84 +487,53 @@ fn run_a_rank<RA>(
             ep.poison();
             Err(e)
         }
-        Ok(groups) => run_a_attempts(a_rank, groups, config, a_fn, &track),
+        Ok(groups) => run_a_attempts(a_rank, groups, config, a_fn),
     };
     stats.elapsed = task_start.elapsed();
     result.map(|value| (stats, value))
 }
 
-/// Task-level re-execution (the Hadoop attempt model grafted onto the MPI
-/// engine) only arms itself under fault tolerance; otherwise a task gets
-/// exactly one attempt.
-fn max_attempts(config: &DataMpiConfig) -> u32 {
-    if config.faults.is_enabled() {
-        config.recovery.max_attempts.max(1)
-    } else {
-        1
-    }
-}
-
-/// The A-side attempt supervisor: re-executes the user A function over
-/// the (already received and merged) key groups with bounded backoff.
-/// The merged input is the replay source — receiving it again is never
-/// needed, so A recovery is purely local.
+/// Re-executes the user A function over the (already received and
+/// merged) key groups. The merged input is the replay source —
+/// receiving it again is never needed, so A recovery is purely local.
 fn run_a_attempts<RA>(
     a_rank: usize,
     groups: KeyGroups,
     config: &DataMpiConfig,
     a_fn: &AFn<RA>,
-    track: &str,
 ) -> Result<RA> {
     let faults = &config.faults;
-    let max_attempts = max_attempts(config);
-    let mut attempt = 0u32;
     let mut groups = Some(groups);
-    loop {
-        let _attempt_span =
-            (attempt > 0).then(|| config.obs.span(track, "recovery", "a-task-retry"));
-        if let Some(stall) = faults.stall(Site::ATask, a_rank, attempt) {
-            faults.note_injected(Site::ATask);
-            std::thread::sleep(stall);
-        }
-        let more_attempts = attempt + 1 < max_attempts;
-        // Clone the merged input only while a later attempt could still
-        // need it (Bytes clones are refcounted views, not data copies).
-        let input = if more_attempts {
-            groups.clone().unwrap_or_default()
-        } else {
-            groups.take().unwrap_or_default()
-        };
-        let user = if faults.crash_after(Site::ATask, a_rank, attempt).is_some() {
-            faults.note_injected(Site::ATask);
-            Err(HdmError::RankFailed(format!(
-                "A{a_rank}: injected crash before aggregation"
-            )))
-        } else {
+    supervise(
+        faults,
+        &config.recovery,
+        &config.cancel,
+        Site::ATask,
+        a_rank,
+        None,
+        |attempt, more_attempts| {
+            // Clone the merged input only while a later attempt could
+            // still need it (Bytes clones are refcounted views, not data
+            // copies).
+            let input = if more_attempts {
+                groups.clone()
+            } else {
+                groups.take()
+            };
+            if faults.crash_after(Site::ATask, a_rank, attempt).is_some() {
+                faults.note_injected(Site::ATask);
+                return Err(HdmError::RankFailed(format!(
+                    "A{a_rank}: injected crash before aggregation"
+                )));
+            }
             let mut ctx = AContext {
                 rank: a_rank,
                 attempt,
-                groups: input.into_iter(),
+                groups: input.unwrap_or_default().into_iter(),
             };
             a_fn(a_rank, &mut ctx)
-        };
-        match user {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                // A cancelled attempt is terminal, not a fault.
-                if !more_attempts || e.is_cancelled() {
-                    return Err(e);
-                }
-                faults.note_detected(Site::ATask);
-                faults.note_retry(Site::ATask);
-                let delay = config
-                    .recovery
-                    .backoff_delay_jittered(attempt, (a_rank as u64) | (3 << 32));
-                attempt += 1;
-                std::thread::sleep(delay);
-                faults.observe_backoff(Site::ATask, delay);
-            }
-        }
-    }
+        },
+    )
 }
 
 /// Convenience: send a pre-built row pair from an O task.

@@ -17,10 +17,13 @@
 //!   [`rand::rngs::StdRng`]. No wall clock, no global state: the same
 //!   seed replays the same faults regardless of thread interleaving, so
 //!   recovery is testable and chaos runs are reproducible.
-//! * [`RecoveryPolicy`] — the knobs recovery sites consult: attempts per
+//! * [`RecoveryPolicy`] — the knobs recovery consults: attempts per
 //!   task, bounded exponential backoff, and the receive deadline that
 //!   turns "blocks forever on a dead peer" into
 //!   [`HdmError::Timeout`](hdm_common::error::HdmError::Timeout).
+//! * [`supervise`] — the one attempt loop every task of both engines
+//!   runs under: retry until success or `max_attempts`, with stall
+//!   injection, jittered cancel-aware backoff and the `ft.*` counters.
 //!
 //! When `hive.ft.enabled` is false (the default) every injection site
 //! reduces to a single relaxed atomic load — the same discipline
@@ -35,12 +38,14 @@
 
 use hdm_common::conf::JobConf;
 use hdm_common::error::{HdmError, Result};
+use hdm_common::CancelToken;
 use hdm_obs::ObsHandle;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -99,6 +104,18 @@ impl Site {
             Site::ReduceTask => 0x5244_4354,
             Site::MpiSend => 0x4d50_4953,
             Site::StorageRead => 0x5354_4f52,
+        }
+    }
+
+    /// Prefix of the obs track a task of this site records on (`O3`,
+    /// `R0`); empty for sites that are not tasks.
+    const fn track_prefix(self) -> &'static str {
+        match self {
+            Site::OTask => "O",
+            Site::ATask => "A",
+            Site::MapTask => "M",
+            Site::ReduceTask => "R",
+            Site::MpiSend | Site::StorageRead => "",
         }
     }
 
@@ -239,7 +256,7 @@ impl FaultPlan {
 
     /// Slow-node straggler stall at the start of `(site, rank, attempt)`,
     /// if any. Stalls slow a task without failing it.
-    pub fn stall(&self, site: Site, rank: usize, attempt: u32) -> Option<Duration> {
+    fn stall(&self, site: Site, rank: usize, attempt: u32) -> Option<Duration> {
         if !self.is_enabled()
             || !self.permille_hit(
                 site,
@@ -301,7 +318,7 @@ impl FaultPlan {
     }
 
     /// Record one task retry (obs counter `ft.retries`).
-    pub fn note_retry(&self, site: Site) {
+    fn note_retry(&self, site: Site) {
         self.bump("ft.retries", &format!("site={}", site.label()));
     }
 
@@ -312,7 +329,7 @@ impl FaultPlan {
 
     /// Record time a recovery site spent sleeping in backoff (obs timer
     /// `ft.backoff.ms`).
-    pub fn observe_backoff(&self, site: Site, waited: Duration) {
+    fn observe_backoff(&self, site: Site, waited: Duration) {
         if self.inner.obs.is_enabled() {
             if let Some(width) = std::num::NonZeroU64::new(5) {
                 self.inner
@@ -379,7 +396,7 @@ impl RecoveryPolicy {
 
     /// Delay before re-running attempt `attempt + 1`:
     /// `base * 2^attempt`, shift-capped and bounded by one second.
-    pub fn backoff_delay(&self, attempt: u32) -> Duration {
+    fn backoff_delay(&self, attempt: u32) -> Duration {
         let shifted = self.backoff_base * (1u32 << attempt.min(BACKOFF_MAX_SHIFT));
         shifted.min(BACKOFF_CAP)
     }
@@ -391,7 +408,7 @@ impl RecoveryPolicy {
     /// runs replayable. The jittered delay lands in
     /// `[backoff_delay / 2, backoff_delay]`: staggered, but never past
     /// the pinned schedule bound.
-    pub fn backoff_delay_jittered(&self, attempt: u32, key: u64) -> Duration {
+    fn backoff_delay_jittered(&self, attempt: u32, key: u64) -> Duration {
         let full = self.backoff_delay(attempt);
         let micros = full.as_micros() as u64;
         if micros < 2 {
@@ -405,6 +422,92 @@ impl RecoveryPolicy {
         z ^= z >> 31;
         let span = micros / 2;
         Duration::from_micros(micros - span + z % (span + 1))
+    }
+}
+
+/// Run one task under the recovery policy: call `body` until it
+/// succeeds, fails terminally, or `max_attempts` are spent, and return
+/// its last result. `body` receives the attempt number (0 first) and
+/// whether a later attempt may still run, so it can keep its replay
+/// input only while a retry could need it.
+///
+/// Attempts beyond the first exist only under an enabled fault plan;
+/// with fault tolerance off this is one direct call of `body`. Under an
+/// enabled plan every attempt may first draw a straggler stall, a
+/// [`HdmError::Cancelled`] failure is terminal (a torn-down query is
+/// never replayed), and a retry is counted (`ft.detected`,
+/// `ft.retries`), spanned (`<site>-retry` on the task's track) and
+/// preceded by a seed-deterministic jittered backoff (`ft.backoff.ms`)
+/// keyed by `(site, rank)` that returns early if `cancel` fires.
+///
+/// `between` is for a task whose failed attempt left state at a peer:
+/// it runs before each retry to roll that state back, and a `false`
+/// return (the peer is gone) stops retrying with the attempt's error.
+/// The peer that sees the rollback counts the detection, so
+/// `ft.detected` is only bumped here when `between` is `None`.
+///
+/// # Errors
+/// The last attempt's error, or [`HdmError::Cancelled`] if the token
+/// fired during a backoff.
+pub fn supervise<T>(
+    faults: &FaultPlan,
+    recovery: &RecoveryPolicy,
+    cancel: &CancelToken,
+    site: Site,
+    rank: usize,
+    mut between: Option<&mut dyn FnMut() -> bool>,
+    mut body: impl FnMut(u32, bool) -> Result<T>,
+) -> Result<T> {
+    if !faults.is_enabled() {
+        return body(0, false);
+    }
+    let max_attempts = recovery.max_attempts.max(1);
+    let jitter_key = faults.seed() ^ (site.key() << 32) ^ rank as u64;
+    let mut attempt = 0u32;
+    loop {
+        let _retry_span = (attempt > 0).then(|| {
+            faults.obs().span(
+                &format!("{}{rank}", site.track_prefix()),
+                "recovery",
+                &format!("{}-retry", site.label()),
+            )
+        });
+        if let Some(stall) = faults.stall(site, rank, attempt) {
+            faults.note_injected(site);
+            std::thread::sleep(stall);
+        }
+        let more = attempt + 1 < max_attempts;
+        let err = match body(attempt, more) {
+            Ok(value) => return Ok(value),
+            Err(e) if !more || e.is_cancelled() => return Err(e),
+            Err(e) => e,
+        };
+        match between.as_mut() {
+            Some(roll_back) => {
+                if !roll_back() {
+                    return Err(err);
+                }
+            }
+            None => faults.note_detected(site),
+        }
+        faults.note_retry(site);
+        let delay = recovery.backoff_delay_jittered(attempt, jitter_key);
+        attempt += 1;
+        wait_unless_cancelled(cancel, delay)?;
+        faults.observe_backoff(site, delay);
+    }
+}
+
+/// Sleep for `delay`, or until `cancel` fires: a query cancelled during
+/// a backoff must not sit the delay out only to fail its next attempt.
+fn wait_unless_cancelled(cancel: &CancelToken, delay: Duration) -> Result<()> {
+    // Nothing is ever sent; the waker drops the sender, so the receive
+    // ends early exactly when the token fires.
+    let (wake_tx, wake_rx) = channel::<()>();
+    let _waker = cancel.on_cancel(move || drop(wake_tx));
+    match wake_rx.recv_timeout(delay) {
+        Err(RecvTimeoutError::Timeout) => Ok(()),
+        _ => Err(cancel.as_error()),
     }
 }
 
@@ -548,6 +651,201 @@ mod tests {
             ..RecoveryPolicy::default()
         };
         assert_eq!(zero.backoff_delay_jittered(3, 9), Duration::ZERO);
+    }
+
+    /// A plan (on or off) recording into a fresh obs handle, 4 attempts,
+    /// 1 ms backoff base.
+    fn supervised(enabled: bool) -> (FaultPlan, RecoveryPolicy, ObsHandle) {
+        let obs = ObsHandle::enabled_with_stride(1);
+        let conf = JobConf::new()
+            .with(KEY_FT_ENABLED, enabled)
+            .with(KEY_FT_BACKOFF_BASE_MS, 1);
+        let plan = FaultPlan::from_conf(&conf, &obs).unwrap();
+        (plan, RecoveryPolicy::from_conf(&conf).unwrap(), obs)
+    }
+
+    fn counter(obs: &ObsHandle, name: &str) -> u64 {
+        let snap = obs.snapshot();
+        let hits = snap.counters.iter().filter(|(n, _, _)| n == name);
+        hits.map(|(_, _, v)| *v).sum()
+    }
+
+    fn boom(attempt: u32) -> HdmError {
+        HdmError::RankFailed(format!("attempt {attempt} failed"))
+    }
+
+    #[test]
+    fn supervise_retries_until_success() {
+        let (plan, pol, obs) = supervised(true);
+        let mut seen = Vec::new();
+        let out = supervise(
+            &plan,
+            &pol,
+            &CancelToken::new(),
+            Site::MapTask,
+            3,
+            None,
+            |attempt, more| {
+                seen.push((attempt, more));
+                if attempt < 2 {
+                    Err(boom(attempt))
+                } else {
+                    Ok(attempt * 10)
+                }
+            },
+        );
+        assert_eq!(out.unwrap(), 20);
+        assert_eq!(seen, vec![(0, true), (1, true), (2, true)]);
+        assert_eq!(counter(&obs, "ft.detected"), 2);
+        assert_eq!(counter(&obs, "ft.retries"), 2);
+        let snap = obs.snapshot();
+        assert!(snap.timers.iter().any(|(n, _, _)| n == "ft.backoff.ms"));
+        let retries = snap.spans.iter().filter(|s| s.name == "map-task-retry");
+        assert_eq!(retries.filter(|s| s.track == "M3").count(), 2);
+    }
+
+    #[test]
+    fn supervise_returns_the_last_error_when_attempts_run_out() {
+        let (plan, pol, obs) = supervised(true);
+        let mut last_more = true;
+        let err = supervise(
+            &plan,
+            &pol,
+            &CancelToken::new(),
+            Site::ReduceTask,
+            0,
+            None,
+            |attempt, more| -> Result<()> {
+                last_more = more;
+                Err(boom(attempt))
+            },
+        )
+        .unwrap_err();
+        assert!(err.message().contains("attempt 3 failed"), "{err}");
+        assert!(!last_more, "the final attempt must be told it is final");
+        assert_eq!(counter(&obs, "ft.retries"), 3);
+    }
+
+    #[test]
+    fn supervise_never_retries_a_cancelled_attempt() {
+        let (plan, pol, obs) = supervised(true);
+        let mut attempts = 0;
+        let err = supervise(
+            &plan,
+            &pol,
+            &CancelToken::new(),
+            Site::ATask,
+            1,
+            None,
+            |_, _| -> Result<()> {
+                attempts += 1;
+                Err(HdmError::Cancelled("deadline".into()))
+            },
+        )
+        .unwrap_err();
+        assert!(err.is_cancelled());
+        assert_eq!(attempts, 1);
+        assert_eq!(counter(&obs, "ft.retries"), 0);
+        assert_eq!(counter(&obs, "ft.detected"), 0);
+    }
+
+    #[test]
+    fn supervise_is_one_plain_call_with_fault_tolerance_off() {
+        let (plan, pol, obs) = supervised(false);
+        let mut seen = Vec::new();
+        let mut rolled_back = false;
+        let err = supervise(
+            &plan,
+            &pol,
+            &CancelToken::new(),
+            Site::OTask,
+            0,
+            Some(&mut || {
+                rolled_back = true;
+                true
+            }),
+            |attempt, more| -> Result<()> {
+                seen.push((attempt, more));
+                Err(boom(attempt))
+            },
+        )
+        .unwrap_err();
+        assert!(err.message().contains("attempt 0 failed"), "{err}");
+        assert_eq!(seen, vec![(0, false)]);
+        assert!(!rolled_back);
+        let snap = obs.snapshot();
+        assert!(snap.counters.is_empty() && snap.timers.is_empty() && snap.spans.is_empty());
+    }
+
+    #[test]
+    fn supervise_stops_when_the_rollback_fails() {
+        let (plan, pol, obs) = supervised(true);
+        let mut attempts = 0;
+        let mut rollbacks = 0;
+        let err = supervise(
+            &plan,
+            &pol,
+            &CancelToken::new(),
+            Site::OTask,
+            2,
+            Some(&mut || {
+                rollbacks += 1;
+                rollbacks < 2
+            }),
+            |attempt, _| -> Result<()> {
+                attempts += 1;
+                Err(boom(attempt))
+            },
+        )
+        .unwrap_err();
+        assert!(err.message().contains("attempt 1 failed"), "{err}");
+        assert_eq!((attempts, rollbacks), (2, 2));
+        assert_eq!(counter(&obs, "ft.retries"), 1);
+        // The peer that sees the rollback counts the detection.
+        assert_eq!(counter(&obs, "ft.detected"), 0);
+    }
+
+    #[test]
+    fn cancel_during_backoff_returns_at_once() {
+        let plan = FaultPlan::with_seed(5);
+        let pol = RecoveryPolicy {
+            backoff_base: Duration::from_secs(1),
+            ..RecoveryPolicy::default()
+        };
+        let cancel = CancelToken::new();
+        let (failed_tx, failed_rx) = channel::<()>();
+        let fired_at = std::thread::scope(|scope| {
+            let killer_token = cancel.clone();
+            let killer = scope.spawn(move || {
+                // Fire 10 ms into the backoff that follows attempt 0.
+                failed_rx.recv().unwrap();
+                std::thread::sleep(Duration::from_millis(10));
+                killer_token.cancel("killed mid-backoff");
+                std::time::Instant::now()
+            });
+            let mut attempts = 0;
+            let err = supervise(
+                &plan,
+                &pol,
+                &cancel,
+                Site::MapTask,
+                0,
+                None,
+                |attempt, _| -> Result<()> {
+                    attempts += 1;
+                    failed_tx.send(()).unwrap();
+                    Err(boom(attempt))
+                },
+            )
+            .unwrap_err();
+            assert!(err.is_cancelled(), "{err}");
+            assert!(err.message().contains("killed mid-backoff"), "{err}");
+            assert_eq!(attempts, 1, "the wait must not run out into attempt 1");
+            killer.join().unwrap()
+        });
+        // The jittered delay is at least 500 ms; a plain sleep would
+        // still be sitting in it.
+        assert!(fired_at.elapsed() < Duration::from_millis(100));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use bytes::Bytes;
 use hdm_common::error::{HdmError, Result};
 use hdm_common::kv::{ComparatorRef, KvPair};
 use hdm_common::partition::PartitionerRef;
-use hdm_faults::{FaultPlan, Site};
+use hdm_faults::{supervise, FaultPlan, Site};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -194,53 +194,40 @@ where
             let track = format!("M{rank}");
             let _task_span = config.obs.span(&track, "task", "map-task");
             let faults = &config.faults;
-            let max_attempts = if faults.is_enabled() {
-                config.recovery.max_attempts.max(1)
-            } else {
-                1
+            let fresh_context = |attempt| MapContext {
+                rank,
+                num_reducers: config.reduce_tasks,
+                buffer: SortBuffer::new(
+                    config.sort_buffer_bytes,
+                    Arc::clone(&comparator),
+                    combiner.clone(),
+                ),
+                partitioner: Arc::clone(&partitioner),
+                stats: MapTaskStats::new(rank),
+                job_start,
+                crash_countdown: faults.crash_after(Site::MapTask, rank, attempt),
+                faults: faults.clone(),
+                cancel: config.cancel.clone(),
             };
-            let mut attempt = 0u32;
-            // Attempt supervisor: a failed attempt is re-executed with a
-            // fresh sort buffer (its spills are discarded with it), so a
-            // replayed split is idempotent — nothing is published until
-            // the final attempt finishes.
-            let (user, ctx) = loop {
-                let _attempt_span =
-                    (attempt > 0).then(|| config.obs.span(&track, "recovery", "map-task-retry"));
-                if let Some(stall) = faults.stall(Site::MapTask, rank, attempt) {
-                    faults.note_injected(Site::MapTask);
-                    std::thread::sleep(stall);
-                }
-                let mut ctx = MapContext {
-                    rank,
-                    num_reducers: config.reduce_tasks,
-                    buffer: SortBuffer::new(
-                        config.sort_buffer_bytes,
-                        Arc::clone(&comparator),
-                        combiner.clone(),
-                    ),
-                    partitioner: Arc::clone(&partitioner),
-                    stats: MapTaskStats::new(rank),
-                    job_start,
-                    crash_countdown: faults.crash_after(Site::MapTask, rank, attempt),
-                    faults: faults.clone(),
-                    cancel: config.cancel.clone(),
-                };
-                let user = map_fn(rank, &mut ctx);
-                // Cancellation is terminal: never burn recovery attempts
-                // (or backoff sleeps) replaying a cancelled task.
-                let retryable = user.as_ref().err().is_some_and(|e| !e.is_cancelled());
-                if retryable && attempt + 1 < max_attempts {
-                    faults.note_detected(Site::MapTask);
-                    faults.note_retry(Site::MapTask);
-                    let delay = config.recovery.backoff_delay_jittered(attempt, rank as u64);
-                    attempt += 1;
-                    std::thread::sleep(delay);
-                    faults.observe_backoff(Site::MapTask, delay);
-                    continue;
-                }
-                break (user, ctx);
-            };
+            let mut ctx = fresh_context(0);
+            let user = supervise(
+                faults,
+                &config.recovery,
+                &config.cancel,
+                Site::MapTask,
+                rank,
+                None,
+                |attempt, _| {
+                    // A failed attempt is re-executed with a fresh sort
+                    // buffer (its spills are discarded with it), so a
+                    // replayed split is idempotent — nothing is published
+                    // until the final attempt finishes.
+                    if attempt > 0 {
+                        ctx = fresh_context(attempt);
+                    }
+                    map_fn(rank, &mut ctx)
+                },
+            );
             let mut stats = ctx.stats;
             stats.spill.spills = ctx.buffer.spill_count() as u64;
             stats.spill.spill_bytes = ctx.buffer.spill_bytes();
@@ -293,6 +280,7 @@ where
         let obs = config.obs.clone();
         let faults = config.faults.clone();
         let recovery = config.recovery.clone();
+        let cancel = config.cancel.clone();
         move |rank| {
             let task_start = Instant::now();
             let track = format!("R{rank}");
@@ -342,63 +330,42 @@ where
             }
             stats.groups = groups.len() as u64;
             drop(merge_span);
-            // Attempt supervisor: the copy phase is idempotent (segments
-            // stay in the map-output store), so a failed reduce attempt
-            // replays over the already-merged groups.
-            let max_attempts = if faults.is_enabled() {
-                recovery.max_attempts.max(1)
-            } else {
-                1
-            };
-            let mut attempt = 0u32;
-            let user = loop {
-                let _attempt_span =
-                    (attempt > 0).then(|| obs.span(&track, "recovery", "reduce-task-retry"));
-                if let Some(stall) = faults.stall(Site::ReduceTask, rank, attempt) {
-                    faults.note_injected(Site::ReduceTask);
-                    std::thread::sleep(stall);
-                }
-                let more_attempts = attempt + 1 < max_attempts;
-                // Clone the merged input only while a later attempt could
-                // still need it (Bytes clones are refcounted views).
-                let input = if more_attempts {
-                    groups.clone()
-                } else {
-                    std::mem::take(&mut groups)
-                };
-                let res = if faults
-                    .crash_after(Site::ReduceTask, rank, attempt)
-                    .is_some()
-                {
-                    faults.note_injected(Site::ReduceTask);
-                    Err(HdmError::RankFailed(format!(
-                        "R{rank}: injected crash before reduce"
-                    )))
-                } else {
+            // The copy phase is idempotent (segments stay in the
+            // map-output store), so a failed reduce attempt replays over
+            // the already-merged groups.
+            let user = supervise(
+                &faults,
+                &recovery,
+                &cancel,
+                Site::ReduceTask,
+                rank,
+                None,
+                |attempt, more_attempts| {
+                    // Clone the merged input only while a later attempt
+                    // could still need it (Bytes clones are refcounted
+                    // views).
+                    let input = if more_attempts {
+                        groups.clone()
+                    } else {
+                        std::mem::take(&mut groups)
+                    };
+                    if faults
+                        .crash_after(Site::ReduceTask, rank, attempt)
+                        .is_some()
+                    {
+                        faults.note_injected(Site::ReduceTask);
+                        return Err(HdmError::RankFailed(format!(
+                            "R{rank}: injected crash before reduce"
+                        )));
+                    }
                     let mut ctx = ReduceContext {
                         rank,
                         attempt,
                         groups: input.into_iter(),
                     };
                     reduce_fn(rank, &mut ctx)
-                };
-                match res {
-                    Ok(v) => break Ok(v),
-                    Err(e) => {
-                        // A cancelled attempt is terminal, not a fault.
-                        if !more_attempts || e.is_cancelled() {
-                            break Err(e);
-                        }
-                        faults.note_detected(Site::ReduceTask);
-                        faults.note_retry(Site::ReduceTask);
-                        let delay =
-                            recovery.backoff_delay_jittered(attempt, (rank as u64) | (1 << 32));
-                        attempt += 1;
-                        std::thread::sleep(delay);
-                        faults.observe_backoff(Site::ReduceTask, delay);
-                    }
-                }
-            };
+                },
+            );
             stats.elapsed = task_start.elapsed();
             (user, stats)
         }

@@ -13,8 +13,8 @@
 //!   stage 1: filter-scan of `branch_right` ─┘
 //! ```
 //!
-//! Stages 0 and 1 are independent roots; under `hive.exec.parallel`
-//! they overlap, and because each scans its full table while the
+//! Stages 0 and 1 are independent roots; with two or more scheduler
+//! threads they overlap, and because each scans its full table while the
 //! selective filter keeps only ~1/`FILTER_MODULUS` of the rows, the
 //! branch scans dominate the join — a two-worker schedule approaches 2×
 //! the sequential wall clock. The scheduler differential tests, the

@@ -140,46 +140,6 @@ fn engines_agree_with_nulls_in_data() {
 }
 
 #[test]
-fn normalized_keys_agree_with_row_codec_keys() {
-    // `hive.shuffle.normalized.keys` changes the wire encoding of every
-    // ReduceSink key (memcmp-comparable sortkey bytes vs the plain row
-    // codec) — results must be bit-identical either way, on both engines.
-    let with_norm = driver_with_random_tables(7, 110, 50);
-    let mut without = driver_with_random_tables(7, 110, 50);
-    without
-        .conf_mut()
-        .set(hdm_common::conf::KEY_NORMALIZED_KEYS, "false");
-    for sql in QUERY_SHAPES {
-        for engine in [EngineKind::Hadoop, EngineKind::DataMpi] {
-            let mut a = with_norm
-                .execute_on(sql, engine)
-                .unwrap_or_else(|e| panic!("normalized failed for {sql}: {e}"))
-                .to_lines();
-            let mut b = without
-                .execute_on(sql, engine)
-                .unwrap_or_else(|e| panic!("row-codec failed for {sql}: {e}"))
-                .to_lines();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "normalized keys changed results for: {sql}");
-        }
-        // Order-sensitive check: ORDER BY output must match line-for-line
-        // (DESC directions are baked into the normalized bytes).
-        if sql.contains("ORDER BY") {
-            let a = with_norm
-                .execute_on(sql, EngineKind::DataMpi)
-                .unwrap()
-                .to_lines();
-            let b = without
-                .execute_on(sql, EngineKind::DataMpi)
-                .unwrap()
-                .to_lines();
-            assert_eq!(a, b, "normalized keys changed sort order for: {sql}");
-        }
-    }
-}
-
-#[test]
 fn shuffle_styles_agree() {
     let mut d = driver_with_random_tables(99, 100, 40);
     let sql = "SELECT grp, COUNT(*) AS n, SUM(x) AS s FROM ta GROUP BY grp ORDER BY grp";

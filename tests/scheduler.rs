@@ -1,10 +1,10 @@
 //! Concurrent stage-scheduler harness.
 //!
-//! Three layers of evidence that `hive.exec.parallel` never changes
-//! results:
+//! Three layers of evidence that the stage-scheduler thread cap
+//! (`hive.exec.parallel.thread.number`) never changes results:
 //!
 //! 1. **Differential sweep** — all 22 TPC-H queries × both engines ×
-//!    {parallel on, off} must produce *byte-identical* collected rows
+//!    thread caps {1, 8} must produce *byte-identical* collected rows
 //!    and identical per-stage record volumes (scheduling must not
 //!    perturb any stage's work, only when it runs).
 //! 2. **Property tests** — proptest-generated random DAGs (≤16 stages)
@@ -31,8 +31,7 @@ fn fresh_tpch_driver() -> Driver {
     d
 }
 
-fn set_parallel(d: &mut Driver, on: bool, threads: usize) {
-    d.conf_mut().set(keys::KEY_EXEC_PARALLEL, on);
+fn set_threads(d: &mut Driver, threads: usize) {
     d.conf_mut().set(keys::KEY_EXEC_PARALLEL_THREADS, threads);
 }
 
@@ -83,7 +82,7 @@ fn stage_record_volumes(r: &QueryResult) -> Vec<(Vec<u64>, Vec<u64>)> {
 }
 
 /// The differential sweep: 22 queries × {DataMPI, MapReduce} ×
-/// {`hive.exec.parallel` on, off}. Rows must be byte-identical (not
+/// thread caps {1, 8}. Rows must be byte-identical (not
 /// merely set-equal): the scheduler may only reorder stage *wall-clock*
 /// placement, never any stage's inputs, outputs, or the id-indexed
 /// result order.
@@ -92,11 +91,11 @@ fn all_22_queries_identical_parallel_vs_sequential_on_both_engines() {
     let mut d = fresh_tpch_driver();
     for n in tpch::queries::all() {
         for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
-            set_parallel(&mut d, false, 1);
+            set_threads(&mut d, 1);
             let sequential = d
                 .execute_on(tpch::queries::query(n), engine)
                 .unwrap_or_else(|e| panic!("Q{n} sequential failed on {engine:?}: {e}"));
-            set_parallel(&mut d, true, 8);
+            set_threads(&mut d, 8);
             let parallel = d
                 .execute_on(tpch::queries::query(n), engine)
                 .unwrap_or_else(|e| panic!("Q{n} parallel failed on {engine:?}: {e}"));
@@ -131,9 +130,9 @@ fn diamond_plan_identical_across_modes_with_capped_overlap() {
 
     let mut baseline: Option<Vec<String>> = None;
     for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
-        set_parallel(&mut d, false, 1);
+        set_threads(&mut d, 1);
         let sequential = d.execute_raw_plan(&plan, engine).expect("sequential run");
-        set_parallel(&mut d, true, 2);
+        set_threads(&mut d, 2);
         d.conf_mut().set(keys::KEY_OBS_ENABLED, true);
         let parallel = d.execute_raw_plan(&plan, engine).expect("parallel run");
         d.conf_mut().set(keys::KEY_OBS_ENABLED, false);
@@ -187,7 +186,7 @@ fn diamond_plan_identical_across_modes_with_capped_overlap() {
 #[test]
 fn all_22_queries_identical_pipelined_vs_materialized_on_both_engines() {
     let mut d = fresh_tpch_driver();
-    set_parallel(&mut d, true, 8);
+    set_threads(&mut d, 8);
     for n in tpch::queries::all() {
         for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
             set_pipelined(&mut d, false);
@@ -219,8 +218,8 @@ fn deep_chain_identical_across_engines_and_pipelining_modes() {
     let mut baseline: Option<Vec<String>> = None;
     for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
         for pipelined in [false, true] {
-            for (par, threads) in [(false, 1), (true, 8)] {
-                set_parallel(&mut d, par, threads);
+            for threads in [1, 8] {
+                set_threads(&mut d, threads);
                 set_pipelined(&mut d, pipelined);
                 let r = d.execute_raw_plan(&plan, engine).unwrap_or_else(|e| {
                     panic!("deep chain failed on {engine:?} pipelined={pipelined} threads={threads}: {e}")
@@ -248,7 +247,7 @@ fn deep_chain_identical_across_engines_and_pipelining_modes() {
 fn pipelined_deep_chain_streams_partitions_without_files() {
     let mut d = Driver::in_memory();
     branch::load_deep(&mut d, 400).expect("load deep chain table");
-    set_parallel(&mut d, true, 8);
+    set_threads(&mut d, 8);
     d.conf_mut().set(keys::KEY_OBS_ENABLED, true);
     let plan = branch::deep_chain_plan(3);
     let r = d
@@ -377,9 +376,6 @@ fn invalid_parallel_conf_is_an_error() {
     d.conf_mut().set(keys::KEY_EXEC_PARALLEL_THREADS, 0);
     assert!(d.execute("SELECT k FROM t").is_err());
     d.conf_mut().set(keys::KEY_EXEC_PARALLEL_THREADS, 4);
-    d.conf_mut().set(keys::KEY_EXEC_PARALLEL, "sometimes");
-    assert!(d.execute("SELECT k FROM t").is_err());
-    d.conf_mut().set(keys::KEY_EXEC_PARALLEL, true);
     assert!(d.execute("SELECT k FROM t").is_ok());
 }
 
@@ -476,7 +472,7 @@ proptest! {
     fn chaos_diamond_preserves_sibling_outputs(seed in 0u64..1_000_000) {
         let mut d = Driver::in_memory();
         branch::load(&mut d, 600).unwrap();
-        set_parallel(&mut d, true, 4);
+        set_threads(&mut d, 4);
         let plan = branch::diamond_plan();
         let sorted = |r: QueryResult| {
             let mut lines = r.to_lines();
@@ -506,7 +502,7 @@ proptest! {
     fn chaos_deep_chain_replays_streamed_partitions(seed in 0u64..1_000_000) {
         let mut d = Driver::in_memory();
         branch::load_deep(&mut d, 300).unwrap();
-        set_parallel(&mut d, true, 4);
+        set_threads(&mut d, 4);
         let plan = branch::deep_chain_plan(3);
         let clean = normalize(&d.execute_raw_plan(&plan, EngineKind::DataMpi).unwrap());
         let c = d.conf_mut();
