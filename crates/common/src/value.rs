@@ -6,6 +6,7 @@
 //! joins (TPC-H Q13) and NOT-EXISTS rewrites produce nulls.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -239,6 +240,19 @@ impl Value {
         }
     }
 
+    /// The one SQL comparison every layer shares (expression evaluator,
+    /// batch kernels, pushed-down reader predicates): coerce the pair
+    /// ([`coerce_pair`]), then [`Value::total_cmp`]. `None` means the
+    /// comparison is *unknown* — either side is NULL, or a string did not
+    /// coerce to a date — so no comparison operator holds.
+    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
+        let (a, b) = coerce_pair(self, other);
+        if a.is_null() || b.is_null() {
+            return None;
+        }
+        Some(a.total_cmp(&b))
+    }
+
     /// Approximate in-memory/wire size in bytes; used by buffer managers.
     pub fn wire_size(&self) -> usize {
         match self {
@@ -249,6 +263,18 @@ impl Value {
             Value::Date(_) => 5,
             Value::Str(s) => 2 + s.len(),
         }
+    }
+}
+
+/// Coerce a comparison pair: strings compared against dates parse as
+/// dates (Hive's implicit conversion for `d >= '1994-01-01'`); a string
+/// that is not a date becomes NULL. Every other pair is borrowed as is.
+pub fn coerce_pair<'a>(a: &'a Value, b: &'a Value) -> (Cow<'a, Value>, Cow<'a, Value>) {
+    let as_date = |s: &str| Cow::Owned(Value::parse_date(s).unwrap_or(Value::Null));
+    match (a, b) {
+        (Value::Date(_), Value::Str(s)) => (Cow::Borrowed(a), as_date(s)),
+        (Value::Str(s), Value::Date(_)) => (as_date(s), Cow::Borrowed(b)),
+        _ => (Cow::Borrowed(a), Cow::Borrowed(b)),
     }
 }
 
@@ -411,6 +437,29 @@ mod tests {
         );
         assert!(Value::Long(3) < Value::Double(3.5));
         assert!(Value::Double(2.9) < Value::Long(3));
+    }
+
+    #[test]
+    fn sql_cmp_rejects_nulls_and_coerces_date_strings() {
+        let d = Value::date_from_ymd(1995, 3, 1);
+        assert_eq!(Value::Null.sql_cmp(&Value::Long(1)), None);
+        assert_eq!(Value::Long(1).sql_cmp(&Value::Null), None);
+        assert_eq!(
+            d.sql_cmp(&Value::Str("1995-03-02".into())),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::Str("1995-03-01".into()).sql_cmp(&d),
+            Some(Ordering::Equal)
+        );
+        // A string that is not a date makes the comparison unknown.
+        assert_eq!(d.sql_cmp(&Value::Str("soon".into())), None);
+        assert_eq!(
+            Value::Long(3).sql_cmp(&Value::Double(3.5)),
+            Some(Ordering::Less)
+        );
+        let nan = Value::Double(f64::NAN);
+        assert_eq!(nan.sql_cmp(&nan), Some(Ordering::Equal));
     }
 
     #[test]

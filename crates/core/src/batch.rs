@@ -111,14 +111,9 @@ impl FastConjunct<'_> {
                 (*lit, *op, cell)
             }
         };
-        if l.is_null() || rv.is_null() {
+        let Some(ord) = l.sql_cmp(rv) else {
             return false;
-        }
-        let (a, b) = expr::coerce_pair(l, rv);
-        if a.is_null() || b.is_null() {
-            return false;
-        }
-        let ord = a.total_cmp(&b);
+        };
         use std::cmp::Ordering::{Equal, Greater, Less};
         match op {
             BinOp::Eq => ord == Equal,
@@ -362,16 +357,7 @@ fn eval_columnar(e: &RExpr, batch: &RowBatch<'_>, sel: &[usize]) -> Result<Vec<V
             Ok(vs
                 .iter()
                 .zip(los.iter().zip(his.iter()))
-                .map(|(v, (lo, hi))| {
-                    if v.is_null() || lo.is_null() || hi.is_null() {
-                        return Value::Null;
-                    }
-                    let (v2, lo2) = expr::coerce_pair(v, lo);
-                    let (v3, hi2) = expr::coerce_pair(v, hi);
-                    let inside = v2.total_cmp(&lo2) != std::cmp::Ordering::Less
-                        && v3.total_cmp(&hi2) != std::cmp::Ordering::Greater;
-                    Value::Boolean(inside != *negated)
-                })
+                .map(|(v, (lo, hi))| expr::eval_between(v, lo, hi, *negated))
                 .collect())
         }
         RExpr::Like {

@@ -507,6 +507,9 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
             // (ORC) and the stage is eligible, rows stay columnar and
             // the batch kernels below replace the row loop.
             let mut columnar: Option<hdm_storage::ColumnarSource> = None;
+            // Rows the reader itself dropped on the pushed-down predicates
+            // (Text); the filter operator below never sees them.
+            let mut rows_skipped = 0u64;
             // Whichever arm runs keeps its rows alive here; the row loop
             // below only borrows them.
             let streamed: Arc<Vec<Row>>;
@@ -571,6 +574,7 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                                     Some(node),
                                 )?;
                                 vol.input_bytes = src.bytes_read;
+                                rows_skipped = src.rows_skipped;
                                 scanned = src.rows;
                                 &scanned
                             }
@@ -717,6 +721,8 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                 obs.counter("stage.map.input.bytes", &stage_label)
                     .add(vol.input_bytes);
                 obs.counter("vec.batches", &stage_label).add(vec_batches);
+                obs.counter("text.rows.skipped", &stage_label)
+                    .add(rows_skipped);
             }
             if let Some(slot) = map_vols.lock().get_mut(task_idx) {
                 *slot = vol;

@@ -9,7 +9,7 @@
 use crate::ast::{BinOp, Expr};
 use hdm_common::error::{HdmError, Result};
 use hdm_common::row::Row;
-use hdm_common::value::{DataType, Value};
+use hdm_common::value::{coerce_pair, DataType, Value};
 
 /// A compiled (column-resolved) expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -289,14 +289,7 @@ impl RExpr {
                 let v = expr.eval(row)?;
                 let lo = low.eval(row)?;
                 let hi = high.eval(row)?;
-                if v.is_null() || lo.is_null() || hi.is_null() {
-                    return Ok(Value::Null);
-                }
-                let (v2, lo2) = coerce_pair(&v, &lo);
-                let (v3, hi2) = coerce_pair(&v, &hi);
-                let inside = v2.total_cmp(&lo2) != std::cmp::Ordering::Less
-                    && v3.total_cmp(&hi2) != std::cmp::Ordering::Greater;
-                Ok(Value::Boolean(inside != *negated))
+                Ok(eval_between(&v, &lo, &hi, *negated))
             }
             RExpr::InList {
                 expr,
@@ -309,9 +302,7 @@ impl RExpr {
                 }
                 let mut found = false;
                 for cand in list {
-                    let c = cand.eval(row)?;
-                    let (a, b) = coerce_pair(&v, &c);
-                    if a.total_cmp(&b) == std::cmp::Ordering::Equal {
+                    if v.sql_cmp(&cand.eval(row)?) == Some(std::cmp::Ordering::Equal) {
                         found = true;
                         break;
                     }
@@ -341,9 +332,7 @@ impl RExpr {
                     Some(op) => {
                         let target = op.eval(row)?;
                         for (w, t) in whens {
-                            let wv = w.eval(row)?;
-                            let (a, b) = coerce_pair(&target, &wv);
-                            if !a.is_null() && a.total_cmp(&b) == std::cmp::Ordering::Equal {
+                            if target.sql_cmp(&w.eval(row)?) == Some(std::cmp::Ordering::Equal) {
                                 return t.eval(row);
                             }
                         }
@@ -491,26 +480,25 @@ pub(crate) fn kleene_or(l: &Value, r: &Value) -> Value {
     }
 }
 
-/// Coerce a comparison pair: strings compared against dates parse as
-/// dates (Hive's implicit conversion for `d >= '1994-01-01'`).
-pub(crate) fn coerce_pair(a: &Value, b: &Value) -> (Value, Value) {
-    match (a, b) {
-        (Value::Date(_), Value::Str(s)) => (a.clone(), Value::parse_date(s).unwrap_or(Value::Null)),
-        (Value::Str(s), Value::Date(_)) => (Value::parse_date(s).unwrap_or(Value::Null), b.clone()),
-        _ => (a.clone(), b.clone()),
+/// `v [NOT] BETWEEN lo AND hi` over already-evaluated operands. Unlike a
+/// comparison, a bound string that does not coerce to a date orders as
+/// NULL (lowest) instead of making the result unknown.
+pub(crate) fn eval_between(v: &Value, lo: &Value, hi: &Value, negated: bool) -> Value {
+    if v.is_null() || lo.is_null() || hi.is_null() {
+        return Value::Null;
     }
+    let (v2, lo2) = coerce_pair(v, lo);
+    let (v3, hi2) = coerce_pair(v, hi);
+    let inside = v2.total_cmp(&lo2) != std::cmp::Ordering::Less
+        && v3.total_cmp(&hi2) != std::cmp::Ordering::Greater;
+    Value::Boolean(inside != negated)
 }
 
 pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     if op.is_comparison() {
-        if l.is_null() || r.is_null() {
+        let Some(ord) = l.sql_cmp(r) else {
             return Ok(Value::Null);
-        }
-        let (a, b) = coerce_pair(l, r);
-        if a.is_null() || b.is_null() {
-            return Ok(Value::Null);
-        }
-        let ord = a.total_cmp(&b);
+        };
         use std::cmp::Ordering::*;
         let v = match op {
             BinOp::Eq => ord == Equal,

@@ -57,6 +57,10 @@ pub struct RowSource {
     pub rows: Vec<Row>,
     /// Bytes physically read from the DFS.
     pub bytes_read: u64,
+    /// Rows the reader decoded far enough to test the pushed-down
+    /// predicates on, and dropped because one failed; they are not in
+    /// `rows`. Zero for formats that only prune whole stripes.
+    pub rows_skipped: u64,
 }
 
 /// Split enumeration with planning-side pruning accounting: formats
@@ -110,9 +114,9 @@ pub trait FileFormat: Send + Sync {
     ) -> Result<Box<dyn RowSink>>;
 
     /// Read one split, optionally projecting columns and pushing down
-    /// predicates (formats that can't push down must ignore these hints
-    /// *for filtering* but still return all rows; the caller re-applies
-    /// the residual filter).
+    /// predicates. The predicates are a hint: a format may drop any row
+    /// (or stripe) that fails one and must return every row that passes
+    /// them all; the caller re-applies its full filter.
     ///
     /// # Errors
     /// Propagates DFS/decode failures.

@@ -46,6 +46,20 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// Does `cell <op> literal` hold, given how the two compared?
+    pub fn holds(self, ord: std::cmp::Ordering) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        match self {
+            CmpOp::Eq => ord == Equal,
+            CmpOp::Lt => ord == Less,
+            CmpOp::Le => ord != Greater,
+            CmpOp::Gt => ord == Greater,
+            CmpOp::Ge => ord != Less,
+        }
+    }
+}
+
 /// One pushed-down comparison: `column <op> literal`. A slice of these is
 /// interpreted as a conjunction.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +84,15 @@ impl Predicate {
         }
     }
 
+    /// Does this cell satisfy the comparison? The row-level twin of
+    /// [`Self::admits`], and the same [`Value::sql_cmp`] the engine's
+    /// filter evaluates `column <op> literal` with — a row a reader drops
+    /// on `!matches` is a row the filter would have dropped.
+    pub fn matches(&self, cell: &Value) -> bool {
+        cell.sql_cmp(&self.value)
+            .is_some_and(|ord| self.op.holds(ord))
+    }
+
     /// Could any row in a stripe with these column statistics satisfy
     /// this predicate? Conservative: returns `true` when unsure.
     ///
@@ -90,15 +113,20 @@ impl Predicate {
             (Some(mn), Some(mx)) => (mn, mx),
             _ => return true,
         };
+        // Min/max are kept in `total_cmp` order, which is the order rows
+        // are compared in only while the cells themselves are not
+        // coerced: string cells against a date literal prove nothing.
+        if matches!((min, &self.value), (Value::Str(_), Value::Date(_))) {
+            return true;
+        }
+        // A bound the literal does not compare with proves nothing either.
+        let (Some(lo), Some(hi)) = (min.sql_cmp(&self.value), max.sql_cmp(&self.value)) else {
+            return true;
+        };
         match self.op {
-            CmpOp::Eq => {
-                min.total_cmp(&self.value) != std::cmp::Ordering::Greater
-                    && max.total_cmp(&self.value) != std::cmp::Ordering::Less
-            }
-            CmpOp::Lt => min.total_cmp(&self.value) == std::cmp::Ordering::Less,
-            CmpOp::Le => min.total_cmp(&self.value) != std::cmp::Ordering::Greater,
-            CmpOp::Gt => max.total_cmp(&self.value) == std::cmp::Ordering::Greater,
-            CmpOp::Ge => max.total_cmp(&self.value) != std::cmp::Ordering::Less,
+            CmpOp::Eq => CmpOp::Le.holds(lo) && CmpOp::Ge.holds(hi),
+            CmpOp::Lt | CmpOp::Le => self.op.holds(lo),
+            CmpOp::Gt | CmpOp::Ge => self.op.holds(hi),
         }
     }
 }
@@ -675,6 +703,7 @@ impl FileFormat for OrcFormat {
         Ok(RowSource {
             rows,
             bytes_read: src.bytes_read,
+            rows_skipped: 0,
         })
     }
 
@@ -1030,6 +1059,43 @@ mod tests {
     }
 
     #[test]
+    fn row_matches_share_the_filter_comparison() {
+        let p = |op, value| Predicate { col: 0, op, value };
+        // NULL on either side is never a match, whatever the operator.
+        assert!(!p(CmpOp::Le, Value::Long(5)).matches(&Value::Null));
+        assert!(!p(CmpOp::Eq, Value::Null).matches(&Value::Null));
+        // Mixed numerics compare numerically.
+        assert!(p(CmpOp::Lt, Value::Long(24)).matches(&Value::Double(23.5)));
+        assert!(!p(CmpOp::Lt, Value::Long(24)).matches(&Value::Double(24.0)));
+        // A string literal against a date cell is coerced to a date; one
+        // that is not a date matches nothing.
+        let day = Value::date_from_ymd(1994, 1, 1);
+        assert!(p(CmpOp::Ge, Value::Str("1994-01-01".into())).matches(&day));
+        assert!(!p(CmpOp::Ge, Value::Str("later".into())).matches(&day));
+        // NaN equals itself under the engine's total order.
+        assert!(p(CmpOp::Eq, Value::Double(f64::NAN)).matches(&Value::Double(f64::NAN)));
+    }
+
+    #[test]
+    fn string_bounds_prove_nothing_against_a_date_literal() {
+        // String cells are coerced to dates row by row, and their
+        // lexicographic min/max are not the date order's: "1995-1-1" sorts
+        // after "1995-01-02" but is the earlier day.
+        let stats = ColumnStats {
+            min: Some(Value::Str("1995-01-02".into())),
+            max: Some(Value::Str("1995-1-1".into())),
+            null_count: 0,
+        };
+        let p = Predicate {
+            col: 0,
+            op: CmpOp::Lt,
+            value: Value::date_from_ymd(1995, 1, 2),
+        };
+        assert!(p.matches(&Value::Str("1995-1-1".into())));
+        assert!(p.admits(&stats, 2));
+    }
+
+    #[test]
     fn all_null_pruning_requires_null_rejecting_predicate() {
         // Regression: the all-null skip must be *derived from*
         // null-rejection, not hard-coded. Every comparison operator is
@@ -1228,7 +1294,8 @@ mod proptests {
 
     /// Ground truth for the soundness proptest: does a concrete row
     /// satisfy a pushed-down comparison? Mirrors SQL three-valued logic
-    /// and the engine's `total_cmp`-based comparisons (NaN included).
+    /// and the engine's `total_cmp`-based comparisons (NaN included),
+    /// written out independently of [`Predicate::matches`].
     fn row_matches(p: &Predicate, row: &Row) -> bool {
         let v = row.get(p.col);
         if v.is_null() || p.value.is_null() {
@@ -1348,6 +1415,10 @@ mod proptests {
                 sink.write_row(r).unwrap();
             }
             Box::new(sink).close().unwrap();
+            // The reader-side row check agrees with the ground truth.
+            for (r, p) in rows.iter().flat_map(|r| preds.iter().map(move |p| (r, p))) {
+                prop_assert_eq!(p.matches(r.get(p.col)), row_matches(p, r));
+            }
             // Ground truth: filter the full file, no pruning anywhere.
             let expected: Vec<&Row> = rows
                 .iter()

@@ -149,6 +149,7 @@ impl FileFormat for SeqFormat {
             return Ok(RowSource {
                 rows: Vec::new(),
                 bytes_read: 0,
+                rows_skipped: 0,
             });
         }
         let len = dfs.len(&split.path)?;
@@ -172,6 +173,7 @@ impl FileFormat for SeqFormat {
         Ok(RowSource {
             rows,
             bytes_read: raw.len() as u64,
+            rows_skipped: 0,
         })
     }
 

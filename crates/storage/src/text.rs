@@ -18,6 +18,7 @@ use hdm_common::error::{HdmError, Result};
 use hdm_common::row::{Row, Schema};
 use hdm_common::value::{DataType, Value};
 use hdm_dfs::{Dfs, DfsWriter, FileSplit, NodeId};
+use std::fmt::Write as _;
 
 /// Hive's default NULL escape in text tables.
 pub const NULL_SEQUENCE: &str = "\\N";
@@ -25,7 +26,8 @@ pub const NULL_SEQUENCE: &str = "\\N";
 /// The text format. `delimiter` defaults to `|`.
 #[derive(Debug, Clone, Copy)]
 pub struct TextFormat {
-    /// Field separator byte.
+    /// Field separator: an ASCII byte, so that it can never fall inside
+    /// a multi-byte character of a cell.
     pub delimiter: u8,
 }
 
@@ -35,46 +37,97 @@ impl Default for TextFormat {
     }
 }
 
-/// Render one row as a delimited line (no trailing newline).
-pub fn format_row(row: &Row, delimiter: u8) -> String {
-    let mut out = String::new();
+fn check_delimiter(delimiter: u8) -> Result<()> {
+    if delimiter.is_ascii() {
+        Ok(())
+    } else {
+        Err(HdmError::Storage(format!(
+            "text delimiter must be an ASCII byte, got 0x{delimiter:02x}"
+        )))
+    }
+}
+
+/// Append one row's delimited cells to `out` (no trailing newline).
+fn write_cells(out: &mut String, row: &Row, delimiter: u8) {
     for (i, v) in row.values().iter().enumerate() {
         if i > 0 {
             out.push(delimiter as char);
         }
         match v {
             Value::Null => out.push_str(NULL_SEQUENCE),
-            other => out.push_str(&other.to_string()),
+            other => write!(out, "{other}").expect("fmt::Write for String never fails"),
         }
     }
+}
+
+/// Render one row as a delimited line (no trailing newline).
+pub fn format_row(row: &Row, delimiter: u8) -> String {
+    let mut out = String::new();
+    write_cells(&mut out, row, delimiter);
     out
 }
 
-/// Parse one delimited line against a schema.
+/// The one Text decoder, lazy per cell (Hive's `LazySimpleSerDe`).
 ///
-/// # Errors
-/// Returns [`HdmError::Storage`] if the field count mismatches; cells that
-/// fail to parse become NULL (Hive's lenient semantics).
-pub fn parse_row(line: &str, schema: &Schema, delimiter: u8) -> Result<Row> {
-    let parts: Vec<&str> = if schema.len() <= 1 {
-        vec![line]
-    } else {
-        line.split(delimiter as char).collect()
-    };
-    if parts.len() != schema.len() {
-        return Err(HdmError::Storage(format!(
-            "field count mismatch: expected {}, got {} in {line:?}",
-            schema.len(),
-            parts.len()
-        )));
+/// [`LineDecoder::index`] walks a line's bytes once, recording where each
+/// field starts and checking the field count; nothing is parsed or
+/// allocated by it. After that [`LineDecoder::value`] parses any one cell
+/// on its own, so the caller decides which cells are worth parsing: the
+/// predicates' first, the projection's only for rows that pass.
+struct LineDecoder<'s> {
+    schema: &'s Schema,
+    delimiter: u8,
+    /// `starts[i]` is the byte offset of field `i` in the indexed line,
+    /// and one entry past the last field holds `line.len() + 1`: field
+    /// `i` is `line[starts[i]..starts[i + 1] - 1]`. Reused across lines.
+    starts: Vec<usize>,
+}
+
+impl<'s> LineDecoder<'s> {
+    fn new(schema: &'s Schema, delimiter: u8) -> Result<LineDecoder<'s>> {
+        check_delimiter(delimiter)?;
+        Ok(LineDecoder {
+            schema,
+            delimiter,
+            starts: Vec::with_capacity(schema.len() + 1),
+        })
     }
-    let mut row = Row::new();
-    for (raw, field) in parts.iter().zip(schema.fields()) {
-        if *raw == NULL_SEQUENCE {
-            row.push(Value::Null);
-            continue;
+
+    /// Record the field boundaries of `line`. A one-column schema takes
+    /// the whole line as its cell, delimiters included.
+    fn index(&mut self, line: &str) -> Result<()> {
+        self.starts.clear();
+        self.starts.push(0);
+        if self.schema.len() > 1 {
+            for (i, &b) in line.as_bytes().iter().enumerate() {
+                if b == self.delimiter {
+                    self.starts.push(i + 1);
+                }
+            }
         }
-        let v = match field.data_type {
+        if self.starts.len() != self.schema.len() {
+            return Err(HdmError::Storage(format!(
+                "field count mismatch: expected {}, got {} in {line:?}",
+                self.schema.len(),
+                self.starts.len()
+            )));
+        }
+        self.starts.push(line.len() + 1);
+        Ok(())
+    }
+
+    /// Parse cell `col` of the line last passed to [`Self::index`]:
+    /// `\N` is NULL, and so is a cell that does not parse as the column's
+    /// type (Hive's lenient semantics).
+    ///
+    /// # Panics
+    /// Panics if `col` is not a column of the schema.
+    fn value(&self, line: &str, col: usize) -> Value {
+        let raw = &line[self.starts[col]..self.starts[col + 1] - 1];
+        if raw == NULL_SEQUENCE {
+            return Value::Null;
+        }
+        match self.schema.field(col).data_type {
             DataType::Long => raw
                 .trim()
                 .parse::<i64>()
@@ -85,17 +138,42 @@ pub fn parse_row(line: &str, schema: &Schema, delimiter: u8) -> Result<Row> {
                 .parse::<f64>()
                 .map(Value::Double)
                 .unwrap_or(Value::Null),
-            DataType::String => Value::Str((*raw).to_string()),
+            DataType::String => Value::Str(raw.to_string()),
             DataType::Date => Value::parse_date(raw).unwrap_or(Value::Null),
-            DataType::Boolean => match raw.trim().to_ascii_lowercase().as_str() {
-                "true" | "1" => Value::Boolean(true),
-                "false" | "0" => Value::Boolean(false),
-                _ => Value::Null,
-            },
-        };
-        row.push(v);
+            DataType::Boolean => {
+                let t = raw.trim();
+                if t.eq_ignore_ascii_case("true") || t == "1" {
+                    Value::Boolean(true)
+                } else if t.eq_ignore_ascii_case("false") || t == "0" {
+                    Value::Boolean(false)
+                } else {
+                    Value::Null
+                }
+            }
+        }
     }
-    Ok(row)
+
+    /// Parse the cells `cols` of the indexed line, in that order, into a
+    /// row of exactly that width.
+    fn row(&self, line: &str, cols: &[usize]) -> Row {
+        Row::from(
+            cols.iter()
+                .map(|&c| self.value(line, c))
+                .collect::<Vec<_>>(),
+        )
+    }
+}
+
+/// Parse one delimited line against a schema.
+///
+/// # Errors
+/// Returns [`HdmError::Storage`] if the field count mismatches; cells that
+/// fail to parse become NULL (Hive's lenient semantics).
+pub fn parse_row(line: &str, schema: &Schema, delimiter: u8) -> Result<Row> {
+    let mut decoder = LineDecoder::new(schema, delimiter)?;
+    decoder.index(line)?;
+    let all: Vec<usize> = (0..schema.len()).collect();
+    Ok(decoder.row(line, &all))
 }
 
 /// Writer for one text part file.
@@ -104,6 +182,8 @@ pub struct TextSink {
     writer: DfsWriter,
     delimiter: u8,
     columns: usize,
+    /// The current line, reused across rows.
+    line: String,
 }
 
 impl RowSink for TextSink {
@@ -115,9 +195,10 @@ impl RowSink for TextSink {
                 self.columns
             )));
         }
-        let mut line = format_row(row, self.delimiter);
-        line.push('\n');
-        self.writer.write(line.as_bytes())
+        self.line.clear();
+        write_cells(&mut self.line, row, self.delimiter);
+        self.line.push('\n');
+        self.writer.write(self.line.as_bytes())
     }
 
     fn close(self: Box<Self>) -> Result<u64> {
@@ -139,22 +220,44 @@ impl FileFormat for TextFormat {
         schema: &Schema,
         node: NodeId,
     ) -> Result<Box<dyn RowSink>> {
+        check_delimiter(self.delimiter)?;
         Ok(Box::new(TextSink {
             writer: dfs.create(path, node)?,
             delimiter: self.delimiter,
             columns: schema.len(),
+            line: String::new(),
         }))
     }
 
+    /// Rows come back projected, and already filtered by every predicate
+    /// whose column the schema has: a predicate is tested on its own cell
+    /// as soon as the line's field count is known, and a row that fails
+    /// one is counted in [`RowSource::rows_skipped`] with nothing parsed
+    /// for it. The caller's residual filter stays correct either way.
     fn read_split(
         &self,
         dfs: &Dfs,
         split: &FileSplit,
         schema: &Schema,
         projection: Option<&[usize]>,
-        _predicates: &[Predicate],
+        predicates: &[Predicate],
         reader_node: Option<NodeId>,
     ) -> Result<RowSource> {
+        let mut decoder = LineDecoder::new(schema, self.delimiter)?;
+        let all: Vec<usize>;
+        let cols: &[usize] = match projection {
+            Some(p) => p,
+            None => {
+                all = (0..schema.len()).collect();
+                &all
+            }
+        };
+        if let Some(c) = cols.iter().find(|&&c| c >= schema.len()) {
+            return Err(HdmError::Storage(format!("column {c} out of range")));
+        }
+        let predicates: Vec<&Predicate> =
+            predicates.iter().filter(|p| p.col < schema.len()).collect();
+
         let file_len = dfs.len(&split.path)?;
         // Hadoop's LineRecordReader trick: a split at offset > 0 starts
         // reading one byte early, so a record beginning exactly at the
@@ -196,6 +299,7 @@ impl FileFormat for TextFormat {
                     return Ok(RowSource {
                         rows: Vec::new(),
                         bytes_read,
+                        rows_skipped: 0,
                     });
                 }
             }
@@ -204,6 +308,7 @@ impl FileFormat for TextFormat {
         // Every record *starting* before the split end belongs to us, even
         // if it terminates past it.
         let mut rows = Vec::new();
+        let mut rows_skipped = 0u64;
         while pos < limit {
             let nl = loop {
                 if let Some(p) = raw[pos..].iter().position(|&b| b == b'\n') {
@@ -218,18 +323,26 @@ impl FileFormat for TextFormat {
                 HdmError::Storage(format!("non-utf8 text data in {}: {e}", split.path))
             })?;
             if !line.is_empty() {
-                let row = parse_row(line, schema, self.delimiter)?;
-                rows.push(match projection {
-                    Some(idx) => row.project(idx),
-                    None => row,
-                });
+                decoder.index(line)?;
+                if predicates
+                    .iter()
+                    .all(|p| p.matches(&decoder.value(line, p.col)))
+                {
+                    rows.push(decoder.row(line, cols));
+                } else {
+                    rows_skipped += 1;
+                }
             }
             match nl {
                 Some(n) => pos = n + 1,
                 None => break,
             }
         }
-        Ok(RowSource { rows, bytes_read })
+        Ok(RowSource {
+            rows,
+            bytes_read,
+            rows_skipped,
+        })
     }
 
     fn splits(&self, dfs: &Dfs, path: &str) -> Result<Vec<FileSplit>> {
@@ -240,6 +353,7 @@ impl FileFormat for TextFormat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orc::CmpOp;
     use hdm_dfs::DfsConfig;
 
     fn schema() -> Schema {
@@ -315,15 +429,159 @@ mod tests {
             splits.len() > 3,
             "need multiple splits for the test to bite"
         );
-        let mut got = Vec::new();
-        for s in &splits {
-            got.extend(
-                fmt.read_split(&dfs, s, &schema(), None, &[], None)
-                    .unwrap()
-                    .rows,
-            );
-        }
-        assert_eq!(got, rows);
+        let read_all = |projection: Option<&[usize]>, predicates: &[Predicate]| {
+            let mut got = Vec::new();
+            let mut skipped = 0;
+            for s in &splits {
+                let src = fmt
+                    .read_split(&dfs, s, &schema(), projection, predicates, None)
+                    .unwrap();
+                got.extend(src.rows);
+                skipped += src.rows_skipped;
+            }
+            (got, skipped)
+        };
+        assert_eq!(read_all(None, &[]), (rows.clone(), 0));
+
+        // The same straddling records, projected and filtered in the reader.
+        let predicates = [
+            Predicate {
+                col: 0,
+                op: CmpOp::Ge,
+                value: Value::Long(10),
+            },
+            Predicate {
+                col: 3,
+                op: CmpOp::Lt,
+                value: Value::Str("1995-01-20".into()),
+            },
+        ];
+        let day20 = Value::date_from_ymd(1995, 1, 20);
+        let kept: Vec<Row> = rows
+            .iter()
+            .filter(|r| *r.get(0) >= Value::Long(10) && *r.get(3) < day20)
+            .map(|r| r.project(&[3, 1, 1]))
+            .collect();
+        assert!(!kept.is_empty() && kept.len() < rows.len());
+        let skipped = (rows.len() - kept.len()) as u64;
+        assert_eq!(read_all(Some(&[3, 1, 1]), &predicates), (kept, skipped));
+    }
+
+    #[test]
+    fn predicates_reject_nulls_and_coerce_like_the_filter() {
+        let s = Schema::new(vec![("price", DataType::Double), ("day", DataType::Date)]);
+        let dfs = Dfs::new(DfsConfig {
+            block_size: 1024,
+            replication: 1,
+            num_nodes: 1,
+        });
+        let mut w = dfs.create("/n", NodeId(0)).unwrap();
+        w.write(b"1.5|1995-03-01\n\\N|1995-03-02\n3|\\N\nabc|soon\n2|1995-02-01\n")
+            .unwrap();
+        w.close().unwrap();
+        let fmt = TextFormat::default();
+        let split = &fmt.splits(&dfs, "/n").unwrap()[0];
+        let read = |col, op, value| {
+            let src = fmt
+                .read_split(
+                    &dfs,
+                    split,
+                    &s,
+                    Some(&[0]),
+                    &[Predicate { col, op, value }],
+                    None,
+                )
+                .unwrap();
+            assert_eq!(src.rows.len() as u64 + src.rows_skipped, 5);
+            src.rows
+                .iter()
+                .map(|r| r.get(0).clone())
+                .collect::<Vec<_>>()
+        };
+        // A Long literal against a Double column compares numerically;
+        // NULL and unparseable cells never pass.
+        assert_eq!(
+            read(0, CmpOp::Ge, Value::Long(2)),
+            vec![Value::Double(3.0), Value::Double(2.0)]
+        );
+        // A Str literal against a Date column is coerced to a date.
+        assert_eq!(
+            read(1, CmpOp::Lt, Value::Str("1995-03-02".into())),
+            vec![Value::Double(1.5), Value::Double(2.0)]
+        );
+        // A literal that is NULL, or does not coerce, matches nothing.
+        assert_eq!(read(0, CmpOp::Eq, Value::Null), vec![]);
+        assert_eq!(read(1, CmpOp::Ge, Value::Str("soon".into())), vec![]);
+        // A predicate on a column the schema lacks is not the reader's to apply.
+        assert_eq!(read(7, CmpOp::Eq, Value::Long(0)).len(), 5);
+    }
+
+    #[test]
+    fn written_bytes_are_golden() {
+        let s = Schema::new(vec![
+            ("l", DataType::Long),
+            ("d", DataType::Double),
+            ("s", DataType::String),
+            ("t", DataType::Date),
+            ("b", DataType::Boolean),
+        ]);
+        let row = |d: f64, text: &str| {
+            Row::from(vec![
+                Value::Long(-7),
+                Value::Double(d),
+                Value::Str(text.into()),
+                Value::date_from_ymd(1992, 2, 29),
+                Value::Boolean(true),
+            ])
+        };
+        let rows = vec![
+            row(-0.0, ""),
+            row(f64::NAN, "a b"),
+            row(f64::INFINITY, "x"),
+            row(f64::NEG_INFINITY, "x"),
+            row(4.0, "x"),
+            row(0.1, "x"),
+            row(1e15, "x"),
+            Row::from(vec![Value::Null; 5]),
+        ];
+        let golden = "-7|-0.0||1992-02-29|true\n\
+                      -7|NaN|a b|1992-02-29|true\n\
+                      -7|inf|x|1992-02-29|true\n\
+                      -7|-inf|x|1992-02-29|true\n\
+                      -7|4.0|x|1992-02-29|true\n\
+                      -7|0.1|x|1992-02-29|true\n\
+                      -7|1000000000000000|x|1992-02-29|true\n\
+                      \\N|\\N|\\N|\\N|\\N\n";
+        let dfs = Dfs::new(DfsConfig {
+            block_size: 1 << 20,
+            replication: 1,
+            num_nodes: 1,
+        });
+        let fmt = TextFormat::default();
+        let write = |path: &str, schema: &Schema, rows: &[Row]| {
+            let mut sink = fmt.create(&dfs, path, schema, NodeId(0)).unwrap();
+            for r in rows {
+                sink.write_row(r).unwrap();
+            }
+            let n = sink.close().unwrap();
+            let bytes = dfs.read_range(path, 0, n, None).unwrap();
+            String::from_utf8(bytes).unwrap()
+        };
+        assert_eq!(write("/g", &s, &rows), golden);
+        // One reused line buffer must not leak a longer row into a shorter one.
+        let one = Schema::new(vec![("line", DataType::String)]);
+        let lines = [
+            Row::from(vec![Value::Str("a|b|c".into())]),
+            Row::from(vec![Value::Null]),
+            Row::from(vec![Value::Str("z".into())]),
+        ];
+        assert_eq!(write("/g1", &one, &lines), "a|b|c\n\\N\nz\n");
+    }
+
+    #[test]
+    fn non_ascii_delimiter_is_rejected() {
+        let err = parse_row("1", &schema(), 0xa7).unwrap_err();
+        assert!(err.to_string().contains("ASCII"), "{err}");
     }
 
     #[test]
@@ -355,11 +613,88 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::orc::CmpOp;
     use hdm_dfs::DfsConfig;
     use proptest::prelude::*;
 
+    /// Raw cells the generated lines are built from: every type's good,
+    /// bad and edge spellings, so any cell can land under any column type.
+    const CELLS: &[&str] = &[
+        "\\N",
+        "",
+        "abc",
+        "12",
+        " 7 ",
+        "-3",
+        "99999999999999999999",
+        "1.5",
+        "NaN",
+        "inf",
+        "-0.0",
+        "1e400",
+        "1995-03-01",
+        " 1995-02-28",
+        "1995-13-01",
+        "true",
+        "FALSE",
+        "1",
+        "0",
+        "\u{e9}t\u{e9}",
+    ];
+
+    const TYPES: [DataType; 5] = [
+        DataType::Long,
+        DataType::Double,
+        DataType::String,
+        DataType::Date,
+        DataType::Boolean,
+    ];
+
+    fn literals() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Long(1),
+            Value::Long(12),
+            Value::Double(1.5),
+            Value::Double(f64::NAN),
+            Value::Str("abc".into()),
+            Value::Str("1995-03-01".into()),
+            Value::Str("soon".into()),
+            Value::date_from_ymd(1995, 3, 1),
+            Value::Boolean(true),
+        ]
+    }
+
+    const OPS: [CmpOp; 5] = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+
+    /// What `read_split` must return for the whole file, by the eager
+    /// route: every line through `parse_row`, then filter, then project.
+    fn eager(
+        lines: &[Vec<u8>],
+        schema: &Schema,
+        projection: Option<&[usize]>,
+        predicates: &[Predicate],
+    ) -> Result<(Vec<Row>, u64)> {
+        let mut rows = Vec::new();
+        let mut skipped = 0;
+        for raw in lines.iter().filter(|l| !l.is_empty()) {
+            let line = std::str::from_utf8(raw)
+                .map_err(|e| HdmError::Storage(format!("non-utf8 text data in /lazy: {e}")))?;
+            let row = parse_row(line, schema, b'|')?;
+            let keep = predicates
+                .iter()
+                .filter(|p| p.col < schema.len())
+                .all(|p| p.matches(row.get(p.col)));
+            if keep {
+                rows.push(projection.map_or(row.clone(), |idx| row.project(idx)));
+            } else {
+                skipped += 1;
+            }
+        }
+        Ok((rows, skipped))
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn all_splits_union_to_original(
             n_rows in 1usize..80,
@@ -386,6 +721,87 @@ mod proptests {
                 got.extend(fmt.read_split(&dfs, &s, &schema, None, &[], None).unwrap().rows);
             }
             prop_assert_eq!(got, rows);
+        }
+
+        /// The lazy reader is the eager one: for any schema, raw lines,
+        /// projection and predicates it returns `parse_row(..).project(..)`
+        /// of the rows every predicate matches, or the identical error.
+        #[test]
+        fn lazy_read_equals_parse_project_filter(
+            types in collection::vec(0usize..5, 1..7),
+            cells in collection::vec(collection::vec(0usize..CELLS.len(), 8..9), 0..40),
+            // (kind, line): a line made non-UTF-8, one delimiter short, or one over.
+            faults in collection::vec((0u8..3, 0usize..64), 0..3),
+            projection in (any::<bool>(), collection::vec(0usize..64, 0..8)),
+            predicates in collection::vec((0usize..64, 0usize..5, 0usize..10), 0..3),
+            block_size in 8usize..96,
+            trailing_newline in any::<bool>(),
+        ) {
+            let n = types.len();
+            let schema = Schema::new(
+                types.iter().enumerate().map(|(i, &t)| (format!("c{i}"), TYPES[t])).collect(),
+            );
+            let mut widths = vec![n; cells.len()];
+            let mut garbled = vec![false; cells.len()];
+            if !cells.is_empty() {
+                for &(kind, at) in &faults {
+                    let at = at % cells.len();
+                    match kind {
+                        0 => garbled[at] = true,
+                        1 => widths[at] = n - 1,
+                        _ => widths[at] = n + 1,
+                    }
+                }
+            }
+            let lines: Vec<Vec<u8>> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, picks)| {
+                    let mut line = picks[..widths[i]]
+                        .iter()
+                        .map(|&c| CELLS[c])
+                        .collect::<Vec<_>>()
+                        .join("|")
+                        .into_bytes();
+                    if garbled[i] {
+                        line.extend_from_slice(b"\xff\xfe");
+                    }
+                    line
+                })
+                .collect();
+            let mut file = lines.join(&b'\n');
+            if trailing_newline && !file.is_empty() {
+                file.push(b'\n');
+            }
+            let projection: Option<Vec<usize>> =
+                projection.0.then(|| projection.1.iter().map(|c| c % n).collect());
+            let literals = literals();
+            // Column `n` does not exist: the reader must leave it to the caller.
+            let predicates: Vec<Predicate> = predicates
+                .into_iter()
+                .map(|(col, op, lit)| Predicate {
+                    col: col % (n + 1),
+                    op: OPS[op],
+                    value: literals[lit].clone(),
+                })
+                .collect();
+
+            let dfs = Dfs::new(DfsConfig { block_size, replication: 1, num_nodes: 2 });
+            let mut w = dfs.create("/lazy", NodeId(0)).unwrap();
+            w.write(&file).unwrap();
+            w.close().unwrap();
+            let fmt = TextFormat::default();
+            let lazy: Result<(Vec<Row>, u64)> = fmt.splits(&dfs, "/lazy").unwrap().iter().try_fold(
+                (Vec::new(), 0u64),
+                |(mut rows, skipped), split| {
+                    let src = fmt.read_split(
+                        &dfs, split, &schema, projection.as_deref(), &predicates, None,
+                    )?;
+                    rows.extend(src.rows);
+                    Ok((rows, skipped + src.rows_skipped))
+                },
+            );
+            prop_assert_eq!(lazy, eager(&lines, &schema, projection.as_deref(), &predicates));
         }
     }
 }
