@@ -219,7 +219,7 @@ pub fn scope_for(rel: &str) -> FileScope {
         || in_dir("crates/mpisim/src/")
         || in_dir("crates/mapred/src/")
         || in_dir("crates/server/src/")
-        || rel.ends_with("crates/core/src/engine.rs")
+        || in_dir("crates/core/src/engine/")
         || rel.ends_with("crates/core/src/driver.rs")
         || rel.ends_with("crates/core/src/sched.rs")
         || rel.ends_with("crates/core/src/stream.rs");
@@ -230,7 +230,7 @@ pub fn scope_for(rel: &str) -> FileScope {
             || in_dir("crates/mapred/src/")
             || in_dir("crates/obs/src/")
             || in_dir("crates/server/src/")
-            || rel.ends_with("crates/core/src/engine.rs")
+            || in_dir("crates/core/src/engine/")
             || rel.ends_with("crates/core/src/driver.rs")
             || rel.ends_with("crates/core/src/sched.rs")
             || rel.ends_with("crates/core/src/stream.rs")
@@ -732,6 +732,20 @@ pub fn f(v: &[u8]) -> u8 {
         assert!(check_source("crates/core/src/sched.rs", src)
             .iter()
             .any(|d| d.rule == rules::no_panic::ID));
+        // The engine is a directory of files since PR 15 (planner, map
+        // and reduce pipelines, sink, the two adapters): every one of
+        // them runs inside map/reduce tasks.
+        for file in ["mod", "plan", "map", "reduce", "sink", "hadoop", "datampi"] {
+            let rel = format!("crates/core/src/engine/{file}.rs");
+            assert!(
+                check_source(&rel, src)
+                    .iter()
+                    .any(|d| d.rule == rules::no_panic::ID),
+                "{rel} is not in the hot-path scope"
+            );
+            let scope = scope_for(&rel);
+            assert!(scope.blocking_lock && scope.swallowed && scope.busy_poll);
+        }
         assert!(check_source("crates/workloads/src/zipf.rs", src).is_empty());
     }
 
@@ -748,7 +762,7 @@ pub fn f(v: &[u8]) -> u8 {
 
     #[test]
     fn lock_order_cycle_detected_within_one_file() {
-        let rel = "crates/core/src/engine.rs";
+        let rel = "crates/core/src/engine/mod.rs";
         let src = "
 pub fn forward(s: &S) {
     let a = s.alpha.lock();
@@ -772,7 +786,7 @@ pub fn backward(s: &S) {
 
     #[test]
     fn consistent_lock_order_is_clean() {
-        let rel = "crates/core/src/engine.rs";
+        let rel = "crates/core/src/engine/mod.rs";
         let src = "
 pub fn one(s: &S) {
     let a = s.alpha.lock();

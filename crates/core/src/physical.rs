@@ -57,6 +57,18 @@ pub struct MapInput {
     pub value_exprs: Vec<RExpr>,
 }
 
+impl MapInput {
+    /// The predicates a reader of this input is handed: the pushed-down
+    /// ones, or none with `hive.orc.pushdown` off.
+    pub(crate) fn pushed_down(&self, enabled: bool) -> &[Predicate] {
+        if enabled {
+            &self.pushdown
+        } else {
+            &[]
+        }
+    }
+}
+
 /// One aggregate in an Aggregate stage; its input is value-row cell `i`
 /// for the `i`-th aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,6 +15,10 @@
 //!    shipdate window prune whole stripes (`orc.stripes.pruned` > 0)
 //!    without changing the answer; `hive.orc.pushdown=false` restores
 //!    the full scan.
+//! 4. **Map-only stages** — no TPC-H query has one, so a filter +
+//!    projection `SELECT` and ORC / Text CTAS over ORC and Text
+//!    `lineitem` pin the batch → map-only route and the typed map-only
+//!    writer on both engines, vectorized on and off.
 
 use hdm_common::conf as keys;
 use hdm_core::{Driver, EngineKind, QueryResult};
@@ -211,6 +215,71 @@ fn clustered_load_prunes_stripes_on_q6() {
         0,
         "pushdown off must not prune"
     );
+}
+
+/// Map-only stages — which none of the 22 TPC-H queries has — across
+/// {ORC, Text} source × both engines × vectorized {off, on}: a filter +
+/// projection `SELECT` (`Collect` sink), an ORC CTAS and a CTAS with no
+/// `STORED AS` clause (the Text default, both through the typed
+/// part-file writer). Rows, read-back tables and declared schemas are
+/// identical across all arms, and only the vectorized ORC-source arms
+/// take the batched path.
+#[test]
+fn map_only_select_and_ctas_agree_across_all_arms() {
+    const SELECT: &str = "SELECT l_orderkey, l_extendedprice * (1 - l_discount) AS net, \
+                          l_shipdate, l_returnflag FROM lineitem \
+                          WHERE l_quantity < 10 AND l_shipdate >= DATE '1995-01-01'";
+    const CTAS: [(&str, FormatKind); 2] =
+        [(" STORED AS ORC", FormatKind::Orc), ("", FormatKind::Text)];
+    let mut select_rows: Option<Vec<String>> = None;
+    let mut ctas_schema = None;
+    for source in [FormatKind::Orc, FormatKind::Text] {
+        let mut d = Driver::in_memory();
+        tpch::load(&mut d, 0.002, 20150701, source).expect("load tpch");
+        d.conf_mut().set(keys::KEY_OBS_ENABLED, true);
+        for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
+            for vectorized in [false, true] {
+                set_vectorized(&mut d, vectorized);
+                let arm = format!("{source:?} {engine:?} vectorized={vectorized}");
+                let assert_path = |d: &Driver, what: &str| {
+                    let batched = counter_sum(d, "vec.batches") > 0;
+                    let expected = vectorized && source == FormatKind::Orc;
+                    assert_eq!(batched, expected, "{arm}: {what} took the wrong path");
+                };
+
+                let rows = d
+                    .execute_on(SELECT, engine)
+                    .unwrap_or_else(|e| panic!("{arm}: select: {e}"));
+                assert_path(&d, "select");
+                assert_eq!(rows.stages.len(), 1, "{arm}: select is one map-only stage");
+                assert_eq!(rows.stages[0].reduce_tasks, 0, "{arm}");
+                let rows = normalize(&rows);
+                assert!(!rows.is_empty(), "{arm}: the filter keeps some rows");
+                let expected = select_rows.get_or_insert_with(|| rows.clone());
+                assert_eq!(&rows, expected, "{arm}: select rows differ");
+
+                for (stored, format) in CTAS {
+                    d.execute_on("DROP TABLE IF EXISTS slim", engine)
+                        .unwrap_or_else(|e| panic!("{arm}: drop: {e}"));
+                    d.execute_on(&format!("CREATE TABLE slim{stored} AS {SELECT}"), engine)
+                        .unwrap_or_else(|e| panic!("{arm}: ctas{stored}: {e}"));
+                    assert_path(&d, "ctas");
+                    let meta = d.metastore().table("slim").expect("ctas table");
+                    assert_eq!(meta.format, format, "{arm}");
+                    let schema = ctas_schema.get_or_insert_with(|| meta.schema.clone());
+                    assert_eq!(&meta.schema, schema, "{arm}: ctas{stored} schema differs");
+                    let back = d
+                        .execute_on("SELECT * FROM slim", engine)
+                        .unwrap_or_else(|e| panic!("{arm}: read back{stored}: {e}"));
+                    assert_eq!(
+                        &normalize(&back),
+                        expected,
+                        "{arm}: ctas{stored} read-back differs from the select"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Bad `hive.vectorized.*` values surface as configuration errors.
