@@ -138,14 +138,14 @@ fn parallel_smoke(queries: &[usize], log: &mut RunLog) -> usize {
                 c.set(hdm_common::conf::KEY_EXEC_PARALLEL_THREADS, threads);
                 c.set(hdm_common::conf::KEY_EXEC_PIPELINED, pipelined);
                 d.execute_on(tpch::queries::query(n), engine)
-                    .map(|r| r.to_lines())
+                    .map(|r| (r.to_lines(), r.stages.len()))
             };
             match (
                 run(&mut d, 1, true),
                 run(&mut d, 8, true),
                 run(&mut d, 8, false),
             ) {
-                (Ok(seq), Ok(par), Ok(mat)) => {
+                (Ok((seq, stages)), Ok((par, _)), Ok((mat, _))) => {
                     if seq != par {
                         log.warn(&format!("Q{n} {engine:?}: parallel run DIVERGED"));
                         failures += 1;
@@ -154,7 +154,8 @@ fn parallel_smoke(queries: &[usize], log: &mut RunLog) -> usize {
                         failures += 1;
                     } else {
                         log.say(&format!(
-                            "Q{n:02} {engine:?}: parallel == sequential, pipelined == materialized ({} rows)",
+                            "Q{n:02} {engine:?}: parallel == sequential, pipelined == materialized \
+                             ({} rows, {stages} stages in the final statement)",
                             seq.len()
                         ));
                     }

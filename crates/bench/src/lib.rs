@@ -59,6 +59,7 @@ impl Workload {
             driver,
             base_bytes: stats.text_bytes,
         }
+        .plan_as_at_paper_scale()
     }
 
     /// Load HiBench with the default harness sizing.
@@ -70,7 +71,7 @@ impl Workload {
         Self::pin_paper_semantics(&mut driver);
         let cfg = hibench::HiBenchConfig::default();
         let base_bytes = hibench::load(&mut driver, &cfg).expect("hibench load");
-        Workload { driver, base_bytes }
+        Workload { driver, base_bytes }.plan_as_at_paper_scale()
     }
 
     /// The paper's Hive-on-DataMPI (ICDCS 2015) materializes every
@@ -84,6 +85,32 @@ impl Workload {
         driver
             .conf_mut()
             .set(hdm_common::conf::KEY_EXEC_PIPELINED, false);
+    }
+
+    /// The harness data is the paper's data set scaled down a few
+    /// thousand times, this DFS's 64 KB block only 1024 times: `customer`,
+    /// `part` or HiBench's `rankings` fit one block here, but at every
+    /// size a figure simulates they are over the 25 MB below which the
+    /// paper's Hive 0.13 converts a join (`hive.mapjoin.smalltable.filesize`)
+    /// — its HiBench JOIN is three jobs. So that the measured plans are
+    /// that system's, a table keeps its recorded size — what lets the
+    /// planner join it map-side (DESIGN.md §23) — only if it would be
+    /// under that limit at the smallest nominal size, as `nation`,
+    /// `region` and `supplier` are. Forgetting a size is the Metastore's
+    /// own "a change nobody measured"; tables a query creates for itself
+    /// are measured by the statement that creates them.
+    fn plan_as_at_paper_scale(self) -> Workload {
+        const SMALLEST_NOMINAL_GB: f64 = 5.0;
+        const HIVE_SMALL_TABLE_BYTES: f64 = 25e6;
+        let scale = self.scale_for_gb(SMALLEST_NOMINAL_GB);
+        let metastore = self.driver.metastore();
+        for table in metastore.table_names() {
+            let stored = metastore.table(&table).ok().and_then(|meta| meta.stored);
+            if stored.is_some_and(|size| size.bytes as f64 * scale > HIVE_SMALL_TABLE_BYTES) {
+                metastore.bump_version(&table);
+            }
+        }
+        self
     }
 
     /// Volume scale factor for a nominal dataset of `gb` gigabytes.

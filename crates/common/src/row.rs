@@ -172,10 +172,7 @@ impl Row {
 
     /// Serialize into a buffer using the binary row codec.
     pub fn encode(&self, buf: &mut impl BufMut) {
-        codec::write_varint(buf, self.values.len() as u64);
-        for v in &self.values {
-            encode_value(buf, v);
-        }
+        encode_cells(buf, self.values.iter());
     }
 
     /// Serialized length in bytes.
@@ -238,6 +235,16 @@ const TAG_LONG: u8 = 3;
 const TAG_DOUBLE: u8 = 4;
 const TAG_STR: u8 = 5;
 const TAG_DATE: u8 = 6;
+
+/// Serialize cells as [`Row::encode`] would the row holding them — for
+/// writers whose cells live in columns and that would otherwise clone
+/// them into a `Row` only to encode it.
+pub fn encode_cells<'a>(buf: &mut impl BufMut, cells: impl ExactSizeIterator<Item = &'a Value>) {
+    codec::write_varint(buf, cells.len() as u64);
+    for v in cells {
+        encode_value(buf, v);
+    }
+}
 
 /// Encode a single [`Value`] with a 1-byte type tag.
 pub fn encode_value(buf: &mut impl BufMut, v: &Value) {
@@ -312,6 +319,18 @@ mod tests {
         row.encode(&mut buf);
         let back = Row::decode(&mut &buf[..]).unwrap();
         assert_eq!(back, row);
+    }
+
+    #[test]
+    fn encode_cells_writes_the_row_layout() {
+        let row = sample_row();
+        let mut want = Vec::new();
+        row.encode(&mut want);
+        // Cells gathered from anywhere, in row order.
+        let cells: Vec<&Value> = row.values().iter().collect();
+        let mut got = Vec::new();
+        encode_cells(&mut got, cells.iter().copied());
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -85,7 +85,17 @@ pub fn encode_row_directed(row: &Row, ascending: &[bool]) -> Vec<u8> {
 
 /// Encode into an existing buffer (appends; does not clear).
 pub fn encode_row_into(out: &mut Vec<u8>, row: &Row, ascending: &[bool]) {
-    for (i, v) in row.values().iter().enumerate() {
+    encode_cells_into(out, row.values(), ascending);
+}
+
+/// [`encode_row_into`] over cells that are not (yet) a [`Row`] — a key
+/// gathered straight from projected columns.
+pub fn encode_cells_into<'a>(
+    out: &mut Vec<u8>,
+    cells: impl IntoIterator<Item = &'a Value>,
+    ascending: &[bool],
+) {
+    for (i, v) in cells.into_iter().enumerate() {
         let col_start = out.len();
         encode_value(out, v);
         let asc = ascending.get(i).copied().unwrap_or(true);

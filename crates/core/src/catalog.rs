@@ -17,6 +17,24 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// What the DFS held for a table when its data last changed: the one
+/// statistic the planner uses (map-side joins, `physical.rs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoredSize {
+    /// Stored bytes, summed over the table's part files.
+    pub bytes: u64,
+    /// Block size of the filesystem the part files live in.
+    pub block_size: u64,
+}
+
+impl StoredSize {
+    /// True when the whole table is no larger than one DFS block — no
+    /// more than the one split a task reading any table is handed.
+    pub fn fits_one_block(&self) -> bool {
+        self.bytes <= self.block_size
+    }
+}
+
 /// Metadata of one table.
 #[derive(Debug, Clone)]
 pub struct TableMeta {
@@ -26,6 +44,9 @@ pub struct TableMeta {
     pub schema: Schema,
     /// On-disk format.
     pub format: FormatKind,
+    /// Size at the table's current data version; `None` until a write
+    /// has been recorded ([`Metastore::record_write`]).
+    pub stored: Option<StoredSize>,
 }
 
 #[derive(Debug, Default)]
@@ -82,6 +103,7 @@ impl Metastore {
                 name: key.clone(),
                 schema,
                 format,
+                stored: None,
             },
         );
         *state.versions.entry(key).or_insert(0) += 1;
@@ -141,10 +163,33 @@ impl Metastore {
             .unwrap_or(0)
     }
 
-    /// Record a data change on `name`: increments its version counter.
+    /// Record a data change on `name` that nobody measured: increments
+    /// its version counter and forgets the recorded size.
     pub fn bump_version(&self, name: &str) {
+        self.data_changed(name, |_| None);
+    }
+
+    /// Record a finished write to `name`: increments its version counter
+    /// and records what the DFS now holds for it. Both happen under one
+    /// catalog write lock, so a reader never pairs a version with the
+    /// size of an older one.
+    pub fn record_write(&self, dfs: &Dfs, name: &str) {
+        self.data_changed(name, |table| {
+            Some(StoredSize {
+                bytes: self.storage.table_bytes(dfs, table).ok()?,
+                block_size: dfs.config().block_size as u64,
+            })
+        });
+    }
+
+    fn data_changed(&self, name: &str, measure: impl FnOnce(&str) -> Option<StoredSize>) {
         let key = name.to_ascii_lowercase();
-        *self.state.write().versions.entry(key).or_insert(0) += 1;
+        let mut state = self.state.write();
+        let stored = measure(&key);
+        if let Some(meta) = state.tables.get_mut(&key) {
+            meta.stored = stored;
+        }
+        *state.versions.entry(key).or_insert(0) += 1;
     }
 
     /// Snapshot `(name, version)` pairs for the given tables, in input
@@ -281,5 +326,52 @@ mod tests {
             ms.versions_of(&["T".to_string(), "missing".to_string()]),
             vec![("t".to_string(), v4), ("missing".to_string(), 0)]
         );
+    }
+
+    #[test]
+    fn a_recorded_write_measures_the_table_and_an_unmeasured_change_forgets() {
+        let ms = Metastore::new();
+        let dfs = Dfs::new(DfsConfig {
+            block_size: 64,
+            replication: 1,
+            num_nodes: 1,
+        });
+        let schema = vec![("c".to_string(), DataType::Long)];
+        ms.create_table("t", schema.clone(), FormatKind::Text, false)
+            .unwrap();
+        assert_eq!(ms.table("t").unwrap().stored, None);
+        let write_part = |part: usize, bytes: usize| {
+            let mut w = dfs
+                .create(&ms.storage.part_path("t", part), hdm_dfs::NodeId(0))
+                .unwrap();
+            w.write(&vec![b'x'; bytes]).unwrap();
+            w.close().unwrap();
+        };
+        // Part files add up, and the size lands with the version bump.
+        write_part(0, 40);
+        let v0 = ms.version("t");
+        ms.record_write(&dfs, "T");
+        let size = ms.table("t").unwrap().stored.unwrap();
+        assert_eq!((size.bytes, size.block_size), (40, 64));
+        assert!(size.fits_one_block());
+        assert_eq!(ms.version("t"), v0 + 1);
+        write_part(1, 25);
+        ms.record_write(&dfs, "t");
+        let size = ms.table("t").unwrap().stored.unwrap();
+        assert_eq!(size.bytes, 65);
+        assert!(!size.fits_one_block());
+        // A change nobody measured: the version moves, the size goes.
+        ms.bump_version("t");
+        assert_eq!(ms.table("t").unwrap().stored, None);
+        assert_eq!(ms.version("t"), v0 + 3);
+        // Drop + recreate starts unmeasured even though files were there.
+        ms.record_write(&dfs, "t");
+        ms.drop_table(&dfs, "t", false).unwrap();
+        ms.create_table("t", schema, FormatKind::Text, false)
+            .unwrap();
+        assert_eq!(ms.table("t").unwrap().stored, None);
+        // Recording a write to a table that does not exist only bumps.
+        ms.record_write(&dfs, "ghost");
+        assert_eq!(ms.version("ghost"), 1);
     }
 }

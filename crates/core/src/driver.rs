@@ -219,7 +219,7 @@ impl Driver {
             }
             Statement::InsertValues { table, rows } => {
                 self.insert_values(&table, rows)?;
-                self.metastore.bump_version(&table);
+                self.metastore.record_write(&self.dfs, &table);
                 Ok(QueryResult::default())
             }
             Statement::InsertOverwrite { table, query } => {
@@ -235,7 +235,7 @@ impl Driver {
                     engine,
                     cancel,
                 )?;
-                self.metastore.bump_version(&table);
+                self.metastore.record_write(&self.dfs, &table);
                 Ok(QueryResult {
                     rows: Vec::new(),
                     columns: meta
@@ -279,7 +279,7 @@ impl Driver {
                 // The CTAS data landed after the create bumped the
                 // version; bump again so results cached against the
                 // still-empty table cannot survive.
-                self.metastore.bump_version(&name);
+                self.metastore.record_write(&self.dfs, &name);
                 Ok(QueryResult {
                     rows: Vec::new(),
                     columns: last.out_names.clone(),
@@ -602,10 +602,12 @@ impl Driver {
     ///   precedence);
     /// - the stage writes an [`StageOutput::Intermediate`];
     /// - it has exactly one consumer (fan-out would need per-consumer
-    ///   cursors; those edges keep the file path), and that consumer is
-    ///   not a map-only stage (map-only tasks run on a fixed worker
-    ///   pool with out-of-order completion, which could deadlock
-    ///   against a bounded in-order stream).
+    ///   cursors; those edges keep the file path). Any kind of consumer:
+    ///   a map-only stage's worker pool takes partitions in task order
+    ///   like the O slots of a shuffle stage do, `take` registers the
+    ///   partition before parking, and `commit` never parks for an
+    ///   awaited partition, so the resident tasks always drain
+    ///   (`tests/map_join.rs` holds the 16-partition, cap-1 case).
     fn plan_streams(
         &self,
         plan: &crate::physical::QueryPlan,
@@ -629,16 +631,6 @@ impl Driver {
                 continue;
             }
             if cons.len() != 1 {
-                continue;
-            }
-            let Some(consumer) = cons.first() else {
-                continue;
-            };
-            let map_only = plan
-                .stages
-                .get(*consumer)
-                .is_some_and(|c| matches!(c.kind, crate::physical::StageKind::MapOnly));
-            if map_only {
                 continue;
             }
             streams.insert(
@@ -716,7 +708,7 @@ impl Driver {
             sink.write_row(r)?;
         }
         let written = sink.close()?;
-        self.metastore.bump_version(table);
+        self.metastore.record_write(&self.dfs, table);
         Ok(written)
     }
 

@@ -56,6 +56,7 @@ use hdm_common::kv::{BytesComparator, ComparatorRef, KvPair};
 use hdm_common::partition::{HashPartitioner, PartitionerRef, SinglePartitioner};
 use hdm_common::row::{Row, Schema};
 use hdm_common::stats::Histogram;
+use hdm_common::value::Value;
 use hdm_dfs::Dfs;
 use hdm_faults::{FaultPlan, RecoveryPolicy};
 use hdm_storage::FileFormat;
@@ -173,11 +174,27 @@ impl KeyCodec {
         KeyCodec { ascending }
     }
 
-    /// Build the wire pair for one `(key, value)` row pair.
-    fn pair(&self, key: &Row, value: &Row) -> KvPair {
-        let kb = hdm_common::sortkey::encode_row_directed(key, &self.ascending);
-        let mut vb = Vec::with_capacity(value.wire_size() + 4);
-        value.encode(&mut vb);
+    /// Build the wire pair for one projected `(key, value)`, straight
+    /// from its cells — wherever they live, a `Row` or batch columns:
+    /// the key in the sort-key encoding, the `n` value cells as
+    /// [`Row::encode`] writes a row, behind their input's `tag` when the
+    /// stage is a join (`[varint n+1][Long tag][cells…]`).
+    fn pair<'v>(
+        &self,
+        key: impl Iterator<Item = &'v Value> + Clone,
+        tag: Option<u8>,
+        value: impl ExactSizeIterator<Item = &'v Value> + Clone,
+    ) -> KvPair {
+        let wire_size = |cells: &mut dyn Iterator<Item = &'v Value>| -> usize {
+            cells.map(|v| v.wire_size() + 1).sum()
+        };
+        let mut kb = Vec::with_capacity(wire_size(&mut key.clone()) + 4);
+        hdm_common::sortkey::encode_cells_into(&mut kb, key, &self.ascending);
+        let mut vb = Vec::with_capacity(wire_size(&mut value.clone()) + 6);
+        match tag {
+            Some(tag) => crate::operators::encode_tagged(&mut vb, tag, value),
+            None => hdm_common::row::encode_cells(&mut vb, value),
+        }
         KvPair::new(kb, vb)
     }
 
@@ -195,6 +212,8 @@ struct StagePipeline {
     tasks: Vec<plan::Task>,
     /// Per stage input: the file format and the schema rows are read with.
     formats: Vec<(Arc<dyn FileFormat>, Schema)>,
+    /// Per stage input, per map-side join step: the shared hash table.
+    builds: Vec<Vec<map::SharedBuild>>,
     dfs: Dfs,
     in_streams: HashMap<usize, StreamedIntermediate>,
     dag_rows: HashMap<usize, Arc<Vec<Row>>>,
@@ -242,6 +261,11 @@ impl StagePipeline {
             kv_sizes: Mutex::new(Histogram::with_width(hdm_obs::KV_HIST_BUCKET)),
             tasks: planned.tasks,
             formats: planned.formats,
+            builds: planned
+                .builds
+                .into_iter()
+                .map(|steps| steps.into_iter().map(map::SharedBuild::new).collect())
+                .collect(),
             dfs: ctx.dfs.clone(),
             in_streams: ctx.in_streams.clone(),
             dag_rows: ctx.dag_intermediates.clone(),

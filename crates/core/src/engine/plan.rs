@@ -63,11 +63,21 @@ pub(super) struct Task {
     pub(super) input: TaskInput,
 }
 
+/// How to read the build table of one map-side join step: the whole
+/// table, as the splits a scan of it would be handed.
+pub(super) struct BuildScan {
+    pub(super) format: Arc<dyn FileFormat>,
+    pub(super) schema: Schema,
+    pub(super) splits: Vec<FileSplit>,
+}
+
 /// A stage's tasks, how to read each stage input, and the input volume.
 pub(super) struct PlannedTasks {
     pub(super) tasks: Vec<Task>,
     /// Per stage input: the file format and the schema rows are read with.
     pub(super) formats: Vec<(Arc<dyn FileFormat>, Schema)>,
+    /// Per stage input, per map-side join step: its build table.
+    pub(super) builds: Vec<Vec<BuildScan>>,
     /// `hive.orc.pushdown`: whether readers get the planner's predicates.
     pub(super) pushdown: bool,
     /// Sum of every task's [`TaskInput::bytes`]: drives the reducer
@@ -86,17 +96,27 @@ pub(super) fn plan_tasks(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<Pl
         .get_bool(hdm_common::conf::KEY_ORC_PUSHDOWN, true)?;
     let mut tasks: Vec<Task> = Vec::new();
     let mut formats: Vec<(Arc<dyn FileFormat>, Schema)> = Vec::new();
+    let mut builds: Vec<Vec<BuildScan>> = Vec::new();
+    // A table's format, schema and splits under `preds`.
+    let table_scan = |name: &str, preds: &[hdm_storage::Predicate]| -> Result<BuildScan> {
+        let meta = ctx.metastore.table(name)?;
+        let paths = ctx.metastore.storage.parts(ctx.dfs, name);
+        let format: Arc<dyn FileFormat> = Arc::from(format_for(meta.format));
+        Ok(BuildScan {
+            splits: file_splits(&*format, &paths, preds, stage.id, ctx)?,
+            schema: meta.schema,
+            format,
+        })
+    };
     for (input_idx, input) in stage.inputs.iter().enumerate() {
         let format: Arc<dyn FileFormat>;
         let schema: Schema;
         let mut inputs: Vec<TaskInput>;
         match &input.source {
             InputSource::Table(name) => {
-                let meta = ctx.metastore.table(name)?;
-                let paths = ctx.metastore.storage.parts(ctx.dfs, name);
-                format = Arc::from(format_for(meta.format));
-                inputs = file_splits(&*format, &paths, input.pushed_down(pushdown), stage.id, ctx)?;
-                schema = meta.schema;
+                let scan = table_scan(name, input.pushed_down(pushdown))?;
+                inputs = scan.splits.into_iter().map(TaskInput::Split).collect();
+                (format, schema) = (scan.format, scan.schema);
             }
             InputSource::Stage(id) => {
                 format = Arc::new(SeqFormat);
@@ -133,7 +153,9 @@ pub(super) fn plan_tasks(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<Pl
                     let paths = ctx.intermediates.get(id);
                     let paths = paths
                         .ok_or_else(|| HdmError::Plan(format!("stage {id} output missing")))?;
-                    file_splits(&*format, paths, input.pushed_down(pushdown), stage.id, ctx)?
+                    let preds = input.pushed_down(pushdown);
+                    let splits = file_splits(&*format, paths, preds, stage.id, ctx)?;
+                    splits.into_iter().map(TaskInput::Split).collect()
                 };
             }
         }
@@ -142,26 +164,39 @@ pub(super) fn plan_tasks(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<Pl
         }
         tasks.extend(inputs.into_iter().map(|input| Task { input_idx, input }));
         formats.push((format, schema));
+        let steps = input.map_joins.iter().map(|step| match &step.build.source {
+            InputSource::Table(name) => table_scan(name, step.build.pushed_down(pushdown)),
+            InputSource::Stage(id) => Err(HdmError::Plan(format!(
+                "map-side join over stage {id}'s output: build sides are tables"
+            ))),
+        });
+        builds.push(steps.collect::<Result<Vec<_>>>()?);
+    }
+    if ctx.obs.is_enabled() {
+        let steps = builds.iter().map(Vec::len).sum::<usize>() as u64;
+        let stage_label = format!("stage={}", stage.id);
+        ctx.obs.counter("join.map.steps", &stage_label).add(steps);
     }
     let input_bytes = tasks.iter().map(|t| t.input.bytes()).sum();
     Ok(PlannedTasks {
         tasks,
         formats,
+        builds,
         pushdown,
         input_bytes,
     })
 }
 
-/// One `Split` per split of `paths`, minus what the planning-side
-/// predicate pushdown prunes: stripes the stats disprove never become
-/// (part of) a task at all.
+/// Every split of `paths`, minus what the planning-side predicate
+/// pushdown prunes: stripes the stats disprove never become (part of) a
+/// task at all.
 fn file_splits(
     format: &dyn FileFormat,
     paths: &[String],
     preds: &[hdm_storage::Predicate],
     stage_id: usize,
     ctx: &StageContext<'_>,
-) -> Result<Vec<TaskInput>> {
+) -> Result<Vec<FileSplit>> {
     let mut splits = Vec::new();
     let mut pruned_stripes = 0u64;
     let mut pruned_rows = 0u64;
@@ -169,7 +204,7 @@ fn file_splits(
         let planned = format.plan_splits(ctx.dfs, p, preds)?;
         pruned_stripes += planned.pruned_stripes;
         pruned_rows += planned.pruned_rows;
-        splits.extend(planned.splits.into_iter().map(TaskInput::Split));
+        splits.extend(planned.splits);
     }
     if ctx.obs.is_enabled() {
         let stage_label = format!("stage={stage_id}");
@@ -271,6 +306,9 @@ mod tests {
             "CREATE TABLE l (k BIGINT, v BIGINT); CREATE TABLE r (k BIGINT, w BIGINT); \
              INSERT INTO r VALUES (1, 10), (2, 20)",
         );
+        // A change nobody measured: `r` has no recorded size, so the
+        // planner keeps the shuffle join this test is about.
+        fx.d.metastore().bump_version("r");
         let plan = fx.plan(
             "SELECT l.v, r.w FROM l JOIN r ON l.k = r.k",
             StageOutput::Collect,

@@ -8,7 +8,7 @@
 //! projection for aggregation.
 
 use crate::ast::{BinOp, Expr, JoinKind, SelectStmt};
-use crate::catalog::Metastore;
+use crate::catalog::{Metastore, StoredSize};
 use hdm_common::error::{HdmError, Result};
 use hdm_common::row::Schema;
 
@@ -21,6 +21,8 @@ pub struct Source {
     pub table: String,
     /// The table's full schema.
     pub schema: Schema,
+    /// The table's recorded size, if a write has been recorded.
+    pub stored: Option<StoredSize>,
 }
 
 /// A join step against the next source.
@@ -116,6 +118,7 @@ pub fn analyze(stmt: &SelectStmt, metastore: &Metastore) -> Result<QueryBlock> {
             alias: r.alias.clone(),
             table: meta.name.clone(),
             schema: meta.schema.clone(),
+            stored: meta.stored,
         })
     };
     sources.push(push_source(&stmt.from.base)?);

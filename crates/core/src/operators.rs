@@ -9,8 +9,9 @@
 use crate::expr::RExpr;
 use crate::logical::AggFunc;
 use crate::physical::AggSpec;
+use hdm_common::codec;
 use hdm_common::error::{HdmError, Result};
-use hdm_common::row::Row;
+use hdm_common::row::{decode_value, encode_value, Row};
 use hdm_common::value::Value;
 use std::collections::HashSet;
 
@@ -242,6 +243,53 @@ fn merge_max(cur: &mut Option<Value>, v: &Value) {
 // Join group processing
 // ---------------------------------------------------------------------------
 
+/// Residual and projection over one candidate pair `l ++ r`. When every
+/// output is a plain column — the planner's pruned identity, which is
+/// every join but a query's last — the cells are picked from the two
+/// sides and the concatenated row is built only for a residual to see.
+struct PairOutput<'a> {
+    residual: Option<&'a RExpr>,
+    project: &'a [RExpr],
+    columns_only: bool,
+}
+
+impl PairOutput<'_> {
+    /// The output row of `l ++ r`, if the pair passes the residual.
+    fn matched(&self, l: &Row, r: &Row) -> Result<Option<Row>> {
+        let Some(residual) = self.residual else {
+            return self.row(l, r).map(Some);
+        };
+        let joined = l.concat(r);
+        if !residual.eval_predicate(&joined)? {
+            return Ok(None);
+        }
+        project_row(self.project, &joined).map(Some)
+    }
+
+    /// The output row of `l ++ r`, no residual consulted.
+    fn row(&self, l: &Row, r: &Row) -> Result<Row> {
+        if !self.columns_only {
+            return project_row(self.project, &l.concat(r));
+        }
+        let (left, right) = (l.values(), r.values());
+        let cell = |e: &RExpr| -> Result<Value> {
+            let RExpr::Column(i) = e else {
+                return e.eval(&l.concat(r));
+            };
+            let cell = left
+                .get(*i)
+                .or_else(|| right.get(i.wrapping_sub(left.len())));
+            cell.cloned().ok_or_else(|| {
+                HdmError::Eval(format!(
+                    "column index {i} out of range (row has {})",
+                    left.len() + right.len()
+                ))
+            })
+        };
+        self.project.iter().map(cell).collect()
+    }
+}
+
 /// Process one join key group: `lefts`/`rights` are the value rows of
 /// each side; matched concatenations flow through `residual` then
 /// `project` into `out`.
@@ -258,63 +306,60 @@ pub fn process_join_group(
     out: &mut Vec<Row>,
 ) -> Result<()> {
     use crate::ast::JoinKind::*;
+    let pair = PairOutput {
+        residual,
+        project,
+        columns_only: project.iter().all(|e| matches!(e, RExpr::Column(_))),
+    };
+    // The right side of an unmatched (outer) or padded (semi/anti) row.
+    let nulls = || Row::from(vec![Value::Null; right_width]);
     match kind {
         Inner => {
             for l in lefts {
                 for r in rights {
-                    let joined = l.concat(r);
-                    if passes(residual, &joined)? {
-                        out.push(project_row(project, &joined)?);
-                    }
+                    out.extend(pair.matched(l, r)?);
                 }
             }
         }
         LeftOuter => {
+            let mut padding = None;
             for l in lefts {
-                let mut matched = false;
+                let before = out.len();
                 for r in rights {
-                    let joined = l.concat(r);
-                    if passes(residual, &joined)? {
-                        matched = true;
-                        out.push(project_row(project, &joined)?);
-                    }
+                    out.extend(pair.matched(l, r)?);
                 }
-                if !matched {
-                    let nulls = Row::from(vec![Value::Null; right_width]);
-                    let joined = l.concat(&nulls);
-                    out.push(project_row(project, &joined)?);
+                if out.len() == before {
+                    out.push(pair.row(l, padding.get_or_insert_with(nulls))?);
                 }
             }
         }
         LeftSemi | LeftAnti => {
             let want_match = kind == LeftSemi;
+            let mut padding = None;
             for l in lefts {
-                let mut matched = false;
-                for r in rights {
-                    let joined = l.concat(r);
-                    if passes(residual, &joined)? {
-                        matched = true;
-                        break;
+                let matched = match residual {
+                    // Any right row is a match: nothing to concatenate.
+                    None => !rights.is_empty(),
+                    Some(residual) => {
+                        let mut matched = false;
+                        for r in rights {
+                            if residual.eval_predicate(&l.concat(r))? {
+                                matched = true;
+                                break;
+                            }
+                        }
+                        matched
                     }
-                }
+                };
                 if matched == want_match {
                     // Projection sees the concat layout but only reads
                     // left columns; pad with nulls for safety.
-                    let nulls = Row::from(vec![Value::Null; right_width]);
-                    let joined = l.concat(&nulls);
-                    out.push(project_row(project, &joined)?);
+                    out.push(pair.row(l, padding.get_or_insert_with(nulls))?);
                 }
             }
         }
     }
     Ok(())
-}
-
-fn passes(residual: Option<&RExpr>, row: &Row) -> Result<bool> {
-    match residual {
-        Some(e) => e.eval_predicate(row),
-        None => Ok(true),
-    }
 }
 
 /// Apply a projection list to a row.
@@ -333,24 +378,58 @@ pub fn project_row(project: &[RExpr], row: &Row) -> Result<Row> {
 // Shuffle-row helpers
 // ---------------------------------------------------------------------------
 
-/// Encode a join value row: `[tag, cols…]`.
-pub fn tag_row(tag: u8, row: &Row) -> Row {
-    let mut out = Row::from(vec![Value::Long(tag as i64)]);
-    out.extend(row.values().iter().cloned());
-    out
+/// Write a join stage's shuffle value: the `n` cells behind the tag of
+/// the input they came from, in the layout [`Row::encode`] gives the row
+/// `[Long(tag), cells…]` — `[varint n+1][Long tag][cells…]` — without
+/// building that row.
+pub fn encode_tagged<'a>(
+    buf: &mut Vec<u8>,
+    tag: u8,
+    cells: impl ExactSizeIterator<Item = &'a Value>,
+) {
+    codec::write_varint(buf, cells.len() as u64 + 1);
+    encode_value(buf, &Value::Long(i64::from(tag)));
+    for cell in cells {
+        encode_value(buf, cell);
+    }
 }
 
-/// Split a tagged value row back into `(tag, row)`.
+/// Read a tagged value's head: its tag, and how many cells follow.
+fn read_tag(buf: &mut &[u8]) -> Result<(u8, usize)> {
+    let n = codec::read_varint(buf)? as usize;
+    if n == 0 {
+        return Err(HdmError::Codec("tagged row is empty".into()));
+    }
+    match decode_value(buf)? {
+        Value::Long(tag) => Ok((tag as u8, n - 1)),
+        other => Err(HdmError::Codec(format!(
+            "tagged row starts with {other:?}, not its tag"
+        ))),
+    }
+}
+
+/// The tag of a value written by [`encode_tagged`], its cells left
+/// undecoded.
 ///
 /// # Errors
-/// [`HdmError::Eval`] if the tag cell is missing.
-pub fn untag_row(row: Row) -> Result<(u8, Row)> {
-    let mut values = row.into_values();
-    if values.is_empty() {
-        return Err(HdmError::Eval("tagged row is empty".into()));
+/// [`HdmError::Codec`] if the value does not start with a tag.
+pub fn peek_tag(mut value: &[u8]) -> Result<u8> {
+    read_tag(&mut value).map(|(tag, _)| tag)
+}
+
+/// Decode a value written by [`encode_tagged`] into `(tag, row)`.
+///
+/// # Errors
+/// [`HdmError::Codec`] on malformed input.
+pub fn decode_tagged(mut value: &[u8]) -> Result<(u8, Row)> {
+    let (tag, n) = read_tag(&mut value)?;
+    // Every cell takes at least a byte: a hostile count cannot reserve
+    // more than the value is long.
+    let mut cells = Vec::with_capacity(n.min(value.len()));
+    for _ in 0..n {
+        cells.push(decode_value(&mut value)?);
     }
-    let tag = values.remove(0).as_i64().unwrap_or(0) as u8;
-    Ok((tag, Row::from(values)))
+    Ok((tag, Row::from(cells)))
 }
 
 #[cfg(test)]
@@ -587,14 +666,159 @@ mod tests {
         assert_eq!(out[0].get(1), &Value::Long(10));
     }
 
+    /// What the join stages put on the wire before the Row-free codec:
+    /// the row `[Long(tag), cells…]`, encoded.
+    fn tagged_row_bytes(tag: u8, row: &Row) -> Vec<u8> {
+        let mut tagged = Row::from(vec![Value::Long(tag as i64)]);
+        tagged.extend(row.values().iter().cloned());
+        let mut buf = Vec::new();
+        tagged.encode(&mut buf);
+        buf
+    }
+
     #[test]
-    fn tag_untag_round_trip() {
-        let row = Row::from(vec![Value::Str("v".into()), Value::Long(3)]);
-        let tagged = tag_row(1, &row);
-        assert_eq!(tagged.len(), 3);
-        let (tag, back) = untag_row(tagged).unwrap();
-        assert_eq!(tag, 1);
-        assert_eq!(back, row);
-        assert!(untag_row(Row::new()).is_err());
+    fn tagged_values_round_trip_and_match_the_row_layout() {
+        let rows = [
+            Row::new(),
+            Row::from(vec![Value::Str("v".into()), Value::Long(3)]),
+            Row::from(vec![
+                Value::Null,
+                Value::Double(f64::NAN),
+                Value::Boolean(true),
+                Value::date_from_ymd(1995, 3, 15),
+                Value::Str("x".repeat(300)),
+            ]),
+        ];
+        for row in &rows {
+            for tag in [0u8, 1] {
+                let mut buf = Vec::new();
+                encode_tagged(&mut buf, tag, row.values().iter());
+                // Golden: byte-identical to encoding the tagged row.
+                assert_eq!(buf, tagged_row_bytes(tag, row));
+                assert_eq!(peek_tag(&buf).unwrap(), tag);
+                let (back_tag, back) = decode_tagged(&buf).unwrap();
+                assert_eq!(back_tag, tag);
+                assert_eq!(back.len(), row.len());
+                for (a, b) in back.values().iter().zip(row.values()) {
+                    assert_eq!(a.total_cmp(b), std::cmp::Ordering::Equal);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_tagged_values_are_codec_errors() {
+        let codec = |r: Result<(u8, Row)>| match r {
+            Err(e) => assert_eq!(e.subsystem(), "codec", "{e}"),
+            Ok(v) => panic!("decoded {v:?}"),
+        };
+        // No cells at all, not even the tag.
+        codec(decode_tagged(&[0]));
+        assert!(peek_tag(&[0]).is_err());
+        // A first cell that is not a Long.
+        let mut buf = Vec::new();
+        Row::from(vec![Value::Str("t".into())]).encode(&mut buf);
+        codec(decode_tagged(&buf));
+        assert!(peek_tag(&buf).is_err());
+        // A good head with a truncated body: peeking succeeds, decoding
+        // does not.
+        let mut buf = Vec::new();
+        encode_tagged(&mut buf, 1, [Value::Str("payload".into())].iter());
+        buf.truncate(buf.len() - 3);
+        assert_eq!(peek_tag(&buf).unwrap(), 1);
+        codec(decode_tagged(&buf));
+        // A cell count far beyond the bytes present.
+        codec(decode_tagged(&[0xff, 0xff, 0xff, 0x7f, 3, 0]));
+    }
+
+    #[test]
+    fn picked_cells_equal_projection_of_the_concatenated_row() {
+        let l = Row::from(vec![Value::Long(1), Value::Str("l".into())]);
+        let r = Row::from(vec![Value::Double(2.5), Value::Null]);
+        let joined = l.concat(&r);
+        let reorder: Vec<RExpr> = [3, 0, 2, 1, 0].map(RExpr::Column).to_vec();
+        let computed = vec![
+            RExpr::Column(2),
+            RExpr::Binary {
+                op: BinOp::Add,
+                left: Box::new(RExpr::Column(0)),
+                right: Box::new(RExpr::Column(2)),
+            },
+        ];
+        for project in [&reorder, &computed] {
+            for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+                let mut out = Vec::new();
+                let (lefts, rights) = (std::slice::from_ref(&l), std::slice::from_ref(&r));
+                process_join_group(kind, 2, None, project, lefts, rights, &mut out).unwrap();
+                assert_eq!(out, vec![project_row(project, &joined).unwrap()]);
+            }
+        }
+        // Out of range is the same typed error on either route.
+        let beyond = [RExpr::Column(4)];
+        let mut out = Vec::new();
+        let lefts = std::slice::from_ref(&l);
+        let err = process_join_group(JoinKind::Inner, 2, None, &beyond, lefts, &[r], &mut out)
+            .unwrap_err();
+        let want = project_row(&beyond, &joined).unwrap_err();
+        assert_eq!(err.to_string(), want.to_string());
+    }
+
+    /// The pre-hoisting group loop, kept as the oracle for
+    /// [`process_join_group`]'s allocation-free paths.
+    fn join_group_oracle(
+        kind: JoinKind,
+        right_width: usize,
+        residual: Option<&RExpr>,
+        lefts: &[Row],
+        rights: &[Row],
+    ) -> Vec<Row> {
+        let mut out = Vec::new();
+        let nulls = Row::from(vec![Value::Null; right_width]);
+        for l in lefts {
+            let mut matches = Vec::new();
+            for r in rights {
+                let joined = l.concat(r);
+                if residual.is_none_or(|e| e.eval_predicate(&joined).unwrap()) {
+                    matches.push(joined);
+                }
+            }
+            match kind {
+                JoinKind::Inner => out.extend(matches),
+                JoinKind::LeftOuter if matches.is_empty() => out.push(l.concat(&nulls)),
+                JoinKind::LeftOuter => out.extend(matches),
+                JoinKind::LeftSemi if !matches.is_empty() => out.push(l.concat(&nulls)),
+                JoinKind::LeftAnti if matches.is_empty() => out.push(l.concat(&nulls)),
+                JoinKind::LeftSemi | JoinKind::LeftAnti => {}
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_kind_matches_the_oracle_with_and_without_a_residual() {
+        let residual = RExpr::Binary {
+            op: BinOp::Lt,
+            left: Box::new(RExpr::Column(0)),
+            right: Box::new(RExpr::Column(1)),
+        };
+        let long = |v: i64| Row::from(vec![Value::Long(v)]);
+        let lefts = vec![long(5), long(1), long(20)];
+        let right_sets = [vec![], vec![long(3)], vec![long(3), long(10), long(10)]];
+        for kind in [
+            JoinKind::Inner,
+            JoinKind::LeftOuter,
+            JoinKind::LeftSemi,
+            JoinKind::LeftAnti,
+        ] {
+            for residual in [None, Some(&residual)] {
+                for rights in &right_sets {
+                    let mut got = Vec::new();
+                    process_join_group(kind, 1, residual, &identity(2), &lefts, rights, &mut got)
+                        .unwrap();
+                    let want = join_group_oracle(kind, 1, residual, &lefts, rights);
+                    assert_eq!(got, want, "{kind:?} residual={}", residual.is_some());
+                }
+            }
+        }
     }
 }

@@ -123,6 +123,15 @@ pub fn optimize_map_input(input: &mut crate::physical::MapInput) {
     if let Some(f) = &input.filter {
         input.filter = Some(fold_constants(f));
     }
+    for step in &mut input.map_joins {
+        optimize_map_input(&mut step.build);
+        if let Some(r) = &step.residual {
+            step.residual = Some(fold_constants(r));
+        }
+        for e in step.probe_keys.iter_mut().chain(&mut step.project) {
+            *e = fold_constants(e);
+        }
+    }
     for e in &mut input.key_exprs {
         *e = fold_constants(e);
     }

@@ -4,7 +4,10 @@
 //! Stage shapes follow Hive 0.13's common plans:
 //!
 //! * each **equi-join** is one MR stage (reduce-side "common join" with
-//!   tagged inputs),
+//!   tagged inputs) — unless one of its tables is recorded as no larger
+//!   than one DFS block, in which case it is a [`MapJoin`] step inside
+//!   the map pipeline of whichever stage reads the joined rows next
+//!   (Hive's `hive.auto.convert.join`; DESIGN.md §23),
 //! * **aggregation** is one MR stage (map-side partial aggregation +
 //!   reduce-side final merge),
 //! * a global **ORDER BY** is a single-reducer final stage,
@@ -50,11 +53,39 @@ pub struct MapInput {
     pub pushdown: Vec<Predicate>,
     /// Residual filter over the fetched row.
     pub filter: Option<RExpr>,
+    /// Map-side joins the filtered rows pass through, in order, before
+    /// `key_exprs` / `value_exprs` see them.
+    pub map_joins: Vec<MapJoin>,
     /// Shuffle key expressions (empty for map-only stages).
     pub key_exprs: Vec<RExpr>,
     /// Value expressions: the row shipped to the reducer (or written
     /// directly for map-only stages).
     pub value_exprs: Vec<RExpr>,
+}
+
+/// One map-side hash join: a join whose small table is hashed in memory
+/// by the stage that would otherwise only have read the other side, so
+/// it costs no stage and no shuffle of its own.
+#[derive(Debug, Clone)]
+pub struct MapJoin {
+    /// Join kind.
+    pub kind: JoinKind,
+    /// The small table, read whole: `filter`, `pushdown` and the
+    /// projection apply as for any scan, `key_exprs` is its join key and
+    /// `value_exprs` the row that gets joined.
+    pub build: MapInput,
+    /// The join key over a probe row (the input's rows as they reach
+    /// this step).
+    pub probe_keys: Vec<RExpr>,
+    /// The build table is the join's *left* table (an inner join whose
+    /// first table is the small one): joined rows are `build ++ probe`.
+    /// Otherwise they are `probe ++ build`.
+    pub build_is_left: bool,
+    /// Post-match filter over the joined row.
+    pub residual: Option<RExpr>,
+    /// Output expressions over the joined row: the rows the next step
+    /// (or the input's `key_exprs` / `value_exprs`) sees.
+    pub project: Vec<RExpr>,
 }
 
 impl MapInput {
@@ -399,7 +430,9 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
     };
 
     // ---- scan construction --------------------------------------------------
-    let scan_input = |s: usize, tag: u8, key_src: &[Expr]| -> Result<(MapInput, Layout)> {
+    // A scan of source `s`, its `key_exprs` / `value_exprs` left for the
+    // consumer to fill in against the returned layout.
+    let scan = |s: usize, tag: u8| -> Result<(MapInput, Layout)> {
         let cols = needed(s);
         let layout: Layout = cols.iter().map(|&c| (s, c)).collect();
         let read_schema = sources[s].schema.project(&cols);
@@ -408,10 +441,6 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
             Some(f) => Some(compile_on_layout(&f, sources, &layout)?),
             None => None,
         };
-        let key_exprs = key_src
-            .iter()
-            .map(|k| compile_on_layout(k, sources, &layout))
-            .collect::<Result<Vec<_>>>()?;
         Ok((
             MapInput {
                 source: InputSource::Table(sources[s].table.clone()),
@@ -420,101 +449,122 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
                 read_schema,
                 pushdown: extract_pushdown(filters, &sources[s]),
                 filter,
-                key_exprs,
-                value_exprs: Vec::new(), // filled by caller
+                map_joins: Vec::new(),
+                key_exprs: Vec::new(),
+                value_exprs: Vec::new(),
             },
             layout,
         ))
     };
+    // The rows an earlier stage wrote.
+    let stage_output = |stage: usize, read_schema: Schema| MapInput {
+        source: InputSource::Stage(stage),
+        tag: 0,
+        read_projection: None,
+        read_schema,
+        pushdown: Vec::new(),
+        filter: None,
+        map_joins: Vec::new(),
+        key_exprs: Vec::new(),
+        value_exprs: Vec::new(),
+    };
+    let compile_all = |exprs: &[Expr], layout: &Layout| -> Result<Vec<RExpr>> {
+        exprs
+            .iter()
+            .map(|e| compile_on_layout(e, sources, layout))
+            .collect()
+    };
+    let identity = |width: usize| -> Vec<RExpr> { (0..width).map(RExpr::Column).collect() };
+    // The one-block rule: a table recorded as no larger than one DFS
+    // block is hashed in memory instead of shuffled. Replicating it into
+    // every task of the other side then costs each task no more than
+    // its own split. No recorded size, no conversion.
+    let fits_one_block = |s: usize| sources[s].stored.is_some_and(|size| size.fits_one_block());
+    let output_exprs: Vec<Expr> = qb.output.iter().map(|(e, _)| e.clone()).collect();
+    let out_names = || -> Vec<String> { qb.output.iter().map(|(_, n)| n.clone()).collect() };
 
     let mut stages: Vec<StagePlan> = Vec::new();
-    // Current relation: None = base source 0 not yet materialized.
-    let mut current_layout: Layout = needed(0).into_iter().map(|c| (0, c)).collect();
-    let mut current_stage: Option<usize> = None;
+    // The running relation of the left-deep chain: `running` reads it —
+    // a scan or an earlier stage's output, then the map-side joins
+    // accumulated since — and `layout` is what its rows hold afterwards.
+    let (mut running, mut layout) = scan(0, 0)?;
+    // Has the final projection happened (rows are output rows)?
+    let mut projected = false;
 
-    // ---- join stages ----------------------------------------------------------
+    // ---- joins ----------------------------------------------------------------
     for (j, step) in qb.joins.iter().enumerate() {
         let right = j + 1;
         let left_keys: Vec<Expr> = step.keys.iter().map(|(l, _)| l.clone()).collect();
         let right_keys: Vec<Expr> = step.keys.iter().map(|(_, r)| r.clone()).collect();
 
-        // Left input.
-        let mut left_input = match current_stage {
-            None => {
-                let (mut input, layout) = scan_input(0, 0, &left_keys)?;
-                input.value_exprs = layout
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| RExpr::Column(i))
-                    .collect();
-                current_layout = layout;
-                input
-            }
-            Some(prev) => {
-                let key_exprs = left_keys
-                    .iter()
-                    .map(|k| compile_on_layout(k, sources, &current_layout))
-                    .collect::<Result<Vec<_>>>()?;
-                MapInput {
-                    source: InputSource::Stage(prev),
-                    tag: 0,
-                    read_projection: None,
-                    read_schema: layout_schema(&current_layout, sources),
-                    pushdown: Vec::new(),
-                    filter: None,
-                    key_exprs,
-                    value_exprs: (0..current_layout.len()).map(RExpr::Column).collect(),
-                }
-            }
-        };
-
         // Right input (always a base scan).
-        let (mut right_input, right_layout) = scan_input(right, 1, &right_keys)?;
-        right_input.value_exprs = (0..right_layout.len()).map(RExpr::Column).collect();
+        let (mut right_input, right_layout) = scan(right, 1)?;
+        right_input.key_exprs = compile_all(&right_keys, &right_layout)?;
+        right_input.value_exprs = identity(right_layout.len());
+
+        // Hash the right table when it is the small one; the left one
+        // only where swapping sides is free: an inner join whose left
+        // side is still the bare scan of source 0.
+        let build_right = fits_one_block(right);
+        let build_left =
+            !build_right && j == 0 && step.kind == JoinKind::Inner && fits_one_block(0);
+        let map_side = build_right || build_left;
 
         // Decide the output of this join.
         let later: BTreeSet<(usize, usize)> = needed_after(j);
-        let concat_layout: Layout = match step.kind {
-            JoinKind::LeftSemi | JoinKind::LeftAnti => current_layout.clone(),
-            _ => {
-                let mut l = current_layout.clone();
-                l.extend(right_layout.iter().copied());
-                l
-            }
-        };
-        // Residual over the concatenated row (semi joins still see the
-        // right side for residual evaluation via an extended layout).
-        let residual_layout: Layout = {
-            let mut l = current_layout.clone();
-            l.extend(right_layout.iter().copied());
-            l
-        };
         let mut residual_exprs = step.residual.clone();
         for (hi, f) in &qb.residual_filters {
             if hi.saturating_sub(1).min(n_joins.saturating_sub(1)) == j && *hi == right {
                 residual_exprs.push(f.clone());
             }
         }
+        // The two sides as they enter the joined row. A shuffled side
+        // ships its whole layout; a hashed side keeps, per build row,
+        // only the columns the residual or a later operator reads.
+        let mut carried = later.clone();
+        for e in &residual_exprs {
+            carried.extend(uses(e, sources)?);
+        }
+        let carried_of = |side: &Layout| -> Layout {
+            let cols = side.iter().copied();
+            cols.filter(|sc| carried.contains(sc)).collect()
+        };
+        let positions_in = |cols: &Layout, side: &Layout| -> Vec<RExpr> {
+            let position = |sc| side.iter().position(|x| x == sc);
+            cols.iter()
+                .filter_map(position)
+                .map(RExpr::Column)
+                .collect()
+        };
+        let (left_cols, right_cols) = match (build_left, build_right) {
+            (true, _) => (carried_of(&layout), right_layout.clone()),
+            (_, true) => (layout.clone(), carried_of(&right_layout)),
+            _ => (layout.clone(), right_layout.clone()),
+        };
+        // Residual over the concatenated row (semi joins still see the
+        // right side for residual evaluation via an extended layout).
+        let residual_layout: Layout = left_cols.iter().chain(&right_cols).copied().collect();
+        let concat_layout: Layout = match step.kind {
+            JoinKind::LeftSemi | JoinKind::LeftAnti => left_cols.clone(),
+            _ => residual_layout.clone(),
+        };
         let residual = match Expr::conjoin(residual_exprs) {
             Some(r) => Some(compile_on_layout(&r, sources, &residual_layout)?),
             None => None,
         };
 
-        let is_final_join = j + 1 == n_joins && !qb.is_aggregated();
+        // A shuffle join that ends an unaggregated query folds the final
+        // projection into its reducer; a map-side one leaves it to the
+        // stage its rows end up in.
+        let is_final_join = j + 1 == n_joins && !qb.is_aggregated() && !map_side;
         let (project, out_layout, out_names, out_types): (
             Vec<RExpr>,
             Layout,
             Vec<String>,
             Vec<DataType>,
         ) = if is_final_join {
-            // Final projection folded into the last join's reducer.
-            let project = qb
-                .output
-                .iter()
-                .map(|(e, _)| compile_on_layout(e, sources, &concat_layout))
-                .collect::<Result<Vec<_>>>()?;
-            let names = qb.output.iter().map(|(_, n)| n.clone()).collect();
-            (project, Vec::new(), names, infer_output_types(qb))
+            let project = compile_all(&output_exprs, &concat_layout)?;
+            (project, Vec::new(), out_names(), infer_output_types(qb))
         } else {
             // Pruned identity: keep only columns needed later.
             let kept: Layout = concat_layout
@@ -522,17 +572,7 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
                 .copied()
                 .filter(|sc| later.contains(sc))
                 .collect();
-            let project = kept
-                .iter()
-                .map(|sc| {
-                    RExpr::Column(
-                        concat_layout
-                            .iter()
-                            .position(|x| x == sc)
-                            .expect("kept col present in concat layout"),
-                    )
-                })
-                .collect();
+            let project = positions_in(&kept, &concat_layout);
             let names = kept
                 .iter()
                 .map(|&(s, c)| sources[s].schema.field(c).name.clone())
@@ -544,6 +584,36 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
             (project, kept, names, types)
         };
 
+        if map_side {
+            let (build, probe_keys) = if build_left {
+                // Source 0's scan becomes the build side and source 1's
+                // the rows that probe it.
+                let probe_keys = std::mem::take(&mut right_input.key_exprs);
+                right_input.value_exprs = Vec::new();
+                right_input.tag = 0;
+                let mut build = std::mem::replace(&mut running, right_input);
+                build.key_exprs = compile_all(&left_keys, &layout)?;
+                build.value_exprs = positions_in(&left_cols, &layout);
+                (build, probe_keys)
+            } else {
+                right_input.value_exprs = positions_in(&right_cols, &right_layout);
+                (right_input, compile_all(&left_keys, &layout)?)
+            };
+            running.map_joins.push(MapJoin {
+                kind: step.kind,
+                build,
+                probe_keys,
+                build_is_left: build_left,
+                residual,
+                project,
+            });
+            layout = out_layout;
+            continue;
+        }
+
+        let mut left_input = running;
+        left_input.key_exprs = compile_all(&left_keys, &layout)?;
+        left_input.value_exprs = identity(layout.len());
         let stage_id = stages.len();
         let output = if is_final_join && qb.order_by.is_empty() {
             sink.clone()
@@ -552,50 +622,37 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
         };
         stages.push(StagePlan {
             id: stage_id,
-            inputs: vec![left_input.clone(), right_input],
             kind: StageKind::Join {
                 kind: step.kind,
-                left_width: left_input.value_exprs.len(),
+                left_width: layout.len(),
                 right_width: right_layout.len(),
                 residual,
                 project,
             },
+            inputs: vec![left_input, right_input],
             output,
             out_names,
             out_types,
             is_last: false,
         });
-        let _ = &mut left_input;
-        current_layout = out_layout;
-        current_stage = Some(stage_id);
+        projected = is_final_join;
+        running = stage_output(
+            stage_id,
+            if projected {
+                output_schema(qb)
+            } else {
+                layout_schema(&out_layout, sources)
+            },
+        );
+        layout = out_layout;
     }
 
     // ---- aggregation stage -------------------------------------------------
-    let mut projected = false; // has the final projection happened?
     if qb.is_aggregated() {
-        let input = match current_stage {
-            None => {
-                let (mut input, layout) = scan_input(0, 0, &qb.group_by.clone())?;
-                current_layout = layout;
-                // Values = aggregate inputs.
-                input.value_exprs = agg_value_exprs(qb, sources, &current_layout)?;
-                input
-            }
-            Some(prev) => MapInput {
-                source: InputSource::Stage(prev),
-                tag: 0,
-                read_projection: None,
-                read_schema: layout_schema(&current_layout, sources),
-                pushdown: Vec::new(),
-                filter: None,
-                key_exprs: qb
-                    .group_by
-                    .iter()
-                    .map(|g| compile_on_layout(g, sources, &current_layout))
-                    .collect::<Result<Vec<_>>>()?,
-                value_exprs: agg_value_exprs(qb, sources, &current_layout)?,
-            },
-        };
+        let mut input = running;
+        input.key_exprs = compile_all(&qb.group_by, &layout)?;
+        // Values = aggregate inputs.
+        input.value_exprs = agg_value_exprs(qb, sources, &layout)?;
         // Output exprs over the [keys…, results…] virtual layout.
         let num_keys = qb.group_by.len();
         let agg_resolver = |q: Option<&str>, n: &str| -> Option<usize> {
@@ -641,85 +698,59 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
             } else {
                 StageOutput::Intermediate
             },
-            out_names: qb.output.iter().map(|(_, n)| n.clone()).collect(),
+            out_names: out_names(),
             out_types: infer_output_types(qb),
             is_last: false,
         });
-        current_stage = Some(stage_id);
         projected = true;
-    } else if n_joins > 0 {
-        projected = true; // folded into the last join
+        running = stage_output(stage_id, output_schema(qb));
     }
 
-    // ---- map-only final projection (no joins, no aggregation) -----------------
+    // ---- map-only final projection (nothing above projected) ------------------
     if !projected && qb.order_by.is_empty() {
-        let (mut input, layout) = scan_input(0, 0, &[])?;
-        input.value_exprs = qb
-            .output
-            .iter()
-            .map(|(e, _)| compile_on_layout(e, sources, &layout))
-            .collect::<Result<Vec<_>>>()?;
-        let stage_id = stages.len();
+        let mut input = running.clone();
+        input.value_exprs = compile_all(&output_exprs, &layout)?;
         stages.push(StagePlan {
-            id: stage_id,
+            id: stages.len(),
             inputs: vec![input],
             kind: StageKind::MapOnly,
             output: sink.clone(),
-            out_names: qb.output.iter().map(|(_, n)| n.clone()).collect(),
+            out_names: out_names(),
             out_types: infer_output_types(qb),
             is_last: false,
         });
-        current_stage = Some(stage_id);
-        projected = true;
     }
 
     // ---- sort stage -----------------------------------------------------------
     if !qb.order_by.is_empty() {
-        let out_width = qb.output.len();
-        let input = match (current_stage, projected) {
-            (Some(prev), true) => MapInput {
-                source: InputSource::Stage(prev),
-                tag: 0,
-                read_projection: None,
-                read_schema: output_schema(qb),
-                pushdown: Vec::new(),
-                filter: None,
-                key_exprs: qb.order_by.iter().map(|&(i, _)| RExpr::Column(i)).collect(),
-                value_exprs: (0..out_width).map(RExpr::Column).collect(),
-            },
-            _ => {
-                // No prior stage: scan + project + sort in one job.
-                let (mut input, layout) = scan_input(0, 0, &[])?;
-                input.value_exprs = qb
-                    .output
-                    .iter()
-                    .map(|(e, _)| compile_on_layout(e, sources, &layout))
-                    .collect::<Result<Vec<_>>>()?;
-                // Sort keys over the *projected* value row.
-                input.key_exprs = qb
-                    .order_by
-                    .iter()
-                    .map(|&(i, _)| input.value_exprs[i].clone())
-                    .collect();
-                input
-            }
-        };
-        let stage_id = stages.len();
+        let mut input = running;
+        if projected {
+            input.key_exprs = qb.order_by.iter().map(|&(i, _)| RExpr::Column(i)).collect();
+            input.value_exprs = identity(qb.output.len());
+        } else {
+            // Nothing projected yet: project + sort in one job, the sort
+            // keys over the *projected* value row.
+            input.value_exprs = compile_all(&output_exprs, &layout)?;
+            input.key_exprs = qb
+                .order_by
+                .iter()
+                .map(|&(i, _)| input.value_exprs[i].clone())
+                .collect();
+        }
         stages.push(StagePlan {
-            id: stage_id,
+            id: stages.len(),
             inputs: vec![input],
             kind: StageKind::Sort {
                 ascending: qb.order_by.iter().map(|&(_, asc)| asc).collect(),
                 limit: qb.limit,
             },
             output: sink.clone(),
-            out_names: qb.output.iter().map(|(_, n)| n.clone()).collect(),
+            out_names: out_names(),
             out_types: infer_output_types(qb),
             is_last: false,
         });
-    } else if qb.limit.is_some() {
-        // LIMIT without ORDER BY: honoured by the driver when collecting.
     }
+    // LIMIT without ORDER BY is honoured by the driver when collecting.
 
     if stages.is_empty() {
         return Err(HdmError::Plan("query produced no stages".into()));

@@ -63,13 +63,24 @@ fn enabled_run_emits_loadable_trace_and_summary() {
     // must both be present.
     assert!(trace.contains("\"o-task\""), "missing O task span");
     assert!(trace.contains("\"a-task\""), "missing A task span");
-    assert!(trace.contains("\"join\""), "missing driver stage span");
+    // `customer` fits one DFS block, so its join runs inside the
+    // aggregate stage's map pipeline: no join stage, and the summary
+    // says which path ran.
+    assert!(trace.contains("\"aggregate\""), "missing driver stage span");
+    assert!(!trace.contains("\"join\""), "the join took a stage");
 
     let summary = std::fs::read_to_string(format!("{trace_str}.summary.txt")).unwrap();
     assert!(
         summary.contains("spl.flushes"),
         "summary lacks SPL counters"
     );
+    for counter in [
+        "join.map.steps",
+        "join.map.build.rows",
+        "join.map.probe.rows",
+    ] {
+        assert!(summary.contains(counter), "summary lacks {counter}");
+    }
 
     std::fs::remove_file(&trace_path).ok();
     std::fs::remove_file(format!("{trace_str}.summary.txt")).ok();

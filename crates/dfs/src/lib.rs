@@ -361,6 +361,13 @@ impl Dfs {
         self.inner.read().list(prefix)
     }
 
+    /// Total length of the closed files whose path starts with `prefix`
+    /// (HDFS's content summary of a directory): one pass under one lock,
+    /// no path or block list copied.
+    pub fn bytes_under(&self, prefix: &str) -> u64 {
+        self.inner.read().bytes_under(prefix)
+    }
+
     /// Delete a file; deleting a missing file is not an error (mirrors
     /// `fs -rm -f`). Returns whether something was removed.
     pub fn delete(&self, path: &str) -> bool {
@@ -635,6 +642,24 @@ mod tests {
         assert!(dfs.exists("/t/z"));
         assert!(dfs.rename("/missing", "/nope").is_err());
         assert!(!dfs.delete("/missing"));
+    }
+
+    #[test]
+    fn bytes_under_sums_closed_files_of_a_prefix() {
+        let dfs = small_fs();
+        for (p, n) in [("/t/x/1", 5), ("/t/x/2", 70), ("/t/xy", 9), ("/t/y/1", 3)] {
+            let mut w = dfs.create(p, NodeId(0)).unwrap();
+            w.write(&vec![7u8; n]).unwrap();
+            w.close().unwrap();
+        }
+        // An open file is not there yet, as for `list`.
+        let mut open = dfs.create("/t/x/3", NodeId(0)).unwrap();
+        open.write(&[1u8; 11]).unwrap();
+        assert_eq!(dfs.bytes_under("/t/x/"), 75);
+        assert_eq!(dfs.bytes_under("/t/"), 87);
+        assert_eq!(dfs.bytes_under("/nope/"), 0);
+        open.close().unwrap();
+        assert_eq!(dfs.bytes_under("/t/x/"), 86);
     }
 
     #[test]

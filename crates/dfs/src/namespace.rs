@@ -81,6 +81,15 @@ impl Namespace {
             .collect()
     }
 
+    /// Total length of the closed files under `prefix`.
+    pub fn bytes_under(&self, prefix: &str) -> u64 {
+        self.files
+            .range(prefix.to_string()..)
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .map(|(_, f)| f.len)
+            .sum()
+    }
+
     pub fn total_bytes(&self) -> u64 {
         self.files.values().map(|f| f.len).sum()
     }

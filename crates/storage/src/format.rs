@@ -222,11 +222,7 @@ impl TableStorage {
     /// # Errors
     /// Propagates DFS failures.
     pub fn table_bytes(&self, dfs: &Dfs, table: &str) -> Result<u64> {
-        let mut total = 0;
-        for p in self.parts(dfs, table) {
-            total += dfs.len(&p)?;
-        }
-        Ok(total)
+        Ok(dfs.bytes_under(&self.table_dir(table)))
     }
 
     /// Delete all part files of a table (used by `INSERT OVERWRITE` and

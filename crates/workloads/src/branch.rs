@@ -95,6 +95,7 @@ fn branch_stage(id: usize, table: &str, value_name: &str) -> StagePlan {
             ]),
             pushdown: Vec::new(),
             filter: Some(filter),
+            map_joins: Vec::new(),
             key_exprs: Vec::new(),
             value_exprs: vec![RExpr::Column(0), RExpr::Column(1)],
         }],
@@ -118,6 +119,7 @@ fn join_input(stage: usize, tag: u8, value_name: &str) -> MapInput {
         ]),
         pushdown: Vec::new(),
         filter: None,
+        map_joins: Vec::new(),
         key_exprs: vec![RExpr::Column(0)],
         value_exprs: vec![RExpr::Column(0), RExpr::Column(1)],
     }
@@ -191,6 +193,7 @@ fn chain_aggregate(id: usize) -> StagePlan {
             read_schema: kv_schema("v"),
             pushdown: Vec::new(),
             filter: None,
+            map_joins: Vec::new(),
             key_exprs: vec![RExpr::Column(0)],
             value_exprs: vec![RExpr::Column(1)],
         }],
@@ -241,6 +244,7 @@ pub fn deep_chain_plan(aggregates: usize) -> QueryPlan {
             read_schema: kv_schema("v"),
             pushdown: Vec::new(),
             filter: None,
+            map_joins: Vec::new(),
             key_exprs: Vec::new(),
             value_exprs: vec![RExpr::Column(0), RExpr::Column(1)],
         }],
@@ -262,6 +266,7 @@ pub fn deep_chain_plan(aggregates: usize) -> QueryPlan {
             read_schema: kv_schema("v"),
             pushdown: Vec::new(),
             filter: None,
+            map_joins: Vec::new(),
             key_exprs: vec![RExpr::Column(0)],
             value_exprs: vec![RExpr::Column(0), RExpr::Column(1)],
         }],

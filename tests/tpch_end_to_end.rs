@@ -136,8 +136,11 @@ fn stacked_features_still_agree() {
 }
 
 /// Q21 over a dataset in which no SAUDI ARABIA supplier qualifies: a
-/// seven-stage plan whose streamed stages (DataMPI, default conf) end in
-/// empty partitions. Both engines must return the same columns and no
+/// plan whose streamed stages (DataMPI, default conf) end in empty
+/// partitions. Three stages — `lineitem ⋈ orders`, aggregate, sort:
+/// `supplier`, `nation` and the two CTAS temp tables each fit one DFS
+/// block, so their four joins (once a stage each, seven in all) run
+/// inside the aggregate's map pipeline. Both engines must return the same columns and no
 /// rows. Seed 105 at SF 0.01 is such a dataset; the end-to-end
 /// benchmark's seed list reaches it.
 #[test]
@@ -150,8 +153,8 @@ fn q21_with_an_empty_result_agrees_across_engines() {
     };
     let hadoop = run(&mut d, EngineKind::Hadoop);
     let datampi = run(&mut d, EngineKind::DataMpi);
-    assert_eq!(hadoop.stages.len(), 7);
-    assert_eq!(datampi.stages.len(), 7);
+    assert_eq!(hadoop.stages.len(), 3);
+    assert_eq!(datampi.stages.len(), 3);
     assert!(!hadoop.columns.is_empty());
     assert_eq!(hadoop.columns, datampi.columns);
     assert!(hadoop.rows.is_empty(), "{:?}", hadoop.rows);
