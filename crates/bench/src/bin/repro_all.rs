@@ -17,7 +17,9 @@
 //! `--only q<N>` (e.g. `--only q9`) switches to the parallel-scheduler
 //! smoke: query N runs on both engines with
 //! `hive.exec.parallel.thread.number` 1 and 8, and the collected rows
-//! must be byte-identical. Mixing
+//! must be byte-identical. The DataMPI runs also print, per stage, the
+//! messages the wire carried by kind (DATA / COMMIT / DONE), so a return
+//! of an O×A end-of-stream storm shows. Mixing
 //! `q<N>` selectors with experiment substrings is an error.
 //!
 //! `--faults <seed> --cancel` switches the chaos smoke to the
@@ -135,6 +137,7 @@ fn parallel_smoke(queries: &[usize], log: &mut RunLog) -> usize {
         for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
             let run = |d: &mut Driver, threads: usize, pipelined: bool| {
                 let c = d.conf_mut();
+                c.set(hdm_common::conf::KEY_OBS_ENABLED, true);
                 c.set(hdm_common::conf::KEY_EXEC_PARALLEL_THREADS, threads);
                 c.set(hdm_common::conf::KEY_EXEC_PIPELINED, pipelined);
                 d.execute_on(tpch::queries::query(n), engine)
@@ -158,6 +161,9 @@ fn parallel_smoke(queries: &[usize], log: &mut RunLog) -> usize {
                              ({} rows, {stages} stages in the final statement)",
                             seq.len()
                         ));
+                        if engine == EngineKind::DataMpi {
+                            print_wire(&d, log);
+                        }
                     }
                 }
                 (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
@@ -168,6 +174,31 @@ fn parallel_smoke(queries: &[usize], log: &mut RunLog) -> usize {
         }
     }
     failures
+}
+
+/// Print the messages the DataMPI wire carried in each stage of the
+/// driver's last statement, by kind (`mpi.messages.*{stage=N}`).
+fn print_wire(d: &Driver, log: &mut RunLog) {
+    let Some(snap) = d.last_obs_snapshot() else {
+        return;
+    };
+    let mut stages: std::collections::BTreeMap<String, [u64; 3]> = Default::default();
+    for (name, labels, value) in &snap.counters {
+        let kind = match name.as_str() {
+            "mpi.messages.data" => 0,
+            "mpi.messages.commit" => 1,
+            "mpi.messages.done" => 2,
+            _ => continue,
+        };
+        if let Some(slot) = stages.entry(labels.clone()).or_default().get_mut(kind) {
+            *slot += value;
+        }
+    }
+    for (stage, [data, commit, done]) in stages {
+        log.say(&format!(
+            "    {stage}: {data} DATA + {commit} COMMIT + {done} DONE messages"
+        ));
+    }
 }
 
 /// Chaos smoke: every TPC-H query under every given fault seed must

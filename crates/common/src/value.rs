@@ -109,10 +109,7 @@ impl Value {
 
     /// Parse an ISO `YYYY-MM-DD` date string into a [`Value::Date`].
     pub fn parse_date(s: &str) -> Option<Value> {
-        let mut it = s.trim().splitn(3, '-');
-        let y: i32 = it.next()?.parse().ok()?;
-        let m: u32 = it.next()?.parse().ok()?;
-        let d: u32 = it.next()?.parse().ok()?;
+        let (y, m, d) = fixed_ymd(s.as_bytes()).or_else(|| general_ymd(s))?;
         if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
             return None;
         }
@@ -264,6 +261,31 @@ impl Value {
             Value::Str(s) => 2 + s.len(),
         }
     }
+}
+
+/// The fields of a date spelled exactly `YYYY-MM-DD` in ASCII digits —
+/// the spelling every stored date has — read without splitting; `None`
+/// for any other spelling. Where it answers, it answers as
+/// [`general_ymd`] does.
+fn fixed_ymd(b: &[u8]) -> Option<(i32, u32, u32)> {
+    let &[y0, y1, y2, y3, b'-', m0, m1, b'-', d0, d1] = b else {
+        return None;
+    };
+    let digit = |c: u8| c.is_ascii_digit().then(|| u32::from(c - b'0'));
+    let year = ((digit(y0)? * 10 + digit(y1)?) * 10 + digit(y2)?) * 10 + digit(y3)?;
+    let month = digit(m0)? * 10 + digit(m1)?;
+    let day = digit(d0)? * 10 + digit(d1)?;
+    Some((year as i32, month, day))
+}
+
+/// The fields of any `Y-M-D` spelling: surrounding whitespace, signs,
+/// other widths.
+fn general_ymd(s: &str) -> Option<(i32, u32, u32)> {
+    let mut it = s.trim().splitn(3, '-');
+    let y = it.next()?.parse().ok()?;
+    let m = it.next()?.parse().ok()?;
+    let d = it.next()?.parse().ok()?;
+    Some((y, m, d))
 }
 
 /// Coerce a comparison pair: strings compared against dates parse as
@@ -424,6 +446,37 @@ mod tests {
     }
 
     #[test]
+    fn fixed_width_dates_skip_the_general_parser_and_agree_with_it() {
+        assert_eq!(fixed_ymd(b"1995-03-15"), Some((1995, 3, 15)));
+        assert_eq!(fixed_ymd(b"0000-00-00"), Some((0, 0, 0)));
+        // Every spelling the Text reader tests feed a date column.
+        for s in [
+            "1995-03-01",
+            " 1995-02-28",
+            "1995-13-01",
+            "1995-3-1",
+            "+1995-03-01",
+            "01995-03-01",
+            "1995-03-01 ",
+            "1995/03/01",
+            "-1995-03-01",
+            "",
+            "abc",
+            "\u{e9}t\u{e9}",
+        ] {
+            let fixed = fixed_ymd(s.as_bytes());
+            assert!(fixed.is_none() || fixed == general_ymd(s), "{s:?}");
+        }
+        assert_eq!(fixed_ymd(b" 1995-02-2"), None);
+        assert_eq!(
+            Value::parse_date(" 1995-02-28"),
+            Some(Value::date_from_ymd(1995, 2, 28))
+        );
+        assert_eq!(Value::parse_date("1995-13-01"), None);
+        assert_eq!(Value::parse_date("1995-02-00"), None);
+    }
+
+    #[test]
     fn null_sorts_first() {
         assert!(Value::Null < Value::Long(i64::MIN));
         assert!(Value::Null < Value::Str(String::new()));
@@ -507,5 +560,36 @@ mod tests {
     fn wire_size_tracks_string_length() {
         assert_eq!(Value::Str("abcd".into()).wire_size(), 6);
         assert!(Value::Long(1).wire_size() < Value::Str("longer-string".into()).wire_size());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Where the fixed-width reader answers, it answers as the general
+        /// parser does: random 10-character strings, most of them in the
+        /// `YYYY-MM-DD` shape, some with a character or two replaced.
+        #[test]
+        fn fixed_width_dates_read_as_the_general_parser(
+            digits in proptest::collection::vec(0u8..10, 10..11),
+            replaced in proptest::collection::vec((0usize..10, 0usize..6), 0..3),
+        ) {
+            const OTHER: [u8; 6] = [b'-', b' ', b'+', b'a', b'0', b'9'];
+            let mut bytes: Vec<u8> = digits.iter().map(|d| b'0' + d).collect();
+            bytes[4] = b'-';
+            bytes[7] = b'-';
+            for &(at, with) in &replaced {
+                bytes[at] = OTHER[with];
+            }
+            let s = String::from_utf8(bytes).unwrap();
+            let fixed = fixed_ymd(s.as_bytes());
+            prop_assert!(fixed.is_some() || !replaced.is_empty(), "{:?}", s);
+            if fixed.is_some() {
+                prop_assert_eq!(fixed, general_ymd(&s), "{:?}", s);
+            }
+        }
     }
 }

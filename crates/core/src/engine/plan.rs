@@ -229,7 +229,10 @@ pub(super) fn reducer_count(
 ) -> usize {
     match (kind, parallelism) {
         (StageKind::MapOnly, _) => 0,
-        (StageKind::Sort { .. }, _) => 1,
+        // Hive's rule: a total order, and an aggregation with no GROUP
+        // BY (its one group hashes to one partition anyway), take a
+        // single reducer.
+        (StageKind::Sort { .. } | StageKind::Aggregate { num_keys: 0, .. }, _) => 1,
         // Section IV-D: one A task per executing slot of the cluster
         // (the paper's Q9 example raises 16 A tasks to 28) — at the
         // paper's scale #O is in the hundreds, so "#A = #O, capped by
@@ -257,8 +260,12 @@ mod tests {
     use crate::stream::StreamedIntermediate;
 
     fn aggregate() -> StageKind {
+        keyed_aggregate(1)
+    }
+
+    fn keyed_aggregate(num_keys: usize) -> StageKind {
         StageKind::Aggregate {
-            num_keys: 1,
+            num_keys,
             aggs: Vec::new(),
             having: None,
             project: Vec::new(),
@@ -289,6 +296,8 @@ mod tests {
             (aggregate(), true, Default, 3 * PER + 1, 28, 4),
             (aggregate(), false, Default, 1000 * PER, 28, 16),
             (aggregate(), false, Default, 1000 * PER, 8, 8),
+            (keyed_aggregate(0), false, Default, 1000 * PER, 28, 1),
+            (keyed_aggregate(0), false, Enhanced, 1000 * PER, 28, 1),
         ];
         for (kind, is_last, parallelism, bytes, slots, want) in cases {
             assert_eq!(

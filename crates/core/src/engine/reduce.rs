@@ -17,6 +17,11 @@ pub(super) trait GroupSource {
     /// Which recovery attempt of this reduce/A task is running (0 for
     /// the first).
     fn attempt(&self) -> u32;
+
+    /// The messages the task took off the DataMPI wire, by kind.
+    fn wire(&self) -> Option<hdm_datampi::WireCounts> {
+        None
+    }
 }
 
 impl GroupSource for hdm_mapred::ReduceContext {
@@ -36,6 +41,10 @@ impl GroupSource for hdm_datampi::AContext {
 
     fn attempt(&self) -> u32 {
         hdm_datampi::AContext::attempt(self)
+    }
+
+    fn wire(&self) -> Option<hdm_datampi::WireCounts> {
+        Some(hdm_datampi::AContext::wire(self))
     }
 }
 
@@ -154,7 +163,18 @@ impl StagePipeline {
             counter("join.reduce.groups.skipped").add(groups_skipped);
             counter("join.reduce.rows.undecoded").add(rows_undecoded);
         }
-        self.sink.commit(rank, groups.attempt(), rows_out)
+        self.sink.commit(rank, groups.attempt(), rows_out)?;
+        // Counted once per A rank, by the attempt whose output committed.
+        if self.obs.is_enabled() {
+            if let Some(wire) = groups.wire() {
+                let counter = |kind| self.obs.counter(kind, &self.stage_label);
+                counter("mpi.messages.data").add(wire.data);
+                counter("mpi.messages.commit").add(wire.commit);
+                counter("mpi.messages.done").add(wire.done);
+                counter("mpi.messages.abort").add(wire.abort);
+            }
+        }
+        Ok(())
     }
 }
 

@@ -81,6 +81,19 @@ fn enabled_run_emits_loadable_trace_and_summary() {
     ] {
         assert!(summary.contains(counter), "summary lacks {counter}");
     }
+    // What the DataMPI wire carried, per stage and by kind: every A rank
+    // of a stage got exactly one DONE.
+    for kind in ["data", "commit", "done"] {
+        let counter = format!("mpi.messages.{kind}{{stage=");
+        assert!(summary.contains(&counter), "summary lacks {counter}");
+    }
+    let done: u64 = summary
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("mpi.messages.done{stage="))
+        .filter_map(|l| l.split(" = ").nth(1)?.parse::<u64>().ok())
+        .sum();
+    let a_tasks: usize = result.stages.iter().map(|s| s.reduce_tasks).sum();
+    assert_eq!(done, a_tasks as u64, "one DONE per A rank");
 
     std::fs::remove_file(&trace_path).ok();
     std::fs::remove_file(format!("{trace_str}.summary.txt")).ok();

@@ -3,11 +3,11 @@
 
 use crate::buffer::SendPartitionList;
 use crate::receiver::{run_receiver, KeyGroups};
-use crate::report::{ATaskStats, JobReport, OTaskStats};
-use crate::shuffle::{run_sender, SendCmd, SenderStats};
+use crate::report::{ATaskStats, JobReport, OTaskStats, WireCounts};
+use crate::shuffle::{run_sender, Completion, SendCmd, SenderStats};
 use crate::DataMpiConfig;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use hdm_common::error::{HdmError, Result};
 use hdm_common::kv::{ComparatorRef, KvPair};
 use hdm_common::partition::PartitionerRef;
@@ -142,6 +142,7 @@ impl OContext<'_> {
 pub struct AContext {
     rank: usize,
     attempt: u32,
+    wire: WireCounts,
     groups: std::vec::IntoIter<(Bytes, Vec<Bytes>)>,
 }
 
@@ -162,6 +163,12 @@ impl AContext {
     /// Which recovery attempt is running (0 for the first execution).
     pub fn attempt(&self) -> u32 {
         self.attempt
+    }
+
+    /// The messages this rank took off the wire before its groups were
+    /// merged, by kind.
+    pub fn wire(&self) -> WireCounts {
+        self.wire
     }
 
     /// Next `(key, values)` group in comparator order, or `None` at end —
@@ -203,8 +210,9 @@ pub type AFn<RA> = Arc<dyn Fn(usize, &mut AContext) -> Result<RA> + Send + Sync>
 ///
 /// # Errors
 /// Returns the first task error in rank order, O before A (a panic in
-/// `o_fn` counts as one); the job still drains cleanly (EOFs are sent
-/// even when an O function fails, so A tasks terminate).
+/// `o_fn` counts as one); the job still drains cleanly: every O task
+/// ends on the wire however it fails, and the last one to end sends the
+/// A ranks their `DONE`, so A tasks terminate.
 pub fn run_bipartite<RO, RA>(
     config: &DataMpiConfig,
     comparator: ComparatorRef,
@@ -249,6 +257,7 @@ where
         o_fn: &o_fn,
         job_start,
         ranks: Mutex::new(o_eps.into_iter()),
+        completion: Completion::new(o, o, config.a_tasks),
     };
     let (mut o_done, a_done) = std::thread::scope(|scope| {
         let a_ranks: Vec<_> = a_eps
@@ -304,6 +313,8 @@ struct OJob<'a, RO> {
     job_start: Instant,
     /// The O ranks no slot has pulled yet, in rank order.
     ranks: Mutex<std::vec::IntoIter<Endpoint>>,
+    /// End-of-stream bookkeeping every O task reports to.
+    completion: Completion,
 }
 
 /// What a slot owns for the life of the job, where a thread per rank set
@@ -331,21 +342,24 @@ fn run_o_slot<'scope, RO: Send>(
     scope.spawn(move || {
         // hdm-allow(unbounded-blocking): in-process hand-off; the compute thread drops the sender once the ranks run out
         while let Ok((mut ep, queue)) = task_rx.recv() {
-            let res = run_sender(
-                config.shuffle_style,
-                &mut ep,
-                queue,
-                config.o_tasks,
-                config.a_tasks,
-                job.job_start,
-                Some(recycle_tx.clone()),
-                &config.obs,
-            );
-            if res.is_err() {
-                // Peers blocked on this rank fail fast instead of waiting
-                // out their receive deadline.
-                ep.poison();
-            }
+            let rank = ep.rank();
+            let engine = std::panic::AssertUnwindSafe(|| {
+                run_sender(
+                    config.shuffle_style,
+                    &mut ep,
+                    queue,
+                    &job.completion,
+                    job.job_start,
+                    Some(recycle_tx.clone()),
+                    &config.obs,
+                )
+            });
+            let sent = std::panic::catch_unwind(engine).unwrap_or_else(|_| {
+                Err(HdmError::DataMpi(format!(
+                    "O{rank}: shuffle engine panicked"
+                )))
+            });
+            let res = end_task(&mut ep, &job.completion, sent);
             if sent_tx.send(res).is_err() {
                 return;
             }
@@ -366,6 +380,22 @@ fn run_o_slot<'scope, RO: Send>(
     }
 }
 
+/// Every O task leaves the wire here, however it went: a failed task
+/// poisons its endpoint (peers waiting on it fail fast instead of
+/// waiting out their receive deadline), and it still counts as ended,
+/// so the task that ends last sends the A ranks their `DONE`.
+fn end_task<T>(ep: &mut Endpoint, completion: &Completion, outcome: Result<T>) -> Result<T> {
+    if outcome.is_err() {
+        ep.poison();
+    }
+    let ended = completion.task_ended(ep);
+    if ended.is_err() {
+        ep.poison();
+    }
+    let value = outcome?;
+    ended.map(|()| value)
+}
+
 fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<(OTaskStats, RO)> {
     let task_start = Instant::now();
     let config = job.config;
@@ -377,8 +407,9 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
     // The send block queue is the task's own: an engine that dies drops
     // the receiving end, and the next `send` sees it at once.
     let (tx, rx) = bounded(config.send_queue_len.max(1));
-    if slot.task_tx.send((ep, rx)).is_err() {
-        return Err(HdmError::DataMpi(format!("O{rank}: comm thread gone")));
+    if let Err(SendError((mut ep, _))) = slot.task_tx.send((ep, rx)) {
+        let gone = Err(HdmError::DataMpi(format!("O{rank}: comm thread gone")));
+        return end_task(&mut ep, &job.completion, gone);
     }
 
     let faults = &config.faults;
@@ -416,8 +447,8 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
             ctx.stats = OTaskStats::new(rank);
             ctx.crash_countdown = faults.crash_after(Site::OTask, rank, attempt);
             // A panicking O function must not take its slot down: the
-            // ranks the slot would have pulled next would never send
-            // their EOFs.
+            // ranks the slot would have pulled next would never end, and
+            // the A ranks would never get their DONE.
             let run = std::panic::AssertUnwindSafe(|| (job.o_fn)(rank, &mut ctx));
             std::panic::catch_unwind(run).unwrap_or_else(|_| {
                 Err(HdmError::DataMpi(format!(
@@ -426,10 +457,10 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
             })
         },
     );
-    // Final outcome. On success (or with fault tolerance off, where
-    // today's contract is "flush even on error so A sees our EOF"), flush
-    // buffered partitions; an exhausted failed task instead aborts so A
-    // tasks drop the partial attempt rather than aggregate half a split.
+    // Final outcome. On success (or with fault tolerance off, where the
+    // contract is "flush and commit even on error"), flush buffered
+    // partitions; an exhausted failed task instead aborts so A tasks drop
+    // the partial attempt rather than aggregate half a split.
     let flush = if user.is_ok() || !faults.is_enabled() {
         ctx.flush()
     } else {
@@ -444,7 +475,7 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
     let mut stats = ctx.stats;
     if tx.send(SendCmd::Finish).is_err() {
         // Engine hung up before Finish: its result below carries the
-        // real error; the counter keeps the lost EOF visible in obs.
+        // real error; the counter keeps the lost commit visible in obs.
         obs.counter("spl.finish.drops", &label).add(1);
     }
     // hdm-allow(unbounded-blocking): the comm thread answers every task it accepted, or drops the channel when it dies
@@ -487,7 +518,7 @@ fn run_a_rank<RA>(
             ep.poison();
             Err(e)
         }
-        Ok(groups) => run_a_attempts(a_rank, groups, config, a_fn),
+        Ok(groups) => run_a_attempts(a_rank, groups, stats.wire, config, a_fn),
     };
     stats.elapsed = task_start.elapsed();
     result.map(|value| (stats, value))
@@ -499,6 +530,7 @@ fn run_a_rank<RA>(
 fn run_a_attempts<RA>(
     a_rank: usize,
     groups: KeyGroups,
+    wire: WireCounts,
     config: &DataMpiConfig,
     a_fn: &AFn<RA>,
 ) -> Result<RA> {
@@ -529,6 +561,7 @@ fn run_a_attempts<RA>(
             let mut ctx = AContext {
                 rank: a_rank,
                 attempt,
+                wire,
                 groups: input.unwrap_or_default().into_iter(),
             };
             a_fn(a_rank, &mut ctx)
@@ -563,6 +596,7 @@ mod tests {
     use hdm_common::row::Row;
     use hdm_common::value::Value;
     use hdm_faults::FaultPlan;
+    use std::sync::atomic::Ordering;
 
     fn base_config(o: usize, a: usize) -> DataMpiConfig {
         DataMpiConfig {
@@ -937,6 +971,357 @@ mod tests {
             err.message().contains("O3: task function panicked"),
             "{err}"
         );
+    }
+
+    /// Routes a pair to the A rank its first key byte names.
+    struct ByFirstByte;
+
+    impl hdm_common::partition::Partitioner for ByFirstByte {
+        fn partition(&self, key: &[u8], num_partitions: usize) -> usize {
+            key.first().map_or(0, |&b| b as usize % num_partitions)
+        }
+    }
+
+    /// Messages the world of a job recorded into `obs` (`mpi.messages`).
+    fn mpi_messages(obs: &hdm_obs::ObsHandle) -> u64 {
+        let snap = obs.snapshot();
+        let counters = snap.counters.iter();
+        counters
+            .filter(|(name, _, _)| name == "mpi.messages")
+            .map(|(_, _, v)| v)
+            .sum()
+    }
+
+    /// Run `job` on a thread of its own, failing the test if it has not
+    /// returned within a minute (the job hung).
+    fn watchdog<T: Send + 'static>(job: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || tx.send(job()).unwrap());
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the job hung");
+        handle.join().unwrap();
+        out
+    }
+
+    /// A seed whose plan injects no O crash into `o` tasks of `records`
+    /// sends (first three attempts) and drops none of the first `seqs`
+    /// messages of any of `world` ranks: a test's own fault is the only
+    /// one.
+    fn quiet_seed(o: usize, records: u64, world: usize, seqs: u64) -> u64 {
+        (0..100_000u64)
+            .find(|&s| {
+                let p = FaultPlan::with_seed(s);
+                let crash = |r| {
+                    (0..3).any(|a| {
+                        p.crash_after(Site::OTask, r, a)
+                            .is_some_and(|c| c < records)
+                    })
+                };
+                !(0..o).any(crash)
+                    && (0..world).all(|r| (0..seqs).all(|q| !p.should_drop(Site::MpiSend, r, q)))
+            })
+            .expect("no quiet seed in 100 000 candidates")
+    }
+
+    #[test]
+    fn a_job_that_moves_no_data_sends_one_done_per_a_rank() {
+        let obs = hdm_obs::ObsHandle::enabled_with_stride(1);
+        let config = DataMpiConfig {
+            obs: obs.clone(),
+            ..base_config(133, 16)
+        };
+        let outcome = run_bipartite::<(), usize>(
+            &config,
+            Arc::new(BytesComparator),
+            Arc::new(HashPartitioner),
+            Arc::new(|_, _| Ok(())),
+            Arc::new(|_, ctx| Ok(std::iter::from_fn(|| ctx.next_group()).count())),
+        )
+        .unwrap();
+        assert_eq!(mpi_messages(&obs), 16, "an empty 133 x 16 job");
+        let done_only = WireCounts {
+            done: 16,
+            ..WireCounts::default()
+        };
+        assert_eq!(outcome.report.wire(), done_only);
+        assert_eq!(outcome.a_results, vec![0; 16]);
+    }
+
+    #[test]
+    fn o_tasks_commit_only_to_the_a_ranks_they_wrote() {
+        for style in [ShuffleStyle::NonBlocking, ShuffleStyle::Blocking] {
+            let obs = hdm_obs::ObsHandle::enabled_with_stride(1);
+            let config = DataMpiConfig {
+                shuffle_style: style,
+                send_partition_bytes: 64,
+                obs: obs.clone(),
+                ..base_config(12, 4)
+            };
+            // O task r writes A rank r % 4 only, a few partitions' worth.
+            let outcome = run_bipartite(
+                &config,
+                Arc::new(BytesComparator),
+                Arc::new(ByFirstByte),
+                Arc::new(|rank, ctx: &mut OContext| {
+                    for i in 0..20u8 {
+                        ctx.send(KvPair::new(vec![rank as u8 % 4, i], vec![rank as u8]))?;
+                    }
+                    Ok(())
+                }),
+                Arc::new(|_, ctx: &mut AContext| {
+                    let mut values = 0;
+                    while let Some((_, v)) = ctx.next_group() {
+                        values += v.len();
+                    }
+                    Ok((values, ctx.wire()))
+                }),
+            )
+            .unwrap();
+            let wire = outcome.report.wire();
+            assert!(wire.data > 12, "several DATA per task ({style:?})");
+            assert_eq!((wire.commit, wire.done, wire.abort), (12, 4, 0));
+            // DATA + commits + one DONE per A rank, plus the blocking
+            // style's acknowledgements.
+            let acks = if style == ShuffleStyle::Blocking {
+                wire.data
+            } else {
+                0
+            };
+            assert_eq!(mpi_messages(&obs), wire.data + 12 + 4 + acks, "{style:?}");
+            for (a, (values, seen)) in outcome.a_results.iter().enumerate() {
+                assert_eq!(*values, 60, "A{a}: three O tasks x 20 pairs");
+                assert_eq!(*seen, outcome.report.a_tasks[a].wire);
+                assert_eq!((seen.commit, seen.done), (3, 1));
+            }
+        }
+    }
+
+    #[test]
+    fn a_dropped_commit_is_a_typed_error_not_a_hang() {
+        // 16 O tasks each send one DATA to A rank r % 4 (their send 0) and
+        // commit it (send 1); whichever ends last sends the DONEs as its
+        // sends 2..6. Find a seed that drops a commit and nothing else.
+        let seed = (0..1_000_000u64)
+            .find(|&s| {
+                let p = FaultPlan::with_seed(s);
+                let clean = |r: usize| {
+                    p.crash_after(Site::OTask, r, 0).is_none_or(|c| c >= 10)
+                        && [0, 2, 3, 4, 5]
+                            .iter()
+                            .all(|&q| !p.should_drop(Site::MpiSend, r, q))
+                };
+                (0..16).all(clean) && (0..16).any(|r| p.should_drop(Site::MpiSend, r, 1))
+            })
+            .expect("no commit-dropping seed");
+        let config = DataMpiConfig {
+            faults: FaultPlan::with_seed(seed),
+            recovery: hdm_faults::RecoveryPolicy {
+                recv_timeout: std::time::Duration::from_secs(60),
+                ..hdm_faults::RecoveryPolicy::default()
+            },
+            ..base_config(16, 4)
+        };
+        let start = Instant::now();
+        let err = watchdog(move || {
+            run_bipartite::<(), ()>(
+                &config,
+                Arc::new(BytesComparator),
+                Arc::new(ByFirstByte),
+                Arc::new(|rank, ctx: &mut OContext| {
+                    for i in 0..10u8 {
+                        ctx.send(KvPair::new(vec![rank as u8 % 4, i], vec![1]))?;
+                    }
+                    Ok(())
+                }),
+                Arc::new(|_, _| Ok(())),
+            )
+        })
+        .unwrap_err();
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(30),
+            "the drop was found by the receive deadline, not by the DONE"
+        );
+        assert_eq!(err.subsystem(), "datampi", "{err}");
+        assert!(err.message().contains("dropped commit"), "{err}");
+    }
+
+    #[test]
+    fn a_replay_that_writes_other_a_ranks_commits_exactly_once() {
+        let seed = quiet_seed(2, 200, 6, 64);
+        for style in [ShuffleStyle::NonBlocking, ShuffleStyle::Blocking] {
+            let config = DataMpiConfig {
+                shuffle_style: style,
+                faults: FaultPlan::with_seed(seed),
+                recovery: hdm_faults::RecoveryPolicy {
+                    backoff_base: std::time::Duration::from_millis(1),
+                    ..hdm_faults::RecoveryPolicy::default()
+                },
+                ..base_config(2, 4)
+            };
+            let first_attempt = Arc::new(std::sync::atomic::AtomicBool::new(true));
+            let outcome = run_bipartite(
+                &config,
+                Arc::new(BytesComparator),
+                Arc::new(ByFirstByte),
+                Arc::new(move |rank, ctx: &mut OContext| {
+                    // O0's first attempt flushes partitions to A0 and A1,
+                    // then fails; its replay writes A2 and A3 instead.
+                    let failing = rank == 0 && first_attempt.swap(false, Ordering::SeqCst);
+                    let targets: &[u8] = match (rank, failing) {
+                        (0, true) => &[0, 1],
+                        (0, false) => &[2, 3],
+                        _ => &[0, 1, 2, 3],
+                    };
+                    for &a in targets {
+                        for i in 0..30u8 {
+                            ctx.send(KvPair::new(vec![a, i], vec![rank as u8]))?;
+                        }
+                    }
+                    if failing {
+                        return Err(HdmError::Other("first attempt fails".into()));
+                    }
+                    Ok(())
+                }),
+                Arc::new(|_, ctx: &mut AContext| {
+                    let mut from_o0 = 0;
+                    while let Some((_, values)) = ctx.next_group() {
+                        from_o0 += values.iter().filter(|v| v[0] == 0).count();
+                    }
+                    Ok(from_o0)
+                }),
+            )
+            .unwrap();
+            assert_eq!(outcome.a_results, vec![0, 0, 30, 30], "{style:?}");
+            let wire = outcome.report.wire();
+            // O1 commits to all four A ranks, O0's replay to two; O0's
+            // failed attempt is aborted everywhere.
+            assert_eq!((wire.commit, wire.abort, wire.done), (6, 4, 4), "{style:?}");
+        }
+    }
+
+    #[test]
+    fn failing_o_tasks_still_end_the_job_under_fault_tolerance() {
+        let seed = quiet_seed(8, 64, 10, 64);
+        let config = DataMpiConfig {
+            o_slots: 1,
+            faults: FaultPlan::with_seed(seed),
+            recovery: hdm_faults::RecoveryPolicy {
+                backoff_base: std::time::Duration::from_millis(1),
+                ..hdm_faults::RecoveryPolicy::default()
+            },
+            ..base_config(8, 2)
+        };
+        // A panicking O function, in every attempt.
+        let panicking = config.clone();
+        let err = watchdog(move || {
+            run_bipartite::<(), ()>(
+                &panicking,
+                Arc::new(BytesComparator),
+                Arc::new(HashPartitioner),
+                Arc::new(|rank, ctx: &mut OContext| {
+                    ctx.send(KvPair::new(vec![rank as u8], vec![1]))?;
+                    assert!(rank != 3, "O task {rank} blew up");
+                    Ok(())
+                }),
+                Arc::new(|_, _| Ok(())),
+            )
+        })
+        .unwrap_err();
+        assert!(
+            err.message().contains("O3: task function panicked"),
+            "{err}"
+        );
+        // A cancel fired in the middle of O3.
+        let cancel = hdm_common::CancelToken::new();
+        let cancelled = DataMpiConfig {
+            cancel: cancel.clone(),
+            ..config
+        };
+        let err = watchdog(move || {
+            run_bipartite::<(), ()>(
+                &cancelled,
+                Arc::new(BytesComparator),
+                Arc::new(HashPartitioner),
+                Arc::new(move |rank, ctx: &mut OContext| {
+                    for i in 0..4u8 {
+                        if rank == 3 && i == 2 {
+                            cancel.cancel("test cancels mid-task");
+                        }
+                        ctx.send(KvPair::new(vec![rank as u8, i], vec![1]))?;
+                    }
+                    Ok(())
+                }),
+                Arc::new(|_, _| Ok(())),
+            )
+        })
+        .unwrap_err();
+        assert!(err.is_cancelled(), "{err}");
+    }
+
+    #[test]
+    fn an_engine_whose_a_rank_is_gone_still_ends_its_task() {
+        // O0 sends to A1, whose rank has already ended (inbox closed): its
+        // shuffle engine fails, and the task must still end — poisoned,
+        // and, being the last, with a DONE for the A rank that is alive.
+        let world = hdm_mpi::World::new(3, hdm_mpi::WorldConfig::default()).unwrap();
+        let mut eps = world.into_endpoints();
+        drop(eps.pop());
+        let mut a0 = eps.pop().unwrap();
+        let mut o0 = eps.pop().unwrap();
+        let completion = Completion::new(1, 1, 2);
+        let (tx, rx) = bounded(4);
+        let payload = Bytes::from(vec![1u8, 7, 1, 7]);
+        tx.send(SendCmd::Partition { dst: 1, payload }).unwrap();
+        tx.send(SendCmd::Finish).unwrap();
+        let obs = hdm_obs::ObsHandle::default();
+        let style = ShuffleStyle::NonBlocking;
+        let sent = run_sender(style, &mut o0, rx, &completion, Instant::now(), None, &obs);
+        let err = end_task(&mut o0, &completion, sent).unwrap_err();
+        assert_eq!(err.subsystem(), "rank-failed", "{err}");
+        assert!(o0.is_poisoned(0));
+        let done = a0.recv(Some(0), None).unwrap();
+        assert_eq!(done.tag, crate::shuffle::tags::DONE);
+        assert_eq!(crate::shuffle::read_count(&done.payload), Some(0));
+    }
+
+    #[test]
+    fn a_task_whose_comm_thread_is_gone_still_ends_its_task() {
+        // The slot's comm thread has exited (its end of the hand-off is
+        // dropped): the task cannot run, and must still end on the wire —
+        // poisoned, and, being the last, with a DONE for every A rank.
+        let world = hdm_mpi::World::new(3, hdm_mpi::WorldConfig::default()).unwrap();
+        let mut eps = world.into_endpoints();
+        let a_eps = eps.split_off(1);
+        let o0 = eps.pop().unwrap();
+        let config = base_config(1, 2);
+        let o_fn: OFn<()> = Arc::new(|_, _| panic!("the task must not run"));
+        let job = OJob {
+            config: &config,
+            partitioner: &(Arc::new(HashPartitioner) as PartitionerRef),
+            o_fn: &o_fn,
+            job_start: Instant::now(),
+            ranks: Mutex::new(Vec::new().into_iter()),
+            completion: Completion::new(1, 1, 2),
+        };
+        let (task_tx, _) = bounded(1);
+        let (_, recycle_rx) = bounded(1);
+        let (_, sent_rx) = bounded(1);
+        let mut slot = OSlot {
+            spl: SendPartitionList::new(2, 128),
+            recycle_rx,
+            task_tx,
+            sent_rx,
+        };
+        let err = run_o_task(o0, &mut slot, &job).unwrap_err();
+        assert!(err.message().contains("O0: comm thread gone"), "{err}");
+        let timeout = Some(std::time::Duration::from_secs(10));
+        for mut a in a_eps {
+            assert!(a.is_poisoned(0));
+            let done = a.recv_deadline(Some(0), None, timeout).unwrap();
+            assert_eq!(done.tag, crate::shuffle::tags::DONE);
+            assert_eq!(crate::shuffle::read_count(&done.payload), Some(0));
+        }
     }
 
     #[test]

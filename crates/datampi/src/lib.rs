@@ -79,7 +79,7 @@ pub mod shuffle;
 mod job;
 
 pub use job::{run_bipartite, send_rows, AContext, JobOutcome, OContext};
-pub use report::{ATaskStats, JobReport, OTaskStats};
+pub use report::{ATaskStats, JobReport, OTaskStats, WireCounts};
 
 /// The two shuffle-engine styles of Section IV-C.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -8,12 +8,13 @@
 //! cache bounded by the `hive.datampi.memusedpercent` budget; when the
 //! budget is exceeded the cache is sorted and sealed as a *spill run*
 //! (the disk-spill analogue, with bytes tracked for the timing model).
-//! When every O task's EOF has arrived, the runs and the live cache are
+//! Once the `DONE` arrives (every O task has ended, see
+//! [`crate::shuffle::Completion`]), the runs and the live cache are
 //! merged into sorted key groups for the A function.
 
 use crate::buffer::SendPartition;
 use crate::report::ATaskStats;
-use crate::shuffle::tags;
+use crate::shuffle::{read_count, tags};
 use crate::ShuffleStyle;
 use bytes::Bytes;
 use hdm_common::error::{HdmError, Result};
@@ -42,9 +43,10 @@ fn cmp_tagged(a: &Tagged, b: &Tagged, comparator: &ComparatorRef) -> std::cmp::O
 }
 
 /// Per-O-source staging used when fault tolerance is enabled. A source's
-/// pairs are committed to the shared cache only once its EOF proves the
-/// attempt's stream arrived complete; an ABORT (or a higher-attempt
-/// replay) discards the staged partials of the aborted attempt.
+/// pairs are committed to the shared cache only once its `COMMIT` proves
+/// the attempt's stream arrived complete; an ABORT (or a higher-attempt
+/// replay) discards the staged partials of the aborted attempt, and so
+/// does the end of the job for a source that never committed here.
 #[derive(Default)]
 struct StagedSrc {
     pairs: Vec<KvPair>,
@@ -53,12 +55,61 @@ struct StagedSrc {
     attempt: u32,
 }
 
-/// Receive until all O tasks finalize, then merge into key groups.
+/// The in-memory cache: admitted pairs with their provenance, and the
+/// sorted runs spilled once the cache outgrew its budget.
+struct Cache<'c> {
+    live: Vec<Tagged>,
+    bytes: u64,
+    runs: Vec<Vec<Tagged>>,
+    /// Next provenance sequence number per O source.
+    seqs: Vec<u64>,
+    budget: u64,
+    comparator: &'c ComparatorRef,
+}
+
+impl Cache<'_> {
+    /// Admit `src`'s `pairs` (`bytes` of payload); returns whether the
+    /// cache then spilled as a sorted run.
+    fn admit(
+        &mut self,
+        src: usize,
+        pairs: Vec<KvPair>,
+        bytes: u64,
+        stats: &mut ATaskStats,
+    ) -> Result<bool> {
+        let seq = self.seqs.get_mut(src).ok_or_else(|| {
+            HdmError::DataMpi(format!(
+                "A{} received data from unexpected rank {src}",
+                stats.rank
+            ))
+        })?;
+        stats.records += pairs.len() as u64;
+        stats.bytes += bytes;
+        self.bytes += bytes;
+        for kv in pairs {
+            self.live.push(((src, *seq), kv));
+            *seq += 1;
+        }
+        stats.cache_peak = stats.cache_peak.max(self.bytes);
+        if self.bytes <= self.budget {
+            return Ok(false);
+        }
+        let mut run = std::mem::take(&mut self.live);
+        run.sort_by(|a, b| cmp_tagged(a, b, self.comparator));
+        stats.spill.record_spill(self.bytes);
+        self.bytes = 0;
+        self.runs.push(run);
+        Ok(true)
+    }
+}
+
+/// Receive until the `DONE`, then merge into key groups.
 ///
 /// When `faults` is enabled, incoming data is staged per source and
-/// committed on EOF; the EOF's message count is checked against what
-/// actually arrived so dropped messages surface as an error instead of
-/// silent data loss.
+/// committed on `COMMIT`; the commit's message count is checked against
+/// what actually arrived, and the `DONE`'s commit count against the
+/// commits that arrived, so a dropped message surfaces as an error
+/// instead of silent data loss.
 ///
 /// # Errors
 /// [`HdmError::DataMpi`] if the stream is malformed, a drop is detected,
@@ -88,22 +139,37 @@ pub fn run_receiver(
     let obs_spills = obs.counter("a.spills", &label);
     let recv_span = obs.span(&track, "phase", "receive");
     let mut msgs = 0u64;
-    let mut cache: Vec<Tagged> = Vec::new();
-    let mut cached_bytes: u64 = 0;
-    let mut runs: Vec<Vec<Tagged>> = Vec::new();
-    let mut seqs: Vec<u64> = vec![0; o_tasks];
-    let mut eofs = 0usize;
-    while eofs < o_tasks {
+    let mut cache = Cache {
+        live: Vec::new(),
+        bytes: 0,
+        runs: Vec::new(),
+        seqs: vec![0; o_tasks],
+        budget: mem_budget_bytes as u64,
+        comparator,
+    };
+    let admit = |cache: &mut Cache<'_>, src, pairs, bytes, stats: &mut ATaskStats| {
+        let spilled = cache.admit(src, pairs, bytes, stats)?;
+        if obs.is_enabled() {
+            obs_cache.set(cache.bytes as i64);
+            if spilled {
+                obs_spills.add(1);
+            }
+        }
+        Ok::<(), HdmError>(())
+    };
+    let mut commits = 0u32;
+    let expected_commits = loop {
         let msg = ep.recv(None, None).map_err(|e| {
             HdmError::DataMpi(format!(
-                "A{} receive failed: {e} (O task died before EOF?)",
+                "A{} receive failed: {e} (the O side never sent DONE?)",
                 stats.rank
             ))
         })?;
         let (base, attempt) = tags::split(msg.tag);
+        stats.wire.count(base);
+        let src = msg.src;
         match base {
             tags::DATA if ft => {
-                let src = msg.src;
                 // The blocking sender waits on acks even for rounds the
                 // receiver will discard, so acknowledge before judging.
                 if style == ShuffleStyle::Blocking {
@@ -137,46 +203,17 @@ pub fn run_receiver(
                 }
             }
             tags::DATA => {
-                let src = msg.src;
                 let pairs = SendPartition::decode_payload(&msg.payload)?;
-                let seq = seqs.get_mut(src).ok_or_else(|| {
-                    HdmError::DataMpi(format!(
-                        "A{} received DATA from unexpected rank {src}",
-                        stats.rank
-                    ))
-                })?;
-                stats.records += pairs.len() as u64;
-                stats.bytes += msg.payload.len() as u64;
-                cached_bytes += msg.payload.len() as u64;
-                for kv in pairs {
-                    cache.push(((src, *seq), kv));
-                    *seq += 1;
-                }
-                stats.cache_peak = stats.cache_peak.max(cached_bytes);
+                admit(&mut cache, src, pairs, msg.payload.len() as u64, stats)?;
                 msgs += 1;
-                if obs.is_enabled() {
-                    obs_cache.set(cached_bytes as i64);
-                    if obs.should_sample(msgs) {
-                        obs.sample(&track, "cache_bytes", cached_bytes);
-                    }
+                if obs.should_sample(msgs) {
+                    obs.sample(&track, "cache_bytes", cache.bytes);
                 }
                 if style == ShuffleStyle::Blocking {
                     ep.send(src, tags::ACK, Bytes::new())?;
                 }
-                if cached_bytes > mem_budget_bytes as u64 {
-                    // Spill: sort and seal the current cache as a run.
-                    let mut run = std::mem::take(&mut cache);
-                    run.sort_by(|a, b| cmp_tagged(a, b, comparator));
-                    stats.spill.record_spill(cached_bytes);
-                    if obs.is_enabled() {
-                        obs_spills.add(1);
-                    }
-                    cached_bytes = 0;
-                    runs.push(run);
-                }
             }
             tags::ABORT if ft => {
-                let src = msg.src;
                 let Some(slot) = staged.get_mut(src) else {
                     return Err(HdmError::DataMpi(format!(
                         "A{} received ABORT from unexpected rank {src}",
@@ -191,73 +228,47 @@ pub fn run_receiver(
                     faults.note_detected(Site::OTask);
                 }
             }
-            tags::EOF if ft => {
-                let src = msg.src;
-                let expected = match <[u8; 4]>::try_from(msg.payload.as_ref()) {
-                    Ok(le) => u32::from_le_bytes(le),
-                    Err(_) => {
-                        return Err(HdmError::DataMpi(format!(
-                            "A{} received EOF from O{src} without a message count",
-                            stats.rank
-                        )))
-                    }
-                };
-                let Some(slot) = staged.get_mut(src) else {
-                    return Err(HdmError::DataMpi(format!(
-                        "A{} received EOF from unexpected rank {src}",
-                        stats.rank
-                    )));
-                };
-                if attempt > slot.attempt {
-                    // A replay whose ABORT was dropped and that sent no
-                    // DATA of its own: whatever is staged belongs to the
-                    // aborted attempt.
-                    *slot = StagedSrc {
-                        attempt,
-                        ..StagedSrc::default()
-                    };
-                    faults.note_detected(Site::OTask);
-                }
-                if attempt != slot.attempt || expected != slot.msgs {
-                    faults.note_detected(Site::MpiSend);
-                    return Err(HdmError::DataMpi(format!(
-                        "A{} detected dropped message(s) from O{src}: got {} of {expected} \
-                         DATA messages (attempt {attempt})",
-                        stats.rank, slot.msgs
-                    )));
-                }
-                // The attempt's stream is complete: commit it.
-                let done = std::mem::take(slot);
-                let seq = seqs.get_mut(src).ok_or_else(|| {
+            tags::COMMIT if ft => {
+                let expected = read_count(&msg.payload).ok_or_else(|| {
                     HdmError::DataMpi(format!(
-                        "A{} received EOF from unexpected rank {src}",
+                        "A{} received COMMIT from O{src} without a message count",
                         stats.rank
                     ))
                 })?;
-                stats.records += done.pairs.len() as u64;
-                stats.bytes += done.bytes;
-                cached_bytes += done.bytes;
-                for kv in done.pairs {
-                    cache.push(((src, *seq), kv));
-                    *seq += 1;
+                let Some(slot) = staged.get_mut(src) else {
+                    return Err(HdmError::DataMpi(format!(
+                        "A{} received COMMIT from unexpected rank {src}",
+                        stats.rank
+                    )));
+                };
+                // Only a task's final attempt commits, and only where it
+                // wrote: an attempt this rank holds no DATA of lost them.
+                if attempt != slot.attempt || expected != slot.msgs {
+                    faults.note_detected(Site::MpiSend);
+                    let got = if attempt == slot.attempt {
+                        slot.msgs
+                    } else {
+                        0
+                    };
+                    return Err(HdmError::DataMpi(format!(
+                        "A{} detected dropped message(s) from O{src}: got {got} of {expected} \
+                         DATA messages (attempt {attempt})",
+                        stats.rank
+                    )));
                 }
-                stats.cache_peak = stats.cache_peak.max(cached_bytes);
-                if obs.is_enabled() {
-                    obs_cache.set(cached_bytes as i64);
-                }
-                if cached_bytes > mem_budget_bytes as u64 {
-                    let mut run = std::mem::take(&mut cache);
-                    run.sort_by(|a, b| cmp_tagged(a, b, comparator));
-                    stats.spill.record_spill(cached_bytes);
-                    if obs.is_enabled() {
-                        obs_spills.add(1);
-                    }
-                    cached_bytes = 0;
-                    runs.push(run);
-                }
-                eofs += 1;
+                let done = std::mem::take(slot);
+                admit(&mut cache, src, done.pairs, done.bytes, stats)?;
+                commits += 1;
             }
-            tags::EOF => eofs += 1,
+            tags::COMMIT => commits += 1,
+            tags::DONE => {
+                break read_count(&msg.payload).ok_or_else(|| {
+                    HdmError::DataMpi(format!(
+                        "A{} received DONE without a commit count",
+                        stats.rank
+                    ))
+                })?;
+            }
             other => {
                 return Err(HdmError::DataMpi(format!(
                     "A{} received unexpected tag {other:?}",
@@ -265,14 +276,26 @@ pub fn run_receiver(
                 )))
             }
         }
+    };
+    // Every commit sent here was in this inbox before the DONE (see
+    // `Completion`): one that is missing now was dropped.
+    if commits != expected_commits {
+        faults.note_detected(Site::MpiSend);
+        return Err(HdmError::DataMpi(format!(
+            "A{} detected dropped commit(s): got {commits} of {expected_commits}",
+            stats.rank
+        )));
     }
     stats.receive_elapsed = start.elapsed();
     drop(recv_span);
 
     // Final merge: spill runs + live cache, globally sorted, grouped.
     let _merge_span = obs.span(&track, "phase", "merge");
-    cache.sort_by(|a, b| cmp_tagged(a, b, comparator));
-    runs.push(cache);
+    let Cache {
+        mut live, mut runs, ..
+    } = cache;
+    live.sort_by(|a, b| cmp_tagged(a, b, comparator));
+    runs.push(live);
     let merged = merge_runs(runs, comparator);
     let groups = group_sorted(merged, comparator);
     stats.groups = groups.len() as u64;

@@ -7,8 +7,10 @@
 //! shared `hdm-obs` types ([`CollectProfile`], [`SpillStats`]) so this
 //! report and `hdm-mapred`'s agree on one definition.
 
+use crate::shuffle::tags;
 use hdm_common::error::Result;
 use hdm_common::stats::Histogram;
+use hdm_mpi::Tag;
 use std::time::Duration;
 
 pub use hdm_obs::{CollectProfile, SpillStats, KV_HIST_BUCKET};
@@ -47,6 +49,42 @@ impl OTaskStats {
     }
 }
 
+/// Messages an A rank took off the wire, by kind (see
+/// [`crate::shuffle::tags`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireCounts {
+    /// `DATA` messages: send partitions.
+    pub data: u64,
+    /// `COMMIT` messages: one per O task that wrote to the rank.
+    pub commit: u64,
+    /// `DONE` messages: one per A rank and job.
+    pub done: u64,
+    /// `ABORT` messages: failed O attempts (fault tolerance only).
+    pub abort: u64,
+}
+
+impl WireCounts {
+    /// Count one message with base tag `base`.
+    pub(crate) fn count(&mut self, base: Tag) {
+        match base {
+            tags::DATA => self.data += 1,
+            tags::COMMIT => self.commit += 1,
+            tags::DONE => self.done += 1,
+            tags::ABORT => self.abort += 1,
+            _ => {}
+        }
+    }
+
+    fn add(self, other: WireCounts) -> WireCounts {
+        WireCounts {
+            data: self.data + other.data,
+            commit: self.commit + other.commit,
+            done: self.done + other.done,
+            abort: self.abort + other.abort,
+        }
+    }
+}
+
 /// Statistics for one A (aggregator) task.
 #[derive(Debug, Clone)]
 pub struct ATaskStats {
@@ -62,7 +100,9 @@ pub struct ATaskStats {
     pub spill: SpillStats,
     /// Peak bytes held in the in-memory cache.
     pub cache_peak: u64,
-    /// Wall time from process start until the last O EOF arrived.
+    /// Messages received, by kind.
+    pub wire: WireCounts,
+    /// Wall time from process start until the `DONE` arrived.
     pub receive_elapsed: Duration,
     /// Wall time of the whole A task (receive + merge + user function).
     pub elapsed: Duration,
@@ -77,6 +117,7 @@ impl ATaskStats {
             groups: 0,
             spill: SpillStats::default(),
             cache_peak: 0,
+            wire: WireCounts::default(),
             receive_elapsed: Duration::ZERO,
             elapsed: Duration::ZERO,
         }
@@ -110,6 +151,13 @@ impl JobReport {
     /// Total shuffled payload bytes (O side).
     pub fn total_shuffle_bytes(&self) -> u64 {
         self.o_tasks.iter().map(|t| t.bytes).sum()
+    }
+
+    /// Messages the A ranks received, by kind, summed over the job.
+    pub fn wire(&self) -> WireCounts {
+        self.a_tasks
+            .iter()
+            .fold(WireCounts::default(), |sum, t| sum.add(t.wire))
     }
 
     /// Merged KV-size histogram across all O tasks.

@@ -19,6 +19,7 @@ use crossbeam::channel::{Receiver, Sender};
 use hdm_common::error::Result;
 use hdm_mpi::{Endpoint, SendRequest};
 use hdm_obs::{Counter, ObsHandle, Timer};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Registry handles the engine updates; fetched once per task so the
@@ -53,27 +54,34 @@ pub type RecycleSender = Sender<Bytes>;
 
 /// Message tags of the DataMPI wire protocol.
 ///
-/// Since the fault-tolerance pass the low byte carries the message kind
-/// and the high bits carry the sender's **task attempt** (see
-/// [`with_attempt`](tags::with_attempt)): a recovering O task replays
-/// its split under `attempt + 1`, and the A side discards any partial
-/// stream from an aborted attempt. Attempt 0 encodes to the original
-/// tag values, so a fault-free wire is byte-identical to the
-/// pre-recovery protocol.
+/// The low byte carries the message kind and the high bits carry the
+/// sender's **task attempt** (see [`with_attempt`](tags::with_attempt)):
+/// a recovering O task replays its split under `attempt + 1`, and the A
+/// side discards any partial stream from an aborted attempt.
+///
+/// End of stream is signalled by exception rather than by every O task
+/// telling every A rank it is done: an O task sends a `COMMIT` only to
+/// the A ranks it wrote to, and the O task that ends last sends each A
+/// rank one `DONE` (see [`Completion`]). A job that moves no data costs
+/// one message per A rank.
 pub mod tags {
     use hdm_mpi::Tag;
     /// A serialized send partition (payload: encoded `KvPair`s).
     pub const DATA: Tag = Tag(0x10);
-    /// End-of-stream marker from one O task to one A task. Its payload
-    /// carries the little-endian `u32` count of `DATA` messages the
-    /// sender transmitted to that A task in this attempt, so the
-    /// receiver can detect dropped messages.
-    pub const EOF: Tag = Tag(0x11);
+    /// The sending O task's stream to this A rank is complete. Sent only
+    /// to A ranks the task wrote to; its payload is the little-endian
+    /// `u32` count of `DATA` messages the task's final attempt sent to
+    /// this A rank, so the receiver can detect dropped messages.
+    pub const COMMIT: Tag = Tag(0x11);
     /// Blocking-style acknowledgement from A back to O.
     pub const ACK: Tag = Tag(0x12);
     /// The sending O task crashed mid-attempt: discard its partial
-    /// stream; a higher-attempt replay (or a final EOF) follows.
+    /// stream; a higher-attempt replay follows.
     pub const ABORT: Tag = Tag(0x13);
+    /// Every O task has ended. Sent once to each A rank, by the O task
+    /// that ended last; its payload is the little-endian `u32` count of
+    /// `COMMIT`s the A rank was sent, so a dropped commit is detected.
+    pub const DONE: Tag = Tag(0x14);
 
     /// Bits above this shift carry the attempt number.
     const ATTEMPT_SHIFT: u32 = 8;
@@ -89,6 +97,16 @@ pub mod tags {
     }
 }
 
+/// The payload of a `COMMIT` or `DONE`: one little-endian `u32` count.
+fn count_payload(count: u32) -> Bytes {
+    Bytes::from(count.to_le_bytes().to_vec())
+}
+
+/// Read a [`count_payload`] back; `None` if the payload is not one.
+pub(crate) fn read_count(payload: &[u8]) -> Option<u32> {
+    <[u8; 4]>::try_from(payload).ok().map(u32::from_le_bytes)
+}
+
 /// A command from the O compute thread to its shuffle engine.
 #[derive(Debug)]
 pub enum SendCmd {
@@ -102,7 +120,7 @@ pub enum SendCmd {
     /// The current attempt failed: tell every A task to discard this
     /// attempt's partial stream, then start counting a new attempt.
     Abort,
-    /// No more partitions: drain, send EOFs, exit.
+    /// No more partitions: drain, commit, exit.
     Finish,
 }
 
@@ -116,20 +134,90 @@ pub struct SenderStats {
     pub sync_wait: Duration,
 }
 
+/// The job-wide half of end-of-stream, shared by every O task's shuffle
+/// engine: how many O tasks have not ended yet, and how many commits
+/// each A rank has been sent.
+///
+/// An O task's engine ends its stream with [`Completion::commit`], and
+/// the task then ends with [`Completion::task_ended`] on every exit path,
+/// failed or not. The task that ends last sends each A rank a `DONE`
+/// carrying that rank's commit count. A `DONE` can never overtake a
+/// commit: a task's commits (and its `DATA` before them) are accepted
+/// into their A inboxes before the task ends, the last task learns it is
+/// last only after every other task ended, and an inbox is FIFO. So once
+/// an A rank holds its `DONE`, any commit it lacks was dropped.
+#[derive(Debug)]
+pub struct Completion {
+    /// World rank of A task 0; A task `i` lives at world rank `a_base + i`.
+    a_base: usize,
+    /// O tasks that have not ended yet.
+    unfinished: AtomicUsize,
+    /// Commits sent per A rank. Bumped before the sending task's
+    /// `unfinished` decrement (Release), read after the last task's
+    /// (Acquire).
+    commits: Vec<AtomicU32>,
+}
+
+impl Completion {
+    /// End-of-stream bookkeeping for `o_tasks` O tasks and `a_tasks` A
+    /// ranks starting at world rank `a_base`.
+    pub fn new(o_tasks: usize, a_base: usize, a_tasks: usize) -> Completion {
+        Completion {
+            a_base,
+            unfinished: AtomicUsize::new(o_tasks),
+            commits: (0..a_tasks).map(|_| AtomicU32::new(0)).collect(),
+        }
+    }
+
+    /// Commit `attempt`'s stream: one `COMMIT` carrying its `DATA` count
+    /// to each A rank `counts` says the attempt wrote to. Each commit is
+    /// counted once the A inbox accepted it.
+    fn commit(&self, ep: &mut Endpoint, attempt: u32, counts: &[u32]) -> Result<()> {
+        let tag = tags::with_attempt(tags::COMMIT, attempt);
+        for (a, (&count, commits)) in counts.iter().zip(&self.commits).enumerate() {
+            if count > 0 {
+                ep.send(self.a_base + a, tag, count_payload(count))?;
+                commits.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Ok(())
+    }
+
+    /// Mark the O task on `ep` ended. The task that ends last sends every
+    /// A rank its `DONE`, trying each rank even after one failed.
+    ///
+    /// # Errors
+    /// The first failed `DONE` send.
+    pub fn task_ended(&self, ep: &mut Endpoint) -> Result<()> {
+        if self.unfinished.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return Ok(());
+        }
+        let mut result = Ok(());
+        for (a, commits) in self.commits.iter().enumerate() {
+            let count = commits.load(Ordering::Acquire);
+            result = result.and(ep.send(self.a_base + a, tags::DONE, count_payload(count)));
+        }
+        result
+    }
+}
+
 /// Per-attempt transmit bookkeeping shared by both styles.
 struct AttemptState {
+    /// World rank of A task 0.
+    a_base: usize,
     /// Current task attempt; bumped by [`SendCmd::Abort`].
     attempt: u32,
     /// `DATA` messages sent per destination in the current attempt,
-    /// reported to each A task in its EOF payload for drop detection.
+    /// reported to each A task in its `COMMIT` for drop detection.
     counts: Vec<u32>,
 }
 
 impl AttemptState {
-    fn new(a_tasks: usize) -> AttemptState {
+    fn new(completion: &Completion) -> AttemptState {
         AttemptState {
+            a_base: completion.a_base,
             attempt: 0,
-            counts: vec![0; a_tasks],
+            counts: vec![0; completion.commits.len()],
         }
     }
 
@@ -140,56 +228,48 @@ impl AttemptState {
     }
 
     /// Broadcast ABORT for the current attempt and roll to the next.
-    fn abort(&mut self, ep: &mut Endpoint, a_base: usize) -> Result<()> {
+    fn abort(&mut self, ep: &mut Endpoint) -> Result<()> {
         let tag = tags::with_attempt(tags::ABORT, self.attempt);
         for a in 0..self.counts.len() {
-            ep.send(a_base + a, tag, Bytes::new())?;
+            ep.send(self.a_base + a, tag, Bytes::new())?;
         }
         self.attempt += 1;
         self.counts.iter_mut().for_each(|c| *c = 0);
         Ok(())
     }
-
-    /// Broadcast EOF (with per-destination DATA counts) for the current
-    /// attempt.
-    fn finish(&self, ep: &mut Endpoint, a_base: usize) -> Result<()> {
-        let tag = tags::with_attempt(tags::EOF, self.attempt);
-        for (a, count) in self.counts.iter().enumerate() {
-            ep.send(a_base + a, tag, Bytes::from(count.to_le_bytes().to_vec()))?;
-        }
-        Ok(())
-    }
 }
 
-/// Run the shuffle engine until [`SendCmd::Finish`].
+/// Run the shuffle engine until [`SendCmd::Finish`], then commit the
+/// final attempt's stream through `completion`. Ending the task
+/// ([`Completion::task_ended`]) is the caller's, on every exit path.
 ///
-/// `a_base` is the world rank of A task 0; A task `i` lives at world
-/// rank `a_base + i`. Borrows the endpoint so the owning thread can
-/// poison it if the engine fails (peers then fail fast instead of
-/// waiting out their receive deadline).
+/// Borrows the endpoint so the owning thread can poison it if the engine
+/// fails (peers then fail fast instead of waiting out their receive
+/// deadline).
 ///
 /// # Errors
 /// Propagates MPI failures.
-#[allow(clippy::too_many_arguments)] // thin thread entry point; mirrors the engine's knobs
 pub fn run_sender(
     style: ShuffleStyle,
     ep: &mut Endpoint,
     queue: Receiver<SendCmd>,
-    a_base: usize,
-    a_tasks: usize,
+    completion: &Completion,
     job_start: Instant,
     recycle: Option<RecycleSender>,
     obs: &ObsHandle,
 ) -> Result<SenderStats> {
     let engine_obs = EngineObs::new(obs, ep.rank());
-    match style {
+    let mut state = AttemptState::new(completion);
+    let stats = match style {
         ShuffleStyle::NonBlocking => {
-            run_nonblocking(ep, queue, a_base, a_tasks, job_start, recycle, &engine_obs)
+            run_nonblocking(ep, queue, &mut state, job_start, recycle, &engine_obs)
         }
         ShuffleStyle::Blocking => {
-            run_blocking(ep, queue, a_base, a_tasks, job_start, recycle, &engine_obs)
+            run_blocking(ep, queue, &mut state, job_start, recycle, &engine_obs)
         }
-    }
+    }?;
+    completion.commit(ep, state.attempt, &state.counts)?;
+    Ok(stats)
 }
 
 /// Offer a completed payload back to the compute thread's buffer pool.
@@ -203,18 +283,15 @@ fn offer(recycle: Option<&RecycleSender>, payload: Bytes, obs: &EngineObs) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_nonblocking(
     ep: &mut Endpoint,
     queue: Receiver<SendCmd>,
-    a_base: usize,
-    a_tasks: usize,
+    state: &mut AttemptState,
     job_start: Instant,
     recycle: Option<RecycleSender>,
     obs: &EngineObs,
 ) -> Result<SenderStats> {
     let mut stats = SenderStats::default();
-    let mut state = AttemptState::new(a_tasks);
     // Cached request handles, periodically purged once complete — the
     // paper's "request handlers will be cached in the shuffle engine, and
     // the engine will test for the completion". Each handle keeps a
@@ -235,14 +312,14 @@ fn run_nonblocking(
                 for payload in payloads {
                     offer(recycle.as_ref(), payload, obs);
                 }
-                state.abort(ep, a_base)?;
+                state.abort(ep)?;
             }
             SendCmd::Partition { dst, payload } => {
                 let bytes = payload.len() as u64;
                 stats.send_events.push((job_start.elapsed(), bytes));
                 let retained = payload.clone();
                 let tag = tags::with_attempt(tags::DATA, state.attempt);
-                inflight.push((ep.isend(a_base + dst, tag, payload)?, retained));
+                inflight.push((ep.isend(state.a_base + dst, tag, payload)?, retained));
                 state.record_send(dst);
                 if obs.obs.is_enabled() {
                     obs.isends.add(1);
@@ -274,22 +351,18 @@ fn run_nonblocking(
     for payload in payloads {
         offer(recycle.as_ref(), payload, obs);
     }
-    state.finish(ep, a_base)?;
     Ok(stats)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_blocking(
     ep: &mut Endpoint,
     queue: Receiver<SendCmd>,
-    a_base: usize,
-    a_tasks: usize,
+    state: &mut AttemptState,
     job_start: Instant,
     recycle: Option<RecycleSender>,
     obs: &EngineObs,
 ) -> Result<SenderStats> {
     let mut stats = SenderStats::default();
-    let mut state = AttemptState::new(a_tasks);
     let mut finished = false;
     while !finished {
         // Gather one round: block for the first command, then drain
@@ -326,7 +399,7 @@ fn run_blocking(
                 .send_events
                 .push((job_start.elapsed(), payload.len() as u64));
             sent_payloads.push(payload.clone());
-            reqs.push(ep.isend(a_base + dst, tag, payload)?);
+            reqs.push(ep.isend(state.a_base + dst, tag, payload)?);
             state.record_send(dst);
             if obs.obs.is_enabled() {
                 obs.isends.add(1);
@@ -336,7 +409,7 @@ fn run_blocking(
         ep.waitall(&mut reqs)?;
         let sync_start = Instant::now();
         for dst in acks_due {
-            ep.recv(Some(a_base + dst), Some(tags::ACK))?;
+            ep.recv(Some(state.a_base + dst), Some(tags::ACK))?;
         }
         let waited = sync_start.elapsed();
         stats.sync_wait += waited;
@@ -349,10 +422,9 @@ fn run_blocking(
             offer(recycle.as_ref(), payload, obs);
         }
         if abort_after_round {
-            state.abort(ep, a_base)?;
+            state.abort(ep)?;
         }
     }
-    state.finish(ep, a_base)?;
     Ok(stats)
 }
 
@@ -372,7 +444,9 @@ mod tests {
     use std::sync::Arc;
 
     /// Drive a 1-O/2-A world through `run_sender` and a hand-rolled A
-    /// loop; returns pairs received per A.
+    /// loop; returns pairs received per A. Each A rank must see its five
+    /// DATA messages, one COMMIT counting them, then one DONE counting
+    /// that commit.
     fn exercise(style: ShuffleStyle) -> Vec<Vec<KvPair>> {
         let world = World::new(3, WorldConfig::default()).unwrap();
         let style = Arc::new(style);
@@ -385,17 +459,12 @@ mod tests {
                     let style = *style;
                     move || {
                         let mut ep = ep;
-                        run_sender(
-                            style,
-                            &mut ep,
-                            rx,
-                            1,
-                            2,
-                            start,
-                            None,
-                            &hdm_obs::ObsHandle::default(),
-                        )
-                        .unwrap()
+                        let completion = Completion::new(1, 1, 2);
+                        let obs = hdm_obs::ObsHandle::default();
+                        let stats =
+                            run_sender(style, &mut ep, rx, &completion, start, None, &obs).unwrap();
+                        completion.task_ended(&mut ep).unwrap();
+                        stats
                     }
                 });
                 for i in 0..10u8 {
@@ -412,7 +481,7 @@ mod tests {
                 assert_eq!(stats.send_events.len(), 10);
                 Vec::new()
             } else {
-                let mut got = Vec::new();
+                let (mut got, mut commits) = (Vec::new(), Vec::new());
                 loop {
                     let msg = ep.recv(Some(0), None).unwrap();
                     match msg.tag {
@@ -422,10 +491,15 @@ mod tests {
                                 ep.send(0, tags::ACK, Bytes::new()).unwrap();
                             }
                         }
-                        tags::EOF => break,
+                        tags::COMMIT => commits.push(read_count(&msg.payload).unwrap()),
+                        tags::DONE => {
+                            assert_eq!(read_count(&msg.payload), Some(1));
+                            break;
+                        }
                         other => panic!("unexpected tag {other:?}"),
                     }
                 }
+                assert_eq!(commits, vec![5]);
                 got
             }
         });

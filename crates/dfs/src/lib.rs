@@ -215,11 +215,13 @@ impl Dfs {
     /// # Errors
     /// [`HdmError::Dfs`] if the path is missing or still open for write.
     pub fn read_all(&self, path: &str) -> Result<Vec<u8>> {
-        let entry = self.entry(path)?;
-        let mut out = Vec::with_capacity(entry.len as usize);
-        for block in &entry.blocks {
-            out.extend_from_slice(&block.data);
-        }
+        let out = self.with_entry(path, |entry| {
+            let mut out = Vec::with_capacity(entry.len as usize);
+            for block in &entry.blocks {
+                out.extend_from_slice(&block.data);
+            }
+            Ok(out)
+        })?;
         self.metrics.record_read(None, out.len() as u64);
         Ok(out)
     }
@@ -288,33 +290,36 @@ impl Dfs {
         len: u64,
         reader_node: Option<NodeId>,
     ) -> Result<Vec<u8>> {
-        let entry = self.entry(path)?;
-        if offset + len > entry.len {
-            return Err(HdmError::Dfs(format!(
-                "read past EOF: {path} (len {}, want {}..{})",
-                entry.len,
-                offset,
-                offset + len
-            )));
-        }
-        let mut out = Vec::with_capacity(len as usize);
-        let mut local = true;
-        let mut pos = 0u64; // absolute file offset of current block start
-        for block in &entry.blocks {
-            let blen = block.data.len() as u64;
-            let start = offset.max(pos);
-            let end = (offset + len).min(pos + blen);
-            if start < end {
-                out.extend_from_slice(&block.data[(start - pos) as usize..(end - pos) as usize]);
-                if let Some(n) = reader_node {
-                    local &= block.replicas.contains(&n);
+        let (out, local) = self.with_entry(path, |entry| {
+            if offset + len > entry.len {
+                return Err(HdmError::Dfs(format!(
+                    "read past EOF: {path} (len {}, want {}..{})",
+                    entry.len,
+                    offset,
+                    offset + len
+                )));
+            }
+            let mut out = Vec::with_capacity(len as usize);
+            let mut local = true;
+            let mut pos = 0u64; // absolute file offset of current block start
+            for block in &entry.blocks {
+                let blen = block.data.len() as u64;
+                let start = offset.max(pos);
+                let end = (offset + len).min(pos + blen);
+                if start < end {
+                    let (from, to) = ((start - pos) as usize, (end - pos) as usize);
+                    out.extend_from_slice(&block.data[from..to]);
+                    if let Some(n) = reader_node {
+                        local &= block.replicas.contains(&n);
+                    }
+                }
+                pos += blen;
+                if pos >= offset + len {
+                    break;
                 }
             }
-            pos += blen;
-            if pos >= offset + len {
-                break;
-            }
-        }
+            Ok((out, local))
+        })?;
         self.metrics.record_read(reader_node, out.len() as u64);
         if let Some(n) = reader_node {
             self.metrics.record_locality(n, local);
@@ -327,7 +332,7 @@ impl Dfs {
     /// # Errors
     /// [`HdmError::Dfs`] if the path is missing.
     pub fn len(&self, path: &str) -> Result<u64> {
-        Ok(self.entry(path)?.len)
+        self.with_entry(path, |entry| Ok(entry.len))
     }
 
     /// True iff the path exists (closed files only).
@@ -341,19 +346,20 @@ impl Dfs {
     /// # Errors
     /// [`HdmError::Dfs`] if the path is missing.
     pub fn splits(&self, path: &str) -> Result<Vec<FileSplit>> {
-        let entry = self.entry(path)?;
-        let mut splits = Vec::with_capacity(entry.blocks.len());
-        let mut offset = 0u64;
-        for block in &entry.blocks {
-            splits.push(FileSplit {
-                path: path.to_string(),
-                offset,
-                len: block.data.len() as u64,
-                hosts: block.replicas.clone(),
-            });
-            offset += block.data.len() as u64;
-        }
-        Ok(splits)
+        self.with_entry(path, |entry| {
+            let mut splits = Vec::with_capacity(entry.blocks.len());
+            let mut offset = 0u64;
+            for block in &entry.blocks {
+                splits.push(FileSplit {
+                    path: path.to_string(),
+                    offset,
+                    len: block.data.len() as u64,
+                    hosts: block.replicas.clone(),
+                });
+                offset += block.data.len() as u64;
+            }
+            Ok(splits)
+        })
     }
 
     /// All closed files whose path starts with `prefix`, sorted.
@@ -371,7 +377,7 @@ impl Dfs {
     /// Delete a file; deleting a missing file is not an error (mirrors
     /// `fs -rm -f`). Returns whether something was removed.
     pub fn delete(&self, path: &str) -> bool {
-        let removed = self.inner.write().remove(path);
+        let removed = self.inner.write().remove(path).is_some();
         if removed {
             if let Some(cache) = self.cache_handle() {
                 cache.invalidate_path(path);
@@ -387,7 +393,7 @@ impl Dfs {
         {
             let mut ns = self.inner.write();
             for f in files {
-                if ns.remove(&f) {
+                if ns.remove(&f).is_some() {
                     removed.push(f);
                 }
             }
@@ -418,12 +424,15 @@ impl Dfs {
         self.inner.read().total_bytes()
     }
 
-    fn entry(&self, path: &str) -> Result<FileEntry> {
-        self.inner
-            .read()
+    /// Run `read` over the closed file at `path` under the namespace's
+    /// read lock: no copy of its block list (a refcount bump and a
+    /// replica `Vec` per block) per call.
+    fn with_entry<T>(&self, path: &str, read: impl FnOnce(&FileEntry) -> Result<T>) -> Result<T> {
+        let ns = self.inner.read();
+        let entry = ns
             .get(path)
-            .cloned()
-            .ok_or_else(|| HdmError::Dfs(format!("no such file: {path}")))
+            .ok_or_else(|| HdmError::Dfs(format!("no such file: {path}")))?;
+        read(entry)
     }
 
     fn finish_file(&self, path: &str, blocks: Vec<namespace::Block>, len: u64) {
@@ -519,7 +528,11 @@ impl DfsWriter {
         Ok(())
     }
 
-    fn cut_block(&mut self, data: Vec<u8>) {
+    /// Seal `data` as the next block. A block lives as long as its file,
+    /// so it gives back the capacity it grew with (a full block split
+    /// off a larger buffer, a tail that doubled) before it is frozen.
+    fn cut_block(&mut self, mut data: Vec<u8>) {
+        data.shrink_to_fit();
         let replicas = self
             .dfs
             .place_replicas(&self.path, self.blocks.len(), self.writer_node);
@@ -600,6 +613,40 @@ mod tests {
         let _open = dfs.create("/d2", NodeId(0)).unwrap();
         assert!(is_file_exists(&dfs.create("/d2", NodeId(0)).unwrap_err()));
         assert!(!is_file_exists(&dfs.read_all("/missing").unwrap_err()));
+    }
+
+    #[test]
+    fn missing_and_open_files_are_the_same_error_on_every_read() {
+        let dfs = small_fs();
+        let _open = dfs.create("/open", NodeId(0)).unwrap();
+        for path in ["/missing", "/open"] {
+            let want = HdmError::Dfs(format!("no such file: {path}"));
+            assert_eq!(dfs.read_range(path, 0, 1, None).unwrap_err(), want);
+            assert_eq!(dfs.read_range_planning(path, 0, 1, None).unwrap_err(), want);
+            assert_eq!(dfs.len(path).unwrap_err(), want);
+            assert_eq!(dfs.splits(path).unwrap_err(), want);
+            assert_eq!(dfs.read_all(path).unwrap_err(), want);
+        }
+    }
+
+    #[test]
+    fn closed_blocks_hold_no_spare_capacity() {
+        let dfs = small_fs();
+        let mut w = dfs.create("/cap", NodeId(0)).unwrap();
+        // Writes that overshoot a block (its buffer grew past 10 bytes
+        // before the cut) and a tail that grew by doubling.
+        for chunk in [&b"0123456"[..], b"0123456789abcdefghij", b"x", b"yz"] {
+            w.write(chunk).unwrap();
+        }
+        w.close().unwrap();
+        let entry = dfs.inner.write().remove("/cap").expect("closed file");
+        let lens: Vec<usize> = entry.blocks.iter().map(|b| b.data.len()).collect();
+        assert_eq!(lens, vec![10, 10, 10]);
+        for block in entry.blocks {
+            let len = block.data.len();
+            let buffer: Vec<u8> = block.data.try_into_mut().expect("sole owner").into();
+            assert_eq!(buffer.capacity(), len);
+        }
     }
 
     #[test]

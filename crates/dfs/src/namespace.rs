@@ -15,7 +15,7 @@ pub(crate) struct Block {
 }
 
 /// Metadata + data for one closed file.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct FileEntry {
     pub blocks: Vec<Block>,
     pub len: u64,
@@ -56,8 +56,9 @@ impl Namespace {
             .insert(path.to_string(), FileEntry { blocks, len });
     }
 
-    pub fn remove(&mut self, path: &str) -> bool {
-        self.files.remove(path).is_some()
+    /// Unlink a closed file, handing back its entry.
+    pub fn remove(&mut self, path: &str) -> Option<FileEntry> {
+        self.files.remove(path)
     }
 
     pub fn rename(&mut self, from: &str, to: &str) -> Result<()> {

@@ -60,6 +60,54 @@ fn write_cells(out: &mut String, row: &Row, delimiter: u8) {
     }
 }
 
+/// `0x7f` in every byte of a word.
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// `b` in every byte of a word.
+fn splat(b: u8) -> u64 {
+    u64::from(b) * 0x0101_0101_0101_0101
+}
+
+/// The high bit of each byte of the result is set exactly where `word`
+/// holds the byte `splat` repeats, and no other bit is: the per-byte
+/// zero test of `word ^ splat` that cannot carry from one byte into the
+/// next (each byte's `(x & 0x7f) + 0x7f` stays below 0x100).
+fn byte_hits(word: u64, splat: u64) -> u64 {
+    let x = word ^ splat;
+    !((x & LOW7).wrapping_add(LOW7) | x | LOW7)
+}
+
+/// Position of the first `needle` in `haystack`, eight bytes a step.
+fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
+    let (words, tail) = haystack.as_chunks::<8>();
+    let splat = splat(needle);
+    for (w, word) in words.iter().enumerate() {
+        let hits = byte_hits(u64::from_le_bytes(*word), splat);
+        if hits != 0 {
+            return Some(w * 8 + hits.trailing_zeros() as usize / 8);
+        }
+    }
+    let done = words.len() * 8;
+    tail.iter().position(|&b| b == needle).map(|p| done + p)
+}
+
+/// Append `i + 1` for every `i` with `bytes[i] == needle`, in order,
+/// eight bytes a step: where the fields after each delimiter start.
+fn push_field_starts(bytes: &[u8], needle: u8, starts: &mut Vec<usize>) {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let splat = splat(needle);
+    for (w, word) in words.iter().enumerate() {
+        let mut hits = byte_hits(u64::from_le_bytes(*word), splat);
+        while hits != 0 {
+            starts.push(w * 8 + hits.trailing_zeros() as usize / 8 + 1);
+            hits &= hits - 1;
+        }
+    }
+    let done = words.len() * 8;
+    let in_tail = tail.iter().enumerate().filter(|&(_, &b)| b == needle);
+    starts.extend(in_tail.map(|(i, _)| done + i + 1));
+}
+
 /// Render one row as a delimited line (no trailing newline).
 pub fn format_row(row: &Row, delimiter: u8) -> String {
     let mut out = String::new();
@@ -69,11 +117,12 @@ pub fn format_row(row: &Row, delimiter: u8) -> String {
 
 /// The one Text decoder, lazy per cell (Hive's `LazySimpleSerDe`).
 ///
-/// [`LineDecoder::index`] walks a line's bytes once, recording where each
-/// field starts and checking the field count; nothing is parsed or
-/// allocated by it. After that [`LineDecoder::value`] parses any one cell
-/// on its own, so the caller decides which cells are worth parsing: the
-/// predicates' first, the projection's only for rows that pass.
+/// [`LineDecoder::index`] walks a line's bytes once, a word at a time,
+/// recording where each field starts and checking the field count;
+/// nothing is parsed or allocated by it. After that
+/// [`LineDecoder::value`] parses any one cell on its own, so the caller
+/// decides which cells are worth parsing: the predicates' first, the
+/// projection's only for rows that pass.
 struct LineDecoder<'s> {
     schema: &'s Schema,
     delimiter: u8,
@@ -99,11 +148,9 @@ impl<'s> LineDecoder<'s> {
         self.starts.clear();
         self.starts.push(0);
         if self.schema.len() > 1 {
-            for (i, &b) in line.as_bytes().iter().enumerate() {
-                if b == self.delimiter {
-                    self.starts.push(i + 1);
-                }
-            }
+            // The delimiter is ASCII, and no byte of a multi-byte UTF-8
+            // character is: every hit is a real delimiter.
+            push_field_starts(line.as_bytes(), self.delimiter, &mut self.starts);
         }
         if self.starts.len() != self.schema.len() {
             return Err(HdmError::Storage(format!(
@@ -289,7 +336,7 @@ impl FileFormat for TextFormat {
         let mut pos: usize = 0;
         if split.offset > 0 {
             loop {
-                if let Some(p) = raw[pos..].iter().position(|&b| b == b'\n') {
+                if let Some(p) = find_byte(&raw[pos..], b'\n') {
                     pos += p + 1;
                     break;
                 }
@@ -311,7 +358,7 @@ impl FileFormat for TextFormat {
         let mut rows_skipped = 0u64;
         while pos < limit {
             let nl = loop {
-                if let Some(p) = raw[pos..].iter().position(|&b| b == b'\n') {
+                if let Some(p) = find_byte(&raw[pos..], b'\n') {
                     break Some(pos + p);
                 }
                 if !extend(&mut raw, &mut fetched_until, &mut bytes_read)? {
@@ -721,6 +768,58 @@ mod proptests {
                 got.extend(fmt.read_split(&dfs, &s, &schema, None, &[], None).unwrap().rows);
             }
             prop_assert_eq!(got, rows);
+        }
+
+        /// The word-at-a-time walkers find what a byte loop finds, in
+        /// any bytes (UTF-8 lead and continuation bytes included), with
+        /// the needle at every offset mod 8 and inputs shorter than a word.
+        #[test]
+        fn word_walkers_equal_the_byte_loop(
+            bytes in collection::vec(
+                prop_oneof![any::<u8>(), Just(b'|'), Just(b'\n'), Just(0x80u8), Just(0xfcu8)],
+                0..40,
+            ),
+            needle in prop_oneof![Just(b'|'), Just(b'\n'), Just(b','), Just(0u8), Just(0x7fu8)],
+        ) {
+            let hits: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == needle).collect();
+            prop_assert_eq!(find_byte(&bytes, needle), hits.first().copied());
+            let mut starts = vec![0];
+            push_field_starts(&bytes, needle, &mut starts);
+            let want: Vec<usize> = std::iter::once(0).chain(hits.iter().map(|i| i + 1)).collect();
+            prop_assert_eq!(starts, want);
+        }
+
+        /// `LineDecoder::index` over UTF-8 lines — multi-byte characters,
+        /// empty fields, delimiters at every offset mod 8, lines shorter
+        /// than a word — records the boundaries, or raises the field-count
+        /// error, a byte loop does.
+        #[test]
+        fn index_equals_the_byte_loop(
+            atoms in collection::vec(0usize..5, 0..30),
+            width in 1usize..8,
+        ) {
+            const ATOMS: [&str; 5] = ["|", "a", "\u{e9}", "\u{20ac}", "\u{1f600}"];
+            let line: String = atoms.iter().map(|&a| ATOMS[a]).collect();
+            let schema = Schema::new(
+                (0..width).map(|i| (format!("c{i}"), DataType::String)).collect(),
+            );
+            let mut decoder = LineDecoder::new(&schema, b'|').unwrap();
+            let got = decoder.index(&line).map(|()| decoder.starts.clone());
+            let mut starts = vec![0];
+            if width > 1 {
+                let ends = line.bytes().enumerate().filter(|&(_, b)| b == b'|');
+                starts.extend(ends.map(|(i, _)| i + 1));
+            }
+            let want = if starts.len() == width {
+                starts.push(line.len() + 1);
+                Ok(starts)
+            } else {
+                Err(HdmError::Storage(format!(
+                    "field count mismatch: expected {width}, got {} in {line:?}",
+                    starts.len()
+                )))
+            };
+            prop_assert_eq!(got, want);
         }
 
         /// The lazy reader is the eager one: for any schema, raw lines,
