@@ -8,8 +8,8 @@
 //!
 //! Methodology: Q1 and Q6 are compiled by the *real* planner
 //! (`analyze` → `plan_select` → `optimize_stage`) against a
-//! date-clustered ORC lineitem, and their scan stage — the vectorizable
-//! hot path — is then replayed directly against the stored table bytes
+//! date-clustered ORC lineitem, and their scan stage — the batched hot
+//! path — is then replayed directly against the stored table bytes
 //! on both arms:
 //!
 //! - **row arm** (pre-PR engine path): `plan_splits` without planning
@@ -82,7 +82,6 @@ fn compiled_scan(d: &Driver, sql: &str) -> (MapInput, Aggregator) {
         optimize_stage(stage);
     }
     let scan = &plan.stages[0];
-    assert!(scan.vectorizable(), "scan stage must be vectorizable");
     let StageKind::Aggregate { aggs, .. } = &scan.kind else {
         panic!("expected an aggregate scan stage")
     };

@@ -215,8 +215,8 @@ impl MapAttempt<'_> {
         Ok(())
     }
 
-    /// The row-at-a-time pipeline: Text and sequence-file scans, stream
-    /// partitions and memory chunks.
+    /// The row-at-a-time pipeline: sequence-file intermediates, stream
+    /// partitions, memory chunks, and table scans with vectorization off.
     fn run_rows(&mut self, rows: &[Row]) -> Result<()> {
         for row in rows {
             // One relaxed load per row: the cooperative cancellation
@@ -421,8 +421,8 @@ impl StagePipeline {
                 let projection = input.read_projection.as_deref();
                 let preds = input.pushed_down(self.pushdown);
                 // Vectorized scan: when the format can hand back columns
-                // (ORC) and the stage is eligible, rows stay columnar and
-                // the batch kernels replace the row loop.
+                // (ORC, Text), rows stay columnar and the batch kernels
+                // replace the row loop.
                 let columnar = if self.vectorized {
                     fmt.read_split_columns(&self.dfs, split, schema, projection, preds, node)?
                 } else {
@@ -431,6 +431,7 @@ impl StagePipeline {
                 match columnar {
                     Some(src) => {
                         at.vol.input_bytes = src.bytes_read;
+                        rows_skipped = src.rows_skipped;
                         at.run_batches(&src)?;
                     }
                     None => {

@@ -218,8 +218,8 @@ struct StagePipeline {
     in_streams: HashMap<usize, StreamedIntermediate>,
     dag_rows: HashMap<usize, Arc<Vec<Row>>>,
     pushdown: bool,
-    /// Vectorized execution: per-operator eligibility decided by the
-    /// planner shape; only formats with a columnar reader (ORC) take it.
+    /// Vectorized execution: every stage kind takes it for every format
+    /// with a columnar reader (ORC, Text).
     vectorized: bool,
     batch_size: usize,
     /// Map-side partial aggregation (Hive's hash-GBY operator): set for
@@ -252,7 +252,7 @@ impl StagePipeline {
         };
         Ok(StagePipeline {
             pushdown: planned.pushdown,
-            vectorized: ctx.conf.vectorized_enabled()? && stage.vectorizable(),
+            vectorized: ctx.conf.vectorized_enabled()?,
             batch_size: ctx.conf.vectorized_batch_size()?,
             partial,
             key_codec: KeyCodec::of(&stage.kind),

@@ -196,22 +196,6 @@ pub struct StagePlan {
     pub is_last: bool,
 }
 
-impl StagePlan {
-    /// Per-operator eligibility for the vectorized scan pipeline.
-    /// Exotic operators stay on the row path: DISTINCT aggregates must
-    /// ship raw inputs to the reducer, and join residuals re-evaluate
-    /// arbitrary expressions over concatenated rows the map side never
-    /// sees, so neither gains from (nor is covered by) the batch
-    /// kernels' equivalence argument.
-    pub fn vectorizable(&self) -> bool {
-        match &self.kind {
-            StageKind::Aggregate { aggs, .. } => !aggs.iter().any(|a| a.distinct),
-            StageKind::Join { residual, .. } => residual.is_none(),
-            StageKind::MapOnly | StageKind::Sort { .. } => true,
-        }
-    }
-}
-
 /// A fully planned query: stages in execution order.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {

@@ -94,6 +94,29 @@ pub struct ColumnarSource {
     pub stripes: Vec<ColumnarStripe>,
     /// Bytes physically read from the DFS.
     pub bytes_read: u64,
+    /// As [`RowSource::rows_skipped`].
+    pub rows_skipped: u64,
+}
+
+/// The one transpose: a columnar read as rows, cells moved, not cloned.
+impl From<ColumnarSource> for RowSource {
+    fn from(src: ColumnarSource) -> RowSource {
+        let mut rows = Vec::with_capacity(src.stripes.iter().map(|s| s.rows).sum());
+        for stripe in src.stripes {
+            let mut cells: Vec<_> = stripe.columns.into_iter().map(Vec::into_iter).collect();
+            rows.extend((0..stripe.rows).map(|_| {
+                cells
+                    .iter_mut()
+                    .map(|c| c.next().unwrap_or(Value::Null))
+                    .collect::<Row>()
+            }));
+        }
+        RowSource {
+            rows,
+            bytes_read: src.bytes_read,
+            rows_skipped: src.rows_skipped,
+        }
+    }
 }
 
 /// One file format: how rows get onto and off the simulated DFS.
@@ -157,10 +180,10 @@ pub trait FileFormat: Send + Sync {
         })
     }
 
-    /// Read one split column-wise, if the format stores columns natively.
-    /// Returns `Ok(None)` for row-oriented formats; callers must fall
-    /// back to [`FileFormat::read_split`]. Projection and predicate
-    /// semantics match `read_split` exactly (same stripes, same order).
+    /// Read one split column-wise, if the format can decode into columns
+    /// (ORC, Text). Returns `Ok(None)` otherwise; callers must fall back
+    /// to [`FileFormat::read_split`]. Projection and predicate semantics
+    /// match `read_split` exactly (same rows, same order, same errors).
     ///
     /// # Errors
     /// Propagates DFS/decode failures.

@@ -651,6 +651,7 @@ impl OrcFormat {
         Ok(ColumnarSource {
             stripes: out,
             bytes_read,
+            rows_skipped: 0,
         })
     }
 }
@@ -687,24 +688,8 @@ impl FileFormat for OrcFormat {
         predicates: &[Predicate],
         reader_node: Option<NodeId>,
     ) -> Result<RowSource> {
-        let src = self.read_stripes(dfs, split, schema, projection, predicates, reader_node)?;
-        let mut rows = Vec::new();
-        for stripe in &src.stripes {
-            for r in 0..stripe.rows {
-                rows.push(Row::from(
-                    stripe
-                        .columns
-                        .iter()
-                        .map(|col| col[r].clone())
-                        .collect::<Vec<_>>(),
-                ));
-            }
-        }
-        Ok(RowSource {
-            rows,
-            bytes_read: src.bytes_read,
-            rows_skipped: 0,
-        })
+        self.read_stripes(dfs, split, schema, projection, predicates, reader_node)
+            .map(RowSource::from)
     }
 
     fn splits(&self, dfs: &Dfs, path: &str) -> Result<Vec<FileSplit>> {

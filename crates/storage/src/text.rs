@@ -12,13 +12,14 @@
 //! property test below verifies that concatenating all splits of a file
 //! yields exactly the original rows, once each.
 
-use crate::format::{FileFormat, FormatKind, RowSink, RowSource};
+use crate::format::{ColumnarSource, ColumnarStripe, FileFormat, FormatKind, RowSink, RowSource};
 use crate::orc::Predicate;
 use hdm_common::error::{HdmError, Result};
 use hdm_common::row::{Row, Schema};
 use hdm_common::value::{DataType, Value};
 use hdm_dfs::{Dfs, DfsWriter, FileSplit, NodeId};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Hive's default NULL escape in text tables.
 pub const NULL_SEQUENCE: &str = "\\N";
@@ -199,16 +200,6 @@ impl<'s> LineDecoder<'s> {
             }
         }
     }
-
-    /// Parse the cells `cols` of the indexed line, in that order, into a
-    /// row of exactly that width.
-    fn row(&self, line: &str, cols: &[usize]) -> Row {
-        Row::from(
-            cols.iter()
-                .map(|&c| self.value(line, c))
-                .collect::<Vec<_>>(),
-        )
-    }
 }
 
 /// Parse one delimited line against a schema.
@@ -219,8 +210,62 @@ impl<'s> LineDecoder<'s> {
 pub fn parse_row(line: &str, schema: &Schema, delimiter: u8) -> Result<Row> {
     let mut decoder = LineDecoder::new(schema, delimiter)?;
     decoder.index(line)?;
-    let all: Vec<usize> = (0..schema.len()).collect();
-    Ok(decoder.row(line, &all))
+    Ok((0..schema.len()).map(|c| decoder.value(line, c)).collect())
+}
+
+/// More bytes fetched at a time past a split's end, to finish the
+/// record that crosses it.
+const LOOKAHEAD: u64 = 4096;
+
+/// Fetch every record that *starts* inside `split`, with Hadoop's
+/// `LineRecordReader` rules: a split at offset `o > 0` starts reading one
+/// byte early (so a record beginning exactly at `o` is kept) and skips
+/// up to its first `\n` (that partial record belongs to the previous
+/// split), and the record crossing the split's end is read to its end.
+/// Returns the bytes fetched and the range of them the split's records
+/// span, `\n`-separated with no final `\n`.
+fn fetch_records(
+    dfs: &Dfs,
+    split: &FileSplit,
+    reader_node: Option<NodeId>,
+) -> Result<(Vec<u8>, Range<usize>)> {
+    let file_len = dfs.len(&split.path)?;
+    let base = split.offset.saturating_sub(1);
+    let limit = (split.end() - base) as usize; // records starting before this are ours
+    let mut raw = dfs.read_range(&split.path, base, split.end() - base, reader_node)?;
+    // The first '\n' at or after `from`, fetching more until there is one
+    // or the file ends.
+    let newline_from = |raw: &mut Vec<u8>, mut from: usize| -> Result<Option<usize>> {
+        loop {
+            if let Some(p) = raw.get(from..).and_then(|tail| find_byte(tail, b'\n')) {
+                return Ok(Some(from + p));
+            }
+            from = from.max(raw.len());
+            let fetched_until = base + raw.len() as u64;
+            if fetched_until >= file_len {
+                return Ok(None);
+            }
+            let want = LOOKAHEAD.min(file_len - fetched_until);
+            raw.extend(dfs.read_range(&split.path, fetched_until, want, reader_node)?);
+        }
+    };
+    let start = if split.offset > 0 {
+        match newline_from(&mut raw, 0)? {
+            Some(nl) => nl + 1,
+            // The split is the interior of one huge record: no rows.
+            None => return Ok((raw, 0..0)),
+        }
+    } else {
+        0
+    };
+    if start >= limit {
+        return Ok((raw, 0..0));
+    }
+    // Our last record starts at or before `limit - 1`, and no '\n' lies
+    // between its start and `limit - 1` (another record of ours would
+    // start after it): the first '\n' at or after `limit - 1` ends it.
+    let end = newline_from(&mut raw, limit - 1)?.unwrap_or(raw.len());
+    Ok((raw, start..end))
 }
 
 /// Writer for one text part file.
@@ -255,6 +300,81 @@ impl RowSink for TextSink {
     }
 }
 
+impl TextFormat {
+    /// The one Text read: each kept line's projected cells are decoded
+    /// straight into column vectors, one stripe per split. Every
+    /// predicate whose column the schema has is tested on its own cell as
+    /// soon as the line's field count is known; a line that fails one is
+    /// counted in `rows_skipped` with nothing else of it parsed. The
+    /// caller's residual filter stays correct either way.
+    fn read_columns(
+        &self,
+        dfs: &Dfs,
+        split: &FileSplit,
+        schema: &Schema,
+        projection: Option<&[usize]>,
+        predicates: &[Predicate],
+        reader_node: Option<NodeId>,
+    ) -> Result<ColumnarSource> {
+        let mut decoder = LineDecoder::new(schema, self.delimiter)?;
+        let all: Vec<usize>;
+        let cols: &[usize] = match projection {
+            Some(p) => p,
+            None => {
+                all = (0..schema.len()).collect();
+                &all
+            }
+        };
+        if let Some(c) = cols.iter().find(|&&c| c >= schema.len()) {
+            return Err(HdmError::Storage(format!("column {c} out of range")));
+        }
+        let predicates: Vec<&Predicate> =
+            predicates.iter().filter(|p| p.col < schema.len()).collect();
+        let non_utf8 = |e| HdmError::Storage(format!("non-utf8 text data in {}: {e}", split.path));
+
+        let (raw, records) = fetch_records(dfs, split, reader_node)?;
+        let bytes = raw.get(records).unwrap_or_default();
+        // One UTF-8 check for the whole buffer. On a bad byte, the lines
+        // before the one holding it are walked as usual, and that line
+        // then fails exactly as it would have on its own: earlier lines'
+        // errors come first, and the message is the same.
+        let (text, bad_line) = match std::str::from_utf8(bytes) {
+            Ok(text) => (text, None),
+            Err(e) => {
+                let valid = bytes.get(..e.valid_up_to()).unwrap_or_default();
+                let line_start = valid.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+                let (good, rest) = bytes.split_at(line_start);
+                let text = std::str::from_utf8(good).map_err(non_utf8)?;
+                (text, rest.split(|&b| b == b'\n').next())
+            }
+        };
+        let mut columns: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
+        let (mut rows, mut rows_skipped) = (0, 0);
+        for line in text.split('\n').filter(|l| !l.is_empty()) {
+            decoder.index(line)?;
+            if predicates
+                .iter()
+                .all(|p| p.matches(&decoder.value(line, p.col)))
+            {
+                for (column, &c) in columns.iter_mut().zip(cols) {
+                    column.push(decoder.value(line, c));
+                }
+                rows += 1;
+            } else {
+                rows_skipped += 1;
+            }
+        }
+        if let Some(line) = bad_line {
+            std::str::from_utf8(line).map_err(non_utf8)?;
+        }
+        Ok(ColumnarSource {
+            stripes: vec![ColumnarStripe { columns, rows }],
+            bytes_read: raw.len() as u64,
+            rows_skipped,
+        })
+    }
+}
+
 impl FileFormat for TextFormat {
     fn kind(&self) -> FormatKind {
         FormatKind::Text
@@ -276,11 +396,6 @@ impl FileFormat for TextFormat {
         }))
     }
 
-    /// Rows come back projected, and already filtered by every predicate
-    /// whose column the schema has: a predicate is tested on its own cell
-    /// as soon as the line's field count is known, and a row that fails
-    /// one is counted in [`RowSource::rows_skipped`] with nothing parsed
-    /// for it. The caller's residual filter stays correct either way.
     fn read_split(
         &self,
         dfs: &Dfs,
@@ -290,106 +405,21 @@ impl FileFormat for TextFormat {
         predicates: &[Predicate],
         reader_node: Option<NodeId>,
     ) -> Result<RowSource> {
-        let mut decoder = LineDecoder::new(schema, self.delimiter)?;
-        let all: Vec<usize>;
-        let cols: &[usize] = match projection {
-            Some(p) => p,
-            None => {
-                all = (0..schema.len()).collect();
-                &all
-            }
-        };
-        if let Some(c) = cols.iter().find(|&&c| c >= schema.len()) {
-            return Err(HdmError::Storage(format!("column {c} out of range")));
-        }
-        let predicates: Vec<&Predicate> =
-            predicates.iter().filter(|p| p.col < schema.len()).collect();
+        self.read_columns(dfs, split, schema, projection, predicates, reader_node)
+            .map(RowSource::from)
+    }
 
-        let file_len = dfs.len(&split.path)?;
-        // Hadoop's LineRecordReader trick: a split at offset > 0 starts
-        // reading one byte early, so a record beginning exactly at the
-        // split offset (previous byte is '\n') is correctly kept.
-        let base = split.offset.saturating_sub(1);
-        let limit = (split.end() - base) as usize; // records starting before this belong to us
-        let mut raw = dfs.read_range(&split.path, base, split.end() - base, reader_node)?;
-        let mut bytes_read = raw.len() as u64;
-        // Absolute file position one past the bytes currently in `raw`.
-        let mut fetched_until = split.end();
-        const LOOKAHEAD: u64 = 4096;
-        // Extend `raw` until a '\n' exists at or after relative position
-        // `from`, or EOF. Returns true if more data was fetched.
-        let extend =
-            |raw: &mut Vec<u8>, fetched_until: &mut u64, bytes_read: &mut u64| -> Result<bool> {
-                if *fetched_until >= file_len {
-                    return Ok(false);
-                }
-                let want = LOOKAHEAD.min(file_len - *fetched_until);
-                let extra = dfs.read_range(&split.path, *fetched_until, want, reader_node)?;
-                *bytes_read += extra.len() as u64;
-                *fetched_until += extra.len() as u64;
-                raw.extend_from_slice(&extra);
-                Ok(true)
-            };
-
-        // A split at offset > 0 skips the partial record at its head: those
-        // bytes belong to the previous split's crossing record.
-        let mut pos: usize = 0;
-        if split.offset > 0 {
-            loop {
-                if let Some(p) = find_byte(&raw[pos..], b'\n') {
-                    pos += p + 1;
-                    break;
-                }
-                pos = raw.len();
-                if !extend(&mut raw, &mut fetched_until, &mut bytes_read)? {
-                    // Split is the interior of one huge record: no rows.
-                    return Ok(RowSource {
-                        rows: Vec::new(),
-                        bytes_read,
-                        rows_skipped: 0,
-                    });
-                }
-            }
-        }
-
-        // Every record *starting* before the split end belongs to us, even
-        // if it terminates past it.
-        let mut rows = Vec::new();
-        let mut rows_skipped = 0u64;
-        while pos < limit {
-            let nl = loop {
-                if let Some(p) = find_byte(&raw[pos..], b'\n') {
-                    break Some(pos + p);
-                }
-                if !extend(&mut raw, &mut fetched_until, &mut bytes_read)? {
-                    break None; // last record has no trailing newline
-                }
-            };
-            let end = nl.unwrap_or(raw.len());
-            let line = std::str::from_utf8(&raw[pos..end]).map_err(|e| {
-                HdmError::Storage(format!("non-utf8 text data in {}: {e}", split.path))
-            })?;
-            if !line.is_empty() {
-                decoder.index(line)?;
-                if predicates
-                    .iter()
-                    .all(|p| p.matches(&decoder.value(line, p.col)))
-                {
-                    rows.push(decoder.row(line, cols));
-                } else {
-                    rows_skipped += 1;
-                }
-            }
-            match nl {
-                Some(n) => pos = n + 1,
-                None => break,
-            }
-        }
-        Ok(RowSource {
-            rows,
-            bytes_read,
-            rows_skipped,
-        })
+    fn read_split_columns(
+        &self,
+        dfs: &Dfs,
+        split: &FileSplit,
+        schema: &Schema,
+        projection: Option<&[usize]>,
+        predicates: &[Predicate],
+        reader_node: Option<NodeId>,
+    ) -> Result<Option<ColumnarSource>> {
+        self.read_columns(dfs, split, schema, projection, predicates, reader_node)
+            .map(Some)
     }
 
     fn splits(&self, dfs: &Dfs, path: &str) -> Result<Vec<FileSplit>> {
@@ -476,6 +506,7 @@ mod tests {
             splits.len() > 3,
             "need multiple splits for the test to bite"
         );
+        // Row-wise and column-wise, which must agree split by split.
         let read_all = |projection: Option<&[usize]>, predicates: &[Predicate]| {
             let mut got = Vec::new();
             let mut skipped = 0;
@@ -483,6 +514,12 @@ mod tests {
                 let src = fmt
                     .read_split(&dfs, s, &schema(), projection, predicates, None)
                     .unwrap();
+                let columns = fmt
+                    .read_split_columns(&dfs, s, &schema(), projection, predicates, None)
+                    .unwrap()
+                    .expect("Text reads columns");
+                assert_eq!(columns.stripes.len(), 1, "one stripe per split");
+                assert_eq!(RowSource::from(columns), src);
                 got.extend(src.rows);
                 skipped += src.rows_skipped;
             }
@@ -512,6 +549,53 @@ mod tests {
         assert!(!kept.is_empty() && kept.len() < rows.len());
         let skipped = (rows.len() - kept.len()) as u64;
         assert_eq!(read_all(Some(&[3, 1, 1]), &predicates), (kept, skipped));
+    }
+
+    /// A split's bytes are checked for UTF-8 once, yet the errors are the
+    /// ones a check per line raises, in line order: a field-count error
+    /// on an earlier line wins over a bad byte on a later one, and a bad
+    /// byte in the record crossing the split's end, or cut short at the
+    /// end of the file, fails with the message that line alone gives.
+    #[test]
+    fn utf8_errors_come_in_line_order() {
+        let read = |block_size: usize, lines: &[&[u8]]| -> Vec<Result<usize>> {
+            let dfs = Dfs::new(DfsConfig {
+                block_size,
+                replication: 1,
+                num_nodes: 1,
+            });
+            let mut w = dfs.create("/u", NodeId(0)).unwrap();
+            w.write(&lines.concat()).unwrap();
+            w.close().unwrap();
+            let fmt = TextFormat::default();
+            let splits = fmt.splits(&dfs, "/u").unwrap();
+            let read = |s| fmt.read_split(&dfs, s, &schema(), None, &[], None);
+            splits
+                .iter()
+                .map(|s| read(s).map(|src| src.rows.len()))
+                .collect()
+        };
+        let err = |msg: &str| Err(HdmError::Storage(msg.into()));
+        let good: &[u8] = b"1|a|1.5|1995-01-01\n"; // 19 bytes
+        let short: &[u8] = b"2|b\n";
+        let bad: &[u8] = b"3|c|2.5|19\xff95-01-03\n";
+        assert_eq!(
+            read(1024, &[good, short, bad]),
+            [err(r#"field count mismatch: expected 4, got 2 in "2|b""#)]
+        );
+        let bad_at_10 = "non-utf8 text data in /u: invalid utf-8 sequence of 1 bytes from index 10";
+        assert_eq!(read(1024, &[good, bad, short]), [err(bad_at_10)]);
+        // 40-byte blocks: the third record starts at byte 38 in the first
+        // split and has its bad byte at 48, in the second.
+        assert_eq!(read(40, &[good, good, bad, good]), [err(bad_at_10), Ok(1)]);
+        let cut: &[u8] = b"4|d|1|1995-01-0\xc3";
+        assert_eq!(
+            read(40, &[good, good, cut]),
+            [
+                err("non-utf8 text data in /u: incomplete utf-8 byte sequence from index 15"),
+                Ok(0)
+            ]
+        );
     }
 
     #[test]
@@ -741,6 +825,116 @@ mod proptests {
         Ok((rows, skipped))
     }
 
+    /// One generated Text file and one read of it.
+    struct ReadCase {
+        schema: Schema,
+        lines: Vec<Vec<u8>>,
+        projection: Option<Vec<usize>>,
+        predicates: Vec<Predicate>,
+        /// Holds the file at `/lazy`, in blocks small enough that records
+        /// straddle them.
+        dfs: Dfs,
+    }
+
+    impl ReadCase {
+        fn splits(&self) -> Vec<FileSplit> {
+            TextFormat::default().splits(&self.dfs, "/lazy").unwrap()
+        }
+    }
+
+    /// Random schemas (1–6 columns of any type), 0–39 raw lines built
+    /// from [`CELLS`] with up to two faults, projections with repeats and
+    /// empty ones, predicates with any operator and literal, and 8–95-byte
+    /// blocks so that records straddle splits.
+    fn read_case() -> impl Strategy<Value = ReadCase> {
+        let file = (
+            collection::vec(0usize..5, 1..7),
+            collection::vec(collection::vec(0usize..CELLS.len(), 8..9), 0..40),
+            // (kind, line, byte): a line made non-UTF-8 at that byte, one
+            // delimiter short, or one over.
+            collection::vec((0u8..3, 0usize..64, 0usize..64), 0..3),
+            8usize..96,
+            any::<bool>(),
+        );
+        let read = (
+            (any::<bool>(), collection::vec(0usize..64, 0..8)),
+            collection::vec((0usize..64, 0usize..5, 0usize..10), 0..3),
+        );
+        (file, read).prop_map(|(file, read)| {
+            let (types, cells, faults, block_size, trailing_newline) = file;
+            let (projection, predicates) = read;
+            let n = types.len();
+            let schema = Schema::new(
+                types
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| (format!("c{i}"), TYPES[t]))
+                    .collect(),
+            );
+            let mut widths = vec![n; cells.len()];
+            let mut garbled = vec![None; cells.len()];
+            if !cells.is_empty() {
+                for &(kind, at, byte) in &faults {
+                    let at = at % cells.len();
+                    match kind {
+                        0 => garbled[at] = Some(byte),
+                        1 => widths[at] = n - 1,
+                        _ => widths[at] = n + 1,
+                    }
+                }
+            }
+            let lines: Vec<Vec<u8>> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, picks)| {
+                    let mut line = picks[..widths[i]]
+                        .iter()
+                        .map(|&c| CELLS[c])
+                        .collect::<Vec<_>>()
+                        .join("|")
+                        .into_bytes();
+                    if let Some(byte) = garbled[i] {
+                        let at = byte % (line.len() + 1);
+                        line.splice(at..at, *b"\xff\xfe");
+                    }
+                    line
+                })
+                .collect();
+            let mut file = lines.join(&b'\n');
+            if trailing_newline && !file.is_empty() {
+                file.push(b'\n');
+            }
+            let projection: Option<Vec<usize>> = projection
+                .0
+                .then(|| projection.1.iter().map(|c| c % n).collect());
+            let literals = literals();
+            // Column `n` does not exist: the reader must leave it to the caller.
+            let predicates: Vec<Predicate> = predicates
+                .into_iter()
+                .map(|(col, op, lit)| Predicate {
+                    col: col % (n + 1),
+                    op: OPS[op],
+                    value: literals[lit].clone(),
+                })
+                .collect();
+            let dfs = Dfs::new(DfsConfig {
+                block_size,
+                replication: 1,
+                num_nodes: 2,
+            });
+            let mut w = dfs.create("/lazy", NodeId(0)).unwrap();
+            w.write(&file).unwrap();
+            w.close().unwrap();
+            ReadCase {
+                schema,
+                lines,
+                projection,
+                predicates,
+                dfs,
+            }
+        })
+    }
+
     proptest! {
         #[test]
         fn all_splits_union_to_original(
@@ -826,81 +1020,52 @@ mod proptests {
         /// projection and predicates it returns `parse_row(..).project(..)`
         /// of the rows every predicate matches, or the identical error.
         #[test]
-        fn lazy_read_equals_parse_project_filter(
-            types in collection::vec(0usize..5, 1..7),
-            cells in collection::vec(collection::vec(0usize..CELLS.len(), 8..9), 0..40),
-            // (kind, line): a line made non-UTF-8, one delimiter short, or one over.
-            faults in collection::vec((0u8..3, 0usize..64), 0..3),
-            projection in (any::<bool>(), collection::vec(0usize..64, 0..8)),
-            predicates in collection::vec((0usize..64, 0usize..5, 0usize..10), 0..3),
-            block_size in 8usize..96,
-            trailing_newline in any::<bool>(),
-        ) {
-            let n = types.len();
-            let schema = Schema::new(
-                types.iter().enumerate().map(|(i, &t)| (format!("c{i}"), TYPES[t])).collect(),
-            );
-            let mut widths = vec![n; cells.len()];
-            let mut garbled = vec![false; cells.len()];
-            if !cells.is_empty() {
-                for &(kind, at) in &faults {
-                    let at = at % cells.len();
-                    match kind {
-                        0 => garbled[at] = true,
-                        1 => widths[at] = n - 1,
-                        _ => widths[at] = n + 1,
-                    }
-                }
-            }
-            let lines: Vec<Vec<u8>> = cells
-                .iter()
-                .enumerate()
-                .map(|(i, picks)| {
-                    let mut line = picks[..widths[i]]
-                        .iter()
-                        .map(|&c| CELLS[c])
-                        .collect::<Vec<_>>()
-                        .join("|")
-                        .into_bytes();
-                    if garbled[i] {
-                        line.extend_from_slice(b"\xff\xfe");
-                    }
-                    line
-                })
-                .collect();
-            let mut file = lines.join(&b'\n');
-            if trailing_newline && !file.is_empty() {
-                file.push(b'\n');
-            }
-            let projection: Option<Vec<usize>> =
-                projection.0.then(|| projection.1.iter().map(|c| c % n).collect());
-            let literals = literals();
-            // Column `n` does not exist: the reader must leave it to the caller.
-            let predicates: Vec<Predicate> = predicates
-                .into_iter()
-                .map(|(col, op, lit)| Predicate {
-                    col: col % (n + 1),
-                    op: OPS[op],
-                    value: literals[lit].clone(),
-                })
-                .collect();
-
-            let dfs = Dfs::new(DfsConfig { block_size, replication: 1, num_nodes: 2 });
-            let mut w = dfs.create("/lazy", NodeId(0)).unwrap();
-            w.write(&file).unwrap();
-            w.close().unwrap();
+        fn lazy_read_equals_parse_project_filter(case in read_case()) {
+            let ReadCase { schema, lines, projection, predicates, dfs } = &case;
             let fmt = TextFormat::default();
-            let lazy: Result<(Vec<Row>, u64)> = fmt.splits(&dfs, "/lazy").unwrap().iter().try_fold(
+            let lazy: Result<(Vec<Row>, u64)> = case.splits().iter().try_fold(
                 (Vec::new(), 0u64),
                 |(mut rows, skipped), split| {
                     let src = fmt.read_split(
-                        &dfs, split, &schema, projection.as_deref(), &predicates, None,
+                        dfs, split, schema, projection.as_deref(), predicates, None,
                     )?;
                     rows.extend(src.rows);
                     Ok((rows, skipped + src.rows_skipped))
                 },
             );
-            prop_assert_eq!(lazy, eager(&lines, &schema, projection.as_deref(), &predicates));
+            prop_assert_eq!(lazy, eager(lines, schema, projection.as_deref(), predicates));
+        }
+
+        /// The columnar read is the row read: per split, its stripes have
+        /// the projection's width and their stated row count, and
+        /// transposing them gives `read_split`'s rows, `rows_skipped` and
+        /// `bytes_read` — or both fail with the identical error.
+        #[test]
+        fn columnar_read_equals_row_read(case in read_case()) {
+            let ReadCase { schema, projection, predicates, dfs, .. } = &case;
+            let width = projection.as_ref().map_or(schema.len(), Vec::len);
+            let fmt = TextFormat::default();
+            for split in case.splits() {
+                let read = |columnar: bool| -> Result<RowSource> {
+                    let (projection, node) = (projection.as_deref(), None);
+                    if !columnar {
+                        return fmt.read_split(dfs, &split, schema, projection, predicates, node);
+                    }
+                    let src = fmt
+                        .read_split_columns(dfs, &split, schema, projection, predicates, node)?
+                        .expect("Text reads columns");
+                    let mut rows = Vec::new();
+                    for stripe in &src.stripes {
+                        assert_eq!(stripe.columns.len(), width);
+                        assert!(stripe.columns.iter().all(|c| c.len() == stripe.rows));
+                        rows.extend((0..stripe.rows).map(|r| {
+                            stripe.columns.iter().map(|c| c[r].clone()).collect::<Row>()
+                        }));
+                    }
+                    Ok(RowSource { rows, bytes_read: src.bytes_read, rows_skipped: src.rows_skipped })
+                };
+                prop_assert_eq!(read(true), read(false));
+            }
         }
     }
 }

@@ -3,14 +3,15 @@
 //! Pins the tentpole invariant of the columnar operator pipeline:
 //! `hive.vectorized.execution.enabled` is a pure performance knob.
 //!
-//! 1. **Differential sweep** — all 22 TPC-H queries over ORC × both
-//!    engines × {pipelined on, off} × {vectorized on, off} must produce
-//!    *byte-identical* collected rows within each (engine, pipelined)
-//!    arm, and normalized-identical rows across every arm.
-//! 2. **Path assertions** — Q1 and Q6 actually take the batched path
-//!    (`vec.batches` counter > 0 vectorized-on, == 0 vectorized-off or
-//!    on a non-columnar Text table), and a DISTINCT aggregate stage
-//!    falls back to the row path per the planner eligibility rule.
+//! 1. **Differential sweep** — all 22 TPC-H queries over ORC and over
+//!    Text × both engines × {pipelined on, off} × {vectorized on, off}
+//!    must produce *byte-identical* collected rows within each (source,
+//!    engine, pipelined) arm, and normalized-identical rows across every
+//!    arm of a source.
+//! 2. **Path assertions** — Q1 and Q6 over ORC and Q6 over Text actually
+//!    take the batched path (`vec.batches` counter > 0 vectorized-on,
+//!    == 0 vectorized-off), and so do the stage kinds the batch path once
+//!    refused: DISTINCT aggregates and joins with a residual.
 //! 3. **Pruning** — a date-clustered ORC load lets Q6's pushed-down
 //!    shipdate window prune whole stripes (`orc.stripes.pruned` > 0)
 //!    without changing the answer; `hive.orc.pushdown=false` restores
@@ -21,14 +22,22 @@
 //!    writer on both engines, vectorized on and off.
 
 use hdm_common::conf as keys;
+use hdm_core::ast::Statement;
+use hdm_core::logical::analyze;
+use hdm_core::parser::parse_statement;
+use hdm_core::physical::{plan_select, StageKind, StageOutput};
 use hdm_core::{Driver, EngineKind, QueryResult};
 use hdm_storage::FormatKind;
 use hdm_workloads::tpch;
 
-fn fresh_orc_tpch_driver() -> Driver {
+fn fresh_tpch_driver(format: FormatKind) -> Driver {
     let mut d = Driver::in_memory();
-    tpch::load(&mut d, 0.002, 20150701, FormatKind::Orc).expect("load tpch (orc)");
+    tpch::load(&mut d, 0.002, 20150701, format).expect("load tpch");
     d
+}
+
+fn fresh_orc_tpch_driver() -> Driver {
+    fresh_tpch_driver(FormatKind::Orc)
 }
 
 fn set_vectorized(d: &mut Driver, on: bool) {
@@ -72,38 +81,51 @@ fn counter_sum(d: &Driver, name: &str) -> u64 {
         .sum()
 }
 
-/// All 22 TPC-H queries × both engines × pipelined {off, on} ×
-/// vectorized {off, on}: byte-identical rows within each
-/// (engine, pipelined) arm, normalized-identical across all arms.
+/// One obs counter of one stage of the last query.
+fn stage_counter(d: &Driver, name: &str, stage: usize) -> u64 {
+    let snap = d.last_obs_snapshot().expect("obs snapshot");
+    let label = format!("stage={stage}");
+    snap.counters
+        .iter()
+        .filter(|(n, l, _)| n == name && *l == label)
+        .map(|(_, _, v)| *v)
+        .sum()
+}
+
+/// All 22 TPC-H queries over ORC and over Text × both engines ×
+/// pipelined {off, on} × vectorized {off, on}: byte-identical rows within
+/// each (source, engine, pipelined) arm, normalized-identical across the
+/// arms of a source. The Text arm is there since Text scans decode into
+/// batches too: every Text stage now runs the kernels vectorized-on.
 #[test]
 fn tpch_differential_vectorized_on_off() {
-    let mut d = fresh_orc_tpch_driver();
-    for n in tpch::queries::all() {
-        let sql = tpch::queries::query(n);
-        let mut baseline: Option<Vec<String>> = None;
-        for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
-            for pipelined in [false, true] {
-                set_pipelined(&mut d, pipelined);
-                set_vectorized(&mut d, false);
-                let off = d
-                    .execute_on(sql, engine)
-                    .unwrap_or_else(|e| panic!("q{n} {engine:?} vec-off: {e}"));
-                set_vectorized(&mut d, true);
-                let on = d
-                    .execute_on(sql, engine)
-                    .unwrap_or_else(|e| panic!("q{n} {engine:?} vec-on: {e}"));
-                assert_eq!(
-                    off.to_lines(),
-                    on.to_lines(),
-                    "q{n} {engine:?} pipelined={pipelined}: vectorization changed rows"
-                );
-                let norm = normalize(&on);
-                match &baseline {
-                    None => baseline = Some(norm),
-                    Some(b) => assert_eq!(
-                        b, &norm,
-                        "q{n} {engine:?} pipelined={pipelined}: arm disagrees with baseline"
-                    ),
+    for source in [FormatKind::Orc, FormatKind::Text] {
+        let mut d = fresh_tpch_driver(source);
+        for n in tpch::queries::all() {
+            let sql = tpch::queries::query(n);
+            let mut baseline: Option<Vec<String>> = None;
+            for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
+                for pipelined in [false, true] {
+                    let arm = format!("q{n} {source:?} {engine:?} pipelined={pipelined}");
+                    set_pipelined(&mut d, pipelined);
+                    set_vectorized(&mut d, false);
+                    let off = d
+                        .execute_on(sql, engine)
+                        .unwrap_or_else(|e| panic!("{arm} vec-off: {e}"));
+                    set_vectorized(&mut d, true);
+                    let on = d
+                        .execute_on(sql, engine)
+                        .unwrap_or_else(|e| panic!("{arm} vec-on: {e}"));
+                    assert_eq!(
+                        off.to_lines(),
+                        on.to_lines(),
+                        "{arm}: vectorization changed rows"
+                    );
+                    let norm = normalize(&on);
+                    match &baseline {
+                        None => baseline = Some(norm),
+                        Some(b) => assert_eq!(b, &norm, "{arm}: arm disagrees with baseline"),
+                    }
                 }
             }
         }
@@ -134,44 +156,80 @@ fn q1_q6_take_the_batched_path() {
     }
 }
 
-/// A Text table has no columnar reader: vectorization silently falls
-/// back to the row path and still answers correctly.
+/// A Text split decodes straight into column batches: Q6 over Text
+/// takes the batched path vectorized-on (it fell back to rows when Text
+/// had no columnar reader), the row path vectorized-off, and answers the
+/// same either way. The reader's own predicate drops still count.
 #[test]
-fn text_tables_fall_back_to_row_path() {
-    let mut d = Driver::in_memory();
-    tpch::load(&mut d, 0.002, 20150701, FormatKind::Text).expect("load tpch (text)");
+fn text_tables_take_the_batched_path() {
+    let mut d = fresh_tpch_driver(FormatKind::Text);
     d.conf_mut().set(keys::KEY_OBS_ENABLED, true);
-    set_vectorized(&mut d, true);
-    let r = d
-        .execute_on(tpch::queries::query(6), EngineKind::DataMpi)
-        .expect("q6 over text");
-    assert_eq!(r.rows.len(), 1);
-    assert_eq!(counter_sum(&d, "vec.batches"), 0);
+    let mut answers = Vec::new();
+    for vectorized in [true, false] {
+        set_vectorized(&mut d, vectorized);
+        let r = d
+            .execute_on(tpch::queries::query(6), EngineKind::DataMpi)
+            .expect("q6 over text");
+        assert_eq!(r.rows.len(), 1);
+        answers.push(r.to_lines());
+        let batched = counter_sum(&d, "vec.batches") > 0;
+        assert_eq!(batched, vectorized, "vectorized={vectorized}");
+        assert!(
+            counter_sum(&d, "text.rows.skipped") > 0,
+            "vectorized={vectorized}"
+        );
+    }
+    assert_eq!(answers[0], answers[1]);
 }
 
-/// DISTINCT aggregates are row-path-only per the planner eligibility
-/// rule; plain aggregates over the same table vectorize.
+/// No stage kind is refused the batch path. The map side of a DISTINCT
+/// aggregate (raw inputs shipped to the reducer) and of a join with a
+/// residual (evaluated reduce-side over joined rows) is filter → project
+/// → emit, which the batch pipeline runs from columns; both used to be
+/// kept on the row path by a planner eligibility rule. Rows equal the
+/// row path's.
 #[test]
-fn distinct_aggregate_falls_back_to_row_path() {
+fn distinct_and_residual_join_stages_batch() {
+    const DISTINCT: &str = "SELECT COUNT(DISTINCT l_suppkey) FROM lineitem";
+    const RESIDUAL: &str = "SELECT o_orderpriority, COUNT(*) FROM orders JOIN lineitem \
+                            ON o_orderkey = l_orderkey AND l_extendedprice * 4 > o_totalprice \
+                            GROUP BY o_orderpriority";
     let mut d = fresh_orc_tpch_driver();
+    // Forget the recorded sizes: the join shuffles, so its residual is
+    // the join stage's own.
+    for table in d.metastore().table_names() {
+        d.metastore().bump_version(&table);
+    }
     d.conf_mut().set(keys::KEY_OBS_ENABLED, true);
-    set_vectorized(&mut d, true);
-    d.execute_on(
-        "SELECT COUNT(DISTINCT l_suppkey) FROM lineitem",
-        EngineKind::DataMpi,
-    )
-    .expect("distinct count");
-    assert_eq!(
-        counter_sum(&d, "vec.batches"),
-        0,
-        "DISTINCT aggregate stage must stay on the row path"
-    );
-    d.execute_on("SELECT COUNT(l_suppkey) FROM lineitem", EngineKind::DataMpi)
-        .expect("plain count");
+    let Some(Statement::Select(query)) = parse_statement(RESIDUAL).ok() else {
+        panic!("not a SELECT");
+    };
+    let qb = analyze(&query, d.metastore()).expect("analyze");
+    let plan = plan_select(&qb, StageOutput::Collect).expect("plan");
     assert!(
-        counter_sum(&d, "vec.batches") > 0,
-        "plain aggregate over ORC should vectorize"
+        matches!(
+            &plan.stages[0].kind,
+            StageKind::Join {
+                residual: Some(_),
+                ..
+            }
+        ),
+        "stage 0 is a join with a residual"
     );
+    for (sql, stage) in [(DISTINCT, 0), (RESIDUAL, 0)] {
+        let mut answers = Vec::new();
+        for vectorized in [true, false] {
+            set_vectorized(&mut d, vectorized);
+            let r = d
+                .execute_on(sql, EngineKind::DataMpi)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert!(!r.rows.is_empty(), "{sql}");
+            answers.push(normalize(&r));
+            let batches = stage_counter(&d, "vec.batches", stage);
+            assert_eq!(batches > 0, vectorized, "{sql}: vectorized={vectorized}");
+        }
+        assert_eq!(answers[0], answers[1], "{sql}");
+    }
 }
 
 /// Date-clustered ORC stripes let Q6's pushed-down shipdate window
@@ -222,8 +280,8 @@ fn clustered_load_prunes_stripes_on_q6() {
 /// projection `SELECT` (`Collect` sink), an ORC CTAS and a CTAS with no
 /// `STORED AS` clause (the Text default, both through the typed
 /// part-file writer). Rows, read-back tables and declared schemas are
-/// identical across all arms, and only the vectorized ORC-source arms
-/// take the batched path.
+/// identical across all arms, and every vectorized arm takes the batched
+/// path: Text sources decode into batches as ORC ones do.
 #[test]
 fn map_only_select_and_ctas_agree_across_all_arms() {
     const SELECT: &str = "SELECT l_orderkey, l_extendedprice * (1 - l_discount) AS net, \
@@ -243,8 +301,7 @@ fn map_only_select_and_ctas_agree_across_all_arms() {
                 let arm = format!("{source:?} {engine:?} vectorized={vectorized}");
                 let assert_path = |d: &Driver, what: &str| {
                     let batched = counter_sum(d, "vec.batches") > 0;
-                    let expected = vectorized && source == FormatKind::Orc;
-                    assert_eq!(batched, expected, "{arm}: {what} took the wrong path");
+                    assert_eq!(batched, vectorized, "{arm}: {what} took the wrong path");
                 };
 
                 let rows = d
