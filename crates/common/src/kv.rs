@@ -7,7 +7,7 @@
 //! composite sort keys, join tags, …).
 
 use crate::codec;
-use crate::error::Result;
+use crate::error::{HdmError, Result};
 use crate::row::Row;
 use bytes::{Buf, BufMut, Bytes};
 use std::cmp::Ordering;
@@ -63,16 +63,12 @@ impl KvPair {
     /// quantity tracked by buffer managers and reported in the Figure 2
     /// key-value-size histograms.
     pub fn wire_size(&self) -> usize {
-        codec::varint_len(self.key.len() as u64)
-            + self.key.len()
-            + codec::varint_len(self.value.len() as u64)
-            + self.value.len()
+        wire_size(&self.key, &self.value)
     }
 
     /// Serialize the pair (length-prefixed key then value).
     pub fn encode(&self, buf: &mut impl BufMut) {
-        codec::write_bytes(buf, &self.key);
-        codec::write_bytes(buf, &self.value);
+        encode(buf, &self.key, &self.value);
     }
 
     /// Deserialize a pair written by [`KvPair::encode`].
@@ -86,11 +82,72 @@ impl KvPair {
     }
 }
 
+/// [`KvPair::wire_size`] of a pair given as slices.
+pub fn wire_size(key: &[u8], value: &[u8]) -> usize {
+    codec::varint_len(key.len() as u64)
+        + key.len()
+        + codec::varint_len(value.len() as u64)
+        + value.len()
+}
+
+/// [`KvPair::encode`] of a pair given as slices: the one wire format of
+/// send partitions, sort-buffer segments and spill runs.
+pub fn encode(buf: &mut impl BufMut, key: &[u8], value: &[u8]) {
+    codec::write_bytes(buf, key);
+    codec::write_bytes(buf, value);
+}
+
+/// Decode a buffer of back-to-back [`KvPair::encode`]d pairs.
+///
+/// Zero-copy: each pair's key and value are [`Bytes::slice`] views into
+/// `buf`'s refcounted allocation.
+///
+/// # Errors
+/// [`crate::error::HdmError::Codec`] on a truncated or corrupt buffer.
+pub fn decode_all(buf: &Bytes) -> Result<Vec<KvPair>> {
+    let mut out = Vec::new();
+    let mut pos = 0usize;
+    while pos < buf.len() {
+        let (key, next) = read_chunk(buf, pos)?;
+        let (value, next) = read_chunk(buf, next)?;
+        out.push(KvPair { key, value });
+        pos = next;
+    }
+    Ok(out)
+}
+
+/// Read one length-prefixed chunk at `pos` as a zero-copy slice view;
+/// returns the view and the offset just past it.
+fn read_chunk(buf: &Bytes, pos: usize) -> Result<(Bytes, usize)> {
+    let mut cursor: &[u8] = buf
+        .get(pos..)
+        .ok_or_else(|| HdmError::Codec("pair cursor out of range".into()))?;
+    let before = cursor.len();
+    let len = usize::try_from(codec::read_varint(&mut cursor)?)
+        .map_err(|_| HdmError::Codec("pair chunk length overflows usize".into()))?;
+    let start = pos + (before - cursor.len());
+    let end = start
+        .checked_add(len)
+        .filter(|&e| e <= buf.len())
+        .ok_or_else(|| HdmError::Codec("truncated pair chunk".into()))?;
+    Ok((buf.slice(start..end), end))
+}
+
 /// Key ordering used by sort and merge. Implementations must be total
 /// orders over arbitrary key bytes.
 pub trait Comparator: Send + Sync {
     /// Compare two serialized keys.
     fn compare(&self, a: &[u8], b: &[u8]) -> Ordering;
+
+    /// An order-preserving digest of `key`, cached next to it by sorts
+    /// and merges so most comparisons are one integer compare. The
+    /// contract: `prefix(a) < prefix(b)` implies `compare(a, b)` is
+    /// `Less`. Equal prefixes say nothing, and callers then call
+    /// [`Comparator::compare`]. The default is a constant, which
+    /// satisfies the contract for any order.
+    fn prefix(&self, _key: &[u8]) -> u128 {
+        0
+    }
 }
 
 /// Shareable comparator handle.
@@ -103,6 +160,17 @@ pub struct BytesComparator;
 impl Comparator for BytesComparator {
     fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
         a.cmp(b)
+    }
+
+    /// The key's first 16 bytes, big-endian, zero-padded: memcmp order
+    /// up to the padding (`ab` and `ab\0` share a prefix).
+    fn prefix(&self, key: &[u8]) -> u128 {
+        let mut head = [0u8; 16];
+        let n = key.len().min(head.len());
+        if let (Some(dst), Some(src)) = (head.get_mut(..n), key.get(..n)) {
+            dst.copy_from_slice(src);
+        }
+        u128::from_be_bytes(head)
     }
 }
 
@@ -193,6 +261,34 @@ mod tests {
     }
 
     #[test]
+    fn decode_all_is_zero_copy_and_rejects_truncation() {
+        let pairs = vec![
+            KvPair::new(&b"k"[..], &b"vv"[..]),
+            KvPair::new(vec![], vec![]),
+        ];
+        let mut buf = Vec::new();
+        for kv in &pairs {
+            encode(&mut buf, &kv.key, &kv.value);
+        }
+        let buf = Bytes::from(buf);
+        let back = decode_all(&buf).unwrap();
+        assert_eq!(back, pairs);
+        let base = buf.as_ref().as_ptr() as usize;
+        assert!((base..base + buf.len()).contains(&(back[0].value.as_ref().as_ptr() as usize)));
+        assert!(decode_all(&buf.slice(..buf.len() - 3)).is_err());
+    }
+
+    #[test]
+    fn bytes_prefix_is_the_zero_padded_head() {
+        let c = BytesComparator;
+        assert_eq!(c.prefix(b""), 0);
+        assert_eq!(c.prefix(b"ab"), c.prefix(b"ab\0"));
+        assert_eq!(c.prefix(&[0xff; 20]), u128::MAX);
+        assert_eq!(c.prefix(&[1]), 1u128 << 120);
+        assert_eq!(RowKeyComparator.prefix(b"anything"), 0);
+    }
+
+    #[test]
     fn row_key_comparator_orders_numerically() {
         // Byte order would put 10 < 9 for decimal strings; row comparator
         // must order numerically.
@@ -253,6 +349,27 @@ mod proptests {
             prop_assert!(cmp.compare(&v[0], &v[1]) != Ordering::Greater);
             prop_assert!(cmp.compare(&v[1], &v[2]) != Ordering::Greater);
             prop_assert!(cmp.compare(&v[0], &v[2]) != Ordering::Greater);
+        }
+
+        /// The prefix contract: a smaller prefix means a smaller key, and
+        /// a smaller key never has a larger prefix. Keys share long heads
+        /// and end in `0x00` runs, where zero padding ties them.
+        #[test]
+        fn bytes_prefix_contract(
+            head in proptest::collection::vec(0u8..3, 0..20),
+            a in proptest::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..6),
+            b in proptest::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..6),
+        ) {
+            let cmp = BytesComparator;
+            let a = [head.as_slice(), &a].concat();
+            let b = [head.as_slice(), &b].concat();
+            let (pa, pb) = (cmp.prefix(&a), cmp.prefix(&b));
+            if pa < pb {
+                prop_assert_eq!(cmp.compare(&a, &b), Ordering::Less);
+            }
+            if cmp.compare(&a, &b) == Ordering::Less {
+                prop_assert!(pa <= pb);
+            }
         }
     }
 }

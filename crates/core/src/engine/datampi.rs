@@ -36,7 +36,7 @@ pub(super) fn run_on_datampi(job: &StageJob<'_>) -> Result<Vec<ReduceVolume>> {
         Arc::clone(&job.partitioner),
         Arc::new(move |rank, ctx: &mut hdm_datampi::OContext| {
             // The DataMPICollector: collect() = MPI_D_send().
-            map.run_map(rank, &mut |kv| ctx.send(kv))
+            map.run_map(rank, &mut |key, value| ctx.send_slices(key, value))
         }),
         Arc::new(move |rank, ctx: &mut hdm_datampi::AContext| reduce.run_reduce(rank, ctx)),
     )?;

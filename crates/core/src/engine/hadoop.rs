@@ -27,7 +27,7 @@ pub(super) fn run_on_hadoop(job: &StageJob<'_>) -> Result<Vec<ReduceVolume>> {
         Arc::clone(&job.comparator),
         Arc::clone(&job.partitioner),
         Arc::new(move |rank, ctx: &mut hdm_mapred::MapContext| {
-            map.run_map(rank, &mut |kv| ctx.collect(kv))
+            map.run_map(rank, &mut |key, value| ctx.collect_slices(key, value))
         }),
         Arc::new(move |rank, ctx: &mut hdm_mapred::ReduceContext| reduce.run_reduce(rank, ctx)),
     )?;

@@ -9,7 +9,6 @@ use crate::operators::{process_join_group, project_row};
 use crate::physical::{MapInput, MapJoin, StageKind};
 use hdm_cluster::MapVolume;
 use hdm_common::error::{HdmError, Result};
-use hdm_common::kv::KvPair;
 use hdm_common::row::Row;
 use hdm_common::sortkey;
 use hdm_common::stats::Histogram;
@@ -20,9 +19,11 @@ use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The shuffle collector a task emits into: Hadoop's
-/// `OutputCollector::collect` or DataMPI's `MPI_D_send`.
-pub(super) type Emit<'a> = &'a mut dyn FnMut(KvPair) -> Result<()>;
+/// The shuffle collector a task emits into, one encoded `(key, value)`
+/// at a time: Hadoop's `OutputCollector::collect` or DataMPI's
+/// `MPI_D_send`. The slices are the attempt's reused buffers; the engine
+/// copies them once, into its own sort arena or send partition.
+pub(super) type Emit<'a> = &'a mut dyn FnMut(&[u8], &[u8]) -> Result<()>;
 
 /// The in-memory side of one map-side join step: the build table's
 /// value rows, grouped by join key. Keys are the sort-key bytes the
@@ -133,6 +134,9 @@ struct MapAttempt<'a> {
     /// Per step, a reused buffer for the rows one probe row joins to.
     joined: Vec<Vec<Row>>,
     key_buf: Vec<u8>,
+    /// The shuffle pair being emitted, encoded: key and value buffers
+    /// reused across every pair of the attempt.
+    wire: (Vec<u8>, Vec<u8>),
     groups: GroupTable,
     /// Map-only output. Owned by the attempt, so a failed attempt's rows
     /// die with it and a replay cannot duplicate them.
@@ -151,13 +155,15 @@ impl MapAttempt<'_> {
     /// Send one shuffle pair, encoded straight from its cells.
     fn emit<'v>(
         &mut self,
-        key: impl Iterator<Item = &'v Value> + Clone,
-        value: impl ExactSizeIterator<Item = &'v Value> + Clone,
+        key: impl Iterator<Item = &'v Value>,
+        value: impl ExactSizeIterator<Item = &'v Value>,
     ) -> Result<()> {
         let tag = matches!(self.p.stage.kind, StageKind::Join { .. }).then_some(self.input.tag);
-        let kv = self.p.key_codec.pair(key, tag, value);
-        self.kv_sizes.record(kv.wire_size() as u64);
-        (self.emit)(kv)
+        self.p.key_codec.encode(key, tag, value, &mut self.wire);
+        let (kb, vb) = &self.wire;
+        self.kv_sizes
+            .record(hdm_common::kv::wire_size(kb, vb) as u64);
+        (self.emit)(kb, vb)
     }
 
     /// The one place a projected row's destination is decided.
@@ -385,6 +391,7 @@ impl StagePipeline {
             joined: vec![Vec::new(); tables.len()],
             tables: &tables,
             key_buf: Vec::new(),
+            wire: (Vec::new(), Vec::new()),
             groups: GroupTable::new(),
             out_rows: Vec::new(),
             kv_sizes: Histogram::with_width(hdm_obs::KV_HIST_BUCKET),
@@ -583,7 +590,7 @@ mod tests {
             StagePipeline::new(stage, plan::plan_tasks(stage, &ctx).expect("tasks"), &ctx)
                 .expect("pipeline");
         token.cancel("test");
-        let mut no_emit = |_kv: KvPair| -> Result<()> { Ok(()) };
+        let mut no_emit = |_: &[u8], _: &[u8]| -> Result<()> { Ok(()) };
         let err = pipeline.run_map(0, &mut no_emit).expect_err("cancelled");
         assert!(err.is_cancelled(), "{err}");
         let shared = &pipeline.builds[0][0];

@@ -52,7 +52,7 @@ use crate::stream::StreamedIntermediate;
 use bytes::Bytes;
 use hdm_cluster::{JobVolumes, MapVolume};
 use hdm_common::error::{HdmError, Result};
-use hdm_common::kv::{BytesComparator, ComparatorRef, KvPair};
+use hdm_common::kv::{BytesComparator, ComparatorRef};
 use hdm_common::partition::{HashPartitioner, PartitionerRef, SinglePartitioner};
 use hdm_common::row::{Row, Schema};
 use hdm_common::stats::Histogram;
@@ -174,28 +174,26 @@ impl KeyCodec {
         KeyCodec { ascending }
     }
 
-    /// Build the wire pair for one projected `(key, value)`, straight
-    /// from its cells — wherever they live, a `Row` or batch columns:
-    /// the key in the sort-key encoding, the `n` value cells as
-    /// [`Row::encode`] writes a row, behind their input's `tag` when the
-    /// stage is a join (`[varint n+1][Long tag][cells…]`).
-    fn pair<'v>(
+    /// Encode one projected `(key, value)` into the reused `wire`
+    /// buffers, straight from its cells — wherever they live, a `Row` or
+    /// batch columns: the key in the sort-key encoding, the value cells
+    /// as [`Row::encode`] writes a row, behind their input's `tag` when
+    /// the stage is a join (`[varint n+1][Long tag][cells…]`).
+    fn encode<'v>(
         &self,
-        key: impl Iterator<Item = &'v Value> + Clone,
+        key: impl Iterator<Item = &'v Value>,
         tag: Option<u8>,
-        value: impl ExactSizeIterator<Item = &'v Value> + Clone,
-    ) -> KvPair {
-        let wire_size = |cells: &mut dyn Iterator<Item = &'v Value>| -> usize {
-            cells.map(|v| v.wire_size() + 1).sum()
-        };
-        let mut kb = Vec::with_capacity(wire_size(&mut key.clone()) + 4);
-        hdm_common::sortkey::encode_cells_into(&mut kb, key, &self.ascending);
-        let mut vb = Vec::with_capacity(wire_size(&mut value.clone()) + 6);
+        value: impl ExactSizeIterator<Item = &'v Value>,
+        wire: &mut (Vec<u8>, Vec<u8>),
+    ) {
+        let (kb, vb) = wire;
+        kb.clear();
+        vb.clear();
+        hdm_common::sortkey::encode_cells_into(kb, key, &self.ascending);
         match tag {
-            Some(tag) => crate::operators::encode_tagged(&mut vb, tag, value),
-            None => hdm_common::row::encode_cells(&mut vb, value),
+            Some(tag) => crate::operators::encode_tagged(vb, tag, value),
+            None => hdm_common::row::encode_cells(vb, value),
         }
-        KvPair::new(kb, vb)
     }
 
     /// Decode a wire key back into its row.
@@ -397,7 +395,7 @@ fn run_map_only(job: &StageJob<'_>) -> Result<()> {
                 }
                 let site = hdm_faults::Site::MapTask;
                 let run = hdm_faults::supervise(faults, recovery, cancel, site, i, None, |_, _| {
-                    let mut sink_err = |_kv: KvPair| -> Result<()> {
+                    let mut sink_err = |_: &[u8], _: &[u8]| -> Result<()> {
                         Err(HdmError::Plan("map-only stage must not emit KVs".into()))
                     };
                     job.pipeline.run_map(i, &mut sink_err)

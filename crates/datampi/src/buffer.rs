@@ -10,15 +10,14 @@
 //! indices of each key-value pair in the buffer."*
 
 use bytes::Bytes;
-use hdm_common::kv::KvPair;
+use hdm_common::kv::{self, KvPair};
 
 /// One send partition: raw KV bytes destined for a single A task, plus
-/// the meta-information the paper lists.
+/// the meta-information the paper lists (bytes used, pairs cached; a
+/// pair's offset is found by walking the length prefixes).
 #[derive(Debug, Clone, Default)]
 pub struct SendPartition {
     data: Vec<u8>,
-    /// Byte offset of each cached pair within `data`.
-    offsets: Vec<u32>,
     pairs: usize,
 }
 
@@ -27,15 +26,18 @@ impl SendPartition {
     pub fn with_capacity(bytes: usize) -> SendPartition {
         SendPartition {
             data: Vec::with_capacity(bytes),
-            offsets: Vec::new(),
             pairs: 0,
         }
     }
 
     /// Append one pair (serialized in place).
     pub fn push(&mut self, kv: &KvPair) {
-        self.offsets.push(self.data.len() as u32);
-        kv.encode(&mut self.data);
+        self.push_slices(&kv.key, &kv.value);
+    }
+
+    /// Append one pair given as slices (serialized in place).
+    pub fn push_slices(&mut self, key: &[u8], value: &[u8]) {
+        kv::encode(&mut self.data, key, value);
         self.pairs += 1;
     }
 
@@ -52,11 +54,6 @@ impl SendPartition {
     /// True iff no pairs are cached.
     pub fn is_empty(&self) -> bool {
         self.pairs == 0
-    }
-
-    /// Pair start offsets within the raw buffer.
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
     }
 
     /// Capacity of the raw buffer (bytes the next fill can take without
@@ -79,7 +76,6 @@ impl SendPartition {
     /// storage. The frozen payload hands its allocation to [`Bytes`]
     /// without copying.
     pub fn take_payload_with(&mut self, next: Vec<u8>) -> Bytes {
-        self.offsets.clear();
         self.pairs = 0;
         Bytes::from(std::mem::replace(&mut self.data, next))
     }
@@ -93,32 +89,8 @@ impl SendPartition {
     /// # Errors
     /// Propagates codec errors on corrupt payloads.
     pub fn decode_payload(payload: &Bytes) -> hdm_common::error::Result<Vec<KvPair>> {
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        while pos < payload.len() {
-            let (key, next) = read_chunk(payload, pos)?;
-            let (value, next) = read_chunk(payload, next)?;
-            out.push(KvPair { key, value });
-            pos = next;
-        }
-        Ok(out)
+        kv::decode_all(payload)
     }
-}
-
-/// Read one length-prefixed chunk at `pos` as a zero-copy slice view;
-/// returns the view and the offset just past it.
-fn read_chunk(payload: &Bytes, pos: usize) -> hdm_common::error::Result<(Bytes, usize)> {
-    let mut cursor: &[u8] = payload
-        .get(pos..)
-        .ok_or_else(|| hdm_common::error::HdmError::Codec("payload cursor out of range".into()))?;
-    let before = cursor.len();
-    let len = hdm_common::codec::read_varint(&mut cursor)? as usize;
-    let start = pos + (before - cursor.len());
-    let end = start
-        .checked_add(len)
-        .filter(|&e| e <= payload.len())
-        .ok_or_else(|| hdm_common::error::HdmError::Codec("truncated payload chunk".into()))?;
-    Ok((payload.slice(start..end), end))
 }
 
 /// The SPL: one [`SendPartition`] per destination A task, plus a pool of
@@ -201,6 +173,19 @@ impl SendPartitionList {
     /// [`HdmError::DataMpi`] if `dst` is out of range — a partitioner
     /// returning a destination outside `0..a_tasks`.
     pub fn push(&mut self, dst: usize, kv: &KvPair) -> hdm_common::error::Result<Option<Bytes>> {
+        self.push_slices(dst, &kv.key, &kv.value)
+    }
+
+    /// [`SendPartitionList::push`] of a pair given as slices.
+    ///
+    /// # Errors
+    /// As [`SendPartitionList::push`].
+    pub fn push_slices(
+        &mut self,
+        dst: usize,
+        key: &[u8],
+        value: &[u8],
+    ) -> hdm_common::error::Result<Option<Bytes>> {
         let a_tasks = self.partitions.len();
         let unbacked = self.partitions.get(dst).is_some_and(|p| p.capacity() == 0);
         let first_buffer = unbacked.then(|| self.next_buffer());
@@ -212,7 +197,7 @@ impl SendPartitionList {
         if let Some(buf) = first_buffer {
             p.data = buf;
         }
-        p.push(kv);
+        p.push_slices(key, value);
         if p.bytes_used() >= self.capacity_bytes {
             let next = self.next_buffer();
             // Re-borrow: `next_buffer` needed `&mut self` above.
@@ -237,7 +222,6 @@ impl SendPartitionList {
             .map(|(dst, p)| {
                 let payload = Bytes::from(p.data.as_slice().to_vec());
                 p.data.clear();
-                p.offsets.clear();
                 p.pairs = 0;
                 (dst, payload)
             })
@@ -270,9 +254,7 @@ mod tests {
         p.push(&kv(1, 3));
         p.push(&kv(2, 5));
         assert_eq!(p.pairs(), 2);
-        assert_eq!(p.offsets().len(), 2);
-        assert_eq!(p.offsets()[0], 0);
-        assert!(p.bytes_used() > 8);
+        assert_eq!(p.bytes_used(), kv(1, 3).wire_size() + kv(2, 5).wire_size());
         let payload = p.take_payload();
         assert!(p.is_empty());
         assert_eq!(p.bytes_used(), 0);
@@ -365,8 +347,11 @@ mod tests {
         );
         let ptr_before = {
             p.push(&kv(2, 1));
-            let first = p.offsets()[0];
-            assert_eq!(first, 0);
+            assert_eq!(
+                p.bytes_used(),
+                kv(2, 1).wire_size(),
+                "the reset buffer starts empty"
+            );
             p.capacity()
         };
         // Filling well under capacity must not grow the buffer.

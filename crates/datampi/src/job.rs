@@ -78,6 +78,15 @@ impl OContext<'_> {
     /// [`HdmError::RankFailed`] when an injected crash fires;
     /// [`HdmError::Cancelled`] once the job's token fires.
     pub fn send(&mut self, kv: KvPair) -> Result<()> {
+        self.send_slices(&kv.key, &kv.value)
+    }
+
+    /// [`OContext::send`] of a pair given as slices: the bytes are copied
+    /// once, into the destination's send partition.
+    ///
+    /// # Errors
+    /// As [`OContext::send`].
+    pub fn send_slices(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         self.config.cancel.bail_if_cancelled()?;
         if let Some(countdown) = self.crash_countdown.as_mut() {
             if *countdown == 0 {
@@ -89,10 +98,9 @@ impl OContext<'_> {
             }
             *countdown -= 1;
         }
-        let dst = self.partitioner.partition(&kv.key, self.config.a_tasks);
-        self.stats
-            .collect
-            .record_kv(kv.wire_size() as u64, self.job_start);
+        let dst = self.partitioner.partition(key, self.config.a_tasks);
+        let wire = hdm_common::kv::wire_size(key, value) as u64;
+        self.stats.collect.record_kv(wire, self.job_start);
         // Reclaim any payloads the shuffle engine finished sending so the
         // next flush reuses their allocations instead of growing new ones.
         // A declined offer (pool full or buffer still shared) is counted,
@@ -102,7 +110,7 @@ impl OContext<'_> {
                 self.obs_recycle_drops.add(1);
             }
         }
-        if let Some(payload) = self.spl.push(dst, &kv)? {
+        if let Some(payload) = self.spl.push_slices(dst, key, value)? {
             let wait_start = Instant::now();
             self.enqueue(dst, payload)?;
             let waited = wait_start.elapsed();

@@ -21,7 +21,7 @@
 //!   of the intermediate data in memory by default").
 //! * [`buffer::SendPartitionList`] — the buffer manager's SPL: one
 //!   partition buffer per A task holding raw KV bytes plus
-//!   meta-information (buffer usage, pair count, offsets); full
+//!   meta-information (buffer usage, pair count); full
 //!   partitions are pushed into the **send block queue** whose length is
 //!   the paper's `hive.datampi.sendqueue` knob.
 //! * [`shuffle`] — the shuffle engine in both styles of Section IV-C:

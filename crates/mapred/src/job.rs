@@ -2,12 +2,12 @@
 //! reduce wave.
 
 use crate::report::{MapTaskStats, MrJobReport, ReduceTaskStats};
-use crate::sort::{merge_sorted_runs, SortBuffer};
+use crate::sort::{merge_runs, SortBuffer};
 use crate::store::MapOutputStore;
-use crate::{CombinerRef, MapRedConfig};
+use crate::MapRedConfig;
 use bytes::Bytes;
 use hdm_common::error::{HdmError, Result};
-use hdm_common::kv::{ComparatorRef, KvPair};
+use hdm_common::kv::{self, ComparatorRef, KvPair};
 use hdm_common::partition::PartitionerRef;
 use hdm_faults::{supervise, FaultPlan, Site};
 use std::sync::Arc;
@@ -54,10 +54,19 @@ impl MapContext {
     /// Emit one pair into the sort buffer.
     ///
     /// # Errors
+    /// As [`MapContext::collect_slices`].
+    pub fn collect(&mut self, kv: KvPair) -> Result<()> {
+        self.collect_slices(&kv.key, &kv.value)
+    }
+
+    /// Emit one pair, given as slices, into the sort buffer: the bytes
+    /// are copied once, into the buffer's arena.
+    ///
+    /// # Errors
     /// [`HdmError::MapRed`] if the partitioner routes the key outside
     /// `0..num_reducers`; [`HdmError::RankFailed`] when an injected
     /// crash fires; [`HdmError::Cancelled`] once the job's token fires.
-    pub fn collect(&mut self, kv: KvPair) -> Result<()> {
+    pub fn collect_slices(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         self.cancel.bail_if_cancelled()?;
         if let Some(countdown) = self.crash_countdown.as_mut() {
             if *countdown == 0 {
@@ -69,18 +78,17 @@ impl MapContext {
             }
             *countdown -= 1;
         }
-        let partition = self.partitioner.partition(&kv.key, self.num_reducers);
+        let partition = self.partitioner.partition(key, self.num_reducers);
         if partition >= self.num_reducers {
             return Err(HdmError::MapRed(format!(
                 "partitioner routed key to reducer {partition}, but only {} exist",
                 self.num_reducers
             )));
         }
-        self.stats
-            .collect
-            .record_kv(kv.wire_size() as u64, self.job_start);
-        self.stats.bytes += kv.wire_size() as u64;
-        self.buffer.collect(partition, kv);
+        let wire = kv::wire_size(key, value) as u64;
+        self.stats.collect.record_kv(wire, self.job_start);
+        self.stats.bytes += wire;
+        self.buffer.collect_slices(partition, key, value);
         Ok(())
     }
 }
@@ -153,25 +161,6 @@ where
     RM: Send + 'static,
     RR: Send + 'static,
 {
-    run_mapreduce_with_combiner(config, comparator, partitioner, map_fn, reduce_fn, None)
-}
-
-/// [`run_mapreduce`] with an optional map-side combiner.
-///
-/// # Errors
-/// Returns the first task error.
-pub fn run_mapreduce_with_combiner<RM, RR>(
-    config: &MapRedConfig,
-    comparator: ComparatorRef,
-    partitioner: PartitionerRef,
-    map_fn: MapFn<RM>,
-    reduce_fn: ReduceFn<RR>,
-    combiner: Option<CombinerRef>,
-) -> Result<MrOutcome<RM, RR>>
-where
-    RM: Send + 'static,
-    RR: Send + 'static,
-{
     if config.map_tasks == 0 || config.reduce_tasks == 0 {
         return Err(HdmError::Config(format!(
             "mapreduce job needs at least one task on each side (m={}, r={})",
@@ -188,7 +177,6 @@ where
         let partitioner = Arc::clone(&partitioner);
         let store = Arc::clone(&store);
         let map_fn = Arc::clone(&map_fn);
-        let combiner = combiner.clone();
         move |rank| {
             let task_start = Instant::now();
             let track = format!("M{rank}");
@@ -197,11 +185,7 @@ where
             let fresh_context = |attempt| MapContext {
                 rank,
                 num_reducers: config.reduce_tasks,
-                buffer: SortBuffer::new(
-                    config.sort_buffer_bytes,
-                    Arc::clone(&comparator),
-                    combiner.clone(),
-                ),
+                buffer: SortBuffer::new(config.sort_buffer_bytes, Arc::clone(&comparator), None),
                 partitioner: Arc::clone(&partitioner),
                 stats: MapTaskStats::new(rank),
                 job_start,
@@ -246,7 +230,7 @@ where
             // Hadoop's map-side merge, visible as its own span.
             let segments = {
                 let _sort_span = config.obs.span(&track, "phase", "sort-merge");
-                ctx.buffer.finish(config.reduce_tasks)
+                ctx.buffer.finish_segments(config.reduce_tasks)
             };
             store.publish(rank, segments);
             stats.elapsed = task_start.elapsed();
@@ -286,19 +270,22 @@ where
             let track = format!("R{rank}");
             let _task_span = obs.span(&track, "task", "reduce-task");
             let mut stats = ReduceTaskStats::new(rank, maps);
-            // Copier phase: pull this partition's segment from every map.
+            // Copier phase: pull this partition's segment from every map
+            // and decode it into views of the segment's one buffer.
             let copy_span = obs.span(&track, "phase", "copy");
             let mut runs: Vec<Vec<KvPair>> = Vec::with_capacity(maps);
             let mut failed: Option<HdmError> = None;
             for m in 0..maps {
-                match store.fetch(m, rank) {
-                    Ok(seg) => {
-                        let bytes: u64 = seg.iter().map(|kv| kv.wire_size() as u64).sum();
+                match store
+                    .fetch(m, rank)
+                    .and_then(|seg| Ok((seg.len(), kv::decode_all(&seg)?)))
+                {
+                    Ok((bytes, run)) => {
                         if let Some(slot) = stats.shuffled_from.get_mut(m) {
-                            *slot = bytes;
+                            *slot = bytes as u64;
                         }
-                        stats.records += seg.len() as u64;
-                        runs.push(seg);
+                        stats.records += run.len() as u64;
+                        runs.push(run);
                     }
                     Err(e) => {
                         failed = Some(e);
@@ -314,22 +301,29 @@ where
             if let Some(e) = failed {
                 return (Err(e), stats);
             }
-            // Merge + group.
+            // Merge + group. Equal keys have equal prefixes, so a prefix
+            // change starts a group without a key comparison.
             let merge_span = obs.span(&track, "phase", "merge");
-            let merged = merge_sorted_runs(runs, &comparator);
             let mut groups: Vec<(Bytes, Vec<Bytes>)> = Vec::new();
-            for kv in merged {
-                match groups.last_mut() {
-                    Some((key, values))
-                        if comparator.compare(key, &kv.key) == std::cmp::Ordering::Equal =>
-                    {
-                        values.push(kv.value);
-                    }
-                    _ => groups.push((kv.key, vec![kv.value])),
+            let mut group_prefix = None;
+            merge_runs(runs, &comparator, |kv, prefix| match groups.last_mut() {
+                Some((key, values))
+                    if group_prefix == Some(prefix)
+                        && comparator.compare(key, &kv.key) == std::cmp::Ordering::Equal =>
+                {
+                    values.push(kv.value);
                 }
-            }
+                _ => {
+                    group_prefix = Some(prefix);
+                    groups.push((kv.key, vec![kv.value]));
+                }
+            });
             stats.groups = groups.len() as u64;
             drop(merge_span);
+            if obs.is_enabled() {
+                obs.counter("reduce.groups", &format!("rank={rank}"))
+                    .add(stats.groups);
+            }
             // The copy phase is idempotent (segments stay in the
             // map-output store), so a failed reduce attempt replays over
             // the already-merged groups.
@@ -532,50 +526,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message().contains("map blew up"));
-    }
-
-    #[test]
-    fn combiner_reduces_shuffle_volume() {
-        let run = |combine: Option<CombinerRef>| {
-            let config = base_config(2, 2);
-            run_mapreduce_with_combiner(
-                &config,
-                Arc::new(BytesComparator),
-                Arc::new(HashPartitioner),
-                Arc::new(|_rank, ctx: &mut MapContext| {
-                    for _ in 0..500 {
-                        for k in 0..4u8 {
-                            ctx.collect(KvPair::new(vec![k], vec![1]))?;
-                        }
-                    }
-                    Ok(())
-                }),
-                Arc::new(|_rank, ctx: &mut ReduceContext| {
-                    let mut total = 0u64;
-                    while let Some((_k, vs)) = ctx.next_group() {
-                        total += vs.iter().map(|v| v[0] as u64).sum::<u64>();
-                    }
-                    Ok(total)
-                }),
-                combine,
-            )
-            .unwrap()
-        };
-        let plain = run(None);
-        let combine: CombinerRef = Arc::new(|group: Vec<KvPair>| {
-            let sum: u64 = group.iter().map(|kv| kv.value[0] as u64).sum();
-            vec![KvPair::new(group[0].key.to_vec(), vec![sum.min(255) as u8])]
-        });
-        let combined = run(Some(combine));
-        // Same answer (sums under 255 per combined run), far fewer bytes.
-        assert_eq!(plain.reduce_results.iter().sum::<u64>(), 4000);
-        assert_eq!(combined.reduce_results.iter().sum::<u64>(), 4000);
-        assert!(
-            combined.report.total_shuffle_bytes() * 4 < plain.report.total_shuffle_bytes(),
-            "combiner should slash shuffle volume: {} vs {}",
-            combined.report.total_shuffle_bytes(),
-            plain.report.total_shuffle_bytes()
-        );
     }
 
     fn word_count_total(config: &MapRedConfig) -> Result<u64> {

@@ -10,9 +10,11 @@
 //! architecture:
 //!
 //! * **Map side** ([`sort`]): map output is collected into a bounded
-//!   sort buffer (`io.sort.mb` analogue); when the buffer fills it is
-//!   sorted by `(partition, key)` and *spilled*; at task end the spills
-//!   are merged into one sorted segment per reduce partition, which is
+//!   sort buffer (`io.sort.mb` analogue) laid out like Hadoop's
+//!   `MapOutputBuffer` — one byte arena plus one index entry per pair;
+//!   when the buffer fills its index is sorted by `(partition, key)` and
+//!   *spilled*; at task end the spills are merged into one sorted
+//!   segment buffer per reduce partition, which is
 //!   **fully materialized** (Hadoop writes map output to local disk —
 //!   unlike DataMPI's eager in-memory push, and the root of the paper's
 //!   Map-Shuffle gap).
@@ -67,15 +69,8 @@ pub mod store;
 
 mod job;
 
-pub use job::{run_mapreduce, run_mapreduce_with_combiner, MapContext, MrOutcome, ReduceContext};
+pub use job::{run_mapreduce, MapContext, MrOutcome, ReduceContext};
 pub use report::{MapTaskStats, MrJobReport, ReduceTaskStats};
-
-/// Optional combiner applied to each sorted spill run before it is
-/// written (Hadoop's `Combiner`, Hive's `hive.map.aggr` analogue at the
-/// engine level). Input pairs arrive sorted by key.
-pub type CombinerRef = std::sync::Arc<
-    dyn Fn(Vec<hdm_common::kv::KvPair>) -> Vec<hdm_common::kv::KvPair> + Send + Sync,
->;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
