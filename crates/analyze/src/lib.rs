@@ -14,12 +14,14 @@
 //! Architecture: the analysis is **two-phase**. Phase 1 runs per file — a
 //! dependency-free token lexer ([`lexer`]) feeds the per-file rule passes
 //! ([`rules`]) and extracts lock facts (declarations, acquisition sites,
-//! guard live ranges — [`rules::locks`]). Phase 2 runs over the whole
+//! guard live ranges — [`rules::locks`]) and conf-key facts (registry
+//! declarations, non-test references). Phase 2 runs over the whole
 //! file set: the union of declared lock names resolves ambiguous
 //! `.read()`/`.write()` acquisition candidates, `blocking-under-lock`
 //! checks each file against its resolved guard ranges, and
 //! `lock-order-graph` joins every file's acquisition chains into one
-//! workspace lock-ordering graph and reports cycles. Single-file entry
+//! workspace lock-ordering graph and reports cycles, and
+//! `conf-key-registry` flags registry keys no file reads. Single-file entry
 //! points ([`check_source`]) are just the two-phase driver run on a
 //! one-file workspace, so fixtures and unit tests exercise the same code
 //! path as CI.
@@ -287,11 +289,12 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Diagnostic> {
 /// The two-phase analysis driver.
 ///
 /// Phase 1 (per file): lex, locate test/tags regions, run the per-file
-/// rules, and extract lock facts. Phase 2 (workspace): union the declared
-/// lock names, resolve `.read()`/`.write()` acquisition candidates against
-/// them, run `blocking-under-lock` over each file's resolved guard ranges,
-/// and run the `lock-order-graph` cycle pass over all files' acquisition
-/// chains joined on lock identity. Suppressions are applied last so that
+/// rules, and extract lock and conf-key facts. Phase 2 (workspace): union
+/// the declared lock names, resolve `.read()`/`.write()` acquisition
+/// candidates against them, run `blocking-under-lock` over each file's
+/// resolved guard ranges, run the `lock-order-graph` cycle pass over all
+/// files' acquisition chains joined on lock identity, and flag registry
+/// keys that no file's non-test code reads. Suppressions are applied last so that
 /// allows can target phase-2 findings too — and so the driver knows which
 /// allows suppressed nothing (stale) this run.
 pub fn check_sources(files: &[SourceFile]) -> Vec<Diagnostic> {
@@ -301,6 +304,7 @@ pub fn check_sources(files: &[SourceFile]) -> Vec<Diagnostic> {
         test_regions: Vec<LineRange>,
         tags_regions: Vec<LineRange>,
         lock_facts: rules::locks::LockFacts,
+        key_facts: rules::conf_keys::KeyFacts,
         diags: Vec<Diagnostic>,
     }
 
@@ -313,6 +317,7 @@ pub fn check_sources(files: &[SourceFile]) -> Vec<Diagnostic> {
         let tags_regions = find_tags_regions(&lexed.tokens);
         let mut diags = Vec::new();
         let mut lock_facts = rules::locks::LockFacts::default();
+        let mut key_facts = rules::conf_keys::KeyFacts::default();
         {
             let ctx = Ctx {
                 rel: &f.rel,
@@ -327,8 +332,11 @@ pub fn check_sources(files: &[SourceFile]) -> Vec<Diagnostic> {
             if run(rules::no_panic::ID) && (scope.hot_path || forced) {
                 rules::no_panic::check(&ctx, &mut diags);
             }
-            if run(rules::conf_keys::ID) && !scope.conf_registry {
-                rules::conf_keys::check(&ctx, &mut diags);
+            if run(rules::conf_keys::ID) {
+                if !scope.conf_registry {
+                    rules::conf_keys::check(&ctx, &mut diags);
+                }
+                key_facts = rules::conf_keys::key_facts(&ctx, scope.conf_registry || forced);
             }
             if run(rules::tag_registry::ID) {
                 rules::tag_registry::check(&ctx, &mut diags);
@@ -358,6 +366,7 @@ pub fn check_sources(files: &[SourceFile]) -> Vec<Diagnostic> {
             test_regions,
             tags_regions,
             lock_facts,
+            key_facts,
             diags,
         });
     }
@@ -406,6 +415,15 @@ pub fn check_sources(files: &[SourceFile]) -> Vec<Diagnostic> {
     };
     for (fi, d) in cycle_diags {
         analyzed[fi].diags.push(d);
+    }
+
+    // A registry key is read if any file's non-test code names it.
+    let key_reads: BTreeSet<String> = analyzed
+        .iter()
+        .flat_map(|a| a.key_facts.reads.iter().cloned())
+        .collect();
+    for (f, a) in files.iter().zip(analyzed.iter_mut()) {
+        rules::conf_keys::check_unread(&f.rel, &a.key_facts, &key_reads, &mut a.diags);
     }
 
     // ---- Suppressions + allow audit, per file.

@@ -79,6 +79,16 @@ fn lock_order_fail_fixture_reports_cycle_and_self_deadlock() {
 }
 
 #[test]
+fn conf_key_unread_fixtures_flag_only_the_unread_key() {
+    let failing = check_fixture("conf-key-registry", "unread/fail.rs");
+    assert_eq!(failing.len(), 1, "{failing:?}");
+    assert_eq!(failing[0].rule, "conf-key-registry");
+    assert!(failing[0].msg.contains("KEY_RETIRED"), "{}", failing[0]);
+    let passing = check_fixture("conf-key-registry", "unread/pass.rs");
+    assert!(passing.is_empty(), "{passing:?}");
+}
+
+#[test]
 fn lock_order_cycle_joins_across_files() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/lock-order-graph/cross");
     let load = |name: &str| hdm_analyze::SourceFile {

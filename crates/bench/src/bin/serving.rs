@@ -75,7 +75,7 @@ fn run_config(arm: ArmSpec, sessions: usize, baselines: &[Vec<String>]) -> Confi
             .set(hdm_common::conf::KEY_SERVER_IO_CACHE_MB, 0);
         driver
             .conf_mut()
-            .set(hdm_common::conf::KEY_SERVER_RESULT_CACHE, false);
+            .set(hdm_common::conf::KEY_SERVER_RESULT_CACHE_ENTRIES, 0);
     }
     // Pool sized to the session count so the arm measures cache effect,
     // not queueing; the queue bound still covers the worst-case burst.

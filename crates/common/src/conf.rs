@@ -7,6 +7,7 @@
 
 use crate::error::{HdmError, Result};
 use std::collections::BTreeMap;
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
 
 /// `hive.datampi.parallelism`: `default` keeps Hive's task-count policy;
 /// `enhanced` sets #A-tasks = #O-tasks (1 for the final stage).
@@ -16,12 +17,8 @@ pub const KEY_PARALLELISM: &str = "hive.datampi.parallelism";
 pub const KEY_MEM_USED_PERCENT: &str = "hive.datampi.memusedpercent";
 /// `hive.datampi.sendqueue`: send block queue length (paper: stable ≥ 6).
 pub const KEY_SEND_QUEUE: &str = "hive.datampi.sendqueue";
-/// Number of reduce/A tasks requested for a job.
-pub const KEY_NUM_REDUCERS: &str = "mapred.reduce.tasks";
 /// Map-side sort buffer size in bytes (Hadoop `io.sort.mb` analogue).
 pub const KEY_SORT_BUFFER_BYTES: &str = "io.sort.buffer.bytes";
-/// DFS block size in bytes (default 64 MB, as in the paper's testbed).
-pub const KEY_BLOCK_SIZE: &str = "dfs.block.size";
 /// Task slots per node (paper: 4).
 pub const KEY_SLOTS_PER_NODE: &str = "mapred.tasktracker.slots";
 /// Tasks of one stage this process runs at once: the Hadoop adapter's
@@ -36,10 +33,6 @@ pub const KEY_SHUFFLE_STYLE: &str = "datampi.shuffle.style";
 pub const KEY_SEND_PARTITION_BYTES: &str = "datampi.send.partition.bytes";
 /// Whether the map-side combiner runs (Hive map aggregation).
 pub const KEY_COMBINER: &str = "hive.map.aggr";
-/// DAG execution mode: chained DataMPI stages hand intermediates to the
-/// next stage in memory instead of materializing sequence files (the
-/// paper's stated future work, Section VI).
-pub const KEY_DAG_MODE: &str = "hive.datampi.dag";
 /// Hive's reducer-count policy input: bytes of stage input per reducer.
 pub const KEY_BYTES_PER_REDUCER: &str = "hive.exec.bytes.per.reducer";
 /// Whether ORC predicate pushdown is applied at scan time.
@@ -111,12 +104,9 @@ pub const KEY_SERVER_QUEUE_MAX: &str = "hive.server.queue.max";
 /// Byte budget (in MiB) of the shared LLAP-style ORC data/metadata
 /// cache. 0 disables the cache entirely. Default 64.
 pub const KEY_SERVER_IO_CACHE_MB: &str = "hive.server.io.cache.mb";
-/// Whether the server-side result cache (keyed on normalized query
-/// text plus table versions) serves repeat queries without
-/// re-execution. Default true.
-pub const KEY_SERVER_RESULT_CACHE: &str = "hive.server.result.cache";
-/// Entry cap for the result cache (LRU beyond it). 0 disables result
-/// caching just like [`KEY_SERVER_RESULT_CACHE`] = false. Default 256.
+/// Entry cap for the server-side result cache (keyed on normalized
+/// query text plus table versions; LRU beyond the cap). 0 disables
+/// result caching. Default 256.
 pub const KEY_SERVER_RESULT_CACHE_ENTRIES: &str = "hive.server.result.cache.entries";
 /// Per-query deadline in milliseconds: once a query has been running
 /// this long the server fires its [`crate::CancelToken`] and it unwinds
@@ -187,6 +177,35 @@ impl JobConf {
                 .trim()
                 .parse()
                 .map_err(|_| HdmError::Config(format!("{key}: expected integer, got {s:?}"))),
+        }
+    }
+
+    /// Integer with default that must lie above `floor` and fit `T`:
+    /// every range-checked integer knob below reads through here, so a
+    /// negative size cannot wrap into a huge `usize`.
+    ///
+    /// # Errors
+    /// Returns [`HdmError::Config`] naming the key if the stored value is
+    /// not an integer, is below `floor`, or does not fit `T`; `what`
+    /// says what the value counts ("expected a queue length >= 1").
+    fn get_bounded<T: TryFrom<i64>>(
+        &self,
+        key: &str,
+        default: i64,
+        floor: Bound<i64>,
+        what: &str,
+    ) -> Result<T> {
+        let v = self.get_i64(key, default)?;
+        let (ok, op, min) = match floor {
+            Included(min) => (v >= min, ">=", min),
+            Excluded(min) => (v > min, ">", min),
+            Unbounded => (true, ">=", i64::MIN),
+        };
+        match T::try_from(v) {
+            Ok(t) if ok => Ok(t),
+            _ => Err(HdmError::Config(format!(
+                "{key}: expected {what} {op} {min}, got {v}"
+            ))),
         }
     }
 
@@ -263,13 +282,62 @@ impl JobConf {
     /// Returns [`HdmError::Config`] if the stored value is not an integer
     /// or is less than 1 (a queue must hold at least one block).
     pub fn send_queue_len(&self) -> Result<usize> {
-        let v = self.get_i64(KEY_SEND_QUEUE, 6)?;
-        if v < 1 {
-            return Err(HdmError::Config(format!(
-                "{KEY_SEND_QUEUE}: expected a queue length >= 1, got {v}"
-            )));
-        }
-        Ok(v as usize)
+        self.get_bounded(KEY_SEND_QUEUE, 6, Included(1), "a queue length")
+    }
+
+    /// The DataMPI buffer manager's send partition size in bytes.
+    /// Default **16 KiB**.
+    ///
+    /// # Errors
+    /// Returns [`HdmError::Config`] if the stored value is not an integer
+    /// or is less than 1 (a partition must hold a byte before it ships).
+    pub fn send_partition_bytes(&self) -> Result<usize> {
+        self.get_bounded(
+            KEY_SEND_PARTITION_BYTES,
+            16 << 10,
+            Included(1),
+            "a size in bytes",
+        )
+    }
+
+    /// Per-worker memory in bytes, of which [`Self::mem_used_percent`]
+    /// goes to the DataMPI cache. Default **64 MiB**.
+    ///
+    /// # Errors
+    /// Returns [`HdmError::Config`] if the stored value is not an integer
+    /// or is less than 1.
+    pub fn worker_mem_bytes(&self) -> Result<u64> {
+        self.get_bounded(
+            KEY_WORKER_MEM_BYTES,
+            64 << 20,
+            Included(1),
+            "a size in bytes",
+        )
+    }
+
+    /// The Hadoop map-side sort buffer size in bytes. Default **1 MiB**.
+    ///
+    /// # Errors
+    /// Returns [`HdmError::Config`] if the stored value is not an integer
+    /// or is less than 1 (a negative size read as `usize` would be a
+    /// buffer that never spills).
+    pub fn sort_buffer_bytes(&self) -> Result<usize> {
+        self.get_bounded(
+            KEY_SORT_BUFFER_BYTES,
+            1 << 20,
+            Included(1),
+            "a size in bytes",
+        )
+    }
+
+    /// Task slots per node; the cluster has 7 nodes. Default **4**.
+    ///
+    /// # Errors
+    /// Returns [`HdmError::Config`] if the stored value is not an integer
+    /// or is less than 1 (zero slots would leave the reducer-count policy
+    /// no reducer to give a keyed stage).
+    pub fn slots_per_node(&self) -> Result<usize> {
+        self.get_bounded(KEY_SLOTS_PER_NODE, 4, Included(1), "a slot count")
     }
 
     /// Whether `hdm-obs` tracing/metrics collection is on. Default false.
@@ -288,13 +356,7 @@ impl JobConf {
     /// or is less than 1 (a stride of 0 would sample nothing and divide
     /// by zero).
     pub fn obs_sample_stride(&self) -> Result<u64> {
-        let v = self.get_i64(KEY_OBS_SAMPLE_RATE, 64)?;
-        if v < 1 {
-            return Err(HdmError::Config(format!(
-                "{KEY_OBS_SAMPLE_RATE}: expected a stride >= 1, got {v}"
-            )));
-        }
-        Ok(v as u64)
+        self.get_bounded(KEY_OBS_SAMPLE_RATE, 64, Included(1), "a stride")
     }
 
     /// Whether fault injection + recovery is on. Default false.
@@ -319,13 +381,7 @@ impl JobConf {
     /// Returns [`HdmError::Config`] if the stored value is not an integer
     /// or is less than 1 (every task needs at least one attempt).
     pub fn ft_max_attempts(&self) -> Result<u32> {
-        let v = self.get_i64(KEY_FT_MAX_ATTEMPTS, 4)?;
-        if v < 1 {
-            return Err(HdmError::Config(format!(
-                "{KEY_FT_MAX_ATTEMPTS}: expected an attempt count >= 1, got {v}"
-            )));
-        }
-        Ok(v as u32)
+        self.get_bounded(KEY_FT_MAX_ATTEMPTS, 4, Included(1), "an attempt count")
     }
 
     /// Backoff base in milliseconds. Default **10**.
@@ -334,13 +390,7 @@ impl JobConf {
     /// Returns [`HdmError::Config`] if the stored value is not an integer
     /// or is negative.
     pub fn ft_backoff_base_ms(&self) -> Result<u64> {
-        let v = self.get_i64(KEY_FT_BACKOFF_BASE_MS, 10)?;
-        if v < 0 {
-            return Err(HdmError::Config(format!(
-                "{KEY_FT_BACKOFF_BASE_MS}: expected a delay >= 0 ms, got {v}"
-            )));
-        }
-        Ok(v as u64)
+        self.get_bounded(KEY_FT_BACKOFF_BASE_MS, 10, Included(0), "a delay in ms")
     }
 
     /// Receive deadline in milliseconds under fault tolerance. Default
@@ -351,13 +401,7 @@ impl JobConf {
     /// or is not strictly positive (a zero deadline would time out every
     /// receive before the peer can run).
     pub fn ft_recv_timeout_ms(&self) -> Result<u64> {
-        let v = self.get_i64(KEY_FT_RECV_TIMEOUT_MS, 2000)?;
-        if v <= 0 {
-            return Err(HdmError::Config(format!(
-                "{KEY_FT_RECV_TIMEOUT_MS}: expected a timeout > 0 ms, got {v}"
-            )));
-        }
-        Ok(v as u64)
+        self.get_bounded(KEY_FT_RECV_TIMEOUT_MS, 2000, Excluded(0), "a timeout in ms")
     }
 
     /// The fallback engine name, lower-cased and validated. Default
@@ -386,13 +430,7 @@ impl JobConf {
     /// or is less than 1 (the scheduler needs at least one worker to make
     /// progress).
     pub fn exec_parallel_threads(&self) -> Result<usize> {
-        let v = self.get_i64(KEY_EXEC_PARALLEL_THREADS, 8)?;
-        if v < 1 {
-            return Err(HdmError::Config(format!(
-                "{KEY_EXEC_PARALLEL_THREADS}: expected a thread count >= 1, got {v}"
-            )));
-        }
-        Ok(v as usize)
+        self.get_bounded(KEY_EXEC_PARALLEL_THREADS, 8, Included(1), "a thread count")
     }
 
     /// Tasks of one stage executing at once in this process (both
@@ -403,13 +441,12 @@ impl JobConf {
     /// or is less than 1 (a stage needs one worker to make progress, and a
     /// negative count cast to `usize` would ask for 2⁶³ of them).
     pub fn local_threads(&self) -> Result<usize> {
-        let v = self.get_i64(KEY_LOCAL_THREADS, DEFAULT_LOCAL_THREADS as i64)?;
-        if v < 1 {
-            return Err(HdmError::Config(format!(
-                "{KEY_LOCAL_THREADS}: expected a thread count >= 1, got {v}"
-            )));
-        }
-        Ok(v as usize)
+        self.get_bounded(
+            KEY_LOCAL_THREADS,
+            DEFAULT_LOCAL_THREADS as i64,
+            Included(1),
+            "a thread count",
+        )
     }
 
     /// Whether dependent stages stream intermediates partition-by-
@@ -430,13 +467,12 @@ impl JobConf {
     /// integer or is less than 1 (a zero-partition buffer could never
     /// pass data through — the producer's first commit would deadlock).
     pub fn exec_pipelined_buffer(&self) -> Result<usize> {
-        let v = self.get_i64(KEY_EXEC_PIPELINED_BUFFER, 4)?;
-        if v < 1 {
-            return Err(HdmError::Config(format!(
-                "{KEY_EXEC_PIPELINED_BUFFER}: expected a partition count >= 1, got {v}"
-            )));
-        }
-        Ok(v as usize)
+        self.get_bounded(
+            KEY_EXEC_PIPELINED_BUFFER,
+            4,
+            Included(1),
+            "a partition count",
+        )
     }
 
     /// Whether the vectorized columnar pipeline is enabled. Default
@@ -455,13 +491,7 @@ impl JobConf {
     /// integer or is less than 1 (an empty batch could never drain a
     /// stripe — the scan loop would spin forever).
     pub fn vectorized_batch_size(&self) -> Result<usize> {
-        let v = self.get_i64(KEY_VECTORIZED_BATCH_SIZE, 1024)?;
-        if v < 1 {
-            return Err(HdmError::Config(format!(
-                "{KEY_VECTORIZED_BATCH_SIZE}: expected a batch size >= 1, got {v}"
-            )));
-        }
-        Ok(v as usize)
+        self.get_bounded(KEY_VECTORIZED_BATCH_SIZE, 1024, Included(1), "a batch size")
     }
 
     /// hdm-server session-pool size (max concurrently running queries).
@@ -471,13 +501,7 @@ impl JobConf {
     /// Returns [`HdmError::Config`] if the stored value is not an integer
     /// or is less than 1 (a pool that can run nothing serves nothing).
     pub fn server_pool_size(&self) -> Result<usize> {
-        let v = self.get_i64(KEY_SERVER_POOL_SIZE, 8)?;
-        if v < 1 {
-            return Err(HdmError::Config(format!(
-                "{KEY_SERVER_POOL_SIZE}: expected a pool size >= 1, got {v}"
-            )));
-        }
-        Ok(v as usize)
+        self.get_bounded(KEY_SERVER_POOL_SIZE, 8, Included(1), "a pool size")
     }
 
     /// hdm-server admission-queue bound (max waiting queries). Default
@@ -488,13 +512,7 @@ impl JobConf {
     /// or is less than 1 (a zero-length queue could never absorb a burst,
     /// making admission control equivalent to plain rejection).
     pub fn server_queue_max(&self) -> Result<usize> {
-        let v = self.get_i64(KEY_SERVER_QUEUE_MAX, 64)?;
-        if v < 1 {
-            return Err(HdmError::Config(format!(
-                "{KEY_SERVER_QUEUE_MAX}: expected a queue bound >= 1, got {v}"
-            )));
-        }
-        Ok(v as usize)
+        self.get_bounded(KEY_SERVER_QUEUE_MAX, 64, Included(1), "a queue bound")
     }
 
     /// hdm-server shared ORC data/metadata cache budget in MiB. Default
@@ -504,21 +522,7 @@ impl JobConf {
     /// Returns [`HdmError::Config`] if the stored value is not an integer
     /// or is negative.
     pub fn server_io_cache_mb(&self) -> Result<u64> {
-        let v = self.get_i64(KEY_SERVER_IO_CACHE_MB, 64)?;
-        if v < 0 {
-            return Err(HdmError::Config(format!(
-                "{KEY_SERVER_IO_CACHE_MB}: expected a budget >= 0 MiB, got {v}"
-            )));
-        }
-        Ok(v as u64)
-    }
-
-    /// Whether the hdm-server result cache is on. Default **true**.
-    ///
-    /// # Errors
-    /// Returns [`HdmError::Config`] if the stored value is not a bool.
-    pub fn server_result_cache(&self) -> Result<bool> {
-        self.get_bool(KEY_SERVER_RESULT_CACHE, true)
+        self.get_bounded(KEY_SERVER_IO_CACHE_MB, 64, Included(0), "a budget in MiB")
     }
 
     /// Result-cache entry cap (0 disables caching). Default **256**.
@@ -527,13 +531,12 @@ impl JobConf {
     /// Returns [`HdmError::Config`] if the stored value is not an integer
     /// or is negative.
     pub fn server_result_cache_entries(&self) -> Result<usize> {
-        let v = self.get_i64(KEY_SERVER_RESULT_CACHE_ENTRIES, 256)?;
-        if v < 0 {
-            return Err(HdmError::Config(format!(
-                "{KEY_SERVER_RESULT_CACHE_ENTRIES}: expected an entry cap >= 0, got {v}"
-            )));
-        }
-        Ok(v as usize)
+        self.get_bounded(
+            KEY_SERVER_RESULT_CACHE_ENTRIES,
+            256,
+            Included(0),
+            "an entry cap",
+        )
     }
 
     /// Per-query deadline in milliseconds; **0** (the default) turns the
@@ -544,13 +547,7 @@ impl JobConf {
     /// or is negative (a negative deadline would cancel every query
     /// before it started; disable with 0 instead).
     pub fn query_timeout_ms(&self) -> Result<u64> {
-        let v = self.get_i64(KEY_QUERY_TIMEOUT_MS, 0)?;
-        if v < 0 {
-            return Err(HdmError::Config(format!(
-                "{KEY_QUERY_TIMEOUT_MS}: expected a timeout >= 0 ms (0 = disabled), got {v}"
-            )));
-        }
-        Ok(v as u64)
+        self.get_bounded(KEY_QUERY_TIMEOUT_MS, 0, Included(0), "a timeout in ms")
     }
 
     /// Overload-shedding bound on projected queue wait, in milliseconds;
@@ -560,13 +557,12 @@ impl JobConf {
     /// Returns [`HdmError::Config`] if the stored value is not an integer
     /// or is negative.
     pub fn server_shed_wait_ms(&self) -> Result<u64> {
-        let v = self.get_i64(KEY_SERVER_SHED_WAIT_MS, 0)?;
-        if v < 0 {
-            return Err(HdmError::Config(format!(
-                "{KEY_SERVER_SHED_WAIT_MS}: expected a wait bound >= 0 ms (0 = disabled), got {v}"
-            )));
-        }
-        Ok(v as u64)
+        self.get_bounded(
+            KEY_SERVER_SHED_WAIT_MS,
+            0,
+            Included(0),
+            "a wait bound in ms",
+        )
     }
 
     /// Consecutive engine failures before the per-engine circuit breaker
@@ -576,13 +572,12 @@ impl JobConf {
     /// Returns [`HdmError::Config`] if the stored value is not an integer
     /// or is negative.
     pub fn server_breaker_failures(&self) -> Result<u64> {
-        let v = self.get_i64(KEY_SERVER_BREAKER_FAILURES, 0)?;
-        if v < 0 {
-            return Err(HdmError::Config(format!(
-                "{KEY_SERVER_BREAKER_FAILURES}: expected a failure count >= 0 (0 = disabled), got {v}"
-            )));
-        }
-        Ok(v as u64)
+        self.get_bounded(
+            KEY_SERVER_BREAKER_FAILURES,
+            0,
+            Included(0),
+            "a failure count",
+        )
     }
 
     /// Iterate over all `(key, value)` entries in sorted key order.
@@ -624,18 +619,18 @@ mod tests {
     #[test]
     fn typed_getters() {
         let mut c = JobConf::new();
-        c.set(KEY_NUM_REDUCERS, 16)
+        c.set(KEY_BYTES_PER_REDUCER, 16)
             .set(KEY_MEM_USED_PERCENT, 0.8)
             .set(KEY_COMBINER, "true");
-        assert_eq!(c.get_i64(KEY_NUM_REDUCERS, 1).unwrap(), 16);
+        assert_eq!(c.get_i64(KEY_BYTES_PER_REDUCER, 1).unwrap(), 16);
         assert!((c.get_f64(KEY_MEM_USED_PERCENT, 0.0).unwrap() - 0.8).abs() < 1e-12);
         assert!(c.get_bool(KEY_COMBINER, false).unwrap());
     }
 
     #[test]
     fn bad_values_error() {
-        let c = JobConf::new().with(KEY_NUM_REDUCERS, "lots");
-        assert!(c.get_i64(KEY_NUM_REDUCERS, 1).is_err());
+        let c = JobConf::new().with(KEY_BYTES_PER_REDUCER, "lots");
+        assert!(c.get_i64(KEY_BYTES_PER_REDUCER, 1).is_err());
         let c = JobConf::new().with(KEY_PARALLELISM, "turbo");
         assert!(c.parallelism().is_err());
     }
@@ -673,6 +668,35 @@ mod tests {
         assert!(c.send_queue_len().is_err());
         let c = JobConf::new().with(KEY_SEND_QUEUE, 8);
         assert_eq!(c.send_queue_len().unwrap(), 8);
+    }
+
+    #[test]
+    fn engine_size_knobs_default_and_validate() {
+        let c = JobConf::new();
+        assert_eq!(c.send_partition_bytes().unwrap(), 16 << 10);
+        assert_eq!(c.worker_mem_bytes().unwrap(), 64 << 20);
+        assert_eq!(c.sort_buffer_bytes().unwrap(), 1 << 20);
+        assert_eq!(c.slots_per_node().unwrap(), 4);
+        let c = JobConf::new()
+            .with(KEY_SEND_PARTITION_BYTES, 0)
+            .with(KEY_WORKER_MEM_BYTES, 0)
+            .with(KEY_SORT_BUFFER_BYTES, 0)
+            .with(KEY_SLOTS_PER_NODE, 0);
+        let errs = [
+            (KEY_SEND_PARTITION_BYTES, c.send_partition_bytes().err()),
+            (KEY_WORKER_MEM_BYTES, c.worker_mem_bytes().err()),
+            (KEY_SORT_BUFFER_BYTES, c.sort_buffer_bytes().err()),
+            (KEY_SLOTS_PER_NODE, c.slots_per_node().err()),
+        ];
+        for (key, err) in errs {
+            let err = err.expect(key);
+            assert!(err.message().contains(key), "{err}");
+            assert!(err.message().contains(">= 1"), "{err}");
+        }
+        // A count that does not fit the accessor's type is out of range
+        // too, not truncated.
+        let c = JobConf::new().with(KEY_FT_MAX_ATTEMPTS, 1i64 << 33);
+        assert!(c.ft_max_attempts().is_err());
     }
 
     #[test]
@@ -847,19 +871,16 @@ mod tests {
         assert_eq!(c.server_pool_size().unwrap(), 8);
         assert_eq!(c.server_queue_max().unwrap(), 64);
         assert_eq!(c.server_io_cache_mb().unwrap(), 64);
-        assert!(c.server_result_cache().unwrap());
         assert_eq!(c.server_result_cache_entries().unwrap(), 256);
 
         let c = JobConf::new()
             .with(KEY_SERVER_POOL_SIZE, 2)
             .with(KEY_SERVER_QUEUE_MAX, 5)
             .with(KEY_SERVER_IO_CACHE_MB, 0)
-            .with(KEY_SERVER_RESULT_CACHE, "false")
             .with(KEY_SERVER_RESULT_CACHE_ENTRIES, 0);
         assert_eq!(c.server_pool_size().unwrap(), 2);
         assert_eq!(c.server_queue_max().unwrap(), 5);
         assert_eq!(c.server_io_cache_mb().unwrap(), 0);
-        assert!(!c.server_result_cache().unwrap());
         assert_eq!(c.server_result_cache_entries().unwrap(), 0);
     }
 
@@ -886,8 +907,6 @@ mod tests {
         let c = JobConf::new().with(KEY_SERVER_IO_CACHE_MB, "huge");
         assert!(c.server_io_cache_mb().is_err());
 
-        let c = JobConf::new().with(KEY_SERVER_RESULT_CACHE, "maybe");
-        assert!(c.server_result_cache().is_err());
         let c = JobConf::new().with(KEY_SERVER_RESULT_CACHE_ENTRIES, -5);
         assert!(c
             .server_result_cache_entries()

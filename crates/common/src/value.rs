@@ -171,14 +171,6 @@ impl Value {
         }
     }
 
-    /// The year component of a [`Value::Date`].
-    pub fn date_year(&self) -> Option<i64> {
-        match self {
-            Value::Date(d) => Some(civil_from_days(*d as i64).0),
-            _ => None,
-        }
-    }
-
     /// The `(year, month, day)` components of a [`Value::Date`].
     pub fn date_ymd(&self) -> Option<(i64, i64, i64)> {
         match self {

@@ -185,17 +185,6 @@ impl Driver {
         Ok(last)
     }
 
-    /// Execute a script and return every statement's result.
-    ///
-    /// # Errors
-    /// Parse/plan/execution failures.
-    pub fn execute_script(&self, sql: &str, engine: EngineKind) -> Result<Vec<QueryResult>> {
-        parse_script(sql)?
-            .into_iter()
-            .map(|stmt| self.run_statement(stmt, engine, &CancelToken::default()))
-            .collect()
-    }
-
     fn run_statement(
         &self,
         stmt: Statement,
@@ -496,8 +485,6 @@ impl Driver {
             hard.push(h);
         }
         let intermediates: Mutex<HashMap<usize, Vec<String>>> = Mutex::new(HashMap::new());
-        let dag_intermediates: Mutex<HashMap<usize, std::sync::Arc<Vec<Row>>>> =
-            Mutex::new(HashMap::new());
         crate::sched::run_dag_pipelined(&hard, &soft, threads, obs, cancel, |stage_id| {
             let stage = plan
                 .stages
@@ -511,7 +498,6 @@ impl Driver {
             // publishing their own outputs cannot race the borrowed
             // maps in StageContext.
             let mut inter: HashMap<usize, Vec<String>> = HashMap::new();
-            let mut dag_inter: HashMap<usize, std::sync::Arc<Vec<Row>>> = HashMap::new();
             let mut in_streams: HashMap<usize, crate::stream::StreamedIntermediate> =
                 HashMap::new();
             for input in &stage.inputs {
@@ -522,9 +508,6 @@ impl Driver {
                     }
                     if let Some(paths) = intermediates.lock().get(id) {
                         inter.insert(*id, paths.clone());
-                    }
-                    if let Some(rows) = dag_intermediates.lock().get(id) {
-                        dag_inter.insert(*id, std::sync::Arc::clone(rows));
                     }
                 }
             }
@@ -546,7 +529,7 @@ impl Driver {
                 conf: &self.conf,
                 engine,
                 intermediates: &inter,
-                dag_intermediates: &dag_inter,
+                dag_intermediates: &HashMap::new(),
                 in_streams: &in_streams,
                 out_stream: out_stream.clone(),
                 query_id,
@@ -581,11 +564,6 @@ impl Driver {
             intermediates
                 .lock()
                 .insert(stage.id, result.output_paths.clone());
-            if let Some(rows) = &result.mem_output {
-                dag_intermediates
-                    .lock()
-                    .insert(stage.id, std::sync::Arc::clone(rows));
-            }
             Ok(result)
         })
     }
@@ -597,9 +575,6 @@ impl Driver {
     /// A producer streams when all of the following hold:
     /// - the engine is DataMPI and `hive.exec.pipelined` is on (the
     ///   Hadoop engine keeps strict job barriers, like stock Hive);
-    /// - `hive.datampi.dag` is off (DAG mode already short-circuits
-    ///   the DFS with whole-stage in-memory hand-off and takes
-    ///   precedence);
     /// - the stage writes an [`StageOutput::Intermediate`];
     /// - it has exactly one consumer (fan-out would need per-consumer
     ///   cursors; those edges keep the file path). Any kind of consumer:
@@ -615,13 +590,7 @@ impl Driver {
         obs: &hdm_obs::ObsHandle,
     ) -> Result<HashMap<usize, crate::stream::StreamedIntermediate>> {
         let mut streams = HashMap::new();
-        let pipelined = engine == EngineKind::DataMpi
-            && self.conf.exec_pipelined()?
-            && !self
-                .conf
-                .get_bool(hdm_common::conf::KEY_DAG_MODE, false)
-                .unwrap_or(false);
-        if !pipelined {
+        if engine != EngineKind::DataMpi || !self.conf.exec_pipelined()? {
             return Ok(streams);
         }
         let cap = self.conf.exec_pipelined_buffer()?;
@@ -986,39 +955,29 @@ mod tests {
     }
 
     #[test]
-    fn dag_mode_matches_file_mode() {
+    fn streamed_mode_matches_file_mode() {
         let mut d = driver();
         d.execute("CREATE TABLE names (k BIGINT, label STRING)")
             .unwrap();
         d.execute("INSERT INTO names VALUES (1, 'one'), (2, 'two')")
             .unwrap();
-        // A three-stage query (join → aggregate → sort) exercises two
-        // intermediate hand-offs.
-        let sql = "SELECT label, COUNT(*) AS n, SUM(v) AS s FROM t                    JOIN names nm ON t.k = nm.k GROUP BY label ORDER BY label";
-        // Pin pipelining off for the file arm: this test contrasts DAG
-        // mode against genuinely materialized intermediates.
+        // Chained stages (aggregate → sort, after the join) exercise an
+        // intermediate hand-off.
+        let sql = "SELECT label, COUNT(*) AS n, SUM(v) AS s FROM t \
+                   JOIN names nm ON t.k = nm.k GROUP BY label ORDER BY label";
         d.conf_mut()
             .set(hdm_common::conf::KEY_EXEC_PIPELINED, false);
         let file_mode = d.execute_on(sql, EngineKind::DataMpi).unwrap();
-        d.conf_mut().set(hdm_common::conf::KEY_DAG_MODE, true);
-        let dag_mode = d.execute_on(sql, EngineKind::DataMpi).unwrap();
-        d.conf_mut().set(hdm_common::conf::KEY_DAG_MODE, false);
-        assert_eq!(file_mode.to_lines(), dag_mode.to_lines());
-        // DAG intermediates never touch the DFS: the intermediate stages
-        // report no output files and no downstream input bytes.
-        let mid = &dag_mode.stages[0];
-        assert!(
-            mid.output_paths.is_empty(),
-            "DAG stage should not write files"
-        );
-        assert!(mid.mem_output.is_some());
-        let downstream = &dag_mode.stages[1];
-        assert_eq!(
-            downstream.volumes.total_input_bytes(),
-            0,
-            "DAG downstream reads from memory"
-        );
+        d.conf_mut().set(hdm_common::conf::KEY_EXEC_PIPELINED, true);
+        let streamed = d.execute_on(sql, EngineKind::DataMpi).unwrap();
+        assert_eq!(file_mode.to_lines(), streamed.to_lines());
+        // A streamed intermediate never touches the DFS: the producer
+        // writes no part files and its consumer reads no input bytes.
+        let (mid, downstream) = (&streamed.stages[0], &streamed.stages[1]);
+        assert!(mid.output_paths.is_empty(), "streamed stage wrote files");
+        assert_eq!(downstream.volumes.total_input_bytes(), 0);
         // File mode, by contrast, pays the intermediate round trip.
+        assert!(!file_mode.stages[0].output_paths.is_empty());
         assert!(file_mode.stages[1].volumes.total_input_bytes() > 0);
     }
 

@@ -13,16 +13,14 @@ pub(super) fn run_on_datampi(job: &StageJob<'_>) -> Result<Vec<ReduceVolume>> {
     let style =
         ShuffleStyle::parse(&conf.get_str(hdm_common::conf::KEY_SHUFFLE_STYLE, "nonblocking"))
             .ok_or_else(|| HdmError::Config("bad datampi.shuffle.style".into()))?;
-    let worker_mem = conf.get_i64(hdm_common::conf::KEY_WORKER_MEM_BYTES, 64 << 20)? as f64;
     let config = DataMpiConfig {
         o_tasks,
         a_tasks,
         o_slots: conf.local_threads()?,
         shuffle_style: style,
-        send_partition_bytes: conf.get_i64(hdm_common::conf::KEY_SEND_PARTITION_BYTES, 16 << 10)?
-            as usize,
+        send_partition_bytes: conf.send_partition_bytes()?,
         send_queue_len: conf.send_queue_len()?,
-        mem_budget_bytes: (worker_mem * conf.mem_used_percent()?) as usize,
+        mem_budget_bytes: (conf.worker_mem_bytes()? as f64 * conf.mem_used_percent()?) as usize,
         channel_capacity: 1024,
         obs: job.ctx.obs.clone(),
         faults: job.faults.clone(),

@@ -14,7 +14,7 @@ pub(super) fn run_on_hadoop(job: &StageJob<'_>) -> Result<Vec<ReduceVolume>> {
     let config = MapRedConfig {
         map_tasks: job.map_tasks,
         reduce_tasks: job.reduce_tasks,
-        sort_buffer_bytes: conf.get_i64(hdm_common::conf::KEY_SORT_BUFFER_BYTES, 1 << 20)? as usize,
+        sort_buffer_bytes: conf.sort_buffer_bytes()?,
         concurrency: conf.local_threads()?,
         obs: job.ctx.obs.clone(),
         faults: job.faults.clone(),

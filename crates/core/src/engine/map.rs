@@ -222,7 +222,7 @@ impl MapAttempt<'_> {
     }
 
     /// The row-at-a-time pipeline: sequence-file intermediates, stream
-    /// partitions, memory chunks, and table scans with vectorization off.
+    /// partitions, and table scans with vectorization off.
     fn run_rows(&mut self, rows: &[Row]) -> Result<()> {
         for row in rows {
             // One relaxed load per row: the cooperative cancellation
@@ -408,9 +408,9 @@ impl StagePipeline {
         match &task.input {
             TaskInput::Empty => {}
             // Block until the producer commits this partition, then
-            // consume it from memory (no DFS read — input_bytes stays 0,
-            // same as DAG-mode memory chunks). A replayed task (fault
-            // recovery) re-takes the retained rows, byte-identically.
+            // consume it from memory (no DFS read, so input_bytes stays
+            // 0). A replayed task (fault recovery) re-takes the retained
+            // rows, byte-identically.
             TaskInput::Stream {
                 stage, partition, ..
             } => {
@@ -418,10 +418,6 @@ impl StagePipeline {
                     HdmError::Plan(format!("map task {task_idx}: stage {stage} stream missing"))
                 })?;
                 at.run_rows(&stream.take(*partition)?)?;
-            }
-            TaskInput::Mem { stage, rows, .. } => {
-                let rows = self.dag_rows.get(stage).and_then(|r| r.get(rows.clone()));
-                at.run_rows(rows.unwrap_or_default())?;
             }
             TaskInput::Split(split) => {
                 let node = Some(split.hosts.first().copied().unwrap_or(NodeId(0)));

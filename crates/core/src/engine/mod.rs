@@ -15,18 +15,18 @@
 //! and it is a short orchestrator over four engine-agnostic units:
 //!
 //! 1. **task planning** (`plan`): `plan_tasks` enumerates the map/O
-//!    tasks as `TaskInput`s — a file split, a stream partition, a chunk
-//!    of an in-memory intermediate, or nothing — and `reducer_count`
+//!    tasks as `TaskInput`s — a file split, a stream partition, or
+//!    nothing — and `reducer_count`
 //!    decides the reduce/A parallelism from their total size;
 //! 2. **the map pipeline** (`map`): reads a task's input three ways
-//!    (columnar batches, rows off a file, rows already in memory),
+//!    (columnar batches, rows off a file, rows a stream handed over),
 //!    filters and projects it, and routes every projected `(key, value)`
 //!    through one `route` — to the task's own output rows, the shuffle,
 //!    or the partial-aggregation table;
 //! 3. **the reduce pipeline** (`reduce`): the Join / Aggregate / Sort
 //!    group loops over either engine's `GroupSource`;
 //! 4. **the partition sink** (`sink`): one `commit(rank, attempt, rows)`
-//!    whose target — the consumer's stream, memory, or a part file — is
+//!    whose target — the consumer's stream or a part file — is
 //!    chosen once per stage. Map-only tasks and reduce tasks commit the
 //!    same way.
 //!
@@ -96,9 +96,11 @@ pub struct StageContext<'a> {
     pub engine: EngineKind,
     /// Output part files of earlier stages, by stage id.
     pub intermediates: &'a HashMap<usize, Vec<String>>,
-    /// In-memory intermediate outputs of earlier stages (DAG mode,
-    /// `hive.datampi.dag`), by stage id.
-    pub dag_intermediates: &'a HashMap<usize, Arc<Vec<Row>>>,
+    /// Always empty and read by nothing: `Infallible` values mean no
+    /// entry can exist (DESIGN.md §27). The field stays only because the
+    /// standalone `benchmark/` package still builds a `StageContext`
+    /// with it; the next change to that package removes both.
+    pub dag_intermediates: &'a HashMap<usize, std::convert::Infallible>,
     /// Pipelined inputs by producer stage id: partitions are taken from
     /// these streams as the (possibly still running) producers commit
     /// them, instead of reading part files (DESIGN.md §15).
@@ -119,22 +121,6 @@ pub struct StageContext<'a> {
     pub cancel: hdm_common::CancelToken,
 }
 
-/// Is the DAG execution mode active for this stage context?
-///
-/// The paper's stated future work ("reduce the overhead of intermediate
-/// files storing by supporting DAG distributed computing models") —
-/// implemented here for the DataMPI engine: when
-/// `hive.datampi.dag = true`, chained stages hand their intermediate
-/// rows to the next stage in memory instead of materializing sequence
-/// files in the DFS.
-fn dag_mode_enabled(ctx: &StageContext<'_>) -> bool {
-    ctx.engine == EngineKind::DataMpi
-        && ctx
-            .conf
-            .get_bool(hdm_common::conf::KEY_DAG_MODE, false)
-            .unwrap_or(false)
-}
-
 /// What one executed stage produced.
 #[derive(Debug, Clone)]
 pub struct StageResult {
@@ -149,9 +135,6 @@ pub struct StageResult {
     /// Wire-size distribution of the shuffled key-value pairs — the
     /// Figure 2(c)/(d) signal.
     pub kv_sizes: hdm_common::stats::Histogram,
-    /// In-memory intermediate rows (DAG mode only; otherwise `None` and
-    /// the rows live in `output_paths`).
-    pub mem_output: Option<Arc<Vec<Row>>>,
 }
 
 /// How ReduceSink keys travel on the wire: key rows are written in the
@@ -214,7 +197,6 @@ struct StagePipeline {
     builds: Vec<Vec<map::SharedBuild>>,
     dfs: Dfs,
     in_streams: HashMap<usize, StreamedIntermediate>,
-    dag_rows: HashMap<usize, Arc<Vec<Row>>>,
     pushdown: bool,
     /// Vectorized execution: every stage kind takes it for every format
     /// with a columnar reader (ORC, Text).
@@ -266,7 +248,6 @@ impl StagePipeline {
                 .collect(),
             dfs: ctx.dfs.clone(),
             in_streams: ctx.in_streams.clone(),
-            dag_rows: ctx.dag_intermediates.clone(),
             obs: ctx.obs.clone(),
             cancel: ctx.cancel.clone(),
             engine: ctx.engine,
@@ -298,7 +279,7 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
     let planned = plan::plan_tasks(stage, ctx)?;
     let input_bytes = planned.input_bytes;
     let map_tasks = planned.tasks.len();
-    let slots = ctx.conf.get_i64(hdm_common::conf::KEY_SLOTS_PER_NODE, 4)? as usize * 7;
+    let slots = ctx.conf.slots_per_node()? * 7;
     let per_reducer = ctx
         .conf
         .get_i64(hdm_common::conf::KEY_BYTES_PER_REDUCER, 32 << 10)?;
@@ -346,7 +327,7 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
 
     let mut maps = std::mem::take(&mut *job.pipeline.map_vols.lock());
     let written = job.pipeline.sink.finish();
-    let bytes_of = |rank: usize| written.files.get(&rank).map_or(0, |(_, bytes)| *bytes);
+    let bytes_of = |rank: usize| written.get(&rank).map_or(0, |(_, bytes)| *bytes);
     for (rank, rv) in reduces.iter_mut().enumerate() {
         rv.output_bytes = bytes_of(rank);
     }
@@ -359,7 +340,7 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
     }
     let kv_sizes = job.pipeline.kv_sizes.lock().clone();
     Ok(StageResult {
-        output_paths: written.files.values().map(|(p, _)| p.clone()).collect(),
+        output_paths: written.values().map(|(p, _)| p.clone()).collect(),
         volumes: JobVolumes {
             name: format!("q{}-stage{}", ctx.query_id, stage.id),
             maps,
@@ -368,7 +349,6 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
         map_tasks,
         reduce_tasks,
         kv_sizes,
-        mem_output: written.mem_output,
     })
 }
 
@@ -437,7 +417,7 @@ mod tests {
     pub(super) struct Fixture {
         pub(super) d: Driver,
         pub(super) intermediates: HashMap<usize, Vec<String>>,
-        pub(super) dag_intermediates: HashMap<usize, Arc<Vec<Row>>>,
+        pub(super) dag_intermediates: HashMap<usize, std::convert::Infallible>,
         pub(super) in_streams: HashMap<usize, StreamedIntermediate>,
     }
 
@@ -513,6 +493,54 @@ mod tests {
             let retries = snap.counters.iter().filter(|(n, _, _)| n == "ft.retries");
             assert!(retries.map(|(_, _, v)| *v).sum::<u64>() >= 1, "{engine:?}");
         }
+    }
+
+    /// Runs a keyed aggregate (a shuffle stage on either engine) with
+    /// `key = value` and expects the engine that reads the key to refuse
+    /// it as a configuration error naming the key.
+    fn assert_config_error(key: &str, value: i64, engine: EngineKind) {
+        let mut fx = Fixture::new(
+            "CREATE TABLE t (k BIGINT, v BIGINT); INSERT INTO t VALUES (1, 10), (2, 20)",
+        );
+        fx.d.conf_mut().set(key, value);
+        let sql = "SELECT k, SUM(v) AS s FROM t GROUP BY k";
+        let err = match fx.d.execute_on(sql, engine) {
+            Ok(_) => panic!("{key} = {value} ran on {engine:?}"),
+            Err(e) => e,
+        };
+        assert!(matches!(err, HdmError::Config(_)), "{key} = {value}: {err}");
+        assert!(err.message().contains(key), "{err}");
+    }
+
+    /// Zero slots would give `reducer_count`'s clamp a max below its min,
+    /// and a negative count would overflow `usize::MAX * 7`.
+    #[test]
+    fn slots_per_node_below_one_is_a_config_error() {
+        for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
+            for bad in [0, -1] {
+                assert_config_error(hdm_common::conf::KEY_SLOTS_PER_NODE, bad, engine);
+            }
+        }
+    }
+
+    /// Read as `usize`, a negative size would be a buffer that never
+    /// spills.
+    #[test]
+    fn negative_sort_buffer_bytes_is_a_config_error() {
+        let key = hdm_common::conf::KEY_SORT_BUFFER_BYTES;
+        assert_config_error(key, -1, EngineKind::Hadoop);
+    }
+
+    #[test]
+    fn negative_send_partition_bytes_is_a_config_error() {
+        let key = hdm_common::conf::KEY_SEND_PARTITION_BYTES;
+        assert_config_error(key, -1, EngineKind::DataMpi);
+    }
+
+    #[test]
+    fn negative_worker_mem_bytes_is_a_config_error() {
+        let key = hdm_common::conf::KEY_WORKER_MEM_BYTES;
+        assert_config_error(key, -1, EngineKind::DataMpi);
     }
 
     #[test]

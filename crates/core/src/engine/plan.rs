@@ -1,7 +1,7 @@
 //! Task planning: which map/O tasks a stage runs, what each one reads,
 //! and how many reduce/A tasks consume them.
 
-use super::{dag_mode_enabled, StageContext};
+use super::StageContext;
 use crate::physical::{InputSource, StageKind, StagePlan};
 use hdm_common::conf::Parallelism;
 use hdm_common::error::{HdmError, Result};
@@ -9,11 +9,7 @@ use hdm_common::row::Schema;
 use hdm_dfs::FileSplit;
 use hdm_storage::seq::SeqFormat;
 use hdm_storage::{format_for, FileFormat};
-use std::ops::Range;
 use std::sync::Arc;
-
-/// Rows per task when an in-memory (DAG mode) intermediate is chunked.
-const MEM_CHUNK_ROWS: usize = 4096;
 
 /// What one map/O task reads — the read half of the intermediate
 /// hand-off ([`super::sink::PartitionSink`] is the write half).
@@ -35,13 +31,6 @@ pub(super) enum TaskInput {
         partition: usize,
         est_bytes: u64,
     },
-    /// DAG mode: rows `rows` of producer `stage`'s in-memory output,
-    /// `est_bytes` being their wire size.
-    Mem {
-        stage: usize,
-        rows: Range<usize>,
-        est_bytes: u64,
-    },
 }
 
 impl TaskInput {
@@ -51,7 +40,7 @@ impl TaskInput {
         match self {
             TaskInput::Empty => 0,
             TaskInput::Split(split) => split.len,
-            TaskInput::Stream { est_bytes, .. } | TaskInput::Mem { est_bytes, .. } => *est_bytes,
+            TaskInput::Stream { est_bytes, .. } => *est_bytes,
         }
     }
 }
@@ -134,19 +123,6 @@ pub(super) fn plan_tasks(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<Pl
                             stage,
                             partition,
                             est_bytes,
-                        })
-                        .collect()
-                } else if let Some(rows) = ctx
-                    .dag_intermediates
-                    .get(id)
-                    .filter(|_| dag_mode_enabled(ctx))
-                {
-                    let chunks = rows.chunks(MEM_CHUNK_ROWS).enumerate();
-                    chunks
-                        .map(|(c, chunk)| TaskInput::Mem {
-                            stage: *id,
-                            rows: c * MEM_CHUNK_ROWS..c * MEM_CHUNK_ROWS + chunk.len(),
-                            est_bytes: chunk.iter().map(|r| r.wire_size() as u64).sum(),
                         })
                         .collect()
                 } else {

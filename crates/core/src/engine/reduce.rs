@@ -237,7 +237,7 @@ mod tests {
         let pipeline = StagePipeline::new(stage, plan::plan_tasks(stage, &ctx)?, &ctx)?;
         pipeline.run_reduce(0, &mut Groups(groups.into_iter()))?;
         let written = pipeline.sink.finish();
-        let paths: Vec<String> = written.files.into_values().map(|(p, _)| p).collect();
+        let paths: Vec<String> = written.into_values().map(|(p, _)| p).collect();
         let rows = read_seq_outputs(fx.d.dfs(), &paths);
         for path in &paths {
             fx.d.dfs().delete(path);

@@ -1,7 +1,7 @@
 //! The partition sink: where a finished output partition (one reduce/A
 //! task's rows, or one map-only task's) goes.
 
-use super::{dag_mode_enabled, StageContext};
+use super::StageContext;
 use crate::physical::{StageOutput, StagePlan};
 use crate::stream::StreamedIntermediate;
 use hdm_common::error::Result;
@@ -21,8 +21,6 @@ pub(super) enum PartitionSink {
     /// stream — it starts (or continues) consuming immediately, while
     /// sibling partitions are still being produced.
     Stream(StreamedIntermediate),
-    /// DAG mode: hand the rows to the next stage in memory.
-    Memory(Mutex<Vec<Row>>),
     /// One part file per partition.
     Files(PartFiles),
 }
@@ -41,22 +39,10 @@ pub(super) struct PartFiles {
     written: Mutex<BTreeMap<usize, (String, u64)>>,
 }
 
-/// What a stage's sink collected.
-#[derive(Default)]
-pub(super) struct SinkOutput {
-    /// Part files as `(path, bytes)`, by rank.
-    pub(super) files: BTreeMap<usize, (String, u64)>,
-    /// The in-memory output (DAG-mode target only).
-    pub(super) mem_output: Option<Arc<Vec<Row>>>,
-}
-
 impl PartitionSink {
     pub(super) fn for_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> PartitionSink {
         if let Some(out) = &ctx.out_stream {
             return PartitionSink::Stream(out.clone());
-        }
-        if dag_mode_enabled(ctx) && stage.output == StageOutput::Intermediate {
-            return PartitionSink::Memory(Mutex::new(Vec::new()));
         }
         let (dir, format): (String, Arc<dyn FileFormat>) = match &stage.output {
             StageOutput::Table { name, format } => (
@@ -104,10 +90,6 @@ impl PartitionSink {
     pub(super) fn commit(&self, rank: usize, attempt: u32, rows: Vec<Row>) -> Result<()> {
         match self {
             PartitionSink::Stream(out) => out.commit(rank, attempt, Arc::new(rows)),
-            PartitionSink::Memory(all) => {
-                all.lock().extend(rows);
-                Ok(())
-            }
             PartitionSink::Files(files) => {
                 let path = format!("{}part-{rank:05}", files.dir);
                 let node = NodeId((rank % 7) as u32);
@@ -134,18 +116,12 @@ impl PartitionSink {
         }
     }
 
-    /// What the stage wrote, once every task has committed.
-    pub(super) fn finish(&self) -> SinkOutput {
+    /// The part files the stage wrote as `(path, bytes)`, by rank, once
+    /// every task has committed (none for a streamed stage).
+    pub(super) fn finish(&self) -> BTreeMap<usize, (String, u64)> {
         match self {
-            PartitionSink::Stream(_) => SinkOutput::default(),
-            PartitionSink::Memory(all) => SinkOutput {
-                mem_output: Some(Arc::new(std::mem::take(&mut *all.lock()))),
-                ..SinkOutput::default()
-            },
-            PartitionSink::Files(files) => SinkOutput {
-                files: std::mem::take(&mut *files.written.lock()),
-                ..SinkOutput::default()
-            },
+            PartitionSink::Stream(_) => BTreeMap::new(),
+            PartitionSink::Files(files) => std::mem::take(&mut *files.written.lock()),
         }
     }
 }
@@ -169,8 +145,7 @@ mod tests {
 
     fn paths_of(sink: &PartitionSink) -> Vec<String> {
         let out = sink.finish();
-        assert!(out.mem_output.is_none());
-        out.files.into_values().map(|(path, _)| path).collect()
+        out.into_values().map(|(path, _)| path).collect()
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Partition-granular streamed intermediates — the Tez-style pipelined
 //! stage boundary (DESIGN.md §15).
 //!
-//! A [`StreamedIntermediate`] replaces the file (or whole-stage
-//! `dag_intermediates` snapshot) hand-off between a producer stage's
-//! ReduceSink and its consumer stage: the producer *commits* each output
-//! partition as soon as its reduce/A-task finishes, and consumer tasks
-//! *take* partitions as they appear — the consumer stage starts while
-//! the producer is still running.
+//! A [`StreamedIntermediate`] replaces the file hand-off between a
+//! producer stage's ReduceSink and its consumer stage: the producer
+//! *commits* each output partition as soon as its reduce/A-task
+//! finishes, and consumer tasks *take* partitions as they appear — the
+//! consumer stage starts while the producer is still running.
 //!
 //! Semantics:
 //!

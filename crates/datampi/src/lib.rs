@@ -71,7 +71,6 @@
 //! ```
 
 pub mod buffer;
-pub mod iteration;
 pub mod receiver;
 pub mod report;
 pub mod shuffle;

@@ -145,11 +145,6 @@ impl Dfs {
         }
     }
 
-    /// An 8-node filesystem with the paper's 64 MB blocks.
-    pub fn with_defaults() -> Dfs {
-        Dfs::new(DfsConfig::default())
-    }
-
     /// The configuration this filesystem was built with.
     pub fn config(&self) -> DfsConfig {
         self.config

@@ -260,11 +260,6 @@ impl AdmissionGate {
         self.inner.cv.notify_all();
     }
 
-    /// Whether [`AdmissionGate::close`] was called.
-    pub fn is_closing(&self) -> bool {
-        self.inner.state.lock().closing
-    }
-
     /// Shutdown phase 2: reject every parked waiter. Returns how many
     /// waiters were expelled. From this point a dropped permit no longer
     /// re-dispatches (see [`Permit`]'s drop).

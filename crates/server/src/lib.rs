@@ -273,11 +273,7 @@ impl HdmServer {
         // malformed base conf fails fast instead of on the first query.
         conf.query_timeout_ms()?;
         let io_mb = conf.server_io_cache_mb()?;
-        let result_entries = if conf.server_result_cache()? {
-            conf.server_result_cache_entries()?
-        } else {
-            0
-        };
+        let result_entries = conf.server_result_cache_entries()?;
         let io_cache = if io_mb > 0 {
             let root = driver.metastore().storage.root.trim_end_matches('/');
             let prefix = format!("{root}/");

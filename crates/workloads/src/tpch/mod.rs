@@ -198,17 +198,6 @@ pub fn load_clustered(
     Ok(load_generated(driver, &data, format)?.stored_bytes)
 }
 
-/// Drop all TPC-H tables (ignoring missing ones).
-///
-/// # Errors
-/// Propagates metastore failures other than missing tables.
-pub fn drop_all(driver: &mut Driver) -> Result<()> {
-    for table in TABLES {
-        driver.execute(&format!("DROP TABLE IF EXISTS {table}"))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -140,7 +140,9 @@ fn overload_shed_rejects_projected_long_wait_with_typed_error() {
     driver.conf_mut().set(keys::KEY_SERVER_POOL_SIZE, 1);
     driver.conf_mut().set(keys::KEY_SERVER_SHED_WAIT_MS, 1);
     // The shed probe must see execution, not cache hits.
-    driver.conf_mut().set(keys::KEY_SERVER_RESULT_CACHE, false);
+    driver
+        .conf_mut()
+        .set(keys::KEY_SERVER_RESULT_CACHE_ENTRIES, 0);
     let server = HdmServer::over(driver).expect("server");
 
     let hog = server.admission().admit("hog").expect("hog permit");
@@ -240,7 +242,9 @@ fn shutdown_drains_idle_server_and_rejects_new_queries() {
 fn shutdown_cancels_stragglers_past_drain_window() {
     let mut driver = fresh_tpch_driver(FormatKind::Text);
     driver.conf_mut().set(keys::KEY_SERVER_POOL_SIZE, 1);
-    driver.conf_mut().set(keys::KEY_SERVER_RESULT_CACHE, false);
+    driver
+        .conf_mut()
+        .set(keys::KEY_SERVER_RESULT_CACHE_ENTRIES, 0);
     let server = HdmServer::over(driver).expect("server");
 
     let hog = server.admission().admit("hog").expect("hog permit");

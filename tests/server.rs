@@ -186,7 +186,9 @@ fn orc_eviction_under_tiny_cache_is_correct() {
     // 1 MB, which can hold this whole scale factor) and disable the
     // result cache so every run re-scans through the data cache.
     driver.conf_mut().set(keys::KEY_SERVER_IO_CACHE_MB, 0);
-    driver.conf_mut().set(keys::KEY_SERVER_RESULT_CACHE, false);
+    driver
+        .conf_mut()
+        .set(keys::KEY_SERVER_RESULT_CACHE_ENTRIES, 0);
     let root = driver.metastore().storage.root.clone();
     let cache = Arc::new(OrcDataCache::new(16 * 1024, &format!("{root}/")));
     driver
@@ -215,7 +217,9 @@ fn orc_eviction_under_tiny_cache_is_correct() {
 fn io_cache_knob_serves_warm_scans() {
     let mut driver = fresh_tpch_driver(FormatKind::Orc);
     driver.conf_mut().set(keys::KEY_SERVER_IO_CACHE_MB, 8);
-    driver.conf_mut().set(keys::KEY_SERVER_RESULT_CACHE, false);
+    driver
+        .conf_mut()
+        .set(keys::KEY_SERVER_RESULT_CACHE_ENTRIES, 0);
     let server = HdmServer::over(driver).expect("server");
     let session = server.session("t");
     let cold = session.execute(tpch::queries::query(6)).unwrap().to_lines();
