@@ -11,6 +11,7 @@ use crate::error::{HdmError, Result};
 use crate::row::Row;
 use bytes::{Buf, BufMut, Bytes};
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One serialized key-value pair.
@@ -108,17 +109,26 @@ pub fn decode_all(buf: &Bytes) -> Result<Vec<KvPair>> {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos < buf.len() {
-        let (key, next) = read_chunk(buf, pos)?;
-        let (value, next) = read_chunk(buf, next)?;
-        out.push(KvPair { key, value });
-        pos = next;
+        let (key, value) = pair_at(buf, pos)?;
+        out.push(KvPair {
+            key: buf.slice(key.clone()),
+            value: buf.slice(value.clone()),
+        });
+        pos = value.end;
     }
     Ok(out)
 }
 
-/// Read one length-prefixed chunk at `pos` as a zero-copy slice view;
-/// returns the view and the offset just past it.
-fn read_chunk(buf: &Bytes, pos: usize) -> Result<(Bytes, usize)> {
+/// Locate the [`encode`]d pair at `pos`: the byte ranges of its key
+/// and its value (which ends where the next pair starts).
+fn pair_at(buf: &[u8], pos: usize) -> Result<(Range<usize>, Range<usize>)> {
+    let key = chunk_at(buf, pos)?;
+    let value = chunk_at(buf, key.end)?;
+    Ok((key, value))
+}
+
+/// Locate the length-prefixed chunk at `pos`: the range of its bytes.
+fn chunk_at(buf: &[u8], pos: usize) -> Result<Range<usize>> {
     let mut cursor: &[u8] = buf
         .get(pos..)
         .ok_or_else(|| HdmError::Codec("pair cursor out of range".into()))?;
@@ -130,8 +140,304 @@ fn read_chunk(buf: &Bytes, pos: usize) -> Result<(Bytes, usize)> {
         .checked_add(len)
         .filter(|&e| e <= buf.len())
         .ok_or_else(|| HdmError::Codec("truncated pair chunk".into()))?;
-    Ok((buf.slice(start..end), end))
+    Ok(start..end)
 }
+
+/// One pair of a [`ReduceInput`]: its key's cached
+/// [`Comparator::prefix`], its provenance (source task, position in
+/// that source's stream), and where its key and value sit in received
+/// buffer `buf`. 48 bytes, and no heap object of its own.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    prefix: u128,
+    seq: u64,
+    src: u32,
+    buf: u32,
+    key: u32,
+    key_len: u32,
+    value: u32,
+    value_len: u32,
+}
+
+impl Entry {
+    fn key<'a>(&self, buffers: &'a [Bytes]) -> &'a [u8] {
+        view(buffers, self.buf, self.key, self.key_len)
+    }
+
+    fn value<'a>(&self, buffers: &'a [Bytes]) -> &'a [u8] {
+        view(buffers, self.buf, self.value, self.value_len)
+    }
+}
+
+/// Bytes `start..start + len` of `buffers[buf]`. Entries are only made
+/// for ranges of their own buffer, so the lookup cannot miss; `.get`
+/// keeps that invariant panic-free.
+fn view(buffers: &[Bytes], buf: u32, start: u32, len: u32) -> &[u8] {
+    let (start, len) = (start as usize, len as usize);
+    buffers
+        .get(buf as usize)
+        .and_then(|b| b.get(start..start + len))
+        .unwrap_or_default()
+}
+
+/// The reduce-side order: by key, the cached prefixes first, then by
+/// provenance. `(src, seq)` is unique per pair, so the order is total
+/// and any sort of the same entries returns the same sequence.
+fn order(cmp: &dyn Comparator, buffers: &[Bytes], a: &Entry, b: &Entry) -> Ordering {
+    a.prefix
+        .cmp(&b.prefix)
+        .then_with(|| cmp.compare(a.key(buffers), b.key(buffers)))
+        .then_with(|| (a.src, a.seq).cmp(&(b.src, b.seq)))
+}
+
+/// What one reduce-side task (a DataMPI A rank, a Hadoop reducer) has
+/// received: the wire buffers as they arrived, [`encode`]d pairs back
+/// to back, plus one index entry per pair. Sorting and grouping move
+/// the entries; keys and values stay where they arrived.
+#[derive(Debug, Default)]
+pub struct ReduceInput {
+    buffers: Vec<Bytes>,
+    entries: Vec<Entry>,
+    /// `entries[..sealed]` are sorted runs, `entries[sealed..]` are not.
+    sealed: usize,
+}
+
+impl ReduceInput {
+    /// Index every pair of `buf` as pairs `seq, seq + 1, …` of source
+    /// `src`, keeping `buf` as it is; returns how many pairs it held.
+    ///
+    /// # Errors
+    /// [`HdmError::Codec`] on a truncated or corrupt buffer (none of its
+    /// pairs is kept), on one of 4 GiB or more, and past 2³² buffers or
+    /// sources.
+    pub fn push(
+        &mut self,
+        src: usize,
+        seq: u64,
+        buf: Bytes,
+        comparator: &dyn Comparator,
+    ) -> Result<u64> {
+        let too_big = |what| HdmError::Codec(format!("reduce input {what} exceeds u32"));
+        let src = u32::try_from(src).map_err(|_| too_big("source"))?;
+        let id = u32::try_from(self.buffers.len()).map_err(|_| too_big("buffer count"))?;
+        u32::try_from(buf.len()).map_err(|_| too_big("buffer length"))?;
+        let before = self.entries.len();
+        let mut pos = 0usize;
+        while pos < buf.len() {
+            let (key, value) = match pair_at(&buf, pos) {
+                Ok(pair) => pair,
+                Err(e) => {
+                    self.entries.truncate(before);
+                    return Err(e);
+                }
+            };
+            // Every offset is below `buf.len()`, which fits a `u32`.
+            self.entries.push(Entry {
+                prefix: comparator.prefix(buf.get(key.clone()).unwrap_or_default()),
+                seq: seq + (self.entries.len() - before) as u64,
+                src,
+                buf: id,
+                key: key.start as u32,
+                key_len: key.len() as u32,
+                value: value.start as u32,
+                value_len: value.len() as u32,
+            });
+            pos = value.end;
+        }
+        self.buffers.push(buf);
+        Ok((self.entries.len() - before) as u64)
+    }
+
+    /// Move in `staged`, pairs indexed as they arrived from one source
+    /// and numbered from 0, as that source's pairs `seq, seq + 1, …`.
+    ///
+    /// # Errors
+    /// [`HdmError::Codec`] past 2³² buffers.
+    pub fn append(&mut self, staged: ReduceInput, seq: u64) -> Result<()> {
+        let base = self.buffers.len();
+        u32::try_from(base + staged.buffers.len())
+            .map_err(|_| HdmError::Codec("reduce input buffer count exceeds u32".into()))?;
+        let base = base as u32;
+        let renumbered = staged.entries.into_iter().map(|e| Entry {
+            buf: e.buf + base,
+            seq: e.seq + seq,
+            ..e
+        });
+        self.entries.extend(renumbered);
+        self.buffers.extend(staged.buffers);
+        Ok(())
+    }
+
+    /// Pairs indexed so far.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True iff no pair has been indexed.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Sort the pairs indexed since the last seal into one run: what a
+    /// spill writes.
+    pub fn seal_run(&mut self, comparator: &dyn Comparator) {
+        let ReduceInput {
+            buffers,
+            entries,
+            sealed,
+        } = self;
+        if let Some(run) = entries.get_mut(*sealed..) {
+            run.sort_unstable_by(|a, b| order(comparator, buffers, a, b));
+        }
+        *sealed = entries.len();
+    }
+
+    /// Sort every pair and group comparator-equal keys. Sealed runs and
+    /// arrival-sorted buffers are ascending stretches of the one total
+    /// order, which the stable sort finds and merges.
+    pub fn into_groups(self, comparator: &dyn Comparator) -> KeyGroups {
+        let ReduceInput {
+            buffers,
+            mut entries,
+            ..
+        } = self;
+        entries.sort_by(|a, b| order(comparator, &buffers, a, b));
+        // Equal keys have equal prefixes, so a prefix change starts a
+        // group without a key comparison.
+        let mut ends = Vec::new();
+        let mut head: Option<&Entry> = None;
+        for (i, e) in entries.iter().enumerate() {
+            if let Some(h) = head {
+                if h.prefix == e.prefix
+                    && comparator.compare(h.key(&buffers), e.key(&buffers)) == Ordering::Equal
+                {
+                    continue;
+                }
+                ends.push(i);
+            }
+            head = Some(e);
+        }
+        if !entries.is_empty() {
+            ends.push(entries.len());
+        }
+        KeyGroups {
+            buffers,
+            entries,
+            ends,
+            next: 0,
+        }
+    }
+}
+
+/// A [`ReduceInput`] sorted and grouped: key groups in comparator order,
+/// each group's values in provenance order, handed out one at a time as
+/// views of the received buffers. The group's key is its first pair's.
+#[derive(Debug, Default)]
+pub struct KeyGroups {
+    buffers: Vec<Bytes>,
+    entries: Vec<Entry>,
+    /// Group `i` is `entries[ends[i - 1]..ends[i]]` (from 0 for `i = 0`).
+    ends: Vec<usize>,
+    /// The group [`KeyGroups::next_group`] hands out next.
+    next: usize,
+}
+
+impl KeyGroups {
+    /// Number of key groups.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True iff there are no groups.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The next `(key, values)` group, or `None` after the last.
+    pub fn next_group(&mut self) -> Option<(&[u8], Values<'_>)> {
+        let start = match self.next.checked_sub(1) {
+            Some(prev) => *self.ends.get(prev)?,
+            None => 0,
+        };
+        let entries = self.entries.get(start..*self.ends.get(self.next)?)?;
+        self.next += 1;
+        let key = entries.first()?.key(&self.buffers);
+        let buffers = &self.buffers;
+        Some((key, Values { buffers, entries }))
+    }
+
+    /// Start handing the groups out again from the first: a replayed
+    /// attempt reads the same groups without copying them.
+    pub fn rewind(&mut self) {
+        self.next = 0;
+    }
+}
+
+/// The values of one key group, in provenance order.
+#[derive(Debug, Clone, Copy)]
+pub struct Values<'a> {
+    buffers: &'a [Bytes],
+    entries: &'a [Entry],
+}
+
+impl<'a> Values<'a> {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True iff the group has no values (never, for a handed-out group).
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The values, as views of the received buffers.
+    pub fn iter(&self) -> ValueIter<'a> {
+        ValueIter {
+            buffers: self.buffers,
+            entries: self.entries.iter(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Values<'a> {
+    type Item = &'a [u8];
+    type IntoIter = ValueIter<'a>;
+
+    fn into_iter(self) -> ValueIter<'a> {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &Values<'a> {
+    type Item = &'a [u8];
+    type IntoIter = ValueIter<'a>;
+
+    fn into_iter(self) -> ValueIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a group's [`Values`].
+#[derive(Debug, Clone)]
+pub struct ValueIter<'a> {
+    buffers: &'a [Bytes],
+    entries: std::slice::Iter<'a, Entry>,
+}
+
+impl<'a> Iterator for ValueIter<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        self.entries.next().map(|e| e.value(self.buffers))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
+impl ExactSizeIterator for ValueIter<'_> {}
 
 /// Key ordering used by sort and merge. Implementations must be total
 /// orders over arbitrary key bytes.
@@ -276,6 +582,83 @@ mod tests {
         let base = buf.as_ref().as_ptr() as usize;
         assert!((base..base + buf.len()).contains(&(back[0].value.as_ref().as_ptr() as usize)));
         assert!(decode_all(&buf.slice(..buf.len() - 3)).is_err());
+    }
+
+    /// `pairs` [`encode`]d back to back into one buffer.
+    fn wire(pairs: &[(&[u8], &[u8])]) -> Bytes {
+        let mut buf = Vec::new();
+        for (k, v) in pairs {
+            encode(&mut buf, k, v);
+        }
+        Bytes::from(buf)
+    }
+
+    /// Every group, copied out.
+    fn drain(groups: &mut KeyGroups) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
+        let mut out = Vec::new();
+        while let Some((key, values)) = groups.next_group() {
+            out.push((key.to_vec(), values.iter().map(<[u8]>::to_vec).collect()));
+        }
+        out
+    }
+
+    #[test]
+    fn groups_are_in_key_then_provenance_order_and_zero_copy() {
+        let c = BytesComparator;
+        let mut input = ReduceInput::default();
+        let late = wire(&[(b"b", b"1-0"), (b"a", b"1-1")]);
+        input.push(1, 0, late.clone(), &c).unwrap();
+        input.seal_run(&c);
+        input
+            .push(0, 0, wire(&[(b"b", b"0-0"), (b"", b"0-1")]), &c)
+            .unwrap();
+        input.push(1, 2, wire(&[(b"a", b"1-2")]), &c).unwrap();
+        assert_eq!(input.len(), 5);
+        let mut groups = input.into_groups(&c);
+        assert_eq!(groups.len(), 3);
+        let (_, values) = groups.next_group().unwrap();
+        assert_eq!(values.iter().collect::<Vec<_>>(), vec![b"0-1".as_ref()]);
+        let (key, values) = groups.next_group().unwrap();
+        let base = late.as_ptr() as usize;
+        assert!((base..base + late.len()).contains(&(key.as_ptr() as usize)));
+        assert_eq!(values.len(), 2);
+        groups.rewind();
+        let v = |s: &[u8]| s.to_vec();
+        let want = vec![
+            (v(b""), vec![v(b"0-1")]),
+            (v(b"a"), vec![v(b"1-1"), v(b"1-2")]),
+            (v(b"b"), vec![v(b"0-0"), v(b"1-0")]),
+        ];
+        assert_eq!(drain(&mut groups), want);
+        assert!(groups.next_group().is_none());
+    }
+
+    #[test]
+    fn a_corrupt_buffer_is_an_error_and_leaves_nothing_indexed() {
+        let c = BytesComparator;
+        let mut input = ReduceInput::default();
+        input.push(0, 0, wire(&[(b"k", b"v")]), &c).unwrap();
+        let good = wire(&[(b"x", b"1"), (b"y", b"22")]);
+        let err = input.push(0, 1, good.slice(..good.len() - 1), &c);
+        assert_eq!(err.unwrap_err().subsystem(), "codec");
+        assert_eq!(input.len(), 1);
+        assert_eq!(input.into_groups(&c).len(), 1);
+    }
+
+    #[test]
+    fn appended_pairs_are_renumbered_after_the_source_s_earlier_ones() {
+        let c = BytesComparator;
+        let mut input = ReduceInput::default();
+        input.push(3, 0, wire(&[(b"k", b"first")]), &c).unwrap();
+        let mut staged = ReduceInput::default();
+        staged.push(3, 0, wire(&[(b"k", b"second")]), &c).unwrap();
+        staged.push(3, 1, wire(&[(b"k", b"third")]), &c).unwrap();
+        // Source 2's pair sorts first; source 3's keep their stream order.
+        input.push(2, 0, wire(&[(b"k", b"zeroth")]), &c).unwrap();
+        input.append(staged, 1).unwrap();
+        let v = |s: &[u8]| s.to_vec();
+        let values = vec![v(b"zeroth"), v(b"first"), v(b"second"), v(b"third")];
+        assert_eq!(drain(&mut input.into_groups(&c)), vec![(v(b"k"), values)]);
     }
 
     #[test]

@@ -898,6 +898,59 @@ mod tests {
         assert_eq!(r.rows[1].get(1), &Value::Double(3.5));
     }
 
+    /// Rows `sql` leaves in `table`, on `engine`.
+    fn rows_written(d: &Driver, engine: EngineKind, sql: &str, table: &str) -> usize {
+        d.execute_on(sql, engine).unwrap();
+        let rows = d.execute_on(&format!("SELECT * FROM {table}"), engine);
+        rows.unwrap().rows.len()
+    }
+
+    #[test]
+    fn order_by_limit_0_into_a_table_writes_no_rows() {
+        for engine in [EngineKind::Hadoop, EngineKind::DataMpi] {
+            let d = driver();
+            let ctas = "CREATE TABLE c STORED AS ORC AS SELECT k FROM t ORDER BY k LIMIT 0";
+            assert_eq!(rows_written(&d, engine, ctas, "c"), 0, "{engine:?}");
+            let ctas = "CREATE TABLE c1 AS SELECT k FROM t ORDER BY k DESC LIMIT 1";
+            assert_eq!(rows_written(&d, engine, ctas, "c1"), 1, "{engine:?}");
+            let r = d.execute_on("SELECT k FROM c1", engine).unwrap();
+            assert_eq!(r.to_lines(), vec!["3"], "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn limit_without_order_by_into_a_table_is_honoured() {
+        for engine in [EngineKind::Hadoop, EngineKind::DataMpi] {
+            let d = driver();
+            for (sql, want) in [
+                ("CREATE TABLE c AS SELECT k FROM t LIMIT 2", 2),
+                (
+                    "CREATE TABLE c0 STORED AS ORC AS SELECT k FROM t LIMIT 0",
+                    0,
+                ),
+                (
+                    "CREATE TABLE c9 AS SELECT k, v FROM t WHERE v > 1.0 LIMIT 9",
+                    4,
+                ),
+                (
+                    "CREATE TABLE g AS SELECT k, COUNT(*) AS n FROM t GROUP BY k LIMIT 1",
+                    1,
+                ),
+            ] {
+                let table = sql.split(' ').nth(2).unwrap();
+                assert_eq!(
+                    rows_written(&d, engine, sql, table),
+                    want,
+                    "{sql} on {engine:?}"
+                );
+            }
+            d.execute_on("CREATE TABLE dst (k BIGINT, s STRING)", engine)
+                .unwrap();
+            let insert = "INSERT OVERWRITE TABLE dst SELECT k, s FROM t LIMIT 3";
+            assert_eq!(rows_written(&d, engine, insert, "dst"), 3, "{engine:?}");
+        }
+    }
+
     #[test]
     fn ctas_and_requery() {
         let d = driver();

@@ -49,7 +49,6 @@ mod sink;
 use crate::operators::Aggregator;
 use crate::physical::{StageKind, StagePlan};
 use crate::stream::StreamedIntermediate;
-use bytes::Bytes;
 use hdm_cluster::{JobVolumes, MapVolume};
 use hdm_common::error::{HdmError, Result};
 use hdm_common::kv::{BytesComparator, ComparatorRef};
@@ -180,8 +179,8 @@ impl KeyCodec {
     }
 
     /// Decode a wire key back into its row.
-    fn decode_key(&self, key: &Bytes) -> Result<Row> {
-        hdm_common::sortkey::decode_row_directed(key.as_ref(), &self.ascending)
+    fn decode_key(&self, key: &[u8]) -> Result<Row> {
+        hdm_common::sortkey::decode_row_directed(key, &self.ascending)
     }
 }
 

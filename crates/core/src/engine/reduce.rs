@@ -5,14 +5,15 @@ use super::{EngineKind, StagePipeline};
 use crate::ast::JoinKind;
 use crate::operators::{decode_tagged, peek_tag, process_join_group, project_row, Aggregator};
 use crate::physical::StageKind;
-use bytes::Bytes;
 use hdm_common::error::Result;
+use hdm_common::kv::Values;
 use hdm_common::row::Row;
 
 /// Uniform view over both engines' group iterators.
 pub(super) trait GroupSource {
-    /// Next `(key, values)` group in comparator order.
-    fn next_group(&mut self) -> Option<(Bytes, Vec<Bytes>)>;
+    /// Next `(key, values)` group in comparator order, borrowed from the
+    /// engine's received buffers.
+    fn next_group(&mut self) -> Option<(&[u8], Values<'_>)>;
 
     /// Which recovery attempt of this reduce/A task is running (0 for
     /// the first).
@@ -25,7 +26,7 @@ pub(super) trait GroupSource {
 }
 
 impl GroupSource for hdm_mapred::ReduceContext {
-    fn next_group(&mut self) -> Option<(Bytes, Vec<Bytes>)> {
+    fn next_group(&mut self) -> Option<(&[u8], Values<'_>)> {
         hdm_mapred::ReduceContext::next_group(self)
     }
 
@@ -35,7 +36,7 @@ impl GroupSource for hdm_mapred::ReduceContext {
 }
 
 impl GroupSource for hdm_datampi::AContext {
-    fn next_group(&mut self) -> Option<(Bytes, Vec<Bytes>)> {
+    fn next_group(&mut self) -> Option<(&[u8], Values<'_>)> {
         hdm_datampi::AContext::next_group(self)
     }
 
@@ -123,10 +124,10 @@ impl StagePipeline {
                 let raw_mode = self.partial.is_none();
                 while let Some((key, values)) = groups.next_group() {
                     self.cancel.bail_if_cancelled()?;
-                    let key_row = self.key_codec.decode_key(&key)?;
+                    let key_row = self.key_codec.decode_key(key)?;
                     let mut states = agg.new_states();
-                    for v in values {
-                        let row = Row::decode(&mut v.clone())?;
+                    for mut v in values {
+                        let row = Row::decode(&mut v)?;
                         if raw_mode {
                             agg.update_raw(&mut states, &row);
                         } else {
@@ -144,15 +145,14 @@ impl StagePipeline {
                 }
             }
             StageKind::Sort { limit, .. } => {
-                'outer: while let Some((_key, values)) = groups.next_group() {
+                let limit = limit.map_or(usize::MAX, |l| usize::try_from(l).unwrap_or(usize::MAX));
+                while rows_out.len() < limit {
+                    let Some((_key, values)) = groups.next_group() else {
+                        break;
+                    };
                     self.cancel.bail_if_cancelled()?;
-                    for v in values {
-                        rows_out.push(Row::decode(&mut v.clone())?);
-                        if let Some(l) = limit {
-                            if rows_out.len() as u64 >= *l {
-                                break 'outer;
-                            }
-                        }
+                    for mut v in values.iter().take(limit - rows_out.len()) {
+                        rows_out.push(Row::decode(&mut v)?);
                     }
                 }
             }
@@ -185,15 +185,34 @@ mod tests {
     use super::*;
     use crate::operators::encode_tagged;
     use crate::physical::StageOutput;
+    use bytes::Bytes;
+    use hdm_common::kv::{self, BytesComparator, KeyGroups, ReduceInput};
     use hdm_common::value::Value;
 
     /// Groups handed over as an engine would: in key order, values in
     /// arrival order.
-    struct Groups(std::vec::IntoIter<(Bytes, Vec<Bytes>)>);
+    struct Groups(KeyGroups);
+
+    impl Groups {
+        /// `groups`, keys in memcmp order, as one received buffer.
+        fn new(groups: Vec<(Bytes, Vec<Bytes>)>) -> Groups {
+            let mut buf = Vec::new();
+            for (key, values) in &groups {
+                for v in values {
+                    kv::encode(&mut buf, key, v);
+                }
+            }
+            let mut input = ReduceInput::default();
+            input
+                .push(0, 0, Bytes::from(buf), &BytesComparator)
+                .expect("well-formed buffer");
+            Groups(input.into_groups(&BytesComparator))
+        }
+    }
 
     impl GroupSource for Groups {
-        fn next_group(&mut self) -> Option<(Bytes, Vec<Bytes>)> {
-            self.0.next()
+        fn next_group(&mut self) -> Option<(&[u8], Values<'_>)> {
+            self.0.next_group()
         }
 
         fn attempt(&self) -> u32 {
@@ -235,7 +254,7 @@ mod tests {
         assert!(matches!(stage.kind, StageKind::Join { .. }), "{sql}");
         let ctx = fx.ctx(EngineKind::Hadoop);
         let pipeline = StagePipeline::new(stage, plan::plan_tasks(stage, &ctx)?, &ctx)?;
-        pipeline.run_reduce(0, &mut Groups(groups.into_iter()))?;
+        pipeline.run_reduce(0, &mut Groups::new(groups))?;
         let written = pipeline.sink.finish();
         let paths: Vec<String> = written.into_values().map(|(p, _)| p).collect();
         let rows = read_seq_outputs(fx.d.dfs(), &paths);

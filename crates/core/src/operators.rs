@@ -401,7 +401,9 @@ fn read_tag(buf: &mut &[u8]) -> Result<(u8, usize)> {
         return Err(HdmError::Codec("tagged row is empty".into()));
     }
     match decode_value(buf)? {
-        Value::Long(tag) => Ok((tag as u8, n - 1)),
+        Value::Long(tag) => u8::try_from(tag)
+            .map(|tag| (tag, n - 1))
+            .map_err(|_| HdmError::Codec(format!("join tag {tag} is not a u8"))),
         other => Err(HdmError::Codec(format!(
             "tagged row starts with {other:?}, not its tag"
         ))),
@@ -729,6 +731,20 @@ mod tests {
         codec(decode_tagged(&buf));
         // A cell count far beyond the bytes present.
         codec(decode_tagged(&[0xff, 0xff, 0xff, 0x7f, 3, 0]));
+    }
+
+    #[test]
+    fn join_tags_outside_u8_are_codec_errors() {
+        for tag in [256, -1, i64::MAX] {
+            let mut buf = Vec::new();
+            Row::from(vec![Value::Long(tag), Value::Long(7)]).encode(&mut buf);
+            let err = peek_tag(&buf).expect_err("a tag past u8");
+            assert_eq!(err.subsystem(), "codec", "{err}");
+            assert!(decode_tagged(&buf).is_err());
+        }
+        let mut buf = Vec::new();
+        Row::from(vec![Value::Long(255), Value::Long(7)]).encode(&mut buf);
+        assert_eq!(peek_tag(&buf).unwrap(), 255);
     }
 
     #[test]

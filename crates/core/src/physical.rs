@@ -346,6 +346,10 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
     let n_joins = qb.joins.len();
     // The "consumption stage" of the aggregation / final projection.
     let post_stage = n_joins;
+    // A final sort stage runs for ORDER BY, and carries a LIMIT into a
+    // table (keyless, on one reducer): the driver truncates only what it
+    // collects.
+    let sorted = !qb.order_by.is_empty() || (qb.limit.is_some() && sink != StageOutput::Collect);
 
     // ---- usage analysis (for pruning) -------------------------------------
     // For every (source, col), the latest stage that consumes it.
@@ -599,7 +603,7 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
         left_input.key_exprs = compile_all(&left_keys, &layout)?;
         left_input.value_exprs = identity(layout.len());
         let stage_id = stages.len();
-        let output = if is_final_join && qb.order_by.is_empty() {
+        let output = if is_final_join && !sorted {
             sink.clone()
         } else {
             StageOutput::Intermediate
@@ -677,7 +681,7 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
                 having,
                 project,
             },
-            output: if qb.order_by.is_empty() {
+            output: if !sorted {
                 sink.clone()
             } else {
                 StageOutput::Intermediate
@@ -691,7 +695,7 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
     }
 
     // ---- map-only final projection (nothing above projected) ------------------
-    if !projected && qb.order_by.is_empty() {
+    if !projected && !sorted {
         let mut input = running.clone();
         input.value_exprs = compile_all(&output_exprs, &layout)?;
         stages.push(StagePlan {
@@ -706,7 +710,7 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
     }
 
     // ---- sort stage -----------------------------------------------------------
-    if !qb.order_by.is_empty() {
+    if sorted {
         let mut input = running;
         if projected {
             input.key_exprs = qb.order_by.iter().map(|&(i, _)| RExpr::Column(i)).collect();
@@ -734,7 +738,7 @@ pub fn plan_select(qb: &QueryBlock, sink: StageOutput) -> Result<QueryPlan> {
             is_last: false,
         });
     }
-    // LIMIT without ORDER BY is honoured by the driver when collecting.
+    // A collected LIMIT without ORDER BY is honoured by the driver.
 
     if stages.is_empty() {
         return Err(HdmError::Plan("query produced no stages".into()));

@@ -115,3 +115,20 @@ fn disabled_default_writes_nothing() {
     d.execute_on(QUERY, EngineKind::Hadoop).unwrap();
     assert!(!trace_path.exists(), "disabled obs must not write a trace");
 }
+
+#[test]
+fn both_engines_report_the_same_group_count() {
+    let mut d = seeded_driver();
+    d.conf_mut().set(hdm_common::conf::KEY_OBS_ENABLED, true);
+    let groups = |engine, counter: &str| {
+        d.execute_on(QUERY, engine).unwrap();
+        let snap = d.last_obs_snapshot().expect("obs snapshot");
+        let counted = snap.counters.iter().filter(|(name, _, _)| name == counter);
+        counted.map(|(_, _, v)| *v).sum::<u64>()
+    };
+    let a_side = groups(EngineKind::DataMpi, "a.groups");
+    let reducers = groups(EngineKind::Hadoop, "reduce.groups");
+    // Three segments, grouped once by the aggregate and once by the sort.
+    assert_eq!(a_side, 6);
+    assert_eq!(a_side, reducers);
+}

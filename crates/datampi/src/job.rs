@@ -2,14 +2,14 @@
 //! analogue.
 
 use crate::buffer::SendPartitionList;
-use crate::receiver::{run_receiver, KeyGroups};
+use crate::receiver::run_receiver;
 use crate::report::{ATaskStats, JobReport, OTaskStats, WireCounts};
 use crate::shuffle::{run_sender, Completion, SendCmd, SenderStats};
 use crate::DataMpiConfig;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use hdm_common::error::{HdmError, Result};
-use hdm_common::kv::{ComparatorRef, KvPair};
+use hdm_common::kv::{ComparatorRef, KeyGroups, KvPair, Values};
 use hdm_common::partition::PartitionerRef;
 use hdm_faults::{supervise, Site};
 use hdm_mpi::{Endpoint, World, WorldConfig};
@@ -151,7 +151,7 @@ pub struct AContext {
     rank: usize,
     attempt: u32,
     wire: WireCounts,
-    groups: std::vec::IntoIter<(Bytes, Vec<Bytes>)>,
+    groups: KeyGroups,
 }
 
 impl std::fmt::Debug for AContext {
@@ -181,9 +181,9 @@ impl AContext {
 
     /// Next `(key, values)` group in comparator order, or `None` at end —
     /// the iterator-of-same-key's-value-list shape Hive's `ExecReducer`
-    /// consumes.
-    pub fn next_group(&mut self) -> Option<(Bytes, Vec<Bytes>)> {
-        self.groups.next()
+    /// consumes. Key and values are views of the received payloads.
+    pub fn next_group(&mut self) -> Option<(&[u8], Values<'_>)> {
+        self.groups.next_group()
     }
 }
 
@@ -534,7 +534,8 @@ fn run_a_rank<RA>(
 
 /// Re-executes the user A function over the (already received and
 /// merged) key groups. The merged input is the replay source —
-/// receiving it again is never needed, so A recovery is purely local.
+/// receiving it again is never needed, so A recovery is purely local,
+/// and a replay reads the same groups again from the first.
 fn run_a_attempts<RA>(
     a_rank: usize,
     groups: KeyGroups,
@@ -543,7 +544,12 @@ fn run_a_attempts<RA>(
     a_fn: &AFn<RA>,
 ) -> Result<RA> {
     let faults = &config.faults;
-    let mut groups = Some(groups);
+    let mut ctx = AContext {
+        rank: a_rank,
+        attempt: 0,
+        wire,
+        groups,
+    };
     supervise(
         faults,
         &config.recovery,
@@ -551,27 +557,15 @@ fn run_a_attempts<RA>(
         Site::ATask,
         a_rank,
         None,
-        |attempt, more_attempts| {
-            // Clone the merged input only while a later attempt could
-            // still need it (Bytes clones are refcounted views, not data
-            // copies).
-            let input = if more_attempts {
-                groups.clone()
-            } else {
-                groups.take()
-            };
+        |attempt, _| {
             if faults.crash_after(Site::ATask, a_rank, attempt).is_some() {
                 faults.note_injected(Site::ATask);
                 return Err(HdmError::RankFailed(format!(
                     "A{a_rank}: injected crash before aggregation"
                 )));
             }
-            let mut ctx = AContext {
-                rank: a_rank,
-                attempt,
-                wire,
-                groups: input.unwrap_or_default().into_iter(),
-            };
+            ctx.attempt = attempt;
+            ctx.groups.rewind();
             a_fn(a_rank, &mut ctx)
         },
     )
@@ -634,13 +628,13 @@ mod tests {
             }),
             Arc::new(|_rank, ctx: &mut AContext| {
                 let mut total = 0u64;
-                let mut last_key: Option<Bytes> = None;
+                let mut last_key: Option<Vec<u8>> = None;
                 while let Some((key, values)) = ctx.next_group() {
                     // Keys must arrive in strictly increasing order.
                     if let Some(prev) = &last_key {
-                        assert!(prev.as_ref() < key.as_ref(), "group order violated");
+                        assert!(prev.as_slice() < key, "group order violated");
                     }
-                    last_key = Some(key);
+                    last_key = Some(key.to_vec());
                     total += values.len() as u64;
                 }
                 Ok(total)
@@ -733,14 +727,8 @@ mod tests {
             }),
             Arc::new(|_rank, ctx: &mut AContext| {
                 let mut keys = Vec::new();
-                while let Some((key, _)) = ctx.next_group() {
-                    keys.push(
-                        Row::decode(&mut key.clone())
-                            .unwrap()
-                            .get(0)
-                            .as_i64()
-                            .unwrap(),
-                    );
+                while let Some((mut key, _)) = ctx.next_group() {
+                    keys.push(Row::decode(&mut key).unwrap().get(0).as_i64().unwrap());
                 }
                 Ok(keys)
             }),
@@ -873,13 +861,24 @@ mod tests {
         assert!(err.message().contains("injected crash"));
     }
 
+    /// An A task's groups, copied out of the received payloads.
+    type OwnedGroups = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
+
+    fn owned_groups(ctx: &mut AContext) -> OwnedGroups {
+        let mut groups = Vec::new();
+        while let Some((key, values)) = ctx.next_group() {
+            groups.push((key.to_vec(), values.iter().map(<[u8]>::to_vec).collect()));
+        }
+        groups
+    }
+
     /// 64 O tasks of 100 sends each into 4 A tasks on `slots` slots:
     /// every A task's groups, and the most O functions ever live at once.
     fn run_on_slots(
         slots: usize,
         style: ShuffleStyle,
         faults: &FaultPlan,
-    ) -> (Vec<KeyGroups>, usize) {
+    ) -> (Vec<OwnedGroups>, usize) {
         use std::sync::atomic::{AtomicUsize, Ordering};
         /// Counts an O function in on creation and out on every exit path.
         struct Live(Arc<AtomicUsize>);
@@ -916,9 +915,7 @@ mod tests {
                     Ok(())
                 }
             }),
-            Arc::new(|_rank, ctx: &mut AContext| {
-                Ok(std::iter::from_fn(|| ctx.next_group()).collect::<KeyGroups>())
-            }),
+            Arc::new(|_rank, ctx: &mut AContext| Ok(owned_groups(ctx))),
         )
         .unwrap();
         assert_eq!(outcome.report.total_records_received(), 6400);
@@ -1044,7 +1041,7 @@ mod tests {
             Arc::new(BytesComparator),
             Arc::new(HashPartitioner),
             Arc::new(|_, _| Ok(())),
-            Arc::new(|_, ctx| Ok(std::iter::from_fn(|| ctx.next_group()).count())),
+            Arc::new(|_, ctx| Ok(owned_groups(ctx).len())),
         )
         .unwrap();
         assert_eq!(mpi_messages(&obs), 16, "an empty 133 x 16 job");

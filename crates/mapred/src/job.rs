@@ -2,12 +2,11 @@
 //! reduce wave.
 
 use crate::report::{MapTaskStats, MrJobReport, ReduceTaskStats};
-use crate::sort::{merge_runs, SortBuffer};
+use crate::sort::SortBuffer;
 use crate::store::MapOutputStore;
 use crate::MapRedConfig;
-use bytes::Bytes;
 use hdm_common::error::{HdmError, Result};
-use hdm_common::kv::{self, ComparatorRef, KvPair};
+use hdm_common::kv::{self, ComparatorRef, KeyGroups, KvPair, ReduceInput, Values};
 use hdm_common::partition::PartitionerRef;
 use hdm_faults::{supervise, FaultPlan, Site};
 use std::sync::Arc;
@@ -97,7 +96,7 @@ impl MapContext {
 pub struct ReduceContext {
     rank: usize,
     attempt: u32,
-    groups: std::vec::IntoIter<(Bytes, Vec<Bytes>)>,
+    groups: KeyGroups,
 }
 
 impl std::fmt::Debug for ReduceContext {
@@ -119,9 +118,10 @@ impl ReduceContext {
         self.attempt
     }
 
-    /// Next key group in comparator order.
-    pub fn next_group(&mut self) -> Option<(Bytes, Vec<Bytes>)> {
-        self.groups.next()
+    /// Next key group in comparator order. Key and values are views of
+    /// the fetched map-output segments.
+    pub fn next_group(&mut self) -> Option<(&[u8], Values<'_>)> {
+        self.groups.next_group()
     }
 }
 
@@ -271,21 +271,22 @@ where
             let _task_span = obs.span(&track, "task", "reduce-task");
             let mut stats = ReduceTaskStats::new(rank, maps);
             // Copier phase: pull this partition's segment from every map
-            // and decode it into views of the segment's one buffer.
+            // and index its pairs where they sit, as map `m`'s pairs in
+            // segment order: on equal keys the earlier map goes first.
             let copy_span = obs.span(&track, "phase", "copy");
-            let mut runs: Vec<Vec<KvPair>> = Vec::with_capacity(maps);
+            let mut input = ReduceInput::default();
             let mut failed: Option<HdmError> = None;
             for m in 0..maps {
-                match store
-                    .fetch(m, rank)
-                    .and_then(|seg| Ok((seg.len(), kv::decode_all(&seg)?)))
-                {
-                    Ok((bytes, run)) => {
+                let fetched = store.fetch(m, rank).and_then(|seg| {
+                    let bytes = seg.len() as u64;
+                    Ok((bytes, input.push(m, 0, seg, &*comparator)?))
+                });
+                match fetched {
+                    Ok((bytes, pairs)) => {
                         if let Some(slot) = stats.shuffled_from.get_mut(m) {
-                            *slot = bytes as u64;
+                            *slot = bytes;
                         }
-                        stats.records += run.len() as u64;
-                        runs.push(run);
+                        stats.records += pairs;
                     }
                     Err(e) => {
                         failed = Some(e);
@@ -301,23 +302,10 @@ where
             if let Some(e) = failed {
                 return (Err(e), stats);
             }
-            // Merge + group. Equal keys have equal prefixes, so a prefix
-            // change starts a group without a key comparison.
+            // Merge + group: one sort of the index, whose segments are
+            // already-sorted runs.
             let merge_span = obs.span(&track, "phase", "merge");
-            let mut groups: Vec<(Bytes, Vec<Bytes>)> = Vec::new();
-            let mut group_prefix = None;
-            merge_runs(runs, &comparator, |kv, prefix| match groups.last_mut() {
-                Some((key, values))
-                    if group_prefix == Some(prefix)
-                        && comparator.compare(key, &kv.key) == std::cmp::Ordering::Equal =>
-                {
-                    values.push(kv.value);
-                }
-                _ => {
-                    group_prefix = Some(prefix);
-                    groups.push((kv.key, vec![kv.value]));
-                }
-            });
+            let groups = input.into_groups(&*comparator);
             stats.groups = groups.len() as u64;
             drop(merge_span);
             if obs.is_enabled() {
@@ -326,7 +314,12 @@ where
             }
             // The copy phase is idempotent (segments stay in the
             // map-output store), so a failed reduce attempt replays over
-            // the already-merged groups.
+            // the already-merged groups, read again from the first.
+            let mut ctx = ReduceContext {
+                rank,
+                attempt: 0,
+                groups,
+            };
             let user = supervise(
                 &faults,
                 &recovery,
@@ -334,15 +327,7 @@ where
                 Site::ReduceTask,
                 rank,
                 None,
-                |attempt, more_attempts| {
-                    // Clone the merged input only while a later attempt
-                    // could still need it (Bytes clones are refcounted
-                    // views).
-                    let input = if more_attempts {
-                        groups.clone()
-                    } else {
-                        std::mem::take(&mut groups)
-                    };
+                |attempt, _| {
                     if faults
                         .crash_after(Site::ReduceTask, rank, attempt)
                         .is_some()
@@ -352,11 +337,8 @@ where
                             "R{rank}: injected crash before reduce"
                         )));
                     }
-                    let mut ctx = ReduceContext {
-                        rank,
-                        attempt,
-                        groups: input.into_iter(),
-                    };
+                    ctx.attempt = attempt;
+                    ctx.groups.rewind();
                     reduce_fn(rank, &mut ctx)
                 },
             );
@@ -457,12 +439,12 @@ mod tests {
             }),
             Arc::new(|_rank, ctx: &mut ReduceContext| {
                 let mut n = 0u64;
-                let mut prev: Option<Bytes> = None;
+                let mut prev: Option<Vec<u8>> = None;
                 while let Some((key, values)) = ctx.next_group() {
                     if let Some(p) = &prev {
-                        assert!(p.as_ref() < key.as_ref());
+                        assert!(p.as_slice() < key);
                     }
-                    prev = Some(key);
+                    prev = Some(key.to_vec());
                     n += values.len() as u64;
                 }
                 Ok(n)
@@ -647,5 +629,103 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.reduce_results, vec![3]);
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
+mod proptests {
+    use super::*;
+    use bytes::Bytes;
+    use hdm_common::kv::BytesComparator;
+    use hdm_common::partition::{HashPartitioner, Partitioner};
+    use proptest::prelude::*;
+
+    type Owned = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
+
+    /// The reduce side before fetched segments stayed as they arrived:
+    /// every segment decoded into `KvPair`s, a selection merge of those
+    /// runs in which the earlier map wins ties, and the merged pairs
+    /// grouped into `(key, values)` vectors (a prefix change starts a
+    /// group without a key comparison).
+    fn oracle(segments: Vec<Bytes>, cmp: &ComparatorRef) -> Owned {
+        let runs = segments.iter().map(|seg| kv::decode_all(seg).unwrap());
+        let mut groups: Vec<(u128, Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
+        for kv in crate::sort::merge_sorted_runs(runs.collect(), cmp) {
+            let prefix = cmp.prefix(&kv.key);
+            match groups.last_mut() {
+                Some((p, key, values))
+                    if *p == prefix && cmp.compare(key, &kv.key) == std::cmp::Ordering::Equal =>
+                {
+                    values.push(kv.value.to_vec());
+                }
+                _ => groups.push((prefix, kv.key.to_vec(), vec![kv.value.to_vec()])),
+            }
+        }
+        groups.into_iter().map(|(_, k, vs)| (k, vs)).collect()
+    }
+
+    proptest! {
+        /// Reducers against the decode-and-merge oracle over the same map
+        /// outputs: the same groups, values in the same order, and the
+        /// same record and group counts.
+        #[test]
+        fn reducers_match_the_decode_and_merge_oracle(
+            maps in proptest::collection::vec(
+                proptest::collection::vec(
+                    (crate::sort::proptests::key(), proptest::collection::vec(any::<u8>(), 0..4)),
+                    0..60,
+                ),
+                1..5,
+            ),
+            reducers in 1usize..4,
+            capacity in prop_oneof![1usize..64, 64usize..8192],
+        ) {
+            let cmp: ComparatorRef = Arc::new(BytesComparator);
+            let config = MapRedConfig {
+                map_tasks: maps.len(),
+                reduce_tasks: reducers,
+                sort_buffer_bytes: capacity,
+                concurrency: 2,
+                ..Default::default()
+            };
+            let input = Arc::new(maps.clone());
+            let outcome = run_mapreduce(
+                &config,
+                Arc::clone(&cmp),
+                Arc::new(HashPartitioner),
+                Arc::new(move |rank, ctx: &mut MapContext| {
+                    for (k, v) in &input[rank] {
+                        ctx.collect_slices(k, v)?;
+                    }
+                    Ok(())
+                }),
+                Arc::new(|_rank, ctx: &mut ReduceContext| {
+                    let mut got = Vec::new();
+                    while let Some((key, values)) = ctx.next_group() {
+                        got.push((key.to_vec(), values.iter().map(<[u8]>::to_vec).collect()));
+                    }
+                    Ok::<Owned, HdmError>(got)
+                }),
+            )
+            .unwrap();
+            let segments: Vec<Vec<Bytes>> = maps
+                .iter()
+                .map(|pairs| {
+                    let mut buf = SortBuffer::new(capacity, Arc::clone(&cmp), None);
+                    for (k, v) in pairs {
+                        buf.collect_slices(HashPartitioner.partition(k, reducers), k, v);
+                    }
+                    buf.finish_segments(reducers)
+                })
+                .collect();
+            for (r, got) in outcome.reduce_results.iter().enumerate() {
+                let want = oracle(segments.iter().map(|s| s[r].clone()).collect(), &cmp);
+                let stats = &outcome.report.reduce_tasks[r];
+                let records: usize = want.iter().map(|(_, vs)| vs.len()).sum();
+                prop_assert_eq!((stats.records, stats.groups), (records as u64, want.len() as u64));
+                prop_assert_eq!(got, &want);
+            }
+        }
     }
 }

@@ -225,22 +225,11 @@ impl SortBuffer {
 }
 
 /// K-way merge of sorted runs by key comparator; on equal keys the
-/// earlier run goes first.
+/// earlier run goes first. Heads carry their key's prefix, so most head
+/// comparisons are one integer compare.
 pub fn merge_sorted_runs(runs: Vec<Vec<KvPair>>, comparator: &ComparatorRef) -> Vec<KvPair> {
-    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    merge_runs(runs, comparator, |kv, _| out.push(kv));
-    out
-}
-
-/// [`merge_sorted_runs`], handing each pair to `out` with its key's
-/// prefix. Heads carry their prefix, so most head comparisons are one
-/// integer compare.
-pub(crate) fn merge_runs(
-    runs: Vec<Vec<KvPair>>,
-    comparator: &ComparatorRef,
-    mut out: impl FnMut(KvPair, u128),
-) {
     let cmp = &**comparator;
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
     let mut cursors: Vec<_> = runs
         .into_iter()
         .filter(|run| !run.is_empty())
@@ -255,11 +244,11 @@ pub(crate) fn merge_runs(
             .iter()
             .map(|(head, _)| head.as_ref().map(|(p, kv)| (*p, kv.key.as_ref())));
         let Some((head, rest)) = smallest(cmp, heads).and_then(|r| cursors.get_mut(r)) else {
-            return;
+            return out;
         };
         let next = rest.next().map(|kv| (cmp.prefix(&kv.key), kv));
-        if let Some((prefix, kv)) = std::mem::replace(head, next) {
-            out(kv, prefix);
+        if let Some((_, kv)) = std::mem::replace(head, next) {
+            out.push(kv);
         }
     }
 }
@@ -372,7 +361,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use hdm_common::kv::BytesComparator;
     use proptest::prelude::*;
@@ -381,7 +370,7 @@ mod proptests {
     /// Keys built to stress the cached prefix: long shared heads (16+
     /// bytes tie the prefix), strict prefixes of each other, trailing
     /// `0x00` runs (`ab` and `ab\0` share a prefix), and empty keys.
-    fn key() -> impl Strategy<Value = Vec<u8>> {
+    pub(crate) fn key() -> impl Strategy<Value = Vec<u8>> {
         let head = prop_oneof![Just(0usize), Just(14usize), Just(16usize), Just(19usize)];
         let tail = proptest::collection::vec(prop_oneof![Just(0u8), Just(1u8), any::<u8>()], 0..4);
         (head, tail).prop_map(|(n, tail)| [vec![b'k'; n], tail].concat())
