@@ -161,6 +161,7 @@ fn parallel_smoke(queries: &[usize], log: &mut RunLog) -> usize {
                              ({} rows, {stages} stages in the final statement)",
                             seq.len()
                         ));
+                        print_shape(&d, log);
                         if engine == EngineKind::DataMpi {
                             print_wire(&d, log);
                         }
@@ -174,6 +175,35 @@ fn parallel_smoke(queries: &[usize], log: &mut RunLog) -> usize {
         }
     }
     failures
+}
+
+/// Print how each stage of the driver's last statement ran: map tasks
+/// over the units (splits or stream partitions) they read, and reduce
+/// tasks over the partitions (`stage.map.tasks`, `stage.map.units`,
+/// `stage.reduce.tasks`, `stage.partitions`).
+fn print_shape(d: &Driver, log: &mut RunLog) {
+    let Some(snap) = d.last_obs_snapshot() else {
+        return;
+    };
+    let mut stages: std::collections::BTreeMap<String, [u64; 4]> = Default::default();
+    for (name, labels, value) in &snap.counters {
+        let kind = match name.as_str() {
+            "stage.map.tasks" => 0,
+            "stage.map.units" => 1,
+            "stage.reduce.tasks" => 2,
+            "stage.partitions" => 3,
+            _ => continue,
+        };
+        if let Some(slot) = stages.entry(labels.clone()).or_default().get_mut(kind) {
+            *slot += value;
+        }
+    }
+    for (stage, [maps, units, reduces, partitions]) in stages {
+        log.say(&format!(
+            "    {stage}: {maps} map tasks over {units} units, \
+             {reduces} reduce tasks over {partitions} partitions"
+        ));
+    }
 }
 
 /// Print the messages the DataMPI wire carried in each stage of the

@@ -22,7 +22,8 @@ pub const KEY_SORT_BUFFER_BYTES: &str = "io.sort.buffer.bytes";
 /// Task slots per node (paper: 4).
 pub const KEY_SLOTS_PER_NODE: &str = "mapred.tasktracker.slots";
 /// Tasks of one stage this process runs at once: the Hadoop adapter's
-/// map/reduce wave width and the DataMPI adapter's O slot count.
+/// map/reduce wave width and the DataMPI adapter's O slot count. Twice
+/// it is the most map/O tasks a file input's splits are grouped into.
 pub const KEY_LOCAL_THREADS: &str = "engine.local.threads";
 /// Default of [`KEY_LOCAL_THREADS`], shared with the engines' own config
 /// defaults so a job built without a `JobConf` runs as wide as one with.
@@ -33,7 +34,9 @@ pub const KEY_SHUFFLE_STYLE: &str = "datampi.shuffle.style";
 pub const KEY_SEND_PARTITION_BYTES: &str = "datampi.send.partition.bytes";
 /// Whether the map-side combiner runs (Hive map aggregation).
 pub const KEY_COMBINER: &str = "hive.map.aggr";
-/// Hive's reducer-count policy input: bytes of stage input per reducer.
+/// Hive's reducer-count policy input: bytes of stage input per reduce
+/// partition; under `default` parallelism also the measured shuffle
+/// bytes one reduce/A task takes on.
 pub const KEY_BYTES_PER_REDUCER: &str = "hive.exec.bytes.per.reducer";
 /// Whether ORC predicate pushdown is applied at scan time.
 pub const KEY_ORC_PUSHDOWN: &str = "hive.orc.pushdown";

@@ -1,5 +1,6 @@
 //! Partitioners: deciding which reducer / A-task owns a key.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Maps a serialized key to one of `n` partitions.
@@ -72,6 +73,36 @@ impl Partitioner for RangePartitioner {
     }
 }
 
+/// One range per partition: `0..1, 1..2, …, n-1..n`.
+pub fn one_range_each(partitions: usize) -> Vec<Range<usize>> {
+    (0..partitions).map(|p| p..p + 1).collect()
+}
+
+/// Cut partitions `0..bytes.len()`, in order, into contiguous ranges of
+/// about `per_range` measured bytes each: a range closes once it holds
+/// `per_range` bytes or more, so a partition is never cut and one heavier
+/// than `per_range` runs alone. An empty partition joins the range after
+/// it (the last range takes any trailing ones), so with `per_range = 1`
+/// every non-empty partition gets a range of its own, and with
+/// `u64::MAX` all of them share one. Never returns an empty list.
+pub fn byte_ranges(bytes: &[u64], per_range: u64) -> Vec<Range<usize>> {
+    let mut ranges = Vec::new();
+    let (mut start, mut held) = (0, 0u64);
+    for (p, &b) in bytes.iter().enumerate() {
+        held = held.saturating_add(b);
+        if held >= per_range.max(1) {
+            ranges.push(start..p + 1);
+            (start, held) = (p + 1, 0);
+        }
+    }
+    match ranges.last_mut() {
+        Some(last) if start < bytes.len() => last.end = bytes.len(),
+        None => ranges.push(0..bytes.len()),
+        Some(_) => {}
+    }
+    ranges
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +135,27 @@ mod tests {
     fn single_partitioner_always_zero() {
         let p = SinglePartitioner;
         assert_eq!(p.partition(b"anything", 16), 0);
+    }
+
+    #[test]
+    fn byte_ranges_close_at_the_target_and_never_cut_a_partition() {
+        // (partition bytes, bytes per range, ranges as (start, end))
+        type Case<'a> = (&'a [u64], u64, &'a [(usize, usize)]);
+        let cases: [Case<'_>; 7] = [
+            (&[], 10, &[(0, 0)]),
+            (&[0, 0, 0], 10, &[(0, 3)]),
+            (&[4, 4, 4, 4], 8, &[(0, 2), (2, 4)]),
+            (&[4, 4, 4], 8, &[(0, 3)]),
+            (&[0, 5, 0, 0, 7, 0], 1, &[(0, 2), (2, 6)]),
+            (&[1, 2, 3], u64::MAX, &[(0, 3)]),
+            (&[100, 1, 1, 100], 50, &[(0, 1), (1, 4)]),
+        ];
+        for (bytes, per, want) in cases {
+            let got: Vec<(usize, usize)> = (byte_ranges(bytes, per).into_iter())
+                .map(|r| (r.start, r.end))
+                .collect();
+            assert_eq!(got, want, "{bytes:?} per {per}");
+        }
     }
 
     #[test]

@@ -364,16 +364,17 @@ fn eval_columnar(e: &RExpr, batch: &RowBatch<'_>, sel: &[usize]) -> Result<Vec<V
             expr: inner,
             pattern,
             negated,
-        } => Ok(eval_columnar(inner, batch, sel)?
-            .into_iter()
-            .map(|v| match v {
-                Value::Null => Value::Null,
-                other => {
-                    let s = other.to_string();
-                    Value::Boolean(expr::like_match(&s, pattern) != *negated)
+        } => {
+            let like = |v: &Value| expr::eval_like(v, pattern, *negated);
+            // A column is matched where it lies: no cell is cloned.
+            if let RExpr::Column(i) = &**inner {
+                if let Some(col) = batch.columns.get(*i) {
+                    let cell = |r: usize| col.get(r).map_or(Value::Null, like);
+                    return Ok(sel.iter().map(|&r| cell(r)).collect());
                 }
-            })
-            .collect()),
+            }
+            Ok(eval_columnar(inner, batch, sel)?.iter().map(like).collect())
+        }
         RExpr::Cast { expr: inner, to } => Ok(eval_columnar(inner, batch, sel)?
             .into_iter()
             .map(|v| v.cast_to(*to))

@@ -6,16 +6,18 @@ use hdm_common::error::{HdmError, Result};
 use hdm_datampi::{run_bipartite, DataMpiConfig, ShuffleStyle};
 use std::sync::Arc;
 
-/// Run the stage as one bipartite O/A job; returns the A-side volumes.
-pub(super) fn run_on_datampi(job: &StageJob<'_>) -> Result<Vec<ReduceVolume>> {
+/// Run the stage as one bipartite O/A job; returns the per-partition
+/// volumes (the caller fills in shuffle and output bytes) and the number
+/// of A tasks that ran them.
+pub(super) fn run_on_datampi(job: &StageJob<'_>) -> Result<(Vec<ReduceVolume>, usize)> {
     let conf = job.ctx.conf;
-    let (o_tasks, a_tasks) = (job.map_tasks, job.reduce_tasks);
     let style =
         ShuffleStyle::parse(&conf.get_str(hdm_common::conf::KEY_SHUFFLE_STYLE, "nonblocking"))
             .ok_or_else(|| HdmError::Config("bad datampi.shuffle.style".into()))?;
     let config = DataMpiConfig {
-        o_tasks,
-        a_tasks,
+        o_tasks: job.map_tasks,
+        a_tasks: job.partitions,
+        bytes_per_a_task: job.bytes_per_reduce_task,
         o_slots: conf.local_threads()?,
         shuffle_style: style,
         send_partition_bytes: conf.send_partition_bytes()?,
@@ -32,36 +34,27 @@ pub(super) fn run_on_datampi(job: &StageJob<'_>) -> Result<Vec<ReduceVolume>> {
         &config,
         Arc::clone(&job.comparator),
         Arc::clone(&job.partitioner),
-        Arc::new(move |rank, ctx: &mut hdm_datampi::OContext| {
-            // The DataMPICollector: collect() = MPI_D_send().
-            map.run_map(rank, &mut |key, value| ctx.send_slices(key, value))
-        }),
+        // The DataMPICollector: collect() = MPI_D_send().
+        Arc::new(move |rank, ctx: &mut hdm_datampi::OContext| map.run_map(rank, ctx)),
         Arc::new(move |rank, ctx: &mut hdm_datampi::AContext| reduce.run_reduce(rank, ctx)),
     )?;
-    // link_bytes[src][dst] over world ranks (O = 0..o, A = o..o+a).
-    let link = |o: usize, a: usize| -> u64 {
-        let row = outcome.report.link_bytes.get(o);
-        row.and_then(|row| row.get(o_tasks + a))
-            .copied()
-            .unwrap_or(0)
-    };
-    for (o, vol) in job.pipeline.map_vols.lock().iter_mut().enumerate() {
-        vol.shuffle_bytes_per_dst = (0..a_tasks).map(|a| link(o, a)).collect();
+    // The wire of one O task per unit: a 4-byte COMMIT on every link a
+    // unit wrote to, and the last unit's task sends each A rank its DONE.
+    let mut maps = job.pipeline.map_vols.lock();
+    let last = maps.len().saturating_sub(1);
+    for (u, vol) in maps.iter_mut().enumerate() {
+        for bytes in &mut vol.shuffle_bytes_per_dst {
+            *bytes += 4 * (u64::from(*bytes > 0) + u64::from(u == last));
+        }
     }
-    Ok(outcome
-        .report
-        .a_tasks
-        .iter()
-        .enumerate()
-        .map(|(a, stats)| ReduceVolume {
-            shuffle_bytes_from: (0..o_tasks).map(|o| link(o, a)).collect(),
-            records: stats.records,
-            output_bytes: 0,
-            spilled_fraction: if stats.bytes == 0 {
-                0.0
-            } else {
-                stats.spill.spill_bytes as f64 / stats.bytes as f64
-            },
-        })
-        .collect())
+    let reduces = outcome.report.a_tasks.iter().map(|stats| ReduceVolume {
+        records: stats.records,
+        spilled_fraction: if stats.bytes == 0 {
+            0.0
+        } else {
+            stats.spill.spill_bytes as f64 / stats.bytes as f64
+        },
+        ..ReduceVolume::default()
+    });
+    Ok((reduces.collect(), outcome.report.a_ranges.len()))
 }

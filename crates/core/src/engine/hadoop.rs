@@ -8,12 +8,15 @@ use hdm_common::error::Result;
 use hdm_mapred::{run_mapreduce, MapRedConfig};
 use std::sync::Arc;
 
-/// Run the stage as one MapReduce job; returns the reduce-side volumes.
-pub(super) fn run_on_hadoop(job: &StageJob<'_>) -> Result<Vec<ReduceVolume>> {
+/// Run the stage as one MapReduce job; returns the per-partition volumes
+/// (the caller fills in shuffle and output bytes) and the number of
+/// reduce tasks that ran them.
+pub(super) fn run_on_hadoop(job: &StageJob<'_>) -> Result<(Vec<ReduceVolume>, usize)> {
     let conf = job.ctx.conf;
     let config = MapRedConfig {
         map_tasks: job.map_tasks,
-        reduce_tasks: job.reduce_tasks,
+        reduce_tasks: job.partitions,
+        bytes_per_reduce_task: job.bytes_per_reduce_task,
         sort_buffer_bytes: conf.sort_buffer_bytes()?,
         concurrency: conf.local_threads()?,
         obs: job.ctx.obs.clone(),
@@ -26,34 +29,13 @@ pub(super) fn run_on_hadoop(job: &StageJob<'_>) -> Result<Vec<ReduceVolume>> {
         &config,
         Arc::clone(&job.comparator),
         Arc::clone(&job.partitioner),
-        Arc::new(move |rank, ctx: &mut hdm_mapred::MapContext| {
-            map.run_map(rank, &mut |key, value| ctx.collect_slices(key, value))
-        }),
+        Arc::new(move |rank, ctx: &mut hdm_mapred::MapContext| map.run_map(rank, ctx)),
         Arc::new(move |rank, ctx: &mut hdm_mapred::ReduceContext| reduce.run_reduce(rank, ctx)),
     )?;
-    // Fold the engine's shuffle measurements into the volumes.
-    {
-        let mut maps = job.pipeline.map_vols.lock();
-        for (m, stats) in outcome.report.map_tasks.iter().enumerate() {
-            let Some(mv) = maps.get_mut(m) else { continue };
-            mv.spill_bytes += stats.spill.spill_bytes;
-            mv.shuffle_bytes_per_dst = outcome
-                .report
-                .reduce_tasks
-                .iter()
-                .map(|red| red.shuffled_from.get(m).copied().unwrap_or(0))
-                .collect();
-        }
-    }
-    Ok(outcome
-        .report
-        .reduce_tasks
-        .iter()
-        .map(|r| ReduceVolume {
-            shuffle_bytes_from: r.shuffled_from.clone(),
-            records: r.records,
-            output_bytes: 0, // filled by caller
-            spilled_fraction: 1.0,
-        })
-        .collect())
+    let reduces = outcome.report.reduce_tasks.iter().map(|r| ReduceVolume {
+        records: r.records,
+        spilled_fraction: 1.0,
+        ..ReduceVolume::default()
+    });
+    Ok((reduces.collect(), outcome.report.reduce_ranges.len()))
 }

@@ -1,6 +1,6 @@
-//! The engine-agnostic map pipeline: read a task's input, filter it,
-//! take it through the input's map-side joins, project it, and route
-//! every projected row exactly once.
+//! The engine-agnostic map pipeline: read a task's units one after
+//! another, filter them, take them through the input's map-side joins,
+//! project them, and route every projected row exactly once.
 
 use super::plan::{BuildScan, TaskInput};
 use super::{EngineKind, StagePipeline};
@@ -19,11 +19,66 @@ use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The shuffle collector a task emits into, one encoded `(key, value)`
-/// at a time: Hadoop's `OutputCollector::collect` or DataMPI's
-/// `MPI_D_send`. The slices are the attempt's reused buffers; the engine
-/// copies them once, into its own sort arena or send partition.
-pub(super) type Emit<'a> = &'a mut dyn FnMut(&[u8], &[u8]) -> Result<()>;
+/// The shuffle collector a task emits into: Hadoop's `MapContext` or
+/// DataMPI's `OContext`.
+pub(super) trait Collector {
+    /// Emit one encoded `(key, value)` — `OutputCollector::collect` or
+    /// `MPI_D_send`. The slices are the attempt's reused buffers; the
+    /// engine copies them once, into its own sort arena or send
+    /// partition.
+    fn collect(&mut self, key: &[u8], value: &[u8]) -> Result<()>;
+
+    /// Close the unit emitted so far: its wire bytes per partition, and
+    /// the bytes a sort buffer of its own would have spilled.
+    fn end_unit(&mut self) -> (Vec<u64>, u64);
+}
+
+impl Collector for hdm_mapred::MapContext {
+    fn collect(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.collect_slices(key, value)
+    }
+
+    fn end_unit(&mut self) -> (Vec<u64>, u64) {
+        let unit = hdm_mapred::MapContext::end_unit(self);
+        (unit.bytes_per_partition, unit.spill_bytes)
+    }
+}
+
+impl Collector for hdm_datampi::OContext<'_> {
+    fn collect(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.send_slices(key, value)
+    }
+
+    fn end_unit(&mut self) -> (Vec<u64>, u64) {
+        (hdm_datampi::OContext::end_unit(self), 0)
+    }
+}
+
+/// A map-only stage's collector: nothing is shuffled.
+pub(super) struct NoShuffle;
+
+impl Collector for NoShuffle {
+    fn collect(&mut self, _: &[u8], _: &[u8]) -> Result<()> {
+        Err(HdmError::Plan("map-only stage must not emit KVs".into()))
+    }
+
+    fn end_unit(&mut self) -> (Vec<u64>, u64) {
+        (Vec::new(), 0)
+    }
+}
+
+/// What a map task's units measured, added to the stage's obs counters
+/// once the task's attempt has run all of them.
+#[derive(Default)]
+struct TaskCounts {
+    records: u64,
+    input_bytes: u64,
+    vec_batches: u64,
+    rows_skipped: u64,
+    built_rows: u64,
+    built_bytes: u64,
+    probe_rows: u64,
+}
 
 /// The in-memory side of one map-side join step: the build table's
 /// value rows, grouped by join key. Keys are the sort-key bytes the
@@ -123,12 +178,12 @@ impl SharedBuild {
     }
 }
 
-/// One attempt of one map/O task: where its projected rows go, and what
-/// it measured on the way.
+/// One unit of one attempt of a map/O task: where its projected rows
+/// go, and what it measured on the way.
 struct MapAttempt<'a> {
     p: &'a StagePipeline,
     input: &'a MapInput,
-    emit: Emit<'a>,
+    emit: &'a mut dyn Collector,
     /// The hash tables of `input.map_joins`, in step order.
     tables: &'a [Arc<BuildTable>],
     /// Per step, a reused buffer for the rows one probe row joins to.
@@ -163,7 +218,7 @@ impl MapAttempt<'_> {
         let (kb, vb) = &self.wire;
         self.kv_sizes
             .record(hdm_common::kv::wire_size(kb, vb) as u64);
-        (self.emit)(kb, vb)
+        self.emit.collect(kb, vb)
     }
 
     /// The one place a projected row's destination is decided.
@@ -353,11 +408,14 @@ impl StagePipeline {
         Ok(table)
     }
 
-    /// Run map/O task `task_idx`, emitting its shuffle pairs into `emit`.
+    /// Run map/O task `task_idx`: its units one after another, emitting
+    /// their shuffle pairs into `out`. Volumes, kv sizes and obs counts
+    /// are published only once every unit ran, so a failed attempt
+    /// leaves nothing behind for its replay to count twice.
     ///
     /// # Errors
-    /// Read/decode/eval failures, a failed `emit`, or cancellation.
-    pub(super) fn run_map(&self, task_idx: usize, emit: Emit<'_>) -> Result<()> {
+    /// Read/decode/eval failures, a failed emit, or cancellation.
+    pub(super) fn run_map(&self, task_idx: usize, out: &mut dyn Collector) -> Result<()> {
         // Engine-matched track names so the pipeline span nests inside
         // the engine's own task span (Hadoop map task vs DataMPI O task).
         let track = match self.engine {
@@ -366,19 +424,62 @@ impl StagePipeline {
         };
         let track = format!("{track}{task_idx}");
         let _op_span = self.obs.span(&track, "operator", "map-pipeline");
-        let task = self
+        let units = self
             .tasks
             .get(task_idx)
-            .ok_or_else(|| HdmError::Plan(format!("map task {task_idx} has no input spec")))?;
+            .cloned()
+            .ok_or_else(|| HdmError::Plan(format!("map task {task_idx} has no units")))?;
+        let mut counts = TaskCounts::default();
+        let mut kv_sizes = Histogram::with_width(hdm_obs::KV_HIST_BUCKET);
+        let mut vols = Vec::with_capacity(units.len());
+        for unit in units {
+            vols.push((unit, self.run_unit(unit, out, &mut counts, &mut kv_sizes)?));
+        }
+        if self.obs.is_enabled() {
+            let counter = |name| self.obs.counter(name, &self.stage_label);
+            counter("stage.map.records").add(counts.records);
+            counter("stage.map.input.bytes").add(counts.input_bytes);
+            counter("vec.batches").add(counts.vec_batches);
+            counter("text.rows.skipped").add(counts.rows_skipped);
+            counter("join.map.build.rows").add(counts.built_rows);
+            counter("join.map.build.bytes").add(counts.built_bytes);
+            counter("join.map.probe.rows").add(counts.probe_rows);
+        }
+        let mut map_vols = self.map_vols.lock();
+        for (unit, vol) in vols {
+            if let Some(slot) = map_vols.get_mut(unit) {
+                *slot = vol;
+            }
+        }
+        drop(map_vols);
+        self.kv_sizes.lock().merge(&kv_sizes)
+    }
+
+    /// Run one unit: read it, route its rows, flush its partial
+    /// aggregates, and commit its rows if the stage is map-only — all as
+    /// a task of this unit alone would, so where partial sums start and
+    /// end, and which part file holds which rows, do not depend on the
+    /// grouping.
+    fn run_unit(
+        &self,
+        unit_idx: usize,
+        out: &mut dyn Collector,
+        counts: &mut TaskCounts,
+        kv_sizes: &mut Histogram,
+    ) -> Result<MapVolume> {
+        let unit = self
+            .units
+            .get(unit_idx)
+            .ok_or_else(|| HdmError::Plan(format!("map unit {unit_idx} has no input spec")))?;
         let missing = || {
             HdmError::Plan(format!(
-                "map task {task_idx}: input {} missing",
-                task.input_idx
+                "map unit {unit_idx}: input {} missing",
+                unit.input_idx
             ))
         };
-        let input = self.stage.inputs.get(task.input_idx).ok_or_else(missing)?;
-        let (fmt, schema) = self.formats.get(task.input_idx).ok_or_else(missing)?;
-        let builds = self.builds.get(task.input_idx).ok_or_else(missing)?;
+        let input = self.stage.inputs.get(unit.input_idx).ok_or_else(missing)?;
+        let (fmt, schema) = self.formats.get(unit.input_idx).ok_or_else(missing)?;
+        let builds = self.builds.get(unit.input_idx).ok_or_else(missing)?;
         // Tables this attempt builds itself: `(rows, bytes read)`.
         let mut built = (0, 0);
         let tables = (input.map_joins.iter().zip(builds))
@@ -387,7 +488,7 @@ impl StagePipeline {
         let mut at = MapAttempt {
             p: self,
             input,
-            emit,
+            emit: out,
             joined: vec![Vec::new(); tables.len()],
             tables: &tables,
             key_buf: Vec::new(),
@@ -405,7 +506,7 @@ impl StagePipeline {
         // Rows the reader itself dropped on the pushed-down predicates
         // (Text); the filter operator never sees them.
         let mut rows_skipped = 0u64;
-        match &task.input {
+        match &unit.input {
             TaskInput::Empty => {}
             // Block until the producer commits this partition, then
             // consume it from memory (no DFS read, so input_bytes stays
@@ -415,7 +516,7 @@ impl StagePipeline {
                 stage, partition, ..
             } => {
                 let stream = self.in_streams.get(stage).ok_or_else(|| {
-                    HdmError::Plan(format!("map task {task_idx}: stage {stage} stream missing"))
+                    HdmError::Plan(format!("map unit {unit_idx}: stage {stage} stream missing"))
                 })?;
                 at.run_rows(&stream.take(*partition)?)?;
             }
@@ -456,27 +557,23 @@ impl StagePipeline {
                 at.emit(key.values().iter(), value.values().iter())?;
             }
         }
+        (at.vol.shuffle_bytes_per_dst, at.vol.spill_bytes) = at.emit.end_unit();
         if matches!(self.stage.kind, StageKind::MapOnly) {
-            // A map-only attempt only gets here after a clean run, so
-            // attempt 0 is always the right tag: a replayed commit
-            // reproduces the same rows.
+            // A map-only attempt only gets here after a clean run of the
+            // unit, so attempt 0 is always the right tag: a replayed
+            // commit reproduces the same rows, to the same part file.
             let rows = std::mem::take(&mut at.out_rows);
-            self.sink.commit(task_idx, 0, rows)?;
+            self.sink.commit(unit_idx, 0, rows)?;
         }
-        if self.obs.is_enabled() {
-            let counter = |name| self.obs.counter(name, &self.stage_label);
-            counter("stage.map.records").add(at.vol.records);
-            counter("stage.map.input.bytes").add(at.vol.input_bytes);
-            counter("vec.batches").add(at.vec_batches);
-            counter("text.rows.skipped").add(rows_skipped);
-            counter("join.map.build.rows").add(built.0);
-            counter("join.map.build.bytes").add(built.1);
-            counter("join.map.probe.rows").add(at.probe_rows);
-        }
-        if let Some(slot) = self.map_vols.lock().get_mut(task_idx) {
-            *slot = at.vol;
-        }
-        self.kv_sizes.lock().merge(&at.kv_sizes)
+        counts.records += at.vol.records;
+        counts.input_bytes += at.vol.input_bytes;
+        counts.vec_batches += at.vec_batches;
+        counts.rows_skipped += rows_skipped;
+        counts.built_rows += built.0;
+        counts.built_bytes += built.1;
+        counts.probe_rows += at.probe_rows;
+        kv_sizes.merge(&at.kv_sizes)?;
+        Ok(at.vol)
     }
 }
 
@@ -586,8 +683,7 @@ mod tests {
             StagePipeline::new(stage, plan::plan_tasks(stage, &ctx).expect("tasks"), &ctx)
                 .expect("pipeline");
         token.cancel("test");
-        let mut no_emit = |_: &[u8], _: &[u8]| -> Result<()> { Ok(()) };
-        let err = pipeline.run_map(0, &mut no_emit).expect_err("cancelled");
+        let err = pipeline.run_map(0, &mut NoShuffle).expect_err("cancelled");
         assert!(err.is_cancelled(), "{err}");
         let shared = &pipeline.builds[0][0];
         assert!(shared.table.lock().is_none());

@@ -14,21 +14,25 @@
 //! There is one seam, [`execute_stage`]`(stage, &ctx) -> StageResult`,
 //! and it is a short orchestrator over four engine-agnostic units:
 //!
-//! 1. **task planning** (`plan`): `plan_tasks` enumerates the map/O
-//!    tasks as `TaskInput`s — a file split, a stream partition, or
-//!    nothing — and `reducer_count`
-//!    decides the reduce/A parallelism from their total size;
-//! 2. **the map pipeline** (`map`): reads a task's input three ways
-//!    (columnar batches, rows off a file, rows a stream handed over),
-//!    filters and projects it, and routes every projected `(key, value)`
-//!    through one `route` — to the task's own output rows, the shuffle,
-//!    or the partial-aggregation table;
+//! 1. **task planning** (`plan`): `plan_tasks` enumerates the stage's
+//!    units as `TaskInput`s — a file split, a stream partition, or
+//!    nothing — and groups them into at most `2·W` map/O tasks per
+//!    input (a stream input into its producer's ranges), and
+//!    `reducer_count` decides the number of reduce partitions from
+//!    their total size;
+//! 2. **the map pipeline** (`map`): reads a task's units one after
+//!    another three ways (columnar batches, rows off a file, rows a
+//!    stream handed over), filters and projects them, and routes every
+//!    projected `(key, value)` through one `route` — to the unit's own
+//!    output rows, the shuffle, or the partial-aggregation table;
 //! 3. **the reduce pipeline** (`reduce`): the Join / Aggregate / Sort
-//!    group loops over either engine's `GroupSource`;
+//!    group loops over either engine's `GroupSource`, once per
+//!    partition; the engines cut the partitions into reduce/A tasks by
+//!    their measured shuffle bytes (DESIGN.md §29);
 //! 4. **the partition sink** (`sink`): one `commit(rank, attempt, rows)`
 //!    whose target — the consumer's stream or a part file — is
-//!    chosen once per stage. Map-only tasks and reduce tasks commit the
-//!    same way.
+//!    chosen once per stage. Map-only units and reduce partitions commit
+//!    the same way.
 //!
 //! The query semantics live in [`crate::operators`] and [`crate::batch`];
 //! the only engine-specific code is `hadoop.rs` and `datampi.rs`, which
@@ -127,9 +131,11 @@ pub struct StageResult {
     pub output_paths: Vec<String>,
     /// Measured data volumes for the timing model.
     pub volumes: JobVolumes,
-    /// Number of map/O tasks that ran.
+    /// Number of map/O tasks that ran (each reads one or more units:
+    /// the volumes have one map entry per unit).
     pub map_tasks: usize,
-    /// Number of reduce/A tasks that ran.
+    /// Number of reduce/A tasks that ran (each runs one or more
+    /// partitions: the volumes have one reduce entry per partition).
     pub reduce_tasks: usize,
     /// Wire-size distribution of the shuffled key-value pairs — the
     /// Figure 2(c)/(d) signal.
@@ -189,7 +195,12 @@ impl KeyCodec {
 /// (`run_reduce`, in `reduce.rs`) carry into the engine's threads.
 struct StagePipeline {
     stage: StagePlan,
-    tasks: Vec<plan::Task>,
+    units: Vec<plan::Unit>,
+    /// The units each map/O task reads.
+    tasks: Vec<std::ops::Range<usize>>,
+    /// The stage's input volume: the size hint a pipelined producer
+    /// declares with its ranges.
+    input_bytes: u64,
     /// Per stage input: the file format and the schema rows are read with.
     formats: Vec<(Arc<dyn FileFormat>, Schema)>,
     /// Per stage input, per map-side join step: the shared hash table.
@@ -211,8 +222,8 @@ struct StagePipeline {
     cancel: hdm_common::CancelToken,
     engine: EngineKind,
     stage_label: String,
-    /// Per map/O task, recorded as each finishes; the adapters fold
-    /// their shuffle measurements in once the job has run.
+    /// Per unit, recorded as each task finishes (the shuffle bytes per
+    /// partition included).
     map_vols: Mutex<Vec<MapVolume>>,
     /// Wire sizes of every emitted pair.
     kv_sizes: Mutex<Histogram>,
@@ -236,9 +247,11 @@ impl StagePipeline {
             partial,
             key_codec: KeyCodec::of(&stage.kind),
             sink: PartitionSink::for_stage(stage, ctx),
-            map_vols: Mutex::new(vec![MapVolume::default(); planned.tasks.len()]),
+            map_vols: Mutex::new(vec![MapVolume::default(); planned.units.len()]),
             kv_sizes: Mutex::new(Histogram::with_width(hdm_obs::KV_HIST_BUCKET)),
+            units: planned.units,
             tasks: planned.tasks,
+            input_bytes: planned.input_bytes,
             formats: planned.formats,
             builds: planned
                 .builds
@@ -256,13 +269,18 @@ impl StagePipeline {
     }
 }
 
-/// One stage's shuffle job, as an engine adapter sees it: the task
-/// counts, the shuffle order and partitioning, the pipeline to call from
-/// the engine's task closures, and the session's fault/recovery settings.
+/// One stage's shuffle job, as an engine adapter sees it: the map task
+/// and reduce partition counts, how many bytes a reduce task takes on,
+/// the shuffle order and partitioning, the pipeline to call from the
+/// engine's task closures, and the session's fault/recovery settings.
 struct StageJob<'a> {
     ctx: &'a StageContext<'a>,
     map_tasks: usize,
-    reduce_tasks: usize,
+    partitions: usize,
+    /// `None`: one reduce/A task per partition (`hive.datampi.parallelism
+    /// = enhanced` asked for that many). Else measured: the engine cuts
+    /// the partitions into tasks of about this many shuffled bytes.
+    bytes_per_reduce_task: Option<u64>,
     comparator: ComparatorRef,
     partitioner: PartitionerRef,
     pipeline: Arc<StagePipeline>,
@@ -282,27 +300,31 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
     let per_reducer = ctx
         .conf
         .get_i64(hdm_common::conf::KEY_BYTES_PER_REDUCER, 32 << 10)?;
-    let reduce_tasks = plan::reducer_count(
+    let per_reducer = per_reducer.max(1) as u64;
+    let parallelism = ctx.conf.parallelism()?;
+    let partitions = plan::reducer_count(
         &stage.kind,
         stage.is_last,
-        ctx.conf.parallelism()?,
+        parallelism,
         input_bytes,
-        per_reducer.max(1) as u64,
+        per_reducer,
         slots,
     );
     let map_only = matches!(stage.kind, StageKind::MapOnly);
-    // Pipelined producer: declare the output partition count now, so
-    // the consumer stage can enumerate its tasks and start pulling
-    // while this stage is still executing. Output bytes are unknown
-    // until the data exists; this stage's input volume is the hint.
-    if let Some(out) = &ctx.out_stream {
-        out.declare(if map_only { map_tasks } else { reduce_tasks }, input_bytes);
+    // A pipelined map-only producer's tasks are its map tasks, known
+    // now: the consumer can plan its own and start pulling while this
+    // stage runs. A shuffle stage's reduce side declares its ranges once
+    // the engine has measured them (`run_reduce`).
+    if let (Some(out), true) = (&ctx.out_stream, map_only) {
+        out.declare_ranges(&planned.tasks, input_bytes);
     }
-
+    let units = planned.units.len();
     let job = StageJob {
         ctx,
         map_tasks,
-        reduce_tasks,
+        partitions,
+        bytes_per_reduce_task: (parallelism == hdm_common::conf::Parallelism::Default)
+            .then_some(per_reducer),
         // DESC directions are already baked into the key bytes, so raw
         // memcmp is the right order for every stage kind.
         comparator: Arc::new(BytesComparator),
@@ -314,9 +336,9 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
         faults: FaultPlan::from_conf(ctx.conf, &ctx.obs)?,
         recovery: RecoveryPolicy::from_conf(ctx.conf)?,
     };
-    let mut reduces = if map_only {
+    let (mut reduces, reduce_tasks) = if map_only {
         run_map_only(&job)?;
-        Vec::new()
+        (Vec::new(), 0)
     } else {
         match ctx.engine {
             EngineKind::Hadoop => hadoop::run_on_hadoop(&job)?,
@@ -327,15 +349,25 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
     let mut maps = std::mem::take(&mut *job.pipeline.map_vols.lock());
     let written = job.pipeline.sink.finish();
     let bytes_of = |rank: usize| written.get(&rank).map_or(0, |(_, bytes)| *bytes);
-    for (rank, rv) in reduces.iter_mut().enumerate() {
-        rv.output_bytes = bytes_of(rank);
+    for (p, rv) in reduces.iter_mut().enumerate() {
+        rv.shuffle_bytes_from = (maps.iter())
+            .map(|m| m.shuffle_bytes_per_dst.get(p).copied().unwrap_or(0))
+            .collect();
+        rv.output_bytes = bytes_of(p);
     }
     // Map-only: attribute outputs to the map volumes' spill channel so
     // the timing model charges the write.
     if map_only {
-        for (t, vol) in maps.iter_mut().enumerate() {
-            vol.spill_bytes += bytes_of(t);
+        for (u, vol) in maps.iter_mut().enumerate() {
+            vol.spill_bytes += bytes_of(u);
         }
+    }
+    if ctx.obs.is_enabled() {
+        let counter = |name| ctx.obs.counter(name, &job.pipeline.stage_label);
+        counter("stage.map.tasks").add(map_tasks as u64);
+        counter("stage.map.units").add(units as u64);
+        counter("stage.reduce.tasks").add(reduce_tasks as u64);
+        counter("stage.partitions").add(reduces.len() as u64);
     }
     let kv_sizes = job.pipeline.kv_sizes.lock().clone();
     Ok(StageResult {
@@ -355,7 +387,7 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
 /// behave identically here, modulo startup — which the timing model
 /// owns). With fault tolerance on, a failed task (e.g. an injected
 /// transient split-read error) is re-attempted under the recovery
-/// policy; an attempt owns its output rows until it commits them, so
+/// policy; a unit's rows are committed to the unit's own part file, so
 /// replay is idempotent.
 fn run_map_only(job: &StageJob<'_>) -> Result<()> {
     let map_tasks = job.map_tasks;
@@ -374,10 +406,7 @@ fn run_map_only(job: &StageJob<'_>) -> Result<()> {
                 }
                 let site = hdm_faults::Site::MapTask;
                 let run = hdm_faults::supervise(faults, recovery, cancel, site, i, None, |_, _| {
-                    let mut sink_err = |_: &[u8], _: &[u8]| -> Result<()> {
-                        Err(HdmError::Plan("map-only stage must not emit KVs".into()))
-                    };
-                    job.pipeline.run_map(i, &mut sink_err)
+                    job.pipeline.run_map(i, &mut map::NoShuffle)
                 });
                 if let Err(e) = run {
                     errors.lock().push(e);

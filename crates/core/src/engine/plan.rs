@@ -1,5 +1,6 @@
-//! Task planning: which map/O tasks a stage runs, what each one reads,
-//! and how many reduce/A tasks consume them.
+//! Task planning: what a stage reads, unit by unit (a split, a stream
+//! partition, or nothing), which map/O task reads which units, and how
+//! many reduce partitions the stage has.
 
 use super::StageContext;
 use crate::physical::{InputSource, StageKind, StagePlan};
@@ -9,10 +10,13 @@ use hdm_common::row::Schema;
 use hdm_dfs::FileSplit;
 use hdm_storage::seq::SeqFormat;
 use hdm_storage::{format_for, FileFormat};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// What one map/O task reads — the read half of the intermediate
-/// hand-off ([`super::sink::PartitionSink`] is the write half).
+/// One unit a map/O task reads — the read half of the intermediate
+/// hand-off ([`super::sink::PartitionSink`] is the write half). Volumes,
+/// map-side partial aggregates and map-only part files are per unit, so
+/// how units are grouped into tasks moves none of them.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) enum TaskInput {
     /// The input enumerated nothing; the task runs over zero rows so
@@ -45,9 +49,9 @@ impl TaskInput {
     }
 }
 
-/// One map/O task: an input bound to the tagged stage input it feeds.
+/// One unit: an input bound to the tagged stage input it feeds.
 #[derive(Debug, Clone, PartialEq)]
-pub(super) struct Task {
+pub(super) struct Unit {
     pub(super) input_idx: usize,
     pub(super) input: TaskInput,
 }
@@ -60,21 +64,29 @@ pub(super) struct BuildScan {
     pub(super) splits: Vec<FileSplit>,
 }
 
-/// A stage's tasks, how to read each stage input, and the input volume.
+/// A stage's units and tasks, how to read each stage input, and the
+/// input volume.
 pub(super) struct PlannedTasks {
-    pub(super) tasks: Vec<Task>,
+    pub(super) units: Vec<Unit>,
+    /// The units each map/O task reads, in task order: contiguous, in
+    /// unit order, never two stage inputs in one task.
+    pub(super) tasks: Vec<Range<usize>>,
     /// Per stage input: the file format and the schema rows are read with.
     pub(super) formats: Vec<(Arc<dyn FileFormat>, Schema)>,
     /// Per stage input, per map-side join step: its build table.
     pub(super) builds: Vec<Vec<BuildScan>>,
     /// `hive.orc.pushdown`: whether readers get the planner's predicates.
     pub(super) pushdown: bool,
-    /// Sum of every task's [`TaskInput::bytes`]: drives the reducer
+    /// Sum of every unit's [`TaskInput::bytes`]: drives the reducer
     /// count, and is the size hint a pipelined producer declares.
     pub(super) input_bytes: u64,
 }
 
-/// Enumerate the stage's map/O tasks.
+/// Enumerate the stage's units and group them into map/O tasks: a
+/// file input's splits, in order, into at most `2·W` contiguous tasks
+/// of about equal bytes (`W` = `engine.local.threads`; an input of at
+/// most `2·W` splits keeps one task per split); a stream input's
+/// partitions into the producer's own ranges.
 ///
 /// # Errors
 /// Unknown tables, missing upstream outputs, split-planning IO failures,
@@ -83,7 +95,9 @@ pub(super) fn plan_tasks(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<Pl
     let pushdown = ctx
         .conf
         .get_bool(hdm_common::conf::KEY_ORC_PUSHDOWN, true)?;
-    let mut tasks: Vec<Task> = Vec::new();
+    let width = 2 * ctx.conf.local_threads()?;
+    let mut units: Vec<Unit> = Vec::new();
+    let mut tasks: Vec<Range<usize>> = Vec::new();
     let mut formats: Vec<(Arc<dyn FileFormat>, Schema)> = Vec::new();
     let mut builds: Vec<Vec<BuildScan>> = Vec::new();
     // A table's format, schema and splits under `preds`.
@@ -101,44 +115,55 @@ pub(super) fn plan_tasks(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<Pl
         let format: Arc<dyn FileFormat>;
         let schema: Schema;
         let mut inputs: Vec<TaskInput>;
+        // Each task's units, counted from this input's first.
+        let grouped: Vec<Range<usize>>;
         match &input.source {
             InputSource::Table(name) => {
                 let scan = table_scan(name, input.pushed_down(pushdown))?;
                 inputs = scan.splits.into_iter().map(TaskInput::Split).collect();
+                grouped = group_evenly(&inputs, width);
                 (format, schema) = (scan.format, scan.schema);
             }
             InputSource::Stage(id) => {
                 format = Arc::new(SeqFormat);
                 schema = input.read_schema.clone();
-                inputs = if let Some(stream) = ctx.in_streams.get(id) {
-                    // One task per producer partition. The producer
-                    // declares its partition count as soon as its own
-                    // parallelism is decided, so this wait ends long
-                    // before the producer finishes running.
-                    let (parts, est_total) = stream.await_partitions()?;
+                if let Some(stream) = ctx.in_streams.get(id) {
+                    // One unit per producer partition, one task per
+                    // producer range: the partitions a producer task
+                    // commits are taken, in order, by one task here. The
+                    // producer declares its ranges once its own tasks
+                    // are fixed, before it commits anything.
+                    let (ranges, est_total) = stream.await_ranges()?;
+                    let parts = ranges.last().map_or(0, |r| r.end);
                     let est_bytes = est_total / parts.max(1) as u64;
                     let stage = *id;
-                    (0..parts)
+                    inputs = (0..parts)
                         .map(|partition| TaskInput::Stream {
                             stage,
                             partition,
                             est_bytes,
                         })
-                        .collect()
+                        .collect();
+                    grouped = ranges.iter().filter(|r| !r.is_empty()).cloned().collect();
                 } else {
                     let paths = ctx.intermediates.get(id);
                     let paths = paths
                         .ok_or_else(|| HdmError::Plan(format!("stage {id} output missing")))?;
                     let preds = input.pushed_down(pushdown);
                     let splits = file_splits(&*format, paths, preds, stage.id, ctx)?;
-                    splits.into_iter().map(TaskInput::Split).collect()
-                };
+                    inputs = splits.into_iter().map(TaskInput::Split).collect();
+                    grouped = group_evenly(&inputs, width);
+                }
             }
         }
+        let base = units.len();
         if inputs.is_empty() {
             inputs.push(TaskInput::Empty);
+            tasks.push(base..base + 1);
+        } else {
+            tasks.extend(grouped.into_iter().map(|r| base + r.start..base + r.end));
         }
-        tasks.extend(inputs.into_iter().map(|input| Task { input_idx, input }));
+        units.extend(inputs.into_iter().map(|input| Unit { input_idx, input }));
         formats.push((format, schema));
         let steps = input.map_joins.iter().map(|step| match &step.build.source {
             InputSource::Table(name) => table_scan(name, step.build.pushed_down(pushdown)),
@@ -153,14 +178,45 @@ pub(super) fn plan_tasks(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<Pl
         let stage_label = format!("stage={}", stage.id);
         ctx.obs.counter("join.map.steps", &stage_label).add(steps);
     }
-    let input_bytes = tasks.iter().map(|t| t.input.bytes()).sum();
+    let input_bytes = units.iter().map(|u| u.input.bytes()).sum();
     Ok(PlannedTasks {
+        units,
         tasks,
         formats,
         builds,
         pushdown,
         input_bytes,
     })
+}
+
+/// Cut `inputs`, in order, into at most `width` contiguous groups of
+/// about equal bytes (of equal counts when no input has any): input `i`
+/// goes to group `⌊bytes before i · width / total⌋`, so no input is cut.
+/// `width` or fewer inputs keep a group each.
+fn group_evenly(inputs: &[TaskInput], width: usize) -> Vec<Range<usize>> {
+    if inputs.len() <= width {
+        return (0..inputs.len()).map(|i| i..i + 1).collect();
+    }
+    let width = width.max(1) as u128;
+    let total: u128 = inputs.iter().map(|i| u128::from(i.bytes())).sum();
+    let weight = |i: &TaskInput| if total == 0 { 1 } else { u128::from(i.bytes()) };
+    let total = if total == 0 {
+        inputs.len() as u128
+    } else {
+        total
+    };
+    let mut groups: Vec<Range<usize>> = Vec::new();
+    let (mut before, mut current) = (0u128, None);
+    for (i, input) in inputs.iter().enumerate() {
+        let group = before * width / total.max(1);
+        match groups.last_mut() {
+            Some(last) if current == Some(group) => last.end = i + 1,
+            _ => groups.push(i..i + 1),
+        }
+        current = Some(group);
+        before += weight(input);
+    }
+    groups
 }
 
 /// Every split of `paths`, minus what the planning-side predicate
@@ -286,6 +342,41 @@ mod tests {
     }
 
     #[test]
+    fn splits_group_into_at_most_two_w_contiguous_tasks_of_about_equal_bytes() {
+        let split = |len: u64| {
+            TaskInput::Split(FileSplit {
+                path: "/t/part-00000".into(),
+                offset: 0,
+                len,
+                hosts: Vec::new(),
+            })
+        };
+        let sizes = |sizes: &[u64]| sizes.iter().map(|&n| split(n)).collect::<Vec<_>>();
+        // Few enough splits: one task each, however uneven.
+        assert_eq!(
+            group_evenly(&sizes(&[100, 1, 1]), 4),
+            vec![0..1, 1..2, 2..3]
+        );
+        assert!(group_evenly(&[], 4).is_empty());
+        // Twelve equal splits in four tasks of three.
+        let twelve = sizes(&[10; 12]);
+        assert_eq!(group_evenly(&twelve, 4), vec![0..3, 3..6, 6..9, 9..12]);
+        // A heavy split is never cut and takes a task to itself.
+        let heavy = sizes(&[90, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]);
+        let groups = group_evenly(&heavy, 4);
+        assert_eq!(groups.first(), Some(&(0..1)));
+        assert!(groups.len() <= 4);
+        // No bytes at all: even counts.
+        assert_eq!(group_evenly(&sizes(&[0; 6]), 3), vec![0..2, 2..4, 4..6]);
+        for width in 1..20 {
+            let groups = group_evenly(&twelve, width);
+            assert!(groups.len() <= width.max(1));
+            let covered: Vec<usize> = groups.iter().flat_map(Clone::clone).collect();
+            assert_eq!(covered, (0..12).collect::<Vec<_>>(), "width {width}");
+        }
+    }
+
+    #[test]
     fn an_input_with_no_part_files_gets_one_empty_task() {
         let fx = Fixture::new(
             "CREATE TABLE l (k BIGINT, v BIGINT); CREATE TABLE r (k BIGINT, w BIGINT); \
@@ -301,8 +392,8 @@ mod tests {
         let join = &plan.stages[0];
         let planned = plan_tasks(join, &fx.ctx(EngineKind::DataMpi)).expect("plan tasks");
         let of_input = |i: usize| -> Vec<&TaskInput> {
-            let tasks = planned.tasks.iter().filter(|t| t.input_idx == i);
-            tasks.map(|t| &t.input).collect()
+            let units = planned.units.iter().filter(|u| u.input_idx == i);
+            units.map(|u| &u.input).collect()
         };
         assert_eq!(of_input(0), vec![&TaskInput::Empty]);
         // The join's other side still runs, over its real splits.
@@ -330,7 +421,7 @@ mod tests {
         stream.declare(4, 4000);
         fx.in_streams.insert(0, stream);
         let planned = plan_tasks(sort, &fx.ctx(EngineKind::DataMpi)).expect("plan tasks");
-        let inputs: Vec<&TaskInput> = planned.tasks.iter().map(|t| &t.input).collect();
+        let inputs: Vec<&TaskInput> = planned.units.iter().map(|u| &u.input).collect();
         let want: Vec<TaskInput> = (0..4)
             .map(|partition| TaskInput::Stream {
                 stage: 0,
@@ -341,6 +432,18 @@ mod tests {
         assert_eq!(inputs, want.iter().collect::<Vec<_>>());
         assert_eq!(want[0].bytes(), 1000);
         assert_eq!(planned.input_bytes, 4000);
+        // A producer that declared one partition per task: one task per
+        // partition here too.
+        assert_eq!(planned.tasks, vec![0..1, 1..2, 2..3, 3..4]);
+
+        // A producer whose tasks commit several partitions each: one
+        // task per producer task, taking its partitions in order.
+        let ranged = StreamedIntermediate::new("stage0", 4, &obs);
+        ranged.declare_ranges(&[0..3, 3..4], 4000);
+        fx.in_streams.insert(0, ranged);
+        let planned = plan_tasks(sort, &fx.ctx(EngineKind::DataMpi)).expect("plan tasks");
+        assert_eq!(planned.units.len(), 4);
+        assert_eq!(planned.tasks, vec![0..3, 3..4]);
 
         // A producer that declared zero partitions: one Empty task.
         let empty = StreamedIntermediate::new("stage0", 4, &obs);
@@ -348,12 +451,13 @@ mod tests {
         fx.in_streams.insert(0, empty);
         let planned = plan_tasks(sort, &fx.ctx(EngineKind::DataMpi)).expect("plan tasks");
         assert_eq!(
-            planned.tasks,
-            vec![Task {
+            planned.units,
+            vec![Unit {
                 input_idx: 0,
                 input: TaskInput::Empty
             }]
         );
+        assert_eq!(planned.tasks, vec![0..1]);
         assert_eq!(planned.input_bytes, 0);
     }
 }

@@ -1,5 +1,6 @@
-//! The engine-agnostic reduce pipeline: turn a reduce/A task's merged
-//! groups into output rows and commit them as one partition.
+//! The engine-agnostic reduce pipeline: turn one reduce partition's
+//! merged groups into output rows and commit them. A reduce/A task that
+//! runs several partitions runs this once per partition, in order.
 
 use super::{EngineKind, StagePipeline};
 use crate::ast::JoinKind;
@@ -23,6 +24,11 @@ pub(super) trait GroupSource {
     fn wire(&self) -> Option<hdm_datampi::WireCounts> {
         None
     }
+
+    /// The partitions each reduce/A task of the job runs.
+    fn ranges(&self) -> &[std::ops::Range<usize>] {
+        &[]
+    }
 }
 
 impl GroupSource for hdm_mapred::ReduceContext {
@@ -32,6 +38,10 @@ impl GroupSource for hdm_mapred::ReduceContext {
 
     fn attempt(&self) -> u32 {
         hdm_mapred::ReduceContext::attempt(self)
+    }
+
+    fn ranges(&self) -> &[std::ops::Range<usize>] {
+        hdm_mapred::ReduceContext::ranges(self)
     }
 }
 
@@ -47,14 +57,21 @@ impl GroupSource for hdm_datampi::AContext {
     fn wire(&self) -> Option<hdm_datampi::WireCounts> {
         Some(hdm_datampi::AContext::wire(self))
     }
+
+    fn ranges(&self) -> &[std::ops::Range<usize>] {
+        hdm_datampi::AContext::ranges(self)
+    }
 }
 
 impl StagePipeline {
-    /// Run reduce/A task `rank` over its groups.
+    /// Run reduce partition `rank` over its groups.
     ///
     /// # Errors
     /// Decode/eval failures, a failed commit, or cancellation.
     pub(super) fn run_reduce(&self, rank: usize, groups: &mut dyn GroupSource) -> Result<()> {
+        // The engine has fixed its tasks by now: a pipelined consumer
+        // runs one task per range (only the first declaration counts).
+        self.sink.declare_ranges(groups.ranges(), self.input_bytes);
         let track = match self.engine {
             EngineKind::Hadoop => "R",
             EngineKind::DataMpi => "A",
@@ -164,7 +181,8 @@ impl StagePipeline {
             counter("join.reduce.rows.undecoded").add(rows_undecoded);
         }
         self.sink.commit(rank, groups.attempt(), rows_out)?;
-        // Counted once per A rank, by the attempt whose output committed.
+        // Counted once per A task (its first partition carries the
+        // counts), by the attempt whose output committed.
         if self.obs.is_enabled() {
             if let Some(wire) = groups.wire() {
                 let counter = |kind| self.obs.counter(kind, &self.stage_label);

@@ -81,6 +81,15 @@ impl PartitionSink {
         })
     }
 
+    /// A pipelined stage's consumer runs one task per range of
+    /// partitions the stage's own tasks produce: tell it (a no-op for
+    /// part files, and for no ranges).
+    pub(super) fn declare_ranges(&self, ranges: &[std::ops::Range<usize>], est_bytes: u64) {
+        if let (PartitionSink::Stream(out), false) = (self, ranges.is_empty()) {
+            out.declare_ranges(ranges, est_bytes);
+        }
+    }
+
     /// Commit partition `rank`, produced by recovery attempt `attempt`
     /// of its task. Streamed commits carry the attempt so a replayed
     /// partition cannot regress a fresher one.

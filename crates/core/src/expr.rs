@@ -313,16 +313,7 @@ impl RExpr {
                 expr,
                 pattern,
                 negated,
-            } => {
-                let v = expr.eval(row)?;
-                match v {
-                    Value::Null => Ok(Value::Null),
-                    other => {
-                        let s = other.to_string();
-                        Ok(Value::Boolean(like_match(&s, pattern) != *negated))
-                    }
-                }
-            }
+            } => Ok(eval_like(&expr.eval(row)?, pattern, *negated)),
             RExpr::Case {
                 operand,
                 whens,
@@ -689,27 +680,59 @@ fn eval_function(name: &str, args: &[RExpr], row: &Row) -> Result<Value> {
     }
 }
 
-/// SQL LIKE with `%` (any run) and `_` (any char), case-sensitive.
+/// SQL `LIKE`, case-sensitive: `%` matches any run of characters (none
+/// included), `_` exactly one character, anything else itself.
+///
+/// Iterative and allocation-free: the pattern is walked once, and on a
+/// mismatch the last `%` seen takes one more character of `s` and the
+/// walk resumes behind it. Only the last `%` needs revisiting — whatever
+/// an earlier one could match, the later one can too — so the cost is
+/// O(|s|·|pattern|) characters, not exponential in the number of `%`s.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
-            Some('%') => {
-                // Greedy-to-lazy: try every split.
-                for skip in 0..=s.len() {
-                    if rec(&s[skip..], &p[1..]) {
-                        return true;
-                    }
-                }
-                false
+    // Byte offsets, always on character boundaries.
+    let (mut si, mut pi) = (0usize, 0usize);
+    // `(pattern offset behind the last %, where in s its match ends)`.
+    let mut star: Option<(usize, usize)> = None;
+    loop {
+        let p = pattern.get(pi..).and_then(|rest| rest.chars().next());
+        let c = s.get(si..).and_then(|rest| rest.chars().next());
+        match (p, c) {
+            (None, None) => return true,
+            (Some('%'), _) => {
+                pi += 1;
+                star = Some((pi, si));
+                continue;
             }
-            Some('_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(&c) => s.first() == Some(&c) && rec(&s[1..], &p[1..]),
+            (Some('_'), Some(c)) => {
+                (pi, si) = (pi + 1, si + c.len_utf8());
+                continue;
+            }
+            (Some(p), Some(c)) if p == c => {
+                (pi, si) = (pi + p.len_utf8(), si + c.len_utf8());
+                continue;
+            }
+            _ => {}
         }
+        // Mismatch: the last % takes one more character, if there is one.
+        let Some((after, end)) = star else {
+            return false;
+        };
+        let Some(c) = s.get(end..).and_then(|rest| rest.chars().next()) else {
+            return false;
+        };
+        star = Some((after, end + c.len_utf8()));
+        (pi, si) = (after, end + c.len_utf8());
     }
-    let sc: Vec<char> = s.chars().collect();
-    let pc: Vec<char> = pattern.chars().collect();
-    rec(&sc, &pc)
+}
+
+/// `v LIKE pattern` (`NOT LIKE` when `negated`): NULL stays NULL, a
+/// string is matched as it is, anything else as its display form.
+pub fn eval_like(v: &Value, pattern: &str, negated: bool) -> Value {
+    match v {
+        Value::Null => Value::Null,
+        Value::Str(s) => Value::Boolean(like_match(s, pattern) != negated),
+        other => Value::Boolean(like_match(&other.to_string(), pattern) != negated),
+    }
 }
 
 #[cfg(test)]
@@ -806,6 +829,54 @@ mod tests {
         assert!(like_match("", "%"));
         assert!(!like_match("", "_"));
         assert!(like_match("special%char", "special%char"));
+        assert!(like_match("ünïcødé", "_n%d_"));
+        assert!(!like_match("ünïcødé", "_n%d__"));
+        assert!(like_match("%", "%%"));
+        assert!(!like_match("ab", "a"));
+        assert!(!like_match("a", "ab"));
+    }
+
+    /// Backtracking on every `%` made this pattern take 29 s over 80
+    /// characters (and cancellation could not interrupt it).
+    #[test]
+    fn many_percents_over_a_long_string_take_no_time() {
+        let s = "a".repeat(80);
+        let start = std::time::Instant::now();
+        assert!(!like_match(&s, "%a%a%a%a%a%a%b"));
+        assert!(like_match(&s, "%a%a%a%a%a%a%"));
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_millis(50), "{took:?}");
+    }
+
+    /// The recursive matcher `like_match` replaced, kept as the oracle.
+    fn like_oracle(s: &str, pattern: &str) -> bool {
+        fn rec(s: &[char], p: &[char]) -> bool {
+            match p.first() {
+                None => s.is_empty(),
+                Some('%') => (0..=s.len()).any(|skip| rec(&s[skip..], &p[1..])),
+                Some('_') => !s.is_empty() && rec(&s[1..], &p[1..]),
+                Some(&c) => s.first() == Some(&c) && rec(&s[1..], &p[1..]),
+            }
+        }
+        let sc: Vec<char> = s.chars().collect();
+        let pc: Vec<char> = pattern.chars().collect();
+        rec(&sc, &pc)
+    }
+
+    /// Up to 12 characters of a small alphabet with the wildcards and
+    /// multibyte characters in it.
+    fn like_text() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::strategy::Strategy;
+        const ALPHABET: [char; 6] = ['a', 'b', 'é', '☃', '%', '_'];
+        let ch = (0usize..ALPHABET.len()).prop_map(|i| ALPHABET[i]);
+        proptest::collection::vec(ch, 0..13).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn like_match_agrees_with_the_recursive_oracle(s in like_text(), p in like_text()) {
+            proptest::prop_assert_eq!(like_match(&s, &p), like_oracle(&s, &p), "{:?} LIKE {:?}", s, p);
+        }
     }
 
     #[test]

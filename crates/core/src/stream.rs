@@ -39,6 +39,7 @@ use hdm_common::row::Row;
 use hdm_obs::ObsHandle;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Condvar};
 
 /// One committed producer partition.
@@ -49,10 +50,10 @@ struct Slot {
 }
 
 struct State {
-    /// `(partition count, est total bytes)`, set by the producer once
-    /// its parallelism is decided (before any commit). Consumers wait
-    /// on this.
-    declared: Option<(usize, u64)>,
+    /// `(partition ranges, est total bytes)`, set by the producer once
+    /// it knows which of its tasks produce which partitions (before any
+    /// commit). Consumers wait on this, and run one task per range.
+    declared: Option<(Arc<[Range<usize>]>, u64)>,
     slots: HashMap<usize, Slot>,
     /// Committed-but-never-taken partitions currently held (the
     /// backpressure quantity; retained-after-take slots do not count).
@@ -123,24 +124,38 @@ impl StreamedIntermediate {
         &self.inner.label
     }
 
-    /// Producer: announce the total partition count plus a rough total
+    /// Producer: announce `partitions` partitions, each produced by a
+    /// task of its own, plus a rough total byte estimate — see
+    /// [`Self::declare_ranges`].
+    pub fn declare(&self, partitions: usize, est_total_bytes: u64) {
+        let ranges = hdm_common::partition::one_range_each(partitions);
+        self.declare_ranges(&ranges, est_total_bytes);
+    }
+
+    /// Producer: announce which partitions each of its tasks produces,
+    /// in order (contiguous ranges covering `0..n`), plus a rough total
     /// byte estimate (its own input volume — output sizes are unknown
     /// until the data exists). Must be called before the first
-    /// `commit`; consumers block in [`Self::await_partitions`] until it
-    /// is, and divide the estimate across partitions to size their own
-    /// parallelism the way file splits would.
-    pub fn declare(&self, partitions: usize, est_total_bytes: u64) {
+    /// `commit`; consumers block in [`Self::await_ranges`] until it is,
+    /// run one task per range, and divide the estimate across
+    /// partitions to size their own parallelism the way file splits
+    /// would. The first declaration stands; a later one (each of the
+    /// producer's tasks declares the same ranges) is ignored.
+    pub fn declare_ranges(&self, ranges: &[Range<usize>], est_total_bytes: u64) {
         let mut g = self.inner.state.lock();
-        g.declared = Some((partitions, est_total_bytes));
+        if g.declared.is_some() {
+            return;
+        }
+        g.declared = Some((ranges.into(), est_total_bytes));
         drop(g);
         self.inner.takers.notify_all();
     }
 
-    /// Consumer: wait for the producer to declare its partition count;
-    /// returns `(partitions, est_total_bytes)`. Errors if the stream
-    /// failed (or finished without declaring — an invariant breach, not
-    /// a data condition).
-    pub fn await_partitions(&self) -> Result<(usize, u64)> {
+    /// Consumer: wait for the producer to declare its ranges; returns
+    /// `(ranges, est_total_bytes)`. Errors if the stream failed (or
+    /// finished without declaring — an invariant breach, not a data
+    /// condition).
+    pub fn await_ranges(&self) -> Result<(Arc<[Range<usize>]>, u64)> {
         let mut g = self.inner.state.lock();
         loop {
             if let Some(reason) = &g.cancelled {
@@ -152,8 +167,8 @@ impl StreamedIntermediate {
                     self.inner.label
                 )));
             }
-            if let Some(n) = g.declared {
-                return Ok(n);
+            if let Some((ranges, est)) = &g.declared {
+                return Ok((Arc::clone(ranges), *est));
             }
             if g.finished {
                 return Err(HdmError::DataMpi(format!(
@@ -392,7 +407,8 @@ mod tests {
         let o = obs();
         let s = StreamedIntermediate::new("stage1", 4, &o);
         s.declare(2, 0);
-        assert_eq!(s.await_partitions().unwrap(), (2, 0));
+        let (ranges, est) = s.await_ranges().unwrap();
+        assert_eq!((&*ranges, est), (&[0..1, 1..2][..], 0));
         s.commit(0, 0, rows(3)).unwrap();
         s.commit(1, 0, rows(1)).unwrap();
         s.finish();
@@ -547,20 +563,24 @@ mod tests {
     }
 
     #[test]
-    fn await_partitions_blocks_until_declared_and_errors_on_fail() {
+    fn await_ranges_blocks_until_declared_and_errors_on_fail() {
         let s = StreamedIntermediate::new("stage1", 4, &obs());
         let t = {
             let s = s.clone();
-            std::thread::spawn(move || s.await_partitions())
+            std::thread::spawn(move || s.await_ranges())
         };
         std::thread::sleep(Duration::from_millis(20));
         assert!(!t.is_finished());
-        s.declare(7, 4096);
-        assert_eq!(t.join().unwrap().unwrap(), (7, 4096));
+        s.declare_ranges(&[0..3, 3..7], 4096);
+        // The first declaration stands.
+        s.declare(7, 0);
+        let (ranges, est) = t.join().unwrap().unwrap();
+        assert_eq!((&*ranges, est), (&[0..3, 3..7][..], 4096));
+        assert_eq!(&*s.await_ranges().unwrap().0, &[0..3, 3..7]);
 
         let s = StreamedIntermediate::new("stage2", 4, &obs());
         s.fail("boom");
-        assert!(s.await_partitions().is_err());
+        assert!(s.await_ranges().is_err());
     }
 
     #[test]
@@ -589,11 +609,11 @@ mod tests {
         assert!(err.message().contains("deadline exceeded"), "{err}");
         let err = producer.join().unwrap().unwrap_err();
         assert!(err.is_cancelled(), "{err}");
-        // Terminal: later traffic bails immediately, and await_partitions
+        // Terminal: later traffic bails immediately, and await_ranges
         // reports cancellation too.
         assert!(s.commit(2, 0, rows(1)).unwrap_err().is_cancelled());
         assert!(s.take(2).unwrap_err().is_cancelled());
-        assert!(s.await_partitions().unwrap_err().is_cancelled());
+        assert!(s.await_ranges().unwrap_err().is_cancelled());
         // Already-committed data stays takeable: cancellation interrupts
         // waits, it does not eat delivered partitions.
         assert!(s.take(0).is_ok());

@@ -132,3 +132,67 @@ fn both_engines_report_the_same_group_count() {
     assert_eq!(a_side, 6);
     assert_eq!(a_side, reducers);
 }
+
+/// A `lineitem`-shaped Text table of `rows` rows: two flag columns
+/// with four combinations, and three measures.
+fn lineitem_driver(rows: i64) -> Driver {
+    use hdm_common::row::Row;
+    use hdm_common::value::Value;
+    let d = Driver::in_memory();
+    d.execute(
+        "CREATE TABLE lineitem (l_returnflag STRING, l_linestatus STRING, \
+         l_quantity DOUBLE, l_extendedprice DOUBLE, l_discount DOUBLE)",
+    )
+    .unwrap();
+    let flags = ["A", "N", "R"];
+    let lines: Vec<Row> = (0..rows)
+        .map(|i| {
+            Row::from(vec![
+                Value::Str(flags[(i % 3) as usize].into()),
+                Value::Str(if i % 7 < 3 { "F" } else { "O" }.into()),
+                Value::Double((i % 50) as f64 + 1.0),
+                Value::Double(900.0 + (i % 1000) as f64 * 1.25),
+                Value::Double((i % 11) as f64 / 100.0),
+            ])
+        })
+        .collect();
+    d.load_rows("lineitem", &lines).unwrap();
+    d
+}
+
+/// Q1's shape over a Text table of many splits: the scan runs as at
+/// most `2·W` map tasks however many splits there are, and the few
+/// hundred bytes its partial aggregates shuffle go to one reduce/A task
+/// that runs all 16 partitions — so each O task sends one DATA message
+/// (at most one per O task and A task).
+#[test]
+fn a_q1_shaped_scan_runs_few_tasks_and_one_reduce_task() {
+    let q1 = "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, \
+              SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price, COUNT(*) AS n \
+              FROM lineitem GROUP BY l_returnflag, l_linestatus \
+              ORDER BY l_returnflag, l_linestatus";
+    let mut d = lineitem_driver(80_000);
+    d.conf_mut().set(hdm_common::conf::KEY_OBS_ENABLED, true);
+    let mut rows = Vec::new();
+    for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
+        rows.push(d.execute_on(q1, engine).unwrap().to_lines());
+        let snap = d.last_obs_snapshot().expect("obs snapshot");
+        let scan = |name: &str| -> u64 {
+            let hits = snap.counters.iter();
+            let hits = hits.filter(|(n, labels, _)| n == name && labels == "stage=0");
+            hits.map(|(_, _, v)| *v).sum()
+        };
+        let (tasks, units) = (scan("stage.map.tasks"), scan("stage.map.units"));
+        assert!(units > 16, "{engine:?}: the table spans {units} splits");
+        assert!(tasks <= 16, "{engine:?}: {tasks} map tasks");
+        assert_eq!(scan("stage.partitions"), 16, "{engine:?}");
+        assert_eq!(scan("stage.reduce.tasks"), 1, "{engine:?}");
+        if engine == EngineKind::DataMpi {
+            let data = scan("mpi.messages.data");
+            assert!(data <= 16 * 16, "{data} DATA messages");
+            assert_eq!(data, tasks, "one DATA per O task");
+        }
+    }
+    assert_eq!(rows[0], rows[1]);
+    assert_eq!(rows[0].len(), 6);
+}

@@ -210,6 +210,15 @@ impl SendPartitionList {
         }
     }
 
+    /// Whether pushing `wire` bytes to `dst` takes a buffer: the
+    /// partition's first, or the fresh one that replaces it as it fills
+    /// and freezes. The moment recycled buffers are worth reclaiming.
+    pub fn takes_buffer(&self, dst: usize, wire: usize) -> bool {
+        self.partitions
+            .get(dst)
+            .is_some_and(|p| p.capacity() == 0 || p.bytes_used() + wire >= self.capacity_bytes)
+    }
+
     /// Drain every non-empty partition as `(dst, payload)` pairs (end of
     /// O task: flush everything). Each payload is a right-sized copy: a
     /// tail flush is usually a fraction of a buffer, the payload lives

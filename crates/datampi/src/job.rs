@@ -4,17 +4,19 @@
 use crate::buffer::SendPartitionList;
 use crate::receiver::run_receiver;
 use crate::report::{ATaskStats, JobReport, OTaskStats, WireCounts};
-use crate::shuffle::{run_sender, Completion, SendCmd, SenderStats};
+use crate::shuffle::{frame, run_sender, send_held, Completion, SendCmd, SenderStats};
 use crate::DataMpiConfig;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use hdm_common::error::{HdmError, Result};
 use hdm_common::kv::{ComparatorRef, KeyGroups, KvPair, Values};
-use hdm_common::partition::PartitionerRef;
+use hdm_common::partition::{byte_ranges, one_range_each, PartitionerRef};
 use hdm_faults::{supervise, Site};
 use hdm_mpi::{Endpoint, World, WorldConfig};
 use hdm_obs::{Counter, Timer};
 use parking_lot::Mutex;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,11 +30,25 @@ pub struct OContext<'slot> {
     /// The executing slot's SPL, empty when the attempt starts.
     spl: &'slot mut SendPartitionList,
     queue: Sender<SendCmd>,
+    /// While the job's A tasks are not fixed, the task is off the wire:
+    /// its endpoint and the far end of its send queue wait here. The
+    /// first partition of the job to fill fixes one A task per partition
+    /// and puts the task on the wire (see [`Shape`]).
+    pending: Option<(Endpoint, Receiver<SendCmd>)>,
+    /// Where a task goes on the wire: the slot's comm thread.
+    slot_tx: &'slot Sender<(Endpoint, Receiver<SendCmd>)>,
+    shape: &'slot Shape,
+    /// Set once the endpoint went to the comm thread: only then has an
+    /// attempt anything on the wire to abort.
+    on_wire: &'slot AtomicBool,
     /// Payloads whose transmit completed, returned by the shuffle engine
     /// for buffer recycling (Section IV-C's reusable send blocks).
     recycle_rx: &'slot Receiver<Bytes>,
     partitioner: &'slot PartitionerRef,
     stats: OTaskStats,
+    /// Wire bytes sent per partition since the last
+    /// [`OContext::end_unit`].
+    unit_bytes: Vec<u64>,
     job_start: Instant,
     /// Injected-crash countdown for this attempt: `Some(0)` fails the
     /// next `send`. `None` (always, when fault injection is off) costs
@@ -63,7 +79,8 @@ impl OContext<'_> {
         self.rank
     }
 
-    /// Number of A tasks (`MPI_D_Comm_size(MPI_D_COMM_BIPARTITE_A)`).
+    /// Number of A partitions (`MPI_D_Comm_size(MPI_D_COMM_BIPARTITE_A)`
+    /// when every A task runs one).
     pub fn a_tasks(&self) -> usize {
         self.config.a_tasks
     }
@@ -99,18 +116,28 @@ impl OContext<'_> {
             *countdown -= 1;
         }
         let dst = self.partitioner.partition(key, self.config.a_tasks);
-        let wire = hdm_common::kv::wire_size(key, value) as u64;
-        self.stats.collect.record_kv(wire, self.job_start);
-        // Reclaim any payloads the shuffle engine finished sending so the
-        // next flush reuses their allocations instead of growing new ones.
-        // A declined offer (pool full or buffer still shared) is counted,
+        let wire = hdm_common::kv::wire_size(key, value);
+        self.stats.collect.record_kv(wire as u64, self.job_start);
+        if let Some(bytes) = self.unit_bytes.get_mut(dst) {
+            *bytes += wire as u64;
+        }
+        // Reclaim payloads the shuffle engine finished sending just before
+        // the SPL takes a buffer, so it reuses their allocations instead
+        // of growing new ones; the pair-by-pair path takes no lock. A
+        // declined offer (pool full or buffer still shared) is counted,
         // not silently discarded.
-        while let Ok(done) = self.recycle_rx.try_recv() {
-            if !self.spl.recycle(done) && self.config.obs.is_enabled() {
-                self.obs_recycle_drops.add(1);
+        if self.spl.takes_buffer(dst, wire) {
+            while let Ok(done) = self.recycle_rx.try_recv() {
+                if !self.spl.recycle(done) && self.config.obs.is_enabled() {
+                    self.obs_recycle_drops.add(1);
+                }
             }
         }
         if let Some(payload) = self.spl.push_slices(dst, key, value)? {
+            if self.pending.is_some() {
+                self.shape.fix_on_overflow(&self.config.obs);
+                self.go_on_wire()?;
+            }
             let wait_start = Instant::now();
             self.enqueue(dst, payload)?;
             let waited = wait_start.elapsed();
@@ -120,6 +147,34 @@ impl OContext<'_> {
             }
         }
         Ok(())
+    }
+
+    /// Close the input unit sent so far (a split, when a task reads
+    /// several) and start the next: the wire bytes it sent per partition.
+    pub fn end_unit(&mut self) -> Vec<u64> {
+        let fresh = vec![0; self.config.a_tasks];
+        std::mem::replace(&mut self.unit_bytes, fresh)
+    }
+
+    /// Hand the task's endpoint to the slot's comm thread, which runs the
+    /// shuffle engine on it from here on.
+    fn go_on_wire(&mut self) -> Result<()> {
+        let Some(pending) = self.pending.take() else {
+            return Ok(());
+        };
+        match self.slot_tx.send(pending) {
+            Ok(()) => {
+                self.on_wire.store(true, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(SendError(pending)) => {
+                self.pending = Some(pending);
+                Err(HdmError::DataMpi(format!(
+                    "O{}: comm thread gone",
+                    self.rank
+                )))
+            }
+        }
     }
 
     /// Hand one frozen partition to the shuffle engine's send queue.
@@ -145,13 +200,15 @@ impl OContext<'_> {
     }
 }
 
-/// The context handed to an A (aggregator) task: sorted key groups, the
-/// `MPI_D_recv` surface after the O phase completes.
+/// The context handed to an A (aggregator) task for one of its
+/// partitions: sorted key groups, the `MPI_D_recv` surface after the O
+/// phase completes.
 pub struct AContext {
     rank: usize,
     attempt: u32,
     wire: WireCounts,
     groups: KeyGroups,
+    ranges: Arc<[Range<usize>]>,
 }
 
 impl std::fmt::Debug for AContext {
@@ -163,7 +220,7 @@ impl std::fmt::Debug for AContext {
 }
 
 impl AContext {
-    /// This task's rank within the A communicator.
+    /// The partition this context holds.
     pub fn rank(&self) -> usize {
         self.rank
     }
@@ -173,10 +230,16 @@ impl AContext {
         self.attempt
     }
 
-    /// The messages this rank took off the wire before its groups were
-    /// merged, by kind.
+    /// The messages the A task took off the wire before its groups were
+    /// merged, by kind: counted in the context of its first partition,
+    /// zero in the others.
     pub fn wire(&self) -> WireCounts {
         self.wire
+    }
+
+    /// The partitions each A task of the job runs, in task order.
+    pub fn ranges(&self) -> &[Range<usize>] {
+        &self.ranges
     }
 
     /// Next `(key, values)` group in comparator order, or `None` at end —
@@ -192,7 +255,7 @@ impl AContext {
 pub struct JobOutcome<RO, RA> {
     /// Return values of the O tasks, rank order.
     pub o_results: Vec<RO>,
-    /// Return values of the A tasks, rank order.
+    /// Return values of the A function, partition order.
     pub a_results: Vec<RA>,
     /// Everything measured.
     pub report: JobReport,
@@ -200,27 +263,40 @@ pub struct JobOutcome<RO, RA> {
 
 /// Type of user O functions: `(o_rank, context) -> RO`.
 pub type OFn<RO> = Arc<dyn Fn(usize, &mut OContext<'_>) -> Result<RO> + Send + Sync>;
-/// Type of user A functions: `(a_rank, context) -> RA`.
+/// Type of user A functions: `(partition, context) -> RA`, called once
+/// per A partition.
 pub type AFn<RA> = Arc<dyn Fn(usize, &mut AContext) -> Result<RA> + Send + Sync>;
 
 /// Run a bipartite O→A job: the `mpidrun` analogue.
 ///
-/// Every A rank gets a thread for the life of the job (it has to drain
-/// its inbox throughout), while at most `config.o_slots` slots pull the
-/// O ranks in rank order and run each as a task: `2·W + A` threads serve
-/// the job however many splits it has. A task still talks through its
-/// own rank's endpoint, so the wire is what a thread per rank produces.
-/// An O task executes `o_fn` with an [`OContext`] whose `send` routes
-/// pairs through the SPL buffer manager and the configured shuffle
-/// engine; A ranks cache incoming partitions (spilling past the memory
-/// budget), and once every O task finalizes, merge-sort their data and
-/// execute `a_fn` over sorted key groups.
+/// At most `config.o_slots` slots pull the O ranks in rank order and run
+/// each as a task: `2·W` threads serve the O side however many splits
+/// it has. A task still talks through its own rank's endpoint, so the
+/// wire is what a thread per rank produces. An O task executes `o_fn`
+/// with an [`OContext`] whose `send` routes pairs through the SPL buffer
+/// manager and the configured shuffle engine; A tasks cache incoming
+/// partitions (spilling past the memory budget), and once every O task
+/// finalizes, merge-sort their data and execute `a_fn` over each
+/// partition's sorted key groups.
+///
+/// Which A task runs which of the `config.a_tasks` partitions is fixed
+/// once per job ([`Shape`]): at the start, one per partition, when
+/// `config.bytes_per_a_task` is `None`; else from the data. O tasks
+/// keep their output in the SPL, and a task that ends before anything
+/// filled a partition holds it off the wire. The first partition to
+/// fill fixes one A task per partition; if none fills before the last O
+/// task ends, the held bytes are cut into ranges of about
+/// `bytes_per_a_task` each. Either way the outcome depends only on the
+/// data. The A tasks are spawned once the ranges are fixed, each with a
+/// thread for the life of the job (it has to drain its inbox
+/// throughout), and the held outputs are sent then: one `DATA` per A
+/// task a held task wrote to.
 ///
 /// # Errors
 /// Returns the first task error in rank order, O before A (a panic in
 /// `o_fn` counts as one); the job still drains cleanly: every O task
 /// ends on the wire however it fails, and the last one to end sends the
-/// A ranks their `DONE`, so A tasks terminate.
+/// A tasks their `DONE`, so A tasks terminate.
 pub fn run_bipartite<RO, RA>(
     config: &DataMpiConfig,
     comparator: ComparatorRef,
@@ -255,7 +331,6 @@ where
             cancel: config.cancel.clone(),
         },
     )?;
-    let metrics = world.metrics();
     let job_start = Instant::now();
     let mut o_eps = world.into_endpoints();
     let a_eps = o_eps.split_off(o);
@@ -266,23 +341,25 @@ where
         job_start,
         ranks: Mutex::new(o_eps.into_iter()),
         completion: Completion::new(o, o, config.a_tasks),
+        shape: Shape::new(config),
     };
-    let (mut o_done, a_done) = std::thread::scope(|scope| {
-        let a_ranks: Vec<_> = a_eps
-            .into_iter()
-            .enumerate()
-            .map(|(a_rank, ep)| {
-                let (comparator, a_fn) = (&comparator, &a_fn);
-                scope.spawn(move || run_a_rank(a_rank, ep, config, comparator, a_fn))
-            })
-            .collect();
+    let (mut o_done, (a_done, held_sent, ranges)) = std::thread::scope(|scope| {
         let job = &job;
+        let (comparator, a_fn) = (&comparator, &a_fn);
+        let launcher = scope.spawn(move || launch_a_tasks(scope, job, a_eps, comparator, a_fn));
         let slots: Vec<_> = (0..config.o_slots.clamp(1, o))
             .map(|_| scope.spawn(move || run_o_slot(scope, job)))
             .collect();
-        let o_done: Vec<_> = slots.into_iter().flat_map(join_rank).collect();
-        let a_done: Vec<_> = a_ranks.into_iter().map(join_rank).collect();
-        (o_done, a_done)
+        let joined: Vec<_> = slots.into_iter().map(|slot| slot.join()).collect();
+        // Every O task has ended (or its slot died): whatever was not
+        // fixed yet is now, so the launcher never waits for a task that
+        // is gone.
+        job.shape.fix_at_end(&config.obs);
+        let launched = join_rank(launcher);
+        let o_done: Vec<_> = (joined.into_iter())
+            .flat_map(|slot| slot.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect();
+        (o_done, launched)
     });
     let elapsed = job_start.elapsed();
     o_done.sort_by_key(|(rank, _)| *rank);
@@ -292,14 +369,16 @@ where
         .into_iter()
         .collect::<Result<Vec<_>>>()?
         .into_iter()
+        .flatten()
         .unzip();
+    held_sent?;
     Ok(JobOutcome {
         o_results,
         a_results,
         report: JobReport {
             o_tasks: o_stats,
             a_tasks: a_stats,
-            link_bytes: metrics.byte_matrix(),
+            a_ranges: ranges.to_vec(),
             elapsed,
         },
     })
@@ -313,6 +392,202 @@ fn join_rank<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
         .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
+/// An O task that ended before the job's A tasks were fixed: its
+/// endpoint, and its output per partition, flushed from the SPL.
+struct Held {
+    ep: Endpoint,
+    parts: Vec<(usize, Bytes)>,
+    failed: bool,
+}
+
+/// Which A task runs which partitions: the one decision of a job that
+/// waits for data. O tasks report here as a partition fills
+/// ([`Shape::fix_on_overflow`]) and as they end ([`Shape::hold`]).
+struct Shape {
+    state: Mutex<ShapeState>,
+    /// The thread waiting in [`Shape::when_fixed`], unparked by `fix`.
+    launcher: Mutex<Option<std::thread::Thread>>,
+    partitions: usize,
+    bytes_per_a_task: u64,
+}
+
+struct ShapeState {
+    ranges: Option<Arc<[Range<usize>]>>,
+    /// O tasks that have not ended.
+    unended: usize,
+    held: Vec<Held>,
+}
+
+impl Shape {
+    fn new(config: &DataMpiConfig) -> Shape {
+        let partitions = config.a_tasks;
+        let fixed = config.bytes_per_a_task.is_none();
+        Shape {
+            state: Mutex::new(ShapeState {
+                ranges: fixed.then(|| one_range_each(partitions).into()),
+                unended: config.o_tasks,
+                held: Vec::new(),
+            }),
+            launcher: Mutex::new(None),
+            partitions,
+            bytes_per_a_task: config.bytes_per_a_task.unwrap_or(1),
+        }
+    }
+
+    fn is_fixed(&self) -> bool {
+        self.state.lock().ranges.is_some()
+    }
+
+    /// Fix `ranges` unless something already did; `by` names the rule.
+    fn fix(
+        &self,
+        state: &mut ShapeState,
+        ranges: Vec<Range<usize>>,
+        by: &str,
+        obs: &hdm_obs::ObsHandle,
+    ) {
+        if state.ranges.is_some() {
+            return;
+        }
+        obs.counter("shuffle.ranges", &format!("by={by}")).add(1);
+        state.ranges = Some(ranges.into());
+        if let Some(launcher) = &*self.launcher.lock() {
+            launcher.unpark();
+        }
+    }
+
+    /// A partition filled: one A task per partition, as when the data
+    /// is too large to merge any.
+    fn fix_on_overflow(&self, obs: &hdm_obs::ObsHandle) {
+        let ranges = one_range_each(self.partitions);
+        self.fix(&mut self.state.lock(), ranges, "overflow", obs);
+    }
+
+    /// Every O task ended without a partition filling: cut the held
+    /// bytes into ranges.
+    fn fix_at_end(&self, obs: &hdm_obs::ObsHandle) {
+        let mut state = self.state.lock();
+        let mut bytes = vec![0u64; self.partitions];
+        for (p, payload) in state.held.iter().flat_map(|h| &h.parts) {
+            if let Some(b) = bytes.get_mut(*p) {
+                *b += payload.len() as u64;
+            }
+        }
+        let ranges = byte_ranges(&bytes, self.bytes_per_a_task);
+        self.fix(&mut state, ranges, "end", obs);
+    }
+
+    /// An O task off the wire ends: hold its output for the A tasks,
+    /// fixing them if it is the last to end. Returns the task back if the
+    /// A tasks were fixed meanwhile — it goes on the wire itself.
+    fn hold(&self, held: Held, obs: &hdm_obs::ObsHandle) -> Option<Held> {
+        let mut state = self.state.lock();
+        if state.ranges.is_some() {
+            return Some(held);
+        }
+        state.held.push(held);
+        state.unended = state.unended.saturating_sub(1);
+        let last = state.unended == 0;
+        drop(state);
+        if last {
+            self.fix_at_end(obs);
+        }
+        None
+    }
+
+    /// The ranges and the held tasks, in rank order, once fixed. Ends:
+    /// the last O task to end fixes them, and so does the job once every
+    /// slot has returned, however its tasks went.
+    fn when_fixed(&self) -> (Arc<[Range<usize>]>, Vec<Held>) {
+        *self.launcher.lock() = Some(std::thread::current());
+        loop {
+            let mut state = self.state.lock();
+            if let Some(ranges) = &state.ranges {
+                let ranges = Arc::clone(ranges);
+                let mut held = std::mem::take(&mut state.held);
+                held.sort_by_key(|h| h.ep.rank());
+                return (ranges, held);
+            }
+            drop(state);
+            // `fix` unparks this thread once the ranges are set (an
+            // unpark that comes first makes the park return at once);
+            // the timeout only bounds a re-check.
+            std::thread::park_timeout(std::time::Duration::from_millis(100));
+        }
+    }
+}
+
+/// What the A side of a job returned: per A task its partitions' stats
+/// and results, the outcome of sending the held O outputs, and the
+/// ranges.
+type Launched<RA> = (
+    Vec<Result<Vec<(ATaskStats, RA)>>>,
+    Result<()>,
+    Arc<[Range<usize>]>,
+);
+
+/// Once the ranges are fixed: spawn one A task per range (the A
+/// endpoints past the last range stay unused), then send every held O
+/// task's output and end it on the wire.
+fn launch_a_tasks<'scope, RO, RA: Send>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    job: &'scope OJob<'_, RO>,
+    a_eps: Vec<Endpoint>,
+    comparator: &'scope ComparatorRef,
+    a_fn: &'scope AFn<RA>,
+) -> Launched<RA> {
+    let (ranges, held) = job.shape.when_fixed();
+    let config = job.config;
+    job.completion.fix_a_tasks(ranges.len());
+    let a_tasks: Vec<_> = (ranges.iter().cloned().zip(a_eps).enumerate())
+        .map(|(task, (range, ep))| {
+            let ranges = Arc::clone(&ranges);
+            scope.spawn(move || run_a_task(task, range, ep, ranges, config, comparator, a_fn))
+        })
+        .collect();
+    let mut sent = Ok(());
+    for Held {
+        mut ep,
+        parts,
+        failed,
+    } in held
+    {
+        let res = send_held(
+            config.shuffle_style,
+            &mut ep,
+            messages(parts, &ranges),
+            &job.completion,
+        );
+        if failed || res.is_err() {
+            ep.poison();
+        }
+        let ended = job.completion.task_ended(&mut ep);
+        if ended.is_err() {
+            ep.poison();
+        }
+        sent = sent.and(res).and(ended);
+    }
+    let a_done = a_tasks.into_iter().map(join_rank).collect();
+    (a_done, sent, ranges)
+}
+
+/// A held task's output as one message per A task it wrote to.
+fn messages(parts: Vec<(usize, Bytes)>, ranges: &[Range<usize>]) -> Vec<(usize, Bytes)> {
+    let mut out = Vec::new();
+    for (task, range) in ranges.iter().enumerate() {
+        let mine: Vec<(usize, Bytes)> = (parts.iter())
+            .filter(|(p, _)| range.contains(p))
+            .map(|(p, payload)| (p - range.start, payload.clone()))
+            .collect();
+        match mine.as_slice() {
+            [] => {}
+            [(_, payload)] if range.len() == 1 => out.push((task, payload.clone())),
+            _ => out.push((task, frame(&mine))),
+        }
+    }
+    out
+}
+
 /// What every O slot of one job shares.
 struct OJob<'a, RO> {
     config: &'a DataMpiConfig,
@@ -323,6 +598,7 @@ struct OJob<'a, RO> {
     ranks: Mutex<std::vec::IntoIter<Endpoint>>,
     /// End-of-stream bookkeeping every O task reports to.
     completion: Completion,
+    shape: Shape,
 }
 
 /// What a slot owns for the life of the job, where a thread per rank set
@@ -415,11 +691,7 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
     // The send block queue is the task's own: an engine that dies drops
     // the receiving end, and the next `send` sees it at once.
     let (tx, rx) = bounded(config.send_queue_len.max(1));
-    if let Err(SendError((mut ep, _))) = slot.task_tx.send((ep, rx)) {
-        let gone = Err(HdmError::DataMpi(format!("O{rank}: comm thread gone")));
-        return end_task(&mut ep, &job.completion, gone);
-    }
-
+    let on_wire = AtomicBool::new(false);
     let faults = &config.faults;
     // One context for the task's life; each attempt replays the split
     // through it from a clean start. Idempotence comes from the A side
@@ -429,9 +701,14 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
         config,
         spl: &mut slot.spl,
         queue: tx.clone(),
+        pending: Some((ep, rx)),
+        slot_tx: &slot.task_tx,
+        shape: &job.shape,
+        on_wire: &on_wire,
         recycle_rx: &slot.recycle_rx,
         partitioner: job.partitioner,
         stats: OTaskStats::new(rank),
+        unit_bytes: vec![0; config.a_tasks],
         job_start: job.job_start,
         crash_countdown: None,
         obs_flushes: obs.counter("spl.flushes", &label),
@@ -439,6 +716,15 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
         obs_queue_wait: obs.timer("spl.queue.wait.us", &label, hdm_obs::TIMER_US_BUCKET),
         obs_recycle_drops: obs.counter("spl.recycle.drops", &label),
     };
+    // The A tasks are known: on the wire from the start.
+    if job.shape.is_fixed() {
+        if let Err(e) = ctx.go_on_wire() {
+            let Some((mut ep, _)) = ctx.pending.take() else {
+                return Err(e);
+            };
+            return end_task(&mut ep, &job.completion, Err(e));
+        }
+    }
     let user = supervise(
         faults,
         &config.recovery,
@@ -447,12 +733,14 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
         rank,
         // Roll the attempt: A tasks discard its partial stream. A failed
         // send means the shuffle engine died, so retrying is pointless.
-        Some(&mut || tx.send(SendCmd::Abort).is_ok()),
+        // An attempt that never went on the wire has nothing to discard.
+        Some(&mut || !on_wire.load(Ordering::Relaxed) || tx.send(SendCmd::Abort).is_ok()),
         |attempt, _| {
             // Empty SPL buffers (whatever the slot's last attempt left is
             // dropped), fresh stats, its own crash countdown.
             drop(ctx.spl.flush());
             ctx.stats = OTaskStats::new(rank);
+            ctx.unit_bytes.iter_mut().for_each(|b| *b = 0);
             ctx.crash_countdown = faults.crash_after(Site::OTask, rank, attempt);
             // A panicking O function must not take its slot down: the
             // ranks the slot would have pulled next would never end, and
@@ -465,12 +753,44 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
             })
         },
     );
-    // Final outcome. On success (or with fault tolerance off, where the
-    // contract is "flush and commit even on error"), flush buffered
-    // partitions; an exhausted failed task instead aborts so A tasks drop
-    // the partial attempt rather than aggregate half a split.
-    let flush = if user.is_ok() || !faults.is_enabled() {
-        ctx.flush()
+    // On success (or with fault tolerance off, where the contract is
+    // "flush and commit even on error"), the buffered partitions are
+    // sent; an exhausted failed task instead aborts so A tasks drop the
+    // partial attempt rather than aggregate half a split.
+    let send_output = user.is_ok() || !faults.is_enabled();
+    let mut requeued = Ok(());
+    if let Some((ep, rx)) = ctx.pending.take() {
+        // Still off the wire: hold the output until the A tasks are fixed.
+        let parts = ctx.spl.flush();
+        let parts = if send_output { parts } else { Vec::new() };
+        let bytes = parts.iter().map(|(_, p)| p.len() as u64).sum::<u64>();
+        let held = Held {
+            ep,
+            parts,
+            failed: user.is_err(),
+        };
+        let Some(held) = job.shape.hold(held, obs) else {
+            let mut stats = ctx.stats;
+            stats.bytes += bytes;
+            stats.elapsed = task_start.elapsed();
+            return user.map(|value| (stats, value));
+        };
+        // Fixed while this task ended: one A task per partition, and
+        // the task goes on the wire itself.
+        ctx.pending = Some((held.ep, rx));
+        if let Err(e) = ctx.go_on_wire() {
+            let Some((mut ep, _)) = ctx.pending.take() else {
+                return Err(e);
+            };
+            return end_task(&mut ep, &job.completion, Err(e));
+        }
+        // A failure here is the engine's: it is reported below, after
+        // the engine has answered for the task.
+        requeued =
+            (held.parts.into_iter()).try_for_each(|(dst, payload)| ctx.enqueue(dst, payload));
+    }
+    let flush = if send_output {
+        requeued.and_then(|()| ctx.flush())
     } else {
         // The abort only fails if the shuffle engine is already gone —
         // the split is being dropped either way, but the drop must not
@@ -498,18 +818,23 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
     Ok((stats, value))
 }
 
-fn run_a_rank<RA>(
-    a_rank: usize,
+/// One A task: receive its partitions' data until the `DONE`, then run
+/// the A function over each partition in order, each with its own
+/// attempts.
+fn run_a_task<RA>(
+    task: usize,
+    range: Range<usize>,
     mut ep: Endpoint,
+    ranges: Arc<[Range<usize>]>,
     config: &DataMpiConfig,
     comparator: &ComparatorRef,
     a_fn: &AFn<RA>,
-) -> Result<(ATaskStats, RA)> {
+) -> Result<Vec<(ATaskStats, RA)>> {
     let task_start = Instant::now();
-    let mut stats = ATaskStats::new(a_rank);
-    let track = format!("A{a_rank}");
+    let mut stats: Vec<ATaskStats> = range.clone().map(ATaskStats::new).collect();
+    let track = format!("A{task}");
     let _task_span = config.obs.span(&track, "task", "a-task");
-    let groups: Result<KeyGroups> = run_receiver(
+    let groups = run_receiver(
         &mut ep,
         config.o_tasks,
         config.shuffle_style,
@@ -519,54 +844,58 @@ fn run_a_rank<RA>(
         &config.faults,
         &config.obs,
     );
-    let result = match groups {
+    let groups = match groups {
         Err(e) => {
             // Receive failures are not task-recoverable (the stream is
             // gone); poison so O senders blocked on our acks fail fast.
             ep.poison();
-            Err(e)
+            return Err(e);
         }
-        Ok(groups) => run_a_attempts(a_rank, groups, stats.wire, config, a_fn),
+        Ok(groups) => groups,
     };
-    stats.elapsed = task_start.elapsed();
-    result.map(|value| (stats, value))
+    let mut out = Vec::with_capacity(stats.len());
+    for (groups, mut stats) in groups.into_iter().zip(stats) {
+        let ctx = AContext {
+            rank: stats.rank,
+            attempt: 0,
+            wire: stats.wire,
+            groups,
+            ranges: Arc::clone(&ranges),
+        };
+        let value = run_a_attempts(ctx, config, a_fn)?;
+        stats.elapsed = task_start.elapsed();
+        out.push((stats, value));
+    }
+    Ok(out)
 }
 
-/// Re-executes the user A function over the (already received and
-/// merged) key groups. The merged input is the replay source —
-/// receiving it again is never needed, so A recovery is purely local,
-/// and a replay reads the same groups again from the first.
-fn run_a_attempts<RA>(
-    a_rank: usize,
-    groups: KeyGroups,
-    wire: WireCounts,
-    config: &DataMpiConfig,
-    a_fn: &AFn<RA>,
-) -> Result<RA> {
+/// Re-executes the user A function over one partition's (already
+/// received and merged) key groups. The merged input is the replay
+/// source — receiving it again is never needed, so A recovery is purely
+/// local, and a replay reads the same groups again from the first.
+fn run_a_attempts<RA>(mut ctx: AContext, config: &DataMpiConfig, a_fn: &AFn<RA>) -> Result<RA> {
     let faults = &config.faults;
-    let mut ctx = AContext {
-        rank: a_rank,
-        attempt: 0,
-        wire,
-        groups,
-    };
+    let partition = ctx.rank;
     supervise(
         faults,
         &config.recovery,
         &config.cancel,
         Site::ATask,
-        a_rank,
+        partition,
         None,
         |attempt, _| {
-            if faults.crash_after(Site::ATask, a_rank, attempt).is_some() {
+            if faults
+                .crash_after(Site::ATask, partition, attempt)
+                .is_some()
+            {
                 faults.note_injected(Site::ATask);
                 return Err(HdmError::RankFailed(format!(
-                    "A{a_rank}: injected crash before aggregation"
+                    "A{partition}: injected crash before aggregation"
                 )));
             }
             ctx.attempt = attempt;
             ctx.groups.rewind();
-            a_fn(a_rank, &mut ctx)
+            a_fn(partition, &mut ctx)
         },
     )
 }
@@ -1308,6 +1637,7 @@ mod tests {
             job_start: Instant::now(),
             ranks: Mutex::new(Vec::new().into_iter()),
             completion: Completion::new(1, 1, 2),
+            shape: Shape::new(&config),
         };
         let (task_tx, _) = bounded(1);
         let (_, recycle_rx) = bounded(1);
@@ -1327,6 +1657,96 @@ mod tests {
             assert_eq!(done.tag, crate::shuffle::tags::DONE);
             assert_eq!(crate::shuffle::read_count(&done.payload), Some(0));
         }
+    }
+
+    /// Counters named `name` in `obs`, summed over their labels
+    /// `label`.
+    fn counter(obs: &hdm_obs::ObsHandle, name: &str, label: &str) -> u64 {
+        let snap = obs.snapshot();
+        let hits = snap.counters.iter();
+        let hits = hits.filter(|(n, l, _)| n == name && l == label);
+        hits.map(|(_, _, v)| v).sum()
+    }
+
+    #[test]
+    fn held_outputs_go_out_as_one_data_per_a_task_once_the_ranges_are_fixed() {
+        for style in [ShuffleStyle::NonBlocking, ShuffleStyle::Blocking] {
+            // 6 O tasks, each writing partitions 0..4 (and O5 only 0):
+            // nothing fills a send partition, so everything is held.
+            let run = |per_task: u64| {
+                let obs = hdm_obs::ObsHandle::enabled_with_stride(1);
+                let config = DataMpiConfig {
+                    bytes_per_a_task: Some(per_task),
+                    shuffle_style: style,
+                    send_partition_bytes: 1 << 20,
+                    obs: obs.clone(),
+                    ..base_config(6, 4)
+                };
+                let outcome = run_bipartite(
+                    &config,
+                    Arc::new(BytesComparator),
+                    Arc::new(ByFirstByte),
+                    Arc::new(|rank, ctx: &mut OContext| {
+                        let parts = if rank == 5 { 1 } else { 4 };
+                        for a in 0..parts {
+                            for i in 0..3u8 {
+                                ctx.send(KvPair::new(vec![a, i], vec![rank as u8]))?;
+                            }
+                        }
+                        Ok(())
+                    }),
+                    Arc::new(|_, ctx: &mut AContext| Ok(owned_groups(ctx))),
+                )
+                .unwrap();
+                assert_eq!(counter(&obs, "shuffle.ranges", "by=end"), 1, "{style:?}");
+                assert_eq!(counter(&obs, "shuffle.ranges", "by=overflow"), 0);
+                outcome
+            };
+            let one = run(u64::MAX);
+            assert_eq!(one.report.a_ranges, vec![0..4]);
+            // One DATA and one COMMIT per O task, one DONE.
+            let wire = one.report.wire();
+            assert_eq!((wire.data, wire.commit, wire.done), (6, 6, 1), "{style:?}");
+            let each = run(1);
+            assert_eq!(each.report.a_ranges, vec![0..1, 1..2, 2..3, 3..4]);
+            let wire = each.report.wire();
+            assert_eq!(
+                (wire.data, wire.commit, wire.done),
+                (21, 21, 4),
+                "{style:?}"
+            );
+            // Either way, each partition's groups are the same.
+            assert_eq!(one.a_results, each.a_results);
+            assert!(one.a_results.iter().all(|groups| groups.len() == 3));
+        }
+    }
+
+    #[test]
+    fn a_filling_partition_fixes_one_a_task_per_partition() {
+        let obs = hdm_obs::ObsHandle::enabled_with_stride(1);
+        let config = DataMpiConfig {
+            bytes_per_a_task: Some(u64::MAX),
+            send_partition_bytes: 32,
+            obs: obs.clone(),
+            ..base_config(5, 3)
+        };
+        let outcome = run_bipartite(
+            &config,
+            Arc::new(BytesComparator),
+            Arc::new(HashPartitioner),
+            Arc::new(|rank, ctx: &mut OContext| {
+                for i in 0..40u8 {
+                    ctx.send(KvPair::new(vec![i % 7], vec![rank as u8, i]))?;
+                }
+                Ok(())
+            }),
+            Arc::new(|_, ctx: &mut AContext| Ok(owned_groups(ctx).len())),
+        )
+        .unwrap();
+        assert_eq!(counter(&obs, "shuffle.ranges", "by=overflow"), 1);
+        assert_eq!(outcome.report.a_ranges, vec![0..1, 1..2, 2..3]);
+        assert_eq!(outcome.a_results.iter().sum::<usize>(), 7);
+        assert_eq!(outcome.report.total_records_received(), 200);
     }
 
     #[test]

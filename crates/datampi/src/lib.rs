@@ -13,12 +13,15 @@
 //!
 //! * [`run_bipartite`] — the `mpidrun` analogue: builds `o + a` ranks on
 //!   an [`hdm_mpi::World`], runs the user's O function for ranks `0..o`
-//!   on a bounded set of execution slots and the A function on resident
-//!   threads for ranks `o..o+a`. Per the paper's scheduling
-//!   policy, user A code runs only after every O task finalizes, but the
-//!   A *processes* run receive threads the whole time, caching
-//!   intermediate data in memory as it arrives ("DataMPI can cache most
-//!   of the intermediate data in memory by default").
+//!   on a bounded set of execution slots and the A function, once per
+//!   partition, on resident A-task threads. Which A task runs which
+//!   partitions is fixed from the data: one per partition as soon as an
+//!   O task fills a send partition, else contiguous ranges cut from the
+//!   held bytes when the last O task ends. Per the paper's scheduling
+//!   policy, user A code runs only after every O task finalizes, but
+//!   once spawned the A *processes* run receive threads the whole time,
+//!   caching intermediate data in memory as it arrives ("DataMPI can
+//!   cache most of the intermediate data in memory by default").
 //! * [`buffer::SendPartitionList`] — the buffer manager's SPL: one
 //!   partition buffer per A task holding raw KV bytes plus
 //!   meta-information (buffer usage, pair count); full
@@ -34,9 +37,9 @@
 //!   sorted runs beyond it, and on O-completion merge everything into
 //!   sorted key groups for the A function.
 //! * [`report::JobReport`] — per-task measurements (records, bytes,
-//!   send-op time sequences, KV-size histograms, spills, per-link byte
-//!   matrix) that the discrete-event cluster model converts into
-//!   paper-scale timelines.
+//!   send-op time sequences, KV-size histograms, spills, the A tasks'
+//!   partition ranges) that the discrete-event cluster model converts
+//!   into paper-scale timelines.
 //!
 //! # Example: word-count-shaped aggregation
 //!
@@ -108,12 +111,20 @@ impl ShuffleStyle {
 pub struct DataMpiConfig {
     /// Number of O (operator/mapper) tasks.
     pub o_tasks: usize,
-    /// Number of A (aggregator/reducer) tasks.
+    /// Number of A (aggregator/reducer) partitions: the partitioner's
+    /// `n`, and one A-function call each.
     pub a_tasks: usize,
+    /// How many A *tasks* run the partitions. `None`: one per partition,
+    /// fixed before the job starts. `Some(b)`: measured — one per
+    /// partition as soon as an O task fills a send partition, else, once
+    /// the last O task ends, contiguous ranges of about `b` held bytes
+    /// ([`hdm_common::partition::byte_ranges`]).
+    pub bytes_per_a_task: Option<u64>,
     /// O execution slots: at most this many O tasks run at once, pulled
     /// in rank order; each slot is a compute thread plus the comm thread
-    /// running its shuffle engine. A ranks are always resident, so a job
-    /// runs on `2 * o_slots + a_tasks` threads whatever `o_tasks` is.
+    /// running its shuffle engine. A tasks are resident once spawned, so
+    /// a job runs on at most `2 * o_slots + a_tasks + 1` threads (the
+    /// one spawns the A tasks) whatever `o_tasks` is.
     pub o_slots: usize,
     /// Shuffle engine style.
     pub shuffle_style: ShuffleStyle,
@@ -150,6 +161,7 @@ impl Default for DataMpiConfig {
         DataMpiConfig {
             o_tasks: 4,
             a_tasks: 4,
+            bytes_per_a_task: None,
             o_slots: hdm_common::conf::DEFAULT_LOCAL_THREADS,
             shuffle_style: ShuffleStyle::NonBlocking,
             send_partition_bytes: 64 * 1024,

@@ -12,8 +12,8 @@
 //! [`crate::shuffle::Completion`]), the runs and the live cache are
 //! merged into sorted key groups for the A function.
 
-use crate::report::ATaskStats;
-use crate::shuffle::{read_count, tags};
+use crate::report::{ATaskStats, WireCounts};
+use crate::shuffle::{read_count, segments, tags};
 use crate::ShuffleStyle;
 use bytes::Bytes;
 use hdm_common::error::{HdmError, Result};
@@ -23,27 +23,38 @@ use hdm_mpi::Endpoint;
 use std::time::Instant;
 
 /// Per-O-source staging used when fault tolerance is enabled. A source's
-/// pairs are committed to the shared cache only once its `COMMIT` proves
+/// pairs are committed to the shared caches only once its `COMMIT` proves
 /// the attempt's stream arrived complete; an ABORT (or a higher-attempt
 /// replay) discards the staged partials of the aborted attempt, and so
 /// does the end of the job for a source that never committed here. Each
 /// message is indexed as it arrives, so a corrupt one fails at once.
 #[derive(Default)]
 struct StagedSrc {
-    pairs: ReduceInput,
-    bytes: u64,
+    /// Per partition of the task: the staged pairs and their bytes.
+    parts: Vec<(ReduceInput, u64)>,
     msgs: u32,
     attempt: u32,
 }
 
-/// The in-memory cache: every admitted pair, indexed in the payload it
-/// arrived in, with its provenance — `(source O rank, position in that
-/// source's stream)`. The provenance breaks comparator ties in the spill
-/// sorts and the final merge, making the merged order a pure function
-/// of what each O task sent: MPI arrival interleaving across sources
-/// must never reorder a key's values, or float aggregation accumulates
-/// in a different order on every run and results drift at the ULP level
-/// between runs (and between scheduler modes).
+impl StagedSrc {
+    fn attempt(attempt: u32, partitions: usize) -> StagedSrc {
+        StagedSrc {
+            parts: (0..partitions).map(|_| Default::default()).collect(),
+            msgs: 0,
+            attempt,
+        }
+    }
+}
+
+/// The in-memory cache of one partition: every admitted pair, indexed
+/// in the payload it arrived in, with its provenance — `(source O rank,
+/// position in that source's stream)`. The provenance breaks comparator
+/// ties in the spill sorts and the final merge, making the merged order
+/// a pure function of what each O task sent: MPI arrival interleaving
+/// across sources must never reorder a key's values, or float
+/// aggregation accumulates in a different order on every run and
+/// results drift at the ULP level between runs (and between scheduler
+/// modes).
 struct Cache<'c> {
     input: ReduceInput,
     /// Payload bytes admitted since the last spill.
@@ -62,7 +73,7 @@ impl Cache<'_> {
         })
     }
 
-    /// Admit one DATA payload of `src`.
+    /// Admit one DATA segment of `src`.
     fn admit_payload(
         &mut self,
         src: usize,
@@ -79,13 +90,13 @@ impl Cache<'_> {
     fn admit_staged(
         &mut self,
         src: usize,
-        staged: StagedSrc,
+        (pairs, bytes): (ReduceInput, u64),
         stats: &mut ATaskStats,
     ) -> Result<bool> {
         let seq = self.seq(src, stats.rank)?;
-        let pairs = staged.pairs.len() as u64;
-        self.input.append(staged.pairs, seq)?;
-        Ok(self.admitted(src, pairs, staged.bytes, stats))
+        let n = pairs.len() as u64;
+        self.input.append(pairs, seq)?;
+        Ok(self.admitted(src, n, bytes, stats))
     }
 
     /// Account for `src`'s `pairs` (`bytes` of payload) just admitted;
@@ -108,7 +119,15 @@ impl Cache<'_> {
     }
 }
 
-/// Receive until the `DONE`, then merge into key groups.
+/// Receive until the `DONE`, then merge each partition of the task into
+/// its key groups.
+///
+/// `stats` has one entry per partition the A task runs, in order; each
+/// partition has its own cache, budget and provenance, so a partition's
+/// groups, spills and counts are what an A task of it alone would have.
+/// A task of several partitions is sent [`crate::shuffle::frame`]d
+/// payloads; the messages it took off the wire are counted in
+/// `stats[0]`.
 ///
 /// When `faults` is enabled, incoming data is staged per source and
 /// committed on `COMMIT`; the commit's message count is checked against
@@ -126,49 +145,53 @@ pub fn run_receiver(
     style: ShuffleStyle,
     mem_budget_bytes: usize,
     comparator: &ComparatorRef,
-    stats: &mut ATaskStats,
+    stats: &mut [ATaskStats],
     faults: &FaultPlan,
     obs: &hdm_obs::ObsHandle,
-) -> Result<KeyGroups> {
+) -> Result<Vec<KeyGroups>> {
     let start = Instant::now();
     let ft = faults.is_enabled();
+    let partitions = stats.len();
+    let rank = stats.first().map_or(0, |s| s.rank);
     let mut staged: Vec<StagedSrc> = Vec::new();
     if ft {
-        staged.resize_with(o_tasks, StagedSrc::default);
+        staged.resize_with(o_tasks, || StagedSrc::attempt(0, partitions));
     }
     // Buffer-manager probe handles, fetched once: cache occupancy gauge
     // plus stride-sampled counter points for the resource trace.
-    let track = format!("A{}", stats.rank);
-    let label = format!("rank={}", stats.rank);
+    let track = format!("A{rank}");
+    let label = format!("rank={rank}");
     let obs_cache = obs.gauge("a.cache.bytes", &label);
     let obs_spills = obs.counter("a.spills", &label);
     let recv_span = obs.span(&track, "phase", "receive");
     let mut msgs = 0u64;
-    let mut cache = Cache {
-        input: ReduceInput::default(),
-        bytes: 0,
-        seqs: vec![0; o_tasks],
-        budget: mem_budget_bytes as u64,
-        comparator: &**comparator,
-    };
-    let observe = |cache: &Cache<'_>, spilled| {
+    let mut caches: Vec<Cache<'_>> = (0..partitions)
+        .map(|_| Cache {
+            input: ReduceInput::default(),
+            bytes: 0,
+            seqs: vec![0; o_tasks],
+            budget: mem_budget_bytes as u64,
+            comparator: &**comparator,
+        })
+        .collect();
+    let observe = |caches: &[Cache<'_>], spilled| {
         if obs.is_enabled() {
-            obs_cache.set(cache.bytes as i64);
+            obs_cache.set(caches.iter().map(|c| c.bytes).sum::<u64>() as i64);
             if spilled {
                 obs_spills.add(1);
             }
         }
     };
+    let mut wire = WireCounts::default();
     let mut commits = 0u32;
     let expected_commits = loop {
         let msg = ep.recv(None, None).map_err(|e| {
             HdmError::DataMpi(format!(
-                "A{} receive failed: {e} (the O side never sent DONE?)",
-                stats.rank
+                "A{rank} receive failed: {e} (the O side never sent DONE?)"
             ))
         })?;
         let (base, attempt) = tags::split(msg.tag);
-        stats.wire.count(base);
+        wire.count(base);
         let src = msg.src;
         match base {
             tags::DATA if ft => {
@@ -179,8 +202,7 @@ pub fn run_receiver(
                 }
                 let Some(slot) = staged.get_mut(src) else {
                     return Err(HdmError::DataMpi(format!(
-                        "A{} received DATA from unexpected rank {src}",
-                        stats.rank
+                        "A{rank} received DATA from unexpected rank {src}"
                     )));
                 };
                 if attempt < slot.attempt {
@@ -190,26 +212,34 @@ pub fn run_receiver(
                     // First message of a replay whose ABORT we have not
                     // seen (it may have been dropped): discard the
                     // aborted attempt's partials.
-                    *slot = StagedSrc {
-                        attempt,
-                        ..StagedSrc::default()
-                    };
+                    *slot = StagedSrc::attempt(attempt, partitions);
                 }
-                let (seq, bytes) = (slot.pairs.len() as u64, msg.payload.len() as u64);
-                slot.pairs.push(src, seq, msg.payload, &**comparator)?;
-                slot.bytes += bytes;
+                let mut staged_bytes = 0;
+                for (p, segment) in segments(msg.payload, partitions)? {
+                    if let Some((pairs, bytes)) = slot.parts.get_mut(p) {
+                        *bytes += segment.len() as u64;
+                        pairs.push(src, pairs.len() as u64, segment, &**comparator)?;
+                        staged_bytes += *bytes;
+                    }
+                }
                 slot.msgs += 1;
                 msgs += 1;
                 if obs.is_enabled() && obs.should_sample(msgs) {
-                    obs.sample(&track, "staged_bytes", slot.bytes);
+                    obs.sample(&track, "staged_bytes", staged_bytes);
                 }
             }
             tags::DATA => {
-                let spilled = cache.admit_payload(src, msg.payload, stats)?;
-                observe(&cache, spilled);
+                let mut spilled = false;
+                for (p, segment) in segments(msg.payload, partitions)? {
+                    if let (Some(cache), Some(st)) = (caches.get_mut(p), stats.get_mut(p)) {
+                        spilled |= cache.admit_payload(src, segment, st)?;
+                    }
+                }
+                observe(&caches, spilled);
                 msgs += 1;
                 if obs.should_sample(msgs) {
-                    obs.sample(&track, "cache_bytes", cache.bytes);
+                    let bytes = caches.iter().map(|c| c.bytes).sum();
+                    obs.sample(&track, "cache_bytes", bytes);
                 }
                 if style == ShuffleStyle::Blocking {
                     ep.send(src, tags::ACK, Bytes::new())?;
@@ -218,29 +248,23 @@ pub fn run_receiver(
             tags::ABORT if ft => {
                 let Some(slot) = staged.get_mut(src) else {
                     return Err(HdmError::DataMpi(format!(
-                        "A{} received ABORT from unexpected rank {src}",
-                        stats.rank
+                        "A{rank} received ABORT from unexpected rank {src}"
                     )));
                 };
                 if attempt >= slot.attempt {
-                    *slot = StagedSrc {
-                        attempt: attempt + 1,
-                        ..StagedSrc::default()
-                    };
+                    *slot = StagedSrc::attempt(attempt + 1, partitions);
                     faults.note_detected(Site::OTask);
                 }
             }
             tags::COMMIT if ft => {
                 let expected = read_count(&msg.payload).ok_or_else(|| {
                     HdmError::DataMpi(format!(
-                        "A{} received COMMIT from O{src} without a message count",
-                        stats.rank
+                        "A{rank} received COMMIT from O{src} without a message count"
                     ))
                 })?;
                 let Some(slot) = staged.get_mut(src) else {
                     return Err(HdmError::DataMpi(format!(
-                        "A{} received COMMIT from unexpected rank {src}",
-                        stats.rank
+                        "A{rank} received COMMIT from unexpected rank {src}"
                     )));
                 };
                 // Only a task's final attempt commits, and only where it
@@ -253,28 +277,28 @@ pub fn run_receiver(
                         0
                     };
                     return Err(HdmError::DataMpi(format!(
-                        "A{} detected dropped message(s) from O{src}: got {got} of {expected} \
-                         DATA messages (attempt {attempt})",
-                        stats.rank
+                        "A{rank} detected dropped message(s) from O{src}: got {got} of {expected} \
+                         DATA messages (attempt {attempt})"
                     )));
                 }
-                let spilled = cache.admit_staged(src, std::mem::take(slot), stats)?;
-                observe(&cache, spilled);
+                let done = std::mem::replace(slot, StagedSrc::attempt(0, partitions));
+                let mut spilled = false;
+                for ((part, cache), st) in done.parts.into_iter().zip(&mut caches).zip(&mut *stats)
+                {
+                    spilled |= cache.admit_staged(src, part, st)?;
+                }
+                observe(&caches, spilled);
                 commits += 1;
             }
             tags::COMMIT => commits += 1,
             tags::DONE => {
                 break read_count(&msg.payload).ok_or_else(|| {
-                    HdmError::DataMpi(format!(
-                        "A{} received DONE without a commit count",
-                        stats.rank
-                    ))
+                    HdmError::DataMpi(format!("A{rank} received DONE without a commit count"))
                 })?;
             }
             other => {
                 return Err(HdmError::DataMpi(format!(
-                    "A{} received unexpected tag {other:?}",
-                    stats.rank
+                    "A{rank} received unexpected tag {other:?}"
                 )))
             }
         }
@@ -284,21 +308,31 @@ pub fn run_receiver(
     if commits != expected_commits {
         faults.note_detected(Site::MpiSend);
         return Err(HdmError::DataMpi(format!(
-            "A{} detected dropped commit(s): got {commits} of {expected_commits}",
-            stats.rank
+            "A{rank} detected dropped commit(s): got {commits} of {expected_commits}"
         )));
     }
-    stats.receive_elapsed = start.elapsed();
     drop(recv_span);
-
-    // Final merge: spill runs + live cache, globally sorted, grouped.
-    let _merge_span = obs.span(&track, "phase", "merge");
-    let groups = cache.input.into_groups(&**comparator);
-    stats.groups = groups.len() as u64;
-    if obs.is_enabled() {
-        obs.counter("a.groups", &label).add(stats.groups);
+    if let Some(first) = stats.first_mut() {
+        first.wire = wire;
     }
-    Ok(groups)
+    for st in stats.iter_mut() {
+        st.receive_elapsed = start.elapsed();
+    }
+
+    // Final merge, per partition: spill runs + live cache, globally
+    // sorted, grouped.
+    let _merge_span = obs.span(&track, "phase", "merge");
+    let mut out = Vec::with_capacity(partitions);
+    for (cache, st) in caches.into_iter().zip(stats.iter_mut()) {
+        let groups = cache.input.into_groups(&**comparator);
+        st.groups = groups.len() as u64;
+        if obs.is_enabled() {
+            obs.counter("a.groups", &format!("rank={}", st.rank))
+                .add(st.groups);
+        }
+        out.push(groups);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -380,8 +414,8 @@ mod tests {
         } else {
             FaultPlan::disabled()
         };
-        let mut stats = ATaskStats::new(0);
-        let groups = run_receiver(
+        let mut stats = [ATaskStats::new(0)];
+        let mut groups = run_receiver(
             &mut a,
             o,
             ShuffleStyle::NonBlocking,
@@ -392,7 +426,8 @@ mod tests {
             &hdm_obs::ObsHandle::default(),
         )
         .unwrap();
-        (owned(groups), stats)
+        let [stats] = stats;
+        (owned(groups.remove(0)), stats)
     }
 
     fn data(pairs: &[(&[u8], &[u8])]) -> Sent {
@@ -474,7 +509,7 @@ mod tests {
         eps[0]
             .send(1, tags::DATA, Bytes::from(vec![5u8, 0]))
             .unwrap();
-        let mut stats = ATaskStats::new(0);
+        let mut stats = [ATaskStats::new(0)];
         let err = run_receiver(
             &mut a,
             1,

@@ -85,10 +85,10 @@ impl WireCounts {
     }
 }
 
-/// Statistics for one A (aggregator) task.
+/// Statistics for one A (aggregator) partition.
 #[derive(Debug, Clone)]
 pub struct ATaskStats {
-    /// A rank (0-based within the A communicator).
+    /// A partition (the A rank, when every A task runs one).
     pub rank: usize,
     /// Key-value pairs received.
     pub records: u64,
@@ -129,10 +129,12 @@ impl ATaskStats {
 pub struct JobReport {
     /// Per-O-task stats, rank order.
     pub o_tasks: Vec<OTaskStats>,
-    /// Per-A-task stats, rank order.
+    /// Per-A-partition stats, partition order (an A task that runs
+    /// several partitions has an entry for each; its wire counts are in
+    /// its first).
     pub a_tasks: Vec<ATaskStats>,
-    /// Bytes moved on each directed rank pair (`[src][dst]`, world ranks).
-    pub link_bytes: Vec<Vec<u64>>,
+    /// The partitions each A task ran, task order.
+    pub a_ranges: Vec<std::ops::Range<usize>>,
     /// Total wall time of the job.
     pub elapsed: Duration,
 }
@@ -222,7 +224,7 @@ mod tests {
         JobReport {
             o_tasks: vec![o0, o1],
             a_tasks: vec![a0, a1],
-            link_bytes: vec![vec![0; 4]; 4],
+            a_ranges: vec![0..1, 1..2],
             elapsed: Duration::from_secs(4),
         }
     }

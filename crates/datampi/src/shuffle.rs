@@ -16,7 +16,7 @@
 use crate::ShuffleStyle;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
-use hdm_common::error::Result;
+use hdm_common::error::{HdmError, Result};
 use hdm_mpi::{Endpoint, SendRequest};
 use hdm_obs::{Counter, ObsHandle, Timer};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -97,6 +97,51 @@ pub mod tags {
     }
 }
 
+/// One `DATA` payload for an A task that runs several partitions: each
+/// partition's segment (back-to-back encoded pairs) behind its index
+/// within the task's range and its length, both little-endian `u32`s. An
+/// A task of one partition is sent the bare segment.
+pub fn frame(segments: &[(usize, Bytes)]) -> Bytes {
+    let len = segments.iter().map(|(_, s)| s.len() + 8).sum();
+    let mut out = Vec::with_capacity(len);
+    for (local, segment) in segments {
+        out.extend_from_slice(&(*local as u32).to_le_bytes());
+        out.extend_from_slice(&(segment.len() as u32).to_le_bytes());
+        out.extend_from_slice(segment);
+    }
+    Bytes::from(out)
+}
+
+/// A `DATA` payload as `(index within the range, segment)` pairs: the
+/// bare segment of a one-partition range, else [`frame`]'s frames, each
+/// segment a view of `payload`.
+///
+/// # Errors
+/// [`HdmError::DataMpi`] on a truncated frame or an index outside the
+/// range.
+pub fn segments(payload: Bytes, range_len: usize) -> Result<Vec<(usize, Bytes)>> {
+    if range_len == 1 {
+        return Ok(vec![(0, payload)]);
+    }
+    let corrupt = || HdmError::DataMpi("corrupt partition frame in a DATA payload".into());
+    let word = |at: usize| -> Option<usize> {
+        let bytes = payload.get(at..at + 4)?;
+        Some(u32::from_le_bytes(<[u8; 4]>::try_from(bytes).ok()?) as usize)
+    };
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < payload.len() {
+        let (local, len) = word(at).zip(word(at + 4)).ok_or_else(corrupt)?;
+        let end = (at + 8)
+            .checked_add(len)
+            .filter(|&end| end <= payload.len());
+        let end = end.filter(|_| local < range_len).ok_or_else(corrupt)?;
+        out.push((local, payload.slice(at + 8..end)));
+        at = end;
+    }
+    Ok(out)
+}
+
 /// The payload of a `COMMIT` or `DONE`: one little-endian `u32` count.
 fn count_payload(count: u32) -> Bytes {
     Bytes::from(count.to_le_bytes().to_vec())
@@ -150,6 +195,10 @@ pub struct SenderStats {
 pub struct Completion {
     /// World rank of A task 0; A task `i` lives at world rank `a_base + i`.
     a_base: usize,
+    /// A tasks that run: every partition's until
+    /// [`Completion::fix_a_tasks`] says fewer. Fixed before any O task
+    /// goes on the wire, so before any commit or `DONE`.
+    a_tasks: AtomicUsize,
     /// O tasks that have not ended yet.
     unfinished: AtomicUsize,
     /// Commits sent per A rank. Bumped before the sending task's
@@ -164,9 +213,21 @@ impl Completion {
     pub fn new(o_tasks: usize, a_base: usize, a_tasks: usize) -> Completion {
         Completion {
             a_base,
+            a_tasks: AtomicUsize::new(a_tasks),
             unfinished: AtomicUsize::new(o_tasks),
             commits: (0..a_tasks).map(|_| AtomicU32::new(0)).collect(),
         }
+    }
+
+    /// Run `a_tasks` A tasks (at most the count [`Completion::new`] was
+    /// given): later `ABORT`s and `DONE`s go to those only.
+    pub fn fix_a_tasks(&self, a_tasks: usize) {
+        self.a_tasks
+            .store(a_tasks.min(self.commits.len()), Ordering::Release);
+    }
+
+    fn live_a_tasks(&self) -> usize {
+        self.a_tasks.load(Ordering::Acquire)
     }
 
     /// Commit `attempt`'s stream: one `COMMIT` carrying its `DATA` count
@@ -193,7 +254,8 @@ impl Completion {
             return Ok(());
         }
         let mut result = Ok(());
-        for (a, commits) in self.commits.iter().enumerate() {
+        let live = self.commits.iter().take(self.live_a_tasks());
+        for (a, commits) in live.enumerate() {
             let count = commits.load(Ordering::Acquire);
             result = result.and(ep.send(self.a_base + a, tags::DONE, count_payload(count)));
         }
@@ -217,7 +279,7 @@ impl AttemptState {
         AttemptState {
             a_base: completion.a_base,
             attempt: 0,
-            counts: vec![0; completion.commits.len()],
+            counts: vec![0; completion.live_a_tasks()],
         }
     }
 
@@ -270,6 +332,34 @@ pub fn run_sender(
     }?;
     completion.commit(ep, state.attempt, &state.counts)?;
     Ok(stats)
+}
+
+/// Transmit the whole stream of an O task whose output was held until
+/// the A tasks were fixed — one `DATA` per A task it wrote to, under
+/// attempt 0 (nothing of it was on the wire before) — and commit it.
+/// Ending the task is the caller's.
+///
+/// # Errors
+/// Propagates MPI failures.
+pub fn send_held(
+    style: ShuffleStyle,
+    ep: &mut Endpoint,
+    messages: Vec<(usize, Bytes)>,
+    completion: &Completion,
+) -> Result<()> {
+    let mut state = AttemptState::new(completion);
+    let mut reqs = Vec::with_capacity(messages.len());
+    for (dst, payload) in &messages {
+        reqs.push(ep.isend(state.a_base + dst, tags::DATA, payload.clone())?);
+        state.record_send(*dst);
+    }
+    ep.waitall(&mut reqs)?;
+    if style == ShuffleStyle::Blocking {
+        for (dst, _) in &messages {
+            ep.recv(Some(state.a_base + dst), Some(tags::ACK))?;
+        }
+    }
+    completion.commit(ep, 0, &state.counts)
 }
 
 /// Offer a completed payload back to the compute thread's buffer pool.

@@ -7,7 +7,7 @@ use crate::store::MapOutputStore;
 use crate::MapRedConfig;
 use hdm_common::error::{HdmError, Result};
 use hdm_common::kv::{self, ComparatorRef, KeyGroups, KvPair, ReduceInput, Values};
-use hdm_common::partition::PartitionerRef;
+use hdm_common::partition::{byte_ranges, one_range_each, PartitionerRef};
 use hdm_faults::{supervise, FaultPlan, Site};
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,6 +28,22 @@ pub struct MapContext {
     /// Cooperative cancellation: polled once per `collect` (one relaxed
     /// atomic load, same discipline as the disabled-faults path).
     cancel: hdm_common::CancelToken,
+    /// The input unit being read: see [`MapContext::end_unit`].
+    unit: UnitVolume,
+}
+
+/// What one input unit of a map task (a split, when a task reads
+/// several) collected, as a map task of that unit alone would have.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct UnitVolume {
+    /// Wire bytes collected per partition.
+    pub bytes_per_partition: Vec<u64>,
+    /// Bytes a sort buffer that started with the unit would have
+    /// spilled: the buffer's own rule (spill once the fill reaches
+    /// `sort_buffer_bytes`) over the unit's pairs alone.
+    pub spill_bytes: u64,
+    /// That buffer's fill.
+    fill: usize,
 }
 
 impl std::fmt::Debug for MapContext {
@@ -88,7 +104,28 @@ impl MapContext {
         self.stats.collect.record_kv(wire, self.job_start);
         self.stats.bytes += wire;
         self.buffer.collect_slices(partition, key, value);
+        let unit = &mut self.unit;
+        if let Some(b) = unit.bytes_per_partition.get_mut(partition) {
+            *b += wire;
+        }
+        unit.fill += wire as usize;
+        if unit.fill >= self.buffer.capacity() {
+            unit.spill_bytes += unit.fill as u64;
+            unit.fill = 0;
+        }
         Ok(())
+    }
+
+    /// Close the input unit read so far and start the next: what it
+    /// collected per partition, and what a map task of it alone would
+    /// have spilled. A task that reads several splits calls this at each
+    /// split's end, so volumes stay per split whatever the grouping.
+    pub fn end_unit(&mut self) -> UnitVolume {
+        let fresh = UnitVolume {
+            bytes_per_partition: vec![0; self.num_reducers],
+            ..UnitVolume::default()
+        };
+        std::mem::replace(&mut self.unit, fresh)
     }
 }
 
@@ -97,6 +134,7 @@ pub struct ReduceContext {
     rank: usize,
     attempt: u32,
     groups: KeyGroups,
+    ranges: Arc<[std::ops::Range<usize>]>,
 }
 
 impl std::fmt::Debug for ReduceContext {
@@ -108,7 +146,7 @@ impl std::fmt::Debug for ReduceContext {
 }
 
 impl ReduceContext {
-    /// Reduce task index.
+    /// The reduce partition this context holds.
     pub fn rank(&self) -> usize {
         self.rank
     }
@@ -116,6 +154,11 @@ impl ReduceContext {
     /// Which recovery attempt is running (0 for the first execution).
     pub fn attempt(&self) -> u32 {
         self.attempt
+    }
+
+    /// The partitions each reduce task of the job runs, in task order.
+    pub fn ranges(&self) -> &[std::ops::Range<usize>] {
+        &self.ranges
     }
 
     /// Next key group in comparator order. Key and values are views of
@@ -130,7 +173,7 @@ impl ReduceContext {
 pub struct MrOutcome<RM, RR> {
     /// Map function return values, task order.
     pub map_results: Vec<RM>,
-    /// Reduce function return values, task order.
+    /// Reduce function return values, partition order.
     pub reduce_results: Vec<RR>,
     /// Everything measured.
     pub report: MrJobReport,
@@ -138,7 +181,8 @@ pub struct MrOutcome<RM, RR> {
 
 /// Type of user map functions: `(map_rank, context) -> RM`.
 pub type MapFn<RM> = Arc<dyn Fn(usize, &mut MapContext) -> Result<RM> + Send + Sync>;
-/// Type of user reduce functions: `(reduce_rank, context) -> RR`.
+/// Type of user reduce functions: `(partition, context) -> RR`, called
+/// once per reduce partition.
 pub type ReduceFn<RR> = Arc<dyn Fn(usize, &mut ReduceContext) -> Result<RR> + Send + Sync>;
 
 /// Run one MapReduce job with Hadoop's execution shape.
@@ -192,6 +236,10 @@ where
                 crash_countdown: faults.crash_after(Site::MapTask, rank, attempt),
                 faults: faults.clone(),
                 cancel: config.cancel.clone(),
+                unit: UnitVolume {
+                    bytes_per_partition: vec![0; config.reduce_tasks],
+                    ..UnitVolume::default()
+                },
             };
             let mut ctx = fresh_context(0);
             let user = supervise(
@@ -256,8 +304,19 @@ where
     config.cancel.bail_if_cancelled()?;
 
     // ---- Reduce wave ----------------------------------------------------
-    let maps = config.map_tasks;
-    let reduce_outputs = run_wave(config.reduce_tasks, config.concurrency, {
+    // The maps are done, so every partition's shuffle bytes are known:
+    // cut the partitions into the reduce tasks that run them.
+    let (maps, partitions) = (config.map_tasks, config.reduce_tasks);
+    let ranges: Arc<[std::ops::Range<usize>]> = match config.bytes_per_reduce_task {
+        None => one_range_each(partitions).into(),
+        Some(per_task) => {
+            let bytes: Vec<u64> = (0..partitions)
+                .map(|p| (0..maps).map(|m| store.segment_bytes(m, p)).sum())
+                .collect();
+            byte_ranges(&bytes, per_task).into()
+        }
+    };
+    let reduce_outputs = run_wave(ranges.len(), config.concurrency, {
         let comparator = Arc::clone(&comparator);
         let store = Arc::clone(&store);
         let reduce_fn = Arc::clone(&reduce_fn);
@@ -265,91 +324,107 @@ where
         let faults = config.faults.clone();
         let recovery = config.recovery.clone();
         let cancel = config.cancel.clone();
-        move |rank| {
-            let task_start = Instant::now();
-            let track = format!("R{rank}");
+        let ranges = Arc::clone(&ranges);
+        move |task| {
+            let track = format!("R{task}");
             let _task_span = obs.span(&track, "task", "reduce-task");
-            let mut stats = ReduceTaskStats::new(rank, maps);
-            // Copier phase: pull this partition's segment from every map
-            // and index its pairs where they sit, as map `m`'s pairs in
-            // segment order: on equal keys the earlier map goes first.
-            let copy_span = obs.span(&track, "phase", "copy");
-            let mut input = ReduceInput::default();
-            let mut failed: Option<HdmError> = None;
-            for m in 0..maps {
-                let fetched = store.fetch(m, rank).and_then(|seg| {
-                    let bytes = seg.len() as u64;
-                    Ok((bytes, input.push(m, 0, seg, &*comparator)?))
-                });
-                match fetched {
-                    Ok((bytes, pairs)) => {
-                        if let Some(slot) = stats.shuffled_from.get_mut(m) {
-                            *slot = bytes;
+            let mut done = Vec::new();
+            // One partition at a time, in order, each with its own
+            // groups, attempts and result; the first failure ends the
+            // task (and the job).
+            for rank in ranges.get(task).cloned().unwrap_or_default() {
+                let task_start = Instant::now();
+                let mut stats = ReduceTaskStats::new(rank, maps);
+                // Copier phase: pull this partition's segment from every
+                // map and index its pairs where they sit, as map `m`'s
+                // pairs in segment order: on equal keys the earlier map
+                // goes first.
+                let copy_span = obs.span(&track, "phase", "copy");
+                let mut input = ReduceInput::default();
+                let mut failed: Option<HdmError> = None;
+                for m in 0..maps {
+                    let fetched = store.fetch(m, rank).and_then(|seg| {
+                        let bytes = seg.len() as u64;
+                        Ok((bytes, input.push(m, 0, seg, &*comparator)?))
+                    });
+                    match fetched {
+                        Ok((bytes, pairs)) => {
+                            if let Some(slot) = stats.shuffled_from.get_mut(m) {
+                                *slot = bytes;
+                            }
+                            stats.records += pairs;
                         }
-                        stats.records += pairs;
-                    }
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
+                        Err(e) => {
+                            failed = Some(e);
+                            break;
+                        }
                     }
                 }
+                drop(copy_span);
+                if obs.is_enabled() {
+                    obs.counter("reduce.shuffled.bytes", &format!("rank={rank}"))
+                        .add(stats.shuffled_bytes());
+                }
+                if let Some(e) = failed {
+                    done.push((Err(e), stats));
+                    break;
+                }
+                // Merge + group: one sort of the index, whose segments
+                // are already-sorted runs.
+                let merge_span = obs.span(&track, "phase", "merge");
+                let groups = input.into_groups(&*comparator);
+                stats.groups = groups.len() as u64;
+                drop(merge_span);
+                if obs.is_enabled() {
+                    obs.counter("reduce.groups", &format!("rank={rank}"))
+                        .add(stats.groups);
+                }
+                // The copy phase is idempotent (segments stay in the
+                // map-output store), so a failed reduce attempt replays
+                // over the already-merged groups, read again from the
+                // first.
+                let mut ctx = ReduceContext {
+                    rank,
+                    attempt: 0,
+                    groups,
+                    ranges: Arc::clone(&ranges),
+                };
+                let user = supervise(
+                    &faults,
+                    &recovery,
+                    &cancel,
+                    Site::ReduceTask,
+                    rank,
+                    None,
+                    |attempt, _| {
+                        if faults
+                            .crash_after(Site::ReduceTask, rank, attempt)
+                            .is_some()
+                        {
+                            faults.note_injected(Site::ReduceTask);
+                            return Err(HdmError::RankFailed(format!(
+                                "R{rank}: injected crash before reduce"
+                            )));
+                        }
+                        ctx.attempt = attempt;
+                        ctx.groups.rewind();
+                        reduce_fn(rank, &mut ctx)
+                    },
+                );
+                stats.elapsed = task_start.elapsed();
+                let failed = user.is_err();
+                done.push((user, stats));
+                if failed {
+                    break;
+                }
             }
-            drop(copy_span);
-            if obs.is_enabled() {
-                obs.counter("reduce.shuffled.bytes", &format!("rank={rank}"))
-                    .add(stats.shuffled_bytes());
-            }
-            if let Some(e) = failed {
-                return (Err(e), stats);
-            }
-            // Merge + group: one sort of the index, whose segments are
-            // already-sorted runs.
-            let merge_span = obs.span(&track, "phase", "merge");
-            let groups = input.into_groups(&*comparator);
-            stats.groups = groups.len() as u64;
-            drop(merge_span);
-            if obs.is_enabled() {
-                obs.counter("reduce.groups", &format!("rank={rank}"))
-                    .add(stats.groups);
-            }
-            // The copy phase is idempotent (segments stay in the
-            // map-output store), so a failed reduce attempt replays over
-            // the already-merged groups, read again from the first.
-            let mut ctx = ReduceContext {
-                rank,
-                attempt: 0,
-                groups,
-            };
-            let user = supervise(
-                &faults,
-                &recovery,
-                &cancel,
-                Site::ReduceTask,
-                rank,
-                None,
-                |attempt, _| {
-                    if faults
-                        .crash_after(Site::ReduceTask, rank, attempt)
-                        .is_some()
-                    {
-                        faults.note_injected(Site::ReduceTask);
-                        return Err(HdmError::RankFailed(format!(
-                            "R{rank}: injected crash before reduce"
-                        )));
-                    }
-                    ctx.attempt = attempt;
-                    ctx.groups.rewind();
-                    reduce_fn(rank, &mut ctx)
-                },
-            );
-            stats.elapsed = task_start.elapsed();
-            (user, stats)
+            done
         }
     });
 
-    let mut reduce_results = Vec::with_capacity(config.reduce_tasks);
-    let mut reduce_stats = Vec::with_capacity(config.reduce_tasks);
-    for (res, stats) in reduce_outputs {
+    let mut reduce_results = Vec::with_capacity(partitions);
+    let mut reduce_stats = Vec::with_capacity(partitions);
+    for (res, stats) in reduce_outputs.into_iter().flatten() {
         reduce_stats.push(stats);
         match res {
             Ok(v) => reduce_results.push(v),
@@ -366,6 +441,7 @@ where
         report: MrJobReport {
             map_tasks: map_stats,
             reduce_tasks: reduce_stats,
+            reduce_ranges: ranges.to_vec(),
             materialized_bytes: store.total_bytes(),
             elapsed: job_start.elapsed(),
         },

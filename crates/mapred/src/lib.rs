@@ -69,7 +69,7 @@ pub mod store;
 
 mod job;
 
-pub use job::{run_mapreduce, MapContext, MrOutcome, ReduceContext};
+pub use job::{run_mapreduce, MapContext, MrOutcome, ReduceContext, UnitVolume};
 pub use report::{MapTaskStats, MrJobReport, ReduceTaskStats};
 
 /// Engine configuration.
@@ -77,8 +77,15 @@ pub use report::{MapTaskStats, MrJobReport, ReduceTaskStats};
 pub struct MapRedConfig {
     /// Number of map tasks (normally = number of input splits).
     pub map_tasks: usize,
-    /// Number of reduce tasks.
+    /// Number of reduce partitions: the partitioner's `n`, and one
+    /// [`crate::ReduceContext`] (one reduce-function call) each.
     pub reduce_tasks: usize,
+    /// How many reduce *tasks* run the partitions. `None`: one per
+    /// partition. `Some(b)`: once the maps are done, the partitions are
+    /// cut into contiguous ranges of about `b` shuffled bytes
+    /// ([`hdm_common::partition::byte_ranges`]) and one task runs each
+    /// range, its partitions in order.
+    pub bytes_per_reduce_task: Option<u64>,
     /// Map-side sort buffer size in bytes (`io.sort.mb` analogue).
     pub sort_buffer_bytes: usize,
     /// Maximum concurrently-running tasks (cluster slot count).
@@ -106,6 +113,7 @@ impl Default for MapRedConfig {
         MapRedConfig {
             map_tasks: 4,
             reduce_tasks: 4,
+            bytes_per_reduce_task: None,
             sort_buffer_bytes: 4 * 1024 * 1024,
             // The paper's testbed: 7 worker nodes × 4 slots.
             concurrency: 28,

@@ -38,10 +38,10 @@ impl MapTaskStats {
     }
 }
 
-/// Statistics for one reduce task.
+/// Statistics for one reduce partition.
 #[derive(Debug, Clone)]
 pub struct ReduceTaskStats {
-    /// Reduce task index.
+    /// Reduce partition index.
     pub rank: usize,
     /// Bytes pulled from each map (`shuffled_from[map]`).
     pub shuffled_from: Vec<u64>,
@@ -75,8 +75,10 @@ impl ReduceTaskStats {
 pub struct MrJobReport {
     /// Per-map stats, task order.
     pub map_tasks: Vec<MapTaskStats>,
-    /// Per-reduce stats, task order.
+    /// Per-reduce-partition stats, partition order.
     pub reduce_tasks: Vec<ReduceTaskStats>,
+    /// The partitions each reduce task ran, task order.
+    pub reduce_ranges: Vec<std::ops::Range<usize>>,
     /// Total bytes materialized in the map-output store.
     pub materialized_bytes: u64,
     /// Wall time of the whole job.
@@ -150,6 +152,7 @@ mod tests {
         let report = MrJobReport {
             map_tasks: vec![m],
             reduce_tasks: vec![r0, r1],
+            reduce_ranges: vec![0..1, 1..2],
             materialized_bytes: 70,
             elapsed: Duration::from_secs(1),
         };

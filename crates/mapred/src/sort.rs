@@ -129,6 +129,11 @@ impl SortBuffer {
         }
     }
 
+    /// The fill, in wire bytes, at which the buffer spills.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Number of spills so far.
     pub fn spill_count(&self) -> usize {
         self.spills.len()

@@ -45,7 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .map(|r| r.records)
                     .min()
                     .unwrap_or(0);
-                (i, max as f64 / min.max(1) as f64, s.reduce_tasks)
+                // Per partition: the unit the cluster model replays as
+                // one A task at paper scale, however many tasks ran here.
+                (i, max as f64 / min.max(1) as f64, s.volumes.reduces.len())
             })
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("stages");
@@ -58,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         let total: f64 = timelines.iter().map(|t| t.total()).sum();
         println!(
-            "parallelism={mode:<8}  worst-stage skew {skew:>5.1}x over {a_tasks:>2} A tasks  \
+            "parallelism={mode:<8}  worst-stage skew {skew:>5.1}x over {a_tasks:>2} partitions  \
              simulated Q9 @40GB: {total:.1}s"
         );
     }
