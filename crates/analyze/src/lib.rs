@@ -240,7 +240,11 @@ pub fn scope_for(rel: &str) -> FileScope {
             // hot path — a panic there takes down a map task.
             || rel.ends_with("crates/core/src/batch.rs")
             || rel.ends_with("crates/common/src/sortkey.rs")
-            || rel.ends_with("crates/common/src/stats.rs"),
+            || rel.ends_with("crates/common/src/stats.rs")
+            // Readers and the DFS decode bytes they did not write: a
+            // mutated file must surface as a typed storage error.
+            || in_dir("crates/storage/src/")
+            || in_dir("crates/dfs/src/"),
         mpisim: in_dir("crates/mpisim/src/"),
         // The stage scheduler's dispatch loop blocks on worker channels
         // just like the comm layer does, so it is in scope since PR 6;
@@ -763,6 +767,20 @@ pub fn f(v: &[u8]) -> u8 {
             );
             let scope = scope_for(&rel);
             assert!(scope.blocking_lock && scope.swallowed && scope.busy_poll);
+        }
+        // Readers and the DFS decode bytes they did not write: a
+        // mutated file must fail typed, not take the map task down.
+        for rel in [
+            "crates/storage/src/orc.rs",
+            "crates/storage/src/text.rs",
+            "crates/dfs/src/lib.rs",
+        ] {
+            assert!(
+                check_source(rel, src)
+                    .iter()
+                    .any(|d| d.rule == rules::no_panic::ID),
+                "{rel} is not in the hot-path scope"
+            );
         }
         assert!(check_source("crates/workloads/src/zipf.rs", src).is_empty());
     }

@@ -188,7 +188,9 @@ impl Row {
     /// Returns [`HdmError::Codec`] on malformed input.
     pub fn decode(buf: &mut impl Buf) -> Result<Row> {
         let n = codec::read_varint(buf)? as usize;
-        let mut values = Vec::with_capacity(n);
+        // Every value takes at least its tag byte: a corrupt count cannot
+        // reserve more than the buffer holds.
+        let mut values = Vec::with_capacity(n.min(buf.remaining()));
         for _ in 0..n {
             values.push(decode_value(buf)?);
         }

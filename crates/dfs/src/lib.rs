@@ -286,30 +286,33 @@ impl Dfs {
         reader_node: Option<NodeId>,
     ) -> Result<Vec<u8>> {
         let (out, local) = self.with_entry(path, |entry| {
-            if offset + len > entry.len {
+            let Some(want_end) = offset.checked_add(len).filter(|&e| e <= entry.len) else {
                 return Err(HdmError::Dfs(format!(
                     "read past EOF: {path} (len {}, want {}..{})",
                     entry.len,
                     offset,
-                    offset + len
+                    offset.saturating_add(len)
                 )));
-            }
+            };
             let mut out = Vec::with_capacity(len as usize);
             let mut local = true;
             let mut pos = 0u64; // absolute file offset of current block start
             for block in &entry.blocks {
                 let blen = block.data.len() as u64;
                 let start = offset.max(pos);
-                let end = (offset + len).min(pos + blen);
+                let end = want_end.min(pos + blen);
                 if start < end {
                     let (from, to) = ((start - pos) as usize, (end - pos) as usize);
-                    out.extend_from_slice(&block.data[from..to]);
+                    let bytes = block.data.get(from..to).ok_or_else(|| {
+                        HdmError::Dfs(format!("{path}: block shorter than its length"))
+                    })?;
+                    out.extend_from_slice(bytes);
                     if let Some(n) = reader_node {
                         local &= block.replicas.contains(&n);
                     }
                 }
                 pos += blen;
-                if pos >= offset + len {
+                if pos >= want_end {
                     break;
                 }
             }

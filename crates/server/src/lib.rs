@@ -19,7 +19,9 @@
 //! * the **result cache** ([`result_cache::ResultCache`]), keyed on
 //!   normalized query text + engine + session conf + the data versions
 //!   of every referenced table, invalidated lazily when a reload bumps
-//!   a version.
+//!   a version. A query that misses while an identical one is running
+//!   over the same versions waits for that run's rows instead of
+//!   executing again (DESIGN.md §30).
 //!
 //! The differential contract: rows served through a session — cached or
 //! not, queued or not — are byte-identical to a solo single-session run
@@ -54,7 +56,7 @@ use hdm_core::parser::parse_script;
 use hdm_core::{Driver, EngineKind, QueryResult};
 use hdm_storage::{CacheStats, OrcDataCache};
 use parking_lot::Mutex;
-use result_cache::cache_key;
+use result_cache::{cache_key, Probe};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,10 +76,13 @@ pub struct ServerStats {
     pub shed: u64,
     /// Queries cancelled (deadline, explicit cancel, or shutdown).
     pub cancelled: u64,
-    /// Queries answered entirely from the result cache.
+    /// Queries answered without executing: from a result-cache entry,
+    /// or from an identical query's run in flight.
     pub result_hits: u64,
     /// Cacheable queries that had to execute.
     pub result_misses: u64,
+    /// The result hits that waited for an identical query in flight.
+    pub result_coalesced: u64,
     /// ORC data-cache counters, when the cache is enabled.
     pub io: Option<CacheStats>,
 }
@@ -188,6 +193,14 @@ impl Drop for ActiveGuard {
     fn drop(&mut self) {
         self.server.active.lock().remove(&self.id);
     }
+}
+
+/// A query the server tracks: its token is registered for shutdown and
+/// its deadline is armed. Fields drop in order: the deadline watcher is
+/// disarmed before the token leaves the registry.
+struct Tracked {
+    _deadline: Option<DeadlineMonitor>,
+    _active: ActiveGuard,
 }
 
 /// Arms a per-query deadline: a watcher thread fires the query's
@@ -329,14 +342,16 @@ impl HdmServer {
 
     /// Aggregate serving counters.
     pub fn stats(&self) -> ServerStats {
+        let rc = self.result_cache_stats().unwrap_or_default();
         ServerStats {
             admitted: self.inner.admitted.load(Ordering::Relaxed),
             queued: self.inner.queued.load(Ordering::Relaxed),
             rejected: self.inner.rejected.load(Ordering::Relaxed),
             shed: self.inner.shed.load(Ordering::Relaxed),
             cancelled: self.inner.cancelled.load(Ordering::Relaxed),
-            result_hits: self.inner.results.as_ref().map_or(0, |r| r.stats().hits),
-            result_misses: self.inner.results.as_ref().map_or(0, |r| r.stats().misses),
+            result_hits: rc.hits,
+            result_misses: rc.misses,
+            result_coalesced: rc.coalesced,
             io: self.inner.io_cache.as_ref().map(|c| c.stats()),
         }
     }
@@ -506,7 +521,9 @@ impl Session {
     /// `hive.query.timeout.ms` > 0) is armed before queueing so queue
     /// wait spends the same budget as execution, and the per-engine
     /// circuit breaker may flip the query to the other engine before it
-    /// runs.
+    /// runs. A result-cache hit returns before any of that; a query that
+    /// waits for an identical run in flight takes no permit, but is
+    /// tracked and deadline-bound from before it parks.
     ///
     /// # Errors
     /// As [`Session::execute_on`], plus [`HdmError::Cancelled`] once
@@ -542,46 +559,66 @@ impl Session {
         } else {
             engine
         };
-        // A single SELECT is cacheable; anything else (DDL, DML,
-        // multi-statement scripts) always executes.
-        let cacheable_tables = server.results.as_ref().and_then(|_| select_tables(sql));
-        let key = cacheable_tables
-            .as_ref()
-            .map(|_| cache_key(sql, engine, self.driver.conf()));
-
-        // Result-cache probe: a hit is served straight from daemon
-        // memory — no admission, no execution, no stages.
-        if let (Some(results), Some(key)) = (server.results.as_ref(), key.as_deref()) {
-            let _probe = server.obs.span(&self.track, "serve", "result-cache-probe");
-            if let Some((rows, columns)) = results.lookup(key, self.driver.metastore()) {
-                server
-                    .obs
-                    .counter(
-                        "server.result.cache.hit",
-                        &format!("tenant={}", self.tenant),
-                    )
-                    .add(1);
-                return Ok(QueryResult {
-                    rows,
-                    columns,
-                    stages: Vec::new(),
-                });
+        // Result-cache probe (DESIGN.md §30). The key needs only text,
+        // engine and conf, so a hit is served before the statement is
+        // parsed. On a miss the statement is parsed once: a single SELECT
+        // pins its tables' versions and leads (or joins an identical run
+        // in flight); anything else (DDL, DML, multi-statement scripts)
+        // executes without the cache.
+        let metastore = self.driver.metastore();
+        let mut tables: Option<Option<Vec<String>>> = None;
+        let mut tracked = None;
+        let mut lease = None;
+        if let Some(results) = server.results.as_ref() {
+            let key = cache_key(sql, engine, self.driver.conf());
+            loop {
+                let probe = {
+                    let _probe = server.obs.span(&self.track, "serve", "result-cache-probe");
+                    results.probe(&key, metastore, || {
+                        let tables = tables.get_or_insert_with(|| select_tables(sql));
+                        tables.as_ref().map(|t| metastore.versions_of(t))
+                    })
+                };
+                match probe {
+                    Probe::Hit(answer) => {
+                        self.count("server.result.cache.hit");
+                        return Ok(answer.to_result());
+                    }
+                    // A waiter takes no permit and adds nothing to the
+                    // shed projection, but shutdown and its deadline
+                    // reach it like any running query.
+                    Probe::Wait(waiter) => {
+                        if tracked.is_none() {
+                            tracked = Some(self.track(cancel)?);
+                        }
+                        let waited = {
+                            let _wait = server.obs.span(&self.track, "serve", "result-cache-wait");
+                            results.wait(waiter, cancel)
+                        };
+                        match waited {
+                            Ok(Some(answer)) => {
+                                self.count("server.result.cache.hit");
+                                self.count("server.result.cache.coalesced");
+                                return Ok(answer.to_result());
+                            }
+                            // The leader had nothing to share: probe again.
+                            Ok(None) => {}
+                            Err(e) => {
+                                server.cancelled.fetch_add(1, Ordering::Relaxed);
+                                self.acknowledge_cancel(cancel);
+                                return Err(e);
+                            }
+                        }
+                    }
+                    Probe::Lead(l) => {
+                        self.count("server.result.cache.miss");
+                        lease = Some(l);
+                        break;
+                    }
+                    Probe::Bypass => break,
+                }
             }
-            server
-                .obs
-                .counter(
-                    "server.result.cache.miss",
-                    &format!("tenant={}", self.tenant),
-                )
-                .add(1);
         }
-
-        // Pin the version snapshot *before* execution: if a concurrent
-        // write lands mid-query, insert() sees the mismatch and refuses
-        // to publish possibly-stale rows.
-        let versions = cacheable_tables
-            .as_ref()
-            .map(|tables| self.driver.metastore().versions_of(tables));
 
         // Overload shed: reject early when the projected queue wait for
         // this arrival exceeds the configured ceiling. A shed query
@@ -592,10 +629,7 @@ impl Session {
                 server.projected_wait_us(server.gate.queue_depth(), server.gate.running());
             if projected > server.shed_wait_ms * 1_000 {
                 server.shed.fetch_add(1, Ordering::Relaxed);
-                server
-                    .obs
-                    .counter("server.shed", &format!("tenant={}", self.tenant))
-                    .add(1);
+                self.count("server.shed");
                 return Err(HdmError::Overloaded(format!(
                     "projected queue wait {}ms exceeds hive.server.shed.queue.wait.ms={}",
                     projected / 1_000,
@@ -604,14 +638,12 @@ impl Session {
             }
         }
 
-        // Register the token (shutdown fires every registered token) and
-        // arm the deadline before queueing: time spent waiting for a
-        // permit draws down the same `hive.query.timeout.ms` budget as
-        // execution does.
-        let _active = self.server.track_query(cancel);
-        let timeout_ms = self.driver.conf().query_timeout_ms()?;
-        let _deadline = (timeout_ms > 0)
-            .then(|| DeadlineMonitor::arm(Duration::from_millis(timeout_ms), cancel, &server.obs));
+        // Register the token and arm the deadline before queueing (a
+        // waiter that ends up leading did so before it waited).
+        let _tracked = match tracked {
+            Some(t) => t,
+            None => self.track(cancel)?,
+        };
 
         let permit = {
             let _wait = server.obs.span(&self.track, "serve", "admit");
@@ -623,26 +655,17 @@ impl Session {
                         self.acknowledge_cancel(cancel);
                     } else {
                         server.rejected.fetch_add(1, Ordering::Relaxed);
-                        server
-                            .obs
-                            .counter("server.rejected", &format!("tenant={}", self.tenant))
-                            .add(1);
+                        self.count("server.rejected");
                     }
                     return Err(e);
                 }
             }
         };
         server.admitted.fetch_add(1, Ordering::Relaxed);
-        server
-            .obs
-            .counter("server.admitted", &format!("tenant={}", self.tenant))
-            .add(1);
+        self.count("server.admitted");
         if permit.waited() {
             server.queued.fetch_add(1, Ordering::Relaxed);
-            server
-                .obs
-                .counter("server.queued", &format!("tenant={}", self.tenant))
-                .add(1);
+            self.count("server.queued");
         }
         server
             .obs
@@ -684,18 +707,34 @@ impl Session {
             server.exec_n.fetch_add(1, Ordering::Relaxed);
         }
 
-        if let (Ok(result), Some(results), Some(key), Some(versions)) =
-            (&result, server.results.as_ref(), key.as_deref(), versions)
-        {
-            results.insert(
-                key,
-                versions,
-                result.rows.clone(),
-                result.columns.clone(),
-                self.driver.metastore(),
-            );
+        if let (Ok(result), Some(lease)) = (&result, lease) {
+            lease.publish(result.rows.clone(), result.columns.clone(), metastore);
         }
         result
+    }
+
+    /// Register a live query's token (shutdown fires every registered
+    /// token) and arm its `hive.query.timeout.ms` deadline: time spent
+    /// waiting — for a permit or for an identical query in flight —
+    /// draws down the same budget as execution does.
+    fn track(&self, cancel: &CancelToken) -> Result<Tracked> {
+        let active = self.server.track_query(cancel);
+        let timeout_ms = self.driver.conf().query_timeout_ms()?;
+        let deadline = (timeout_ms > 0).then(|| {
+            DeadlineMonitor::arm(Duration::from_millis(timeout_ms), cancel, &self.server.obs)
+        });
+        Ok(Tracked {
+            _deadline: deadline,
+            _active: active,
+        })
+    }
+
+    /// Bump a per-tenant `server.*` counter.
+    fn count(&self, name: &str) {
+        self.server
+            .obs
+            .counter(name, &format!("tenant={}", self.tenant))
+            .add(1);
     }
 
     /// Record that a fired token has been observed by the serving layer:
@@ -703,10 +742,7 @@ impl Session {
     /// known, feeds request→acknowledge latency into `cancel.latency.ms`.
     fn acknowledge_cancel(&self, cancel: &CancelToken) {
         let server = &*self.server;
-        server
-            .obs
-            .counter("cancel.acknowledged", &format!("tenant={}", self.tenant))
-            .add(1);
+        self.count("cancel.acknowledged");
         if let Some(ms) = cancel.fired_elapsed_ms() {
             server
                 .obs
@@ -746,5 +782,44 @@ mod tests {
         assert!(select_tables("CREATE TABLE t (k BIGINT)").is_none());
         assert!(select_tables("SELECT 1 FROM t; SELECT 2 FROM t").is_none());
         assert!(select_tables("not sql").is_none());
+    }
+
+    /// A hit is looked up before the statement is parsed; statements
+    /// that turn out not to be cacheable count no miss.
+    #[test]
+    fn uncacheable_statements_count_no_miss_and_whitespace_still_hits() {
+        let driver = Driver::in_memory();
+        driver.execute("CREATE TABLE t (k BIGINT)").unwrap();
+        let server = HdmServer::over(driver).unwrap();
+        let session = server.session("t");
+        let misses = |server: &HdmServer| {
+            let rc = server.result_cache_stats().unwrap();
+            let obs: u64 = server
+                .obs_snapshot()
+                .counters
+                .iter()
+                .filter(|(n, _, _)| n == "server.result.cache.miss")
+                .map(|(_, _, v)| *v)
+                .sum();
+            (server.stats().result_misses, rc.misses, obs)
+        };
+        for sql in [
+            "INSERT INTO t VALUES (1)",
+            "INSERT INTO t VALUES (1)",
+            "SELECT k FROM t; SELECT k FROM t",
+            "SELECT k FROM t; SELECT k FROM t",
+        ] {
+            session.execute(sql).unwrap();
+        }
+        assert_eq!(misses(&server), (0, 0, 0));
+        assert_eq!(server.stats().result_hits, 0);
+
+        let cold = session.execute("SELECT k FROM t ORDER BY k").unwrap();
+        let warm = session
+            .execute("  SELECT k\n\tFROM t   ORDER BY k ")
+            .unwrap();
+        assert_eq!(warm.to_lines(), cold.to_lines());
+        assert_eq!(misses(&server), (1, 1, 1));
+        assert_eq!(server.stats().result_hits, 1);
     }
 }

@@ -31,6 +31,10 @@ use hdm_dfs::{Dfs, DfsWriter, FileSplit, NodeId};
 /// Magic trailer bytes.
 pub const ORC_MAGIC: &[u8; 4] = b"HORC";
 
+/// The most rows one stripe holds: the writer flushes by then, and a
+/// reader refuses a footer that claims more rather than allocate for it.
+const MAX_STRIPE_ROWS: usize = 1 << 20;
+
 /// Comparison operator for pushed-down predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
@@ -172,14 +176,10 @@ impl ColumnStats {
 
     fn decode(buf: &mut &[u8]) -> Result<ColumnStats> {
         let null_count = codec::read_varint(buf)?;
-        let has = {
-            if buf.is_empty() {
-                return Err(HdmError::Storage("truncated stats".into()));
-            }
-            let b = buf[0];
-            *buf = &buf[1..];
-            b
-        };
+        let (&has, rest) = buf
+            .split_first()
+            .ok_or_else(|| HdmError::Storage("truncated stats".into()))?;
+        *buf = rest;
         let (min, max) = if has == 1 {
             (Some(decode_value(buf)?), Some(decode_value(buf)?))
         } else {
@@ -243,13 +243,7 @@ fn encode_chunk(ty: DataType, values: &[Value]) -> Vec<u8> {
         out.push(0u8);
     } else {
         out.push(1u8);
-        let mut bitmap = vec![0u8; values.len().div_ceil(8)];
-        for (i, v) in values.iter().enumerate() {
-            if v.is_null() {
-                bitmap[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out.extend_from_slice(&bitmap);
+        out.extend(pack_bits(values.iter().map(Value::is_null)));
     }
     let present: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
     match ty {
@@ -283,7 +277,9 @@ fn encode_chunk(ty: DataType, values: &[Value]) -> Vec<u8> {
                     codec::write_str(&mut out, s);
                 }
                 for s in &strs {
-                    let idx = dict.binary_search(s).expect("dict entry");
+                    // Every string is in the sorted dictionary: its
+                    // partition point is its index.
+                    let idx = dict.partition_point(|d| d < s);
                     codec::write_varint(&mut out, idx as u64);
                 }
             } else {
@@ -295,16 +291,35 @@ fn encode_chunk(ty: DataType, values: &[Value]) -> Vec<u8> {
         }
         DataType::Boolean => {
             out.push(ENC_BOOL);
-            let mut bits = vec![0u8; present.len().div_ceil(8)];
-            for (i, v) in present.iter().enumerate() {
-                if v.as_bool().unwrap_or(false) {
-                    bits[i / 8] |= 1 << (i % 8);
-                }
-            }
-            out.extend_from_slice(&bits);
+            out.extend(pack_bits(
+                present.iter().map(|v| v.as_bool().unwrap_or(false)),
+            ));
         }
     }
     out
+}
+
+/// Pack flags eight to a byte, least significant bit first.
+fn pack_bits(flags: impl Iterator<Item = bool>) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (i, flag) in flags.enumerate() {
+        if i % 8 == 0 {
+            out.push(0);
+        }
+        if flag {
+            if let Some(byte) = out.last_mut() {
+                *byte |= 1 << (i % 8);
+            }
+        }
+    }
+    out
+}
+
+/// The flags [`pack_bits`] packed into `bytes`, in order.
+fn unpack_bits(bytes: &[u8]) -> impl Iterator<Item = bool> + '_ {
+    bytes
+        .iter()
+        .flat_map(|&b| (0..8).map(move |k| b & (1 << k) != 0))
 }
 
 fn encode_longs_direct(ints: &[i64]) -> Vec<u8> {
@@ -317,50 +332,41 @@ fn encode_longs_direct(ints: &[i64]) -> Vec<u8> {
 
 fn encode_longs_rle(ints: &[i64]) -> Vec<u8> {
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < ints.len() {
-        let mut run = 1usize;
-        while i + run < ints.len() && ints[i + run] == ints[i] {
-            run += 1;
+    for run in ints.chunk_by(|a, b| a == b) {
+        if let Some(&v) = run.first() {
+            codec::write_varint(&mut out, run.len() as u64);
+            codec::write_signed_varint(&mut out, v);
         }
-        codec::write_varint(&mut out, run as u64);
-        codec::write_signed_varint(&mut out, ints[i]);
-        i += run;
     }
     out
 }
 
 /// Decode one column chunk back into per-row values.
 fn decode_chunk(ty: DataType, rows: usize, raw: &[u8]) -> Result<Vec<Value>> {
-    let mut buf = raw;
-    if buf.is_empty() {
-        return Err(HdmError::Storage("empty chunk".into()));
-    }
-    let has_nulls = buf[0] == 1;
-    buf = &buf[1..];
+    let (&has_nulls, mut buf) = raw
+        .split_first()
+        .ok_or_else(|| HdmError::Storage("empty chunk".into()))?;
     let mut nulls = vec![false; rows];
-    if has_nulls {
-        let nbytes = rows.div_ceil(8);
-        if buf.len() < nbytes {
-            return Err(HdmError::Storage("truncated null bitmap".into()));
+    if has_nulls == 1 {
+        let (bitmap, rest) = buf
+            .split_at_checked(rows.div_ceil(8))
+            .ok_or_else(|| HdmError::Storage("truncated null bitmap".into()))?;
+        for (null, bit) in nulls.iter_mut().zip(unpack_bits(bitmap)) {
+            *null = bit;
         }
-        for (i, null) in nulls.iter_mut().enumerate() {
-            *null = buf[i / 8] & (1 << (i % 8)) != 0;
-        }
-        buf = &buf[nbytes..];
+        buf = rest;
     }
     let present = nulls.iter().filter(|&&n| !n).count();
-    if buf.is_empty() && present > 0 {
-        return Err(HdmError::Storage("truncated chunk body".into()));
-    }
-    let enc = if present == 0 && buf.is_empty() {
-        ENC_LONG_DIRECT
-    } else {
-        buf[0]
+    let enc = match buf.split_first() {
+        Some((&enc, rest)) => {
+            buf = rest;
+            enc
+        }
+        None if present > 0 => {
+            return Err(HdmError::Storage("truncated chunk body".into()));
+        }
+        None => ENC_LONG_DIRECT,
     };
-    if !(present == 0 && buf.is_empty()) {
-        buf = &buf[1..];
-    }
     let mut data: Vec<Value> = Vec::with_capacity(present);
     match enc {
         ENC_LONG_DIRECT => {
@@ -371,22 +377,23 @@ fn decode_chunk(ty: DataType, rows: usize, raw: &[u8]) -> Result<Vec<Value>> {
         }
         ENC_LONG_RLE => {
             while data.len() < present {
-                let run = codec::read_varint(&mut buf)? as usize;
+                let run = codec::read_varint(&mut buf)?;
                 let v = codec::read_signed_varint(&mut buf)?;
-                for _ in 0..run {
-                    data.push(mk_int(ty, v));
+                if run > (present - data.len()) as u64 {
+                    return Err(HdmError::Storage(format!(
+                        "run of {run} overruns the chunk's {present} values"
+                    )));
                 }
+                data.resize(data.len() + run as usize, mk_int(ty, v));
             }
         }
         ENC_DOUBLE => {
             for _ in 0..present {
-                if buf.len() < 8 {
-                    return Err(HdmError::Storage("truncated double chunk".into()));
-                }
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&buf[..8]);
-                buf = &buf[8..];
-                data.push(Value::Double(f64::from_le_bytes(b)));
+                let (b, rest) = buf
+                    .split_first_chunk::<8>()
+                    .ok_or_else(|| HdmError::Storage("truncated double chunk".into()))?;
+                buf = rest;
+                data.push(Value::Double(f64::from_le_bytes(*b)));
             }
         }
         ENC_STR_DIRECT => {
@@ -396,7 +403,9 @@ fn decode_chunk(ty: DataType, rows: usize, raw: &[u8]) -> Result<Vec<Value>> {
         }
         ENC_STR_DICT => {
             let ndv = codec::read_varint(&mut buf)? as usize;
-            let mut dict = Vec::with_capacity(ndv);
+            // Each entry takes at least one byte: a corrupt count cannot
+            // reserve more than the chunk holds.
+            let mut dict = Vec::with_capacity(ndv.min(buf.len()));
             for _ in 0..ndv {
                 dict.push(codec::read_str(&mut buf)?);
             }
@@ -409,13 +418,10 @@ fn decode_chunk(ty: DataType, rows: usize, raw: &[u8]) -> Result<Vec<Value>> {
             }
         }
         ENC_BOOL => {
-            let nbytes = present.div_ceil(8);
-            if buf.len() < nbytes {
-                return Err(HdmError::Storage("truncated bool chunk".into()));
-            }
-            for i in 0..present {
-                data.push(Value::Boolean(buf[i / 8] & (1 << (i % 8)) != 0));
-            }
+            let bits = buf
+                .get(..present.div_ceil(8))
+                .ok_or_else(|| HdmError::Storage("truncated bool chunk".into()))?;
+            data.extend(unpack_bits(bits).take(present).map(Value::Boolean));
         }
         other => return Err(HdmError::Storage(format!("unknown encoding {other}"))),
     }
@@ -473,8 +479,7 @@ impl OrcSink {
         }
         let stripe_offset = self.offset;
         let mut chunks = Vec::with_capacity(self.schema.len());
-        for (c, field) in self.schema.fields().iter().enumerate() {
-            let values = &self.buffer[c];
+        for (field, values) in self.schema.fields().iter().zip(&self.buffer) {
             let mut stats = ColumnStats::default();
             for v in values {
                 stats.update(v);
@@ -510,8 +515,8 @@ impl RowSink for OrcSink {
                 self.schema.len()
             )));
         }
-        for (c, v) in row.values().iter().enumerate() {
-            self.buffer[c].push(v.clone());
+        for (column, v) in self.buffer.iter_mut().zip(row.values()) {
+            column.push(v.clone());
         }
         self.buffered += 1;
         if self.buffered >= self.stripe_rows {
@@ -557,22 +562,29 @@ fn read_footer(dfs: &Dfs, path: &str) -> Result<(Vec<StripeInfo>, u64)> {
     // no task retry around it) — exempt from storage fault injection;
     // the stripes' chunk reads in `read_split` stay injected.
     let trailer = dfs.read_range_planning(path, file_len - 8, 8, None)?;
-    if &trailer[4..] != ORC_MAGIC {
-        return Err(HdmError::Storage(format!("{path}: bad ORC magic")));
-    }
-    let flen = u32::from_be_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]) as u64;
+    let flen = match trailer.split_first_chunk::<4>() {
+        Some((flen, magic)) if magic == ORC_MAGIC => u32::from_be_bytes(*flen) as u64,
+        _ => return Err(HdmError::Storage(format!("{path}: bad ORC magic"))),
+    };
     if flen + 8 > file_len {
         return Err(HdmError::Storage(format!("{path}: corrupt footer length")));
     }
     let raw = dfs.read_range_planning(path, file_len - 8 - flen, flen, None)?;
-    let mut buf = &raw[..];
+    let mut buf = raw.as_slice();
+    // Every stripe and chunk entry takes bytes of the footer, so a corrupt
+    // count cannot reserve more entries than the footer has bytes.
     let n_stripes = codec::read_varint(&mut buf)? as usize;
-    let mut stripes = Vec::with_capacity(n_stripes);
+    let mut stripes = Vec::with_capacity(n_stripes.min(buf.len()));
     for _ in 0..n_stripes {
         let offset = codec::read_varint(&mut buf)?;
         let rows = codec::read_varint(&mut buf)?;
+        if rows > MAX_STRIPE_ROWS as u64 {
+            return Err(HdmError::Storage(format!(
+                "{path}: stripe claims {rows} rows (at most {MAX_STRIPE_ROWS})"
+            )));
+        }
         let n_chunks = codec::read_varint(&mut buf)? as usize;
-        let mut chunks = Vec::with_capacity(n_chunks);
+        let mut chunks = Vec::with_capacity(n_chunks.min(buf.len()));
         for _ in 0..n_chunks {
             let c_off = codec::read_varint(&mut buf)?;
             let c_len = codec::read_varint(&mut buf)?;
@@ -671,7 +683,7 @@ impl FileFormat for OrcFormat {
         Ok(Box::new(OrcSink {
             writer: dfs.create(path, node)?,
             schema: schema.clone(),
-            stripe_rows: self.stripe_rows.max(1),
+            stripe_rows: self.stripe_rows.clamp(1, MAX_STRIPE_ROWS),
             buffer: vec![Vec::new(); schema.len()],
             buffered: 0,
             stripes: Vec::new(),
@@ -708,7 +720,7 @@ impl FileFormat for OrcFormat {
         let data_end = |s: &StripeInfo| {
             s.chunks
                 .last()
-                .map(|c| c.offset + c.len)
+                .map(|c| c.offset.saturating_add(c.len))
                 .unwrap_or(s.offset)
         };
         // Group admitted stripes into runs of ~block_size bytes. A pruned
@@ -736,7 +748,7 @@ impl FileFormat for OrcFormat {
             match &mut run {
                 None => run = Some((s.offset, end)),
                 Some((start, run_end)) => {
-                    if end - *start > block_size && *run_end > *start {
+                    if end.saturating_sub(*start) > block_size && *run_end > *start {
                         runs.push((*start, *run_end));
                         run = Some((s.offset, end));
                     } else {
@@ -760,7 +772,7 @@ impl FileFormat for OrcFormat {
                 FileSplit {
                     path: path.to_string(),
                     offset: lo,
-                    len: hi - lo,
+                    len: hi.saturating_sub(lo),
                     hosts,
                 }
             })

@@ -79,10 +79,9 @@ impl SeqWriter {
 /// Fails on a missing file, bad magic, or a corrupt record.
 pub fn read_all(dfs: &Dfs, path: &str) -> Result<Vec<KvPair>> {
     let raw = dfs.read_all(path)?;
-    if raw.len() < SEQ_MAGIC.len() || &raw[..4] != SEQ_MAGIC {
+    let Some(mut cursor) = raw.strip_prefix(SEQ_MAGIC.as_slice()) else {
         return Err(HdmError::Storage(format!("bad sequence magic in {path}")));
-    }
-    let mut cursor = &raw[4..];
+    };
     let mut out = Vec::new();
     while !cursor.is_empty() {
         out.push(KvPair::decode(&mut cursor)?);
@@ -154,19 +153,23 @@ impl FileFormat for SeqFormat {
         }
         let len = dfs.len(&split.path)?;
         let raw = dfs.read_range(&split.path, 0, len, reader_node)?;
-        if raw.len() < 4 || &raw[..4] != SEQ_MAGIC {
+        let Some(mut cursor) = raw.strip_prefix(SEQ_MAGIC.as_slice()) else {
             return Err(HdmError::Storage(format!(
                 "bad sequence magic in {}",
                 split.path
             )));
-        }
-        let mut cursor = &raw[4..];
+        };
         let mut rows = Vec::new();
         while !cursor.is_empty() {
             let kv = KvPair::decode(&mut cursor)?;
             let row = Row::decode(&mut kv.value.clone())?;
             rows.push(match projection {
-                Some(idx) => row.project(idx),
+                Some(idx) => {
+                    if let Some(c) = idx.iter().find(|&&c| c >= row.len()) {
+                        return Err(HdmError::Storage(format!("column {c} out of range")));
+                    }
+                    row.project(idx)
+                }
                 None => row,
             });
         }

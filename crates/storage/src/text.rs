@@ -56,7 +56,10 @@ fn write_cells(out: &mut String, row: &Row, delimiter: u8) {
         }
         match v {
             Value::Null => out.push_str(NULL_SEQUENCE),
-            other => write!(out, "{other}").expect("fmt::Write for String never fails"),
+            // Writing into a `String` cannot fail.
+            other => {
+                let _ = write!(out, "{other}");
+            }
         }
     }
 }
@@ -166,12 +169,16 @@ impl<'s> LineDecoder<'s> {
 
     /// Parse cell `col` of the line last passed to [`Self::index`]:
     /// `\N` is NULL, and so is a cell that does not parse as the column's
-    /// type (Hive's lenient semantics).
-    ///
-    /// # Panics
-    /// Panics if `col` is not a column of the schema.
+    /// type (Hive's lenient semantics). Callers check `col` against the
+    /// schema first; a column the line does not have reads as NULL.
     fn value(&self, line: &str, col: usize) -> Value {
-        let raw = &line[self.starts[col]..self.starts[col + 1] - 1];
+        let raw = match self.starts.get(col..=col + 1) {
+            Some(&[start, next]) => line.get(start..next - 1),
+            _ => None,
+        };
+        let Some(raw) = raw else {
+            return Value::Null;
+        };
         if raw == NULL_SEQUENCE {
             return Value::Null;
         }

@@ -15,7 +15,8 @@ use hdm_server::HdmServer;
 use hdm_storage::{FormatKind, OrcDataCache};
 use hdm_workloads::tpch;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 fn fresh_tpch_driver(format: FormatKind) -> Driver {
     let mut d = Driver::in_memory();
@@ -276,6 +277,252 @@ fn server_rejects_out_of_range_knobs() {
     );
 }
 
+/// Poll `cond` until it holds: the coalescing tests synchronise on
+/// server counters, never on sleeps alone.
+fn until(what: &str, cond: impl Fn() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < give_up, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn waiting(server: &HdmServer) -> u64 {
+    server
+        .result_cache_stats()
+        .expect("result cache on")
+        .waiting
+}
+
+/// A server whose one-slot pool a test can hold with a raw permit, so a
+/// leader stays queued (its versions pinned) while others arrive.
+fn one_slot_server(mut driver: Driver) -> HdmServer {
+    driver.conf_mut().set(keys::KEY_SERVER_POOL_SIZE, 1);
+    HdmServer::over(driver).expect("server")
+}
+
+fn spawn_query(
+    server: &HdmServer,
+    tenant: &str,
+    timeout_ms: u64,
+    sql: &str,
+) -> std::thread::JoinHandle<hdm_common::error::Result<hdm_core::QueryResult>> {
+    let mut session = server.session(tenant);
+    session
+        .conf_mut()
+        .set(keys::KEY_QUERY_TIMEOUT_MS, timeout_ms);
+    let sql = sql.to_string();
+    std::thread::spawn(move || session.execute(&sql))
+}
+
+fn small_table_driver() -> Driver {
+    let driver = Driver::in_memory();
+    driver
+        .execute("CREATE TABLE a (k BIGINT); INSERT INTO a VALUES (1), (2)")
+        .unwrap();
+    driver
+}
+
+const SMALL_QUERY: &str = "SELECT k FROM a ORDER BY k";
+
+/// A query that misses while an identical one is in flight waits
+/// for that run's rows: one admission, one coalesced hit, and the
+/// waiter's result has no stages of its own.
+#[test]
+fn identical_query_in_flight_is_coalesced() {
+    let expect = lines(&fresh_tpch_driver(FormatKind::Text), 6);
+    let server = one_slot_server(fresh_tpch_driver(FormatKind::Text));
+    let hog = server.admission().admit("hog").expect("hog permit");
+    let q6 = tpch::queries::query(6);
+    let leader = spawn_query(&server, "a", 0, q6);
+    until("the leader to queue", || {
+        server.admission().queue_depth() == 1
+    });
+    let waiter = spawn_query(&server, "b", 0, q6);
+    until("the waiter to park", || waiting(&server) == 1);
+    let before = server.stats();
+    drop(hog);
+
+    let led = leader.join().unwrap().expect("leader");
+    let waited = waiter.join().unwrap().expect("waiter");
+    assert_eq!(led.to_lines(), expect);
+    assert_eq!(waited.to_lines(), led.to_lines(), "coalesced rows diverged");
+    assert_eq!(waited.columns, led.columns);
+    assert!(waited.stages.is_empty(), "the waiter must not execute");
+    assert!(!led.stages.is_empty());
+    let after = server.stats();
+    assert_eq!(after.admitted, before.admitted + 1, "{after:?}");
+    assert_eq!(after.result_coalesced, before.result_coalesced + 1);
+    assert_eq!(after.result_hits, before.result_hits + 1);
+    assert_eq!(waiting(&server), 0);
+}
+
+/// A write that lands after the leader pinned its versions stops it
+/// from sharing: the waiter runs the query itself and sees the write.
+#[test]
+fn write_during_flight_makes_the_waiter_run_itself() {
+    let server = one_slot_server(small_table_driver());
+    let writer = server.session("w");
+    let hog = server.admission().admit("hog").expect("hog permit");
+    let leader = spawn_query(&server, "a", 0, SMALL_QUERY);
+    until("the leader to queue", || {
+        server.admission().queue_depth() == 1
+    });
+    let waiter = spawn_query(&server, "b", 0, SMALL_QUERY);
+    until("the waiter to park", || waiting(&server) == 1);
+    writer
+        .driver()
+        .execute("INSERT INTO a VALUES (3)")
+        .expect("write behind the server's back");
+    let before = server.stats();
+    drop(hog);
+
+    let post_write = vec!["1", "2", "3"];
+    assert_eq!(leader.join().unwrap().unwrap().to_lines(), post_write);
+    let waited = waiter.join().unwrap().expect("waiter");
+    assert_eq!(waited.to_lines(), post_write, "stale rows handed out");
+    assert!(!waited.stages.is_empty(), "the waiter must run it itself");
+    let after = server.stats();
+    assert_eq!(after.result_coalesced, before.result_coalesced);
+    assert_eq!(after.admitted, before.admitted + 2, "{after:?}");
+}
+
+/// A caller that arrives after a write does not wait on a run
+/// pinned to older versions: it leads, and later callers that see the
+/// same versions wait on it instead.
+#[test]
+fn caller_after_a_write_does_not_wait_on_older_versions() {
+    let server = one_slot_server(small_table_driver());
+    let writer = server.session("w");
+    let hog = server.admission().admit("hog").expect("hog permit");
+    let old = spawn_query(&server, "a", 0, SMALL_QUERY);
+    until("the old leader to queue", || {
+        server.admission().queue_depth() == 1
+    });
+    writer
+        .driver()
+        .execute("INSERT INTO a VALUES (3)")
+        .expect("write behind the server's back");
+    let new = spawn_query(&server, "c", 0, SMALL_QUERY);
+    // The newcomer queues for a permit of its own instead of parking.
+    until("the new leader to queue", || {
+        server.admission().queue_depth() == 2
+    });
+    assert_eq!(waiting(&server), 0);
+    let follower = spawn_query(&server, "d", 0, SMALL_QUERY);
+    until("the follower to park", || waiting(&server) == 1);
+    let before = server.stats();
+    drop(hog);
+
+    let post_write = vec!["1", "2", "3"];
+    assert_eq!(old.join().unwrap().unwrap().to_lines(), post_write);
+    let led = new.join().unwrap().expect("new leader");
+    assert_eq!(led.to_lines(), post_write);
+    assert!(!led.stages.is_empty());
+    let followed = follower.join().unwrap().expect("follower");
+    assert_eq!(followed.to_lines(), post_write);
+    assert!(
+        followed.stages.is_empty(),
+        "the follower waits on the new run"
+    );
+    let after = server.stats();
+    assert_eq!(after.admitted, before.admitted + 2, "{after:?}");
+    assert_eq!(after.result_coalesced, before.result_coalesced + 1);
+}
+
+/// A waiter never inherits the leader's cancellation, and its own
+/// cancellation neither outlives its deadline nor stops the leader
+/// from publishing.
+#[test]
+fn waiter_and_leader_cancellations_stay_their_own() {
+    let expect = lines(&fresh_tpch_driver(FormatKind::Text), 6);
+    let server = one_slot_server(fresh_tpch_driver(FormatKind::Text));
+    let q6 = tpch::queries::query(6);
+
+    // The leader's deadline fires while a waiter waits: the waiter leads
+    // in its place and returns rows.
+    let hog = server.admission().admit("hog").expect("hog permit");
+    let leader = spawn_query(&server, "a", 500, q6);
+    until("the leader to queue", || {
+        server.admission().queue_depth() == 1
+    });
+    let waiter = spawn_query(&server, "b", 0, q6);
+    until("the waiter to park", || waiting(&server) == 1);
+    let err = leader.join().unwrap().unwrap_err();
+    assert!(err.is_cancelled(), "{err}");
+    until("the waiter to lead", || {
+        server.admission().queue_depth() == 1
+    });
+    drop(hog);
+    let got = waiter
+        .join()
+        .unwrap()
+        .expect("waiter must not inherit the cancel");
+    assert_eq!(got.to_lines(), expect);
+    assert_eq!(server.stats().result_coalesced, 0);
+
+    // A waiter whose own deadline fires returns Cancelled in time; the
+    // leader still publishes.
+    let hog = server.admission().admit("hog").expect("hog permit");
+    let q1 = tpch::queries::query(1);
+    let leader = spawn_query(&server, "a", 0, q1);
+    until("the leader to queue", || {
+        server.admission().queue_depth() == 1
+    });
+    let cancelled_before = server.stats().cancelled;
+    let mut session = server.session("b");
+    session.conf_mut().set(keys::KEY_QUERY_TIMEOUT_MS, 50);
+    let started = Instant::now();
+    let err = session.execute(q1).unwrap_err();
+    let took = started.elapsed();
+    assert!(err.is_cancelled(), "{err}");
+    assert!(err.message().contains("deadline"), "{err}");
+    assert!(
+        took < Duration::from_millis(50 + 100),
+        "waiter cancel took {took:?}"
+    );
+    assert_eq!(server.stats().cancelled, cancelled_before + 1);
+    drop(hog);
+    let led = leader.join().unwrap().expect("leader");
+    let hits = server.stats().result_hits;
+    let again = server.session("c").execute(q1).expect("cached");
+    assert_eq!(again.to_lines(), led.to_lines());
+    assert!(again.stages.is_empty());
+    assert_eq!(server.stats().result_hits, hits + 1, "the leader published");
+}
+
+/// Shutdown reaches a parked waiter: it ends in the typed cancel
+/// error, and nothing hangs.
+#[test]
+fn shutdown_cancels_a_parked_waiter() {
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let server = one_slot_server(fresh_tpch_driver(FormatKind::Text));
+        let hog = server.admission().admit("hog").expect("hog permit");
+        let q6 = tpch::queries::query(6);
+        let leader = spawn_query(&server, "a", 0, q6);
+        until("the leader to queue", || {
+            server.admission().queue_depth() == 1
+        });
+        let waiter = spawn_query(&server, "b", 0, q6);
+        until("the waiter to park", || waiting(&server) == 1);
+        let release = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(300));
+            drop(hog);
+        });
+        assert!(!server.shutdown(Duration::from_millis(100)));
+        release.join().unwrap();
+        let waited = waiter.join().unwrap().unwrap_err();
+        assert!(waited.is_cancelled(), "{waited}");
+        assert!(leader.join().unwrap().unwrap_err().is_cancelled());
+        assert_eq!(waiting(&server), 0);
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("shutdown with a parked waiter hung or panicked");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -313,5 +560,39 @@ proptest! {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// The same chaos with every session running one query under
+    /// one conf: the result cache coalesces them onto one faulted run
+    /// (or a re-run after a failed one), and every answer still equals
+    /// the clean baseline.
+    #[test]
+    fn chaos_coalesced_sessions_match_clean_baseline(seed in 1u64..1 << 32, pick in 0usize..4) {
+        let n = [1usize, 6, 12, 14][pick];
+        let expect = normalize(lines(&fresh_tpch_driver(FormatKind::Text), n));
+        let server = HdmServer::over(fresh_tpch_driver(FormatKind::Text)).expect("server");
+        let go = Arc::new(std::sync::Barrier::new(4));
+        let mut handles = Vec::new();
+        for i in 0..4 {
+            let mut session = server.session(&format!("t{i}"));
+            let c = session.conf_mut();
+            c.set(keys::KEY_FT_ENABLED, true);
+            c.set(keys::KEY_FT_SEED, seed);
+            c.set(keys::KEY_FT_BACKOFF_BASE_MS, 1);
+            c.set(keys::KEY_FT_RECV_TIMEOUT_MS, 400);
+            let go = Arc::clone(&go);
+            handles.push(std::thread::spawn(move || {
+                go.wait();
+                session
+                    .execute(tpch::queries::query(n))
+                    .unwrap_or_else(|e| panic!("Q{n} under chaos: {e}"))
+                    .to_lines()
+            }));
+        }
+        for h in handles {
+            prop_assert_eq!(normalize(h.join().unwrap()), expect.clone());
+        }
+        let s = server.stats();
+        prop_assert_eq!(s.admitted + s.result_hits, 4);
     }
 }
