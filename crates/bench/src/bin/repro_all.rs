@@ -12,7 +12,8 @@
 //! of the experiment list: for each seed, all 22 TPC-H queries run once
 //! fault-free and once with `hive.ft.*` armed on that seed, and the
 //! normalized result sets must match. Exit code is nonzero iff any
-//! query errors out or diverges.
+//! query errors out or diverges, or leaves scratch files under `/tmp/q`
+//! once it has returned.
 //!
 //! `--only q<N>` (e.g. `--only q9`) switches to the parallel-scheduler
 //! smoke: query N runs on both engines with
@@ -28,7 +29,8 @@
 //! seeded random point. Each arm must finish under a watchdog (no
 //! hang), end in exactly Ok(baseline rows) or the typed cancelled
 //! error, and — when cancelled — a clean rerun must still match the
-//! baseline (no partial warehouse output, no cache poisoning).
+//! baseline (no partial warehouse output, no cache poisoning). No arm,
+//! however it ended, may leave scratch files under `/tmp/q`.
 //!
 //! Everything printed is also appended to `target/repro_output.txt`
 //! (honoring `CARGO_TARGET_DIR`); the log is regenerated per run, not
@@ -231,6 +233,18 @@ fn print_wire(d: &Driver, log: &mut RunLog) {
     }
 }
 
+/// Scratch audit: a query that has returned, whether OK, failed or
+/// cancelled, leaves nothing under `/tmp/q`. A leak counts as one
+/// divergence.
+fn scratch_leaks(d: &Driver, arm: &str, log: &mut RunLog) -> usize {
+    let left = d.dfs().list("/tmp/q");
+    if left.is_empty() {
+        return 0;
+    }
+    log.warn(&format!("{arm}: LEFT SCRATCH FILES {left:?}"));
+    1
+}
+
 /// Chaos smoke: every TPC-H query under every given fault seed must
 /// match its fault-free result set. Returns the number of failures.
 fn chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
@@ -255,7 +269,9 @@ fn chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
         ));
         for n in tpch::queries::all() {
             d.conf_mut().set(hdm_common::conf::KEY_FT_ENABLED, false);
-            let clean = match d.execute_on(tpch::queries::query(n), EngineKind::DataMpi) {
+            let clean = d.execute_on(tpch::queries::query(n), EngineKind::DataMpi);
+            failures += scratch_leaks(&d, &format!("Q{n} fault-free"), log);
+            let clean = match clean {
                 Ok(r) => normalize(r.to_lines()),
                 Err(e) => {
                     log.warn(&format!("Q{n} FAILED fault-free: {e}"));
@@ -268,7 +284,9 @@ fn chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
             c.set(hdm_common::conf::KEY_FT_SEED, seed);
             c.set(hdm_common::conf::KEY_FT_BACKOFF_BASE_MS, 1);
             c.set(hdm_common::conf::KEY_FT_RECV_TIMEOUT_MS, 400);
-            match d.execute_on(tpch::queries::query(n), EngineKind::DataMpi) {
+            let run = d.execute_on(tpch::queries::query(n), EngineKind::DataMpi);
+            failures += scratch_leaks(&d, &format!("Q{n} fault seed {seed}"), log);
+            match run {
                 Ok(r) if normalize(r.to_lines()) == clean => {
                     log.say(&format!("Q{n:02}: ok ({} rows)", clean.len()));
                 }
@@ -289,7 +307,9 @@ fn chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
             let c = orc.conf_mut();
             c.set(hdm_common::conf::KEY_FT_ENABLED, false);
             c.set(hdm_common::conf::KEY_VECTORIZED, true);
-            let clean = match orc.execute_on(tpch::queries::query(n), EngineKind::DataMpi) {
+            let clean = orc.execute_on(tpch::queries::query(n), EngineKind::DataMpi);
+            failures += scratch_leaks(&orc, &format!("Q{n} (orc) fault-free"), log);
+            let clean = match clean {
                 Ok(r) => normalize(r.to_lines()),
                 Err(e) => {
                     log.warn(&format!("Q{n} (orc) FAILED fault-free: {e}"));
@@ -304,7 +324,10 @@ fn chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
                 c.set(hdm_common::conf::KEY_FT_BACKOFF_BASE_MS, 1);
                 c.set(hdm_common::conf::KEY_FT_RECV_TIMEOUT_MS, 400);
                 c.set(hdm_common::conf::KEY_VECTORIZED, vectorized);
-                match orc.execute_on(tpch::queries::query(n), EngineKind::DataMpi) {
+                let run = orc.execute_on(tpch::queries::query(n), EngineKind::DataMpi);
+                let arm = format!("Q{n} vectorized={vectorized} fault seed {seed}");
+                failures += scratch_leaks(&orc, &arm, log);
+                match run {
                     Ok(r) if normalize(r.to_lines()) == clean => {
                         log.say(&format!(
                             "Q{n:02} vectorized={vectorized}: ok ({} rows)",
@@ -378,7 +401,9 @@ fn cancel_chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
                         s.execute_on_cancellable(tpch::queries::query(n), engine, token)
                             .map(|r| r.to_lines())
                     };
-                    let baseline = match run(&d, &hdm_common::CancelToken::default()) {
+                    let baseline = run(&d, &hdm_common::CancelToken::default());
+                    failures += scratch_leaks(&d, &format!("{arm} baseline"), log);
+                    let baseline = match baseline {
                         Ok(lines) => normalize(lines),
                         Err(e) => {
                             log.warn(&format!("{arm}: FAILED fault-free: {e}"));
@@ -421,6 +446,9 @@ fn cancel_chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
                     // a hang here is exactly the regression this smoke exists
                     // to catch.
                     let outcome = rx.recv_timeout(Duration::from_secs(60));
+                    if outcome.is_ok() {
+                        failures += scratch_leaks(&d, &arm, log);
+                    }
                     match outcome {
                         Ok(Ok(lines)) if normalize(lines.clone()) == baseline => completed += 1,
                         Ok(Ok(_)) => {
@@ -431,7 +459,9 @@ fn cancel_chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
                             cancelled += 1;
                             // State check: a clean rerun after the cancel
                             // must still match the baseline.
-                            match run(&d, &hdm_common::CancelToken::default()).map(normalize) {
+                            let rerun = run(&d, &hdm_common::CancelToken::default());
+                            failures += scratch_leaks(&d, &format!("{arm} rerun"), log);
+                            match rerun.map(normalize) {
                                 Ok(lines) if lines == baseline => {}
                                 Ok(_) => {
                                     log.warn(&format!("{arm}: post-cancel rerun DIVERGED"));

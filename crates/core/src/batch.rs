@@ -446,6 +446,55 @@ pub fn update_group(agg: &Aggregator, states: &mut [AggState], cols: &[Vec<Value
 /// over the stored group keys instead of gathering + hashing a key row.
 const GROUP_PROBE_MAX: usize = 16;
 
+/// FxHash's multiply-rotate step, for [`GroupTable`]'s index. The table
+/// hashes key rows of one task's own input, so std's seeded SipHash
+/// buys nothing there but cost.
+#[derive(Default, Clone, Copy)]
+struct FxHasher {
+    hash: u64,
+}
+
+const FX_K: u64 = 0x517c_c1b7_2722_0a95;
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_K);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().unwrap_or_default()));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            self.add(tail.iter().fold(0, |w, b| w << 8 | u64::from(*b)));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    /// One more fold: a multiply only carries a word's low bits upwards,
+    /// and a `Long` key hashes as its `f64` bits, whose low bits are all
+    /// zero — without it every such key would land in one bucket.
+    fn finish(&self) -> u64 {
+        let h = (self.hash ^ (self.hash >> 32)).wrapping_mul(FX_K);
+        h ^ (h >> 29)
+    }
+}
+
 /// Map-side partial-aggregation table for the batch pipeline.
 ///
 /// Semantically identical to `HashMap<Row, Vec<AggState>>` keyed by the
@@ -462,7 +511,7 @@ const GROUP_PROBE_MAX: usize = 16;
 /// drain in first-seen order.
 pub struct GroupTable {
     groups: Vec<(Row, Vec<AggState>)>,
-    index: std::collections::HashMap<Row, usize>,
+    index: std::collections::HashMap<Row, usize, std::hash::BuildHasherDefault<FxHasher>>,
     memo: usize,
 }
 
@@ -483,7 +532,7 @@ impl GroupTable {
     pub fn new() -> GroupTable {
         GroupTable {
             groups: Vec::new(),
-            index: std::collections::HashMap::new(),
+            index: std::collections::HashMap::default(),
             memo: usize::MAX,
         }
     }
@@ -877,6 +926,75 @@ mod proptests {
                 },
             })
             .boxed()
+    }
+
+    /// Key cells that make group identity subtle: NULLs, `Long(n)`
+    /// beside the equal `Double(n.0)`, and strings.
+    fn arb_key_cell() -> BoxedStrategy<Value> {
+        prop_oneof![
+            1 => Just(Value::Null),
+            3 => (0i64..12).prop_map(Value::Long),
+            2 => (0i64..12).prop_map(|v| Value::Double(v as f64)),
+            2 => "[ab]{0,2}".prop_map(Value::Str),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        // Cases from `PROPTEST_CASES`.
+        #[test]
+        fn group_table_matches_a_hash_map_in_first_seen_order(
+            // Per row: two key cells, and whether the row goes through
+            // `update_row` (else it joins a batch with its neighbours).
+            rows in proptest::collection::vec((arb_key_cell(), arb_key_cell(), any::<bool>()), 0..160),
+            width in 1usize..3,
+        ) {
+            use crate::logical::AggFunc;
+            use crate::physical::AggSpec;
+            use std::collections::HashMap;
+            let spec = |func| AggSpec { func, distinct: false };
+            let agg = Aggregator::new(vec![spec(AggFunc::Count), spec(AggFunc::Sum), spec(AggFunc::Min)]);
+            let key_of = |(a, b, _): &(Value, Value, bool)| -> Row {
+                [a, b].into_iter().take(width).cloned().collect()
+            };
+            let value_of = |i: usize| -> Row {
+                Row::from(vec![Value::Long(1), Value::Long(i as i64), Value::Long(i as i64)])
+            };
+            let mut index: HashMap<Row, usize> = HashMap::new();
+            let mut want: Vec<(Row, Vec<AggState>)> = Vec::new();
+            for (i, row) in rows.iter().enumerate() {
+                let key = key_of(row);
+                let slot = *index.entry(key.clone()).or_insert_with(|| {
+                    want.push((key, agg.new_states()));
+                    want.len() - 1
+                });
+                agg.update_raw(&mut want[slot].1, &value_of(i));
+            }
+            let mut table = GroupTable::new();
+            let mut start = 0;
+            while start < rows.len() {
+                if rows[start].2 {
+                    table.update_row(&agg, key_of(&rows[start]), &value_of(start));
+                    start += 1;
+                    continue;
+                }
+                let end = (start..rows.len()).find(|&j| rows[j].2).unwrap_or(rows.len());
+                let keys: Vec<Row> = rows[start..end].iter().map(key_of).collect();
+                let key_cols: Vec<Vec<Value>> = (0..width)
+                    .map(|c| keys.iter().map(|k| k.get(c).clone()).collect())
+                    .collect();
+                let values: Vec<Row> = (start..end).map(value_of).collect();
+                let value_cols: Vec<Vec<Value>> = (0..3)
+                    .map(|c| values.iter().map(|v| v.get(c).clone()).collect())
+                    .collect();
+                table.update_batch(&agg, &key_cols, &value_cols, end - start);
+                start = end;
+            }
+            let finish = |groups: Vec<(Row, Vec<AggState>)>| -> Vec<(Row, Vec<Value>)> {
+                groups.into_iter().map(|(k, s)| (k, agg.finish(s))).collect()
+            };
+            prop_assert_eq!(finish(table.into_groups()), finish(want));
+        }
     }
 
     proptest! {

@@ -264,7 +264,7 @@ impl Driver {
                     .zip(last.out_types.iter().copied())
                     .collect();
                 self.metastore.create_table(&name, columns, format, false)?;
-                let stages = self.execute_plan(&plan, engine, cancel)?;
+                let (stages, _) = self.execute_plan(&plan, engine, cancel)?;
                 // The CTAS data landed after the create bumped the
                 // version; bump again so results cached against the
                 // still-empty table cannot survive.
@@ -304,13 +304,13 @@ impl Driver {
         for stage in &mut plan.stages {
             crate::optimizer::optimize_stage(stage);
         }
-        let stages = self.execute_plan(&plan, engine, cancel)?;
+        let (stages, drained) = self.execute_plan(&plan, engine, cancel)?;
         let collected = if matches!(sink, StageOutput::Collect) {
             let (last, last_plan) = match (stages.last(), plan.stages.last()) {
                 (Some(s), Some(p)) => (s, p),
                 _ => return Err(HdmError::Plan("SELECT produced an empty plan".into())),
             };
-            let mut rows = self.collect_rows(last)?;
+            let mut rows = drained.map_or_else(|| self.collect_rows(last), Ok)?;
             // LIMIT without ORDER BY is applied here (best-effort upstream).
             if let Some(l) = qb.limit {
                 rows.truncate(l as usize);
@@ -324,7 +324,8 @@ impl Driver {
 
     /// Read a `Collect` stage's rows back and delete its part files: the
     /// rows travel on in the [`QueryResult`], and nothing else ever reads
-    /// `/tmp/q{id}/result/` again.
+    /// `/tmp/q{id}/result/` again. Only a run without a result stream
+    /// (Hadoop, `hive.exec.pipelined=false`) wrote them.
     fn collect_rows(&self, last: &StageResult) -> Result<Vec<Row>> {
         let rows = read_seq_outputs(&self.dfs, &last.output_paths);
         for path in &last.output_paths {
@@ -333,12 +334,15 @@ impl Driver {
         rows
     }
 
+    /// Run a plan under the query's obs, fault plan and cleanup rules.
+    /// Returns the stage results and, when the last stage committed its
+    /// result to a stream the driver drains (DESIGN.md §31), its rows.
     fn execute_plan(
         &self,
         plan: &crate::physical::QueryPlan,
         engine: EngineKind,
         cancel: &CancelToken,
-    ) -> Result<Vec<StageResult>> {
+    ) -> Result<(Vec<StageResult>, Option<Vec<Row>>)> {
         let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         // One obs handle per query, configured by the `hive.obs.*` knobs;
         // every layer below (engines, shuffle, receiver, DFS) records
@@ -374,8 +378,8 @@ impl Driver {
         };
         // Disarm DFS fault injection before surfacing the outcome.
         self.dfs.attach_faults(&hdm_faults::FaultPlan::disabled());
-        let results = match run {
-            Ok(results) => results,
+        let (results, result_stream) = match run {
+            Ok(run) => run,
             Err(err) => {
                 if err.is_cancelled() {
                     // No partial warehouse output may survive a cancelled
@@ -396,11 +400,13 @@ impl Driver {
                     .delete_prefix(&format!("/tmp/q{query_id}/stage{}/", stage.id));
             }
         }
+        // Drained while the query's obs still records it (`result.*`).
+        let drained = result_stream.map(|s| s.drain(&obs)).transpose()?;
         if obs.is_enabled() {
             *self.last_obs.lock() = Some(obs.snapshot());
         }
         self.export_obs(&obs)?;
-        Ok(results)
+        Ok((results, drained))
     }
 
     /// Execute a hand-built physical plan on a specific engine — the
@@ -408,8 +414,7 @@ impl Driver {
     /// which the SQL planner (left-deep chains) does not emit. Goes
     /// through the same scheduler, fault-fallback, obs export, and
     /// intermediate-cleanup path as compiled statements. When the last
-    /// stage is a `Collect` sink, its rows are read back into the
-    /// result.
+    /// stage is a `Collect` sink, its rows are returned in the result.
     ///
     /// # Errors
     /// Rejects plans whose stage ids are not `0..n` in order (the
@@ -431,11 +436,12 @@ impl Driver {
                 stage.id
             )));
         }
-        let stages = self.execute_plan(plan, engine, &CancelToken::default())?;
+        let (stages, drained) = self.execute_plan(plan, engine, &CancelToken::default())?;
         let (rows, columns) = match (plan.stages.last(), stages.last()) {
-            (Some(last_plan), Some(last)) if last_plan.output == StageOutput::Collect => {
-                (self.collect_rows(last)?, last_plan.out_names.clone())
-            }
+            (Some(last_plan), Some(last)) if last_plan.output == StageOutput::Collect => (
+                drained.map_or_else(|| self.collect_rows(last), Ok)?,
+                last_plan.out_names.clone(),
+            ),
             (Some(last_plan), _) => (Vec::new(), last_plan.out_names.clone()),
             _ => (Vec::new(), Vec::new()),
         };
@@ -461,7 +467,9 @@ impl Driver {
     /// [`crate::stream::StreamedIntermediate`] as it commits, and the
     /// consumer — scheduled as soon as the producer *launches* (a soft
     /// edge, [`crate::sched::run_dag_pipelined`]) — pulls partitions as
-    /// they land instead of reading sequence files after a barrier.
+    /// they land instead of reading sequence files after a barrier. A
+    /// last `Collect` stage on that path commits to a stream of its own,
+    /// returned for the driver to drain (DESIGN.md §31).
     fn run_plan_stages(
         &self,
         plan: &crate::physical::QueryPlan,
@@ -469,9 +477,17 @@ impl Driver {
         query_id: u64,
         obs: &hdm_obs::ObsHandle,
         cancel: &CancelToken,
-    ) -> Result<Vec<StageResult>> {
+    ) -> Result<(
+        Vec<StageResult>,
+        Option<crate::stream::StreamedIntermediate>,
+    )> {
         let threads = self.conf.exec_parallel_threads()?;
         let streams = self.plan_streams(plan, engine, obs)?;
+        let result_stream = plan
+            .stages
+            .last()
+            .filter(|last| last.output == StageOutput::Collect)
+            .and_then(|last| streams.get(&last.id).cloned());
         // Split the DAG into hard edges (consumer waits for producer
         // *completion*) and soft edges (consumer may launch once the
         // producer has launched; the stream itself synchronizes data).
@@ -566,6 +582,7 @@ impl Driver {
                 .insert(stage.id, result.output_paths.clone());
             Ok(result)
         })
+        .map(|results| (results, result_stream))
     }
 
     /// Decide which stages stream their intermediate output and build
@@ -583,6 +600,12 @@ impl Driver {
     ///   partition before parking, and `commit` never parks for an
     ///   awaited partition, so the resident tasks always drain
     ///   (`tests/map_join.rs` holds the 16-partition, cap-1 case).
+    ///
+    /// Under the same engine and conf rule the last stage, when it is a
+    /// [`StageOutput::Collect`], streams its result to the driver. No
+    /// consumer ever attaches, so its commits never park; its stream
+    /// counts nothing itself (the drain counts `result.*`), so `pipe.*`
+    /// stays stage-to-stage traffic.
     fn plan_streams(
         &self,
         plan: &crate::physical::QueryPlan,
@@ -606,6 +629,16 @@ impl Driver {
                 stage.id,
                 crate::stream::StreamedIntermediate::new(&format!("stage{}", stage.id), cap, obs),
             );
+        }
+        if let Some(last) = plan.stages.last() {
+            if last.output == StageOutput::Collect {
+                let quiet = hdm_obs::ObsHandle::disabled();
+                let label = format!("stage{}", last.id);
+                streams.insert(
+                    last.id,
+                    crate::stream::StreamedIntermediate::new(&label, cap, &quiet),
+                );
+            }
         }
         Ok(streams)
     }

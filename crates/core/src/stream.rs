@@ -33,6 +33,10 @@
 //!
 //! Taken partitions are retained (the `Arc` stays in the slot) so that a
 //! *consumer* attempt replay can re-take the identical rows.
+//!
+//! A `SELECT`'s last stage commits to a stream no stage consumes: the
+//! driver [`drain`](StreamedIntermediate::drain)s it once the DAG is done
+//! (DESIGN.md §31).
 
 use hdm_common::error::{HdmError, Result};
 use hdm_common::row::Row;
@@ -382,6 +386,66 @@ impl StreamedIntermediate {
         self.inner.takers.notify_all();
         self.inner.producers.notify_all();
     }
+
+    /// Driver: empty a finished stream no stage consumes — a `SELECT`'s
+    /// result (DESIGN.md §31) — into its rows: partitions in order, each
+    /// partition's rows in commit order, as reading its part files in
+    /// rank order would return them. Counts the hand-off on `obs` as
+    /// `result.partitions` and `result.rows`.
+    ///
+    /// # Errors
+    /// The stream's cancellation or failure, a stream whose producer
+    /// never finished, and a declared partition that was never committed
+    /// (or a committed one that was never declared).
+    pub fn drain(self, obs: &ObsHandle) -> Result<Vec<Row>> {
+        let label = &self.inner.label;
+        let mut g = self.inner.state.lock();
+        if let Some(reason) = &g.cancelled {
+            return Err(HdmError::Cancelled(reason.clone()));
+        }
+        if let Some(msg) = &g.failed {
+            return Err(HdmError::DataMpi(format!(
+                "pipelined output {label}: stream failed: {msg}"
+            )));
+        }
+        if !g.finished {
+            return Err(HdmError::DataMpi(format!(
+                "pipelined output {label}: drained before its producer finished"
+            )));
+        }
+        let partitions = g
+            .declared
+            .as_ref()
+            .and_then(|(ranges, _)| ranges.iter().map(|r| r.end).max())
+            .unwrap_or(0);
+        let mut slots = std::mem::take(&mut g.slots);
+        drop(g);
+        let mut parts = Vec::with_capacity(partitions);
+        for p in 0..partitions {
+            let slot = slots.remove(&p).ok_or_else(|| {
+                HdmError::DataMpi(format!(
+                    "pipelined output {label}: partition {p} of {partitions} never committed"
+                ))
+            })?;
+            parts.push(slot.rows);
+        }
+        if let Some(p) = slots.keys().min() {
+            return Err(HdmError::DataMpi(format!(
+                "pipelined output {label}: partition {p} committed but not declared"
+            )));
+        }
+        let mut rows = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+        for part in parts {
+            // The slot held the only reference, so the rows move.
+            rows.extend(Arc::try_unwrap(part).unwrap_or_else(|shared| (*shared).clone()));
+        }
+        if obs.is_enabled() {
+            obs.counter("result.partitions", label)
+                .add(partitions as u64);
+            obs.counter("result.rows", label).add(rows.len() as u64);
+        }
+        Ok(rows)
+    }
 }
 
 #[cfg(test)]
@@ -638,6 +702,76 @@ mod tests {
         assert!(s.take(0).is_ok());
         let err = s.take(1).unwrap_err();
         assert!(err.message().contains("missing"), "{err}");
+    }
+
+    fn labelled(n: i64) -> Arc<Vec<Row>> {
+        Arc::new(vec![Row::from(vec![Value::Long(n)])])
+    }
+
+    #[test]
+    fn drain_returns_partitions_in_order_and_the_replayed_attempt() {
+        let o = obs();
+        let s = StreamedIntermediate::new("stage2", 1, &ObsHandle::disabled());
+        s.declare_ranges(&[0..2, 2..3], 0);
+        s.commit(2, 0, labelled(2)).unwrap();
+        s.commit(0, 0, labelled(0)).unwrap();
+        s.commit(1, 0, labelled(10)).unwrap();
+        // A replayed attempt replaces its partition, as a rewritten part
+        // file would; nothing ever parks (no consumer is attached).
+        s.commit(1, 1, labelled(1)).unwrap();
+        s.finish();
+        let rows = s.drain(&o).unwrap();
+        let want: Vec<Row> = (0..3).map(|n| Row::from(vec![Value::Long(n)])).collect();
+        assert_eq!(rows, want);
+        let counter = |name: &str| {
+            let snap = o.snapshot();
+            snap.counters
+                .iter()
+                .filter(|(n, l, _)| n == name && l == "stage2")
+                .map(|(_, _, v)| *v)
+                .sum::<u64>()
+        };
+        assert_eq!(
+            (counter("result.partitions"), counter("result.rows")),
+            (3, 3)
+        );
+    }
+
+    #[test]
+    fn drain_refuses_a_gap_an_unfinished_stream_and_a_cancelled_one() {
+        let s = StreamedIntermediate::new("stage0", 4, &obs());
+        s.declare(3, 0);
+        s.commit(0, 0, rows(1)).unwrap();
+        s.commit(2, 0, rows(1)).unwrap();
+        assert!(s
+            .clone()
+            .drain(&obs())
+            .unwrap_err()
+            .message()
+            .contains("before"));
+        s.finish();
+        let err = s.drain(&obs()).unwrap_err();
+        assert!(
+            err.message().contains("partition 1 of 3 never committed"),
+            "{err}"
+        );
+
+        let s = StreamedIntermediate::new("stage0", 4, &obs());
+        s.commit(0, 0, rows(1)).unwrap();
+        s.finish();
+        let err = s.drain(&obs()).unwrap_err();
+        assert!(err.message().contains("not declared"), "{err}");
+
+        let s = StreamedIntermediate::new("stage0", 4, &obs());
+        s.finish();
+        assert_eq!(s.drain(&obs()).unwrap(), Vec::<Row>::new());
+
+        let s = StreamedIntermediate::new("stage0", 4, &obs());
+        s.declare(1, 0);
+        s.commit(0, 0, rows(1)).unwrap();
+        s.cancel("deadline exceeded");
+        s.finish();
+        assert!(s.drain(&obs()).unwrap_err().is_cancelled());
     }
 
     #[test]

@@ -263,8 +263,8 @@ fn pipelined_deep_chain_streams_partitions_without_files() {
         );
     }
     assert!(
-        !r.stages[last].output_paths.is_empty(),
-        "the collect stage still materializes its result"
+        r.stages[last].output_paths.is_empty(),
+        "the collect stage hands its result to the driver in memory"
     );
     let snap = d.last_obs_snapshot().expect("obs snapshot");
     let counter = |name: &str| -> u64 {
@@ -279,6 +279,212 @@ fn pipelined_deep_chain_streams_partitions_without_files() {
         counter("pipe.rows.streamed") >= 400 * 4,
         "four streamed boundaries × 400 rows"
     );
+}
+
+/// A pipelined DataMPI `SELECT` hands its result to the driver in
+/// memory (DESIGN.md §31): for every TPC-H query on Text and ORC it
+/// returns the rows Hadoop and pipelined-off return (both read part
+/// files back), its collect stage writes no part file, and no query
+/// leaves anything under `/tmp/q`.
+#[test]
+fn in_memory_result_matches_file_result_on_both_formats() {
+    for format in [FormatKind::Text, FormatKind::Orc] {
+        let mut d = Driver::in_memory();
+        tpch::load(&mut d, 0.002, 20150701, format).expect("load tpch");
+        for n in tpch::queries::all() {
+            let mut run = |engine, pipelined| {
+                set_pipelined(&mut d, pipelined);
+                let r = d
+                    .execute_on(tpch::queries::query(n), engine)
+                    .unwrap_or_else(|e| panic!("Q{n} {format:?} {engine:?} {pipelined}: {e}"));
+                assert_eq!(
+                    d.dfs().list("/tmp/q"),
+                    Vec::<String>::new(),
+                    "Q{n} {format:?}"
+                );
+                r
+            };
+            let in_memory = run(EngineKind::DataMpi, true);
+            let last = in_memory.stages.last().expect("a stage");
+            assert!(last.output_paths.is_empty(), "Q{n} {format:?}");
+            let bytes: u64 = last.volumes.reduces.iter().map(|r| r.output_bytes).sum();
+            assert_eq!(bytes, 0, "Q{n} {format:?}: the result was written");
+            let files = run(EngineKind::DataMpi, false);
+            assert!(!files
+                .stages
+                .last()
+                .expect("a stage")
+                .output_paths
+                .is_empty());
+            let hadoop = run(EngineKind::Hadoop, true);
+            let want = normalize(&hadoop);
+            assert_eq!(normalize(&in_memory), want, "Q{n} {format:?} vs Hadoop");
+            assert_eq!(normalize(&files), want, "Q{n} {format:?} pipelined off");
+        }
+    }
+}
+
+/// A table whose one-stage `GROUP BY` is its collect stage: each key's
+/// row appears once in the result.
+fn grouped_driver(rows: i64) -> Driver {
+    use hdm_common::row::Row;
+    use hdm_common::value::Value;
+    let d = Driver::in_memory();
+    d.execute("CREATE TABLE big (k BIGINT, v DOUBLE)").unwrap();
+    let rows: Vec<Row> = (0..rows)
+        .map(|i| Row::from(vec![Value::Long(i % 97), Value::Double(i as f64)]))
+        .collect();
+    d.load_rows("big", &rows).unwrap();
+    d
+}
+
+const GROUPED: &str = "SELECT k, COUNT(*) AS n, SUM(v) AS s FROM big GROUP BY k";
+
+fn arm_faults(d: &mut Driver, seed: u64) {
+    let c = d.conf_mut();
+    c.set(keys::KEY_OBS_ENABLED, true);
+    c.set(keys::KEY_FT_ENABLED, true);
+    c.set(keys::KEY_FT_SEED, seed);
+    c.set(keys::KEY_FT_BACKOFF_BASE_MS, 1);
+    c.set(keys::KEY_FT_RECV_TIMEOUT_MS, 400);
+}
+
+/// Sum of counter `name` over the labels containing `label`.
+fn counter_of(d: &Driver, name: &str, label: &str) -> u64 {
+    let snap = d.last_obs_snapshot().expect("obs snapshot");
+    snap.counters
+        .iter()
+        .filter(|(n, labels, _)| n == name && labels.contains(label))
+        .map(|(_, _, v)| *v)
+        .sum()
+}
+
+/// A DataMPI run whose task recovery is exhausted falls back to Hadoop,
+/// which writes the result to part files: the driver reads those back
+/// and returns the fault-free rows, and the abandoned result stream
+/// leaves nothing behind.
+#[test]
+fn fallback_from_an_in_memory_result_returns_the_clean_rows() {
+    use hdm_faults::{FaultPlan, Site};
+    let mut d = grouped_driver(7000);
+    // Combiner off: every row is one O-task send, so a crash countdown
+    // (< 512) fires inside a task.
+    d.conf_mut().set(keys::KEY_COMBINER, false);
+    let clean = d.execute_on(GROUPED, EngineKind::DataMpi).unwrap();
+    let records: Vec<u64> = clean.stages[0]
+        .volumes
+        .maps
+        .iter()
+        .map(|m| m.records)
+        .collect();
+    d.conf_mut().set(keys::KEY_FT_MAX_ATTEMPTS, 1);
+    let crashing = (0..4096u64).filter(|&seed| {
+        let probe = FaultPlan::with_seed(seed);
+        records.iter().enumerate().any(|(rank, &n)| {
+            probe
+                .crash_after(Site::OTask, rank, 0)
+                .is_some_and(|c| c < n)
+        })
+    });
+    let mut fell_back = false;
+    for seed in crashing.take(8) {
+        arm_faults(&mut d, seed);
+        // The seed may fault the Hadoop run too; the next one is tried.
+        let Ok(r) = d.execute_on(GROUPED, EngineKind::DataMpi) else {
+            assert_eq!(d.dfs().list("/tmp/q"), Vec::<String>::new());
+            continue;
+        };
+        assert_eq!(d.dfs().list("/tmp/q"), Vec::<String>::new());
+        if counter_of(&d, "ft.fallbacks", "from=datampi") == 0 {
+            continue;
+        }
+        assert_eq!(normalize(&r), normalize(&clean), "seed {seed}");
+        assert!(
+            !r.stages[0].output_paths.is_empty(),
+            "Hadoop wrote part files"
+        );
+        fell_back = true;
+        break;
+    }
+    assert!(fell_back, "no candidate seed completed via fallback");
+}
+
+/// An A task of the collect stage that crashes is replayed; its
+/// partition lands in the result stream once, so each result row (one
+/// per key) appears exactly once.
+#[test]
+fn replayed_a_task_commits_each_result_row_once() {
+    let mut d = grouped_driver(7000);
+    let clean = d.execute_on(GROUPED, EngineKind::DataMpi).unwrap();
+    assert_eq!(clean.rows.len(), 97);
+    let mut replayed = false;
+    for seed in 0..64u64 {
+        arm_faults(&mut d, seed);
+        let r = d
+            .execute_on(GROUPED, EngineKind::DataMpi)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let a_retries = counter_of(&d, "ft.retries", "site=a-task");
+        let fallbacks = counter_of(&d, "ft.fallbacks", "");
+        if a_retries == 0 || fallbacks > 0 {
+            continue;
+        }
+        let keys: std::collections::BTreeSet<String> =
+            r.rows.iter().map(|row| row.get(0).to_string()).collect();
+        assert_eq!(keys.len(), r.rows.len(), "seed {seed}: a key came twice");
+        assert_eq!(normalize(&r), normalize(&clean), "seed {seed}");
+        assert_eq!(counter_of(&d, "result.rows", ""), 97);
+        assert!(r.stages[0].output_paths.is_empty());
+        replayed = true;
+        break;
+    }
+    assert!(replayed, "no seed replayed an A task without falling back");
+}
+
+/// Cancelling a query while its collect stage runs (the query has no
+/// other stage) ends in the typed `Cancelled`, under a watchdog, and
+/// leaves nothing under `/tmp/q`. Every arm ends cancelled or with the
+/// clean rows; the early ones must be cancelled mid-run.
+#[test]
+fn cancel_during_the_collect_stage_is_typed_and_leaves_no_scratch() {
+    use hdm_common::CancelToken;
+    use std::time::Duration;
+    let d = grouped_driver(60_000);
+    let clean = normalize(&d.execute_on(GROUPED, EngineKind::DataMpi).unwrap());
+    let mut cancelled = 0;
+    for delay_ms in [1u64, 2, 4, 8, 16] {
+        let token = CancelToken::new();
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = {
+            let session = d.session();
+            let token = token.clone();
+            std::thread::spawn(move || {
+                started_tx.send(()).unwrap();
+                let out = session.execute_on_cancellable(GROUPED, EngineKind::DataMpi, &token);
+                let _ = tx.send(out);
+            })
+        };
+        started.recv().unwrap();
+        std::thread::sleep(Duration::from_millis(delay_ms));
+        token.cancel("test: cancel the collect stage");
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the cancelled query hung");
+        runner.join().unwrap();
+        match outcome {
+            Ok(r) => assert_eq!(normalize(&r), clean, "{delay_ms} ms"),
+            Err(e) => {
+                assert!(e.is_cancelled(), "{delay_ms} ms: {e}");
+                cancelled += 1;
+            }
+        }
+        assert_eq!(
+            d.dfs().list("/tmp/q"),
+            Vec::<String>::new(),
+            "{delay_ms} ms"
+        );
+    }
+    assert!(cancelled > 0, "no arm was cancelled mid-run");
 }
 
 /// The in-order-wave hazard, head on: a join over two streamed inputs of
