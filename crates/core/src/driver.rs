@@ -215,15 +215,11 @@ impl Driver {
                 let meta = self.metastore.table(&table)?;
                 // Overwrite semantics: clear old data first.
                 self.metastore.storage.drop_table(&self.dfs, &table);
-                let (stages, _) = self.run_select(
-                    &query,
-                    StageOutput::Table {
-                        name: meta.name.clone(),
-                        format: meta.format,
-                    },
-                    engine,
-                    cancel,
-                )?;
+                let sink = StageOutput::Table {
+                    name: meta.name.clone(),
+                    format: meta.format,
+                };
+                let stages = self.run_select(&query, sink, engine, cancel)?.stages;
                 self.metastore.record_write(&self.dfs, &table);
                 Ok(QueryResult {
                     rows: Vec::new(),
@@ -276,50 +272,42 @@ impl Driver {
                 })
             }
             Statement::Select(query) => {
-                let (stages, collected) =
-                    self.run_select(&query, StageOutput::Collect, engine, cancel)?;
-                let (rows, columns) = collected
-                    .ok_or_else(|| HdmError::Plan("collect sink returned no result rows".into()))?;
-                Ok(QueryResult {
-                    rows,
-                    columns,
-                    stages,
-                })
+                self.run_select(&query, StageOutput::Collect, engine, cancel)
             }
         }
     }
 
-    /// Plan + execute a SELECT with the given sink. Returns stage results
-    /// and, for Collect sinks, the result rows.
-    #[allow(clippy::type_complexity)]
+    /// Plan + execute a SELECT with the given sink. The result carries
+    /// the last stage's column names and, for a Collect sink, its rows.
     fn run_select(
         &self,
         query: &crate::ast::SelectStmt,
         sink: StageOutput,
         engine: EngineKind,
         cancel: &CancelToken,
-    ) -> Result<(Vec<StageResult>, Option<(Vec<Row>, Vec<String>)>)> {
+    ) -> Result<QueryResult> {
         let qb = analyze(query, &self.metastore)?;
         let mut plan = plan_select(&qb, sink.clone())?;
         for stage in &mut plan.stages {
             crate::optimizer::optimize_stage(stage);
         }
-        let (stages, drained) = self.execute_plan(&plan, engine, cancel)?;
-        let collected = if matches!(sink, StageOutput::Collect) {
-            let (last, last_plan) = match (stages.last(), plan.stages.last()) {
-                (Some(s), Some(p)) => (s, p),
-                _ => return Err(HdmError::Plan("SELECT produced an empty plan".into())),
-            };
-            let mut rows = drained.map_or_else(|| self.collect_rows(last), Ok)?;
-            // LIMIT without ORDER BY is applied here (best-effort upstream).
-            if let Some(l) = qb.limit {
-                rows.truncate(l as usize);
-            }
-            Some((rows, last_plan.out_names.clone()))
-        } else {
-            None
-        };
-        Ok((stages, collected))
+        let columns = plan
+            .stages
+            .last()
+            .ok_or_else(|| HdmError::Plan("SELECT produced an empty plan".into()))?
+            .out_names
+            .clone();
+        let (stages, rows) = self.execute_plan(&plan, engine, cancel)?;
+        let mut rows = rows.unwrap_or_default();
+        // LIMIT without ORDER BY is applied here (best-effort upstream).
+        if let Some(l) = qb.limit {
+            rows.truncate(l as usize);
+        }
+        Ok(QueryResult {
+            rows,
+            columns,
+            stages,
+        })
     }
 
     /// Read a `Collect` stage's rows back and delete its part files: the
@@ -335,8 +323,10 @@ impl Driver {
     }
 
     /// Run a plan under the query's obs, fault plan and cleanup rules.
-    /// Returns the stage results and, when the last stage committed its
-    /// result to a stream the driver drains (DESIGN.md §31), its rows.
+    /// Returns the stage results and, when the last stage is a
+    /// [`StageOutput::Collect`], its rows: drained from the stream the
+    /// stage committed them to (DESIGN.md §31), else read back from its
+    /// part files.
     fn execute_plan(
         &self,
         plan: &crate::physical::QueryPlan,
@@ -348,12 +338,13 @@ impl Driver {
         // every layer below (engines, shuffle, receiver, DFS) records
         // into it. Disabled (the default) it is a no-op sink.
         let obs = hdm_obs::ObsHandle::from_conf(&self.conf)?;
-        self.dfs.attach_obs(&obs);
-        // One fault plan per query (`hive.ft.*`), shared with the DFS so
-        // storage reads see the same seeded schedule as the engines.
+        // One fault plan per query (`hive.ft.*`). The query's stages read
+        // through a DFS view carrying both, so storage reads see the
+        // same seeded schedule as the engines, and no other session's
+        // reads see either.
         let faults = hdm_faults::FaultPlan::from_conf(&self.conf, &obs)?;
-        self.dfs.attach_faults(&faults);
-        let run = match self.run_plan_stages(plan, engine, query_id, &obs, cancel) {
+        let dfs = self.dfs.for_query(&obs, &faults);
+        let run = match self.run_plan_stages(plan, engine, query_id, &dfs, &obs, cancel) {
             Ok(results) => Ok(results),
             // Task-level recovery inside the engine is exhausted. With
             // fault tolerance on, the driver re-runs the whole query
@@ -371,13 +362,11 @@ impl Driver {
                         faults.note_fallback(engine.name(), fb.name());
                         self.cleanup_partial_outputs(plan, query_id);
                         let _fb_span = obs.span("driver", "recovery", "engine-fallback");
-                        self.run_plan_stages(plan, fb, query_id, &obs, cancel)
+                        self.run_plan_stages(plan, fb, query_id, &dfs, &obs, cancel)
                     }
                 }
             }
         };
-        // Disarm DFS fault injection before surfacing the outcome.
-        self.dfs.attach_faults(&hdm_faults::FaultPlan::disabled());
         let (results, result_stream) = match run {
             Ok(run) => run,
             Err(err) => {
@@ -400,13 +389,19 @@ impl Driver {
                     .delete_prefix(&format!("/tmp/q{query_id}/stage{}/", stage.id));
             }
         }
-        // Drained while the query's obs still records it (`result.*`).
+        // Drained before the snapshot, which counts it (`result.*`).
         let drained = result_stream.map(|s| s.drain(&obs)).transpose()?;
         if obs.is_enabled() {
             *self.last_obs.lock() = Some(obs.snapshot());
         }
         self.export_obs(&obs)?;
-        Ok((results, drained))
+        let rows = match (plan.stages.last(), results.last()) {
+            (Some(p), Some(last)) if p.output == StageOutput::Collect => {
+                Some(drained.map_or_else(|| self.collect_rows(last), Ok)?)
+            }
+            _ => None,
+        };
+        Ok((results, rows))
     }
 
     /// Execute a hand-built physical plan on a specific engine — the
@@ -436,18 +431,14 @@ impl Driver {
                 stage.id
             )));
         }
-        let (stages, drained) = self.execute_plan(plan, engine, &CancelToken::default())?;
-        let (rows, columns) = match (plan.stages.last(), stages.last()) {
-            (Some(last_plan), Some(last)) if last_plan.output == StageOutput::Collect => (
-                drained.map_or_else(|| self.collect_rows(last), Ok)?,
-                last_plan.out_names.clone(),
-            ),
-            (Some(last_plan), _) => (Vec::new(), last_plan.out_names.clone()),
-            _ => (Vec::new(), Vec::new()),
-        };
+        let (stages, rows) = self.execute_plan(plan, engine, &CancelToken::default())?;
         Ok(QueryResult {
-            rows,
-            columns,
+            rows: rows.unwrap_or_default(),
+            columns: plan
+                .stages
+                .last()
+                .map(|last| last.out_names.clone())
+                .unwrap_or_default(),
             stages,
         })
     }
@@ -475,6 +466,7 @@ impl Driver {
         plan: &crate::physical::QueryPlan,
         engine: EngineKind,
         query_id: u64,
+        dfs: &Dfs,
         obs: &hdm_obs::ObsHandle,
         cancel: &CancelToken,
     ) -> Result<(
@@ -540,7 +532,7 @@ impl Driver {
             let track = format!("stage{}", stage.id);
             let stage_span = obs.span(&track, "phase", stage.kind.name());
             let ctx = StageContext {
-                dfs: &self.dfs,
+                dfs,
                 metastore: &self.metastore,
                 conf: &self.conf,
                 engine,

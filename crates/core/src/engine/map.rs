@@ -435,16 +435,14 @@ impl StagePipeline {
         for unit in units {
             vols.push((unit, self.run_unit(unit, out, &mut counts, &mut kv_sizes)?));
         }
-        if self.obs.is_enabled() {
-            let counter = |name| self.obs.counter(name, &self.stage_label);
-            counter("stage.map.records").add(counts.records);
-            counter("stage.map.input.bytes").add(counts.input_bytes);
-            counter("vec.batches").add(counts.vec_batches);
-            counter("text.rows.skipped").add(counts.rows_skipped);
-            counter("join.map.build.rows").add(counts.built_rows);
-            counter("join.map.build.bytes").add(counts.built_bytes);
-            counter("join.map.probe.rows").add(counts.probe_rows);
-        }
+        let count = |name, n| self.obs.count(name, &self.stage_label, n);
+        count("stage.map.records", counts.records);
+        count("stage.map.input.bytes", counts.input_bytes);
+        count("vec.batches", counts.vec_batches);
+        count("text.rows.skipped", counts.rows_skipped);
+        count("join.map.build.rows", counts.built_rows);
+        count("join.map.build.bytes", counts.built_bytes);
+        count("join.map.probe.rows", counts.probe_rows);
         let mut map_vols = self.map_vols.lock();
         for (unit, vol) in vols {
             if let Some(slot) = map_vols.get_mut(unit) {

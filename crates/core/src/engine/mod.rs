@@ -362,13 +362,11 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
             vol.spill_bytes += bytes_of(u);
         }
     }
-    if ctx.obs.is_enabled() {
-        let counter = |name| ctx.obs.counter(name, &job.pipeline.stage_label);
-        counter("stage.map.tasks").add(map_tasks as u64);
-        counter("stage.map.units").add(units as u64);
-        counter("stage.reduce.tasks").add(reduce_tasks as u64);
-        counter("stage.partitions").add(reduces.len() as u64);
-    }
+    let count = |name, n| ctx.obs.count(name, &job.pipeline.stage_label, n);
+    count("stage.map.tasks", map_tasks as u64);
+    count("stage.map.units", units as u64);
+    count("stage.reduce.tasks", reduce_tasks as u64);
+    count("stage.partitions", reduces.len() as u64);
     let kv_sizes = job.pipeline.kv_sizes.lock().clone();
     Ok(StageResult {
         output_paths: written.values().map(|(p, _)| p.clone()).collect(),

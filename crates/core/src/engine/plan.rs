@@ -173,11 +173,9 @@ pub(super) fn plan_tasks(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<Pl
         });
         builds.push(steps.collect::<Result<Vec<_>>>()?);
     }
-    if ctx.obs.is_enabled() {
-        let steps = builds.iter().map(Vec::len).sum::<usize>() as u64;
-        let stage_label = format!("stage={}", stage.id);
-        ctx.obs.counter("join.map.steps", &stage_label).add(steps);
-    }
+    let steps = builds.iter().map(Vec::len).sum::<usize>() as u64;
+    let label = format_args!("stage={}", stage.id);
+    ctx.obs.count("join.map.steps", &label, steps);
     let input_bytes = units.iter().map(|u| u.input.bytes()).sum();
     Ok(PlannedTasks {
         units,
@@ -238,15 +236,9 @@ fn file_splits(
         pruned_rows += planned.pruned_rows;
         splits.extend(planned.splits);
     }
-    if ctx.obs.is_enabled() {
-        let stage_label = format!("stage={stage_id}");
-        ctx.obs
-            .counter("orc.stripes.pruned", &stage_label)
-            .add(pruned_stripes);
-        ctx.obs
-            .counter("orc.rows.pruned", &stage_label)
-            .add(pruned_rows);
-    }
+    let label = format_args!("stage={stage_id}");
+    ctx.obs.count("orc.stripes.pruned", &label, pruned_stripes);
+    ctx.obs.count("orc.rows.pruned", &label, pruned_rows);
     Ok(splits)
 }
 

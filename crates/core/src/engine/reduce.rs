@@ -174,23 +174,18 @@ impl StagePipeline {
                 }
             }
         }
-        if self.obs.is_enabled() {
-            let counter = |name| self.obs.counter(name, &self.stage_label);
-            counter("stage.reduce.rows").add(rows_out.len() as u64);
-            counter("join.reduce.groups.skipped").add(groups_skipped);
-            counter("join.reduce.rows.undecoded").add(rows_undecoded);
-        }
+        let count = |name, n| self.obs.count(name, &self.stage_label, n);
+        count("stage.reduce.rows", rows_out.len() as u64);
+        count("join.reduce.groups.skipped", groups_skipped);
+        count("join.reduce.rows.undecoded", rows_undecoded);
         self.sink.commit(rank, groups.attempt(), rows_out)?;
         // Counted once per A task (its first partition carries the
         // counts), by the attempt whose output committed.
-        if self.obs.is_enabled() {
-            if let Some(wire) = groups.wire() {
-                let counter = |kind| self.obs.counter(kind, &self.stage_label);
-                counter("mpi.messages.data").add(wire.data);
-                counter("mpi.messages.commit").add(wire.commit);
-                counter("mpi.messages.done").add(wire.done);
-                counter("mpi.messages.abort").add(wire.abort);
-            }
+        if let Some(wire) = groups.wire() {
+            count("mpi.messages.data", wire.data);
+            count("mpi.messages.commit", wire.commit);
+            count("mpi.messages.done", wire.done);
+            count("mpi.messages.abort", wire.abort);
         }
         Ok(())
     }

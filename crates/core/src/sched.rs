@@ -337,12 +337,12 @@ impl Edges {
 
 /// Shared scheduler instrumentation: the running-stage level (for the
 /// `sched.max.concurrent` high-water gauge) plus the obs handle the
-/// per-stage spans are recorded into. Disabled obs: the gauge is never
-/// registered and every span call is an atomic-load no-op.
+/// per-stage spans are recorded into. Disabled obs: the gauge is inert
+/// and every span call returns at once.
 struct Instruments<'a> {
     obs: &'a hdm_obs::ObsHandle,
     running: AtomicI64,
-    peak: Option<hdm_obs::Gauge>,
+    peak: hdm_obs::Gauge,
 }
 
 impl Instruments<'_> {
@@ -350,9 +350,7 @@ impl Instruments<'_> {
         Instruments {
             obs,
             running: AtomicI64::new(0),
-            peak: obs
-                .is_enabled()
-                .then(|| obs.gauge("sched.max.concurrent", "")),
+            peak: obs.gauge("sched.max.concurrent", ""),
         }
     }
 
@@ -378,9 +376,7 @@ impl Instruments<'_> {
             );
         }
         let level = self.running.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(peak) = &self.peak {
-            peak.record_max(level);
-        }
+        self.peak.record_max(level);
         let span = self.obs.span(&track, "sched", "sched.run");
         let out = run(stage);
         drop(span);

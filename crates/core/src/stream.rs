@@ -40,7 +40,7 @@
 
 use hdm_common::error::{HdmError, Result};
 use hdm_common::row::Row;
-use hdm_obs::ObsHandle;
+use hdm_obs::{Counter, Gauge, ObsHandle};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -86,6 +86,10 @@ struct Inner {
     producers: Condvar,
     cap: usize,
     obs: ObsHandle,
+    /// The per-commit `pipe.*` handles, fetched once in `new`.
+    committed: Counter,
+    streamed: Counter,
+    buffered: Gauge,
     label: String,
 }
 
@@ -118,6 +122,9 @@ impl StreamedIntermediate {
                 producers: Condvar::new(),
                 cap: cap.max(1),
                 obs: obs.clone(),
+                committed: obs.counter("pipe.partitions.committed", label),
+                streamed: obs.counter("pipe.rows.streamed", label),
+                buffered: obs.gauge("pipe.buffered.partitions", label),
                 label: label.to_string(),
             }),
         }
@@ -247,30 +254,17 @@ impl StreamedIntermediate {
         let buffered = g.buffered as u64;
         drop(g);
         if replay {
-            inner
-                .obs
-                .counter("pipe.partitions.replayed", &inner.label)
-                .add(1);
+            inner.obs.count("pipe.partitions.replayed", &inner.label, 1);
             inner.takers.notify_all();
             return Ok(());
         }
         if waited {
-            inner
-                .obs
-                .counter("pipe.backpressure.waits", &inner.label)
-                .add(1);
+            inner.obs.count("pipe.backpressure.waits", &inner.label, 1);
         }
+        inner.committed.add(1);
+        inner.streamed.add(n_rows);
         inner
-            .obs
-            .counter("pipe.partitions.committed", &inner.label)
-            .add(1);
-        inner
-            .obs
-            .counter("pipe.rows.streamed", &inner.label)
-            .add(n_rows);
-        inner
-            .obs
-            .gauge("pipe.buffered.partitions", &inner.label)
+            .buffered
             .record_max(i64::try_from(buffered).unwrap_or(i64::MAX));
         inner.takers.notify_all();
         Ok(())
@@ -439,11 +433,8 @@ impl StreamedIntermediate {
             // The slot held the only reference, so the rows move.
             rows.extend(Arc::try_unwrap(part).unwrap_or_else(|shared| (*shared).clone()));
         }
-        if obs.is_enabled() {
-            obs.counter("result.partitions", label)
-                .add(partitions as u64);
-            obs.counter("result.rows", label).add(rows.len() as u64);
-        }
+        obs.count("result.partitions", label, partitions as u64);
+        obs.count("result.rows", label, rows.len() as u64);
         Ok(rows)
     }
 }

@@ -54,9 +54,9 @@ pub struct OContext<'slot> {
     /// next `send`. `None` (always, when fault injection is off) costs
     /// nothing on the per-record path.
     crash_countdown: Option<u64>,
-    // Registry handles fetched once at task setup; the per-record path
-    // never touches them — only the flush branch does, behind one
-    // relaxed `is_enabled` load.
+    // Registry handles fetched once at task setup (inert when obs is
+    // off); the per-record path never touches them, only the flush
+    // branch does.
     obs_flushes: Counter,
     obs_flush_bytes: Counter,
     obs_queue_wait: Timer,
@@ -128,7 +128,7 @@ impl OContext<'_> {
         // not silently discarded.
         if self.spl.takes_buffer(dst, wire) {
             while let Ok(done) = self.recycle_rx.try_recv() {
-                if !self.spl.recycle(done) && self.config.obs.is_enabled() {
+                if !self.spl.recycle(done) {
                     self.obs_recycle_drops.add(1);
                 }
             }
@@ -142,9 +142,7 @@ impl OContext<'_> {
             self.enqueue(dst, payload)?;
             let waited = wait_start.elapsed();
             self.stats.queue_wait += waited;
-            if self.config.obs.is_enabled() {
-                self.obs_queue_wait.observe(waited.as_micros() as u64);
-            }
+            self.obs_queue_wait.observe(waited.as_micros() as u64);
         }
         Ok(())
     }
@@ -184,10 +182,8 @@ impl OContext<'_> {
         self.queue
             .send(SendCmd::Partition { dst, payload })
             .map_err(|_| HdmError::DataMpi(format!("O{}: shuffle engine gone", self.rank)))?;
-        if self.config.obs.is_enabled() {
-            self.obs_flushes.add(1);
-            self.obs_flush_bytes.add(bytes);
-        }
+        self.obs_flushes.add(1);
+        self.obs_flush_bytes.add(bytes);
         Ok(())
     }
 
@@ -449,7 +445,7 @@ impl Shape {
         if state.ranges.is_some() {
             return;
         }
-        obs.counter("shuffle.ranges", &format!("by={by}")).add(1);
+        obs.count("shuffle.ranges", &format_args!("by={by}"), 1);
         state.ranges = Some(ranges.into());
         if let Some(launcher) = &*self.launcher.lock() {
             launcher.unpark();
@@ -687,7 +683,7 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
     let obs = &config.obs;
     let track = format!("O{rank}");
     let _task_span = obs.span(&track, "task", "o-task");
-    let label = format!("rank={rank}");
+    let label = format_args!("rank={rank}");
     // The send block queue is the task's own: an engine that dies drops
     // the receiving end, and the next `send` sees it at once.
     let (tx, rx) = bounded(config.send_queue_len.max(1));
@@ -796,7 +792,7 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
         // the split is being dropped either way, but the drop must not
         // be silent (same contract as the recycle path above).
         if ctx.queue.send(SendCmd::Abort).is_err() {
-            obs.counter("spl.abort.drops", &label).add(1);
+            obs.count("spl.abort.drops", &label, 1);
         }
         Ok(())
     };
@@ -804,7 +800,7 @@ fn run_o_task<RO>(ep: Endpoint, slot: &mut OSlot, job: &OJob<'_, RO>) -> Result<
     if tx.send(SendCmd::Finish).is_err() {
         // Engine hung up before Finish: its result below carries the
         // real error; the counter keeps the lost commit visible in obs.
-        obs.counter("spl.finish.drops", &label).add(1);
+        obs.count("spl.finish.drops", &label, 1);
     }
     // hdm-allow(unbounded-blocking): the comm thread answers every task it accepted, or drops the channel when it dies
     let sender_stats = match slot.sent_rx.recv() {

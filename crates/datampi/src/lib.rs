@@ -138,8 +138,8 @@ pub struct DataMpiConfig {
     /// Underlying channel capacity (messages) per rank.
     pub channel_capacity: usize,
     /// Observability sink: spans per O/A task, shuffle counters, and
-    /// queue-wait timers flow here. Defaults to a disabled handle whose
-    /// per-site cost is one relaxed atomic load.
+    /// queue-wait timers flow here. Defaults to a disabled handle, whose
+    /// metric handles are inert.
     pub obs: hdm_obs::ObsHandle,
     /// Fault-injection plan (`hive.ft.*`). Disabled by default; when
     /// enabled it also arms receive deadlines, per-source staging on the

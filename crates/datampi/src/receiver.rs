@@ -160,7 +160,7 @@ pub fn run_receiver(
     // Buffer-manager probe handles, fetched once: cache occupancy gauge
     // plus stride-sampled counter points for the resource trace.
     let track = format!("A{rank}");
-    let label = format!("rank={rank}");
+    let label = format_args!("rank={rank}");
     let obs_cache = obs.gauge("a.cache.bytes", &label);
     let obs_spills = obs.counter("a.spills", &label);
     let recv_span = obs.span(&track, "phase", "receive");
@@ -175,11 +175,9 @@ pub fn run_receiver(
         })
         .collect();
     let observe = |caches: &[Cache<'_>], spilled| {
-        if obs.is_enabled() {
-            obs_cache.set(caches.iter().map(|c| c.bytes).sum::<u64>() as i64);
-            if spilled {
-                obs_spills.add(1);
-            }
+        obs_cache.set(caches.iter().map(|c| c.bytes).sum::<u64>() as i64);
+        if spilled {
+            obs_spills.add(1);
         }
     };
     let mut wire = WireCounts::default();
@@ -224,7 +222,7 @@ pub fn run_receiver(
                 }
                 slot.msgs += 1;
                 msgs += 1;
-                if obs.is_enabled() && obs.should_sample(msgs) {
+                if obs.should_sample(msgs) {
                     obs.sample(&track, "staged_bytes", staged_bytes);
                 }
             }
@@ -326,10 +324,7 @@ pub fn run_receiver(
     for (cache, st) in caches.into_iter().zip(stats.iter_mut()) {
         let groups = cache.input.into_groups(&**comparator);
         st.groups = groups.len() as u64;
-        if obs.is_enabled() {
-            obs.counter("a.groups", &format!("rank={}", st.rank))
-                .add(st.groups);
-        }
+        obs.count("a.groups", &format_args!("rank={}", st.rank), st.groups);
         out.push(groups);
     }
     Ok(out)

@@ -22,8 +22,8 @@ use hdm_obs::{Counter, ObsHandle, Timer};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Registry handles the engine updates; fetched once per task so the
-/// transmit loop pays one relaxed atomic check when obs is disabled.
+/// Registry handles the engine updates, fetched once per task (inert
+/// when obs is disabled).
 struct EngineObs {
     obs: ObsHandle,
     isends: Counter,
@@ -33,7 +33,7 @@ struct EngineObs {
 
 impl EngineObs {
     fn new(obs: &ObsHandle, rank: usize) -> EngineObs {
-        let label = format!("rank={rank}");
+        let label = format_args!("rank={rank}");
         EngineObs {
             isends: obs.counter("shuffle.isends", &label),
             recycled: obs.counter("shuffle.recycled", &label),
@@ -367,7 +367,7 @@ pub fn send_held(
 /// pool is saturated and the allocation is simply dropped.
 fn offer(recycle: Option<&RecycleSender>, payload: Bytes, obs: &EngineObs) {
     if let Some(tx) = recycle {
-        if tx.try_send(payload).is_ok() && obs.obs.is_enabled() {
+        if tx.try_send(payload).is_ok() {
             obs.recycled.add(1);
         }
     }
@@ -411,14 +411,10 @@ fn run_nonblocking(
                 let tag = tags::with_attempt(tags::DATA, state.attempt);
                 inflight.push((ep.isend(state.a_base + dst, tag, payload)?, retained));
                 state.record_send(dst);
-                if obs.obs.is_enabled() {
-                    obs.isends.add(1);
-                    obs.obs.sample(
-                        &format!("O{}", ep.rank()),
-                        "inflight_sends",
-                        inflight.len() as u64,
-                    );
-                }
+                obs.isends.add(1);
+                let track = format_args!("O{}", ep.rank());
+                obs.obs
+                    .sample(&track, "inflight_sends", inflight.len() as u64);
                 // Test cached requests; completed ones recycle their slot
                 // (and offer their payload back to the SPL pool).
                 ep.progress();
@@ -491,9 +487,7 @@ fn run_blocking(
             sent_payloads.push(payload.clone());
             reqs.push(ep.isend(state.a_base + dst, tag, payload)?);
             state.record_send(dst);
-            if obs.obs.is_enabled() {
-                obs.isends.add(1);
-            }
+            obs.isends.add(1);
             acks_due.push(dst);
         }
         ep.waitall(&mut reqs)?;
@@ -503,9 +497,7 @@ fn run_blocking(
         }
         let waited = sync_start.elapsed();
         stats.sync_wait += waited;
-        if obs.obs.is_enabled() {
-            obs.sync_wait.observe(waited.as_micros() as u64);
-        }
+        obs.sync_wait.observe(waited.as_micros() as u64);
         // Every destination acknowledged: the round's payloads are fully
         // delivered and can rejoin the pool.
         for payload in sent_payloads {

@@ -105,17 +105,32 @@ pub trait RangeCache: std::fmt::Debug + Send + Sync {
 }
 
 /// A cheaply-cloneable handle to the simulated filesystem.
+///
+/// Every clone shares the namespace, the per-node [`DfsMetrics`] and the
+/// read cache. What one query adds — the obs counters its traffic is
+/// mirrored into and the fault plan its ranged reads consult — is a
+/// value of the handle itself, set by [`Dfs::for_query`]: a base handle
+/// records into no query and injects nothing.
 #[derive(Debug, Clone)]
 pub struct Dfs {
     inner: Arc<RwLock<Namespace>>,
     config: DfsConfig,
     metrics: Arc<DfsMetrics>,
-    /// Chaos source for transient ranged-read failures; shared across
-    /// clones (like `metrics`) so attaching once covers every handle.
-    faults: Arc<RwLock<hdm_faults::FaultPlan>>,
     /// Optional read-through cache; shared across clones so the server
     /// can attach one cache that covers every session's handle.
     read_cache: Arc<RwLock<Option<Arc<dyn RangeCache>>>>,
+    query: QueryIo,
+}
+
+/// One query's view of DFS I/O: the `dfs.*` obs counters (inert on a
+/// base handle) and the chaos source for transient ranged-read failures
+/// (disabled on a base handle).
+#[derive(Debug, Clone, Default)]
+struct QueryIo {
+    read_bytes: hdm_obs::Counter,
+    write_bytes: hdm_obs::Counter,
+    remote_reads: hdm_obs::Counter,
+    faults: hdm_faults::FaultPlan,
 }
 
 /// How [`Dfs::create`]'s refusal of a taken path starts.
@@ -140,8 +155,8 @@ impl Dfs {
             inner: Arc::new(RwLock::new(Namespace::new())),
             config,
             metrics: Arc::new(DfsMetrics::new(config.num_nodes)),
-            faults: Arc::new(RwLock::new(hdm_faults::FaultPlan::disabled())),
             read_cache: Arc::new(RwLock::new(None)),
+            query: QueryIo::default(),
         }
     }
 
@@ -155,20 +170,29 @@ impl Dfs {
         &self.metrics
     }
 
-    /// Mirror DFS traffic into an observability sink (resource-probe
-    /// input for the Fig. 13 dstat analogue). See
-    /// [`DfsMetrics::attach_obs`].
-    pub fn attach_obs(&self, obs: &hdm_obs::ObsHandle) {
-        self.metrics.attach_obs(obs);
-    }
-
-    /// Arm fault injection for ranged reads (the split-read path that
-    /// executes inside retryable task attempts). Whole-file reads are
-    /// deliberately not injected: they serve driver-side planning, which
-    /// has no task-level retry around it. Attaching a disabled plan
-    /// restores clean reads.
-    pub fn attach_faults(&self, plan: &hdm_faults::FaultPlan) {
-        *self.faults.write() = plan.clone();
+    /// This filesystem as one query sees it: the same namespace,
+    /// per-node metrics and read cache, with the query's own obs
+    /// counters (`dfs.read.bytes`, `dfs.write.bytes`, `dfs.remote.reads`
+    /// — the resource-probe input for the Fig. 13 dstat analogue) and
+    /// its own fault plan. The plan arms ranged reads, the split-read
+    /// path that executes inside retryable task attempts; whole-file and
+    /// planning reads are deliberately not injected, because driver-side
+    /// planning has no task-level retry around it. Views of one `Dfs`
+    /// held by concurrent queries neither see each other's faults nor
+    /// count each other's bytes.
+    pub fn for_query(&self, obs: &hdm_obs::ObsHandle, faults: &hdm_faults::FaultPlan) -> Dfs {
+        Dfs {
+            query: QueryIo {
+                // hdm-allow(conf-key-registry): metric names, not conf lookups
+                read_bytes: obs.counter("dfs.read.bytes", ""),
+                // hdm-allow(conf-key-registry): metric names, not conf lookups
+                write_bytes: obs.counter("dfs.write.bytes", ""),
+                // hdm-allow(conf-key-registry): metric names, not conf lookups
+                remote_reads: obs.counter("dfs.remote.reads", ""),
+                faults: faults.clone(),
+            },
+            ..self.clone()
+        }
     }
 
     /// Install (or with `None`, remove) a read-through cache for ranged
@@ -217,7 +241,7 @@ impl Dfs {
             }
             Ok(out)
         })?;
-        self.metrics.record_read(None, out.len() as u64);
+        self.record_read(None, out.len() as u64);
         Ok(out)
     }
 
@@ -241,14 +265,14 @@ impl Dfs {
             if let Some(bytes) = cache.lookup(path, offset, len) {
                 return Ok(bytes);
             }
-            if let Some(e) = self.faults.read().storage_error(path) {
+            if let Some(e) = self.query.faults.storage_error(path) {
                 return Err(e);
             }
             let bytes = self.read_range_uninjected(path, offset, len, reader_node)?;
             cache.admit(path, offset, len, &bytes);
             return Ok(bytes);
         }
-        if let Some(e) = self.faults.read().storage_error(path) {
+        if let Some(e) = self.query.faults.storage_error(path) {
             return Err(e);
         }
         self.read_range_uninjected(path, offset, len, reader_node)
@@ -318,9 +342,12 @@ impl Dfs {
             }
             Ok((out, local))
         })?;
-        self.metrics.record_read(reader_node, out.len() as u64);
+        self.record_read(reader_node, out.len() as u64);
         if let Some(n) = reader_node {
             self.metrics.record_locality(n, local);
+            if !local {
+                self.query.remote_reads.add(1);
+            }
         }
         Ok(out)
     }
@@ -422,6 +449,11 @@ impl Dfs {
         self.inner.read().total_bytes()
     }
 
+    fn record_read(&self, node: Option<NodeId>, bytes: u64) {
+        self.metrics.record_read(node, bytes);
+        self.query.read_bytes.add(bytes);
+    }
+
     /// Run `read` over the closed file at `path` under the namespace's
     /// read lock: no copy of its block list (a refcount bump and a
     /// replica `Vec` per block) per call.
@@ -519,6 +551,7 @@ impl DfsWriter {
         for b in &blocks {
             for &r in &b.replicas {
                 self.dfs.metrics.record_write(Some(r), b.data.len() as u64);
+                self.dfs.query.write_bytes.add(b.data.len() as u64);
             }
         }
         self.dfs.finish_file(&self.path, blocks, len);
@@ -738,27 +771,29 @@ mod tests {
     }
 
     #[test]
-    fn attached_faults_inject_transient_range_read_errors() {
+    fn query_view_injects_faults_only_into_its_own_reads() {
+        use hdm_faults::FaultPlan;
+        use hdm_obs::ObsHandle;
         let dfs = small_fs();
-        let plan = hdm_faults::FaultPlan::with_seed(3);
+        let plan = FaultPlan::with_seed(3);
         // Find a path the plan marks flaky before creating it.
         let path = (0..512)
             .map(|i| format!("/warehouse/t/part-{i}"))
-            .find(|p| {
-                hdm_faults::FaultPlan::with_seed(3)
-                    .storage_error(p)
-                    .is_some()
-            })
+            .find(|p| FaultPlan::with_seed(3).storage_error(p).is_some())
             .expect("no flaky path in 512 candidates");
         let mut w = dfs.create(&path, NodeId(0)).unwrap();
         w.write(&[7u8; 10]).unwrap();
         w.close().unwrap();
-        dfs.attach_faults(&plan);
-        // The flaky path fails at most twice, then heals; whole-file
-        // reads are never injected.
+        let faulted = dfs.for_query(&ObsHandle::disabled(), &plan);
+        let other = dfs.for_query(&ObsHandle::disabled(), &FaultPlan::disabled());
+        // The flaky path fails at most twice in the faulted view, then
+        // heals; whole-file reads are never injected. The base handle
+        // and a second view read it cleanly all along.
         let mut failures = 0;
         let data = loop {
-            match dfs.read_range(&path, 0, 10, None) {
+            assert!(dfs.read_range(&path, 0, 10, None).is_ok());
+            assert!(other.read_range(&path, 0, 10, None).is_ok());
+            match faulted.read_range(&path, 0, 10, None) {
                 Ok(d) => break d,
                 Err(e) => {
                     assert_eq!(e.subsystem(), "dfs");
@@ -769,10 +804,42 @@ mod tests {
         };
         assert_eq!(data, vec![7u8; 10]);
         assert!(failures >= 1, "chosen path must actually be flaky");
-        assert!(dfs.read_all(&path).is_ok());
-        // Detaching (a disabled plan) restores clean reads everywhere.
-        dfs.attach_faults(&hdm_faults::FaultPlan::disabled());
-        assert!(dfs.read_range(&path, 0, 10, None).is_ok());
+        assert!(faulted.read_all(&path).is_ok());
+    }
+
+    #[test]
+    fn query_view_mirrors_only_its_own_traffic_into_its_obs() {
+        use hdm_obs::ObsHandle;
+        let dfs = small_fs();
+        let (a, b) = (
+            ObsHandle::enabled_with_stride(1),
+            ObsHandle::enabled_with_stride(1),
+        );
+        let view_a = dfs.for_query(&a, &hdm_faults::FaultPlan::disabled());
+        let view_b = dfs.for_query(&b, &hdm_faults::FaultPlan::disabled());
+        let mut w = view_a.create("/q/a", NodeId(0)).unwrap();
+        w.write(&[1u8; 6]).unwrap();
+        w.close().unwrap();
+        let hosts = dfs.splits("/q/a").unwrap()[0].hosts.clone();
+        let remote = (0..4).map(NodeId).find(|n| !hosts.contains(n)).unwrap();
+        view_a.read_range("/q/a", 0, 5, Some(remote)).unwrap();
+        view_b.read_all("/q/a").unwrap();
+        dfs.read_all("/q/a").unwrap();
+        let get = |obs: &ObsHandle, name: &str| {
+            obs.snapshot()
+                .counters
+                .iter()
+                .find(|(n, _, _)| n == name)
+                .map(|(_, _, v)| *v)
+        };
+        // hdm-allow(conf-key-registry): metric names, not conf lookups
+        let names = ["dfs.read.bytes", "dfs.write.bytes", "dfs.remote.reads"];
+        // Two replicas of one 6-byte block; one remote 5-byte read.
+        assert_eq!(names.map(|n| get(&a, n)), [Some(5), Some(12), Some(1)]);
+        assert_eq!(names.map(|n| get(&b, n)), [Some(6), Some(0), Some(0)]);
+        // The shared per-node metrics see every handle's traffic.
+        assert_eq!(dfs.metrics().total_bytes_read(), 17);
+        assert_eq!(dfs.metrics().total_bytes_written(), 12);
     }
 
     #[derive(Debug, Default)]

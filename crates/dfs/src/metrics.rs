@@ -1,21 +1,11 @@
 //! Per-node I/O accounting used by the cluster timing model.
 
 use crate::NodeId;
-use hdm_obs::{Counter, ObsHandle};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Registry handles mirrored into an attached `hdm-obs` sink; fetched
-/// once at attach time so the record paths stay lock-free when obs is
-/// disabled or absent.
-#[derive(Debug)]
-struct DfsObs {
-    read_bytes: Counter,
-    write_bytes: Counter,
-    remote_reads: Counter,
-}
-
-/// Lock-free counters for DFS traffic.
+/// Lock-free counters for DFS traffic, shared by every handle of one
+/// filesystem (a query's own `dfs.*` obs counters live in its
+/// [`Dfs::for_query`](crate::Dfs::for_query) view).
 ///
 /// Reads/writes without a known node are tallied in a global bucket only.
 #[derive(Debug)]
@@ -26,8 +16,6 @@ pub struct DfsMetrics {
     write_total: AtomicU64,
     local_reads: AtomicU64,
     remote_reads: AtomicU64,
-    obs: RwLock<Option<DfsObs>>,
-    obs_on: AtomicBool,
 }
 
 impl DfsMetrics {
@@ -39,25 +27,7 @@ impl DfsMetrics {
             write_total: AtomicU64::new(0),
             local_reads: AtomicU64::new(0),
             remote_reads: AtomicU64::new(0),
-            obs: RwLock::new(None),
-            obs_on: AtomicBool::new(false),
         }
-    }
-
-    /// Mirror DFS traffic into an observability sink. Attaching a
-    /// disabled handle is a no-op; the record paths then cost one extra
-    /// relaxed load.
-    pub fn attach_obs(&self, obs: &ObsHandle) {
-        let attached = DfsObs {
-            // hdm-allow(conf-key-registry): metric names, not conf lookups
-            read_bytes: obs.counter("dfs.read.bytes", ""),
-            // hdm-allow(conf-key-registry): metric names, not conf lookups
-            write_bytes: obs.counter("dfs.write.bytes", ""),
-            // hdm-allow(conf-key-registry): metric names, not conf lookups
-            remote_reads: obs.counter("dfs.remote.reads", ""),
-        };
-        *self.obs.write() = Some(attached);
-        self.obs_on.store(obs.is_enabled(), Ordering::Release);
     }
 
     pub(crate) fn record_read(&self, node: Option<NodeId>, bytes: u64) {
@@ -65,11 +35,6 @@ impl DfsMetrics {
         if let Some(n) = node {
             if let Some(c) = self.read_per_node.get(n.0 as usize) {
                 c.fetch_add(bytes, Ordering::Relaxed);
-            }
-        }
-        if self.obs_on.load(Ordering::Relaxed) {
-            if let Some(o) = self.obs.read().as_ref() {
-                o.read_bytes.add(bytes);
             }
         }
     }
@@ -81,11 +46,6 @@ impl DfsMetrics {
                 c.fetch_add(bytes, Ordering::Relaxed);
             }
         }
-        if self.obs_on.load(Ordering::Relaxed) {
-            if let Some(o) = self.obs.read().as_ref() {
-                o.write_bytes.add(bytes);
-            }
-        }
     }
 
     pub(crate) fn record_locality(&self, _node: NodeId, local: bool) {
@@ -93,11 +53,6 @@ impl DfsMetrics {
             self.local_reads.fetch_add(1, Ordering::Relaxed);
         } else {
             self.remote_reads.fetch_add(1, Ordering::Relaxed);
-            if self.obs_on.load(Ordering::Relaxed) {
-                if let Some(o) = self.obs.read().as_ref() {
-                    o.remote_reads.add(1);
-                }
-            }
         }
     }
 
@@ -151,29 +106,6 @@ mod tests {
         assert_eq!(m.bytes_read_by(NodeId(1)), 0);
         assert_eq!(m.total_bytes_written(), 7);
         assert_eq!(m.bytes_written_by(NodeId(1)), 7);
-    }
-
-    #[test]
-    fn attached_obs_mirrors_traffic() {
-        let m = DfsMetrics::new(2);
-        let obs = hdm_obs::ObsHandle::enabled_with_stride(1);
-        m.attach_obs(&obs);
-        m.record_read(Some(NodeId(0)), 11);
-        m.record_write(None, 6);
-        m.record_locality(NodeId(1), false);
-        let snap = obs.snapshot();
-        let get = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .map(|(_, _, v)| *v)
-        };
-        // hdm-allow(conf-key-registry): metric names, not conf lookups
-        assert_eq!(get("dfs.read.bytes"), Some(11));
-        // hdm-allow(conf-key-registry): metric names, not conf lookups
-        assert_eq!(get("dfs.write.bytes"), Some(6));
-        // hdm-allow(conf-key-registry): metric names, not conf lookups
-        assert_eq!(get("dfs.remote.reads"), Some(1));
     }
 
     #[test]

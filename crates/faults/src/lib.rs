@@ -301,42 +301,37 @@ impl FaultPlan {
         )))
     }
 
-    fn bump(&self, name: &str, labels: &str) {
-        if self.inner.obs.is_enabled() {
-            self.inner.obs.counter(name, labels).add(1);
-        }
+    fn bump(&self, name: &str, labels: std::fmt::Arguments<'_>) {
+        self.inner.obs.count(name, &labels, 1);
     }
 
     /// Record one injected fault (obs counter `ft.injected`).
     pub fn note_injected(&self, site: Site) {
-        self.bump("ft.injected", &format!("site={}", site.label()));
+        self.bump("ft.injected", format_args!("site={}", site.label()));
     }
 
     /// Record one detected fault (obs counter `ft.detected`).
     pub fn note_detected(&self, site: Site) {
-        self.bump("ft.detected", &format!("site={}", site.label()));
+        self.bump("ft.detected", format_args!("site={}", site.label()));
     }
 
     /// Record one task retry (obs counter `ft.retries`).
     fn note_retry(&self, site: Site) {
-        self.bump("ft.retries", &format!("site={}", site.label()));
+        self.bump("ft.retries", format_args!("site={}", site.label()));
     }
 
     /// Record one engine fallback (obs counter `ft.fallbacks`).
     pub fn note_fallback(&self, from: &str, to: &str) {
-        self.bump("ft.fallbacks", &format!("from={from},to={to}"));
+        self.bump("ft.fallbacks", format_args!("from={from},to={to}"));
     }
 
     /// Record time a recovery site spent sleeping in backoff (obs timer
     /// `ft.backoff.ms`).
     fn observe_backoff(&self, site: Site, waited: Duration) {
-        if self.inner.obs.is_enabled() {
-            if let Some(width) = std::num::NonZeroU64::new(5) {
-                self.inner
-                    .obs
-                    .timer("ft.backoff.ms", &format!("site={}", site.label()), width)
-                    .observe(waited.as_millis() as u64);
-            }
+        if let Some(width) = std::num::NonZeroU64::new(5) {
+            let labels = format_args!("site={}", site.label());
+            let timer = self.inner.obs.timer("ft.backoff.ms", &labels, width);
+            timer.observe(waited.as_millis() as u64);
         }
     }
 

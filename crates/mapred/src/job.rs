@@ -263,17 +263,11 @@ where
             let mut stats = ctx.stats;
             stats.spill.spills = ctx.buffer.spill_count() as u64;
             stats.spill.spill_bytes = ctx.buffer.spill_bytes();
-            if config.obs.is_enabled() {
-                let label = format!("rank={rank}");
-                config
-                    .obs
-                    .counter("map.spills", &label)
-                    .add(stats.spill.spills);
-                config
-                    .obs
-                    .counter("map.spill.bytes", &label)
-                    .add(stats.spill.spill_bytes);
-            }
+            let label = format_args!("rank={rank}");
+            config.obs.count("map.spills", &label, stats.spill.spills);
+            config
+                .obs
+                .count("map.spill.bytes", &label, stats.spill.spill_bytes);
             // Final sort/merge of spill runs into materialized segments —
             // Hadoop's map-side merge, visible as its own span.
             let segments = {
@@ -361,10 +355,8 @@ where
                     }
                 }
                 drop(copy_span);
-                if obs.is_enabled() {
-                    obs.counter("reduce.shuffled.bytes", &format!("rank={rank}"))
-                        .add(stats.shuffled_bytes());
-                }
+                let label = format_args!("rank={rank}");
+                obs.count("reduce.shuffled.bytes", &label, stats.shuffled_bytes());
                 if let Some(e) = failed {
                     done.push((Err(e), stats));
                     break;
@@ -375,10 +367,7 @@ where
                 let groups = input.into_groups(&*comparator);
                 stats.groups = groups.len() as u64;
                 drop(merge_span);
-                if obs.is_enabled() {
-                    obs.counter("reduce.groups", &format!("rank={rank}"))
-                        .add(stats.groups);
-                }
+                obs.count("reduce.groups", &format_args!("rank={rank}"), stats.groups);
                 // The copy phase is idempotent (segments stay in the
                 // map-output store), so a failed reduce attempt replays
                 // over the already-merged groups, read again from the

@@ -91,8 +91,8 @@ pub struct MapRedConfig {
     /// Maximum concurrently-running tasks (cluster slot count).
     pub concurrency: usize,
     /// Observability sink: per-task spans plus sort/spill/merge counters
-    /// flow here. Defaults to a disabled handle whose per-site cost is
-    /// one relaxed atomic load.
+    /// flow here. Defaults to a disabled handle, whose metric handles are
+    /// inert.
     pub obs: hdm_obs::ObsHandle,
     /// Fault-injection plan (`hive.ft.*`); disabled by default. When
     /// enabled, map and reduce attempts can be crashed or stalled and are

@@ -79,8 +79,7 @@ pub struct WorldConfig {
     /// effectively unbounded (2^20).
     pub channel_capacity: usize,
     /// Observability sink for world-level traffic metrics. Defaults to a
-    /// disabled handle: counter updates compile to one relaxed atomic
-    /// check per send.
+    /// disabled handle, whose counters are inert.
     pub obs: hdm_obs::ObsHandle,
     /// Fault plan injecting message drops/delays at the `isend` site.
     /// Defaults to a disabled plan: one relaxed atomic load per send.

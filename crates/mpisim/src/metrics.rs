@@ -10,9 +10,8 @@ pub struct WorldMetrics {
     size: usize,
     bytes: Vec<AtomicU64>,
     messages: Vec<AtomicU64>,
-    // Registry handles are fetched once here; the send path pays one
-    // relaxed atomic check when obs is disabled.
-    obs: ObsHandle,
+    // Registry handles are fetched once here (inert when obs is
+    // disabled).
     obs_bytes: Counter,
     obs_messages: Counter,
 }
@@ -25,7 +24,6 @@ impl WorldMetrics {
             size,
             bytes: (0..size * size).map(|_| AtomicU64::new(0)).collect(),
             messages: (0..size * size).map(|_| AtomicU64::new(0)).collect(),
-            obs,
             obs_bytes,
             obs_messages,
         }
@@ -38,10 +36,8 @@ impl WorldMetrics {
                 b.fetch_add(bytes, Ordering::Relaxed);
                 m.fetch_add(1, Ordering::Relaxed);
             }
-            if self.obs.is_enabled() {
-                self.obs_bytes.add(bytes);
-                self.obs_messages.add(1);
-            }
+            self.obs_bytes.add(bytes);
+            self.obs_messages.add(1);
         }
     }
 

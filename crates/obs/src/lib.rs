@@ -26,12 +26,17 @@
 //!   report types ([`report`], [`probe`]) the `fig01`/`fig10`/`fig13`
 //!   harnesses consume.
 //!
-//! Everything hangs off a cheaply-cloneable [`ObsHandle`]. When tracing
-//! is disabled (the default — `hive.obs.enabled=false`), every
-//! instrumented hot-path site reduces to **one relaxed atomic load**:
-//! callers gate on [`ObsHandle::is_enabled`] before touching any metric
-//! handle, and [`ObsHandle::span`] returns an inert guard without
-//! allocating.
+//! Everything hangs off a cheaply-cloneable [`ObsHandle`], and the
+//! handle alone decides whether anything is recorded. A disabled handle
+//! (the default — `hive.obs.enabled=false`) holds no recorder: its
+//! [`counter`](ObsHandle::counter) / [`gauge`](ObsHandle::gauge) /
+//! [`timer`](ObsHandle::timer) return inert handles and
+//! [`span`](ObsHandle::span) an inert guard, with no lock and no
+//! allocation, and labels (a reference to any `Display` value, e.g.
+//! `&format_args!("rank={rank}")`) are only formatted when something is
+//! recorded. Callers never gate a recording call on
+//! [`ObsHandle::is_enabled`]; they ask it only to skip work that is not
+//! recording (a snapshot, an export, a clock read).
 
 pub mod chrome;
 pub mod json;
@@ -54,8 +59,9 @@ use hdm_common::error::Result;
 use hdm_common::stats::Histogram;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::num::NonZeroU64;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,6 +70,9 @@ use std::time::Instant;
 pub const MAX_SPANS: usize = 1 << 16;
 /// Hard cap on recorded probe samples.
 pub const MAX_SAMPLES: usize = 1 << 16;
+/// The probe stride a disabled handle reports (`hive.obs.sample.rate`'s
+/// default).
+const DEFAULT_STRIDE: u64 = 64;
 
 /// One probe observation: a Chrome counter-track point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,7 +124,6 @@ type Registry<T> = Mutex<BTreeMap<(String, String), Arc<T>>>;
 
 #[derive(Debug)]
 pub(crate) struct ObsInner {
-    enabled: AtomicBool,
     stride: u64,
     epoch: Instant,
     spans: Mutex<SpanStore>,
@@ -125,24 +133,41 @@ pub(crate) struct ObsInner {
     samples: Mutex<SampleStore>,
 }
 
-/// Cheaply-cloneable handle to one observation session (typically one
-/// query). All clones share the same recorder, registry, and epoch.
-#[derive(Debug, Clone)]
-pub struct ObsHandle {
-    inner: Arc<ObsInner>,
+/// Fetch (registering on first use) the slot `name{labels}` of one
+/// registry.
+fn slot<T>(
+    reg: &Registry<T>,
+    name: &str,
+    labels: &(impl Display + ?Sized),
+    new: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut reg = reg.lock();
+    Arc::clone(
+        reg.entry((name.to_string(), labels.to_string()))
+            .or_insert_with(|| Arc::new(new())),
+    )
 }
 
-impl Default for ObsHandle {
-    fn default() -> ObsHandle {
-        ObsHandle::disabled()
-    }
+/// Cheaply-cloneable handle to one observation session (typically one
+/// query). All clones share the same recorder, registry, and epoch; a
+/// disabled handle has none of them.
+#[derive(Debug, Clone, Default)]
+pub struct ObsHandle {
+    inner: Option<Arc<ObsInner>>,
 }
 
 impl ObsHandle {
-    fn with_enabled(enabled: bool, stride: u64) -> ObsHandle {
+    /// A handle that records nothing: it holds no recorder, so every
+    /// call on it returns at once and every metric handle it vends is
+    /// inert.
+    pub fn disabled() -> ObsHandle {
+        ObsHandle { inner: None }
+    }
+
+    /// A recording handle with the given probe sampling stride.
+    pub fn enabled_with_stride(stride: u64) -> ObsHandle {
         ObsHandle {
-            inner: Arc::new(ObsInner {
-                enabled: AtomicBool::new(enabled),
+            inner: Some(Arc::new(ObsInner {
                 stride: stride.max(1),
                 epoch: Instant::now(),
                 spans: Mutex::new(SpanStore::default()),
@@ -150,19 +175,8 @@ impl ObsHandle {
                 gauges: Mutex::new(BTreeMap::new()),
                 timers: Mutex::new(BTreeMap::new()),
                 samples: Mutex::new(SampleStore::default()),
-            }),
+            })),
         }
-    }
-
-    /// A handle that records nothing; every instrumented site reduces to
-    /// one atomic load.
-    pub fn disabled() -> ObsHandle {
-        ObsHandle::with_enabled(false, 64)
-    }
-
-    /// A recording handle with the given probe sampling stride.
-    pub fn enabled_with_stride(stride: u64) -> ObsHandle {
-        ObsHandle::with_enabled(true, stride)
     }
 
     /// Build a handle from the registered conf knobs
@@ -173,32 +187,44 @@ impl ObsHandle {
     pub fn from_conf(conf: &JobConf) -> Result<ObsHandle> {
         let enabled = conf.obs_enabled()?;
         let stride = conf.obs_sample_stride()?;
-        Ok(ObsHandle::with_enabled(enabled, stride))
+        Ok(if enabled {
+            ObsHandle::enabled_with_stride(stride)
+        } else {
+            ObsHandle::disabled()
+        })
     }
 
-    /// Whether this handle records anything. One relaxed atomic load —
-    /// this is the *entire* disabled-path cost of an instrumented site.
+    /// Whether this handle records anything. Only work beyond recording
+    /// (a snapshot, an export, a clock read) needs to ask: recording
+    /// calls on a disabled handle are already free.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.inner.is_some()
     }
 
-    /// The configured probe sampling stride.
+    /// The configured probe sampling stride (the default 64 on a
+    /// disabled handle).
     pub fn stride(&self) -> u64 {
-        self.inner.stride
+        self.inner.as_ref().map_or(DEFAULT_STRIDE, |i| i.stride)
     }
 
     /// True on every `stride`-th event (and for the first event), so a
     /// hot loop can gate probe samples on its own monotone counter:
-    /// `if obs.should_sample(n) { obs.sample(...) }`.
+    /// `if obs.should_sample(n) { obs.sample(...) }`. Always false when
+    /// disabled.
     #[inline]
     pub fn should_sample(&self, n: u64) -> bool {
-        self.is_enabled() && n % self.inner.stride == 1 % self.inner.stride
+        self.inner
+            .as_ref()
+            .is_some_and(|i| n % i.stride == 1 % i.stride)
     }
 
-    /// Microseconds elapsed between this handle's epoch and `at`.
+    /// Microseconds elapsed between this handle's epoch and `at` (0 when
+    /// disabled).
     pub fn micros_since_epoch(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.inner.epoch).as_micros() as u64
+        self.inner.as_ref().map_or(0, |i| {
+            at.saturating_duration_since(i.epoch).as_micros() as u64
+        })
     }
 
     /// Open a span on `track`; the span is recorded when the returned
@@ -234,7 +260,10 @@ impl ObsHandle {
     }
 
     pub(crate) fn push_span(&self, ev: SpanEvent) {
-        let mut store = self.inner.spans.lock();
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let mut store = inner.spans.lock();
         if store.events.len() < MAX_SPANS {
             store.events.push(ev);
         } else {
@@ -243,51 +272,66 @@ impl ObsHandle {
     }
 
     /// Fetch (registering on first use) the counter `name{labels}`.
-    /// Returns a clone of the shared slot: fetch once at setup, then
-    /// `add` from the hot path behind [`ObsHandle::is_enabled`].
-    pub fn counter(&self, name: &str, labels: &str) -> Counter {
-        let mut reg = self.inner.counters.lock();
-        let slot = reg
-            .entry((name.to_string(), labels.to_string()))
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)));
-        Counter::new(Arc::clone(slot))
+    /// Returns a clone of the shared slot, or an inert counter when
+    /// disabled (`labels` is then never formatted): fetch once at setup,
+    /// then `add` from the hot path.
+    pub fn counter(&self, name: &str, labels: &(impl Display + ?Sized)) -> Counter {
+        Counter::new(
+            self.inner
+                .as_ref()
+                .map(|i| slot(&i.counters, name, labels, || AtomicU64::new(0))),
+        )
     }
 
-    /// Fetch (registering on first use) the gauge `name{labels}`.
-    pub fn gauge(&self, name: &str, labels: &str) -> Gauge {
-        let mut reg = self.inner.gauges.lock();
-        let slot = reg
-            .entry((name.to_string(), labels.to_string()))
-            .or_insert_with(|| Arc::new(AtomicI64::new(0)));
-        Gauge::new(Arc::clone(slot))
+    /// Add `n` to the counter `name{labels}` once — the form for a site
+    /// that records a count a single time rather than from a loop.
+    pub fn count(&self, name: &str, labels: &(impl Display + ?Sized), n: u64) {
+        self.counter(name, labels).add(n);
+    }
+
+    /// Fetch (registering on first use) the gauge `name{labels}`; inert
+    /// when disabled.
+    pub fn gauge(&self, name: &str, labels: &(impl Display + ?Sized)) -> Gauge {
+        Gauge::new(
+            self.inner
+                .as_ref()
+                .map(|i| slot(&i.gauges, name, labels, || AtomicI64::new(0))),
+        )
     }
 
     /// Fetch (registering on first use) the timer `name{labels}` with
-    /// the given histogram bucket width (first registration wins).
-    pub fn timer(&self, name: &str, labels: &str, bucket_width: NonZeroU64) -> Timer {
-        let mut reg = self.inner.timers.lock();
-        let slot = reg
-            .entry((name.to_string(), labels.to_string()))
-            .or_insert_with(|| Arc::new(Mutex::new(Histogram::with_width(bucket_width))));
-        Timer::new(Arc::clone(slot))
+    /// the given histogram bucket width (first registration wins); inert
+    /// when disabled.
+    pub fn timer(
+        &self,
+        name: &str,
+        labels: &(impl Display + ?Sized),
+        bucket_width: NonZeroU64,
+    ) -> Timer {
+        Timer::new(self.inner.as_ref().map(|i| {
+            slot(&i.timers, name, labels, || {
+                Mutex::new(Histogram::with_width(bucket_width))
+            })
+        }))
     }
 
-    /// Record one probe observation at "now". No-op when disabled.
-    pub fn sample(&self, track: &str, name: &str, value: u64) {
+    /// Record one probe observation at "now" on `track` (formatted only
+    /// when enabled). No-op when disabled.
+    pub fn sample(&self, track: &(impl Display + ?Sized), name: &str, value: u64) {
         if !self.is_enabled() {
             return;
         }
         let t_us = self.micros_since_epoch(Instant::now());
-        self.sample_at(track, name, t_us, value);
+        self.sample_at(&track.to_string(), name, t_us, value);
     }
 
     /// Record one probe observation with an explicit timestamp (µs since
     /// epoch). No-op when disabled.
     pub fn sample_at(&self, track: &str, name: &str, t_us: u64, value: u64) {
-        if !self.is_enabled() {
+        let Some(inner) = &self.inner else {
             return;
-        }
-        let mut store = self.inner.samples.lock();
+        };
+        let mut store = inner.samples.lock();
         if store.events.len() < MAX_SAMPLES {
             store.events.push(SampleEvent {
                 track: track.to_string(),
@@ -300,29 +344,29 @@ impl ObsHandle {
         }
     }
 
-    /// Copy out everything recorded so far.
+    /// Copy out everything recorded so far (empty when disabled).
     pub fn snapshot(&self) -> ObsSnapshot {
-        let spans = self.inner.spans.lock();
-        let samples = self.inner.samples.lock();
+        let Some(inner) = &self.inner else {
+            return ObsSnapshot::default();
+        };
+        let spans = inner.spans.lock();
+        let samples = inner.samples.lock();
         ObsSnapshot {
             spans: spans.events.clone(),
             dropped_spans: spans.dropped,
-            counters: self
-                .inner
+            counters: inner
                 .counters
                 .lock()
                 .iter()
                 .map(|((n, l), v)| (n.clone(), l.clone(), v.load(Ordering::Relaxed)))
                 .collect(),
-            gauges: self
-                .inner
+            gauges: inner
                 .gauges
                 .lock()
                 .iter()
                 .map(|((n, l), v)| (n.clone(), l.clone(), v.load(Ordering::Relaxed)))
                 .collect(),
-            timers: self
-                .inner
+            timers: inner
                 .timers
                 .lock()
                 .iter()
@@ -403,6 +447,90 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.spans.len(), MAX_SPANS);
         assert_eq!(snap.dropped_spans, 10);
+    }
+
+    /// A label that counts how often it is formatted.
+    struct CountingLabel(std::sync::atomic::AtomicUsize);
+
+    impl Display for CountingLabel {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            f.write_str("rank=0")
+        }
+    }
+
+    #[test]
+    fn disabled_handle_vends_inert_handles_and_an_empty_snapshot() {
+        let obs = ObsHandle::disabled();
+        let label = CountingLabel(Default::default());
+        let c = obs.counter("c", &label);
+        c.add(3);
+        assert_eq!(c.value(), 0);
+        let g = obs.gauge("g", &label);
+        g.set(5);
+        g.add(2);
+        g.record_max(9);
+        assert_eq!(g.value(), 0);
+        let t = obs.timer("t", &label, KV_HIST_BUCKET);
+        t.observe(4);
+        assert_eq!(t.histogram().count(), 0);
+        obs.count("n", &label, 7);
+        obs.sample(&label, "bytes", 1);
+        obs.sample_at("t", "bytes", 0, 1);
+        drop(obs.span("t", "cat", "s"));
+        obs.record_span_at("t", "cat", "s", 0, 1);
+        assert!(!obs.should_sample(1));
+        assert_eq!(
+            label.0.load(Ordering::Relaxed),
+            0,
+            "a disabled handle formatted a label"
+        );
+        let snap = obs.snapshot();
+        assert!(snap.spans.is_empty() && snap.samples.is_empty());
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty() && snap.timers.is_empty());
+        assert_eq!((snap.dropped_spans, snap.dropped_samples), (0, 0));
+    }
+
+    #[test]
+    fn lazy_labels_register_the_keys_eager_ones_did() {
+        let (lazy, eager) = (
+            ObsHandle::enabled_with_stride(1),
+            ObsHandle::enabled_with_stride(1),
+        );
+        for rank in [0usize, 3] {
+            lazy.counter("spl.flushes", &format_args!("rank={rank}"))
+                .add(2);
+            eager.counter("spl.flushes", &format!("rank={rank}")).add(2);
+            lazy.count("a.groups", &format_args!("rank={rank}"), 5);
+            eager.counter("a.groups", &format!("rank={rank}")).add(5);
+            lazy.gauge("a.cache.bytes", &format_args!("rank={rank}"))
+                .set(9);
+            eager.gauge("a.cache.bytes", &format!("rank={rank}")).set(9);
+            lazy.timer("wait.us", &format_args!("rank={rank}"), KV_HIST_BUCKET)
+                .observe(1);
+            eager
+                .timer("wait.us", &format!("rank={rank}"), KV_HIST_BUCKET)
+                .observe(1);
+            lazy.sample(&format_args!("A{rank}"), "bytes", 4);
+            eager.sample(&format!("A{rank}"), "bytes", 4);
+        }
+        lazy.count("mpi.bytes", "", 1);
+        eager.counter("mpi.bytes", "").add(1);
+        let (l, e) = (lazy.snapshot(), eager.snapshot());
+        assert_eq!(l.counters, e.counters);
+        assert_eq!(l.gauges, e.gauges);
+        let keys = |s: &ObsSnapshot| -> Vec<(String, String, u64)> {
+            s.timers
+                .iter()
+                .map(|(n, lb, h)| (n.clone(), lb.clone(), h.count()))
+                .collect()
+        };
+        assert_eq!(keys(&l), keys(&e));
+        let tracks = |s: &ObsSnapshot| -> Vec<String> {
+            s.samples.iter().map(|x| x.track.clone()).collect()
+        };
+        assert_eq!(tracks(&l), tracks(&e));
+        assert_eq!(l.counters.len(), 5);
     }
 
     #[test]

@@ -3,87 +3,102 @@
 //!
 //! Handles are fetched once at task setup (taking the registry lock) and
 //! then updated lock-free from hot paths — a counter `add` is one relaxed
-//! `fetch_add`. Instrumented sites gate every update on
-//! [`ObsHandle::is_enabled`](crate::ObsHandle::is_enabled) so the
-//! disabled path never even touches the handle.
+//! `fetch_add`. A disabled handle vends *inert* handles, which hold no
+//! slot: every update on them is a branch on `None`, with no lock, no
+//! allocation and no atomic. The handle decides; callers never gate a
+//! recording call on [`ObsHandle::is_enabled`](crate::ObsHandle::is_enabled).
 
 use hdm_common::stats::Histogram;
 use parking_lot::Mutex;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Monotone event/byte counter.
-#[derive(Debug, Clone)]
-pub struct Counter(Arc<AtomicU64>);
+/// Monotone event/byte counter. The default is inert.
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
-    pub(crate) fn new(slot: Arc<AtomicU64>) -> Counter {
+    pub(crate) fn new(slot: Option<Arc<AtomicU64>>) -> Counter {
         Counter(slot)
     }
 
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        if let Some(c) = &self.0 {
+            c.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
-    /// Current value.
+    /// Current value (0 for an inert counter).
     pub fn value(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
 
-/// Instantaneous level (queue depth, memory-in-use).
-#[derive(Debug, Clone)]
-pub struct Gauge(Arc<AtomicI64>);
+/// Instantaneous level (queue depth, memory-in-use). The default is inert.
+#[derive(Debug, Clone, Default)]
+pub struct Gauge(Option<Arc<AtomicI64>>);
 
 impl Gauge {
-    pub(crate) fn new(slot: Arc<AtomicI64>) -> Gauge {
+    pub(crate) fn new(slot: Option<Arc<AtomicI64>>) -> Gauge {
         Gauge(slot)
     }
 
     /// Overwrite the gauge.
     #[inline]
     pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
+        if let Some(g) = &self.0 {
+            g.store(v, Ordering::Relaxed);
+        }
     }
 
     /// Move the gauge by a signed delta.
     #[inline]
     pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
+        if let Some(g) = &self.0 {
+            g.fetch_add(delta, Ordering::Relaxed);
+        }
     }
 
     /// Raise the gauge to `v` if `v` exceeds the current value — a
     /// lock-free high-water mark (e.g. peak scheduler concurrency).
     #[inline]
     pub fn record_max(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
+        if let Some(g) = &self.0 {
+            g.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
-    /// Current value.
+    /// Current value (0 for an inert gauge).
     pub fn value(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.as_ref().map_or(0, |g| g.load(Ordering::Relaxed))
     }
 }
 
-/// Duration distribution backed by a fixed-width [`Histogram`].
-#[derive(Debug, Clone)]
-pub struct Timer(Arc<Mutex<Histogram>>);
+/// Duration distribution backed by a fixed-width [`Histogram`]. The default is inert.
+#[derive(Debug, Clone, Default)]
+pub struct Timer(Option<Arc<Mutex<Histogram>>>);
 
 impl Timer {
-    pub(crate) fn new(slot: Arc<Mutex<Histogram>>) -> Timer {
+    pub(crate) fn new(slot: Option<Arc<Mutex<Histogram>>>) -> Timer {
         Timer(slot)
     }
 
     /// Record one observation (typically microseconds).
     pub fn observe(&self, v: u64) {
-        self.0.lock().record(v);
+        if let Some(h) = &self.0 {
+            h.lock().record(v);
+        }
     }
 
-    /// Copy of the underlying histogram.
+    /// Copy of the underlying histogram (empty for an inert timer).
     pub fn histogram(&self) -> Histogram {
-        self.0.lock().clone()
+        self.0.as_ref().map_or_else(
+            || Histogram::with_width(NonZeroU64::MIN),
+            |h| h.lock().clone(),
+        )
     }
 }
 

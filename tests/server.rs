@@ -101,6 +101,91 @@ fn result_cache_hit_is_byte_identical() {
     assert_eq!((s.result_hits, s.result_misses), (2, 1));
 }
 
+/// The value of counter `name{labels}` in a session's last obs snapshot.
+fn counter(d: &Driver, name: &str, labels: &str) -> Option<u64> {
+    let snap = d.last_obs_snapshot().expect("an obs-on query ran");
+    (snap.counters.iter())
+        .find(|(n, l, _)| n == name && l == labels)
+        .map(|(_, _, v)| *v)
+}
+
+/// Each query reads through its own DFS view. A session with fault
+/// tolerance on, whose seed makes a `lineitem` part file flaky, runs Q6
+/// beside a session with fault tolerance off, again and again: the clean
+/// session never sees an injected read error, and each session's
+/// `dfs.read.bytes` and `ft.*` counters count its own reads only.
+#[test]
+fn concurrent_sessions_keep_their_own_fault_plan_and_dfs_counters() {
+    let mut driver = fresh_tpch_driver(FormatKind::Text);
+    // No cache may serve a read: a hit bypasses injection and accounting.
+    driver.conf_mut().set(keys::KEY_SERVER_IO_CACHE_MB, 0);
+    driver
+        .conf_mut()
+        .set(keys::KEY_SERVER_RESULT_CACHE_ENTRIES, 0);
+    driver.conf_mut().set(keys::KEY_OBS_ENABLED, true);
+    let parts = driver.metastore().storage.parts(driver.dfs(), "lineitem");
+    let flaky = |seed: u64| {
+        let plan = hdm_faults::FaultPlan::with_seed(seed);
+        parts.iter().any(|p| plan.storage_error(p).is_some())
+    };
+    let seed = (1..10_000u64)
+        .find(|&s| flaky(s))
+        .expect("no seed makes a lineitem part file flaky");
+    let server = HdmServer::over(driver).expect("server");
+    let q6 = tpch::queries::query(6);
+    let clean = server.session("clean");
+    let solo = clean.execute(q6).expect("solo Q6");
+    let solo_bytes = counter(clean.driver(), "dfs.read.bytes", "").expect("dfs.read.bytes");
+    assert!(solo_bytes > 0);
+    let mut faulted = server.session("faulted");
+    let c = faulted.conf_mut();
+    c.set(keys::KEY_FT_ENABLED, true);
+    c.set(keys::KEY_FT_SEED, seed);
+    c.set(keys::KEY_FT_BACKOFF_BASE_MS, 1);
+    c.set(keys::KEY_FT_RECV_TIMEOUT_MS, 400);
+    let faulted = faulted;
+    for round in 0..8 {
+        let go = std::sync::Barrier::new(2);
+        let faulted_run = std::thread::scope(|s| {
+            let other = s.spawn(|| {
+                go.wait();
+                faulted.execute(q6)
+            });
+            go.wait();
+            let got = clean
+                .execute(q6)
+                .unwrap_or_else(|e| panic!("round {round}: the clean session failed: {e}"));
+            assert_eq!(got.to_lines(), solo.to_lines(), "round {round}");
+            other.join().expect("faulted session panicked")
+        });
+        let got = faulted_run.unwrap_or_else(|e| panic!("round {round}: faulted Q6: {e}"));
+        assert_eq!(normalize(got.to_lines()), normalize(solo.to_lines()));
+        let clean_snap = clean.driver().last_obs_snapshot().expect("clean snapshot");
+        assert!(
+            !clean_snap
+                .counters
+                .iter()
+                .any(|(n, _, _)| n.starts_with("ft.")),
+            "round {round}: fault counters in the clean session's obs"
+        );
+        assert_eq!(
+            counter(clean.driver(), "dfs.read.bytes", ""),
+            Some(solo_bytes),
+            "round {round}: the clean session counted bytes it did not read"
+        );
+        let storage = counter(faulted.driver(), "ft.injected", "site=storage-read");
+        assert!(
+            storage.is_some_and(|n| n >= 1),
+            "round {round}: the faulted session's own flaky read was not injected"
+        );
+        let read = counter(faulted.driver(), "dfs.read.bytes", "").unwrap_or(0);
+        assert!(
+            read >= solo_bytes,
+            "round {round}: the faulted session read {read} B, under the {solo_bytes} B of its splits"
+        );
+    }
+}
+
 /// A reload bumps the table version and invalidates dependent entries;
 /// entries over other tables survive.
 #[test]
