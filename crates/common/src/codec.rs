@@ -77,6 +77,20 @@ pub fn write_bytes(buf: &mut impl BufMut, data: &[u8]) {
 /// # Errors
 /// Returns [`HdmError::Codec`] on truncated input.
 pub fn read_bytes(buf: &mut impl Buf) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    read_bytes_into(buf, &mut out)?;
+    Ok(out)
+}
+
+/// Read a length-prefixed byte slice into `out`, replacing what it
+/// held and keeping its capacity: the bytes are appended chunk by
+/// chunk, never zero-filled first.
+///
+/// # Errors
+/// Returns [`HdmError::Codec`] on truncated input (`out` is then left
+/// empty).
+fn read_bytes_into(buf: &mut impl Buf, out: &mut Vec<u8>) -> Result<()> {
+    out.clear();
     let len = read_varint(buf)? as usize;
     if buf.remaining() < len {
         return Err(HdmError::Codec(format!(
@@ -84,9 +98,17 @@ pub fn read_bytes(buf: &mut impl Buf) -> Result<Vec<u8>> {
             buf.remaining()
         )));
     }
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
+    out.reserve(len);
+    while out.len() < len {
+        let chunk = buf.chunk();
+        let take = chunk.len().min(len - out.len());
+        if take == 0 {
+            return Err(HdmError::Codec("byte slice source stalled".into()));
+        }
+        out.extend_from_slice(chunk.get(..take).unwrap_or_default());
+        buf.advance(take);
+    }
+    Ok(())
 }
 
 /// Write a length-prefixed UTF-8 string.
@@ -99,8 +121,21 @@ pub fn write_str(buf: &mut impl BufMut, s: &str) {
 /// # Errors
 /// Returns [`HdmError::Codec`] on truncation or invalid UTF-8.
 pub fn read_str(buf: &mut impl Buf) -> Result<String> {
-    let raw = read_bytes(buf)?;
-    String::from_utf8(raw).map_err(|e| HdmError::Codec(format!("invalid utf-8: {e}")))
+    let mut out = String::new();
+    read_str_into(buf, &mut out)?;
+    Ok(out)
+}
+
+/// Read a length-prefixed UTF-8 string into `out`, reusing its
+/// capacity. Fails exactly as [`read_str`] does; `out` is then empty.
+///
+/// # Errors
+/// Returns [`HdmError::Codec`] on truncation or invalid UTF-8.
+pub(crate) fn read_str_into(buf: &mut impl Buf, out: &mut String) -> Result<()> {
+    let mut raw = std::mem::take(out).into_bytes();
+    read_bytes_into(buf, &mut raw)?;
+    *out = String::from_utf8(raw).map_err(|e| HdmError::Codec(format!("invalid utf-8: {e}")))?;
+    Ok(())
 }
 
 /// Number of bytes [`write_varint`] will produce for `v`.

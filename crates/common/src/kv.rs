@@ -121,7 +121,10 @@ pub fn decode_all(buf: &Bytes) -> Result<Vec<KvPair>> {
 
 /// Locate the [`encode`]d pair at `pos`: the byte ranges of its key
 /// and its value (which ends where the next pair starts).
-fn pair_at(buf: &[u8], pos: usize) -> Result<(Range<usize>, Range<usize>)> {
+///
+/// # Errors
+/// [`crate::error::HdmError::Codec`] on a truncated or corrupt pair.
+pub fn pair_at(buf: &[u8], pos: usize) -> Result<(Range<usize>, Range<usize>)> {
     let key = chunk_at(buf, pos)?;
     let value = chunk_at(buf, key.end)?;
     Ok((key, value))

@@ -196,6 +196,39 @@ impl Row {
         }
         Ok(Row { values })
     }
+
+    /// Decode a row written by [`Row::encode`] into `self`, replacing its
+    /// cells: slots already there are overwritten in place (a string
+    /// slot that receives a string keeps its buffer), so a row reused
+    /// across values allocates only when a value outgrows it. Succeeds
+    /// and fails exactly as [`Row::decode`] does; after an error the
+    /// cells are unspecified.
+    ///
+    /// # Errors
+    /// Returns [`HdmError::Codec`] on malformed input.
+    pub fn decode_into(&mut self, buf: &mut impl Buf) -> Result<()> {
+        let n = codec::read_varint(buf)? as usize;
+        self.decode_cells_into(n, buf)
+    }
+
+    /// Decode `n` cells into `self`, reusing its slots: the body of
+    /// [`Row::decode_into`], for values whose cell count comes from a
+    /// head of their own (a join's tagged values).
+    ///
+    /// # Errors
+    /// Returns [`HdmError::Codec`] on malformed input.
+    pub fn decode_cells_into(&mut self, n: usize, buf: &mut impl Buf) -> Result<()> {
+        // Slots past the reused ones grow one decoded cell at a time: a
+        // corrupt count cannot reserve more than the buffer holds.
+        self.values.truncate(n);
+        for slot in self.values.iter_mut() {
+            decode_value_into(slot, buf)?;
+        }
+        for _ in self.values.len()..n {
+            self.values.push(decode_value(buf)?);
+        }
+        Ok(())
+    }
 }
 
 impl From<Vec<Value>> for Row {
@@ -271,6 +304,21 @@ pub fn encode_value(buf: &mut impl BufMut, v: &Value) {
             codec::write_signed_varint(buf, *d as i64);
         }
     }
+}
+
+/// Decode a [`Value`] written by [`encode_value`] over `slot`: a string
+/// slot that receives a string reuses its buffer. Fails exactly as
+/// [`decode_value`] does.
+///
+/// # Errors
+/// Returns [`HdmError::Codec`] on malformed input.
+fn decode_value_into(slot: &mut Value, buf: &mut impl Buf) -> Result<()> {
+    if let (Value::Str(s), Some(&TAG_STR)) = (&mut *slot, buf.chunk().first()) {
+        buf.advance(1);
+        return codec::read_str_into(buf, s);
+    }
+    *slot = decode_value(buf)?;
+    Ok(())
 }
 
 /// Decode a [`Value`] written by [`encode_value`].
@@ -415,6 +463,71 @@ mod proptests {
             prop_assert_eq!(back.len(), row.len());
             for (a, b) in back.values().iter().zip(row.values()) {
                 prop_assert_eq!(a.total_cmp(b), std::cmp::Ordering::Equal);
+            }
+        }
+
+        /// Decoding a run of rows into one reused row gives what a fresh
+        /// `Row::decode` gives for each, byte for byte consumed: cell
+        /// counts grow and shrink, and string slots receive non-strings
+        /// and the reverse.
+        #[test]
+        fn decoding_into_a_reused_row_equals_a_fresh_decode(
+            rows in proptest::collection::vec(
+                proptest::collection::vec(
+                    prop_oneof![3 => ".{0,12}".prop_map(Value::Str), 2 => arb_value()],
+                    0..8,
+                ),
+                0..12,
+            ),
+        ) {
+            let mut buf = Vec::new();
+            for cells in &rows {
+                Row::from(cells.clone()).encode(&mut buf);
+            }
+            let (mut fresh, mut reused) = (&buf[..], &buf[..]);
+            let mut row = Row::new();
+            for _ in &rows {
+                let want = Row::decode(&mut fresh).unwrap();
+                row.decode_into(&mut reused).unwrap();
+                prop_assert_eq!(format!("{row:?}"), format!("{want:?}"));
+                prop_assert_eq!(reused.len(), fresh.len());
+            }
+        }
+
+        /// On any bytes — truncated, overwritten, garbage — decoding into
+        /// a reused row (here one holding strings and other cells)
+        /// succeeds or fails exactly as a fresh decode does: same cells,
+        /// same bytes consumed, or the same typed error.
+        #[test]
+        fn a_reused_decode_fails_as_a_fresh_one(
+            junk in proptest::collection::vec(arb_value(), 0..6),
+            cells in proptest::collection::vec(arb_value(), 0..6),
+            edits in proptest::collection::vec((0u8..3, any::<usize>(), any::<u8>()), 0..4),
+        ) {
+            let mut bytes = Vec::new();
+            Row::from(cells).encode(&mut bytes);
+            for (kind, at, byte) in edits {
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = at % bytes.len();
+                match kind {
+                    0 => bytes[at] = byte,
+                    1 => bytes[at] ^= 1 << (byte % 8),
+                    _ => bytes.truncate(at),
+                }
+            }
+            let (mut fresh, mut reused) = (&bytes[..], &bytes[..]);
+            let mut row = Row::from(junk);
+            let want = Row::decode(&mut fresh);
+            let got = row.decode_into(&mut reused);
+            match (want, got) {
+                (Ok(want), Ok(())) => {
+                    prop_assert_eq!(format!("{row:?}"), format!("{want:?}"));
+                    prop_assert_eq!(reused.len(), fresh.len());
+                }
+                (Err(want), Err(got)) => prop_assert_eq!(got.to_string(), want.to_string()),
+                (want, got) => prop_assert!(false, "fresh {want:?}, reused {got:?}"),
             }
         }
 

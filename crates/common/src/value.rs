@@ -179,6 +179,16 @@ impl Value {
         }
     }
 
+    /// [`Value::cast_to`] by value: a cell that already has type `ty`
+    /// (or is NULL) is returned as it is, with no copy.
+    pub fn cast_into(self, ty: DataType) -> Value {
+        if self.is_null() || self.data_type() == Some(ty) {
+            self
+        } else {
+            self.cast_to(ty)
+        }
+    }
+
     /// Cast to the requested type following Hive's lenient semantics.
     /// Returns `Value::Null` when the cast is not representable.
     pub fn cast_to(&self, ty: DataType) -> Value {

@@ -286,6 +286,60 @@ fn is_eager(e: &RExpr) -> bool {
     }
 }
 
+/// Row `i` of a column of cells; a row past the end reads as NULL.
+/// Implemented by owned columns and by [`ProjectedColumn`] views, so
+/// the grouping kernels take either.
+pub trait CellColumn {
+    /// The cell of row `i`.
+    fn cell(&self, i: usize) -> &Value;
+}
+
+impl CellColumn for Vec<Value> {
+    fn cell(&self, i: usize) -> &Value {
+        self.get(i).unwrap_or(&Value::Null)
+    }
+}
+
+/// One projected column over a batch's selected rows: a bare column
+/// reference is read where it lies, through the selection vector, and
+/// only a computed expression materializes its cells.
+#[derive(Debug)]
+pub(crate) enum ProjectedColumn<'v> {
+    /// Column `col` of the batch, at the selected rows `sel`.
+    Borrowed {
+        /// The batch column.
+        col: &'v [Value],
+        /// The selected rows, one output cell each.
+        sel: &'v [usize],
+    },
+    /// Computed cells, one per selected row.
+    Owned(Vec<Value>),
+}
+
+impl ProjectedColumn<'_> {
+    /// The cells as an owned column (a borrowed column is cloned here,
+    /// once).
+    fn into_owned(self) -> Vec<Value> {
+        match self {
+            ProjectedColumn::Borrowed { col, sel } => sel
+                .iter()
+                .map(|&r| col.get(r).cloned().unwrap_or(Value::Null))
+                .collect(),
+            ProjectedColumn::Owned(cells) => cells,
+        }
+    }
+}
+
+impl CellColumn for ProjectedColumn<'_> {
+    fn cell(&self, i: usize) -> &Value {
+        let cell = match self {
+            ProjectedColumn::Borrowed { col, sel } => sel.get(i).and_then(|&r| col.get(r)),
+            ProjectedColumn::Owned(cells) => cells.get(i),
+        };
+        cell.unwrap_or(&Value::Null)
+    }
+}
+
 /// Evaluate an eager expression over the selected rows, one output value
 /// per selection entry.
 fn eval_columnar(e: &RExpr, batch: &RowBatch<'_>, sel: &[usize]) -> Result<Vec<Value>> {
@@ -377,7 +431,7 @@ fn eval_columnar(e: &RExpr, batch: &RowBatch<'_>, sel: &[usize]) -> Result<Vec<V
         }
         RExpr::Cast { expr: inner, to } => Ok(eval_columnar(inner, batch, sel)?
             .into_iter()
-            .map(|v| v.cast_to(*to))
+            .map(|v| v.cast_into(*to))
             .collect()),
         // Lazy nodes never reach here (`is_eager` gates callers); fall
         // back to the row evaluator to stay correct regardless.
@@ -388,10 +442,41 @@ fn eval_columnar(e: &RExpr, batch: &RowBatch<'_>, sel: &[usize]) -> Result<Vec<V
     }
 }
 
-/// Vectorized projection: evaluate `exprs` over the selected rows,
-/// returning one output column per expression (each of length
-/// `sel.len()`). Eager expressions run column-at-a-time; lazy ones
-/// share a single gathered scratch row per selected row.
+/// Vectorized projection as views: one column per expression, each of
+/// `sel.len()` cells. Bare column references borrow the batch's column;
+/// eager expressions run column-at-a-time; lazy ones share a single
+/// gathered scratch row per selected row.
+///
+/// # Errors
+/// Propagates expression evaluation failures.
+pub(crate) fn project_view<'v>(
+    exprs: &[RExpr],
+    batch: &RowBatch<'v>,
+    sel: &'v [usize],
+) -> Result<Vec<ProjectedColumn<'v>>> {
+    let mut scratch: Option<Vec<Row>> = None;
+    let mut out = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        let column = match e {
+            RExpr::Column(i) => batch.columns.get(*i),
+            _ => None,
+        };
+        if let Some(&col) = column {
+            out.push(ProjectedColumn::Borrowed { col, sel });
+        } else if is_eager(e) {
+            out.push(ProjectedColumn::Owned(eval_columnar(e, batch, sel)?));
+        } else {
+            let rows =
+                scratch.get_or_insert_with(|| sel.iter().map(|&r| batch.gather_row(r)).collect());
+            let cells = rows.iter().map(|row| e.eval(row)).collect::<Result<_>>()?;
+            out.push(ProjectedColumn::Owned(cells));
+        }
+    }
+    Ok(out)
+}
+
+/// Vectorized projection into owned columns: [`project_view`] with
+/// every column materialized.
 ///
 /// # Errors
 /// Propagates expression evaluation failures.
@@ -400,50 +485,33 @@ pub fn project_batch(
     batch: &RowBatch<'_>,
     sel: &[usize],
 ) -> Result<Vec<Vec<Value>>> {
-    let mut scratch: Option<Vec<Row>> = None;
-    let mut out = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        if is_eager(e) {
-            out.push(eval_columnar(e, batch, sel)?);
-        } else {
-            let rows =
-                scratch.get_or_insert_with(|| sel.iter().map(|&r| batch.gather_row(r)).collect());
-            out.push(
-                rows.iter()
-                    .map(|row| e.eval(row))
-                    .collect::<Result<Vec<_>>>()?,
-            );
-        }
-    }
-    Ok(out)
+    let view = project_view(exprs, batch, sel)?;
+    Ok(view.into_iter().map(ProjectedColumn::into_owned).collect())
 }
 
 /// Materialize output row `i` from projected columns (the emit-side dual
 /// of [`project_batch`]).
-pub fn gather_projected(cols: &[Vec<Value>], i: usize) -> Row {
-    Row::from(
-        cols.iter()
-            .map(|c| c.get(i).cloned().unwrap_or(Value::Null))
-            .collect::<Vec<_>>(),
-    )
+pub fn gather_projected<C: CellColumn>(cols: &[C], i: usize) -> Row {
+    cols.iter().map(|c| c.cell(i).clone()).collect()
 }
 
 /// Vectorized GroupBy update: feed row `i` of the projected value
 /// columns into a group's accumulators. Equivalent to
 /// [`Aggregator::update_raw`] over the gathered value row.
-pub fn update_group(agg: &Aggregator, states: &mut [AggState], cols: &[Vec<Value>], i: usize) {
-    let n = states.len();
-    for c in 0..n {
-        let v = cols
-            .get(c)
-            .and_then(|col| col.get(i))
-            .unwrap_or(&Value::Null);
+pub fn update_group<C: CellColumn>(
+    agg: &Aggregator,
+    states: &mut [AggState],
+    cols: &[C],
+    i: usize,
+) {
+    for c in 0..states.len() {
+        let v = cols.get(c).map_or(&Value::Null, |col| col.cell(i));
         agg.update_value(states, c, v);
     }
 }
 
 /// Group count up to which [`GroupTable`] resolves keys by linear scan
-/// over the stored group keys instead of gathering + hashing a key row.
+/// over the stored group keys instead of hashing the key cells.
 const GROUP_PROBE_MAX: usize = 16;
 
 /// FxHash's multiply-rotate step, for [`GroupTable`]'s index. The table
@@ -495,122 +563,209 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-/// Map-side partial-aggregation table for the batch pipeline.
+/// The hash of a key's cells: the byte stream `Row`'s derived `Hash`
+/// feeds a hasher (length, then each cell), so cells hash the same
+/// wherever they lie — in a stored key, a batch's columns, or a row.
+fn hash_cells<'k>(key: impl ExactSizeIterator<Item = &'k Value>) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = FxHasher::default();
+    h.write_usize(key.len());
+    for cell in key {
+        cell.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// "No further slot" in [`GroupTable`]'s hash chains.
+const CHAIN_END: usize = usize::MAX;
+
+/// Map-side partial-aggregation table for both map pipelines.
 ///
 /// Semantically identical to `HashMap<Row, Vec<AggState>>` keyed by the
-/// gathered key row (group membership is `Row` equality either way),
-/// but tuned for the map-side shape — few groups, many rows:
+/// projected key row (group membership is `Row` equality either way),
+/// but no key row is built to look a group up — the key cells are
+/// compared and hashed where they lie:
 ///
 /// * the **last-group memo** reuses the previous row's slot when the
-///   key columns repeat, and
+///   key cells repeat;
 /// * tables of at most [`GROUP_PROBE_MAX`] groups resolve misses by
-///   comparing key cells directly against the stored group keys,
+///   comparing key cells directly against the stored group keys;
+/// * larger ones hash the cells ([`hash_cells`]) and walk the chain of
+///   slots that share the hash.
 ///
-/// so the per-row key `Row` allocation and hash are paid only when a
-/// new group appears or the table has outgrown the probe window. Groups
-/// drain in first-seen order.
+/// Each key is stored once, when its group appears, and every group's
+/// states live in one buffer. Groups drain in first-seen order.
 pub struct GroupTable {
-    groups: Vec<(Row, Vec<AggState>)>,
-    index: std::collections::HashMap<Row, usize, std::hash::BuildHasherDefault<FxHasher>>,
+    /// Per slot, in first-seen order: the group's key.
+    keys: Vec<Row>,
+    /// Per slot, `width` states: slot `s` owns `states[s * width..][..width]`.
+    states: Vec<AggState>,
+    width: usize,
+    /// Per hash, the newest slot with it.
+    heads: std::collections::HashMap<u64, usize, std::hash::BuildHasherDefault<FxHasher>>,
+    /// Per slot, the next older slot with its key's hash.
+    chain: Vec<usize>,
     memo: usize,
 }
 
-/// Does row `i` of the projected key columns equal this stored group
-/// key? Cell-by-cell `Value` equality — exactly the `Row` equality the
-/// index uses, without gathering a key row first.
-fn key_matches(key: &Row, key_cols: &[Vec<Value>], i: usize) -> bool {
-    key.len() == key_cols.len()
-        && key
-            .values()
-            .iter()
-            .zip(key_cols.iter())
-            .all(|(k, col)| col.get(i).unwrap_or(&Value::Null) == k)
+/// Do these key cells equal this stored group key? Cell-by-cell `Value`
+/// equality — exactly `Row` equality, without building a key row.
+fn key_matches<'k>(key: &Row, cells: impl ExactSizeIterator<Item = &'k Value>) -> bool {
+    key.len() == cells.len() && key.values().iter().zip(cells).all(|(k, c)| c == k)
 }
 
 impl GroupTable {
     /// An empty table.
     pub fn new() -> GroupTable {
         GroupTable {
-            groups: Vec::new(),
-            index: std::collections::HashMap::default(),
+            keys: Vec::new(),
+            states: Vec::new(),
+            width: 0,
+            heads: std::collections::HashMap::default(),
+            chain: Vec::new(),
             memo: usize::MAX,
         }
     }
 
     /// True if no group has been created yet.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.keys.is_empty()
     }
 
-    fn insert(&mut self, agg: &Aggregator, key: Row) -> usize {
-        let slot = self.groups.len();
-        self.index.insert(key.clone(), slot);
-        self.groups.push((key, agg.new_states()));
+    /// The states of the group in `slot`.
+    fn states_mut(&mut self, slot: usize) -> Option<&mut [AggState]> {
+        let at = slot * self.width;
+        self.states.get_mut(at..at + self.width)
+    }
+
+    /// The slot of the group whose key equals `key`, or the hash a new
+    /// group for it is filed under.
+    fn find<'k, K>(&mut self, key: K) -> std::result::Result<usize, u64>
+    where
+        K: ExactSizeIterator<Item = &'k Value> + Clone,
+    {
+        if let Some(stored) = self.keys.get(self.memo) {
+            if key_matches(stored, key.clone()) {
+                return Ok(self.memo);
+            }
+        }
+        if self.keys.len() <= GROUP_PROBE_MAX {
+            if let Some(slot) = self.keys.iter().position(|k| key_matches(k, key.clone())) {
+                self.memo = slot;
+                return Ok(slot);
+            }
+            return Err(hash_cells(key));
+        }
+        let hash = hash_cells(key.clone());
+        let mut slot = self.heads.get(&hash).copied().unwrap_or(CHAIN_END);
+        while let Some((stored, &next)) = self.keys.get(slot).zip(self.chain.get(slot)) {
+            if key_matches(stored, key.clone()) {
+                self.memo = slot;
+                return Ok(slot);
+            }
+            slot = next;
+        }
+        Err(hash)
+    }
+
+    /// File a new group under `hash`.
+    fn insert(&mut self, agg: &Aggregator, key: Row, hash: u64) -> usize {
+        let slot = self.keys.len();
+        let older = self.heads.insert(hash, slot).unwrap_or(CHAIN_END);
+        self.chain.push(older);
+        self.keys.push(key);
+        let at = self.states.len();
+        agg.push_states(&mut self.states);
+        self.width = self.states.len() - at;
         self.memo = slot;
         slot
     }
 
-    fn slot_for(&mut self, agg: &Aggregator, key_cols: &[Vec<Value>], i: usize) -> usize {
-        if let Some((key, _)) = self.groups.get(self.memo) {
-            if key_matches(key, key_cols, i) {
-                return self.memo;
-            }
+    /// The slot of `key`'s group, created (its key cloned, once) if new.
+    fn slot_for<'k, K>(&mut self, agg: &Aggregator, key: K) -> usize
+    where
+        K: ExactSizeIterator<Item = &'k Value> + Clone,
+    {
+        match self.find(key.clone()) {
+            Ok(slot) => slot,
+            Err(hash) => self.insert(agg, key.cloned().collect(), hash),
         }
-        if self.groups.len() <= GROUP_PROBE_MAX {
-            if let Some(slot) = self
-                .groups
-                .iter()
-                .position(|(key, _)| key_matches(key, key_cols, i))
-            {
-                self.memo = slot;
-                return slot;
-            }
-            return self.insert(agg, gather_projected(key_cols, i));
-        }
-        let key = gather_projected(key_cols, i);
-        if let Some(&slot) = self.index.get(&key) {
-            self.memo = slot;
-            return slot;
-        }
-        self.insert(agg, key)
     }
 
     /// Fold `rows` rows of projected key/value columns into the table —
     /// the batched equivalent of one `entry(key).or_insert` +
     /// [`Aggregator::update_raw`] per row.
-    pub fn update_batch(
+    pub fn update_batch<C: CellColumn>(
         &mut self,
         agg: &Aggregator,
-        key_cols: &[Vec<Value>],
-        value_cols: &[Vec<Value>],
+        key_cols: &[C],
+        value_cols: &[C],
         rows: usize,
     ) {
         for i in 0..rows {
-            let slot = self.slot_for(agg, key_cols, i);
-            if let Some((_, states)) = self.groups.get_mut(slot) {
+            let slot = self.slot_for(agg, key_cols.iter().map(|c| c.cell(i)));
+            if let Some(states) = self.states_mut(slot) {
                 update_group(agg, states, value_cols, i);
             }
         }
     }
 
-    /// Fold one already-projected row in (the row-path entry point, so
-    /// a stage with both columnar and row inputs shares one table).
-    pub fn update_row(&mut self, agg: &Aggregator, key: Row, value: &Row) {
-        let slot = match self.index.get(&key) {
-            Some(&slot) => {
-                self.memo = slot;
-                slot
+    /// Fold one row's cells in, read where they lie: `key` and `value`
+    /// are the projected key and value cells (the row path's entry
+    /// point, so a stage with both columnar and row inputs shares one
+    /// table).
+    pub(crate) fn update_cells<'k, K>(
+        &mut self,
+        agg: &Aggregator,
+        key: K,
+        value: impl Iterator<Item = &'k Value>,
+    ) where
+        K: ExactSizeIterator<Item = &'k Value> + Clone,
+    {
+        let slot = self.slot_for(agg, key);
+        if let Some(states) = self.states_mut(slot) {
+            // As `update_raw`: aggregate `c` reads cell `c`, NULL past
+            // the last.
+            let mut value = value;
+            for c in 0..states.len() {
+                agg.update_value(states, c, value.next().unwrap_or(&Value::Null));
             }
-            None => self.insert(agg, key),
+        }
+    }
+
+    /// Fold one already-projected row in.
+    pub fn update_row(&mut self, agg: &Aggregator, key: Row, value: &Row) {
+        let slot = match self.find(key.values().iter()) {
+            Ok(slot) => slot,
+            Err(hash) => self.insert(agg, key, hash),
         };
-        if let Some((_, states)) = self.groups.get_mut(slot) {
+        if let Some(states) = self.states_mut(slot) {
             agg.update_raw(states, value);
         }
     }
 
     /// Drain the table in first-seen group order.
     pub fn into_groups(self) -> Vec<(Row, Vec<AggState>)> {
-        self.groups
+        let mut states = self.states.into_iter();
+        let group = |key| (key, states.by_ref().take(self.width).collect());
+        self.keys.into_iter().map(group).collect()
+    }
+
+    /// Drain the table in first-seen group order into `f`, each group's
+    /// states lent from the one buffer.
+    ///
+    /// # Errors
+    /// The first error `f` returns.
+    pub(crate) fn drain_into(
+        self,
+        mut f: impl FnMut(Row, &[AggState]) -> Result<()>,
+    ) -> Result<()> {
+        // No aggregates: no states, and every group lends an empty slice.
+        let mut states = self.states.chunks(self.width.max(1));
+        for key in self.keys {
+            f(key, states.next().unwrap_or_default())?;
+        }
+        Ok(())
     }
 }
 
@@ -929,13 +1084,19 @@ mod proptests {
     }
 
     /// Key cells that make group identity subtle: NULLs, `Long(n)`
-    /// beside the equal `Double(n.0)`, and strings.
+    /// beside the equal `Double(n.0)`, NaNs, `0.0` beside `-0.0`, and
+    /// strings; with two key columns, tables pass the 16-group probe
+    /// window into the hashed index.
     fn arb_key_cell() -> BoxedStrategy<Value> {
+        let float = |bits: f64| Just(Value::Double(bits));
         prop_oneof![
             1 => Just(Value::Null),
             3 => (0i64..12).prop_map(Value::Long),
             2 => (0i64..12).prop_map(|v| Value::Double(v as f64)),
             2 => "[ab]{0,2}".prop_map(Value::Str),
+            2 => (12i64..40).prop_map(Value::Long),
+            1 => (12i64..40).prop_map(|v| Value::Double(v as f64)),
+            1 => prop_oneof![float(f64::NAN), float(-f64::NAN), float(0.0), float(-0.0)],
         ]
         .boxed()
     }

@@ -4,7 +4,10 @@
 
 use super::plan::{BuildScan, TaskInput};
 use super::{EngineKind, StagePipeline};
-use crate::batch::{filter_batch, gather_projected, project_batch, GroupTable, RowBatch};
+use crate::batch::{
+    filter_batch, gather_projected, project_view, CellColumn, GroupTable, RowBatch,
+};
+use crate::expr::RExpr;
 use crate::operators::{process_join_group, project_row};
 use crate::physical::{MapInput, MapJoin, StageKind};
 use hdm_cluster::MapVolume;
@@ -192,6 +195,8 @@ struct MapAttempt<'a> {
     /// The shuffle pair being emitted, encoded: key and value buffers
     /// reused across every pair of the attempt.
     wire: (Vec<u8>, Vec<u8>),
+    /// A row's computed value and key cells ([`Projected`]), reused.
+    computed: (Vec<Value>, Vec<Value>),
     groups: GroupTable,
     /// Map-only output. Owned by the attempt, so a failed attempt's rows
     /// die with it and a replay cannot duplicate them.
@@ -202,9 +207,60 @@ struct MapAttempt<'a> {
     probe_rows: u64,
 }
 
-fn cell_or_null(col: &[Value], i: usize) -> &Value {
-    col.get(i).unwrap_or(&Value::Null)
+/// The cells of one projection over one row: a bare column reference
+/// is the row's own cell, and only a computed expression's cell is
+/// evaluated, into `computed`, in expression order.
+#[derive(Clone)]
+struct Projected<'a> {
+    exprs: std::slice::Iter<'a, RExpr>,
+    row: &'a Row,
+    computed: std::slice::Iter<'a, Value>,
 }
+
+/// Does `e` read as the row's own cell? A column out of range is
+/// evaluated instead, so that it fails as `project_row` would.
+fn borrows(e: &RExpr, row: &Row) -> bool {
+    matches!(e, RExpr::Column(i) if *i < row.len())
+}
+
+impl<'a> Projected<'a> {
+    /// Evaluate the computed cells of `exprs` over `row` into `computed`
+    /// (cleared first), failing as `project_row` would.
+    fn eval(exprs: &[RExpr], row: &Row, computed: &mut Vec<Value>) -> Result<()> {
+        computed.clear();
+        for e in exprs.iter().filter(|e| !borrows(e, row)) {
+            computed.push(e.eval(row)?);
+        }
+        Ok(())
+    }
+
+    fn new(exprs: &'a [RExpr], row: &'a Row, computed: &'a [Value]) -> Projected<'a> {
+        Projected {
+            exprs: exprs.iter(),
+            row,
+            computed: computed.iter(),
+        }
+    }
+}
+
+impl<'a> Iterator for Projected<'a> {
+    type Item = &'a Value;
+
+    fn next(&mut self) -> Option<&'a Value> {
+        let e = self.exprs.next()?;
+        let cell = match e {
+            RExpr::Column(i) if *i < self.row.len() => self.row.values().get(*i),
+            _ => self.computed.next(),
+        };
+        Some(cell.unwrap_or(&Value::Null))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.exprs.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Projected<'_> {}
 
 impl MapAttempt<'_> {
     /// Send one shuffle pair, encoded straight from its cells.
@@ -221,14 +277,32 @@ impl MapAttempt<'_> {
         self.emit.collect(kb, vb)
     }
 
-    /// The one place a projected row's destination is decided.
-    fn route(&mut self, key: Row, value: Row) -> Result<()> {
-        match (&self.p.stage.kind, &self.p.partial) {
-            (StageKind::MapOnly, _) => self.out_rows.push(value),
-            (StageKind::Aggregate { .. }, Some(agg)) => self.groups.update_row(agg, key, &value),
-            _ => self.emit(key.values().iter(), value.values().iter())?,
+    /// The one place a row's destination is decided: projected, then
+    /// kept (map-only), grouped, or emitted. Grouping and emitting read
+    /// bare column references from the row's own cells.
+    fn route(&mut self, row: &Row) -> Result<()> {
+        let input = self.input;
+        if matches!(self.p.stage.kind, StageKind::MapOnly) {
+            // Map-only output rows outlive the input row (and a map-only
+            // input has no key): the one place cells are copied.
+            let value = project_row(&input.value_exprs, row)?;
+            self.out_rows.push(value);
+            return Ok(());
         }
-        Ok(())
+        let (mut values, mut keys) = std::mem::take(&mut self.computed);
+        Projected::eval(&input.value_exprs, row, &mut values)?;
+        Projected::eval(&input.key_exprs, row, &mut keys)?;
+        let value = Projected::new(&input.value_exprs, row, &values);
+        let key = Projected::new(&input.key_exprs, row, &keys);
+        let routed = match (&self.p.stage.kind, &self.p.partial) {
+            (StageKind::Aggregate { .. }, Some(agg)) => {
+                self.groups.update_cells(agg, key, value);
+                Ok(())
+            }
+            _ => self.emit(key, value),
+        };
+        self.computed = (values, keys);
+        routed
     }
 
     /// A row past the scan filter: through map-side join steps `step..`,
@@ -236,9 +310,7 @@ impl MapAttempt<'_> {
     fn push(&mut self, step: usize, row: &Row) -> Result<()> {
         let (input, tables) = (self.input, self.tables);
         let (Some(join), Some(table)) = (input.map_joins.get(step), tables.get(step)) else {
-            let value = project_row(&input.value_exprs, row)?;
-            let key = project_row(&input.key_exprs, row)?;
-            return self.route(key, value);
+            return self.route(row);
         };
         self.probe_rows += 1;
         self.key_buf.clear();
@@ -328,8 +400,8 @@ impl MapAttempt<'_> {
                     }
                     continue;
                 }
-                let value_cols = project_batch(&self.input.value_exprs, &rb, &sel)?;
-                let key_cols = project_batch(&self.input.key_exprs, &rb, &sel)?;
+                let value_cols = project_view(&self.input.value_exprs, &rb, &sel)?;
+                let key_cols = project_view(&self.input.key_exprs, &rb, &sel)?;
                 if let Some(agg) = &self.p.partial {
                     // The one batch kernel past projection: grouped
                     // partial aggregation straight off the columns.
@@ -346,8 +418,8 @@ impl MapAttempt<'_> {
                 // is gathered for either half.
                 for i in 0..sel.len() {
                     self.emit(
-                        key_cols.iter().map(|c| cell_or_null(c, i)),
-                        value_cols.iter().map(|c| cell_or_null(c, i)),
+                        key_cols.iter().map(|c| c.cell(i)),
+                        value_cols.iter().map(|c| c.cell(i)),
                     )?;
                 }
             }
@@ -491,6 +563,7 @@ impl StagePipeline {
             tables: &tables,
             key_buf: Vec::new(),
             wire: (Vec::new(), Vec::new()),
+            computed: (Vec::new(), Vec::new()),
             groups: GroupTable::new(),
             out_rows: Vec::new(),
             kv_sizes: Histogram::with_width(hdm_obs::KV_HIST_BUCKET),
@@ -550,10 +623,12 @@ impl StagePipeline {
         // once per stage, however many tasks probe the table.
         at.vol.input_bytes += built.1;
         if let Some(agg) = &self.partial {
-            for (key, states) in std::mem::take(&mut at.groups).into_groups() {
-                let value = agg.states_to_row(&states);
-                at.emit(key.values().iter(), value.values().iter())?;
-            }
+            let mut value = Vec::new();
+            std::mem::take(&mut at.groups).drain_into(|key, states| {
+                value.clear();
+                agg.push_state_cells(states, &mut value);
+                at.emit(key.values().iter(), value.iter())
+            })?;
         }
         (at.vol.shuffle_bytes_per_dst, at.vol.spill_bytes) = at.emit.end_unit();
         if matches!(self.stage.kind, StageKind::MapOnly) {

@@ -425,9 +425,7 @@ fn run_map_only(job: &StageJob<'_>) -> Result<()> {
 pub fn read_seq_outputs(dfs: &Dfs, paths: &[String]) -> Result<Vec<Row>> {
     let mut out = Vec::new();
     for p in paths {
-        for kv in hdm_storage::seq::read_all(dfs, p)? {
-            out.push(Row::decode(&mut kv.value.clone())?);
-        }
+        hdm_storage::seq::read_rows(dfs, p, &mut out)?;
     }
     Ok(out)
 }

@@ -4,7 +4,9 @@
 
 use super::{EngineKind, StagePipeline};
 use crate::ast::JoinKind;
-use crate::operators::{decode_tagged, peek_tag, process_join_group, project_row, Aggregator};
+use crate::operators::{
+    decode_tagged_into, peek_tag, process_join_group, Aggregator, MoveProjection,
+};
 use crate::physical::StageKind;
 use hdm_common::error::Result;
 use hdm_common::kv::Values;
@@ -63,6 +65,45 @@ impl GroupSource for hdm_datampi::AContext {
     }
 }
 
+/// Decoded rows reused from one group to the next: `rows[..used]` are
+/// the current group's, and a slot keeps its cells' buffers for the
+/// next value decoded into it.
+#[derive(Default)]
+struct RowPool {
+    rows: Vec<Row>,
+    used: usize,
+}
+
+/// Rows a [`RowPool`] keeps past a group: a skewed key's group is not
+/// held for the rest of the partition.
+const POOL_ROWS_KEPT: usize = 64;
+
+impl RowPool {
+    fn clear(&mut self) {
+        self.used = 0;
+        if self.rows.len() > POOL_ROWS_KEPT {
+            self.rows.truncate(POOL_ROWS_KEPT);
+            self.rows.shrink_to(POOL_ROWS_KEPT);
+        }
+    }
+
+    /// Decode a tagged value into the next slot.
+    fn push_tagged(&mut self, value: &[u8]) -> Result<()> {
+        if self.used == self.rows.len() {
+            self.rows.push(Row::new());
+        }
+        if let Some(row) = self.rows.get_mut(self.used) {
+            decode_tagged_into(value, row)?;
+        }
+        self.used += 1;
+        Ok(())
+    }
+
+    fn rows(&self) -> &[Row] {
+        self.rows.get(..self.used).unwrap_or_default()
+    }
+}
+
 impl StagePipeline {
     /// Run reduce partition `rank` over its groups.
     ///
@@ -95,7 +136,7 @@ impl StagePipeline {
                 // value, so such groups are recognised, and dropped,
                 // without decoding a cell.
                 let needs_right = matches!(kind, JoinKind::Inner | JoinKind::LeftSemi);
-                let (mut lefts, mut rights) = (Vec::new(), Vec::new());
+                let (mut lefts, mut rights) = (RowPool::default(), RowPool::default());
                 while let Some((_key, values)) = groups.next_group() {
                     // Per-group cancellation safe point (one relaxed
                     // load), mirroring the map pipeline's per-row poll.
@@ -112,20 +153,20 @@ impl StagePipeline {
                     lefts.clear();
                     rights.clear();
                     for v in &values {
-                        let (tag, row) = decode_tagged(v)?;
-                        if tag == 0 {
-                            lefts.push(row);
+                        let side = if peek_tag(v)? == 0 {
+                            &mut lefts
                         } else {
-                            rights.push(row);
-                        }
+                            &mut rights
+                        };
+                        side.push_tagged(v)?;
                     }
                     process_join_group(
                         *kind,
                         *right_width,
                         residual.as_ref(),
                         project,
-                        &lefts,
-                        &rights,
+                        lefts.rows(),
+                        rights.rows(),
                         &mut rows_out,
                     )?;
                 }
@@ -137,28 +178,31 @@ impl StagePipeline {
                 ..
             } => {
                 let agg = Aggregator::new(aggs.clone());
+                let output = MoveProjection::new(project);
                 // Values are raw inputs unless the map side pre-aggregated.
                 let raw_mode = self.partial.is_none();
+                // Every value is decoded into this one row, and every
+                // group accumulates in this one state buffer.
+                let (mut row, mut states) = (Row::new(), Vec::new());
                 while let Some((key, values)) = groups.next_group() {
                     self.cancel.bail_if_cancelled()?;
-                    let key_row = self.key_codec.decode_key(key)?;
-                    let mut states = agg.new_states();
+                    let mut full = self.key_codec.decode_key(key)?;
+                    agg.push_states(&mut states);
                     for mut v in values {
-                        let row = Row::decode(&mut v)?;
+                        row.decode_into(&mut v)?;
                         if raw_mode {
                             agg.update_raw(&mut states, &row);
                         } else {
                             agg.merge_state_row(&mut states, &row)?;
                         }
                     }
-                    let mut full = key_row;
-                    full.extend(agg.finish(states));
+                    agg.finish_into(&mut states, &mut full);
                     if let Some(h) = having {
                         if !h.eval_predicate(&full)? {
                             continue;
                         }
                     }
-                    rows_out.push(project_row(project, &full)?);
+                    rows_out.push(output.apply(project, full)?);
                 }
             }
             StageKind::Sort { limit, .. } => {
@@ -190,6 +234,11 @@ impl StagePipeline {
         Ok(())
     }
 }
+
+// The tests decode whole tagged values, as the loop above did before it
+// reused its rows.
+#[cfg(test)]
+use crate::operators::decode_tagged;
 
 #[cfg(test)]
 mod tests {

@@ -105,17 +105,12 @@ impl PartitionSink {
                 let mut part = files
                     .format
                     .create(&files.dfs, &path, &files.schema, node)?;
-                for r in &rows {
+                for r in rows {
                     if files.typed {
-                        let cast: Row = r
-                            .values()
-                            .iter()
-                            .zip(files.schema.fields())
-                            .map(|(v, f)| v.cast_to(f.data_type))
-                            .collect();
-                        part.write_row(&cast)?;
+                        let cells = r.into_values().into_iter().zip(files.schema.fields());
+                        part.write_owned(cells.map(|(v, f)| v.cast_into(f.data_type)).collect())?;
                     } else {
-                        part.write_row(r)?;
+                        part.write_owned(r)?;
                     }
                 }
                 let bytes = part.close()?;

@@ -56,25 +56,28 @@ impl Aggregator {
 
     /// Fresh states, one per aggregate.
     pub fn new_states(&self) -> Vec<AggState> {
-        self.specs
-            .iter()
-            .map(|s| match (s.func, s.distinct) {
-                (AggFunc::Count, true) => AggState::CountDistinct(HashSet::new()),
-                (AggFunc::Count, false) => AggState::Count(0),
-                (AggFunc::Sum, _) => AggState::Sum(None),
-                (AggFunc::Avg, _) => AggState::Avg(0.0, 0),
-                (AggFunc::Min, _) => AggState::Min(None),
-                (AggFunc::Max, _) => AggState::Max(None),
-            })
-            .collect()
+        let mut states = Vec::new();
+        self.push_states(&mut states);
+        states
+    }
+
+    /// Append fresh states, one per aggregate, to `states`.
+    pub(crate) fn push_states(&self, states: &mut Vec<AggState>) {
+        states.extend(self.specs.iter().map(|s| match (s.func, s.distinct) {
+            (AggFunc::Count, true) => AggState::CountDistinct(HashSet::new()),
+            (AggFunc::Count, false) => AggState::Count(0),
+            (AggFunc::Sum, _) => AggState::Sum(None),
+            (AggFunc::Avg, _) => AggState::Avg(0.0, 0),
+            (AggFunc::Min, _) => AggState::Min(None),
+            (AggFunc::Max, _) => AggState::Max(None),
+        }));
     }
 
     /// Update states from one *raw input row* (cell `i` = aggregate
     /// `i`'s input).
     pub fn update_raw(&self, states: &mut [AggState], row: &Row) {
         for (i, state) in states.iter_mut().enumerate() {
-            let v = row.values().get(i).cloned().unwrap_or(Value::Null);
-            update_one(state, &v);
+            update_one(state, row.values().get(i).unwrap_or(&Value::Null));
         }
     }
 
@@ -139,42 +142,55 @@ impl Aggregator {
 
     /// Serialize states as a partial state row (for the shuffle).
     pub fn states_to_row(&self, states: &[AggState]) -> Row {
-        let mut row = Row::new();
+        let mut cells = Vec::new();
+        self.push_state_cells(states, &mut cells);
+        Row::from(cells)
+    }
+
+    /// Append the cells of [`Self::states_to_row`] to `cells`.
+    pub(crate) fn push_state_cells(&self, states: &[AggState], cells: &mut Vec<Value>) {
         for state in states {
             match state {
-                AggState::Count(n) => row.push(Value::Long(*n)),
-                AggState::Sum(v) => row.push(v.clone().unwrap_or(Value::Null)),
+                AggState::Count(n) => cells.push(Value::Long(*n)),
+                AggState::Sum(v) => cells.push(v.clone().unwrap_or(Value::Null)),
                 AggState::Avg(sum, count) => {
-                    row.push(Value::Double(*sum));
-                    row.push(Value::Long(*count));
+                    cells.push(Value::Double(*sum));
+                    cells.push(Value::Long(*count));
                 }
-                AggState::Min(v) | AggState::Max(v) => row.push(v.clone().unwrap_or(Value::Null)),
+                AggState::Min(v) | AggState::Max(v) => cells.push(v.clone().unwrap_or(Value::Null)),
                 AggState::CountDistinct(_) => {
                     unreachable!("distinct aggregates never produce partial rows")
                 }
             }
         }
-        row
     }
 
     /// Final results, one value per aggregate.
     pub fn finish(&self, states: Vec<AggState>) -> Vec<Value> {
-        states
-            .into_iter()
-            .map(|s| match s {
-                AggState::Count(n) => Value::Long(n),
-                AggState::Sum(v) => v.unwrap_or(Value::Null),
-                AggState::Avg(sum, count) => {
-                    if count == 0 {
-                        Value::Null
-                    } else {
-                        Value::Double(sum / count as f64)
-                    }
-                }
-                AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
-                AggState::CountDistinct(set) => Value::Long(set.len() as i64),
-            })
-            .collect()
+        states.into_iter().map(finish_one).collect()
+    }
+
+    /// Append the final results to `row`, leaving `states` empty (its
+    /// buffer kept for the next [`Self::push_states`]).
+    pub(crate) fn finish_into(&self, states: &mut Vec<AggState>, row: &mut Row) {
+        row.extend(states.drain(..).map(finish_one));
+    }
+}
+
+/// One aggregate's final result.
+fn finish_one(state: AggState) -> Value {
+    match state {
+        AggState::Count(n) => Value::Long(n),
+        AggState::Sum(v) => v.unwrap_or(Value::Null),
+        AggState::Avg(sum, count) => {
+            if count == 0 {
+                Value::Null
+            } else {
+                Value::Double(sum / count as f64)
+            }
+        }
+        AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
+        AggState::CountDistinct(set) => Value::Long(set.len() as i64),
     }
 }
 
@@ -374,6 +390,67 @@ pub fn project_row(project: &[RExpr], row: &Row) -> Result<Row> {
     Ok(out)
 }
 
+/// [`project_row`] over a row the caller gives up: an output that is a
+/// bare column read by no other output takes that cell by move, not by
+/// copy. The plan is fixed once per projection list.
+#[derive(Debug, Clone)]
+pub(crate) struct MoveProjection {
+    /// Per output: the column it moves, if any.
+    moves: Vec<Option<usize>>,
+    /// Output `i` is column `i` for every `i`: a row of that width is
+    /// its own output.
+    identity: bool,
+}
+
+impl MoveProjection {
+    /// Plan `project`: which outputs can move their column.
+    pub(crate) fn new(project: &[RExpr]) -> MoveProjection {
+        let mut reads = Vec::new();
+        for e in project {
+            e.input_columns(&mut reads);
+        }
+        let read_once = |i: usize| reads.iter().filter(|&&c| c == i).count() == 1;
+        let moves = project.iter().map(|e| match e {
+            RExpr::Column(i) if read_once(*i) => Some(*i),
+            _ => None,
+        });
+        let moves: Vec<Option<usize>> = moves.collect();
+        let identity = (moves.iter().enumerate()).all(|(i, mv)| *mv == Some(i));
+        MoveProjection { moves, identity }
+    }
+
+    /// `project_row(project, &row)`, consuming `row`; `project` is the
+    /// list the plan was made from. Fails exactly as `project_row` does.
+    ///
+    /// # Errors
+    /// Propagates expression-evaluation failures.
+    pub(crate) fn apply(&self, project: &[RExpr], row: Row) -> Result<Row> {
+        if self.identity && row.len() == self.moves.len() && project.len() == row.len() {
+            return Ok(row);
+        }
+        let out_of_range = self.moves.iter().flatten().any(|&i| i >= row.len());
+        if out_of_range || self.moves.len() != project.len() {
+            return project_row(project, &row);
+        }
+        // Computed outputs first, while every cell is still in place;
+        // moved columns cannot fail.
+        let mut out = Vec::with_capacity(project.len());
+        for (e, mv) in project.iter().zip(&self.moves) {
+            out.push(match mv {
+                Some(_) => Value::Null,
+                None => e.eval(&row)?,
+            });
+        }
+        let mut cells = row.into_values();
+        for (slot, mv) in out.iter_mut().zip(&self.moves) {
+            if let Some(cell) = mv.and_then(|i| cells.get_mut(i)) {
+                *slot = std::mem::replace(cell, Value::Null);
+            }
+        }
+        Ok(Row::from(out))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shuffle-row helpers
 // ---------------------------------------------------------------------------
@@ -423,15 +500,22 @@ pub fn peek_tag(mut value: &[u8]) -> Result<u8> {
 ///
 /// # Errors
 /// [`HdmError::Codec`] on malformed input.
-pub fn decode_tagged(mut value: &[u8]) -> Result<(u8, Row)> {
+pub fn decode_tagged(value: &[u8]) -> Result<(u8, Row)> {
+    let mut row = Row::new();
+    let tag = decode_tagged_into(value, &mut row)?;
+    Ok((tag, row))
+}
+
+/// Decode a value written by [`encode_tagged`] into `row`, reusing its
+/// cells ([`Row::decode_into`]); returns the tag. Succeeds and fails
+/// exactly as [`decode_tagged`] does.
+///
+/// # Errors
+/// [`HdmError::Codec`] on malformed input.
+pub fn decode_tagged_into(mut value: &[u8], row: &mut Row) -> Result<u8> {
     let (tag, n) = read_tag(&mut value)?;
-    // Every cell takes at least a byte: a hostile count cannot reserve
-    // more than the value is long.
-    let mut cells = Vec::with_capacity(n.min(value.len()));
-    for _ in 0..n {
-        cells.push(decode_value(&mut value)?);
-    }
-    Ok((tag, Row::from(cells)))
+    row.decode_cells_into(n, &mut value)?;
+    Ok(tag)
 }
 
 #[cfg(test)]

@@ -1745,6 +1745,55 @@ mod tests {
         assert_eq!(outcome.report.total_records_received(), 200);
     }
 
+    /// The non-blocking sender samples its in-flight sends at the
+    /// handle's rate, as the receiver samples its buffers: per O task,
+    /// one `inflight_sends` sample per `rate` isends, not one per isend.
+    #[test]
+    fn inflight_send_samples_follow_the_sample_rate() {
+        const RATE: u64 = 8;
+        let obs = hdm_obs::ObsHandle::enabled_with_stride(RATE);
+        let config = DataMpiConfig {
+            shuffle_style: ShuffleStyle::NonBlocking,
+            send_partition_bytes: 32,
+            obs: obs.clone(),
+            ..base_config(3, 2)
+        };
+        let outcome = run_bipartite(
+            &config,
+            Arc::new(BytesComparator),
+            Arc::new(HashPartitioner),
+            Arc::new(|rank, ctx: &mut OContext| {
+                for i in 0..400u32 {
+                    ctx.send(KvPair::new(i.to_be_bytes().to_vec(), vec![rank as u8]))?;
+                }
+                Ok(())
+            }),
+            Arc::new(|_, ctx: &mut AContext| Ok(owned_groups(ctx).len())),
+        )
+        .unwrap();
+        let snap = obs.snapshot();
+        assert_eq!(snap.dropped_samples, 0);
+        let isends: u64 = (snap.counters.iter())
+            .filter(|(n, _, _)| n == "shuffle.isends")
+            .map(|(_, _, v)| v)
+            .sum();
+        assert!(isends >= 8 * RATE, "too few isends to tell: {isends}");
+        let mut samples = 0;
+        for (rank, task) in outcome.report.o_tasks.iter().enumerate() {
+            let sends = task.send_events.len() as u64;
+            let track = format!("O{rank}");
+            let taken = (snap.samples.iter())
+                .filter(|e| e.name == "inflight_sends" && e.track == track)
+                .count() as u64;
+            assert_eq!(taken, sends.div_ceil(RATE), "O{rank}: {sends} isends");
+            samples += taken;
+        }
+        assert!(
+            samples <= isends / RATE + 3,
+            "{samples} samples for {isends} isends"
+        );
+    }
+
     #[test]
     fn zero_tasks_rejected() {
         let config = DataMpiConfig {

@@ -412,9 +412,13 @@ fn run_nonblocking(
                 inflight.push((ep.isend(state.a_base + dst, tag, payload)?, retained));
                 state.record_send(dst);
                 obs.isends.add(1);
-                let track = format_args!("O{}", ep.rank());
-                obs.obs
-                    .sample(&track, "inflight_sends", inflight.len() as u64);
+                // Sampled at `hive.obs.sample.rate`, like the receiver's
+                // tracks: one sample per isend would fill the recorder.
+                if obs.obs.should_sample(stats.send_events.len() as u64) {
+                    let track = format_args!("O{}", ep.rank());
+                    obs.obs
+                        .sample(&track, "inflight_sends", inflight.len() as u64);
+                }
                 // Test cached requests; completed ones recycle their slot
                 // (and offer their payload back to the SPL pool).
                 ep.progress();

@@ -44,7 +44,6 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -134,9 +133,7 @@ impl Site {
 
 #[derive(Debug)]
 struct PlanInner {
-    enabled: AtomicBool,
     seed: u64,
-    obs: ObsHandle,
     /// Injected read failures already delivered, per path: a flaky path
     /// fails its first k reads, then heals (a *transient* fault — the
     /// retrying attempt must be able to succeed).
@@ -144,31 +141,28 @@ struct PlanInner {
 }
 
 /// The seed-deterministic chaos source. Cheap to clone; all clones share
-/// the same seed, enable flag, and transient-failure bookkeeping.
-#[derive(Debug, Clone)]
+/// the same seed and transient-failure bookkeeping. A disabled plan
+/// holds no schedule at all (`inner` is `None`), so building one
+/// allocates nothing; both kinds record detections into their obs
+/// handle.
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    inner: Arc<PlanInner>,
-}
-
-impl Default for FaultPlan {
-    fn default() -> FaultPlan {
-        FaultPlan::disabled()
-    }
+    inner: Option<Arc<PlanInner>>,
+    obs: ObsHandle,
 }
 
 impl FaultPlan {
     fn build(enabled: bool, seed: u64, obs: ObsHandle) -> FaultPlan {
-        FaultPlan {
-            inner: Arc::new(PlanInner {
-                enabled: AtomicBool::new(enabled),
+        let inner = enabled.then(|| {
+            Arc::new(PlanInner {
                 seed,
-                obs,
                 storage_failures: Mutex::new(HashMap::new()),
-            }),
-        }
+            })
+        });
+        FaultPlan { inner, obs }
     }
 
-    /// A plan that injects nothing; every probe is one relaxed load.
+    /// A plan that injects nothing; every probe is one `Option` check.
     pub fn disabled() -> FaultPlan {
         FaultPlan::build(false, 0, ObsHandle::disabled())
     }
@@ -191,22 +185,22 @@ impl FaultPlan {
         ))
     }
 
-    /// Whether injection is active — exactly one relaxed atomic load, the
-    /// full cost of a disabled injection site.
+    /// Whether injection is active — one `Option` check, the full cost
+    /// of a disabled injection site.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.inner.is_some()
     }
 
     /// The seed this plan replays.
     pub fn seed(&self) -> u64 {
-        self.inner.seed
+        self.inner.as_ref().map_or(0, |inner| inner.seed)
     }
 
     /// One decision stream per `(site, a, b)`: splitmix64-style mixing
     /// into the vendored xorshift-family `StdRng`.
     fn rng(&self, site: Site, a: u64, b: u64) -> StdRng {
-        let mut x = self.inner.seed ^ site.key().wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut x = self.seed() ^ site.key().wrapping_mul(0x9e37_79b9_7f4a_7c15);
         x = x.wrapping_add(a.wrapping_mul(0xbf58_476d_1ce4_e5b9));
         x = x.wrapping_add(b.wrapping_mul(0x94d0_49bb_1331_11eb));
         StdRng::seed_from_u64(x)
@@ -277,9 +271,7 @@ impl FaultPlan {
     /// its failure budget is not yet spent. A flaky path fails its first
     /// 1–2 reads then heals, so a retried attempt succeeds.
     pub fn storage_error(&self, path: &str) -> Option<HdmError> {
-        if !self.is_enabled() {
-            return None;
-        }
+        let inner = self.inner.as_ref()?;
         let h = fnv1a(path.as_bytes());
         let mut rng = self.rng(Site::StorageRead, h, 0);
         if rng.random_range(0..1000u64) >= STORAGE_FLAKY_PERMILLE {
@@ -287,7 +279,7 @@ impl FaultPlan {
         }
         let budget = rng.random_range(1..=2u32);
         let nth = {
-            let mut delivered = self.inner.storage_failures.lock();
+            let mut delivered = inner.storage_failures.lock();
             let count = delivered.entry(path.to_string()).or_insert(0);
             if *count >= budget {
                 return None;
@@ -302,7 +294,7 @@ impl FaultPlan {
     }
 
     fn bump(&self, name: &str, labels: std::fmt::Arguments<'_>) {
-        self.inner.obs.count(name, &labels, 1);
+        self.obs.count(name, &labels, 1);
     }
 
     /// Record one injected fault (obs counter `ft.injected`).
@@ -330,14 +322,14 @@ impl FaultPlan {
     fn observe_backoff(&self, site: Site, waited: Duration) {
         if let Some(width) = std::num::NonZeroU64::new(5) {
             let labels = format_args!("site={}", site.label());
-            let timer = self.inner.obs.timer("ft.backoff.ms", &labels, width);
+            let timer = self.obs.timer("ft.backoff.ms", &labels, width);
             timer.observe(waited.as_millis() as u64);
         }
     }
 
     /// The obs handle injections are recorded into.
     pub fn obs(&self) -> &ObsHandle {
-        &self.inner.obs
+        &self.obs
     }
 }
 
@@ -529,6 +521,77 @@ mod tests {
             }
         }
         assert!(p.storage_error("/warehouse/lineitem/part-0").is_none());
+    }
+
+    /// However a disabled plan is made — `disabled()`, `Default`, or
+    /// `from_conf` with fault tolerance off but a seed that would crash
+    /// tasks when on — it holds no schedule (no `Arc`, no failure map),
+    /// injects nothing at any site, and still records detections into
+    /// its obs handle.
+    #[test]
+    fn a_disabled_plan_holds_no_inner_state_and_injects_nothing() {
+        let sites = [
+            Site::OTask,
+            Site::ATask,
+            Site::MapTask,
+            Site::ReduceTask,
+            Site::MpiSend,
+            Site::StorageRead,
+        ];
+        let crashing = (0..256u64)
+            .find(|&seed| {
+                (0..16).any(|rank| FaultPlan::with_seed(seed).would_crash(Site::OTask, rank, 0))
+            })
+            .expect("a seed that crashes some task");
+        let obs = ObsHandle::enabled_with_stride(1);
+        let conf = JobConf::new().with(KEY_FT_SEED, crashing);
+        let plans = [
+            FaultPlan::disabled(),
+            FaultPlan::default(),
+            FaultPlan::from_conf(&conf, &obs).unwrap(),
+        ];
+        for p in &plans {
+            assert!(p.inner.is_none());
+            assert!(!p.is_enabled());
+            assert_eq!(p.seed(), 0);
+            for site in sites {
+                for rank in 0..16 {
+                    for attempt in 0..4 {
+                        assert_eq!(p.crash_after(site, rank, attempt), None);
+                        assert!(p.stall(site, rank, attempt).is_none());
+                    }
+                    for seq in 0..64 {
+                        assert!(!p.should_drop(site, rank, seq));
+                        assert!(p.send_delay(site, rank, seq).is_none());
+                    }
+                }
+            }
+            for i in 0..256 {
+                assert!(p
+                    .storage_error(&format!("/warehouse/t/part-{i:05}"))
+                    .is_none());
+            }
+            let mut calls = 0;
+            let pol = RecoveryPolicy::from_conf(&JobConf::new()).unwrap();
+            let cancel = CancelToken::default();
+            let out = supervise(p, &pol, &cancel, Site::OTask, 0, None, |attempt, more| {
+                calls += 1;
+                assert_eq!((attempt, more), (0, false));
+                Err::<(), _>(HdmError::Storage("boom".into()))
+            });
+            assert!(out.is_err());
+            assert_eq!(calls, 1);
+        }
+        plans[2].note_detected(Site::MpiSend);
+        let snap = obs.snapshot();
+        assert!(snap
+            .counters
+            .iter()
+            .any(|(n, _, v)| n == "ft.detected" && *v == 1));
+        assert!(!snap
+            .counters
+            .iter()
+            .any(|(n, _, _)| n == "ft.injected" || n == "ft.retries"));
     }
 
     #[test]

@@ -41,6 +41,15 @@ pub trait RowSink {
     /// # Errors
     /// Fails if the row does not match the schema or the file write fails.
     fn write_row(&mut self, row: &Row) -> Result<()>;
+    /// Append one row the caller gives up: a sink that keeps cells (ORC's
+    /// column buffers) moves them instead of copying. The default writes
+    /// a borrow of it.
+    ///
+    /// # Errors
+    /// As [`RowSink::write_row`].
+    fn write_owned(&mut self, row: Row) -> Result<()> {
+        self.write_row(&row)
+    }
     /// Finish and publish the file.
     ///
     /// # Errors

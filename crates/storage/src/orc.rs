@@ -506,23 +506,34 @@ impl OrcSink {
     }
 }
 
-impl RowSink for OrcSink {
-    fn write_row(&mut self, row: &Row) -> Result<()> {
-        if row.len() != self.schema.len() {
+impl OrcSink {
+    /// Buffer one row's cells, one per column, flushing a full stripe.
+    fn buffer_row(&mut self, cells: impl ExactSizeIterator<Item = Value>) -> Result<()> {
+        if cells.len() != self.schema.len() {
             return Err(HdmError::Storage(format!(
                 "row arity {} does not match schema arity {}",
-                row.len(),
+                cells.len(),
                 self.schema.len()
             )));
         }
-        for (column, v) in self.buffer.iter_mut().zip(row.values()) {
-            column.push(v.clone());
+        for (column, v) in self.buffer.iter_mut().zip(cells) {
+            column.push(v);
         }
         self.buffered += 1;
         if self.buffered >= self.stripe_rows {
             self.flush_stripe()?;
         }
         Ok(())
+    }
+}
+
+impl RowSink for OrcSink {
+    fn write_row(&mut self, row: &Row) -> Result<()> {
+        self.buffer_row(row.values().iter().cloned())
+    }
+
+    fn write_owned(&mut self, row: Row) -> Result<()> {
+        self.buffer_row(row.into_values().into_iter())
     }
 
     fn close(mut self: Box<Self>) -> Result<u64> {

@@ -15,7 +15,7 @@ use crate::format::{FileFormat, FormatKind, RowSink, RowSource};
 use crate::orc::Predicate;
 use hdm_common::codec;
 use hdm_common::error::{HdmError, Result};
-use hdm_common::kv::KvPair;
+use hdm_common::kv::{self, KvPair};
 use hdm_common::row::{Row, Schema};
 use hdm_dfs::{Dfs, DfsWriter, FileSplit, NodeId};
 
@@ -27,6 +27,8 @@ pub const SEQ_MAGIC: &[u8; 4] = b"HSEQ";
 pub struct SeqWriter {
     writer: DfsWriter,
     records: u64,
+    /// The record being appended, encoded; reused.
+    buf: Vec<u8>,
 }
 
 impl SeqWriter {
@@ -37,7 +39,11 @@ impl SeqWriter {
     pub fn create(dfs: &Dfs, path: &str, node: NodeId) -> Result<SeqWriter> {
         let mut writer = dfs.create(path, node)?;
         writer.write(SEQ_MAGIC)?;
-        Ok(SeqWriter { writer, records: 0 })
+        Ok(SeqWriter {
+            writer,
+            records: 0,
+            buf: Vec::new(),
+        })
     }
 
     /// Append one key-value record.
@@ -45,9 +51,17 @@ impl SeqWriter {
     /// # Errors
     /// Propagates DFS failures.
     pub fn append(&mut self, kv: &KvPair) -> Result<()> {
-        let mut buf = Vec::with_capacity(kv.wire_size());
-        kv.encode(&mut buf);
-        self.writer.write(&buf)?;
+        self.append_slices(&kv.key, &kv.value)
+    }
+
+    /// Append one key-value record given as slices.
+    ///
+    /// # Errors
+    /// Propagates DFS failures.
+    pub fn append_slices(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.buf.clear();
+        kv::encode(&mut self.buf, key, value);
+        self.writer.write(&self.buf)?;
         self.records += 1;
         Ok(())
     }
@@ -89,6 +103,38 @@ pub fn read_all(dfs: &Dfs, path: &str) -> Result<Vec<KvPair>> {
     Ok(out)
 }
 
+/// Decode the rows of a sequence file's bytes `raw` — each record's
+/// value; the keys are row indexes — passing each to `f` in order. The
+/// records are read in place.
+///
+/// # Errors
+/// Bad magic, a corrupt record, or `f`'s error.
+fn decode_rows(raw: &[u8], path: &str, mut f: impl FnMut(Row) -> Result<()>) -> Result<()> {
+    let Some(records) = raw.strip_prefix(SEQ_MAGIC.as_slice()) else {
+        return Err(HdmError::Storage(format!("bad sequence magic in {path}")));
+    };
+    let mut pos = 0;
+    while pos < records.len() {
+        let (_, value) = kv::pair_at(records, pos)?;
+        let mut cells = records.get(value.clone()).unwrap_or_default();
+        f(Row::decode(&mut cells)?)?;
+        pos = value.end;
+    }
+    Ok(())
+}
+
+/// Append the rows of a sequence file written by [`SeqFormat`] to `out`.
+///
+/// # Errors
+/// Fails on a missing file, bad magic, or a corrupt record.
+pub fn read_rows(dfs: &Dfs, path: &str, out: &mut Vec<Row>) -> Result<()> {
+    let raw = dfs.read_all(path)?;
+    decode_rows(&raw, path, |row| {
+        out.push(row);
+        Ok(())
+    })
+}
+
 /// The sequence format as a row-oriented [`FileFormat`]: rows are stored
 /// as `(row_index, serialized_row)` pairs; the key is ignored on read.
 #[derive(Debug, Clone, Copy, Default)]
@@ -98,15 +144,18 @@ pub struct SeqFormat;
 #[derive(Debug)]
 pub struct SeqSink {
     writer: SeqWriter,
+    /// The record's key and value, encoded; reused.
+    key: Vec<u8>,
+    value: Vec<u8>,
 }
 
 impl RowSink for SeqSink {
     fn write_row(&mut self, row: &Row) -> Result<()> {
-        let mut vb = Vec::with_capacity(row.wire_size() + 8);
-        row.encode(&mut vb);
-        let mut kb = Vec::with_capacity(10);
-        codec::write_varint(&mut kb, self.writer.records());
-        self.writer.append(&KvPair::new(kb, vb))
+        self.value.clear();
+        row.encode(&mut self.value);
+        self.key.clear();
+        codec::write_varint(&mut self.key, self.writer.records());
+        self.writer.append_slices(&self.key, &self.value)
     }
 
     fn close(self: Box<Self>) -> Result<u64> {
@@ -130,6 +179,8 @@ impl FileFormat for SeqFormat {
     ) -> Result<Box<dyn RowSink>> {
         Ok(Box::new(SeqSink {
             writer: SeqWriter::create(dfs, path, node)?,
+            key: Vec::new(),
+            value: Vec::new(),
         }))
     }
 
@@ -153,16 +204,8 @@ impl FileFormat for SeqFormat {
         }
         let len = dfs.len(&split.path)?;
         let raw = dfs.read_range(&split.path, 0, len, reader_node)?;
-        let Some(mut cursor) = raw.strip_prefix(SEQ_MAGIC.as_slice()) else {
-            return Err(HdmError::Storage(format!(
-                "bad sequence magic in {}",
-                split.path
-            )));
-        };
         let mut rows = Vec::new();
-        while !cursor.is_empty() {
-            let kv = KvPair::decode(&mut cursor)?;
-            let row = Row::decode(&mut kv.value.clone())?;
+        decode_rows(&raw, &split.path, |row| {
             rows.push(match projection {
                 Some(idx) => {
                     if let Some(c) = idx.iter().find(|&&c| c >= row.len()) {
@@ -172,7 +215,8 @@ impl FileFormat for SeqFormat {
                 }
                 None => row,
             });
-        }
+            Ok(())
+        })?;
         Ok(RowSource {
             rows,
             bytes_read: raw.len() as u64,

@@ -121,12 +121,14 @@ pub fn format_row(row: &Row, delimiter: u8) -> String {
 
 /// The one Text decoder, lazy per cell (Hive's `LazySimpleSerDe`).
 ///
-/// [`LineDecoder::index`] walks a line's bytes once, a word at a time,
-/// recording where each field starts and checking the field count;
-/// nothing is parsed or allocated by it. After that
-/// [`LineDecoder::value`] parses any one cell on its own, so the caller
-/// decides which cells are worth parsing: the predicates' first, the
-/// projection's only for rows that pass.
+/// [`LineDecoder::for_each_line`] walks a split's bytes once, a word at
+/// a time, finding line ends and delimiters in the same step: per line
+/// it records where the fields the reader needs start, counts the rest,
+/// and checks the field count, then hands the line over; nothing is
+/// parsed or allocated by it. ([`LineDecoder::index`] does the same for
+/// one line.) After that [`field_value`] parses any one cell on its
+/// own, so the caller decides which cells are worth parsing: the
+/// predicates' first, the projection's only for rows that pass.
 struct LineDecoder<'s> {
     schema: &'s Schema,
     delimiter: u8,
@@ -134,6 +136,20 @@ struct LineDecoder<'s> {
     /// and one entry past the last field holds `line.len() + 1`: field
     /// `i` is `line[starts[i]..starts[i + 1] - 1]`. Reused across lines.
     starts: Vec<usize>,
+}
+
+/// The field-count check of one line of `schema` with `delimiters`
+/// delimiters. A one-column schema takes the whole line as its cell,
+/// delimiters included.
+fn check_fields(schema: &Schema, line: &str, delimiters: usize) -> Result<()> {
+    let fields = if schema.len() > 1 { delimiters + 1 } else { 1 };
+    if fields != schema.len() {
+        return Err(HdmError::Storage(format!(
+            "field count mismatch: expected {}, got {fields} in {line:?}",
+            schema.len(),
+        )));
+    }
+    Ok(())
 }
 
 impl<'s> LineDecoder<'s> {
@@ -146,8 +162,7 @@ impl<'s> LineDecoder<'s> {
         })
     }
 
-    /// Record the field boundaries of `line`. A one-column schema takes
-    /// the whole line as its cell, delimiters included.
+    /// Record the field boundaries of `line`.
     fn index(&mut self, line: &str) -> Result<()> {
         self.starts.clear();
         self.starts.push(0);
@@ -156,54 +171,125 @@ impl<'s> LineDecoder<'s> {
             // character is: every hit is a real delimiter.
             push_field_starts(line.as_bytes(), self.delimiter, &mut self.starts);
         }
-        if self.starts.len() != self.schema.len() {
-            return Err(HdmError::Storage(format!(
-                "field count mismatch: expected {}, got {} in {line:?}",
-                self.schema.len(),
-                self.starts.len()
-            )));
-        }
+        check_fields(self.schema, line, self.starts.len() - 1)?;
         self.starts.push(line.len() + 1);
         Ok(())
     }
 
-    /// Parse cell `col` of the line last passed to [`Self::index`]:
-    /// `\N` is NULL, and so is a cell that does not parse as the column's
-    /// type (Hive's lenient semantics). Callers check `col` against the
-    /// schema first; a column the line does not have reads as NULL.
-    fn value(&self, line: &str, col: usize) -> Value {
-        let raw = match self.starts.get(col..=col + 1) {
-            Some(&[start, next]) => line.get(start..next - 1),
-            _ => None,
-        };
-        let Some(raw) = raw else {
-            return Value::Null;
-        };
-        if raw == NULL_SEQUENCE {
-            return Value::Null;
-        }
-        match self.schema.field(col).data_type {
-            DataType::Long => raw
-                .trim()
-                .parse::<i64>()
-                .map(Value::Long)
-                .unwrap_or(Value::Null),
-            DataType::Double => raw
-                .trim()
-                .parse::<f64>()
-                .map(Value::Double)
-                .unwrap_or(Value::Null),
-            DataType::String => Value::Str(raw.to_string()),
-            DataType::Date => Value::parse_date(raw).unwrap_or(Value::Null),
-            DataType::Boolean => {
-                let t = raw.trim();
-                if t.eq_ignore_ascii_case("true") || t == "1" {
-                    Value::Boolean(true)
-                } else if t.eq_ignore_ascii_case("false") || t == "0" {
-                    Value::Boolean(false)
-                } else {
-                    Value::Null
+    /// Walk `text` once, eight bytes a step, taking `\n` and the
+    /// delimiter in the same step, and hand every non-empty line to
+    /// `each` with its field starts: those of the first `need` fields
+    /// (`need` at most the schema's width), laid out as
+    /// [`Self::starts`] is for them. The delimiters after them are only
+    /// counted, for the field-count check, whose errors come in line
+    /// order as [`Self::index`] would raise them.
+    fn for_each_line(
+        &mut self,
+        text: &str,
+        need: usize,
+        mut each: impl FnMut(&str, &[usize]),
+    ) -> Result<()> {
+        let schema = self.schema;
+        let stride = need + 1;
+        let starts = &mut self.starts;
+        starts.clear();
+        starts.push(0);
+        let (mut line_start, mut delimiters) = (0, 0);
+        let mut hit = |pos: usize, is_newline: bool| -> Result<()> {
+            if !is_newline {
+                delimiters += 1;
+                if starts.len() < stride {
+                    starts.push(pos - line_start + 1);
                 }
+                return Ok(());
+            }
+            if pos > line_start {
+                let line = text.get(line_start..pos).unwrap_or_default();
+                check_fields(schema, line, delimiters)?;
+                if starts.len() < stride {
+                    // Every field was recorded: close the last one.
+                    starts.push(line.len() + 1);
+                }
+                each(line, starts);
+            }
+            (line_start, delimiters) = (pos + 1, 0);
+            starts.truncate(1);
+            Ok(())
+        };
+        let bytes = text.as_bytes();
+        let newline = splat(b'\n');
+        // One column: delimiters are cell bytes, never field ends.
+        let delimiter = (schema.len() > 1).then_some(self.delimiter);
+        let (words, tail) = bytes.as_chunks::<8>();
+        for (w, word) in words.iter().enumerate() {
+            let word = u64::from_le_bytes(*word);
+            let newlines = byte_hits(word, newline);
+            let mut hits = newlines | delimiter.map_or(0, |d| byte_hits(word, splat(d)));
+            while hits != 0 {
+                let bit = hits & hits.wrapping_neg();
+                hit(
+                    w * 8 + hits.trailing_zeros() as usize / 8,
+                    newlines & bit != 0,
+                )?;
+                hits ^= bit;
+            }
+        }
+        let done = words.len() * 8;
+        for (i, &b) in tail.iter().enumerate() {
+            if b == b'\n' || Some(b) == delimiter {
+                hit(done + i, b == b'\n')?;
+            }
+        }
+        // The last line ends where the text does.
+        hit(bytes.len(), true)
+    }
+
+    /// Parse cell `col` of the line last passed to [`Self::index`].
+    fn value(&self, line: &str, col: usize) -> Value {
+        field_value(self.schema, line, &self.starts, col)
+    }
+}
+
+/// Parse cell `col` of `line`, whose field starts are `starts` (laid out
+/// as [`LineDecoder::starts`]): `\N` is NULL, and so is a cell that does
+/// not parse as the column's type (Hive's lenient semantics). Callers
+/// check `col` against the schema first; a column the line does not
+/// have reads as NULL.
+fn field_value(schema: &Schema, line: &str, starts: &[usize], col: usize) -> Value {
+    let raw = match starts.get(col..=col + 1) {
+        Some(&[start, next]) => line.get(start..next - 1),
+        _ => None,
+    };
+    let Some(raw) = raw else {
+        return Value::Null;
+    };
+    if raw == NULL_SEQUENCE {
+        return Value::Null;
+    }
+    let Some(field) = schema.fields().get(col) else {
+        return Value::Null;
+    };
+    match field.data_type {
+        DataType::Long => raw
+            .trim()
+            .parse::<i64>()
+            .map(Value::Long)
+            .unwrap_or(Value::Null),
+        DataType::Double => raw
+            .trim()
+            .parse::<f64>()
+            .map(Value::Double)
+            .unwrap_or(Value::Null),
+        DataType::String => Value::Str(raw.to_string()),
+        DataType::Date => Value::parse_date(raw).unwrap_or(Value::Null),
+        DataType::Boolean => {
+            let t = raw.trim();
+            if t.eq_ignore_ascii_case("true") || t == "1" {
+                Value::Boolean(true)
+            } else if t.eq_ignore_ascii_case("false") || t == "0" {
+                Value::Boolean(false)
+            } else {
+                Value::Null
             }
         }
     }
@@ -355,22 +441,50 @@ impl TextFormat {
                 (text, rest.split(|&b| b == b'\n').next())
             }
         };
+        // Cells are parsed by column index, only of the fields the walk
+        // recorded.
+        let need = cols.iter().chain(predicates.iter().map(|p| &p.col));
+        let need = need.max().map_or(0, |&c| c + 1);
         let mut columns: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
+        // A predicate's cell, parsed once per line and handed to the
+        // projection if it reads the same column (at its last read).
+        let mut parsed: Vec<Option<Value>> = vec![None; need];
+        let last_read: Vec<bool> = (cols.iter().enumerate())
+            .map(|(i, c)| !cols.get(i + 1..).unwrap_or_default().contains(c))
+            .collect();
         let (mut rows, mut rows_skipped) = (0, 0);
-        for line in text.split('\n').filter(|l| !l.is_empty()) {
-            decoder.index(line)?;
-            if predicates
-                .iter()
-                .all(|p| p.matches(&decoder.value(line, p.col)))
-            {
-                for (column, &c) in columns.iter_mut().zip(cols) {
-                    column.push(decoder.value(line, c));
-                }
-                rows += 1;
-            } else {
-                rows_skipped += 1;
+        decoder.for_each_line(text, need, |line, starts| {
+            let cell = |c: usize| field_value(schema, line, starts, c);
+            if rows == 0 && predicates.is_empty() {
+                // Every line is a row: size the columns from the split,
+                // as many rows as the first line's length divides it into.
+                let lines = text.len() / (line.len() + 1) + 1;
+                columns.iter_mut().for_each(|c| c.reserve(lines));
             }
-        }
+            for p in &predicates {
+                if let Some(slot) = parsed.get_mut(p.col) {
+                    *slot = None;
+                }
+            }
+            let keep = predicates.iter().all(|p| match parsed.get_mut(p.col) {
+                Some(slot) => p.matches(slot.get_or_insert_with(|| cell(p.col))),
+                None => p.matches(&cell(p.col)),
+            });
+            if !keep {
+                rows_skipped += 1;
+                return;
+            }
+            for ((column, &c), &last) in columns.iter_mut().zip(cols).zip(&last_read) {
+                let slot = parsed.get_mut(c);
+                let held = if last {
+                    slot.and_then(Option::take)
+                } else {
+                    slot.and_then(|held| held.clone())
+                };
+                column.push(held.unwrap_or_else(|| cell(c)));
+            }
+            rows += 1;
+        })?;
         if let Some(line) = bad_line {
             std::str::from_utf8(line).map_err(non_utf8)?;
         }

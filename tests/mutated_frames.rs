@@ -14,7 +14,7 @@ use hdm_common::kv::{self, BytesComparator, KvPair, ReduceInput};
 use hdm_common::row::Row;
 use hdm_common::sortkey;
 use hdm_common::value::Value;
-use hdm_core::operators::{decode_tagged, encode_tagged, peek_tag};
+use hdm_core::operators::{decode_tagged, decode_tagged_into, encode_tagged, peek_tag};
 use hdm_datampi::shuffle;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -102,6 +102,10 @@ fn decode_everything(bytes: &[u8], ascending: &[bool], range_len: usize) {
     let _ = sortkey::decode_row_directed(bytes, ascending);
     let _ = peek_tag(bytes);
     let _ = decode_tagged(bytes);
+    // The reduce sides' reusing decoders, into a row holding cells.
+    let mut reused = Row::from(vec![Value::Str("held".into()), Value::Long(1)]);
+    let _ = reused.decode_into(&mut &bytes[..]);
+    let _ = decode_tagged_into(bytes, &mut reused);
     let mut input = ReduceInput::default();
     if input.push(0, 0, shared.clone(), &BytesComparator).is_ok() {
         let mut groups = input.into_groups(&BytesComparator);
@@ -109,6 +113,7 @@ fn decode_everything(bytes: &[u8], ascending: &[bool], range_len: usize) {
             let _ = sortkey::decode_row_directed(key, ascending);
             for mut value in values {
                 let _ = peek_tag(value);
+                let _ = decode_tagged_into(value, &mut reused);
                 let _ = Row::decode(&mut value);
             }
         }
@@ -149,6 +154,34 @@ fn encoded_tagged(row: &Row, tag: u8) -> Vec<u8> {
 }
 
 proptest! {
+    /// The reusing decoders the reduce sides call (`Row::decode_into`,
+    /// `decode_tagged_into`), into a row already holding cells, return
+    /// what the fresh decoders return on every mutated frame: the same
+    /// cells, or the same typed error.
+    #[test]
+    fn reusing_decoders_fail_as_fresh_ones(
+        rows in arb_rows(),
+        held in arb_rows(),
+        ascending in proptest::collection::vec(any::<bool>(), 0..5),
+        edits in mutations(),
+    ) {
+        for (name, pristine) in frames(&rows, &ascending, 1) {
+            let bytes = mutate(pristine, &edits);
+            let mut reused = held[0].clone();
+            let got = reused.decode_into(&mut &bytes[..]).map(|()| format!("{reused:?}"));
+            let want = Row::decode(&mut &bytes[..]).map(|r| format!("{r:?}"));
+            prop_assert_eq!(
+                got.map_err(|e| e.to_string()), want.map_err(|e| e.to_string()), "{} frame", name
+            );
+            let mut reused = held[0].clone();
+            let got = decode_tagged_into(&bytes, &mut reused).map(|t| format!("{t} {reused:?}"));
+            let want = decode_tagged(&bytes).map(|(t, r)| format!("{t} {r:?}"));
+            prop_assert_eq!(
+                got.map_err(|e| e.to_string()), want.map_err(|e| e.to_string()), "{} frame", name
+            );
+        }
+    }
+
     #[test]
     fn mutated_frames_never_panic(
         rows in arb_rows(),
