@@ -89,10 +89,10 @@ pub const KEY_EXEC_PIPELINED: &str = "hive.exec.pipelined";
 /// committed-but-unconsumed partitions a producer stage may buffer
 /// before its commits block. Default 4.
 pub const KEY_EXEC_PIPELINED_BUFFER: &str = "hive.exec.pipelined.buffer.partitions";
-/// Whether eligible scan stages run the vectorized columnar pipeline
-/// (batched ORC decode + column-at-a-time Filter/Select/GroupBy
-/// kernels). Default true; ineligible operators (DISTINCT aggregates,
-/// join residuals) and non-columnar sources always take the row path.
+/// Whether scans of a format with a columnar reader (ORC, Text) decode
+/// splits into columns. Default true; `false` reads them as rows. Every
+/// stage kind and operator runs the same batch kernels either way, over
+/// column-major or row-major batches.
 pub const KEY_VECTORIZED: &str = "hive.vectorized.execution.enabled";
 /// Rows per vectorized batch (selection-vector granularity). Default
 /// 1024; must be >= 1.

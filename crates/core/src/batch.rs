@@ -1,31 +1,34 @@
-//! Vectorized columnar execution kernels (DESIGN.md §18).
+//! The map pipeline's batch kernels (DESIGN.md §18, §34).
 //!
-//! The row pipeline interprets one [`Row`] at a time: every operator
-//! re-dispatches on the expression tree per row and every scanned row is
-//! materialized even when a filter rejects it. The batch pipeline keeps
-//! ORC stripes column-wise, filters them into a *selection vector*, and
-//! evaluates projections column-at-a-time — rows are materialized only
-//! for the cells that survive.
+//! Every map input reaches these kernels as a [`RowBatch`]: column
+//! slices a columnar reader decoded (ORC, Text), or rows borrowed from a
+//! stream partition, a row reader (Seq, or any format with
+//! `hive.vectorized.execution.enabled` off) or a map-side join step. The
+//! filter keeps a *selection vector*, and projections are evaluated
+//! column-at-a-time over it: a bare column is read where it lies, and
+//! cells are materialized only for computed expressions.
 //!
 //! Correctness contract: for every kernel here, the produced values (and
-//! their order) are exactly what the row path would produce for the
-//! transposed batch. The guarantees rest on two rules:
+//! their order) are exactly what one-row-at-a-time evaluation
+//! (`eval_predicate`, `RExpr::eval`, `Aggregator::update_raw`) produces
+//! over the batch's rows, in either layout. The guarantees rest on two
+//! rules:
 //!
 //! * **Only eager expressions are columnarized.** Kleene `AND`/`OR`,
 //!   `IN` lists, `CASE`, and scalar functions may *skip* operand
 //!   evaluation per row; evaluating them eagerly over a column could
-//!   surface an error the row path never hits. Those nodes fall back to
-//!   per-row evaluation over a gathered scratch row (identical to the
-//!   row the transpose would have built).
+//!   surface an error one-row-at-a-time evaluation never hits. Those
+//!   nodes are evaluated per row, over the batch's own row (row layout)
+//!   or a gathered scratch row (column layout).
 //! * **The filter fast path only handles infallible conjuncts.** When
 //!   every top-level conjunct is *infallible* (comparisons, BETWEEN,
 //!   IS NULL, LIKE, CAST, Kleene AND/OR over in-bounds columns and
 //!   literals — nothing that can return an evaluation error), the
-//!   short-circuit the row path performs is unobservable, Kleene AND is
+//!   short-circuit of per-row evaluation is unobservable, Kleene AND is
 //!   associative, and the filter degenerates to "every conjunct
 //!   truthy". Each conjunct then runs column-at-a-time over a shrinking
 //!   selection vector. One fallible or arity-breaking conjunct forces
-//!   the whole filter onto the per-row path, preserving short-circuit
+//!   the whole filter onto per-row evaluation, preserving short-circuit
 //!   error semantics exactly.
 
 use crate::ast::BinOp;
@@ -34,14 +37,62 @@ use crate::operators::{AggState, Aggregator};
 use hdm_common::error::{HdmError, Result};
 use hdm_common::row::Row;
 use hdm_common::value::Value;
+use std::borrow::Cow;
 
-/// A columnar view over one slice of scanned rows: `columns[c][r]` is
-/// row `r` of column `c`. Borrowed from decoded ORC stripe columns, so
-/// batching never copies the scan output.
+/// A view over one slice of a map input's rows, borrowed in one of two
+/// layouts, so batching never copies its input.
 #[derive(Debug)]
 pub struct RowBatch<'a> {
-    columns: Vec<&'a [Value]>,
+    layout: Layout<'a>,
     rows: usize,
+    width: usize,
+}
+
+#[derive(Debug)]
+enum Layout<'a> {
+    /// `columns[c][r]` is row `r` of column `c`: decoded stripe columns.
+    Columns(Vec<&'a [Value]>),
+    /// Row `r` is `rows[r]`, and every row has `width` cells.
+    Rows(&'a [Row]),
+}
+
+/// One column of a [`RowBatch`]: a slice of cells, or a column index
+/// into borrowed rows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Column<'a> {
+    /// The cells of a column-major batch's column.
+    Slice(&'a [Value]),
+    /// Cell `.1` of each borrowed row.
+    Rows(&'a [Row], usize),
+}
+
+/// Cell `c` of row `r`; a cell past either end reads as NULL.
+fn row_cell(rows: &[Row], r: usize, c: usize) -> &Value {
+    let cell = rows.get(r).and_then(|row| row.values().get(c));
+    cell.unwrap_or(&Value::Null)
+}
+
+impl<'a> Column<'a> {
+    /// `f` over the cells of the rows in `sel`, in order. The layout is
+    /// matched once per call, so each loop indexes one layout.
+    fn map_sel<T>(self, sel: &[usize], mut f: impl FnMut(&'a Value) -> T) -> Vec<T> {
+        match self {
+            Column::Slice(col) => sel
+                .iter()
+                .map(|&r| f(col.get(r).unwrap_or(&Value::Null)))
+                .collect(),
+            Column::Rows(rows, c) => sel.iter().map(|&r| f(row_cell(rows, r, c))).collect(),
+        }
+    }
+
+    /// Keep the rows of `sel` whose cell `keep` accepts, matching the
+    /// layout once.
+    fn retain_sel(self, sel: &mut Vec<usize>, mut keep: impl FnMut(&'a Value) -> bool) {
+        match self {
+            Column::Slice(col) => sel.retain(|&r| keep(col.get(r).unwrap_or(&Value::Null))),
+            Column::Rows(rows, c) => sel.retain(|&r| keep(row_cell(rows, r, c))),
+        }
+    }
 }
 
 impl<'a> RowBatch<'a> {
@@ -57,7 +108,30 @@ impl<'a> RowBatch<'a> {
                 columns.get(c).map(|v| v.len()).unwrap_or(0)
             )));
         }
-        Ok(RowBatch { columns, rows })
+        Ok(RowBatch {
+            width: columns.len(),
+            layout: Layout::Columns(columns),
+            rows,
+        })
+    }
+
+    /// Wrap borrowed rows as a batch; its width is the rows' length.
+    ///
+    /// # Errors
+    /// [`HdmError::Eval`] if the rows differ in length.
+    pub fn from_rows(rows: &'a [Row]) -> Result<RowBatch<'a>> {
+        let width = rows.first().map_or(0, Row::len);
+        if let Some(r) = rows.iter().position(|row| row.len() != width) {
+            return Err(HdmError::Eval(format!(
+                "batch row {r} has {} cells, expected {width}",
+                rows.get(r).map_or(0, Row::len)
+            )));
+        }
+        Ok(RowBatch {
+            layout: Layout::Rows(rows),
+            rows: rows.len(),
+            width,
+        })
     }
 
     /// Number of rows in the batch.
@@ -65,65 +139,81 @@ impl<'a> RowBatch<'a> {
         self.rows
     }
 
-    /// The column slices.
-    pub fn columns(&self) -> &[&'a [Value]] {
-        &self.columns
+    /// Number of columns in the batch.
+    pub fn width(&self) -> usize {
+        self.width
     }
 
-    /// Materialize row `r` — exactly the row the scan transpose would
-    /// have produced. Out-of-range cells (never produced by a valid
-    /// batch) read as NULL to keep this panic-free.
+    /// Column `c`, if the batch has it.
+    pub(crate) fn column(&self, c: usize) -> Option<Column<'a>> {
+        match &self.layout {
+            Layout::Columns(columns) => columns.get(c).map(|&col| Column::Slice(col)),
+            Layout::Rows(rows) => (c < self.width).then_some(Column::Rows(rows, c)),
+        }
+    }
+
+    /// Row `r`: borrowed in the row layout, gathered (its cells cloned)
+    /// in the column layout. Out-of-range cells (never produced by a
+    /// valid batch) read as NULL to keep this panic-free.
+    pub(crate) fn row(&self, r: usize) -> Cow<'a, Row> {
+        match &self.layout {
+            Layout::Columns(columns) => Cow::Owned(
+                columns
+                    .iter()
+                    .map(|col| col.get(r).cloned().unwrap_or(Value::Null))
+                    .collect(),
+            ),
+            Layout::Rows(rows) => match rows.get(r) {
+                Some(row) => Cow::Borrowed(row),
+                None => Cow::Owned(Row::from(vec![Value::Null; self.width])),
+            },
+        }
+    }
+
+    /// Materialize row `r` — exactly the row the batch was cut from.
     pub fn gather_row(&self, r: usize) -> Row {
-        Row::from(
-            self.columns
-                .iter()
-                .map(|col| col.get(r).cloned().unwrap_or(Value::Null))
-                .collect::<Vec<_>>(),
-        )
+        self.row(r).into_owned()
     }
 }
 
 /// One filter conjunct the fast path can evaluate without materializing
-/// rows: `column <cmp> literal` (either operand order). These are
-/// infallible, so eager evaluation is indistinguishable from the row
-/// path's short-circuit.
-enum FastConjunct<'e> {
-    /// `Column(col) <op> literal`.
-    ColCmpLit(usize, BinOp, &'e Value),
-    /// `literal <op> Column(col)`.
-    LitCmpCol(&'e Value, BinOp, usize),
+/// rows: `Column(col) <op> lit`, or `lit <op> Column(col)` when
+/// `lit_left`. These are infallible, so eager evaluation is
+/// indistinguishable from per-row short-circuit evaluation.
+struct FastConjunct<'e> {
+    col: usize,
+    op: BinOp,
+    lit: &'e Value,
+    lit_left: bool,
 }
 
 impl FastConjunct<'_> {
-    /// Does row `r` of the batch definitely satisfy this conjunct?
-    fn matches(&self, batch: &RowBatch<'_>, r: usize) -> bool {
-        let (l, op, rv) = match self {
-            FastConjunct::ColCmpLit(col, op, lit) => {
-                let Some(cell) = batch.columns.get(*col).and_then(|c| c.get(r)) else {
-                    return false;
-                };
-                (cell, *op, *lit)
-            }
-            FastConjunct::LitCmpCol(lit, op, col) => {
-                let Some(cell) = batch.columns.get(*col).and_then(|c| c.get(r)) else {
-                    return false;
-                };
-                (*lit, *op, cell)
-            }
-        };
-        let Some(ord) = l.sql_cmp(rv) else {
-            return false;
+    /// Keep the rows of `sel` that definitely satisfy this conjunct.
+    fn retain(&self, batch: &RowBatch<'_>, sel: &mut Vec<usize>) {
+        let Some(column) = batch.column(self.col) else {
+            sel.clear();
+            return;
         };
         use std::cmp::Ordering::{Equal, Greater, Less};
-        match op {
-            BinOp::Eq => ord == Equal,
-            BinOp::NotEq => ord != Equal,
-            BinOp::Lt => ord == Less,
-            BinOp::Le => ord != Greater,
-            BinOp::Gt => ord == Greater,
-            BinOp::Ge => ord != Less,
-            _ => false,
-        }
+        column.retain_sel(sel, |cell| {
+            let ord = if self.lit_left {
+                self.lit.sql_cmp(cell)
+            } else {
+                cell.sql_cmp(self.lit)
+            };
+            let Some(ord) = ord else {
+                return false;
+            };
+            match self.op {
+                BinOp::Eq => ord == Equal,
+                BinOp::NotEq => ord != Equal,
+                BinOp::Lt => ord == Less,
+                BinOp::Le => ord != Greater,
+                BinOp::Gt => ord == Greater,
+                BinOp::Ge => ord != Less,
+                _ => false,
+            }
+        });
     }
 }
 
@@ -143,7 +233,7 @@ fn conjuncts<'e>(e: &'e RExpr, out: &mut Vec<&'e RExpr>) {
 }
 
 /// Try to compile a conjunct into a [`FastConjunct`]. Columns must be
-/// in bounds: an out-of-range column would error in the row path, so it
+/// in bounds: an out-of-range column errors when evaluated per row, so it
 /// must take the fallback.
 fn fast_conjunct<'e>(e: &'e RExpr, width: usize) -> Option<FastConjunct<'e>> {
     let RExpr::Binary { op, left, right } = e else {
@@ -152,22 +242,24 @@ fn fast_conjunct<'e>(e: &'e RExpr, width: usize) -> Option<FastConjunct<'e>> {
     if !op.is_comparison() {
         return None;
     }
-    match (&**left, &**right) {
-        (RExpr::Column(c), RExpr::Literal(v)) if *c < width => {
-            Some(FastConjunct::ColCmpLit(*c, *op, v))
-        }
-        (RExpr::Literal(v), RExpr::Column(c)) if *c < width => {
-            Some(FastConjunct::LitCmpCol(v, *op, *c))
-        }
-        _ => None,
-    }
+    let (col, lit, lit_left) = match (&**left, &**right) {
+        (RExpr::Column(c), RExpr::Literal(v)) => (*c, v, false),
+        (RExpr::Literal(v), RExpr::Column(c)) => (*c, v, true),
+        _ => return None,
+    };
+    (col < width).then_some(FastConjunct {
+        col,
+        op: *op,
+        lit,
+        lit_left,
+    })
 }
 
 /// Can evaluating this expression ever return an error? Only
 /// comparisons, Kleene AND/OR, BETWEEN, IS NULL, LIKE, IN, CASE, and
 /// CAST over in-bounds columns and literals are error-free; arithmetic
 /// (type mismatch), scalar functions, and out-of-range columns are not.
-/// For an infallible expression the row path's short-circuiting is
+/// For an infallible expression per-row short-circuiting is
 /// unobservable, so eager evaluation is exact.
 fn is_infallible(e: &RExpr, width: usize) -> bool {
     match e {
@@ -213,11 +305,11 @@ pub fn filter_batch(filter: Option<&RExpr>, batch: &RowBatch<'_>) -> Result<Vec<
     let Some(f) = filter else {
         return Ok((0..batch.rows).collect());
     };
-    let width = batch.columns.len();
+    let width = batch.width();
     let mut parts = Vec::new();
     conjuncts(f, &mut parts);
     if parts.iter().all(|c| is_infallible(c, width)) {
-        // All conjuncts are error-free, so the row path's short-circuit
+        // All conjuncts are error-free, so per-row short-circuiting
         // is unobservable and Kleene AND is an associative fold: a row
         // survives iff every conjunct is truthy. Apply conjuncts one at
         // a time over a shrinking selection vector. A single conjunct
@@ -241,7 +333,7 @@ pub fn filter_batch(filter: Option<&RExpr>, batch: &RowBatch<'_>) -> Result<Vec<
             if let Some(fc) = fast_conjunct(part, width) {
                 // `column <cmp> literal`: compare in place, no column
                 // materialization.
-                sel.retain(|&r| fc.matches(batch, r));
+                fc.retain(batch, &mut sel);
             } else {
                 let vals = eval_columnar(part, batch, &sel)?;
                 let mut kept = Vec::with_capacity(sel.len());
@@ -259,7 +351,7 @@ pub fn filter_batch(filter: Option<&RExpr>, batch: &RowBatch<'_>) -> Result<Vec<
     // to preserve short-circuit error semantics.
     let mut sel = Vec::new();
     for r in 0..batch.rows {
-        if f.eval_predicate(&batch.gather_row(r))? {
+        if f.eval_predicate(&batch.row(r))? {
             sel.push(r);
         }
     }
@@ -301,14 +393,15 @@ impl CellColumn for Vec<Value> {
 }
 
 /// One projected column over a batch's selected rows: a bare column
-/// reference is read where it lies, through the selection vector, and
-/// only a computed expression materializes its cells.
+/// reference is read where it lies, in either layout, through the
+/// selection vector, and only a computed expression materializes its
+/// cells.
 #[derive(Debug)]
 pub(crate) enum ProjectedColumn<'v> {
     /// Column `col` of the batch, at the selected rows `sel`.
     Borrowed {
         /// The batch column.
-        col: &'v [Value],
+        col: Column<'v>,
         /// The selected rows, one output cell each.
         sel: &'v [usize],
     },
@@ -321,10 +414,7 @@ impl ProjectedColumn<'_> {
     /// once).
     fn into_owned(self) -> Vec<Value> {
         match self {
-            ProjectedColumn::Borrowed { col, sel } => sel
-                .iter()
-                .map(|&r| col.get(r).cloned().unwrap_or(Value::Null))
-                .collect(),
+            ProjectedColumn::Borrowed { col, sel } => col.map_sel(sel, Value::clone),
             ProjectedColumn::Owned(cells) => cells,
         }
     }
@@ -333,7 +423,14 @@ impl ProjectedColumn<'_> {
 impl CellColumn for ProjectedColumn<'_> {
     fn cell(&self, i: usize) -> &Value {
         let cell = match self {
-            ProjectedColumn::Borrowed { col, sel } => sel.get(i).and_then(|&r| col.get(r)),
+            ProjectedColumn::Borrowed {
+                col: Column::Slice(col),
+                sel,
+            } => sel.get(i).and_then(|&r| col.get(r)),
+            ProjectedColumn::Borrowed {
+                col: Column::Rows(rows, c),
+                sel,
+            } => sel.get(i).map(|&r| row_cell(rows, r, *c)),
             ProjectedColumn::Owned(cells) => cells.get(i),
         };
         cell.unwrap_or(&Value::Null)
@@ -345,16 +442,13 @@ impl CellColumn for ProjectedColumn<'_> {
 fn eval_columnar(e: &RExpr, batch: &RowBatch<'_>, sel: &[usize]) -> Result<Vec<Value>> {
     match e {
         RExpr::Column(i) => {
-            let col = batch.columns.get(*i).ok_or_else(|| {
+            let col = batch.column(*i).ok_or_else(|| {
                 HdmError::Eval(format!(
                     "column index {i} out of range (row has {})",
-                    batch.columns.len()
+                    batch.width()
                 ))
             })?;
-            Ok(sel
-                .iter()
-                .map(|&r| col.get(r).cloned().unwrap_or(Value::Null))
-                .collect())
+            Ok(col.map_sel(sel, Value::clone))
         }
         RExpr::Literal(v) => Ok(vec![v.clone(); sel.len()]),
         RExpr::Binary { op, left, right } => {
@@ -422,9 +516,8 @@ fn eval_columnar(e: &RExpr, batch: &RowBatch<'_>, sel: &[usize]) -> Result<Vec<V
             let like = |v: &Value| expr::eval_like(v, pattern, *negated);
             // A column is matched where it lies: no cell is cloned.
             if let RExpr::Column(i) = &**inner {
-                if let Some(col) = batch.columns.get(*i) {
-                    let cell = |r: usize| col.get(r).map_or(Value::Null, like);
-                    return Ok(sel.iter().map(|&r| cell(r)).collect());
+                if let Some(col) = batch.column(*i) {
+                    return Ok(col.map_sel(sel, like));
                 }
             }
             Ok(eval_columnar(inner, batch, sel)?.iter().map(like).collect())
@@ -435,17 +528,15 @@ fn eval_columnar(e: &RExpr, batch: &RowBatch<'_>, sel: &[usize]) -> Result<Vec<V
             .collect()),
         // Lazy nodes never reach here (`is_eager` gates callers); fall
         // back to the row evaluator to stay correct regardless.
-        other => sel
-            .iter()
-            .map(|&r| other.eval(&batch.gather_row(r)))
-            .collect(),
+        other => sel.iter().map(|&r| other.eval(&batch.row(r))).collect(),
     }
 }
 
 /// Vectorized projection as views: one column per expression, each of
 /// `sel.len()` cells. Bare column references borrow the batch's column;
-/// eager expressions run column-at-a-time; lazy ones share a single
-/// gathered scratch row per selected row.
+/// eager expressions run column-at-a-time; lazy ones are evaluated per
+/// selected row, over its [`RowBatch::row`] (a column-major batch
+/// gathers each selected row once, for all of them).
 ///
 /// # Errors
 /// Propagates expression evaluation failures.
@@ -454,20 +545,27 @@ pub(crate) fn project_view<'v>(
     batch: &RowBatch<'v>,
     sel: &'v [usize],
 ) -> Result<Vec<ProjectedColumn<'v>>> {
-    let mut scratch: Option<Vec<Row>> = None;
+    if sel.is_empty() {
+        // No row, so nothing is evaluated and nothing can fail — even a
+        // column an empty row-major batch (width 0) does not have.
+        return Ok(exprs
+            .iter()
+            .map(|_| ProjectedColumn::Owned(Vec::new()))
+            .collect());
+    }
+    let mut scratch: Option<Vec<Cow<'_, Row>>> = None;
     let mut out = Vec::with_capacity(exprs.len());
     for e in exprs {
         let column = match e {
-            RExpr::Column(i) => batch.columns.get(*i),
+            RExpr::Column(i) => batch.column(*i),
             _ => None,
         };
-        if let Some(&col) = column {
+        if let Some(col) = column {
             out.push(ProjectedColumn::Borrowed { col, sel });
         } else if is_eager(e) {
             out.push(ProjectedColumn::Owned(eval_columnar(e, batch, sel)?));
         } else {
-            let rows =
-                scratch.get_or_insert_with(|| sel.iter().map(|&r| batch.gather_row(r)).collect());
+            let rows = scratch.get_or_insert_with(|| sel.iter().map(|&r| batch.row(r)).collect());
             let cells = rows.iter().map(|row| e.eval(row)).collect::<Result<_>>()?;
             out.push(ProjectedColumn::Owned(cells));
         }
@@ -579,7 +677,7 @@ fn hash_cells<'k>(key: impl ExactSizeIterator<Item = &'k Value>) -> u64 {
 /// "No further slot" in [`GroupTable`]'s hash chains.
 const CHAIN_END: usize = usize::MAX;
 
-/// Map-side partial-aggregation table for both map pipelines.
+/// The map pipeline's partial-aggregation table.
 ///
 /// Semantically identical to `HashMap<Row, Vec<AggState>>` keyed by the
 /// projected key row (group membership is `Row` equality either way),
@@ -681,17 +779,6 @@ impl GroupTable {
         slot
     }
 
-    /// The slot of `key`'s group, created (its key cloned, once) if new.
-    fn slot_for<'k, K>(&mut self, agg: &Aggregator, key: K) -> usize
-    where
-        K: ExactSizeIterator<Item = &'k Value> + Clone,
-    {
-        match self.find(key.clone()) {
-            Ok(slot) => slot,
-            Err(hash) => self.insert(agg, key.cloned().collect(), hash),
-        }
-    }
-
     /// Fold `rows` rows of projected key/value columns into the table —
     /// the batched equivalent of one `entry(key).or_insert` +
     /// [`Aggregator::update_raw`] per row.
@@ -703,32 +790,14 @@ impl GroupTable {
         rows: usize,
     ) {
         for i in 0..rows {
-            let slot = self.slot_for(agg, key_cols.iter().map(|c| c.cell(i)));
+            // A new group's key is cloned, once.
+            let key = key_cols.iter().map(|c| c.cell(i));
+            let slot = match self.find(key.clone()) {
+                Ok(slot) => slot,
+                Err(hash) => self.insert(agg, key.cloned().collect(), hash),
+            };
             if let Some(states) = self.states_mut(slot) {
                 update_group(agg, states, value_cols, i);
-            }
-        }
-    }
-
-    /// Fold one row's cells in, read where they lie: `key` and `value`
-    /// are the projected key and value cells (the row path's entry
-    /// point, so a stage with both columnar and row inputs shares one
-    /// table).
-    pub(crate) fn update_cells<'k, K>(
-        &mut self,
-        agg: &Aggregator,
-        key: K,
-        value: impl Iterator<Item = &'k Value>,
-    ) where
-        K: ExactSizeIterator<Item = &'k Value> + Clone,
-    {
-        let slot = self.slot_for(agg, key);
-        if let Some(states) = self.states_mut(slot) {
-            // As `update_raw`: aggregate `c` reads cell `c`, NULL past
-            // the last.
-            let mut value = value;
-            for c in 0..states.len() {
-                agg.update_value(states, c, value.next().unwrap_or(&Value::Null));
             }
         }
     }
@@ -841,6 +910,17 @@ mod tests {
         let a = [Value::Long(1)];
         let b = [Value::Long(1), Value::Long(2)];
         assert!(RowBatch::new(vec![&a[..], &b[..]], 1).is_err());
+    }
+
+    #[test]
+    fn rows_of_unequal_length_are_rejected() {
+        let rows = [
+            Row::from(vec![Value::Long(1)]),
+            Row::from(vec![Value::Long(1), Value::Long(2)]),
+        ];
+        let err = RowBatch::from_rows(&rows).unwrap_err();
+        assert_eq!(err.subsystem(), "eval", "{err}");
+        assert_eq!(RowBatch::from_rows(&rows[1..]).unwrap().width(), 2);
     }
 
     #[test]
@@ -1101,6 +1181,19 @@ mod proptests {
         .boxed()
     }
 
+    /// The generated rows in both layouts: three columns, and rows of
+    /// three cells.
+    fn both_layouts(cells: &[(Value, Value, Value)]) -> (Vec<Vec<Value>>, Vec<Row>) {
+        let rows: Vec<Row> = cells
+            .iter()
+            .map(|(a, b, d)| Row::from(vec![a.clone(), b.clone(), d.clone()]))
+            .collect();
+        let cols = (0..3)
+            .map(|c| rows.iter().map(|r| r.get(c).clone()).collect())
+            .collect();
+        (cols, rows)
+    }
+
     proptest! {
         // Cases from `PROPTEST_CASES`.
         #[test]
@@ -1131,59 +1224,64 @@ mod proptests {
                 });
                 agg.update_raw(&mut want[slot].1, &value_of(i));
             }
-            let mut table = GroupTable::new();
-            let mut start = 0;
-            while start < rows.len() {
-                if rows[start].2 {
-                    table.update_row(&agg, key_of(&rows[start]), &value_of(start));
-                    start += 1;
-                    continue;
-                }
-                let end = (start..rows.len()).find(|&j| rows[j].2).unwrap_or(rows.len());
-                let keys: Vec<Row> = rows[start..end].iter().map(key_of).collect();
-                let key_cols: Vec<Vec<Value>> = (0..width)
-                    .map(|c| keys.iter().map(|k| k.get(c).clone()).collect())
-                    .collect();
-                let values: Vec<Row> = (start..end).map(value_of).collect();
-                let value_cols: Vec<Vec<Value>> = (0..3)
-                    .map(|c| values.iter().map(|v| v.get(c).clone()).collect())
-                    .collect();
-                table.update_batch(&agg, &key_cols, &value_cols, end - start);
-                start = end;
-            }
             let finish = |groups: Vec<(Row, Vec<AggState>)>| -> Vec<(Row, Vec<Value>)> {
                 groups.into_iter().map(|(k, s)| (k, agg.finish(s))).collect()
             };
-            prop_assert_eq!(finish(table.into_groups()), finish(want));
+            let want = finish(want);
+            // Batches of owned columns, and the same batches as views
+            // over row-major batches of the key and value rows.
+            for row_major in [false, true] {
+                let mut table = GroupTable::new();
+                let mut start = 0;
+                while start < rows.len() {
+                    if rows[start].2 {
+                        table.update_row(&agg, key_of(&rows[start]), &value_of(start));
+                        start += 1;
+                        continue;
+                    }
+                    let end = (start..rows.len()).find(|&j| rows[j].2).unwrap_or(rows.len());
+                    let keys: Vec<Row> = rows[start..end].iter().map(key_of).collect();
+                    let values: Vec<Row> = (start..end).map(value_of).collect();
+                    if row_major {
+                        let all: Vec<usize> = (0..end - start).collect();
+                        let columns = |n: usize| -> Vec<RExpr> { (0..n).map(RExpr::Column).collect() };
+                        let keys = RowBatch::from_rows(&keys).unwrap();
+                        let values = RowBatch::from_rows(&values).unwrap();
+                        let key_cols = project_view(&columns(width), &keys, &all).unwrap();
+                        let value_cols = project_view(&columns(3), &values, &all).unwrap();
+                        table.update_batch(&agg, &key_cols, &value_cols, end - start);
+                    } else {
+                        let key_cols: Vec<Vec<Value>> = (0..width)
+                            .map(|c| keys.iter().map(|k| k.get(c).clone()).collect())
+                            .collect();
+                        let value_cols: Vec<Vec<Value>> = (0..3)
+                            .map(|c| values.iter().map(|v| v.get(c).clone()).collect())
+                            .collect();
+                        table.update_batch(&agg, &key_cols, &value_cols, end - start);
+                    }
+                    start = end;
+                }
+                prop_assert_eq!(finish(table.into_groups()), want.clone());
+            }
         }
-    }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn batch_filter_equals_row_filter(
             cells in proptest::collection::vec((arb_cell(), arb_cell(), arb_cell()), 0..40),
             filter in arb_filter(),
         ) {
-            let cols: Vec<Vec<Value>> = (0..3)
-                .map(|c| {
-                    cells
-                        .iter()
-                        .map(|(a, b, d)| match c {
-                            0 => a.clone(),
-                            1 => b.clone(),
-                            _ => d.clone(),
-                        })
-                        .collect()
-                })
+            let (cols, rows) = both_layouts(&cells);
+            let expected: Vec<usize> = (0..rows.len())
+                .filter(|&r| filter.eval_predicate(&rows[r]).unwrap())
                 .collect();
-            let batch =
-                RowBatch::new(cols.iter().map(|c| c.as_slice()).collect(), cells.len()).unwrap();
-            let sel = filter_batch(Some(&filter), &batch).unwrap();
-            let expected: Vec<usize> = (0..batch.rows())
-                .filter(|&r| filter.eval_predicate(&batch.gather_row(r)).unwrap())
-                .collect();
-            prop_assert_eq!(sel, expected);
+            let batches = [
+                RowBatch::new(cols.iter().map(|c| c.as_slice()).collect(), rows.len()).unwrap(),
+                RowBatch::from_rows(&rows).unwrap(),
+            ];
+            for batch in &batches {
+                let sel = filter_batch(Some(&filter), batch).unwrap();
+                prop_assert_eq!(&sel, &expected);
+            }
         }
 
         #[test]
@@ -1206,39 +1304,30 @@ mod proptests {
                 1..4,
             ),
         ) {
-            let cols: Vec<Vec<Value>> = (0..3)
-                .map(|c| {
-                    cells
-                        .iter()
-                        .map(|(a, b, d)| match c {
-                            0 => a.clone(),
-                            1 => b.clone(),
-                            _ => d.clone(),
-                        })
-                        .collect()
-                })
-                .collect();
-            let batch =
-                RowBatch::new(cols.iter().map(|c| c.as_slice()).collect(), cells.len()).unwrap();
-            let sel: Vec<usize> = (0..batch.rows()).step_by(2).collect();
-            match project_batch(&exprs, &batch, &sel) {
-                Err(_) => {
-                    // Addition over strings errors; the row path must
-                    // error on some selected row too.
-                    let row_errs = sel.iter().any(|&r| {
-                        exprs.iter().any(|e| e.eval(&batch.gather_row(r)).is_err())
-                    });
-                    prop_assert!(row_errs);
-                }
-                Ok(out) => {
-                    for (i, &r) in sel.iter().enumerate() {
-                        let row = batch.gather_row(r);
-                        for (e, outcol) in exprs.iter().zip(out.iter()) {
-                            let expected = e.eval(&row).unwrap();
-                            prop_assert_eq!(
-                                outcol[i].total_cmp(&expected),
-                                std::cmp::Ordering::Equal
-                            );
+            let (cols, rows) = both_layouts(&cells);
+            let batches = [
+                RowBatch::new(cols.iter().map(|c| c.as_slice()).collect(), rows.len()).unwrap(),
+                RowBatch::from_rows(&rows).unwrap(),
+            ];
+            let sel: Vec<usize> = (0..rows.len()).step_by(2).collect();
+            for batch in &batches {
+                match project_batch(&exprs, batch, &sel) {
+                    Err(_) => {
+                        // Addition over strings errors; per-row
+                        // evaluation must error on some selected row too.
+                        let row_errs =
+                            sel.iter().any(|&r| exprs.iter().any(|e| e.eval(&rows[r]).is_err()));
+                        prop_assert!(row_errs);
+                    }
+                    Ok(out) => {
+                        for (i, &r) in sel.iter().enumerate() {
+                            for (e, outcol) in exprs.iter().zip(out.iter()) {
+                                let expected = e.eval(&rows[r]).unwrap();
+                                prop_assert_eq!(
+                                    outcol[i].total_cmp(&expected),
+                                    std::cmp::Ordering::Equal
+                                );
+                            }
                         }
                     }
                 }

@@ -240,15 +240,12 @@ impl Driver {
                 if self.metastore.contains(&name) {
                     return Err(HdmError::Plan(format!("table already exists: {name}")));
                 }
-                let qb = analyze(&query, &self.metastore)?;
+                let sink = StageOutput::Table {
+                    name: name.clone(),
+                    format,
+                };
+                let (_, plan) = self.compile(&query, sink)?;
                 // Output schema from static type inference.
-                let plan = plan_select(
-                    &qb,
-                    StageOutput::Table {
-                        name: name.clone(),
-                        format,
-                    },
-                )?;
                 let last = plan
                     .stages
                     .last()
@@ -260,7 +257,13 @@ impl Driver {
                     .zip(last.out_types.iter().copied())
                     .collect();
                 self.metastore.create_table(&name, columns, format, false)?;
-                let (stages, _) = self.execute_plan(&plan, engine, cancel)?;
+                let ran = self.execute_plan(&plan, engine, cancel);
+                if ran.is_err() {
+                    // A failed (or cancelled) CTAS leaves no table behind:
+                    // a retry must find the name free.
+                    self.metastore.drop_table(&self.dfs, &name, true)?;
+                }
+                let (stages, _) = ran?;
                 // The CTAS data landed after the create bumped the
                 // version; bump again so results cached against the
                 // still-empty table cannot survive.
@@ -277,8 +280,25 @@ impl Driver {
         }
     }
 
-    /// Plan + execute a SELECT with the given sink. The result carries
-    /// the last stage's column names and, for a Collect sink, its rows.
+    /// Compile a SELECT into the plan that runs for `sink`: analyze,
+    /// plan, and optimize every stage. The query block comes back too,
+    /// for its LIMIT.
+    fn compile(
+        &self,
+        query: &crate::ast::SelectStmt,
+        sink: StageOutput,
+    ) -> Result<(crate::logical::QueryBlock, crate::physical::QueryPlan)> {
+        let qb = analyze(query, &self.metastore)?;
+        let mut plan = plan_select(&qb, sink)?;
+        for stage in &mut plan.stages {
+            crate::optimizer::optimize_stage(stage);
+        }
+        Ok((qb, plan))
+    }
+
+    /// Compile + execute a SELECT with the given sink. The result
+    /// carries the last stage's column names and, for a Collect sink,
+    /// its rows.
     fn run_select(
         &self,
         query: &crate::ast::SelectStmt,
@@ -286,11 +306,7 @@ impl Driver {
         engine: EngineKind,
         cancel: &CancelToken,
     ) -> Result<QueryResult> {
-        let qb = analyze(query, &self.metastore)?;
-        let mut plan = plan_select(&qb, sink.clone())?;
-        for stage in &mut plan.stages {
-            crate::optimizer::optimize_stage(stage);
-        }
+        let (qb, plan) = self.compile(query, sink)?;
         let columns = plan
             .stages
             .last()
@@ -1165,6 +1181,69 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.subsystem(), "eval", "{err}");
         assert_eq!(d.dfs().list("/tmp/q"), Vec::<String>::new());
+    }
+
+    /// A CTAS whose execution fails drops the table it created, entry
+    /// and directory, on either engine: a clean retry finds the name
+    /// free.
+    #[test]
+    fn a_failed_ctas_leaves_no_table_behind() {
+        use hdm_common::conf as keys;
+        use hdm_faults::FaultPlan;
+
+        let mut d = driver();
+        let parts = d.metastore().storage.parts(d.dfs(), "t");
+        let seed = (0..1 << 16)
+            .find(|&seed| {
+                let plan = FaultPlan::with_seed(seed);
+                parts.iter().any(|p| plan.storage_error(p).is_some())
+            })
+            .expect("a seed with a flaky part file");
+        let ctas = "CREATE TABLE c AS SELECT k, v FROM t WHERE v > 1.0";
+        for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
+            let conf = d.conf_mut();
+            conf.set(keys::KEY_FT_ENABLED, true);
+            conf.set(keys::KEY_FT_SEED, seed);
+            conf.set(keys::KEY_FT_MAX_ATTEMPTS, 1);
+            conf.set(keys::KEY_FT_FALLBACK_ENGINE, "none");
+            let err = d.execute_on(ctas, engine).expect_err("injected read error");
+            assert_eq!(err.subsystem(), "dfs", "{engine:?}: {err}");
+            assert!(!d.metastore().contains("c"), "{engine:?}");
+            assert!(d.metastore().storage.parts(d.dfs(), "c").is_empty());
+            d.conf_mut().set(keys::KEY_FT_ENABLED, false);
+            d.execute_on(ctas, engine).expect("clean retry");
+            let n = d.execute("SELECT COUNT(*) FROM c").unwrap();
+            assert_eq!(n.to_lines(), ["4"], "{engine:?}");
+            d.execute("DROP TABLE c").unwrap();
+        }
+    }
+
+    /// CTAS compiles as SELECT does: its stages are optimized, so the
+    /// filter it runs has its constant subtree folded.
+    #[test]
+    fn ctas_compiles_like_select() {
+        use crate::expr::RExpr;
+
+        let d = driver();
+        let sql = "CREATE TABLE c AS SELECT k FROM t WHERE k > 1 + 1";
+        let Statement::CreateTableAs {
+            name,
+            format,
+            query,
+        } = parse_script(sql).unwrap().remove(0)
+        else {
+            panic!("not a CTAS: {sql}");
+        };
+        let (_, plan) = d
+            .compile(&query, StageOutput::Table { name, format })
+            .unwrap();
+        let filter = plan.stages[0].inputs[0].filter.as_ref().expect("a filter");
+        let RExpr::Binary { op, left, right } = filter else {
+            panic!("not a comparison: {filter:?}");
+        };
+        assert_eq!(*op, crate::ast::BinOp::Gt);
+        assert!(matches!(**left, RExpr::Column(_)), "{filter:?}");
+        assert_eq!(**right, RExpr::Literal(Value::Long(2)), "{filter:?}");
     }
 
     #[test]

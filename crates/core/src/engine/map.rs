@@ -1,24 +1,27 @@
 //! The engine-agnostic map pipeline: read a task's units one after
-//! another, filter them, take them through the input's map-side joins,
-//! project them, and route every projected row exactly once.
+//! another, cut each into batches — columns a columnar reader decoded,
+//! or rows a row reader or a stream handed over — filter them, take
+//! them through the input's map-side joins, project them, and route
+//! every projected row exactly once, all through the [`crate::batch`]
+//! kernels.
 
 use super::plan::{BuildScan, TaskInput};
 use super::{EngineKind, StagePipeline};
 use crate::batch::{
     filter_batch, gather_projected, project_view, CellColumn, GroupTable, RowBatch,
 };
-use crate::expr::RExpr;
-use crate::operators::{process_join_group, project_row};
+use crate::operators::process_join_group;
 use crate::physical::{MapInput, MapJoin, StageKind};
 use hdm_cluster::MapVolume;
 use hdm_common::error::{HdmError, Result};
-use hdm_common::row::Row;
+use hdm_common::row::{Row, Schema};
 use hdm_common::sortkey;
 use hdm_common::stats::Histogram;
 use hdm_common::value::Value;
-use hdm_dfs::NodeId;
-use hdm_storage::ColumnarSource;
+use hdm_dfs::{FileSplit, NodeId};
+use hdm_storage::FileFormat;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -166,7 +169,7 @@ impl BuildTable {
 /// attempt that needs it and shared by every task after. The read runs
 /// inside that attempt: a storage fault fails the attempt, the
 /// supervisor retries it, and the retry (or whichever task gets here
-/// first) builds again; cancellation is polled per build row.
+/// first) builds again; cancellation is polled per build batch.
 pub(super) struct SharedBuild {
     scan: BuildScan,
     table: Mutex<Option<Arc<BuildTable>>>,
@@ -181,6 +184,18 @@ impl SharedBuild {
     }
 }
 
+/// Hand `rows` to `f` as row-major batches of at most `size` rows.
+fn row_batches(
+    rows: &[Row],
+    size: usize,
+    mut f: impl FnMut(&RowBatch<'_>) -> Result<()>,
+) -> Result<()> {
+    for chunk in rows.chunks(size.max(1)) {
+        f(&RowBatch::from_rows(chunk)?)?;
+    }
+    Ok(())
+}
+
 /// One unit of one attempt of a map/O task: where its projected rows
 /// go, and what it measured on the way.
 struct MapAttempt<'a> {
@@ -189,78 +204,20 @@ struct MapAttempt<'a> {
     emit: &'a mut dyn Collector,
     /// The hash tables of `input.map_joins`, in step order.
     tables: &'a [Arc<BuildTable>],
-    /// Per step, a reused buffer for the rows one probe row joins to.
+    /// Per step, a reused buffer for what one batch's rows join to.
     joined: Vec<Vec<Row>>,
     key_buf: Vec<u8>,
     /// The shuffle pair being emitted, encoded: key and value buffers
     /// reused across every pair of the attempt.
     wire: (Vec<u8>, Vec<u8>),
-    /// A row's computed value and key cells ([`Projected`]), reused.
-    computed: (Vec<Value>, Vec<Value>),
     groups: GroupTable,
     /// Map-only output. Owned by the attempt, so a failed attempt's rows
     /// die with it and a replay cannot duplicate them.
     out_rows: Vec<Row>,
     kv_sizes: Histogram,
     vol: MapVolume,
-    vec_batches: u64,
     probe_rows: u64,
 }
-
-/// The cells of one projection over one row: a bare column reference
-/// is the row's own cell, and only a computed expression's cell is
-/// evaluated, into `computed`, in expression order.
-#[derive(Clone)]
-struct Projected<'a> {
-    exprs: std::slice::Iter<'a, RExpr>,
-    row: &'a Row,
-    computed: std::slice::Iter<'a, Value>,
-}
-
-/// Does `e` read as the row's own cell? A column out of range is
-/// evaluated instead, so that it fails as `project_row` would.
-fn borrows(e: &RExpr, row: &Row) -> bool {
-    matches!(e, RExpr::Column(i) if *i < row.len())
-}
-
-impl<'a> Projected<'a> {
-    /// Evaluate the computed cells of `exprs` over `row` into `computed`
-    /// (cleared first), failing as `project_row` would.
-    fn eval(exprs: &[RExpr], row: &Row, computed: &mut Vec<Value>) -> Result<()> {
-        computed.clear();
-        for e in exprs.iter().filter(|e| !borrows(e, row)) {
-            computed.push(e.eval(row)?);
-        }
-        Ok(())
-    }
-
-    fn new(exprs: &'a [RExpr], row: &'a Row, computed: &'a [Value]) -> Projected<'a> {
-        Projected {
-            exprs: exprs.iter(),
-            row,
-            computed: computed.iter(),
-        }
-    }
-}
-
-impl<'a> Iterator for Projected<'a> {
-    type Item = &'a Value;
-
-    fn next(&mut self) -> Option<&'a Value> {
-        let e = self.exprs.next()?;
-        let cell = match e {
-            RExpr::Column(i) if *i < self.row.len() => self.row.values().get(*i),
-            _ => self.computed.next(),
-        };
-        Some(cell.unwrap_or(&Value::Null))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.exprs.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Projected<'_> {}
 
 impl MapAttempt<'_> {
     /// Send one shuffle pair, encoded straight from its cells.
@@ -277,158 +234,153 @@ impl MapAttempt<'_> {
         self.emit.collect(kb, vb)
     }
 
-    /// The one place a row's destination is decided: projected, then
-    /// kept (map-only), grouped, or emitted. Grouping and emitting read
-    /// bare column references from the row's own cells.
-    fn route(&mut self, row: &Row) -> Result<()> {
-        let input = self.input;
-        if matches!(self.p.stage.kind, StageKind::MapOnly) {
-            // Map-only output rows outlive the input row (and a map-only
-            // input has no key): the one place cells are copied.
-            let value = project_row(&input.value_exprs, row)?;
-            self.out_rows.push(value);
+    /// One batch of the unit's input: filtered, taken through the
+    /// map-side join steps, and routed.
+    fn run_batch(&mut self, rb: &RowBatch<'_>) -> Result<()> {
+        // One relaxed load per batch: the cooperative cancellation safe
+        // point inside the map pipeline.
+        self.p.cancel.bail_if_cancelled()?;
+        let sel = filter_batch(self.input.filter.as_ref(), rb)?;
+        if sel.is_empty() {
             return Ok(());
         }
-        let (mut values, mut keys) = std::mem::take(&mut self.computed);
-        Projected::eval(&input.value_exprs, row, &mut values)?;
-        Projected::eval(&input.key_exprs, row, &mut keys)?;
-        let value = Projected::new(&input.value_exprs, row, &values);
-        let key = Projected::new(&input.key_exprs, row, &keys);
-        let routed = match (&self.p.stage.kind, &self.p.partial) {
-            (StageKind::Aggregate { .. }, Some(agg)) => {
-                self.groups.update_cells(agg, key, value);
-                Ok(())
-            }
-            _ => self.emit(key, value),
-        };
-        self.computed = (values, keys);
+        self.vol.records += sel.len() as u64;
+        if self.input.map_joins.is_empty() {
+            return self.route(rb, &sel);
+        }
+        let mut joined = std::mem::take(&mut self.joined);
+        let routed = self.join(rb, &sel, &mut joined);
+        joined.iter_mut().for_each(Vec::clear);
+        self.joined = joined;
         routed
     }
 
-    /// A row past the scan filter: through map-side join steps `step..`,
-    /// then projected and routed.
-    fn push(&mut self, step: usize, row: &Row) -> Result<()> {
+    /// Take a batch's selected rows through the map-side join steps one
+    /// step at a time: step `s` probes every row step `s - 1` produced,
+    /// appending their joins to `joined[s]` in order, and the last
+    /// buffer is routed as a row-major batch. Each step keeps input
+    /// order and expands a row into a contiguous run, so the rows come
+    /// out as a depth-first walk per probe row would emit them.
+    fn join(&mut self, rb: &RowBatch<'_>, sel: &[usize], joined: &mut [Vec<Row>]) -> Result<()> {
         let (input, tables) = (self.input, self.tables);
-        let (Some(join), Some(table)) = (input.map_joins.get(step), tables.get(step)) else {
-            return self.route(row);
-        };
-        self.probe_rows += 1;
-        self.key_buf.clear();
-        for e in &join.probe_keys {
-            sortkey::encode_cells_into(&mut self.key_buf, [&e.eval(row)?], &[]);
-        }
-        let matches = table.matches(&self.key_buf);
-        let probe = std::slice::from_ref(row);
-        let (lefts, rights, right_width) = if join.build_is_left {
-            (matches, probe, row.len())
-        } else {
-            (probe, matches, join.build.value_exprs.len())
-        };
-        let taken = self.joined.get_mut(step).map(std::mem::take);
-        let mut out = taken.unwrap_or_default();
-        // The shuffle join's own group routine, over this one probe row
-        // and the build rows under its key: outer / semi / anti /
-        // residual semantics have one implementation.
-        process_join_group(
-            join.kind,
-            right_width,
-            join.residual.as_ref(),
-            &join.project,
-            lefts,
-            rights,
-            &mut out,
-        )?;
-        for row in &out {
-            self.push(step + 1, row)?;
-        }
-        out.clear();
-        if let Some(slot) = self.joined.get_mut(step) {
-            *slot = out;
-        }
-        Ok(())
-    }
-
-    /// The row-at-a-time pipeline: sequence-file intermediates, stream
-    /// partitions, and table scans with vectorization off.
-    fn run_rows(&mut self, rows: &[Row]) -> Result<()> {
-        for row in rows {
-            // One relaxed load per row: the cooperative cancellation
-            // safe point inside the map pipeline.
-            self.p.cancel.bail_if_cancelled()?;
-            if let Some(f) = &self.input.filter {
-                if !f.eval_predicate(row)? {
-                    continue;
+        for (step, (join, table)) in input.map_joins.iter().zip(tables).enumerate() {
+            let (done, rest) = joined.split_at_mut(step.min(joined.len()));
+            let Some(out) = rest.first_mut() else {
+                break;
+            };
+            // A row-major batch lends its probe rows; a column-major one
+            // gathers the rows its filter kept.
+            let rows: Vec<Cow<'_, Row>> = match done.last() {
+                None => sel.iter().map(|&r| rb.row(r)).collect(),
+                Some(rows) => rows.iter().map(Cow::Borrowed).collect(),
+            };
+            for row in &rows {
+                self.probe_rows += 1;
+                self.key_buf.clear();
+                for e in &join.probe_keys {
+                    sortkey::encode_cells_into(&mut self.key_buf, [&e.eval(row)?], &[]);
                 }
-            }
-            self.vol.records += 1;
-            self.push(0, row)?;
-        }
-        Ok(())
-    }
-
-    /// The vectorized batch pipeline: same rows in the same order as
-    /// [`Self::run_rows`] over the transposed stripes; the
-    /// kernel-equivalence contract lives in [`crate::batch`].
-    fn run_batches(&mut self, src: &ColumnarSource) -> Result<()> {
-        for stripe in &src.stripes {
-            let mut start = 0usize;
-            while start < stripe.rows {
-                // One cancellation safe point per batch (the row path
-                // checks per row).
-                self.p.cancel.bail_if_cancelled()?;
-                let end = (start + self.p.batch_size).min(stripe.rows);
-                let rb = RowBatch::new(
-                    stripe
-                        .columns
-                        .iter()
-                        .map(|c| c.get(start..end).unwrap_or(&[]))
-                        .collect(),
-                    end - start,
+                let matches = table.matches(&self.key_buf);
+                let probe = std::slice::from_ref(&**row);
+                let (lefts, rights, right_width) = if join.build_is_left {
+                    (matches, probe, row.len())
+                } else {
+                    (probe, matches, join.build.value_exprs.len())
+                };
+                // The shuffle join's own group routine, over this one
+                // probe row and the build rows under its key: outer /
+                // semi / anti / residual semantics have one
+                // implementation.
+                process_join_group(
+                    join.kind,
+                    right_width,
+                    join.residual.as_ref(),
+                    &join.project,
+                    lefts,
+                    rights,
+                    out,
                 )?;
-                self.vec_batches += 1;
-                let sel = filter_batch(self.input.filter.as_ref(), &rb)?;
-                start = end;
-                if sel.is_empty() {
-                    continue;
-                }
-                self.vol.records += sel.len() as u64;
-                if !self.input.map_joins.is_empty() {
-                    // The filter stayed columnar; only the rows it kept
-                    // become rows, to probe with.
-                    for &r in &sel {
-                        self.push(0, &rb.gather_row(r))?;
-                    }
-                    continue;
-                }
-                let value_cols = project_view(&self.input.value_exprs, &rb, &sel)?;
-                let key_cols = project_view(&self.input.key_exprs, &rb, &sel)?;
-                if let Some(agg) = &self.p.partial {
-                    // The one batch kernel past projection: grouped
-                    // partial aggregation straight off the columns.
-                    self.groups
-                        .update_batch(agg, &key_cols, &value_cols, sel.len());
-                    continue;
-                }
-                if matches!(self.p.stage.kind, StageKind::MapOnly) {
-                    let rows = (0..sel.len()).map(|i| gather_projected(&value_cols, i));
-                    self.out_rows.extend(rows);
-                    continue;
-                }
-                // Shuffle pairs go from the columns to the wire: no row
-                // is gathered for either half.
-                for i in 0..sel.len() {
-                    self.emit(
-                        key_cols.iter().map(|c| c.cell(i)),
-                        value_cols.iter().map(|c| c.cell(i)),
-                    )?;
-                }
             }
+        }
+        let Some(rows) = joined.last().filter(|rows| !rows.is_empty()) else {
+            return Ok(());
+        };
+        let all: Vec<usize> = (0..rows.len()).collect();
+        self.route(&RowBatch::from_rows(rows)?, &all)
+    }
+
+    /// The one place rows' destination is decided: projected, then kept
+    /// (map-only), grouped, or emitted. Grouping and emitting read bare
+    /// column references where they lie; shuffle pairs go from the
+    /// projected columns to the wire.
+    fn route(&mut self, rb: &RowBatch<'_>, sel: &[usize]) -> Result<()> {
+        let input = self.input;
+        let value_cols = project_view(&input.value_exprs, rb, sel)?;
+        if matches!(self.p.stage.kind, StageKind::MapOnly) {
+            // Map-only output rows outlive the batch (and a map-only
+            // input has no key): the one place cells are copied.
+            let rows = (0..sel.len()).map(|i| gather_projected(&value_cols, i));
+            self.out_rows.extend(rows);
+            return Ok(());
+        }
+        let key_cols = project_view(&input.key_exprs, rb, sel)?;
+        if let Some(agg) = &self.p.partial {
+            self.groups
+                .update_batch(agg, &key_cols, &value_cols, sel.len());
+            return Ok(());
+        }
+        for i in 0..sel.len() {
+            self.emit(
+                key_cols.iter().map(|c| c.cell(i)),
+                value_cols.iter().map(|c| c.cell(i)),
+            )?;
         }
         Ok(())
     }
 }
 
 impl StagePipeline {
+    /// Read one split of `input` as every scan of the stage reads it —
+    /// into columns when vectorized execution is on and the format has
+    /// a columnar reader (ORC, Text), else into rows — and hand it to
+    /// `f` in batches. Returns the bytes read, the rows the reader
+    /// dropped on pushed-down predicates (Text), and how many batches a
+    /// columnar reader supplied.
+    fn scan(
+        &self,
+        (fmt, schema): (&dyn FileFormat, &Schema),
+        split: &FileSplit,
+        input: &MapInput,
+        node: Option<NodeId>,
+        mut f: impl FnMut(&RowBatch<'_>) -> Result<()>,
+    ) -> Result<(u64, u64, u64)> {
+        let projection = input.read_projection.as_deref();
+        let preds = input.pushed_down(self.pushdown);
+        let columnar = if self.vectorized {
+            fmt.read_split_columns(&self.dfs, split, schema, projection, preds, node)?
+        } else {
+            None
+        };
+        let Some(src) = columnar else {
+            let src = fmt.read_split(&self.dfs, split, schema, projection, preds, node)?;
+            row_batches(&src.rows, self.batch_size, f)?;
+            return Ok((src.bytes_read, src.rows_skipped, 0));
+        };
+        let mut batches = 0;
+        for stripe in &src.stripes {
+            let mut start = 0usize;
+            while start < stripe.rows {
+                let end = (start + self.batch_size.max(1)).min(stripe.rows);
+                let columns = stripe.columns.iter();
+                let columns = columns.map(|c| c.get(start..end).unwrap_or(&[]));
+                f(&RowBatch::new(columns.collect(), end - start)?)?;
+                batches += 1;
+                start = end;
+            }
+        }
+        Ok((src.bytes_read, src.rows_skipped, batches))
+    }
+
     /// The hash table of one map-side join step, building it if no
     /// attempt has yet. Tasks that arrive during the build wait for it:
     /// none of them can run a row without the table.
@@ -446,31 +398,26 @@ impl StagePipeline {
         let (mut keys, mut key_ranges, mut values) = (Vec::new(), Vec::new(), Vec::new());
         let mut bytes_read = 0;
         // The scan path of any table input: same reader, pushed-down
-        // predicates, filter and projections.
+        // predicates, filter and projections, by batch.
+        let format = (scan.format.as_ref(), &scan.schema);
         for split in &scan.splits {
-            let src = scan.format.read_split(
-                &self.dfs,
-                split,
-                &scan.schema,
-                build.read_projection.as_deref(),
-                build.pushed_down(self.pushdown),
-                split.hosts.first().copied(),
-            )?;
-            bytes_read += src.bytes_read;
-            for row in &src.rows {
-                self.cancel.bail_if_cancelled()?;
-                if let Some(f) = &build.filter {
-                    if !f.eval_predicate(row)? {
-                        continue;
+            let node = split.hosts.first().copied();
+            bytes_read += self
+                .scan(format, split, build, node, |rb| {
+                    self.cancel.bail_if_cancelled()?;
+                    let sel = filter_batch(build.filter.as_ref(), rb)?;
+                    let key_cols = project_view(&build.key_exprs, rb, &sel)?;
+                    let value_cols = project_view(&build.value_exprs, rb, &sel)?;
+                    for i in 0..sel.len() {
+                        let key_start = keys.len();
+                        let key = key_cols.iter().map(|c| c.cell(i));
+                        sortkey::encode_cells_into(&mut keys, key, &[]);
+                        key_ranges.push(key_start..keys.len());
+                        values.push(gather_projected(&value_cols, i));
                     }
-                }
-                let key_start = keys.len();
-                for e in &build.key_exprs {
-                    sortkey::encode_cells_into(&mut keys, [&e.eval(row)?], &[]);
-                }
-                key_ranges.push(key_start..keys.len());
-                values.push(project_row(&build.value_exprs, row)?);
-            }
+                    Ok(())
+                })?
+                .0;
         }
         let table = BuildTable::group(&keys, &key_ranges, values, bytes_read);
         built.0 += table.rows.len() as u64;
@@ -563,7 +510,6 @@ impl StagePipeline {
             tables: &tables,
             key_buf: Vec::new(),
             wire: (Vec::new(), Vec::new()),
-            computed: (Vec::new(), Vec::new()),
             groups: GroupTable::new(),
             out_rows: Vec::new(),
             kv_sizes: Histogram::with_width(hdm_obs::KV_HIST_BUCKET),
@@ -571,12 +517,9 @@ impl StagePipeline {
                 local_fraction: 1.0,
                 ..Default::default()
             },
-            vec_batches: 0,
             probe_rows: 0,
         };
-        // Rows the reader itself dropped on the pushed-down predicates
-        // (Text); the filter operator never sees them.
-        let mut rows_skipped = 0u64;
+        let (mut rows_skipped, mut vec_batches) = (0, 0);
         match &unit.input {
             TaskInput::Empty => {}
             // Block until the producer commits this partition, then
@@ -589,34 +532,14 @@ impl StagePipeline {
                 let stream = self.in_streams.get(stage).ok_or_else(|| {
                     HdmError::Plan(format!("map unit {unit_idx}: stage {stage} stream missing"))
                 })?;
-                at.run_rows(&stream.take(*partition)?)?;
+                let rows = stream.take(*partition)?;
+                row_batches(&rows, self.batch_size, |rb| at.run_batch(rb))?;
             }
             TaskInput::Split(split) => {
                 let node = Some(split.hosts.first().copied().unwrap_or(NodeId(0)));
-                let projection = input.read_projection.as_deref();
-                let preds = input.pushed_down(self.pushdown);
-                // Vectorized scan: when the format can hand back columns
-                // (ORC, Text), rows stay columnar and the batch kernels
-                // replace the row loop.
-                let columnar = if self.vectorized {
-                    fmt.read_split_columns(&self.dfs, split, schema, projection, preds, node)?
-                } else {
-                    None
-                };
-                match columnar {
-                    Some(src) => {
-                        at.vol.input_bytes = src.bytes_read;
-                        rows_skipped = src.rows_skipped;
-                        at.run_batches(&src)?;
-                    }
-                    None => {
-                        let src =
-                            fmt.read_split(&self.dfs, split, schema, projection, preds, node)?;
-                        at.vol.input_bytes = src.bytes_read;
-                        rows_skipped = src.rows_skipped;
-                        at.run_rows(&src.rows)?;
-                    }
-                }
+                let format = (fmt.as_ref(), schema);
+                (at.vol.input_bytes, rows_skipped, vec_batches) =
+                    self.scan(format, split, input, node, |rb| at.run_batch(rb))?;
             }
         }
         // A build table's bytes are input of the task that read them:
@@ -640,7 +563,7 @@ impl StagePipeline {
         }
         counts.records += at.vol.records;
         counts.input_bytes += at.vol.input_bytes;
-        counts.vec_batches += at.vec_batches;
+        counts.vec_batches += vec_batches;
         counts.rows_skipped += rows_skipped;
         counts.built_rows += built.0;
         counts.built_bytes += built.1;
@@ -700,6 +623,51 @@ mod tests {
         assert!(table.matches(&[]).is_empty());
         let empty = BuildTable::group(&[], &[], Vec::new(), 0);
         assert!(empty.matches(&key(7)).is_empty());
+    }
+
+    /// Batch boundaries over row inputs: the map-join chain's output
+    /// feeding partial aggregation, the stream input (pipelined) and the
+    /// Seq input (not) of the sort stage give the same rows at every
+    /// batch size, with either reader, on both engines.
+    #[test]
+    fn row_inputs_give_the_same_rows_at_every_batch_size() {
+        let mut fx = Fixture::new(
+            "CREATE TABLE f (k BIGINT, j BIGINT, v BIGINT); \
+             CREATE TABLE d1 (k BIGINT, a STRING); CREATE TABLE d2 (j BIGINT, b STRING); \
+             INSERT INTO d1 VALUES (0, 'x'), (1, 'y'), (1, 'yy'), (2, 'z'); \
+             INSERT INTO d2 VALUES (0, 'p'), (2, 'q'), (3, 'r')",
+        );
+        let long = |i: i64| Value::Long(i);
+        let rows: Vec<Row> = (0..50)
+            .map(|i| Row::from(vec![long(i % 4), long(i % 5), long(i)]))
+            .collect();
+        fx.d.load_rows("f", &rows).expect("load f");
+        // `f` has no recorded size, so it is the probe side of both steps.
+        fx.d.metastore().bump_version("f");
+        let sql = "SELECT a, b, SUM(v) AS s, COUNT(*) AS n FROM f JOIN d1 ON f.k = d1.k \
+                   LEFT OUTER JOIN d2 ON f.j = d2.j GROUP BY a, b ORDER BY a, b";
+        let plan = fx.plan(sql, StageOutput::Collect);
+        assert_eq!(plan.stages.len(), 2);
+        assert_eq!(plan.stages[0].inputs[0].map_joins.len(), 2);
+        let want = fx.d.execute(sql).expect("default run").to_lines();
+        // Four `d1` rows (key 1 twice) by `d2`'s three `b`s and the NULL
+        // of the `j` it misses (1 and 4).
+        assert_eq!(want.len(), 16, "{want:?}");
+        for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
+            for (pipelined, vectorized) in
+                [(true, true), (true, false), (false, true), (false, false)]
+            {
+                for size in [1i64, 3, 1024] {
+                    let conf = fx.d.conf_mut();
+                    conf.set(keys::KEY_EXEC_PIPELINED, pipelined);
+                    conf.set(keys::KEY_VECTORIZED, vectorized);
+                    conf.set(keys::KEY_VECTORIZED_BATCH_SIZE, size);
+                    let got = fx.d.execute_on(sql, engine).expect("run").to_lines();
+                    let arm = format!("{engine:?} pipelined={pipelined} vectorized={vectorized}");
+                    assert_eq!(got, want, "{arm} batch={size}");
+                }
+            }
+        }
     }
 
     /// A transient storage fault on the build table's part file fails

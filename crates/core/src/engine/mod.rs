@@ -21,10 +21,12 @@
 //!    `reducer_count` decides the number of reduce partitions from
 //!    their total size;
 //! 2. **the map pipeline** (`map`): reads a task's units one after
-//!    another three ways (columnar batches, rows off a file, rows a
-//!    stream handed over), filters and projects them, and routes every
-//!    projected `(key, value)` through one `route` — to the unit's own
-//!    output rows, the shuffle, or the partial-aggregation table;
+//!    another and cuts every input — columns a columnar reader decoded,
+//!    rows off a file, rows a stream handed over — into batches for
+//!    one set of kernels ([`crate::batch`]): filter, map-side join
+//!    steps, projection, and one `route` of every projected
+//!    `(key, value)` — to the unit's own output rows, the shuffle, or
+//!    the partial-aggregation table;
 //! 3. **the reduce pipeline** (`reduce`): the Join / Aggregate / Sort
 //!    group loops over either engine's `GroupSource`, once per
 //!    partition; the engines cut the partitions into reduce/A tasks by
@@ -208,8 +210,8 @@ struct StagePipeline {
     dfs: Dfs,
     in_streams: HashMap<usize, StreamedIntermediate>,
     pushdown: bool,
-    /// Vectorized execution: every stage kind takes it for every format
-    /// with a columnar reader (ORC, Text).
+    /// Which reader a scan uses: columnar for a format that has one
+    /// (ORC, Text), else rows. Either feeds the same batch kernels.
     vectorized: bool,
     batch_size: usize,
     /// Map-side partial aggregation (Hive's hash-GBY operator): set for
